@@ -11,8 +11,6 @@ from .basis import (
     Point,
     Rational,
     Symbol,
-    additive_eval,
-    coordinate,
     is_positive_increment,
     point_combine,
     symbols,
@@ -54,7 +52,6 @@ from .functions import (
     Scaled,
     SumOf,
     Tabulated,
-    function_eval,
     scale_function,
     tabulated_abs,
 )

@@ -182,11 +182,6 @@ def point_combine(terms: Iterable[tuple[Scalar, Point]]) -> Point:
     return Point._from_dict(acc)
 
 
-def coordinate(x: Point, sym: Symbol) -> Fraction:
-    """Coordinate of ``x`` at ``sym`` (zero outside the support)."""
-    return x.coordinate(sym)
-
-
 class AdditiveFunctional:
     """A rational-linear functional fixed by finitely many basis values.
 
@@ -233,11 +228,6 @@ class AdditiveFunctional:
     def __repr__(self) -> str:
         body = ", ".join(f"{s.name}: {v}" for s, v in self._items)
         return f"AdditiveFunctional({{{body}}})"
-
-
-def additive_eval(a: AdditiveFunctional, x: Point) -> Fraction:
-    """Evaluate ``a`` at ``x``: the sum of coordinate * assigned value."""
-    return a(x)
 
 
 def is_positive_increment(p: Point) -> bool:

@@ -20,14 +20,7 @@ import sys
 from typing import Sequence
 
 from .definitions import run_definition_file
-from .errors import (
-    DefinitionError,
-    EvenOrder,
-    HamelcheckError,
-    InvalidIncrement,
-    NonTerminatingJ,
-    UnknownCandidate,
-)
+from .errors import HamelcheckError
 from .reports import Report, all_passed, render
 from .scenarios import (
     default_orders,
@@ -177,16 +170,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     trace = bool(getattr(args, "trace_local", None) or args.trace_global)
     try:
         reports = args.runner(args)
-    except (
-        UsageError,
-        EvenOrder,
-        UnknownCandidate,
-        DefinitionError,
-        InvalidIncrement,
-        NonTerminatingJ,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (HamelcheckError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(render(reports, fmt, trace))

@@ -266,21 +266,18 @@ class _Parser:
                 raise self.unknown(text)
             return self.defn.measures[text]
 
-        try:
-            if head == "dirac" and len(args) == 1:
-                built: MeasureExpr = Dirac(self.point(args[0]))
-            elif head == "shift" and len(args) == 2:
-                built = Shift(measure_arg(args[0]), self.increment(args[1]))
-            elif head == "scale" and len(args) == 2:
-                built = Scale(self.rational(args[0]), measure_arg(args[1]))
-            elif head == "sum" and args:
-                built = Sum(tuple(measure_arg(a) for a in args))
-            elif head == "jclosure" and len(args) == 2:
-                built = JClosure(measure_arg(args[0]), self.increment(args[1]))
-            else:
-                raise self.fail(f"unknown measure constructor {head!r}", head)
-        except InvalidIncrement:
-            raise
+        if head == "dirac" and len(args) == 1:
+            built: MeasureExpr = Dirac(self.point(args[0]))
+        elif head == "shift" and len(args) == 2:
+            built = Shift(measure_arg(args[0]), self.increment(args[1]))
+        elif head == "scale" and len(args) == 2:
+            built = Scale(self.rational(args[0]), measure_arg(args[1]))
+        elif head == "sum" and args:
+            built = Sum(tuple(measure_arg(a) for a in args))
+        elif head == "jclosure" and len(args) == 2:
+            built = JClosure(measure_arg(args[0]), self.increment(args[1]))
+        else:
+            raise self.fail(f"unknown measure constructor {head!r}", head)
         self.defn.measures[name] = built
 
     def stmt_eval(self, rest: str) -> None:

@@ -145,19 +145,7 @@ def jensen_convexity_probe(
 ) -> ProbeOutcome:
     """Check the (n+1)-fold equal-increment difference >= 0 on the given
     (x, h) samples; untabulated samples are skipped with a record."""
-    violations: list[Violation] = []
-    skipped: list[SkippedSample] = []
-    for index, (x, h) in enumerate(samples):
-        check_increment(h)
-        hs = (h,) * (n + 1)
-        try:
-            v = forward_diff(f, x, hs)
-        except UntabulatedPoint as exc:
-            skipped.append(SkippedSample(index, x, hs, str(exc)))
-            continue
-        if v < 0:
-            violations.append(Violation(index, x, hs, v, difference_table(f, x, hs)))
-    return ProbeOutcome(tuple(violations), tuple(skipped))
+    return wright_convexity_probe(f, n, ((x, (h,) * (n + 1)) for x, h in samples))
 
 
 def wright_convexity_probe(

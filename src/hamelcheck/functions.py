@@ -158,11 +158,6 @@ class PointwisePower(PointFunction):
         return self.inner.value(x) ** self.power
 
 
-def function_eval(f: PointFunction, x: Point) -> Fraction:
-    """Evaluate ``f`` at ``x`` exactly."""
-    return f.value(x)
-
-
 def scale_function(c: Scalar, f: PointFunction) -> Scaled:
     """Multiply a function's values by a constant."""
     return Scaled(Fraction(c), f)

@@ -3,7 +3,8 @@ atom-mass evaluation.
 
 Closure nodes have infinite support, so measures are never materialized;
 every query is a finite representation count, bounded through per-symbol
-lower bounds on each subtree's support.
+lower bounds on each subtree's support. Each closure node memoises the
+masses it has computed for as long as the node lives.
 """
 
 from __future__ import annotations
@@ -13,15 +14,10 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import functions
-from .basis import Point, Scalar, Symbol, check_increment, is_positive_increment, unit
+from .basis import Point, Symbol, check_increment, is_positive_increment, unit
 from .errors import InvalidIncrement, NonTerminatingJ
 
 _ZERO = Fraction(0)
-
-# Optional (node, point) -> Fraction memo, shared across queries by the
-# caller. Results are identical with or without it; nodes hash by
-# identity, so a cache must not outlive the trees it has seen.
-MassCache = dict
 
 
 class MeasureExpr:
@@ -29,8 +25,8 @@ class MeasureExpr:
 
     support_floor: Point
 
-    def mass(self, x: Point, cache: MassCache | None = None) -> Fraction:
-        return atom_mass(self, x, cache)
+    def mass(self, x: Point) -> Fraction:
+        return atom_mass(self, x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,71 +91,53 @@ class JClosure(MeasureExpr):
             )
         # Support only grows upward, so the inner floor is exact.
         object.__setattr__(self, "support_floor", self.inner.support_floor)
+        # Point -> mass of this closure, filled by _closure_mass.
+        object.__setattr__(self, "_memo", {})
 
 
-def atom_mass(mu: MeasureExpr, x: Point, cache: MassCache | None = None) -> Fraction:
+def atom_mass(mu: MeasureExpr, x: Point) -> Fraction:
     """Exact signed mass of the atom of ``mu`` at ``x``.
 
-    Closure nodes sum finitely many translates: along any symbol where the
-    step is strictly positive, the translate count is capped by the gap
-    between the query coordinate and the support floor.
+    Closure nodes sum finitely many translates: each step lowers some
+    coordinate, and below the support floor every mass is zero.
     """
-    if cache is None:
-        return _mass(mu, x, None)
-    return _mass(mu, x, cache)
+    return _mass(mu, x)
 
 
-def _mass(mu: MeasureExpr, x: Point, cache: MassCache | None) -> Fraction:
-    if cache is not None:
-        key = (mu, x)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
+def _mass(mu: MeasureExpr, x: Point) -> Fraction:
     kind = type(mu)
     if kind is Dirac:
-        out = Fraction(1) if x == mu.point else _ZERO
-    elif kind is Shift:
-        out = _mass(mu.inner, x - mu.step, cache)
-    elif kind is Scale:
-        out = mu.factor * _mass(mu.inner, x, cache) if mu.factor else _ZERO
-    elif kind is Sum:
+        return Fraction(1) if x == mu.point else _ZERO
+    if kind is Shift:
+        return _mass(mu.inner, x - mu.step)
+    if kind is Scale:
+        return mu.factor * _mass(mu.inner, x) if mu.factor else _ZERO
+    if kind is Sum:
         out = _ZERO
         for t in mu.terms:
-            out += _mass(t, x, cache)
-    elif kind is JClosure:
-        out = _closure_mass(mu, x, cache)
-    else:
-        raise TypeError(f"not a measure expression: {mu!r}")
-    if cache is not None:
-        cache[key] = out
-    return out
+            out += _mass(t, x)
+        return out
+    if kind is JClosure:
+        return _closure_mass(mu, x)
+    raise TypeError(f"not a measure expression: {mu!r}")
 
 
-def _closure_mass(mu: JClosure, x: Point, cache: MassCache | None) -> Fraction:
-    step = mu.step
-    floor = mu.inner.support_floor
-    kmax: int | None = None
-    for s, c in step.terms:
-        room = x.coordinate(s) - floor.coordinate(s)
-        if room < 0:
-            return _ZERO
-        k = int(room // c)
-        if kmax is None or k < kmax:
-            kmax = k
-    if kmax is None:
-        raise NonTerminatingJ(f"closure step has no positive coordinate: {step}")
-    # Coordinates the step never touches must already clear the floor.
-    for s, lo in floor.terms:
-        if x.coordinate(s) < lo and not step.coordinate(s):
-            return _ZERO
-    for s, c in x.terms:
-        if c < floor.coordinate(s) and not step.coordinate(s):
-            return _ZERO
-    total = _ZERO
+def _closure_mass(mu: JClosure, x: Point) -> Fraction:
+    """J(x) = inner(x) + J(x - step), and J = 0 at any point that is not at
+    or above the support floor in every coordinate. Walks down to a
+    memoised point or off the floor, then adds upward, so the depth of
+    Python recursion does not grow with the number of translates."""
+    memo = mu._memo
+    floor = mu.support_floor
+    pending: list[Point] = []
     p = x
-    for _ in range(kmax + 1):
-        total += _mass(mu.inner, p, cache)
-        p = p - step
+    while p not in memo and all(c > 0 for _, c in (p - floor).terms):
+        pending.append(p)
+        p = p - mu.step
+    total = memo.get(p, _ZERO)
+    for p in reversed(pending):
+        total += _mass(mu.inner, p)
+        memo[p] = total
     return total
 
 
@@ -238,14 +216,3 @@ def measure_mass_function(mu: MeasureExpr) -> functions.MeasureMass:
 def sorted_points(points: Iterable[Point]) -> list[Point]:
     """Deterministic ordering for reports and quantified checks."""
     return sorted(points, key=lambda p: tuple((s.name, c) for s, c in p.terms))
-
-
-def dirac_at(sym_or_point: Symbol | Point) -> Dirac:
-    """Unit atom at a symbol's unit point or at a given point."""
-    if isinstance(sym_or_point, Symbol):
-        return Dirac(unit(sym_or_point))
-    return Dirac(sym_or_point)
-
-
-def scaled(c: Scalar, mu: MeasureExpr) -> Scale:
-    return Scale(Fraction(c), mu)

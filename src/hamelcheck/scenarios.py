@@ -162,25 +162,17 @@ def verify_section_3_2() -> Report:
         Fraction(-18),
     )
 
-    # Witness with a(x) near 1 and a(h) near -2, taken at the exact center.
-    ws, wt = Symbol("s", positive=True), Symbol("t", positive=True)
-    wa = AdditiveFunctional({ws: Fraction(1), wt: Fraction(-2)})
-    wf = Composite(PositivePartPower(2), wa)
+    f, x, h = _prop31_witness()
     rb.claim(
         "prop31-witness",
         "third difference -(a(x))^2 at the exact witness (a(x)=1, a(h)=-2)",
-        equal_increment_diff(wf, unit(ws), unit(wt), 3),
+        equal_increment_diff(f, x, h, 3),
         NEG_ONE,
     )
 
-    # Scaled squared positive part on an integer grid: no violations.
-    u = Symbol("u", positive=True)
-    uu = unit(u)
-    ua = AdditiveFunctional({u: Fraction(1)})
-    grid = [(j * uu, h) for j in range(-3, 4) for h in (uu, 2 * uu)]
     for c in (0, 1, 2):
-        fc = scale_function(Fraction(c * c), Composite(PositivePartPower(2), ua))
-        outcome = jensen_convexity_probe(fc, 2, grid)
+        f, grid = _prop32_grid(c)
+        outcome = jensen_convexity_probe(f, 2, grid)
         rb.claim(
             f"prop32-grid-c={c}",
             f"violations of the third-difference sign for {c}^2*x_+^2 "
@@ -189,14 +181,12 @@ def verify_section_3_2() -> Report:
             Fraction(0),
         )
 
-    # Reflected squared positive part: the third difference is -c^2.
-    na = AdditiveFunctional({u: NEG_ONE})
     for c in (-1, -2):
-        fc = scale_function(Fraction(c * c), Composite(PositivePartPower(2), na))
+        f, x, h = _prop33_square(c)
         rb.claim(
             f"prop33-c={c}",
             f"third difference of {c}^2*(-x)_+^2 at x=-1, h=1",
-            equal_increment_diff(fc, -1 * uu, uu, 3),
+            equal_increment_diff(f, x, h, 3),
             Fraction(-c * c),
         )
     return rb.build()
@@ -404,20 +394,13 @@ def verify_prop_4_3(trials: int, seed: int) -> Report:
         nu, hs, probes = _random_instance(rng)
         min_probes = len(probes) if min_probes is None else min(min_probes, len(probes))
 
-        cache: dict = {}
         closed = j_op(nu, hs)
         recovered = nabla(closed, hs)
-        if all(
-            atom_mass(recovered, x, cache) == atom_mass(nu, x, cache) for x in probes
-        ):
+        if all(atom_mass(recovered, x) == atom_mass(nu, x) for x in probes):
             pass_recover += 1
 
-        cache = {}
         round_trip = j_op(nabla(closed, hs), hs)
-        if all(
-            atom_mass(round_trip, x, cache) == atom_mass(closed, x, cache)
-            for x in probes
-        ):
+        if all(atom_mass(round_trip, x) == atom_mass(closed, x) for x in probes):
             pass_fixed += 1
 
     rb = ReportBuilder(f"prop43(trials={trials},seed={seed})")
@@ -448,11 +431,40 @@ _OPEN_NOTE = (
 )
 
 
-def _even_prop31_witness(rb: ReportBuilder) -> None:
+# The order-2 candidates, each defined once for `section32` and `probe even`.
+
+
+def _prop31_witness():
+    """(a(.))_+^2 with a(s) = 1, a(t) = -2, and the exact witness x = s,
+    h = t, at which the third difference is -(a(x))^2 = -1."""
     s, t = Symbol("s", positive=True), Symbol("t", positive=True)
     a = AdditiveFunctional({s: Fraction(1), t: Fraction(-2)})
-    f = Composite(PositivePartPower(2), a)
-    outcome = jensen_convexity_probe(f, 2, [(unit(s), unit(t))])
+    return Composite(PositivePartPower(2), a), unit(s), unit(t)
+
+
+def _prop32_grid(c: int):
+    """The scaled squared positive part c^2*x_+^2 and the integer grid
+    x in [-3,3], h in {1,2}, on which it has no violations."""
+    u = Symbol("u", positive=True)
+    uu = unit(u)
+    a = AdditiveFunctional({u: Fraction(1)})
+    f = scale_function(Fraction(c * c), Composite(PositivePartPower(2), a))
+    return f, [(j * uu, h) for j in range(-3, 4) for h in (uu, 2 * uu)]
+
+
+def _prop33_square(c: int):
+    """The reflected square c^2*(-x)_+^2 with x = -1, h = 1, where the
+    third difference is -c^2."""
+    u = Symbol("u", positive=True)
+    uu = unit(u)
+    a = AdditiveFunctional({u: NEG_ONE})
+    f = scale_function(Fraction(c * c), Composite(PositivePartPower(2), a))
+    return f, -1 * uu, uu
+
+
+def _even_prop31_witness(rb: ReportBuilder) -> None:
+    f, x, h = _prop31_witness()
+    outcome = jensen_convexity_probe(f, 2, [(x, h)])
     rb.claim(
         "jensen-violation-count",
         "the exact witness sample violates the third-difference sign",
@@ -469,11 +481,7 @@ def _even_prop31_witness(rb: ReportBuilder) -> None:
 
 
 def _even_prop32_grid(rb: ReportBuilder) -> None:
-    u = Symbol("u", positive=True)
-    uu = unit(u)
-    a = AdditiveFunctional({u: Fraction(1)})
-    f = scale_function(Fraction(1), Composite(PositivePartPower(2), a))
-    grid = [(j * uu, h) for j in range(-3, 4) for h in (uu, 2 * uu)]
+    f, grid = _prop32_grid(1)
     outcome = jensen_convexity_probe(f, 2, grid)
     rb.claim(
         "grid-violations",
@@ -484,14 +492,11 @@ def _even_prop32_grid(rb: ReportBuilder) -> None:
 
 
 def _even_prop33_witness(rb: ReportBuilder) -> None:
-    u = Symbol("u", positive=True)
-    uu = unit(u)
-    a = AdditiveFunctional({u: NEG_ONE})
-    f = scale_function(Fraction(1), Composite(PositivePartPower(2), a))
+    f, x, h = _prop33_square(-1)
     rb.claim(
         "jensen-violation-value",
         "third difference of (-x)_+^2 at x=-1, h=1 is -c^2 with c=-1",
-        equal_increment_diff(f, -1 * uu, uu, 3),
+        equal_increment_diff(f, x, h, 3),
         NEG_ONE,
     )
 

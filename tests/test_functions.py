@@ -18,7 +18,6 @@ from hamelcheck import (
     SumOf,
     Tabulated,
     UntabulatedPoint,
-    function_eval,
     scale_function,
     symbols,
     tabulated_abs,
@@ -50,9 +49,9 @@ def test_kernels():
 def test_function_eval_cube_values():
     syms, _, f = _theorem_function(3)
     h1, h2, h3, h4 = syms
-    assert function_eval(f, unit(h1) + unit(h2) + unit(h3) + unit(h4)) == 8
-    assert function_eval(f, unit(h2) + unit(h3) + unit(h4)) == 27
-    assert function_eval(f, unit(h1)) == 0
+    assert f.value(unit(h1) + unit(h2) + unit(h3) + unit(h4)) == 8
+    assert f.value(unit(h2) + unit(h3) + unit(h4)) == 27
+    assert f.value(unit(h1)) == 0
 
 
 def test_scale_function():
