@@ -6,7 +6,7 @@ tied to real-number values, so every computation downstream is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -21,10 +21,12 @@ Scalar = Union[int, Fraction]
 
 @dataclass(frozen=True, order=True)
 class Symbol:
-    """An abstract basis symbol with a declared (not computed) sign."""
+    """An abstract basis symbol with a declared (not computed) sign. The
+    sign is part of identity, so a sum of points never depends on which
+    operand's flag a shared name keeps."""
 
     name: str
-    positive: bool = field(default=False, compare=False)
+    positive: bool = False
 
     def __repr__(self) -> str:
         flag = "+" if self.positive else ""

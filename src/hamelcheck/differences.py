@@ -29,30 +29,54 @@ def _checked(hs: Increments) -> tuple[Point, ...]:
 
 
 @dataclass(frozen=True, eq=False)
-class _ForwardStep(PointFunction):
+class _Step(PointFunction):
+    """One level of the operator chain. ``memo`` is a ``{Point: Fraction}``
+    dict when the chain's increments repeat, so that the coinciding subset
+    sums below this level are evaluated once; otherwise it is None."""
+
     inner: PointFunction
     step: Point
+    memo: dict[Point, Fraction] | None
 
     def value(self, x: Point) -> Fraction:
+        memo = self.memo
+        if memo is None:
+            return self._diff(x)
+        v = memo.get(x)
+        if v is None:
+            # Stored only once computed: a raise leaves no entry behind.
+            v = memo[x] = self._diff(x)
+        return v
+
+
+class _ForwardStep(_Step):
+    def _diff(self, x: Point) -> Fraction:
         return self.inner.value(x + self.step) - self.inner.value(x)
 
 
-@dataclass(frozen=True, eq=False)
-class _BackwardStep(PointFunction):
-    inner: PointFunction
-    step: Point
-
-    def value(self, x: Point) -> Fraction:
+class _BackwardStep(_Step):
+    def _diff(self, x: Point) -> Fraction:
         return self.inner.value(x) - self.inner.value(x - self.step)
+
+
+def _chain(step: type[_Step], f: PointFunction, hs: tuple[Point, ...]) -> _Step:
+    """The recursive operator over checked ``hs``, last increment innermost.
+
+    With a repeated increment, k levels see O(k^2) distinct points instead
+    of 2^k, so each level memoises. With pairwise-distinct increments the
+    points seldom coincide and a memo would only add hashing.
+    """
+    memoise = len(set(hs)) < len(hs)
+    g = f
+    for h in reversed(hs):
+        g = step(g, h, {} if memoise else None)
+    return g
 
 
 def forward_diff(f: PointFunction, x: Point, hs: Increments) -> Fraction:
     """Mixed forward difference over ``hs`` at ``x``, by the recursive
     definition: the last increment is applied innermost."""
-    g = f
-    for h in reversed(_checked(hs)):
-        g = _ForwardStep(g, h)
-    return g.value(x)
+    return _chain(_ForwardStep, f, _checked(hs)).value(x)
 
 
 def forward_diff_closed(f: PointFunction, x: Point, hs: Increments) -> Fraction:
@@ -74,10 +98,7 @@ def forward_diff_closed(f: PointFunction, x: Point, hs: Increments) -> Fraction:
 
 def backward_diff(f: PointFunction, x: Point, hs: Increments) -> Fraction:
     """Mixed backward difference over ``hs`` at ``x``."""
-    g = f
-    for h in reversed(_checked(hs)):
-        g = _BackwardStep(g, h)
-    return g.value(x)
+    return _chain(_BackwardStep, f, _checked(hs)).value(x)
 
 
 def equal_increment_diff(f: PointFunction, x: Point, h: Point, m: int) -> Fraction:
@@ -152,9 +173,11 @@ def wright_convexity_probe(
     f: PointFunction, n: int, samples: Iterable[tuple[Point, Sequence[Point]]]
 ) -> ProbeOutcome:
     """Check the mixed (n+1)-increment forward difference >= 0 on the
-    given (x, hs) samples."""
+    given (x, hs) samples. Samples with the same increments share one
+    operator chain, and so its level memos, for the length of this call."""
     violations: list[Violation] = []
     skipped: list[SkippedSample] = []
+    chains: dict[tuple[Point, ...], _Step] = {}
     for index, (x, hs) in enumerate(samples):
         hs = tuple(hs)
         if len(hs) != n + 1:
@@ -163,8 +186,11 @@ def wright_convexity_probe(
             )
         for h in hs:
             check_increment(h)
+        chain = chains.get(hs)
+        if chain is None:
+            chain = chains[hs] = _chain(_ForwardStep, f, hs)
         try:
-            v = forward_diff(f, x, hs)
+            v = chain.value(x)
         except UntabulatedPoint as exc:
             skipped.append(SkippedSample(index, x, hs, str(exc)))
             continue

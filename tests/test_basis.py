@@ -32,8 +32,8 @@ def test_rational_is_exact_and_canonical():
 def test_symbol_ordering_and_identity():
     a, b = Symbol("a", positive=True), Symbol("b")
     assert a < b
-    # The positivity flag is an attribute, not part of identity.
-    assert Symbol("a") == Symbol("a", positive=True)
+    # The positivity flag is part of identity.
+    assert Symbol("a") != Symbol("a", positive=True)
 
 
 def test_point_combine_sum():
@@ -157,3 +157,12 @@ def test_positive_increment_rules():
     assert not is_positive_increment(unit(pos) - unit(pos) * Fraction(2))  # negative coord
     with pytest.raises(InvalidIncrement):
         check_increment(unit(neg))
+
+
+def test_sign_flag_mix_is_order_independent():
+    # A name reused with both signs must not let the left operand's flag win.
+    plain, pos = Symbol("h"), Symbol("h", positive=True)
+    left, right = unit(plain) + unit(pos), unit(pos) + unit(plain)
+    assert left == right
+    assert not is_positive_increment(left)
+    assert not is_positive_increment(right)

@@ -1,5 +1,6 @@
 """Forward/backward difference operators and convexity probes."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -11,9 +12,11 @@ from hamelcheck import (
     Composite,
     Identity,
     InvalidIncrement,
+    PointFunction,
     PositivePartPower,
     Power,
     Tabulated,
+    UntabulatedPoint,
     backward_diff,
     difference_table,
     equal_increment_diff,
@@ -234,3 +237,73 @@ def test_increment_validation():
         wright_convexity_probe(f, 2, [(ZERO, (unit(s),))])  # wrong arity
     with pytest.raises(ValueError):
         equal_increment_diff(f, ZERO, unit(s), 0)
+
+
+class _Counting(PointFunction):
+    """Counts the evaluations of the function it wraps."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def value(self, x):
+        self.calls += 1
+        return self.inner.value(x)
+
+
+def test_equal_increments_evaluate_each_level_point_once():
+    # Delta_h^k t^k = k! when a(h) = 1; the expansion would take 2^k calls.
+    (h,) = symbols("h", positive=True)
+    k = 16
+    x = -3 * unit(h)
+    hs = (unit(h),) * k
+    f = Composite(Power(k), AdditiveFunctional({h: 1}))
+    fwd, bwd = _Counting(f), _Counting(f)
+    assert forward_diff(fwd, x, hs) == math.factorial(k)
+    assert backward_diff(bwd, x + k * unit(h), hs) == math.factorial(k)
+    assert fwd.calls <= 2 * (k + 1)
+    assert bwd.calls <= 2 * (k + 1)
+
+
+def test_repeated_increments_match_oracle():
+    h1, h2 = symbols("h1 h2", positive=True)
+    u1, u2 = unit(h1), unit(h2)
+    f = Composite(PositivePartPower(3), AdditiveFunctional({h1: -1, h2: Fraction(3, 2)}))
+    x = 2 * u1 - u2
+    for pattern in ((u1,), (u1, u1, u2, u1 + u2)):
+        for k in range(1, 13):
+            hs = (pattern * k)[:k]
+            top = x
+            for h in hs:
+                top = top + h
+            v = forward_diff_closed(f, x, hs)
+            assert forward_diff(f, x, hs) == v
+            assert backward_diff(f, top, hs) == v
+
+
+def test_probe_chain_sharing_survives_untabulated_samples():
+    # The point 2s is missing: the sample at x = 0 raises after inner levels
+    # have stored values, and the sample at x = s shares that chain.
+    (s,) = symbols("s", positive=True)
+    su = unit(s)
+    rng = random.Random(707)
+    f = Tabulated({j * su: rng.randint(-9, 9) for j in range(13) if j != 2})
+    samples = [(j * su, step * su) for step in (1, 2) for j in range(7)]
+    outcome = jensen_convexity_probe(f, 2, samples)
+
+    expected_skipped, expected_values = [], {}
+    for index, (x, h) in enumerate(samples):
+        try:
+            expected_values[index] = forward_diff(f, x, (h,) * 3)
+        except UntabulatedPoint as exc:
+            expected_skipped.append((index, x, (h,) * 3, str(exc)))
+    assert [
+        (r.index, r.x, r.increments, r.reason) for r in outcome.skipped
+    ] == expected_skipped
+    assert [r.index for r in outcome.skipped][:2] == [0, 1]
+    assert [(v.index, v.value) for v in outcome.violations] == [
+        (i, v) for i, v in expected_values.items() if v < 0
+    ]
+    assert outcome.violations
+    for v in outcome.violations:
+        assert v.table == difference_table(f, v.x, v.increments)
