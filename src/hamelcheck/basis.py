@@ -6,9 +6,9 @@ tied to real-number values, so every computation downstream is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import InvalidIncrement
 
@@ -19,11 +19,21 @@ Rational = Fraction
 Scalar = Union[int, Fraction]
 
 
-@dataclass(frozen=True, order=True)
-class Symbol:
+def exact(v) -> Scalar:
+    """The canonical form of an exact scalar: ``int`` when integral,
+    ``Fraction`` otherwise. Both compare and hash alike, so the form only
+    keeps arithmetic on the fast integer path."""
+    if type(v) is int:
+        return v
+    if type(v) is not Fraction:
+        v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
+class Symbol(NamedTuple):
     """An abstract basis symbol with a declared (not computed) sign. The
     sign is part of identity, so a sum of points never depends on which
-    operand's flag a shared name keeps."""
+    operand's flag a shared name keeps. Symbols order by name, then sign."""
 
     name: str
     positive: bool = False
@@ -41,48 +51,41 @@ def symbols(names: str, positive: bool = False) -> list[Symbol]:
 class Point:
     """Finitely supported rational coordinate vector over basis symbols.
 
-    Canonical form: zero coefficients are dropped and terms are sorted by
-    symbol, so equality and hashing are structural.
+    Canonical form: zero coefficients are dropped, integral ones are held
+    as ``int`` (see ``exact``) and terms are sorted by symbol, so equality
+    and hashing are structural.
     """
 
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, coords: Mapping[Symbol, Scalar] | Iterable[tuple[Symbol, Scalar]] = ()):
         items = coords.items() if isinstance(coords, Mapping) else coords
-        acc: dict[Symbol, Fraction] = {}
+        acc: dict[Symbol, Scalar] = {}
         for sym, c in items:
-            q = acc.get(sym, _ZERO_Q) + Fraction(c)
-            if q:
-                acc[sym] = q
-            elif sym in acc:
-                del acc[sym]
-        self._terms = tuple(sorted(acc.items()))
+            acc[sym] = acc.get(sym, 0) + exact(c)
+        self._terms = _sorted_terms({s: exact(c) for s, c in acc.items() if c})
         self._hash = None
 
     @classmethod
-    def _wrap(cls, terms: tuple[tuple[Symbol, Fraction], ...]) -> "Point":
+    def _wrap(cls, terms: tuple[tuple[Symbol, Scalar], ...]) -> "Point":
         p = object.__new__(cls)
         p._terms = terms
         p._hash = None
         return p
 
-    @classmethod
-    def _from_dict(cls, acc: dict[Symbol, Fraction]) -> "Point":
-        return cls._wrap(tuple(sorted(acc.items())))
-
     @property
-    def terms(self) -> tuple[tuple[Symbol, Fraction], ...]:
+    def terms(self) -> tuple[tuple[Symbol, Scalar], ...]:
         return self._terms
 
     @property
     def support(self) -> tuple[Symbol, ...]:
         return tuple(s for s, _ in self._terms)
 
-    def coordinate(self, sym: Symbol) -> Fraction:
+    def coordinate(self, sym: Symbol) -> Scalar:
         for s, c in self._terms:
             if s == sym:
                 return c
-        return _ZERO_Q
+        return 0
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -96,12 +99,12 @@ class Point:
             return other
         acc = dict(self._terms)
         for s, c in other._terms:
-            q = acc.get(s, _ZERO_Q) + c
+            q = acc.get(s, 0) + c
             if q:
-                acc[s] = q
-            elif s in acc:
+                acc[s] = q if type(q) is int else exact(q)
+            else:
                 del acc[s]
-        return Point._from_dict(acc)
+        return Point._wrap(_sorted_terms(acc))
 
     def __sub__(self, other: "Point") -> "Point":
         if not isinstance(other, Point):
@@ -110,21 +113,21 @@ class Point:
             return self
         acc = dict(self._terms)
         for s, c in other._terms:
-            q = acc.get(s, _ZERO_Q) - c
+            q = acc.get(s, 0) - c
             if q:
-                acc[s] = q
-            elif s in acc:
+                acc[s] = q if type(q) is int else exact(q)
+            else:
                 del acc[s]
-        return Point._from_dict(acc)
+        return Point._wrap(_sorted_terms(acc))
 
     def __neg__(self) -> "Point":
         return Point._wrap(tuple((s, -c) for s, c in self._terms))
 
     def __mul__(self, scalar: Scalar) -> "Point":
-        q = Fraction(scalar)
+        q = exact(scalar)
         if not q:
             return ZERO
-        return Point._wrap(tuple((s, c * q) for s, c in self._terms))
+        return Point._wrap(tuple((s, exact(c * q)) for s, c in self._terms))
 
     __rmul__ = __mul__
 
@@ -137,7 +140,7 @@ class Point:
             h = self._hash = hash(self._terms)
         return h
 
-    def __iter__(self) -> Iterator[tuple[Symbol, Fraction]]:
+    def __iter__(self) -> Iterator[tuple[Symbol, Scalar]]:
         return iter(self._terms)
 
     def __str__(self) -> str:
@@ -157,7 +160,13 @@ class Point:
         return f"Point({self})"
 
 
-_ZERO_Q = Fraction(0)
+_symbol_of = itemgetter(0)
+
+
+def _sorted_terms(acc: dict[Symbol, Scalar]) -> tuple[tuple[Symbol, Scalar], ...]:
+    """The terms of a canonical coordinate dict, sorted by symbol."""
+    return tuple(sorted(acc.items(), key=_symbol_of))
+
 
 #: The zero point (empty support).
 ZERO = Point()
@@ -165,23 +174,18 @@ ZERO = Point()
 
 def unit(sym: Symbol) -> Point:
     """The point consisting of a single basis symbol."""
-    return Point._wrap(((sym, Fraction(1)),))
+    return Point._wrap(((sym, 1),))
 
 
 def point_combine(terms: Iterable[tuple[Scalar, Point]]) -> Point:
     """Canonical linear combination of points; zero coefficients vanish."""
-    acc: dict[Symbol, Fraction] = {}
+    acc: dict[Symbol, Scalar] = {}
     for coeff, p in terms:
-        q = Fraction(coeff)
-        if not q:
-            continue
-        for s, c in p.terms:
-            v = acc.get(s, _ZERO_Q) + q * c
-            if v:
-                acc[s] = v
-            elif s in acc:
-                del acc[s]
-    return Point._from_dict(acc)
+        q = exact(coeff)
+        if q:
+            for s, c in p.terms:
+                acc[s] = acc.get(s, 0) + q * c
+    return Point._wrap(_sorted_terms({s: exact(c) for s, c in acc.items() if c}))
 
 
 class AdditiveFunctional:
@@ -195,9 +199,9 @@ class AdditiveFunctional:
 
     def __init__(self, values: Mapping[Symbol, Scalar] | Iterable[tuple[Symbol, Scalar]] = ()):
         items = values.items() if isinstance(values, Mapping) else values
-        acc: dict[Symbol, Fraction] = {}
+        acc: dict[Symbol, Scalar] = {}
         for sym, v in items:
-            q = Fraction(v)
+            q = exact(v)
             if q:
                 acc[sym] = q
             else:
@@ -206,20 +210,20 @@ class AdditiveFunctional:
         self._items = tuple(sorted(acc.items()))
 
     @property
-    def values(self) -> tuple[tuple[Symbol, Fraction], ...]:
+    def values(self) -> tuple[tuple[Symbol, Scalar], ...]:
         return self._items
 
-    def value_on(self, sym: Symbol) -> Fraction:
-        return self._values.get(sym, _ZERO_Q)
+    def value_on(self, sym: Symbol) -> Scalar:
+        return self._values.get(sym, 0)
 
-    def __call__(self, x: Point) -> Fraction:
-        total = _ZERO_Q
+    def __call__(self, x: Point) -> Scalar:
+        total = 0
         get = self._values.get
         for s, c in x.terms:
             v = get(s)
             if v is not None:
-                total += v if c == 1 else c * v
-        return total
+                total += c * v
+        return total if type(total) is int else exact(total)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, AdditiveFunctional) and self._items == other._items

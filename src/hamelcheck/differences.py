@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -140,7 +141,13 @@ class Violation:
     x: Point
     increments: tuple[Point, ...]
     value: Fraction
-    table: tuple[TableRow, ...]
+    function: PointFunction
+
+    @cached_property
+    def table(self) -> tuple[TableRow, ...]:
+        """All 2^k evaluations at this sample, built on first read; a
+        probe that only counts violations never pays for them."""
+        return difference_table(self.function, self.x, self.increments)
 
 
 @dataclass(frozen=True)
@@ -195,5 +202,5 @@ def wright_convexity_probe(
             skipped.append(SkippedSample(index, x, hs, str(exc)))
             continue
         if v < 0:
-            violations.append(Violation(index, x, hs, v, difference_table(f, x, hs)))
+            violations.append(Violation(index, x, hs, v, f))
     return ProbeOutcome(tuple(violations), tuple(skipped))

@@ -8,7 +8,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from functools import cached_property
+from typing import Callable, Iterable, Sequence, Union
 
 from .differences import TableRow
 
@@ -39,9 +40,15 @@ def make_claim(label: str, ref: str, computed: Value, expected: Value) -> Claim:
 class Report:
     scenario: str
     claims: tuple[Claim, ...]
-    trace: tuple[TableRow, ...] = ()
+    make_trace: Callable[[], tuple[TableRow, ...]] = tuple
     trace_title: str = ""
     notes: tuple[str, ...] = ()
+
+    @cached_property
+    def trace(self) -> tuple[TableRow, ...]:
+        """The evaluation table, built on first read: only ``--trace``
+        output and callers that inspect it pay for it."""
+        return self.make_trace()
 
     @property
     def passed(self) -> bool:
@@ -54,7 +61,7 @@ class ReportBuilder:
 
     scenario: str
     claims: list[Claim] = field(default_factory=list)
-    trace: tuple[TableRow, ...] = ()
+    make_trace: Callable[[], tuple[TableRow, ...]] = tuple
     trace_title: str = ""
     notes: list[str] = field(default_factory=list)
 
@@ -68,7 +75,7 @@ class ReportBuilder:
 
     def build(self) -> Report:
         return Report(
-            self.scenario, tuple(self.claims), self.trace, self.trace_title,
+            self.scenario, tuple(self.claims), self.make_trace, self.trace_title,
             tuple(self.notes),
         )
 

@@ -98,7 +98,7 @@ def verify_theorem_2_3(n: int) -> Report:
         bwd,
         NEG_ONE,
     )
-    rb.trace = difference_table(f, ZERO, units)
+    rb.make_trace = lambda: difference_table(f, ZERO, units)
     rb.trace_title = f"forward difference over [h1..h{n + 1}] at 0"
     return rb.build()
 
@@ -139,7 +139,7 @@ def verify_section_3_1() -> Report:
         total,
         NEG_ONE,
     )
-    rb.trace = rows
+    rb.make_trace = lambda: rows
     rb.trace_title = "forward difference over [h1..h4] at 0"
     return rb.build()
 

@@ -36,6 +36,18 @@ def test_symbol_ordering_and_identity():
     assert Symbol("a") != Symbol("a", positive=True)
 
 
+def test_coordinates_are_int_when_integral():
+    (h,) = symbols("h", positive=True)
+    p, q = Point({h: Fraction(2)}), Point({h: 2})
+    assert p == q and hash(p) == hash(q)
+    c = (Fraction(3, 2) * unit(h) + Fraction(1, 2) * unit(h)).coordinate(h)
+    assert type(c) is int and c == 2
+    assert type((unit(h) - Fraction(1, 2) * unit(h)).coordinate(h)) is Fraction
+    v = AdditiveFunctional({h: 1})(3 * unit(h))
+    assert type(v) is int and v == 3
+    assert type(AdditiveFunctional({h: Fraction(1, 2)})(2 * unit(h))) is int
+
+
 def test_point_combine_sum():
     h1, h2 = symbols("h1 h2", positive=True)
     p = point_combine([(1, unit(h1)), (1, unit(h2))])

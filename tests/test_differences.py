@@ -19,6 +19,7 @@ from hamelcheck import (
     UntabulatedPoint,
     backward_diff,
     difference_table,
+    differences,
     equal_increment_diff,
     forward_diff,
     forward_diff_closed,
@@ -161,6 +162,24 @@ def test_jensen_probe_flags_witness():
     v = outcome.violations[0]
     assert v.value == -1
     assert len(v.table) == 8  # all 2^3 evaluations retained
+
+
+def test_violation_table_is_built_on_first_read(monkeypatch):
+    calls = []
+    table = differences.difference_table
+
+    def counting(*args):
+        calls.append(args)
+        return table(*args)
+
+    monkeypatch.setattr(differences, "difference_table", counting)
+    s, t = symbols("s t", positive=True)
+    f = Composite(PositivePartPower(2), AdditiveFunctional({s: 1, t: -2}))
+    outcome = jensen_convexity_probe(f, 2, [(unit(s), unit(t))] * 3)
+    assert len(outcome.violations) == 3 and not calls
+    v = outcome.violations[0]
+    assert v.table == table(f, v.x, v.increments)
+    assert v.table is v.table and len(calls) == 1
 
 
 def test_jensen_probe_scaled_square_grid():
@@ -307,3 +326,24 @@ def test_probe_chain_sharing_survives_untabulated_samples():
     assert outcome.violations
     for v in outcome.violations:
         assert v.table == difference_table(f, v.x, v.increments)
+
+
+def test_fractional_coordinates_and_values_match_oracle():
+    # Half-integer increments drift coordinates between int and Fraction
+    # along the chain, and a(h1) = 1/3 makes the values non-integral.
+    h1, h2 = symbols("h1 h2", positive=True)
+    u1, u2 = unit(h1), unit(h2)
+    f = Composite(PositivePartPower(3), AdditiveFunctional({h1: Fraction(1, 3), h2: -1}))
+    x = Fraction(1, 2) * u1
+    half = Fraction(1, 2) * u1
+    for hs in (
+        (half, Fraction(3, 2) * u2, u1 + Fraction(1, 2) * u2, 3 * u1),
+        (half, half, Fraction(1, 2) * u2, half),
+    ):
+        top = x
+        for h in hs:
+            top = top + h
+        v = forward_diff_closed(f, x, hs)
+        assert v.denominator > 1
+        assert forward_diff(f, x, hs) == v
+        assert backward_diff(f, top, hs) == v

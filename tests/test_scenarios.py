@@ -8,6 +8,7 @@ from hamelcheck import (
     EvenOrder,
     UnknownCandidate,
     probe_even,
+    scenarios,
     verify_lemma_4_4,
     verify_lemma_4_6,
     verify_prop_4_3,
@@ -29,6 +30,22 @@ def test_theorem23_odd_orders():
         assert by["forward-diff-at-zero"].computed == -1
         assert by["backward-diff-at-top"].computed == -1
         assert len(rep.trace) == 2 ** (n + 1)
+
+
+def test_theorem23_trace_is_built_on_first_read(monkeypatch):
+    calls = []
+    table = scenarios.difference_table
+
+    def counting(*args):
+        calls.append(args)
+        return table(*args)
+
+    monkeypatch.setattr(scenarios, "difference_table", counting)
+    rep = verify_theorem_2_3(5)
+    assert rep.passed and not calls
+    assert len(rep.trace) == 2 ** 6
+    assert len(calls) == 1
+    assert rep.trace is rep.trace and len(calls) == 1
 
 
 def test_theorem23_rejects_even_or_nonpositive():
