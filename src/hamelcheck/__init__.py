@@ -9,7 +9,6 @@ from .basis import (
     ZERO,
     AdditiveFunctional,
     Point,
-    Rational,
     Symbol,
     is_positive_increment,
     point_combine,
@@ -52,7 +51,6 @@ from .functions import (
     Scaled,
     SumOf,
     Tabulated,
-    scale_function,
     tabulated_abs,
 )
 from .measures import (
@@ -68,7 +66,6 @@ from .measures import (
     build_mu,
     build_mu_i,
     j_op,
-    measure_mass_function,
     nabla,
     sorted_points,
 )

@@ -12,17 +12,15 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import InvalidIncrement
 
-# Exact rational scalar; stdlib Fraction already guarantees lowest terms
-# and a positive denominator.
-Rational = Fraction
-
 Scalar = Union[int, Fraction]
 
 
 def exact(v) -> Scalar:
     """The canonical form of an exact scalar: ``int`` when integral,
     ``Fraction`` otherwise. Both compare and hash alike, so the form only
-    keeps arithmetic on the fast integer path."""
+    keeps arithmetic on the fast integer path. Every constructor that takes
+    a scalar from a caller normalises it here; nothing else decides the
+    form."""
     if type(v) is int:
         return v
     if type(v) is not Fraction:

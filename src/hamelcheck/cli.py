@@ -145,8 +145,6 @@ def _run_prop43(args) -> list[Report]:
 
 
 def _run_probe_even(args) -> list[Report]:
-    if args.n % 2:
-        raise UsageError(f"probe even requires an even order, got {args.n}")
     return [probe_even(args.n, args.case)]
 
 
@@ -170,10 +168,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     trace = bool(getattr(args, "trace_local", None) or args.trace_global)
     try:
         reports = args.runner(args)
+        output = render(reports, fmt, trace)
     except (HamelcheckError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(render(reports, fmt, trace))
+    print(output)
     return 0 if all_passed(reports) else 1
 
 

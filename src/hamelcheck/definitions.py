@@ -137,7 +137,7 @@ class _Parser:
                 coeff = self.rational(coeff_text)
                 sym_text = sym_text.strip()
             else:
-                coeff, sym_text = Fraction(1), term
+                coeff, sym_text = 1, term
             if sym_text not in self.defn.symbols:
                 raise self.unknown(sym_text)
             acc = acc + coeff * unit(self.defn.symbols[sym_text])
@@ -420,8 +420,8 @@ def run_definition(defn: ScenarioDefinition) -> Report:
                     for step in range(req.steps[0], req.steps[1] + 1)
                 ]
                 outcome = jensen_convexity_probe(defn.function, req.order, samples)
-                count = Fraction(len(outcome.violations))
-                expected = Fraction(0) if req.expect is None else req.expect
+                count = len(outcome.violations)
+                expected = 0 if req.expect is None else req.expect
                 rb.claim(req.text, f"line {req.line}", count, expected)
         except UntabulatedPoint as exc:
             raise DefinitionError(

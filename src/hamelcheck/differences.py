@@ -8,12 +8,11 @@ operator definition (primary) and the alternating subset-sum expansion
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .basis import Point, check_increment
+from .basis import Point, Scalar, check_increment
 from .errors import InvalidIncrement, UntabulatedPoint
 from .functions import PointFunction
 
@@ -31,15 +30,15 @@ def _checked(hs: Increments) -> tuple[Point, ...]:
 
 @dataclass(frozen=True, eq=False)
 class _Step(PointFunction):
-    """One level of the operator chain. ``memo`` is a ``{Point: Fraction}``
+    """One level of the operator chain. ``memo`` is a ``{Point: Scalar}``
     dict when the chain's increments repeat, so that the coinciding subset
     sums below this level are evaluated once; otherwise it is None."""
 
     inner: PointFunction
     step: Point
-    memo: dict[Point, Fraction] | None
+    memo: dict[Point, Scalar] | None
 
-    def value(self, x: Point) -> Fraction:
+    def value(self, x: Point) -> Scalar:
         memo = self.memo
         if memo is None:
             return self._diff(x)
@@ -51,12 +50,12 @@ class _Step(PointFunction):
 
 
 class _ForwardStep(_Step):
-    def _diff(self, x: Point) -> Fraction:
+    def _diff(self, x: Point) -> Scalar:
         return self.inner.value(x + self.step) - self.inner.value(x)
 
 
 class _BackwardStep(_Step):
-    def _diff(self, x: Point) -> Fraction:
+    def _diff(self, x: Point) -> Scalar:
         return self.inner.value(x) - self.inner.value(x - self.step)
 
 
@@ -74,17 +73,17 @@ def _chain(step: type[_Step], f: PointFunction, hs: tuple[Point, ...]) -> _Step:
     return g
 
 
-def forward_diff(f: PointFunction, x: Point, hs: Increments) -> Fraction:
+def forward_diff(f: PointFunction, x: Point, hs: Increments) -> Scalar:
     """Mixed forward difference over ``hs`` at ``x``, by the recursive
     definition: the last increment is applied innermost."""
     return _chain(_ForwardStep, f, _checked(hs)).value(x)
 
 
-def forward_diff_closed(f: PointFunction, x: Point, hs: Increments) -> Fraction:
+def forward_diff_closed(f: PointFunction, x: Point, hs: Increments) -> Scalar:
     """Same value via the alternating sum over all subsets of ``hs``."""
     hs = _checked(hs)
     k = len(hs)
-    total = Fraction(0)
+    total = 0
     for mask in range(1 << k):
         p = x
         bits = 0
@@ -97,12 +96,12 @@ def forward_diff_closed(f: PointFunction, x: Point, hs: Increments) -> Fraction:
     return total
 
 
-def backward_diff(f: PointFunction, x: Point, hs: Increments) -> Fraction:
+def backward_diff(f: PointFunction, x: Point, hs: Increments) -> Scalar:
     """Mixed backward difference over ``hs`` at ``x``."""
     return _chain(_BackwardStep, f, _checked(hs)).value(x)
 
 
-def equal_increment_diff(f: PointFunction, x: Point, h: Point, m: int) -> Fraction:
+def equal_increment_diff(f: PointFunction, x: Point, h: Point, m: int) -> Scalar:
     """m-fold forward difference with the single increment ``h``."""
     if m < 1:
         raise ValueError("order must be a positive integer")
@@ -115,7 +114,7 @@ class TableRow:
 
     size: int
     point: Point
-    value: Fraction
+    value: Scalar
     sign: int
 
 
@@ -140,7 +139,7 @@ class Violation:
     index: int
     x: Point
     increments: tuple[Point, ...]
-    value: Fraction
+    value: Scalar
     function: PointFunction
 
     @cached_property

@@ -1,19 +1,18 @@
 """Evaluatable exact functions of lattice points.
 
-Every function maps Point -> Fraction and is total on its declared
-domain; only tabulated functions have a partial domain.
+Every function maps Point -> exact scalar (see ``basis.exact``) and is
+total on its declared domain; only tabulated functions have a partial
+domain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Mapping, Protocol, Union
+from typing import Mapping, Union
 
-from .basis import AdditiveFunctional, Point, Scalar
+from .basis import AdditiveFunctional, Point, Scalar, exact
 from .errors import UntabulatedPoint
-
-_ZERO = Fraction(0)
+from .measures import MeasureExpr, atom_mass
 
 
 @dataclass(frozen=True)
@@ -26,15 +25,15 @@ class PositivePartPower:
         if self.power < 1:
             raise ValueError("power must be a positive integer")
 
-    def apply(self, t: Fraction) -> Fraction:
-        return (t if t > 0 else _ZERO) ** self.power
+    def apply(self, t: Scalar) -> Scalar:
+        return (t if t > 0 else 0) ** self.power
 
 
 @dataclass(frozen=True)
 class AbsoluteValue:
     """t -> |t|."""
 
-    def apply(self, t: Fraction) -> Fraction:
+    def apply(self, t: Scalar) -> Scalar:
         return -t if t < 0 else t
 
 
@@ -48,7 +47,7 @@ class Power:
         if self.power < 0:
             raise ValueError("power must be nonnegative")
 
-    def apply(self, t: Fraction) -> Fraction:
+    def apply(self, t: Scalar) -> Scalar:
         return t ** self.power
 
 
@@ -56,24 +55,20 @@ class Power:
 class Identity:
     """t -> t."""
 
-    def apply(self, t: Fraction) -> Fraction:
+    def apply(self, t: Scalar) -> Scalar:
         return t
 
 
 Kernel = Union[PositivePartPower, AbsoluteValue, Power, Identity]
 
 
-class _SupportsMass(Protocol):
-    def mass(self, x: Point) -> Fraction: ...
-
-
 class PointFunction:
     """Base class; subclasses implement ``value``."""
 
-    def value(self, x: Point) -> Fraction:
+    def value(self, x: Point) -> Scalar:
         raise NotImplementedError
 
-    def __call__(self, x: Point) -> Fraction:
+    def __call__(self, x: Point) -> Scalar:
         return self.value(x)
 
 
@@ -84,7 +79,7 @@ class Composite(PointFunction):
     kernel: Kernel
     functional: AdditiveFunctional
 
-    def value(self, x: Point) -> Fraction:
+    def value(self, x: Point) -> Scalar:
         return self.kernel.apply(self.functional(x))
 
 
@@ -97,10 +92,10 @@ class Tabulated(PointFunction):
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "table", {p: Fraction(v) for p, v in dict(self.table).items()}
+            self, "table", {p: exact(v) for p, v in dict(self.table).items()}
         )
 
-    def value(self, x: Point) -> Fraction:
+    def value(self, x: Point) -> Scalar:
         try:
             return self.table[x]
         except KeyError:
@@ -111,23 +106,23 @@ class Tabulated(PointFunction):
 class MeasureMass(PointFunction):
     """x -> atom mass of a measure at x."""
 
-    measure: _SupportsMass
+    measure: MeasureExpr
 
-    def value(self, x: Point) -> Fraction:
-        return self.measure.mass(x)
+    def value(self, x: Point) -> Scalar:
+        return atom_mass(self.measure, x)
 
 
 @dataclass(frozen=True, eq=False)
 class Scaled(PointFunction):
-    factor: Fraction
+    factor: Scalar
     inner: PointFunction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "factor", Fraction(self.factor))
+        object.__setattr__(self, "factor", exact(self.factor))
 
-    def value(self, x: Point) -> Fraction:
+    def value(self, x: Point) -> Scalar:
         if not self.factor:
-            return _ZERO
+            return 0
         return self.factor * self.inner.value(x)
 
 
@@ -138,8 +133,8 @@ class SumOf(PointFunction):
     def __post_init__(self) -> None:
         object.__setattr__(self, "parts", tuple(self.parts))
 
-    def value(self, x: Point) -> Fraction:
-        total = _ZERO
+    def value(self, x: Point) -> Scalar:
+        total = 0
         for f in self.parts:
             total += f.value(x)
         return total
@@ -154,15 +149,10 @@ class PointwisePower(PointFunction):
         if self.power < 1:
             raise ValueError("power must be a positive integer")
 
-    def value(self, x: Point) -> Fraction:
+    def value(self, x: Point) -> Scalar:
         return self.inner.value(x) ** self.power
-
-
-def scale_function(c: Scalar, f: PointFunction) -> Scaled:
-    """Multiply a function's values by a constant."""
-    return Scaled(Fraction(c), f)
 
 
 def tabulated_abs(table: Mapping[Point, Scalar]) -> Tabulated:
     """Tabulated function holding the absolute values of ``table``."""
-    return Tabulated({p: abs(Fraction(v)) for p, v in table.items()})
+    return Tabulated({p: abs(exact(v)) for p, v in table.items()})

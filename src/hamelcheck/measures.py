@@ -10,23 +10,18 @@ masses it has computed for as long as the node lives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
-from . import functions
-from .basis import Point, Symbol, check_increment, is_positive_increment, unit
+from .basis import (
+    Point, Scalar, Symbol, check_increment, exact, is_positive_increment, unit,
+)
 from .errors import InvalidIncrement, NonTerminatingJ
-
-_ZERO = Fraction(0)
 
 
 class MeasureExpr:
     """Base class; `support_floor` bounds every support coordinate below."""
 
     support_floor: Point
-
-    def mass(self, x: Point) -> Fraction:
-        return atom_mass(self, x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,11 +63,11 @@ class Sum(MeasureExpr):
 
 @dataclass(frozen=True, eq=False)
 class Scale(MeasureExpr):
-    factor: Fraction
+    factor: Scalar
     inner: MeasureExpr
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "factor", Fraction(self.factor))
+        object.__setattr__(self, "factor", exact(self.factor))
         object.__setattr__(self, "support_floor", self.inner.support_floor)
 
 
@@ -95,7 +90,7 @@ class JClosure(MeasureExpr):
         object.__setattr__(self, "_memo", {})
 
 
-def atom_mass(mu: MeasureExpr, x: Point) -> Fraction:
+def atom_mass(mu: MeasureExpr, x: Point) -> Scalar:
     """Exact signed mass of the atom of ``mu`` at ``x``.
 
     Closure nodes sum finitely many translates: each step lowers some
@@ -104,16 +99,16 @@ def atom_mass(mu: MeasureExpr, x: Point) -> Fraction:
     return _mass(mu, x)
 
 
-def _mass(mu: MeasureExpr, x: Point) -> Fraction:
+def _mass(mu: MeasureExpr, x: Point) -> Scalar:
     kind = type(mu)
     if kind is Dirac:
-        return Fraction(1) if x == mu.point else _ZERO
+        return 1 if x == mu.point else 0
     if kind is Shift:
         return _mass(mu.inner, x - mu.step)
     if kind is Scale:
-        return mu.factor * _mass(mu.inner, x) if mu.factor else _ZERO
+        return mu.factor * _mass(mu.inner, x) if mu.factor else 0
     if kind is Sum:
-        out = _ZERO
+        out = 0
         for t in mu.terms:
             out += _mass(t, x)
         return out
@@ -122,7 +117,7 @@ def _mass(mu: MeasureExpr, x: Point) -> Fraction:
     raise TypeError(f"not a measure expression: {mu!r}")
 
 
-def _closure_mass(mu: JClosure, x: Point) -> Fraction:
+def _closure_mass(mu: JClosure, x: Point) -> Scalar:
     """J(x) = inner(x) + J(x - step), and J = 0 at any point that is not at
     or above the support floor in every coordinate. Walks down to a
     memoised point or off the floor, then adds upward, so the depth of
@@ -134,7 +129,7 @@ def _closure_mass(mu: JClosure, x: Point) -> Fraction:
     while p not in memo and all(c > 0 for _, c in (p - floor).terms):
         pending.append(p)
         p = p - mu.step
-    total = memo.get(p, _ZERO)
+    total = memo.get(p, 0)
     for p in reversed(pending):
         total += _mass(mu.inner, p)
         memo[p] = total
@@ -146,7 +141,7 @@ def nabla(mu: MeasureExpr, hs: Sequence[Point]) -> MeasureExpr:
     acc = mu
     for h in hs:
         check_increment(h)
-        acc = Sum((acc, Scale(Fraction(-1), Shift(acc, h))))
+        acc = Sum((acc, Scale(-1, Shift(acc, h))))
     return acc
 
 
@@ -179,7 +174,7 @@ def build_mu_i(i: int, syms: Sequence[Symbol]) -> MeasureExpr:
 def build_mu(syms: Sequence[Symbol]) -> MeasureExpr:
     """Signed combination: the closures of atoms 2..n+1 minus the first."""
     mus = [build_mu_i(i, syms) for i in range(1, len(syms) + 1)]
-    return Sum(tuple(mus[1:]) + (Scale(Fraction(-1), mus[0]),))
+    return Sum(tuple(mus[1:]) + (Scale(-1, mus[0]),))
 
 
 @dataclass(frozen=True)
@@ -206,11 +201,6 @@ def build_a_sets(syms: Sequence[Symbol]) -> ASets:
             members.add(p)
         parts.append(frozenset(members))
     return ASets(tuple(parts), frozenset().union(*parts))
-
-
-def measure_mass_function(mu: MeasureExpr) -> functions.MeasureMass:
-    """Bridge to the function side: x -> atom mass of ``mu`` at x."""
-    return functions.MeasureMass(mu)
 
 
 def sorted_points(points: Iterable[Point]) -> list[Point]:

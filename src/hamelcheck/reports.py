@@ -7,13 +7,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Sequence, Union
 
+from .basis import Scalar, exact
 from .differences import TableRow
 
-Value = Union[Fraction, bool]
+Value = Union[Scalar, bool]
 
 
 @dataclass(frozen=True)
@@ -31,8 +31,8 @@ def make_claim(label: str, ref: str, computed: Value, expected: Value) -> Claim:
         if not (isinstance(computed, bool) and isinstance(expected, bool)):
             raise TypeError(f"claim {label!r} mixes boolean and rational values")
     else:
-        computed = Fraction(computed)
-        expected = Fraction(expected)
+        computed = exact(computed)
+        expected = exact(expected)
     return Claim(label, ref, computed, expected, computed == expected)
 
 
@@ -93,12 +93,12 @@ def _json_value(v: Value):
 def render_trace(rows: Sequence[TableRow]) -> list[str]:
     """Evaluation table grouped by subset size, with per-group signed sums."""
     lines: list[str] = []
-    sums: list[tuple[int, Fraction]] = []
+    sums: list[tuple[int, Scalar]] = []
     current = None
     for row in rows:
         if row.size != current:
             current = row.size
-            sums.append((row.sign, Fraction(0)))
+            sums.append((row.sign, 0))
         sums[-1] = (row.sign, sums[-1][1] + row.value)
         mark = "+" if row.sign > 0 else "-"
         lines.append(f"    [{mark}] size {row.size}: f({row.point}) = {row.value}")

@@ -9,12 +9,12 @@ report, so every run is reproducible.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import Sequence
 
 from .basis import (
     ZERO,
     AdditiveFunctional,
+    Scalar,
     Symbol,
     point_combine,
     symbols,
@@ -33,8 +33,8 @@ from .functions import (
     MeasureMass,
     PointwisePower,
     PositivePartPower,
+    Scaled,
     SumOf,
-    scale_function,
     tabulated_abs,
 )
 from .measures import (
@@ -50,8 +50,6 @@ from .measures import (
     sorted_points,
 )
 from .reports import Report, ReportBuilder
-
-NEG_ONE = Fraction(-1)
 
 
 def _require_odd(n: int) -> None:
@@ -69,9 +67,9 @@ def _standard_setup(n: int):
     elsewhere, and the composed positive-part power function."""
     syms = symbols(" ".join(f"h{i}" for i in range(1, n + 2)), positive=True)
     units = [unit(s) for s in syms]
-    values: dict[Symbol, Fraction] = {syms[0]: NEG_ONE}
+    values = {syms[0]: -1}
     for s in syms[1:]:
-        values[s] = Fraction(1)
+        values[s] = 1
     a = AdditiveFunctional(values)
     f = Composite(PositivePartPower(n), a)
     top = point_combine((1, u) for u in units)
@@ -89,14 +87,14 @@ def verify_theorem_2_3(n: int) -> Report:
         "forward-diff-at-zero",
         f"mixed forward difference of (a(.))_+^{n} over h1..h{n + 1} at 0",
         fwd,
-        NEG_ONE,
+        -1,
     )
     bwd = backward_diff(f, top, units)
     rb.claim(
         "backward-diff-at-top",
         "same value through the backward form at h1+...+h%d" % (n + 1),
         bwd,
-        NEG_ONE,
+        -1,
     )
     rb.make_trace = lambda: difference_table(f, ZERO, units)
     rb.trace_title = f"forward difference over [h1..h{n + 1}] at 0"
@@ -115,29 +113,29 @@ def verify_section_3_1() -> Report:
     _, units, _, f, _ = _standard_setup(3)
     rb = ReportBuilder("section31")
     rows = difference_table(f, ZERO, units)
-    total = Fraction(0)
-    group_sums: dict[int, Fraction] = {}
+    total = 0
+    group_sums: dict[int, Scalar] = {}
     for row, expected in zip(rows, _WALKTHROUGH_VALUES):
         rb.claim(
             f"value[{row.point}]",
             f"f(0 + {row.point}) with f = (a(.))_+^3",
             row.value,
-            Fraction(expected),
+            expected,
         )
-        group_sums[row.size] = group_sums.get(row.size, Fraction(0)) + row.value
+        group_sums[row.size] = group_sums.get(row.size, 0) + row.value
         total += row.sign * row.value
     for size in sorted(group_sums, reverse=True):
         rb.claim(
             f"group-sum-{size}",
             f"sum of the size-{size} evaluations",
             group_sums[size],
-            Fraction(_WALKTHROUGH_GROUP_SUMS[size]),
+            _WALKTHROUGH_GROUP_SUMS[size],
         )
     rb.claim(
         "alternating-total",
         "8 - 30 + 24 - 3 + 0",
         total,
-        NEG_ONE,
+        -1,
     )
     rb.make_trace = lambda: rows
     rb.trace_title = "forward difference over [h1..h4] at 0"
@@ -153,13 +151,13 @@ def verify_section_3_2() -> Report:
     # signed ones, magnitudes taken at construction.
     s = Symbol("s", positive=True)
     su = unit(s)
-    q_raw = {ZERO: Fraction(-9), su: Fraction(4), 2 * su: Fraction(7), 3 * su: Fraction(0)}
+    q_raw = {ZERO: -9, su: 4, 2 * su: 7, 3 * su: 0}
     q_abs = tabulated_abs(q_raw)
     rb.claim(
         "q-table-third-diff",
         "third equal-step difference of |Q| tabulated as 9, 4, 7, 0",
         forward_diff(q_abs, ZERO, (su, su, su)),
-        Fraction(-18),
+        -18,
     )
 
     f, x, h = _prop31_witness()
@@ -167,7 +165,7 @@ def verify_section_3_2() -> Report:
         "prop31-witness",
         "third difference -(a(x))^2 at the exact witness (a(x)=1, a(h)=-2)",
         equal_increment_diff(f, x, h, 3),
-        NEG_ONE,
+        -1,
     )
 
     for c in (0, 1, 2):
@@ -177,8 +175,8 @@ def verify_section_3_2() -> Report:
             f"prop32-grid-c={c}",
             f"violations of the third-difference sign for {c}^2*x_+^2 "
             "on x in [-3,3], h in {1,2}",
-            Fraction(len(outcome.violations)),
-            Fraction(0),
+            len(outcome.violations),
+            0,
         )
 
     for c in (-1, -2):
@@ -187,7 +185,7 @@ def verify_section_3_2() -> Report:
             f"prop33-c={c}",
             f"third difference of {c}^2*(-x)_+^2 at x=-1, h=1",
             equal_increment_diff(f, x, h, 3),
-            Fraction(-c * c),
+            -c * c,
         )
     return rb.build()
 
@@ -234,7 +232,7 @@ def verify_lemma_4_4(n: int) -> Report:
         True,
     )
 
-    rb.claim("d-mass-at-h1", "mu(h1)", atom_mass(mu, h1), NEG_ONE)
+    rb.claim("d-mass-at-h1", "mu(h1)", atom_mass(mu, h1), -1)
     only_first = atom_mass(mus[0], h1) == 1 and all(
         atom_mass(m, h1) == 0 for m in mus[1:]
     )
@@ -247,7 +245,7 @@ def verify_lemma_4_4(n: int) -> Report:
     )
 
     ok_e = all(
-        max(atom_mass(mu, x), Fraction(0)) == atom_mass(mu, x) + atom_mass(Dirac(h1), x)
+        max(atom_mass(mu, x), 0) == atom_mass(mu, x) + atom_mass(Dirac(h1), x)
         for x in a_sets.union
     )
     rb.claim(
@@ -269,7 +267,7 @@ def verify_lemma_4_6(n: int) -> Report:
     h1 = units[0]
     delta1 = Dirac(h1)
     points = sorted_points(a_sets.union)
-    sign_n = Fraction((-1) ** n)
+    sign_n = (-1) ** n
     rb = ReportBuilder(f"lemma46(n={n})")
 
     ok_additive = all(a(x) == atom_mass(mu, x) for x in points)
@@ -307,7 +305,7 @@ def verify_lemma_4_6(n: int) -> Report:
         "power-mass-diff-at-top",
         f"backward difference of mu^{n} over h1..h{n + 1} at h1+...+h{n + 1}",
         backward_diff(mu_pow, top, units),
-        Fraction(0),
+        0,
     )
 
     rb.claim(
@@ -322,14 +320,14 @@ def verify_lemma_4_6(n: int) -> Report:
         "chain-measure-path",
         "backward difference of the combined mass power at the top point",
         measure_path,
-        NEG_ONE,
+        -1,
     )
     direct_path = backward_diff(f, top, units)
     rb.claim(
         "chain-direct-path",
         "backward difference of f itself at the top point",
         direct_path,
-        NEG_ONE,
+        -1,
     )
     rb.claim(
         "paths-agree",
@@ -352,7 +350,7 @@ def _random_instance(rng: random.Random):
         p = point_combine((rng.randint(0, 5), u) for u in units)
         w = rng.randint(1, 3)
         atoms.append((w, p))
-    nu = Sum(tuple(Scale(Fraction(w), Dirac(p)) for w, p in atoms))
+    nu = Sum(tuple(Scale(w, Dirac(p)) for w, p in atoms))
 
     hs = []
     for _ in range(rng.randint(1, 3)):
@@ -407,14 +405,14 @@ def verify_prop_4_3(trials: int, seed: int) -> Report:
     rb.claim(
         "recover-source-measure",
         "difference of the closure returns the source measure pointwise",
-        Fraction(pass_recover),
-        Fraction(trials),
+        pass_recover,
+        trials,
     )
     rb.claim(
         "recover-closure-fixed-point",
         "closure of the difference returns the closed measure pointwise",
-        Fraction(pass_fixed),
-        Fraction(trials),
+        pass_fixed,
+        trials,
     )
     rb.claim(
         "probe-coverage-at-least-50",
@@ -438,7 +436,7 @@ def _prop31_witness():
     """(a(.))_+^2 with a(s) = 1, a(t) = -2, and the exact witness x = s,
     h = t, at which the third difference is -(a(x))^2 = -1."""
     s, t = Symbol("s", positive=True), Symbol("t", positive=True)
-    a = AdditiveFunctional({s: Fraction(1), t: Fraction(-2)})
+    a = AdditiveFunctional({s: 1, t: -2})
     return Composite(PositivePartPower(2), a), unit(s), unit(t)
 
 
@@ -447,8 +445,8 @@ def _prop32_grid(c: int):
     x in [-3,3], h in {1,2}, on which it has no violations."""
     u = Symbol("u", positive=True)
     uu = unit(u)
-    a = AdditiveFunctional({u: Fraction(1)})
-    f = scale_function(Fraction(c * c), Composite(PositivePartPower(2), a))
+    a = AdditiveFunctional({u: 1})
+    f = Scaled(c * c, Composite(PositivePartPower(2), a))
     return f, [(j * uu, h) for j in range(-3, 4) for h in (uu, 2 * uu)]
 
 
@@ -457,8 +455,8 @@ def _prop33_square(c: int):
     third difference is -c^2."""
     u = Symbol("u", positive=True)
     uu = unit(u)
-    a = AdditiveFunctional({u: NEG_ONE})
-    f = scale_function(Fraction(c * c), Composite(PositivePartPower(2), a))
+    a = AdditiveFunctional({u: -1})
+    f = Scaled(c * c, Composite(PositivePartPower(2), a))
     return f, -1 * uu, uu
 
 
@@ -468,15 +466,15 @@ def _even_prop31_witness(rb: ReportBuilder) -> None:
     rb.claim(
         "jensen-violation-count",
         "the exact witness sample violates the third-difference sign",
-        Fraction(len(outcome.violations)),
-        Fraction(1),
+        len(outcome.violations),
+        1,
     )
-    value = outcome.violations[0].value if outcome.violations else Fraction(0)
+    value = outcome.violations[0].value if outcome.violations else 0
     rb.claim(
         "jensen-violation-value",
         "violation value -(a(x))^2 at the witness",
         value,
-        NEG_ONE,
+        -1,
     )
 
 
@@ -486,8 +484,8 @@ def _even_prop32_grid(rb: ReportBuilder) -> None:
     rb.claim(
         "grid-violations",
         "x_+^2 stays clean on x in [-3,3], h in {1,2}; no counterexample here",
-        Fraction(len(outcome.violations)),
-        Fraction(0),
+        len(outcome.violations),
+        0,
     )
 
 
@@ -497,7 +495,7 @@ def _even_prop33_witness(rb: ReportBuilder) -> None:
         "jensen-violation-value",
         "third difference of (-x)_+^2 at x=-1, h=1 is -c^2 with c=-1",
         equal_increment_diff(f, x, h, 3),
-        NEG_ONE,
+        -1,
     )
 
 

@@ -10,7 +10,6 @@ from hamelcheck import (
     AdditiveFunctional,
     InvalidIncrement,
     Point,
-    Rational,
     Symbol,
     is_positive_increment,
     point_combine,
@@ -22,11 +21,11 @@ from hamelcheck.basis import check_increment
 
 def test_rational_is_exact_and_canonical():
     # Lowest terms, positive denominator, arbitrary precision.
-    q = Rational(6, -4)
+    q = Fraction(6, -4)
     assert (q.numerator, q.denominator) == (-3, 2)
-    big = Rational(10**50, 3)
+    big = Fraction(10**50, 3)
     assert big * 3 == 10**50
-    assert Rational(1, 3) + Rational(1, 6) == Rational(1, 2)
+    assert Fraction(1, 3) + Fraction(1, 6) == Fraction(1, 2)
 
 
 def test_symbol_ordering_and_identity():

@@ -114,3 +114,15 @@ def test_even_order_message_points_to_probe(capsys):
     code, _, err = run_cli(capsys, "verify", "theorem23", "--n", "2")
     assert code == 2
     assert "probe even" in err
+
+
+def test_value_too_long_to_render_is_a_usage_error(tmp_path, capsys):
+    # 4^20000 - 2^20000 has over 4300 digits, past str()'s default limit.
+    big = tmp_path / "big.def"
+    big.write_text(
+        "symbol h positive\nadditive a.h = 2\nfunction pospartpow 20000 of a\n"
+        "eval forward-diff at h with [h]\n"
+    )
+    code, out, err = run_cli(capsys, "run", str(big))
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and "integer string conversion" in err

@@ -15,6 +15,7 @@ from hamelcheck import (
     PointFunction,
     PositivePartPower,
     Power,
+    Scaled,
     Tabulated,
     UntabulatedPoint,
     backward_diff,
@@ -186,9 +187,7 @@ def test_jensen_probe_scaled_square_grid():
     (u,) = symbols("u", positive=True)
     a = AdditiveFunctional({u: 1})
     f = Composite(PositivePartPower(2), a)
-    from hamelcheck import scale_function
-
-    g = scale_function(4, f)
+    g = Scaled(4, f)
     samples = [(j * unit(u), h) for j in range(-3, 4) for h in (unit(u), 2 * unit(u))]
     assert jensen_convexity_probe(g, 2, samples).clean
 

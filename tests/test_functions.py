@@ -18,7 +18,6 @@ from hamelcheck import (
     SumOf,
     Tabulated,
     UntabulatedPoint,
-    scale_function,
     symbols,
     tabulated_abs,
     unit,
@@ -57,11 +56,11 @@ def test_function_eval_cube_values():
 def test_scale_function():
     _, _, f = _theorem_function(3)
     (u,) = symbols("u", positive=True)
-    assert scale_function(0, f).value(ZERO) == 0
-    assert scale_function(1, f).value(unit(u)) == f.value(unit(u))
+    assert Scaled(0, f).value(ZERO) == 0
+    assert Scaled(1, f).value(unit(u)) == f.value(unit(u))
     # c^2 * x_+^2 shape used by the order-2 grid scenario
     a = AdditiveFunctional({u: 1})
-    g = scale_function(4, Composite(PositivePartPower(2), a))
+    g = Scaled(4, Composite(PositivePartPower(2), a))
     assert g.value(3 * unit(u)) == 36
     assert g.value(-2 * unit(u)) == 0
 

@@ -12,23 +12,29 @@ from hamelcheck import (
     Dirac,
     InvalidIncrement,
     JClosure,
+    MeasureMass,
     NonTerminatingJ,
     PointwisePower,
     Scale,
+    Scaled,
     Shift,
     Sum,
     SumOf,
+    Tabulated,
     atom_mass,
     build_a_sets,
     build_mu,
     build_mu_i,
+    forward_diff,
     j_op,
-    measure_mass_function,
+    make_claim,
     nabla,
     point_combine,
     symbols,
     unit,
+    verify_lemma_4_4,
 )
+from helpers import standard_function
 
 
 def _units(n):
@@ -354,15 +360,56 @@ def test_cache_matches_reference_configuration_seeded():
 def test_measure_mass_function_bridge():
     syms, units = _units(3)
     p = units[1] + units[2]
-    f = measure_mass_function(Dirac(p))
+    f = MeasureMass(Dirac(p))
     assert f.value(p) == 1
     assert f.value(units[0]) == 0
 
     mu = build_mu(syms)
-    powered = PointwisePower(measure_mass_function(mu), 3)
+    powered = PointwisePower(MeasureMass(mu), 3)
     assert powered.value(p) == 8  # mass 2 cubed
 
     combined = SumOf(
-        (measure_mass_function(mu), measure_mass_function(Dirac(units[0])))
+        (MeasureMass(mu), MeasureMass(Dirac(units[0])))
     )
     assert combined.value(units[0]) == 0  # -1 + 1
+
+
+def test_values_are_int_on_integral_inputs():
+    # basis.exact is the one owner of the scalar form: integral inputs
+    # keep every function value, mass and claim on the int path.
+    syms, a, f = standard_function(3)
+    units = [unit(s) for s in syms]
+    assert type(forward_diff(f, ZERO, units)) is int
+    assert type(f.value(ZERO)) is int
+    assert type(atom_mass(build_mu(syms), units[0])) is int
+
+    nu = Sum((Scale(2, Dirac(units[1])), Dirac(units[0] + units[2])))
+    hs = (units[0], 2 * units[1])
+    closed = j_op(nu, hs)
+    round_trip = j_op(nabla(closed, hs), hs)
+    masses = [atom_mass(round_trip, units[0] + k * units[1]) for k in range(-1, 6)]
+    assert any(masses) and all(type(m) is int for m in masses)
+
+    for c in verify_lemma_4_4(3).claims:
+        assert type(c.computed) in (int, bool), c.label
+
+    # The four entry points normalise a scalar given from outside.
+    assert type(Scale(Fraction(4, 2), Dirac(ZERO)).factor) is int
+    assert type(Scaled(Fraction(9, 3), f).factor) is int
+    assert type(Tabulated({ZERO: Fraction(5, 1)}).value(ZERO)) is int
+    assert type(make_claim("c", "", Fraction(-2, 2), Fraction(-1)).computed) is int
+
+
+def test_fractional_scale_masses_match_truncated_sum():
+    syms, units = _units(1)
+    nu = Sum(
+        (Scale(Fraction(1, 3), Dirac(units[0])), Scale(Fraction(-1, 2), Dirac(units[1])))
+    )
+    tree = j_op(nu, units)
+    oracle = materialize_truncated(tree, 8)
+    box = [i * units[0] + j * units[1] for i in range(-1, 6) for j in range(-1, 6)]
+    masses = {x: atom_mass(tree, x) for x in box}
+    for x, m in masses.items():
+        assert m == oracle.get(x, 0)
+    fractional = {m for m in masses.values() if type(m) is Fraction and m.denominator > 1}
+    assert fractional == {Fraction(1, 3), Fraction(-1, 2), Fraction(-1, 6)}
