@@ -7,8 +7,9 @@ tied to real-number values, so every computation downstream is exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import InvalidIncrement
 
@@ -173,6 +174,26 @@ ZERO = Point()
 def unit(sym: Symbol) -> Point:
     """The point consisting of a single basis symbol."""
     return Point._wrap(((sym, 1),))
+
+
+def subset_sums(x: Point, hs: Sequence[Point]) -> Iterator[tuple[int, Point]]:
+    """``(size, x + sum of the subset)`` for every subset of ``hs``: sizes
+    descending, subsets in index-lexicographic order within a size."""
+    for size in range(len(hs), -1, -1):
+        for subset in combinations(hs, size):
+            p = x
+            for h in subset:
+                p = p + h
+            yield size, p
+
+
+def lattice_box(units: Sequence[Point], lo: int, hi: int) -> list[Point]:
+    """Every combination of ``units`` with integer coefficients in
+    ``lo..hi``, the first unit varying slowest."""
+    pts = [ZERO]
+    for u in units:
+        pts = [p + c * u for p in pts for c in range(lo, hi + 1)]
+    return pts
 
 
 def point_combine(terms: Iterable[tuple[Scalar, Point]]) -> Point:

@@ -172,6 +172,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (HamelcheckError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print(
+            "error: input nests too deeply to evaluate (recursion limit reached)",
+            file=sys.stderr,
+        )
+        return 2
     print(output)
     return 0 if all_passed(reports) else 1
 

@@ -28,9 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
-from .basis import ZERO, AdditiveFunctional, Point, Symbol, is_positive_increment, unit
+from .basis import (
+    ZERO, AdditiveFunctional, Point, Symbol, is_positive_increment, lattice_box, unit,
+)
 from .differences import backward_diff, forward_diff, jensen_convexity_probe
 from .errors import (
     DefinitionError,
@@ -385,14 +387,6 @@ def parse_definition(source: str, name: str = "<definition>") -> ScenarioDefinit
     return _Parser(name).parse(source)
 
 
-def _lattice_box(syms: Sequence[Symbol], lo: int, hi: int) -> list[Point]:
-    pts = [ZERO]
-    for s in syms:
-        u = unit(s)
-        pts = [p + c * u for p in pts for c in range(lo, hi + 1)]
-    return pts
-
-
 def run_definition(defn: ScenarioDefinition) -> Report:
     """Execute every evaluation request and assemble the report."""
     rb = ReportBuilder(defn.name)
@@ -415,7 +409,7 @@ def run_definition(defn: ScenarioDefinition) -> Report:
                     )
                 samples = [
                     (x, step * unit(s))
-                    for x in _lattice_box(positive, req.lo, req.hi)
+                    for x in lattice_box([unit(s) for s in positive], req.lo, req.hi)
                     for s in positive
                     for step in range(req.steps[0], req.steps[1] + 1)
                 ]

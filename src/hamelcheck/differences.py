@@ -2,17 +2,17 @@
 
 Two independent evaluation routes are kept side by side: the recursive
 operator definition (primary) and the alternating subset-sum expansion
-(oracle). Tests hold them equal.
+(oracle). Tests hold them equal. The backward difference is not a third
+route: it is the recursive forward difference at ``x - sum(hs)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Sequence
 
-from .basis import Point, Scalar, check_increment
+from .basis import Point, Scalar, check_increment, subset_sums
 from .errors import InvalidIncrement, UntabulatedPoint
 from .functions import PointFunction
 
@@ -30,9 +30,10 @@ def _checked(hs: Increments) -> tuple[Point, ...]:
 
 @dataclass(frozen=True, eq=False)
 class _Step(PointFunction):
-    """One level of the operator chain. ``memo`` is a ``{Point: Scalar}``
-    dict when the chain's increments repeat, so that the coinciding subset
-    sums below this level are evaluated once; otherwise it is None."""
+    """One level of the operator chain: ``inner(x + step) - inner(x)``.
+    ``memo`` is a ``{Point: Scalar}`` dict when the chain's increments
+    repeat, so that the coinciding subset sums below this level are
+    evaluated once; otherwise it is None."""
 
     inner: PointFunction
     step: Point
@@ -41,25 +42,15 @@ class _Step(PointFunction):
     def value(self, x: Point) -> Scalar:
         memo = self.memo
         if memo is None:
-            return self._diff(x)
+            return self.inner.value(x + self.step) - self.inner.value(x)
         v = memo.get(x)
         if v is None:
             # Stored only once computed: a raise leaves no entry behind.
-            v = memo[x] = self._diff(x)
+            v = memo[x] = self.inner.value(x + self.step) - self.inner.value(x)
         return v
 
 
-class _ForwardStep(_Step):
-    def _diff(self, x: Point) -> Scalar:
-        return self.inner.value(x + self.step) - self.inner.value(x)
-
-
-class _BackwardStep(_Step):
-    def _diff(self, x: Point) -> Scalar:
-        return self.inner.value(x) - self.inner.value(x - self.step)
-
-
-def _chain(step: type[_Step], f: PointFunction, hs: tuple[Point, ...]) -> _Step:
+def _chain(f: PointFunction, hs: tuple[Point, ...]) -> _Step:
     """The recursive operator over checked ``hs``, last increment innermost.
 
     With a repeated increment, k levels see O(k^2) distinct points instead
@@ -69,14 +60,14 @@ def _chain(step: type[_Step], f: PointFunction, hs: tuple[Point, ...]) -> _Step:
     memoise = len(set(hs)) < len(hs)
     g = f
     for h in reversed(hs):
-        g = step(g, h, {} if memoise else None)
+        g = _Step(g, h, {} if memoise else None)
     return g
 
 
 def forward_diff(f: PointFunction, x: Point, hs: Increments) -> Scalar:
     """Mixed forward difference over ``hs`` at ``x``, by the recursive
     definition: the last increment is applied innermost."""
-    return _chain(_ForwardStep, f, _checked(hs)).value(x)
+    return _chain(f, _checked(hs)).value(x)
 
 
 def forward_diff_closed(f: PointFunction, x: Point, hs: Increments) -> Scalar:
@@ -84,21 +75,22 @@ def forward_diff_closed(f: PointFunction, x: Point, hs: Increments) -> Scalar:
     hs = _checked(hs)
     k = len(hs)
     total = 0
-    for mask in range(1 << k):
-        p = x
-        bits = 0
-        for i in range(k):
-            if mask >> i & 1:
-                p = p + hs[i]
-                bits += 1
+    for size, p in subset_sums(x, hs):
         v = f.value(p)
-        total += v if (k - bits) % 2 == 0 else -v
+        total += -v if (k - size) % 2 else v
     return total
 
 
 def backward_diff(f: PointFunction, x: Point, hs: Increments) -> Scalar:
-    """Mixed backward difference over ``hs`` at ``x``."""
-    return _chain(_BackwardStep, f, _checked(hs)).value(x)
+    """Mixed backward difference over ``hs`` at ``x``: the forward
+    difference at ``x - sum(hs)``. By induction on the levels it evaluates
+    ``f`` at the same points, in the same order, as the backward
+    recursion ``g(x) - g(x - h)`` would."""
+    hs = _checked(hs)
+    base = x
+    for h in hs:
+        base = base - h
+    return _chain(f, hs).value(base)
 
 
 def equal_increment_diff(f: PointFunction, x: Point, h: Point, m: int) -> Scalar:
@@ -123,15 +115,10 @@ def difference_table(f: PointFunction, x: Point, hs: Increments) -> tuple[TableR
     descending, subsets in index-lexicographic order within a group."""
     hs = _checked(hs)
     k = len(hs)
-    rows: list[TableRow] = []
-    for size in range(k, -1, -1):
-        sign = 1 if (k - size) % 2 == 0 else -1
-        for combo in combinations(range(k), size):
-            p = x
-            for i in combo:
-                p = p + hs[i]
-            rows.append(TableRow(size, p, f.value(p), sign))
-    return tuple(rows)
+    return tuple(
+        TableRow(size, p, f.value(p), -1 if (k - size) % 2 else 1)
+        for size, p in subset_sums(x, hs)
+    )
 
 
 @dataclass(frozen=True)
@@ -194,7 +181,7 @@ def wright_convexity_probe(
             check_increment(h)
         chain = chains.get(hs)
         if chain is None:
-            chain = chains[hs] = _chain(_ForwardStep, f, hs)
+            chain = chains[hs] = _chain(f, hs)
         try:
             v = chain.value(x)
         except UntabulatedPoint as exc:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .basis import (
-    Point, Scalar, Symbol, check_increment, exact, is_positive_increment, unit,
+    Point, Scalar, Symbol, check_increment, exact, is_positive_increment,
+    subset_sums, unit,
 )
 from .errors import InvalidIncrement, NonTerminatingJ
 
@@ -189,17 +190,10 @@ def build_a_sets(syms: Sequence[Symbol]) -> ASets:
     """Enumerate, for each symbol, its unit point plus every 0/1
     combination of the others, and the union over all symbols."""
     pts = _unit_increments(syms)
-    parts: list[frozenset[Point]] = []
-    for i, base in enumerate(pts):
-        others = pts[:i] + pts[i + 1:]
-        members = set()
-        for mask in range(1 << len(others)):
-            p = base
-            for j, q in enumerate(others):
-                if mask >> j & 1:
-                    p = p + q
-            members.add(p)
-        parts.append(frozenset(members))
+    parts = [
+        frozenset(p for _, p in subset_sums(base, pts[:i] + pts[i + 1:]))
+        for i, base in enumerate(pts)
+    ]
     return ASets(tuple(parts), frozenset().union(*parts))
 
 

@@ -16,6 +16,7 @@ from .basis import (
     AdditiveFunctional,
     Scalar,
     Symbol,
+    lattice_box,
     point_combine,
     symbols,
     unit,
@@ -364,19 +365,9 @@ def _random_instance(rng: random.Random):
         hs.append(h)
 
     hi = 55 if nsym == 1 else 7 if nsym == 2 else 5
-    box = []
-    _fill_box(units, -1, hi, ZERO, 0, box)
-    probes = rng.sample(box, 50)
+    probes = rng.sample(lattice_box(units, -1, hi), 50)
     probes.extend(p for _, p in atoms if p not in set(probes))
     return nu, hs, probes
-
-
-def _fill_box(units, lo, hi, base, i, out):
-    if i == len(units):
-        out.append(base)
-        return
-    for c in range(lo, hi + 1):
-        _fill_box(units, lo, hi, base + c * units[i], i + 1, out)
 
 
 def verify_prop_4_3(trials: int, seed: int) -> Report:

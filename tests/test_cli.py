@@ -126,3 +126,26 @@ def test_value_too_long_to_render_is_a_usage_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "run", str(big))
     assert code == 2
     assert out == "" and err.startswith("error: ") and "integer string conversion" in err
+
+
+def test_deep_difference_chain_is_a_usage_error(tmp_path, capsys):
+    # 1,500 increments nest the operator chain past the recursion limit.
+    deep = tmp_path / "deep.def"
+    deep.write_text(
+        "symbol h positive\nadditive a.h = 1\nfunction pospartpow 2 of a\n"
+        f"eval forward-diff at 0 with [{', '.join(['h'] * 1500)}]\n"
+    )
+    code, out, err = run_cli(capsys, "run", str(deep))
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and "nests too deeply" in err
+
+
+def test_deep_shift_nesting_is_a_usage_error(tmp_path, capsys):
+    lines = ["symbol s positive", "measure m0 = dirac(s)"]
+    lines += [f"measure m{i} = shift(m{i - 1}, s)" for i in range(1, 1201)]
+    lines.append("eval atom-mass m1200 at 1201*s expect 1")
+    deep = tmp_path / "deep.def"
+    deep.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "run", str(deep))
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and "nests too deeply" in err

@@ -30,6 +30,7 @@ from hamelcheck import (
     unit,
     wright_convexity_probe,
 )
+from hamelcheck.basis import subset_sums
 from helpers import random_tabulated_instance, standard_function
 
 
@@ -257,15 +258,16 @@ def test_increment_validation():
         equal_increment_diff(f, ZERO, unit(s), 0)
 
 
-class _Counting(PointFunction):
-    """Counts the evaluations of the function it wraps."""
+class _Recording(PointFunction):
+    """Records, in order, the points at which the function it wraps is
+    evaluated."""
 
     def __init__(self, inner):
         self.inner = inner
-        self.calls = 0
+        self.points = []
 
     def value(self, x):
-        self.calls += 1
+        self.points.append(x)
         return self.inner.value(x)
 
 
@@ -276,11 +278,53 @@ def test_equal_increments_evaluate_each_level_point_once():
     x = -3 * unit(h)
     hs = (unit(h),) * k
     f = Composite(Power(k), AdditiveFunctional({h: 1}))
-    fwd, bwd = _Counting(f), _Counting(f)
+    fwd, bwd = _Recording(f), _Recording(f)
     assert forward_diff(fwd, x, hs) == math.factorial(k)
     assert backward_diff(bwd, x + k * unit(h), hs) == math.factorial(k)
-    assert fwd.calls <= 2 * (k + 1)
-    assert bwd.calls <= 2 * (k + 1)
+    assert len(fwd.points) <= 2 * (k + 1)
+    assert len(bwd.points) <= 2 * (k + 1)
+
+
+def _shifted(x, hs):
+    for h in hs:
+        x = x - h
+    return x
+
+
+def test_backward_evaluates_as_forward_at_shifted_point():
+    # Distinct, repeated (memoised levels) and half-integer increments: the
+    # backward difference at x calls f at the points, in the order, of the
+    # forward difference at x - sum(hs).
+    h1, h2 = symbols("h1 h2", positive=True)
+    u1, u2 = unit(h1), unit(h2)
+    half = Fraction(1, 2) * u1
+    f = Composite(PositivePartPower(3), AdditiveFunctional({h1: -1, h2: Fraction(3, 2)}))
+    x = 2 * u1 - u2
+    for hs in (
+        (u1, u2, u1 + u2, 2 * u2),
+        (u1, u2, u1, u1, u2, u1),
+        (half, Fraction(3, 2) * u2, half, u1 + half),
+    ):
+        bwd, fwd = _Recording(f), _Recording(f)
+        assert backward_diff(bwd, x, hs) == forward_diff(fwd, _shifted(x, hs), hs)
+        assert bwd.points == fwd.points
+        assert set(bwd.points) == {p for _, p in subset_sums(_shifted(x, hs), hs)}
+
+
+def test_backward_and_forward_miss_the_same_point_first():
+    rng = random.Random(4242)
+    for _ in range(20):
+        full, x, hs = random_tabulated_instance(rng)
+        top = x
+        for h in hs:
+            top = top + h
+        for missing in full.table:
+            f = Tabulated({p: v for p, v in full.table.items() if p != missing})
+            with pytest.raises(UntabulatedPoint) as fwd:
+                forward_diff(f, x, hs)
+            with pytest.raises(UntabulatedPoint) as bwd:
+                backward_diff(f, top, hs)
+            assert str(bwd.value) == str(fwd.value) == f"no tabulated value at {missing}"
 
 
 def test_repeated_increments_match_oracle():

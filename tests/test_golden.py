@@ -7,9 +7,9 @@ Regenerate the files (only when an output change is intended) with
 
 import contextlib
 import io
+import runpy
+import sys
 from pathlib import Path
-
-import pytest
 
 from hamelcheck.cli import main
 
@@ -46,9 +46,22 @@ def _stdout(argv):
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("name, argv", CASES, ids=[name for name, _ in CASES])
+def pytest_generate_tests(metafunc):
+    # A hook rather than a decorator: regeneration runs without pytest.
+    if metafunc.function is test_output_matches_golden:
+        metafunc.parametrize("name, argv", CASES, ids=[name for name, _ in CASES])
+
+
 def test_output_matches_golden(name, argv):
     assert _stdout(argv) == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_loads_without_pytest(monkeypatch):
+    # None in sys.modules makes `import pytest` fail; the run name is not
+    # __main__, so nothing is written.
+    monkeypatch.setitem(sys.modules, "pytest", None)
+    namespace = runpy.run_path(__file__, run_name="golden_regeneration")
+    assert len(namespace["CASES"]) == 31
 
 
 if __name__ == "__main__":

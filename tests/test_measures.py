@@ -185,6 +185,25 @@ def test_build_a_sets_counts():
     assert units[0] in a.union and units[0] not in a.sets[1]
 
 
+def test_build_a_sets_matches_mask_enumeration():
+    for n in range(1, 7):
+        syms, units = _units(n)
+        expected = []
+        for i, base in enumerate(units):
+            others = units[:i] + units[i + 1:]
+            members = set()
+            for mask in range(1 << len(others)):
+                p = base
+                for j, q in enumerate(others):
+                    if mask >> j & 1:
+                        p = p + q
+                members.add(p)
+            expected.append(members)
+        a = build_a_sets(syms)
+        assert list(a.sets) == expected
+        assert a.union == set().union(*expected)
+
+
 def test_mass_pattern_on_a_sets():
     # Unit mass on the own set, zero off it, negative only at the first
     # unit point, and the positive-part shift, for orders 1, 3, 5.
