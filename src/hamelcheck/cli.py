@@ -69,19 +69,19 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run a built-in scenario")
     vsub = verify.add_subparsers(dest="scenario", required=True)
 
-    for name, needs_n in (
-        ("theorem23", True),
-        ("section31", False),
-        ("section32", False),
-        ("lemma44", True),
-        ("lemma46", True),
+    for name, large_cost in (
+        ("theorem23", "with --trace (a 2^(n+1)-row table)"),
+        ("section31", None),
+        ("section32", None),
+        ("lemma44", "((n+1)*2^n-point A-sets)"),
+        ("lemma46", "((n+1)*2^n-point A-sets)"),
     ):
         p = vsub.add_parser(name, parents=[common])
-        if needs_n:
+        if large_cost:
             p.add_argument("--n", type=int, default=None, help="odd order (default: batch)")
             p.add_argument(
                 "--allow-large", action="store_true",
-                help=f"permit orders above {LARGE_ORDER} (2^(n+1) evaluations)",
+                help=f"permit orders above {LARGE_ORDER} {large_cost}",
             )
         p.set_defaults(runner=_SCENARIO_RUNNERS[name])
 
@@ -104,10 +104,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _orders(args: argparse.Namespace, scenario: str) -> list[int]:
+def _tracing(args: argparse.Namespace) -> bool:
+    return bool(getattr(args, "trace_local", None) or args.trace_global)
+
+
+def _orders(args: argparse.Namespace, scenario: str, guarded: bool = True) -> list[int]:
+    """The orders to run. ``guarded`` says that the scenario's cost is
+    exponential in the order, so that orders above ``LARGE_ORDER`` need
+    ``--allow-large``."""
     if args.n is None:
         return list(default_orders(scenario))
-    if args.n > LARGE_ORDER:
+    if guarded and args.n > LARGE_ORDER:
         if not args.allow_large:
             raise UsageError(
                 f"order {args.n} needs 2^{args.n + 1} evaluations; "
@@ -121,7 +128,9 @@ def _orders(args: argparse.Namespace, scenario: str) -> list[int]:
 
 
 def _run_theorem23(args) -> list[Report]:
-    return [verify_theorem_2_3(n) for n in _orders(args, "theorem23")]
+    # The claims take the scalar-line route, polynomial in n; only the
+    # trace's subset-sum table grows as 2^(n+1).
+    return [verify_theorem_2_3(n) for n in _orders(args, "theorem23", _tracing(args))]
 
 
 def _run_section31(args) -> list[Report]:
@@ -165,7 +174,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     fmt = getattr(args, "format_local", None) or args.format_global or "human"
-    trace = bool(getattr(args, "trace_local", None) or args.trace_global)
+    trace = _tracing(args)
     try:
         reports = args.runner(args)
         output = render(reports, fmt, trace)

@@ -1,20 +1,26 @@
 """Mixed higher-order forward/backward differences and convexity probes.
 
-Two independent evaluation routes are kept side by side: the recursive
-operator definition (primary) and the alternating subset-sum expansion
-(oracle). Tests hold them equal. The backward difference is not a third
-route: it is the recursive forward difference at ``x - sum(hs)``.
+Three independent evaluation routes are kept side by side, and tests hold
+them equal. A ``Composite`` ``f = K(a(.))`` takes the scalar-line route:
+its mixed difference over ``hs`` at ``x`` is ``sum(c_e * K(a(x) + e))``,
+where ``{e: c_e}`` are the terms of ``prod((z**a(h) - 1) for h in hs)``.
+Every other function takes the recursive operator definition. The
+alternating subset-sum expansion is the oracle, and the only route
+behind ``difference_table``. ``_chain`` alone chooses the route, by the
+function's type. The backward difference is not a further route: it is
+the forward difference at ``x - sum(hs)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 from typing import Iterable, Sequence
 
-from .basis import Point, Scalar, check_increment, subset_sums
+from .basis import Point, Scalar, check_increment, exact, subset_sums
 from .errors import InvalidIncrement, UntabulatedPoint
-from .functions import PointFunction
+from .functions import Composite, PointFunction
 
 Increments = Sequence[Point]
 
@@ -50,7 +56,47 @@ class _Step(PointFunction):
         return v
 
 
-def _chain(f: PointFunction, hs: tuple[Point, ...]) -> _Step:
+@dataclass(frozen=True, eq=False)
+class _Line(PointFunction):
+    """The scalar-line route for ``f = K(a(.))``: the mixed difference at
+    ``x`` is ``sum(c * K(a(x) + e) for e, c in terms)``. An increment off
+    the functional's support (``a(h) = 0``) cancels every term, and the
+    value is 0."""
+
+    f: Composite
+    terms: tuple[tuple[Scalar, int], ...]
+
+    def value(self, x: Point) -> Scalar:
+        t = self.f.functional(x)
+        apply = self.f.kernel.apply
+        total = 0
+        for e, c in self.terms:
+            total += c * apply(t + e)
+        return exact(total)
+
+
+def _line(f: Composite, hs: tuple[Point, ...]) -> _Line:
+    """The terms ``{e: c}`` of ``prod(z**a(h) - 1)`` over ``hs``, with
+    cancelled terms dropped. Increments with equal ``a(h)`` are taken
+    together as ``(z**s - 1)**m``, whose terms are binomial, so k equal
+    values cost O(k) instead of O(k^2)."""
+    counts: dict[Scalar, int] = {}
+    for h in hs:
+        s = f.functional(h)
+        counts[s] = counts.get(s, 0) + 1
+    poly: dict[Scalar, int] = {0: 1}
+    for s, m in counts.items():
+        factor = [(exact(s * j), (-1) ** (m - j) * comb(m, j)) for j in range(m + 1)]
+        nxt: dict[Scalar, int] = {}
+        for e, c in poly.items():
+            for d, b in factor:
+                up = exact(e + d)
+                nxt[up] = nxt.get(up, 0) + b * c
+        poly = {e: c for e, c in nxt.items() if c}
+    return _Line(f, tuple(poly.items()))
+
+
+def _recursive(f: PointFunction, hs: tuple[Point, ...]) -> _Step:
     """The recursive operator over checked ``hs``, last increment innermost.
 
     With a repeated increment, k levels see O(k^2) distinct points instead
@@ -64,9 +110,18 @@ def _chain(f: PointFunction, hs: tuple[Point, ...]) -> _Step:
     return g
 
 
+def _chain(f: PointFunction, hs: tuple[Point, ...]) -> PointFunction:
+    """The evaluator of the mixed difference over checked ``hs``: the
+    scalar-line route for a ``Composite``, the recursive operator for any
+    other function. Every difference and probe gets its route here."""
+    if type(f) is Composite:
+        return _line(f, hs)
+    return _recursive(f, hs)
+
+
 def forward_diff(f: PointFunction, x: Point, hs: Increments) -> Scalar:
-    """Mixed forward difference over ``hs`` at ``x``, by the recursive
-    definition: the last increment is applied innermost."""
+    """Mixed forward difference over ``hs`` at ``x``, by the route
+    ``_chain`` chooses for ``f``."""
     return _chain(f, _checked(hs)).value(x)
 
 
@@ -83,9 +138,9 @@ def forward_diff_closed(f: PointFunction, x: Point, hs: Increments) -> Scalar:
 
 def backward_diff(f: PointFunction, x: Point, hs: Increments) -> Scalar:
     """Mixed backward difference over ``hs`` at ``x``: the forward
-    difference at ``x - sum(hs)``. By induction on the levels it evaluates
+    difference at ``x - sum(hs)``. On the recursive route it evaluates
     ``f`` at the same points, in the same order, as the backward
-    recursion ``g(x) - g(x - h)`` would."""
+    recursion ``g(x) - g(x - h)`` would (by induction on the levels)."""
     hs = _checked(hs)
     base = x
     for h in hs:
@@ -167,10 +222,10 @@ def wright_convexity_probe(
 ) -> ProbeOutcome:
     """Check the mixed (n+1)-increment forward difference >= 0 on the
     given (x, hs) samples. Samples with the same increments share one
-    operator chain, and so its level memos, for the length of this call."""
+    chain (its line terms, or its level memos) for the length of this call."""
     violations: list[Violation] = []
     skipped: list[SkippedSample] = []
-    chains: dict[tuple[Point, ...], _Step] = {}
+    chains: dict[tuple[Point, ...], PointFunction] = {}
     for index, (x, hs) in enumerate(samples):
         hs = tuple(hs)
         if len(hs) != n + 1:

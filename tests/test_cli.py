@@ -92,7 +92,10 @@ def test_exit_code_usage_errors(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", "theorem23", "--n", "4")
     assert code == 2 and "even" in err
 
-    code, _, err = run_cli(capsys, "verify", "theorem23", "--n", "13")
+    code, _, err = run_cli(capsys, "verify", "theorem23", "--n", "13", "--trace")
+    assert code == 2 and "--allow-large" in err
+
+    code, _, err = run_cli(capsys, "verify", "lemma44", "--n", "13")
     assert code == 2 and "--allow-large" in err
 
     code, _, err = run_cli(capsys, "probe", "even", "--n", "3", "--case", "prop32-grid")
@@ -128,16 +131,40 @@ def test_value_too_long_to_render_is_a_usage_error(tmp_path, capsys):
     assert out == "" and err.startswith("error: ") and "integer string conversion" in err
 
 
-def test_deep_difference_chain_is_a_usage_error(tmp_path, capsys):
-    # 1,500 increments nest the operator chain past the recursion limit.
+def test_large_theorem23_order_needs_no_flag(capsys):
+    # The claims take the scalar-line route; only the trace table is 2^(n+1).
+    code, out, err = run_cli(capsys, "verify", "theorem23", "--n", "101", "--format", "jsonl")
+    assert code == 0 and err == ""
+    rows = [json.loads(line) for line in out.strip().splitlines()]
+    assert [r["computed"] for r in rows] == ["-1", "-1"]
+    assert all(r["scenario"] == "theorem23(n=101)" for r in rows)
+
+
+def _deep_definition(tmp_path, function):
     deep = tmp_path / "deep.def"
     deep.write_text(
-        "symbol h positive\nadditive a.h = 1\nfunction pospartpow 2 of a\n"
+        f"symbol h positive\nadditive a.h = 1\nfunction {function}\n"
         f"eval forward-diff at 0 with [{', '.join(['h'] * 1500)}]\n"
     )
-    code, out, err = run_cli(capsys, "run", str(deep))
+    return str(deep)
+
+
+def test_deep_difference_chain_is_a_usage_error(tmp_path, capsys):
+    # 1,500 increments nest the recursive operator chain past the
+    # recursion limit before the first (missing) tabulated point is read.
+    code, out, err = run_cli(capsys, "run", _deep_definition(tmp_path, "tabulated {0: 1}"))
     assert code == 2
     assert out == "" and err.startswith("error: ") and "nests too deeply" in err
+
+
+def test_deep_composite_difference_evaluates(tmp_path, capsys):
+    # A Composite takes the scalar-line route, which does not nest: the
+    # 1,500th difference of t^2 on t >= 0 is 0.
+    code, out, err = run_cli(
+        capsys, "run", _deep_definition(tmp_path, "pospartpow 2 of a"), "--format", "jsonl"
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out)["computed"] == "0"
 
 
 def test_deep_shift_nesting_is_a_usage_error(tmp_path, capsys):

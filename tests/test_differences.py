@@ -8,6 +8,7 @@ import pytest
 
 from hamelcheck import (
     ZERO,
+    AbsoluteValue,
     AdditiveFunctional,
     Composite,
     Identity,
@@ -25,12 +26,13 @@ from hamelcheck import (
     forward_diff,
     forward_diff_closed,
     jensen_convexity_probe,
+    point_combine,
     symbols,
     tabulated_abs,
     unit,
     wright_convexity_probe,
 )
-from hamelcheck.basis import subset_sums
+from hamelcheck.basis import exact, subset_sums
 from helpers import random_tabulated_instance, standard_function
 
 
@@ -390,3 +392,82 @@ def test_fractional_coordinates_and_values_match_oracle():
         assert v.denominator > 1
         assert forward_diff(f, x, hs) == v
         assert backward_diff(f, top, hs) == v
+
+
+_KERNELS = (PositivePartPower(3), AbsoluteValue(), Power(4), Identity())
+
+
+def _three_routes(f, x, hs):
+    """The scalar-line, recursive and subset-sum values, and the backward
+    difference at the top point, which takes the scalar-line route."""
+    top = x
+    for h in hs:
+        top = top + h
+    return (
+        forward_diff(f, x, hs),
+        differences._recursive(f, tuple(hs)).value(x),
+        forward_diff_closed(f, x, hs),
+        backward_diff(f, top, hs),
+    )
+
+
+def test_three_routes_agree_seeded():
+    # a(h) negative, fractional, repeated and zero (z is off the support).
+    h1, h2, h3, z = symbols("h1 h2 h3 z", positive=True)
+    units = [unit(h1), unit(h2), unit(h3), unit(z)]
+    a = AdditiveFunctional({h1: -1, h2: Fraction(3, 2), h3: Fraction(-2, 3)})
+    pool = units[:3] + [units[0] + units[1], 2 * units[2], Fraction(1, 2) * units[1]]
+    rng = random.Random(808)
+    for k in range(1, 14):
+        for kernel in _KERNELS if k <= 8 else _KERNELS[k % 4 : k % 4 + 1]:
+            f = Composite(kernel, a)
+            hs = tuple(rng.choice(pool) for _ in range(k))
+            x = point_combine((rng.randint(-2, 2), u) for u in units)
+            line, recursive, closed, backward = _three_routes(f, x, hs)
+            assert line == recursive == closed == backward, (kernel, k)
+            assert type(line) is type(exact(line))
+            zeroed = hs[:-1] + (units[3],)
+            assert set(_three_routes(f, x, zeroed)) == {0}
+            assert differences._chain(f, zeroed).terms == ()
+
+
+def test_three_routes_agree_at_theorem23_setup():
+    for n in range(1, 13):
+        syms, _, f = standard_function(n)
+        units = [unit(s) for s in syms]
+        assert _three_routes(f, ZERO, units) == (-1, -1, -1, -1)
+
+
+def test_theorem23_value_is_minus_one_at_even_orders_too():
+    # (z^-1 - 1)(z - 1)^n = -z^-1 (z - 1)^(n+1): the odd hypothesis never
+    # enters the Wright half of Theorem 2.3.
+    for n in (2, 4, 6):
+        syms, _, f = standard_function(n)
+        units = [unit(s) for s in syms]
+        terms = dict(differences._chain(f, tuple(units)).terms)
+        assert terms == {
+            j - 1: (-1) ** (n - j) * math.comb(n + 1, j) for j in range(n + 2)
+        }
+        assert forward_diff(f, ZERO, units) == -1
+
+
+def test_composite_probes_match_recursive_per_sample():
+    s, t = symbols("s t", positive=True)
+    us, ut = unit(s), unit(t)
+    for kernel in _KERNELS:
+        f = Composite(kernel, AdditiveFunctional({s: 1, t: Fraction(-2, 3)}))
+        xs = [i * us + j * ut for i in range(-2, 3) for j in (-1, 0, 2)]
+        pairs = [(x, h) for x in xs for h in (us, ut, us + ut)]
+        mixed = [(x, (us, ut, us, us + ut)) for x in xs]
+        for outcome, samples in (
+            (jensen_convexity_probe(f, 2, pairs), [(x, (h,) * 3) for x, h in pairs]),
+            (wright_convexity_probe(f, 3, mixed), mixed),
+        ):
+            expected = []
+            for index, (x, hs) in enumerate(samples):
+                v = differences._recursive(f, hs).value(x)
+                if v < 0:
+                    expected.append((index, v))
+            assert [(v.index, v.value) for v in outcome.violations] == expected
+            assert outcome.skipped == ()
+            assert expected or kernel == Identity()
