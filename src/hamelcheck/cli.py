@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = verify.add_subparsers(dest="scenario", required=True)
 
     for name, large_cost in (
-        ("theorem23", "with --trace (a 2^(n+1)-row table)"),
+        ("theorem23", "with a human-format --trace (a 2^(n+1)-row table)"),
         ("section31", None),
         ("section32", None),
         ("lemma44", "((n+1)*2^n-point A-sets)"),
@@ -108,6 +108,10 @@ def _tracing(args: argparse.Namespace) -> bool:
     return bool(getattr(args, "trace_local", None) or args.trace_global)
 
 
+def _format(args: argparse.Namespace) -> str:
+    return getattr(args, "format_local", None) or args.format_global or "human"
+
+
 def _orders(args: argparse.Namespace, scenario: str, guarded: bool = True) -> list[int]:
     """The orders to run. ``guarded`` says that the scenario's cost is
     exponential in the order, so that orders above ``LARGE_ORDER`` need
@@ -129,8 +133,10 @@ def _orders(args: argparse.Namespace, scenario: str, guarded: bool = True) -> li
 
 def _run_theorem23(args) -> list[Report]:
     # The claims take the scalar-line route, polynomial in n; only the
-    # trace's subset-sum table grows as 2^(n+1).
-    return [verify_theorem_2_3(n) for n in _orders(args, "theorem23", _tracing(args))]
+    # trace's subset-sum table grows as 2^(n+1), and only the human
+    # format renders it.
+    table = _tracing(args) and _format(args) == "human"
+    return [verify_theorem_2_3(n) for n in _orders(args, "theorem23", table)]
 
 
 def _run_section31(args) -> list[Report]:
@@ -173,7 +179,7 @@ _SCENARIO_RUNNERS = {
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    fmt = getattr(args, "format_local", None) or args.format_global or "human"
+    fmt = _format(args)
     trace = _tracing(args)
     try:
         reports = args.runner(args)

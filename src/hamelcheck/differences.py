@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
 from typing import Iterable, Sequence
 
 from .basis import Point, Scalar, check_increment, exact, subset_sums
@@ -76,22 +75,16 @@ class _Line(PointFunction):
 
 
 def _line(f: Composite, hs: tuple[Point, ...]) -> _Line:
-    """The terms ``{e: c}`` of ``prod(z**a(h) - 1)`` over ``hs``, with
-    cancelled terms dropped. Increments with equal ``a(h)`` are taken
-    together as ``(z**s - 1)**m``, whose terms are binomial, so k equal
-    values cost O(k) instead of O(k^2)."""
-    counts: dict[Scalar, int] = {}
+    """The terms ``{e: c}`` of ``prod(z**a(h) - 1)`` over ``hs``, one
+    increment at a time, with cancelled terms dropped."""
+    poly: dict[Scalar, int] = {0: 1}
     for h in hs:
         s = f.functional(h)
-        counts[s] = counts.get(s, 0) + 1
-    poly: dict[Scalar, int] = {0: 1}
-    for s, m in counts.items():
-        factor = [(exact(s * j), (-1) ** (m - j) * comb(m, j)) for j in range(m + 1)]
         nxt: dict[Scalar, int] = {}
         for e, c in poly.items():
-            for d, b in factor:
-                up = exact(e + d)
-                nxt[up] = nxt.get(up, 0) + b * c
+            up = exact(e + s)
+            nxt[up] = nxt.get(up, 0) + c
+            nxt[e] = nxt.get(e, 0) - c
         poly = {e: c for e, c in nxt.items() if c}
     return _Line(f, tuple(poly.items()))
 

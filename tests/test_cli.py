@@ -139,6 +139,13 @@ def test_large_theorem23_order_needs_no_flag(capsys):
     assert [r["computed"] for r in rows] == ["-1", "-1"]
     assert all(r["scenario"] == "theorem23(n=101)" for r in rows)
 
+    # Only the human format renders the trace table, so only it is guarded.
+    code, out, err = run_cli(
+        capsys, "verify", "theorem23", "--n", "13", "--trace", "--format", "jsonl"
+    )
+    assert code == 0 and err == ""
+    assert [json.loads(line)["computed"] for line in out.strip().splitlines()] == ["-1", "-1"]
+
 
 def _deep_definition(tmp_path, function):
     deep = tmp_path / "deep.def"
