@@ -42,6 +42,30 @@ class Symbol(NamedTuple):
         return f"Symbol({self.name}{flag})"
 
 
+class Frozen:
+    """Base of the package's immutable classes. A subclass's ``__init__``
+    validates its arguments and then fills ``self.__dict__`` once; any later
+    assignment or deletion of an attribute raises ``AttributeError``.
+    Instances keep a ``__dict__``, so ``functools.cached_property`` works,
+    and compare by identity unless a subclass defines equality."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __repr__(self) -> str:
+        cls = type(self)
+        fields = ", ".join(
+            f"{k}={v!r}" for k, v in vars(self).items()
+            if not k.startswith("_") and not hasattr(cls, k)
+        )
+        return f"{cls.__name__}({fields})"
+
+
 def symbols(names: str, positive: bool = False) -> list[Symbol]:
     """Declare several symbols at once from a whitespace-separated string."""
     return [Symbol(n, positive) for n in names.split()]

@@ -25,10 +25,9 @@ expecting zero violations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .basis import (
     ZERO, AdditiveFunctional, Point, Symbol, is_positive_increment, lattice_box, unit,
@@ -46,8 +45,7 @@ from .measures import Dirac, JClosure, MeasureExpr, Scale, Shift, Sum, atom_mass
 from .reports import Report, ReportBuilder
 
 
-@dataclass(frozen=True)
-class DiffRequest:
+class DiffRequest(NamedTuple):
     line: int
     text: str
     backward: bool
@@ -56,8 +54,7 @@ class DiffRequest:
     expect: Fraction | None
 
 
-@dataclass(frozen=True)
-class MassRequest:
+class MassRequest(NamedTuple):
     line: int
     text: str
     measure: MeasureExpr
@@ -65,8 +62,7 @@ class MassRequest:
     expect: Fraction | None
 
 
-@dataclass(frozen=True)
-class ProbeRequest:
+class ProbeRequest(NamedTuple):
     line: int
     text: str
     order: int
@@ -79,15 +75,24 @@ class ProbeRequest:
 Request = DiffRequest | MassRequest | ProbeRequest
 
 
-@dataclass
 class ScenarioDefinition:
-    name: str
-    symbols: dict[str, Symbol] = field(default_factory=dict)
-    additives: dict[str, dict[Symbol, Fraction]] = field(default_factory=dict)
-    points: dict[str, Point] = field(default_factory=dict)
-    function: PointFunction | None = None
-    measures: dict[str, MeasureExpr] = field(default_factory=dict)
-    requests: list[Request] = field(default_factory=list)
+    def __init__(
+        self,
+        name: str,
+        symbols: dict[str, Symbol] | None = None,
+        additives: dict[str, dict[Symbol, Fraction]] | None = None,
+        points: dict[str, Point] | None = None,
+        function: PointFunction | None = None,
+        measures: dict[str, MeasureExpr] | None = None,
+        requests: list[Request] | None = None,
+    ):
+        self.name = name
+        self.symbols = {} if symbols is None else symbols
+        self.additives = {} if additives is None else additives
+        self.points = {} if points is None else points
+        self.function = function
+        self.measures = {} if measures is None else measures
+        self.requests = [] if requests is None else requests
 
     def functional(self, name: str) -> AdditiveFunctional:
         return AdditiveFunctional(self.additives[name])

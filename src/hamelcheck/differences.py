@@ -1,25 +1,25 @@
 """Mixed higher-order forward/backward differences and convexity probes.
 
 Three independent evaluation routes are kept side by side, and tests hold
-them equal. A ``Composite`` ``f = K(a(.))`` takes the scalar-line route:
-its mixed difference over ``hs`` at ``x`` is ``sum(c_e * K(a(x) + e))``,
-where ``{e: c_e}`` are the terms of ``prod((z**a(h) - 1) for h in hs)``.
-Every other function takes the recursive operator definition. The
-alternating subset-sum expansion is the oracle, and the only route
-behind ``difference_table``. ``_chain`` alone chooses the route, by the
-function's type. The backward difference is not a further route: it is
-the forward difference at ``x - sum(hs)``.
+them equal. A ``Composite`` ``f = K(a(.))``, or ``c * f`` as ``Scaled``,
+takes the scalar-line route: its mixed difference over ``hs`` at ``x`` is
+``sum(c_e * K(a(x) + e))``, where ``{e: c_e}`` are the terms of
+``c * prod((z**a(h) - 1) for h in hs)`` (``c = 1`` for a bare
+``Composite``). Every other function takes the recursive operator
+definition. The alternating subset-sum expansion is the oracle, and the
+only route behind ``difference_table``. ``_chain`` alone chooses the
+route, by the function's type. The backward difference is not a further
+route: it is the forward difference at ``x - sum(hs)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .basis import Point, Scalar, check_increment, exact, subset_sums
+from .basis import Frozen, Point, Scalar, check_increment, exact, point_combine, subset_sums
 from .errors import InvalidIncrement, UntabulatedPoint
-from .functions import Composite, PointFunction
+from .functions import Composite, PointFunction, Scaled
 
 Increments = Sequence[Point]
 
@@ -33,8 +33,7 @@ def _checked(hs: Increments) -> tuple[Point, ...]:
     return hs
 
 
-@dataclass(frozen=True, eq=False)
-class _Step(PointFunction):
+class _Step(PointFunction, Frozen):
     """One level of the operator chain: ``inner(x + step) - inner(x)``.
     ``memo`` is a ``{Point: Scalar}`` dict when the chain's increments
     repeat, so that the coinciding subset sums below this level are
@@ -43,6 +42,9 @@ class _Step(PointFunction):
     inner: PointFunction
     step: Point
     memo: dict[Point, Scalar] | None
+
+    def __init__(self, inner: PointFunction, step: Point, memo: dict[Point, Scalar] | None):
+        self.__dict__.update(inner=inner, step=step, memo=memo)
 
     def value(self, x: Point) -> Scalar:
         memo = self.memo
@@ -55,15 +57,18 @@ class _Step(PointFunction):
         return v
 
 
-@dataclass(frozen=True, eq=False)
-class _Line(PointFunction):
-    """The scalar-line route for ``f = K(a(.))``: the mixed difference at
-    ``x`` is ``sum(c * K(a(x) + e) for e, c in terms)``. An increment off
+class _Line(PointFunction, Frozen):
+    """The scalar-line route for ``f = K(a(.))``, or a multiple of it: the
+    mixed difference at ``x`` is ``sum(c * K(a(x) + e) for e, c in terms)``,
+    where the coefficients ``c`` carry the multiple. An increment off
     the functional's support (``a(h) = 0``) cancels every term, and the
     value is 0."""
 
     f: Composite
-    terms: tuple[tuple[Scalar, int], ...]
+    terms: tuple[tuple[Scalar, Scalar], ...]
+
+    def __init__(self, f: Composite, terms: tuple[tuple[Scalar, Scalar], ...]):
+        self.__dict__.update(f=f, terms=terms)
 
     def value(self, x: Point) -> Scalar:
         t = self.f.functional(x)
@@ -74,9 +79,12 @@ class _Line(PointFunction):
         return exact(total)
 
 
-def _line(f: Composite, hs: tuple[Point, ...]) -> _Line:
-    """The terms ``{e: c}`` of ``prod(z**a(h) - 1)`` over ``hs``, one
-    increment at a time, with cancelled terms dropped."""
+def _line(f: Composite, hs: tuple[Point, ...], factor: Scalar = 1) -> _Line:
+    """The terms ``{e: factor * c}`` of ``factor * prod(z**a(h) - 1)`` over
+    ``hs``, one increment at a time, with cancelled terms dropped; a zero
+    factor leaves no terms."""
+    if not factor:
+        return _Line(f, ())
     poly: dict[Scalar, int] = {0: 1}
     for h in hs:
         s = f.functional(h)
@@ -86,7 +94,7 @@ def _line(f: Composite, hs: tuple[Point, ...]) -> _Line:
             nxt[up] = nxt.get(up, 0) + c
             nxt[e] = nxt.get(e, 0) - c
         poly = {e: c for e, c in nxt.items() if c}
-    return _Line(f, tuple(poly.items()))
+    return _Line(f, tuple((e, c * factor) for e, c in poly.items()))
 
 
 def _recursive(f: PointFunction, hs: tuple[Point, ...]) -> _Step:
@@ -105,10 +113,14 @@ def _recursive(f: PointFunction, hs: tuple[Point, ...]) -> _Step:
 
 def _chain(f: PointFunction, hs: tuple[Point, ...]) -> PointFunction:
     """The evaluator of the mixed difference over checked ``hs``: the
-    scalar-line route for a ``Composite``, the recursive operator for any
-    other function. Every difference and probe gets its route here."""
+    scalar-line route for a ``Composite`` or a ``Scaled`` one (the
+    difference is linear, so the factor scales every coefficient), the
+    recursive operator for any other function. Every difference and probe
+    gets its route here."""
     if type(f) is Composite:
         return _line(f, hs)
+    if type(f) is Scaled and type(f.inner) is Composite:
+        return _line(f.inner, hs, f.factor)
     return _recursive(f, hs)
 
 
@@ -135,9 +147,7 @@ def backward_diff(f: PointFunction, x: Point, hs: Increments) -> Scalar:
     ``f`` at the same points, in the same order, as the backward
     recursion ``g(x) - g(x - h)`` would (by induction on the levels)."""
     hs = _checked(hs)
-    base = x
-    for h in hs:
-        base = base - h
+    base = point_combine(((1, x), *((-1, h) for h in hs)))
     return _chain(f, hs).value(base)
 
 
@@ -148,8 +158,7 @@ def equal_increment_diff(f: PointFunction, x: Point, h: Point, m: int) -> Scalar
     return forward_diff(f, x, (h,) * m)
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     """One evaluation of the subset-sum expansion: sign * f(point)."""
 
     size: int
@@ -169,13 +178,20 @@ def difference_table(f: PointFunction, x: Point, hs: Increments) -> tuple[TableR
     )
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Frozen):
     index: int
     x: Point
     increments: tuple[Point, ...]
     value: Scalar
     function: PointFunction
+
+    def __init__(
+        self, index: int, x: Point, increments: tuple[Point, ...], value: Scalar,
+        function: PointFunction,
+    ):
+        self.__dict__.update(
+            index=index, x=x, increments=increments, value=value, function=function
+        )
 
     @cached_property
     def table(self) -> tuple[TableRow, ...]:
@@ -184,16 +200,14 @@ class Violation:
         return difference_table(self.function, self.x, self.increments)
 
 
-@dataclass(frozen=True)
-class SkippedSample:
+class SkippedSample(NamedTuple):
     index: int
     x: Point
     increments: tuple[Point, ...]
     reason: str
 
 
-@dataclass(frozen=True)
-class ProbeOutcome:
+class ProbeOutcome(NamedTuple):
     violations: tuple[Violation, ...]
     skipped: tuple[SkippedSample, ...]
 
@@ -215,7 +229,9 @@ def wright_convexity_probe(
 ) -> ProbeOutcome:
     """Check the mixed (n+1)-increment forward difference >= 0 on the
     given (x, hs) samples. Samples with the same increments share one
-    chain (its line terms, or its level memos) for the length of this call."""
+    chain (its line terms, or its level memos) for the length of this call;
+    the increments are checked when their chain is built, since equal
+    tuples hold equal points."""
     violations: list[Violation] = []
     skipped: list[SkippedSample] = []
     chains: dict[tuple[Point, ...], PointFunction] = {}
@@ -225,10 +241,10 @@ def wright_convexity_probe(
             raise InvalidIncrement(
                 f"sample {index}: expected {n + 1} increments, got {len(hs)}"
             )
-        for h in hs:
-            check_increment(h)
         chain = chains.get(hs)
         if chain is None:
+            for h in hs:
+                check_increment(h)
             chain = chains[hs] = _chain(f, hs)
         try:
             v = chain.value(x)

@@ -7,59 +7,69 @@ domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping
 
-from .basis import AdditiveFunctional, Point, Scalar, exact
+from .basis import AdditiveFunctional, Frozen, Point, Scalar, exact
 from .errors import UntabulatedPoint
 from .measures import MeasureExpr, atom_mass
 
 
-@dataclass(frozen=True)
-class PositivePartPower:
+class Kernel(Frozen):
+    """A scalar kernel ``t -> K(t)``. Kernels are values: two are equal,
+    and hash alike, when they have the same type and the same power."""
+
+    def apply(self, t: Scalar) -> Scalar:
+        raise NotImplementedError
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash((type(self), *vars(self).values()))
+
+
+class PositivePartPower(Kernel):
     """t -> (max(t, 0))**power, power >= 1."""
 
     power: int
 
-    def __post_init__(self) -> None:
-        if self.power < 1:
+    def __init__(self, power: int):
+        if power < 1:
             raise ValueError("power must be a positive integer")
+        self.__dict__.update(power=power)
 
     def apply(self, t: Scalar) -> Scalar:
         return (t if t > 0 else 0) ** self.power
 
 
-@dataclass(frozen=True)
-class AbsoluteValue:
+class AbsoluteValue(Kernel):
     """t -> |t|."""
 
     def apply(self, t: Scalar) -> Scalar:
         return -t if t < 0 else t
 
 
-@dataclass(frozen=True)
-class Power:
+class Power(Kernel):
     """t -> t**power, power >= 0 (0**0 == 1)."""
 
     power: int
 
-    def __post_init__(self) -> None:
-        if self.power < 0:
+    def __init__(self, power: int):
+        if power < 0:
             raise ValueError("power must be nonnegative")
+        self.__dict__.update(power=power)
 
     def apply(self, t: Scalar) -> Scalar:
         return t ** self.power
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(Kernel):
     """t -> t."""
 
     def apply(self, t: Scalar) -> Scalar:
         return t
-
-
-Kernel = Union[PositivePartPower, AbsoluteValue, Power, Identity]
 
 
 class PointFunction:
@@ -72,28 +82,27 @@ class PointFunction:
         return self.value(x)
 
 
-@dataclass(frozen=True, eq=False)
-class Composite(PointFunction):
+class Composite(PointFunction, Frozen):
     """Scalar kernel applied to the value of an additive functional."""
 
     kernel: Kernel
     functional: AdditiveFunctional
 
+    def __init__(self, kernel: Kernel, functional: AdditiveFunctional):
+        self.__dict__.update(kernel=kernel, functional=functional)
+
     def value(self, x: Point) -> Scalar:
         return self.kernel.apply(self.functional(x))
 
 
-@dataclass(frozen=True, eq=False)
-class Tabulated(PointFunction):
+class Tabulated(PointFunction, Frozen):
     """Finite table of exact values; queries off the table raise
     UntabulatedPoint (an incomplete scenario, not a zero)."""
 
     table: Mapping[Point, Scalar]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "table", {p: exact(v) for p, v in dict(self.table).items()}
-        )
+    def __init__(self, table: Mapping[Point, Scalar]):
+        self.__dict__.update(table={p: exact(v) for p, v in dict(table).items()})
 
     def value(self, x: Point) -> Scalar:
         try:
@@ -102,23 +111,24 @@ class Tabulated(PointFunction):
             raise UntabulatedPoint(x) from None
 
 
-@dataclass(frozen=True, eq=False)
-class MeasureMass(PointFunction):
+class MeasureMass(PointFunction, Frozen):
     """x -> atom mass of a measure at x."""
 
     measure: MeasureExpr
+
+    def __init__(self, measure: MeasureExpr):
+        self.__dict__.update(measure=measure)
 
     def value(self, x: Point) -> Scalar:
         return atom_mass(self.measure, x)
 
 
-@dataclass(frozen=True, eq=False)
-class Scaled(PointFunction):
+class Scaled(PointFunction, Frozen):
     factor: Scalar
     inner: PointFunction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "factor", exact(self.factor))
+    def __init__(self, factor: Scalar, inner: PointFunction):
+        self.__dict__.update(factor=exact(factor), inner=inner)
 
     def value(self, x: Point) -> Scalar:
         if not self.factor:
@@ -126,12 +136,11 @@ class Scaled(PointFunction):
         return self.factor * self.inner.value(x)
 
 
-@dataclass(frozen=True, eq=False)
-class SumOf(PointFunction):
+class SumOf(PointFunction, Frozen):
     parts: tuple[PointFunction, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(self.parts))
+    def __init__(self, parts: tuple[PointFunction, ...]):
+        self.__dict__.update(parts=tuple(parts))
 
     def value(self, x: Point) -> Scalar:
         total = 0
@@ -140,14 +149,14 @@ class SumOf(PointFunction):
         return total
 
 
-@dataclass(frozen=True, eq=False)
-class PointwisePower(PointFunction):
+class PointwisePower(PointFunction, Frozen):
     inner: PointFunction
     power: int
 
-    def __post_init__(self) -> None:
-        if self.power < 1:
+    def __init__(self, inner: PointFunction, power: int):
+        if power < 1:
             raise ValueError("power must be a positive integer")
+        self.__dict__.update(inner=inner, power=power)
 
     def value(self, x: Point) -> Scalar:
         return self.inner.value(x) ** self.power

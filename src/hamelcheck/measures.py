@@ -9,70 +9,67 @@ masses it has computed for as long as the node lives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .basis import (
-    Point, Scalar, Symbol, check_increment, exact, is_positive_increment,
+    Frozen, Point, Scalar, Symbol, check_increment, exact, is_positive_increment,
     subset_sums, unit,
 )
 from .errors import InvalidIncrement, NonTerminatingJ
 
 
-class MeasureExpr:
+class MeasureExpr(Frozen):
     """Base class; `support_floor` bounds every support coordinate below."""
 
     support_floor: Point
 
 
-@dataclass(frozen=True, eq=False)
 class Dirac(MeasureExpr):
     """Unit atom at a point."""
 
     point: Point
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "support_floor", self.point)
+    def __init__(self, point: Point):
+        self.__dict__.update(point=point, support_floor=point)
 
 
-@dataclass(frozen=True, eq=False)
 class Shift(MeasureExpr):
     """Translation: mass at x taken from the inner measure at x - step."""
 
     inner: MeasureExpr
     step: Point
 
-    def __post_init__(self) -> None:
-        if not is_positive_increment(self.step):
-            raise InvalidIncrement(f"shift step must be a positive increment: {self.step}")
-        object.__setattr__(self, "support_floor", self.inner.support_floor + self.step)
+    def __init__(self, inner: MeasureExpr, step: Point):
+        if not is_positive_increment(step):
+            raise InvalidIncrement(f"shift step must be a positive increment: {step}")
+        self.__dict__.update(
+            inner=inner, step=step, support_floor=inner.support_floor + step
+        )
 
 
-@dataclass(frozen=True, eq=False)
 class Sum(MeasureExpr):
     terms: tuple[MeasureExpr, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", tuple(self.terms))
-        if not self.terms:
+    def __init__(self, terms: tuple[MeasureExpr, ...]):
+        terms = tuple(terms)
+        if not terms:
             raise ValueError("sum of measures needs at least one term")
-        floors = [t.support_floor for t in self.terms]
+        floors = [t.support_floor for t in terms]
         syms = {s for f in floors for s, _ in f.terms}
         low = {s: min(f.coordinate(s) for f in floors) for s in syms}
-        object.__setattr__(self, "support_floor", Point(low))
+        self.__dict__.update(terms=terms, support_floor=Point(low))
 
 
-@dataclass(frozen=True, eq=False)
 class Scale(MeasureExpr):
     factor: Scalar
     inner: MeasureExpr
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "factor", exact(self.factor))
-        object.__setattr__(self, "support_floor", self.inner.support_floor)
+    def __init__(self, factor: Scalar, inner: MeasureExpr):
+        self.__dict__.update(
+            factor=exact(factor), inner=inner, support_floor=inner.support_floor
+        )
 
 
-@dataclass(frozen=True, eq=False)
 class JClosure(MeasureExpr):
     """Geometric-series closure: the sum of all nonnegative-integer
     multiples of ``step`` applied as translations."""
@@ -80,15 +77,14 @@ class JClosure(MeasureExpr):
     inner: MeasureExpr
     step: Point
 
-    def __post_init__(self) -> None:
-        if not is_positive_increment(self.step):
-            raise NonTerminatingJ(
-                f"closure step must be a positive increment: {self.step}"
-            )
-        # Support only grows upward, so the inner floor is exact.
-        object.__setattr__(self, "support_floor", self.inner.support_floor)
-        # Point -> mass of this closure, filled by _closure_mass.
-        object.__setattr__(self, "_memo", {})
+    def __init__(self, inner: MeasureExpr, step: Point):
+        if not is_positive_increment(step):
+            raise NonTerminatingJ(f"closure step must be a positive increment: {step}")
+        # Support only grows upward, so the inner floor is exact. ``_memo``
+        # maps Point -> mass of this closure, filled by _closure_mass.
+        self.__dict__.update(
+            inner=inner, step=step, support_floor=inner.support_floor, _memo={}
+        )
 
 
 def atom_mass(mu: MeasureExpr, x: Point) -> Scalar:
@@ -178,8 +174,7 @@ def build_mu(syms: Sequence[Symbol]) -> MeasureExpr:
     return Sum(tuple(mus[1:]) + (Scale(-1, mus[0]),))
 
 
-@dataclass(frozen=True)
-class ASets:
+class ASets(NamedTuple):
     """The 0/1-combination evaluation sets: one per symbol plus the union."""
 
     sets: tuple[frozenset[Point], ...]

@@ -6,18 +6,16 @@ All comparisons are exact; a claim passes iff computed equals expected.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
-from .basis import Scalar, exact
+from .basis import Frozen, Scalar, exact
 from .differences import TableRow
 
 Value = Union[Scalar, bool]
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     label: str
     ref: str
     computed: Value
@@ -36,13 +34,25 @@ def make_claim(label: str, ref: str, computed: Value, expected: Value) -> Claim:
     return Claim(label, ref, computed, expected, computed == expected)
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Frozen):
     scenario: str
     claims: tuple[Claim, ...]
-    make_trace: Callable[[], tuple[TableRow, ...]] = tuple
-    trace_title: str = ""
-    notes: tuple[str, ...] = ()
+    make_trace: Callable[[], tuple[TableRow, ...]]
+    trace_title: str
+    notes: tuple[str, ...]
+
+    def __init__(
+        self,
+        scenario: str,
+        claims: tuple[Claim, ...],
+        make_trace: Callable[[], tuple[TableRow, ...]] = tuple,
+        trace_title: str = "",
+        notes: tuple[str, ...] = (),
+    ):
+        self.__dict__.update(
+            scenario=scenario, claims=claims, make_trace=make_trace,
+            trace_title=trace_title, notes=notes,
+        )
 
     @cached_property
     def trace(self) -> tuple[TableRow, ...]:
@@ -55,15 +65,22 @@ class Report:
         return all(c.passed for c in self.claims)
 
 
-@dataclass
 class ReportBuilder:
     """Accumulates claims for one scenario."""
 
-    scenario: str
-    claims: list[Claim] = field(default_factory=list)
-    make_trace: Callable[[], tuple[TableRow, ...]] = tuple
-    trace_title: str = ""
-    notes: list[str] = field(default_factory=list)
+    def __init__(
+        self,
+        scenario: str,
+        claims: list[Claim] | None = None,
+        make_trace: Callable[[], tuple[TableRow, ...]] = tuple,
+        trace_title: str = "",
+        notes: list[str] | None = None,
+    ):
+        self.scenario = scenario
+        self.claims = [] if claims is None else claims
+        self.make_trace = make_trace
+        self.trace_title = trace_title
+        self.notes = [] if notes is None else notes
 
     def claim(self, label: str, ref: str, computed: Value, expected: Value) -> Claim:
         c = make_claim(label, ref, computed, expected)

@@ -17,6 +17,10 @@ from hamelcheck import (
     unit,
 )
 from hamelcheck.basis import check_increment
+from hamelcheck.differences import Violation
+from hamelcheck.functions import Composite, PositivePartPower
+from hamelcheck.measures import Dirac, JClosure
+from hamelcheck.reports import Report
 
 
 def test_rational_is_exact_and_canonical():
@@ -177,3 +181,22 @@ def test_sign_flag_mix_is_order_independent():
     assert left == right
     assert not is_positive_increment(left)
     assert not is_positive_increment(right)
+
+
+def test_frozen_classes_refuse_assignment_and_deletion():
+    (s,) = symbols("s", positive=True)
+    f = Composite(PositivePartPower(2), AdditiveFunctional({s: 1}))
+    closure = JClosure(Dirac(unit(s)), unit(s))
+    violation = Violation(0, ZERO, (unit(s),), -1, f)
+    report = Report("demo", ())
+    for obj, name in ((f, "kernel"), (closure, "step"), (violation, "value"), (report, "claims")):
+        kept = getattr(obj, name)
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+        with pytest.raises(AttributeError):
+            obj.extra = 1
+        assert getattr(obj, name) is kept and not hasattr(obj, "extra")
+    # The lazy fields are still filled on first read.
+    assert report.trace == () and len(violation.table) == 2

@@ -1,6 +1,9 @@
 """Command-line surface: formats, exit codes, flags."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from hamelcheck.cli import main
@@ -183,3 +186,17 @@ def test_deep_shift_nesting_is_a_usage_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "run", str(deep))
     assert code == 2
     assert out == "" and err.startswith("error: ") and "nests too deeply" in err
+
+
+def test_cli_import_loads_no_dataclasses():
+    # Building dataclasses cost every CLI process about 20 ms of start-up,
+    # and their module pulls in inspect, ast and dis, which nothing else
+    # loads. -S keeps site-packages hooks from loading them first.
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, hamelcheck.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -17,6 +17,7 @@ from hamelcheck import (
     PositivePartPower,
     Power,
     Scaled,
+    SumOf,
     Tabulated,
     UntabulatedPoint,
     backward_diff,
@@ -260,6 +261,30 @@ def test_increment_validation():
         equal_increment_diff(f, ZERO, unit(s), 0)
 
 
+def test_probe_rejects_an_invalid_increment_at_its_sample():
+    # Increments are checked once per distinct tuple, when its chain is
+    # built; a bad one still stops the probe at the first sample holding it.
+    (s,), (m,) = symbols("s", positive=True), symbols("m")
+    us, um = unit(s), unit(m)
+    f = Composite(PositivePartPower(3), AdditiveFunctional({s: 1, m: 1}))
+    for bad in ((um,) * 4, (us, us, um, us), (us, 2 * us - 3 * us, us, us)):
+        drawn = []
+
+        def samples():
+            for index, hs in enumerate(((us,) * 4, (2 * us,) * 4, (us,) * 4, bad, (us,) * 4)):
+                drawn.append(index)
+                yield index * us, hs
+
+        with pytest.raises(InvalidIncrement) as err:
+            wright_convexity_probe(f, 3, samples())
+        assert drawn == [0, 1, 2, 3]
+        assert str(err.value) == f"not a positive increment: {next(h for h in bad if h != us)}"
+    with pytest.raises(InvalidIncrement, match="^sample 1: expected 4 increments, got 3$"):
+        wright_convexity_probe(f, 3, [(ZERO, (us,) * 4), (ZERO, (us,) * 3)])
+    with pytest.raises(InvalidIncrement, match=f"^not a positive increment: {um}$"):
+        jensen_convexity_probe(f, 3, [(ZERO, us), (us, us), (ZERO, um)])
+
+
 class _Recording(PointFunction):
     """Records, in order, the points at which the function it wraps is
     evaluated."""
@@ -311,6 +336,31 @@ def test_backward_evaluates_as_forward_at_shifted_point():
         assert backward_diff(bwd, x, hs) == forward_diff(fwd, _shifted(x, hs), hs)
         assert bwd.points == fwd.points
         assert set(bwd.points) == {p for _, p in subset_sums(_shifted(x, hs), hs)}
+
+
+def test_backward_shifts_by_the_sum_over_many_distinct_symbols():
+    # x and the increments span 50 symbols, so the one combine that forms
+    # x - sum(hs) must cancel and keep coordinates across all of them.
+    rng = random.Random(5050)
+    syms = symbols(" ".join(f"b{i}" for i in range(50)), positive=True)
+    units = [unit(s) for s in syms]
+    a = AdditiveFunctional({s: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for s in syms})
+    x = point_combine((rng.choice((-3, -1, Fraction(1, 2), 2)), u) for u in units)
+    assert len(x.terms) == 50
+    spread = tuple(
+        point_combine((Fraction(rng.randint(1, 4), rng.randint(1, 2)), u) for u in rng.sample(units, 8))
+        for _ in range(6)
+    )
+    composite = Composite(PositivePartPower(5), a)
+    for f, hs in (
+        (composite, tuple(rng.randint(1, 2) * u for u in units)),
+        (composite, spread),
+        (Scaled(Fraction(-3, 2), composite), spread),
+        (SumOf((composite, Composite(AbsoluteValue(), a))), spread),
+    ):
+        base = _shifted(x, hs)
+        assert backward_diff(f, x, hs) == forward_diff(f, base, hs)
+    assert backward_diff(f, x, hs) == forward_diff_closed(f, base, hs) != 0
 
 
 def test_backward_and_forward_miss_the_same_point_first():
@@ -395,6 +445,8 @@ def test_fractional_coordinates_and_values_match_oracle():
 
 
 _KERNELS = (PositivePartPower(3), AbsoluteValue(), Power(4), Identity())
+# Integer, fractional, negative and zero multiples for ``Scaled``.
+_FACTORS = (3, Fraction(5, 2), Fraction(-2, 3), 0)
 
 
 def _three_routes(f, x, hs):
@@ -419,13 +471,20 @@ def test_three_routes_agree_seeded():
     pool = units[:3] + [units[0] + units[1], 2 * units[2], Fraction(1, 2) * units[1]]
     rng = random.Random(808)
     for k in range(1, 14):
-        for kernel in _KERNELS if k <= 8 else _KERNELS[k % 4 : k % 4 + 1]:
+        for i, kernel in enumerate(_KERNELS if k <= 8 else _KERNELS[k % 4 : k % 4 + 1]):
             f = Composite(kernel, a)
+            factor = _FACTORS[(k + i) % len(_FACTORS)]
             hs = tuple(rng.choice(pool) for _ in range(k))
             x = point_combine((rng.randint(-2, 2), u) for u in units)
             line, recursive, closed, backward = _three_routes(f, x, hs)
             assert line == recursive == closed == backward, (kernel, k)
             assert type(line) is type(exact(line))
+            scaled = _three_routes(Scaled(factor, f), x, hs)
+            assert scaled == (factor * line,) * 4, (kernel, k, factor)
+            assert type(scaled[0]) is type(exact(scaled[0]))
+            chain = differences._chain(Scaled(factor, f), hs)
+            assert type(chain) is differences._Line
+            assert chain.terms == () if factor == 0 else len(chain.terms) > 0
             zeroed = hs[:-1] + (units[3],)
             assert set(_three_routes(f, x, zeroed)) == {0}
             assert differences._chain(f, zeroed).terms == ()
@@ -436,6 +495,8 @@ def test_three_routes_agree_at_theorem23_setup():
         syms, _, f = standard_function(n)
         units = [unit(s) for s in syms]
         assert _three_routes(f, ZERO, units) == (-1, -1, -1, -1)
+        factor = _FACTORS[n % len(_FACTORS)]
+        assert _three_routes(Scaled(factor, f), ZERO, units) == (-factor,) * 4
 
 
 def test_theorem23_value_is_minus_one_at_even_orders_too():
@@ -454,20 +515,21 @@ def test_theorem23_value_is_minus_one_at_even_orders_too():
 def test_composite_probes_match_recursive_per_sample():
     s, t = symbols("s t", positive=True)
     us, ut = unit(s), unit(t)
-    for kernel in _KERNELS:
-        f = Composite(kernel, AdditiveFunctional({s: 1, t: Fraction(-2, 3)}))
-        xs = [i * us + j * ut for i in range(-2, 3) for j in (-1, 0, 2)]
-        pairs = [(x, h) for x in xs for h in (us, ut, us + ut)]
-        mixed = [(x, (us, ut, us, us + ut)) for x in xs]
-        for outcome, samples in (
-            (jensen_convexity_probe(f, 2, pairs), [(x, (h,) * 3) for x, h in pairs]),
-            (wright_convexity_probe(f, 3, mixed), mixed),
-        ):
-            expected = []
-            for index, (x, hs) in enumerate(samples):
-                v = differences._recursive(f, hs).value(x)
-                if v < 0:
-                    expected.append((index, v))
-            assert [(v.index, v.value) for v in outcome.violations] == expected
-            assert outcome.skipped == ()
-            assert expected or kernel == Identity()
+    xs = [i * us + j * ut for i in range(-2, 3) for j in (-1, 0, 2)]
+    pairs = [(x, h) for x in xs for h in (us, ut, us + ut)]
+    mixed = [(x, (us, ut, us, us + ut)) for x in xs]
+    for kernel, factor in zip(_KERNELS, _FACTORS):
+        composite = Composite(kernel, AdditiveFunctional({s: 1, t: Fraction(-2, 3)}))
+        for f in (composite, Scaled(factor, composite)):
+            for outcome, samples in (
+                (jensen_convexity_probe(f, 2, pairs), [(x, (h,) * 3) for x, h in pairs]),
+                (wright_convexity_probe(f, 3, mixed), mixed),
+            ):
+                expected = []
+                for index, (x, hs) in enumerate(samples):
+                    v = differences._recursive(f, hs).value(x)
+                    if v < 0:
+                        expected.append((index, v))
+                assert [(v.index, v.value) for v in outcome.violations] == expected
+                assert outcome.skipped == ()
+                assert expected or kernel == Identity() or f is not composite

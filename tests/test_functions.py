@@ -45,6 +45,23 @@ def test_kernels():
         Power(-1)
 
 
+def test_kernels_compare_and_hash_by_type_and_power():
+    def kernels():
+        return [
+            PositivePartPower(1), PositivePartPower(3), Power(1), Power(3),
+            AbsoluteValue(), Identity(),
+        ]
+
+    for i, k in enumerate(kernels()):
+        for j, other in enumerate(kernels()):
+            assert (k == other) is (i == j), (k, other)
+            assert (k != other) is (i != j), (k, other)
+            if i == j:
+                assert hash(k) == hash(other)
+    assert len(set(kernels() + kernels())) == len(kernels())
+    assert PositivePartPower(3) != Power(3) and Power(1) != Identity()
+
+
 def test_function_eval_cube_values():
     syms, _, f = _theorem_function(3)
     h1, h2, h3, h4 = syms

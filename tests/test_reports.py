@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from hamelcheck import make_claim
+from hamelcheck import ZERO, make_claim
+from hamelcheck.differences import TableRow
 from hamelcheck.reports import Report, render, render_value
 
 
@@ -45,3 +46,18 @@ def test_render_formats_and_failure_ref():
 
     with pytest.raises(ValueError):
         render([rep], "yaml")
+
+
+def test_report_trace_is_built_on_first_read():
+    calls = []
+
+    def make_trace():
+        calls.append(1)
+        return (TableRow(0, ZERO, Fraction(1), 1),)
+
+    rep = Report("demo", (make_claim("ok", "", 1, 1),), make_trace, "table")
+    for fmt in ("human", "tsv", "jsonl"):
+        render([rep], fmt)
+    assert not calls
+    assert "trace: table" in render([rep], "human", show_trace=True)
+    assert rep.trace is rep.trace and len(calls) == 1
