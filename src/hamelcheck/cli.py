@@ -9,8 +9,9 @@
     hamelcheck run FILE
 
 Output goes to stdout in --format human|tsv|jsonl; --trace adds the full
-evaluation table (human format). Exit codes: 0 every claim passed,
-1 some claim failed, 2 usage or definition error.
+evaluation table (human format). Both flags go before or after the
+subcommand; one given after it overrides one before. Exit codes: 0 every
+claim passed, 1 some claim failed, 2 usage or definition error.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from typing import Sequence
 
 from .definitions import run_definition_file
 from .errors import HamelcheckError
-from .reports import Report, all_passed, render
+from .reports import all_passed, render
 from .scenarios import (
-    default_orders,
     even_candidates,
     probe_even,
     verify_lemma_4_4,
@@ -41,84 +41,97 @@ class UsageError(HamelcheckError):
     pass
 
 
-def _common() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", dest="format_local", choices=("human", "tsv", "jsonl"), default=None,
+def _human_trace(args: argparse.Namespace) -> bool:
+    # theorem23's claims take the scalar-line route, polynomial in n; only
+    # the trace's subset-sum table grows as 2^(n+1), and only the human
+    # format renders it.
+    return args.trace and args.format == "human"
+
+
+def _output_flags(
+    parser: argparse.ArgumentParser, fmt=argparse.SUPPRESS, trace=argparse.SUPPRESS
+) -> argparse.ArgumentParser:
+    """Declare --format and --trace. The top parser gives their defaults;
+    the parent parser of every command leaves them unset unless given, so
+    a flag after the subcommand overrides one before it."""
+    parser.add_argument(
+        "--format", choices=("human", "tsv", "jsonl"), default=fmt,
         help="output format (default: human)",
     )
-    common.add_argument(
-        "--trace", dest="trace_local", action="store_true", default=None,
+    parser.add_argument(
+        "--trace", action="store_true", default=trace,
         help="emit the full evaluation table (human format)",
     )
-    return common
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hamelcheck",
-        description="Exact checks of higher-order convexity claims on a formal basis lattice.",
+    """Each command's parser sets ``runner`` and either the names of the
+    parsed values it takes (``takes``) or its batch orders (``batch``)."""
+    parser = _output_flags(
+        argparse.ArgumentParser(
+            prog="hamelcheck",
+            description="Exact checks of higher-order convexity claims on a formal basis lattice.",
+        ),
+        "human", False,
     )
-    parser.add_argument(
-        "--format", dest="format_global", choices=("human", "tsv", "jsonl"), default=None
-    )
-    parser.add_argument("--trace", dest="trace_global", action="store_true", default=False)
+    parser.set_defaults(takes=(), batch=())
+    flags = [_output_flags(argparse.ArgumentParser(add_help=False))]
     sub = parser.add_subparsers(dest="command", required=True)
-    common = _common()
 
     verify = sub.add_parser("verify", help="run a built-in scenario")
     vsub = verify.add_subparsers(dest="scenario", required=True)
-
-    for name, large_cost in (
-        ("theorem23", "with a human-format --trace (a 2^(n+1)-row table)"),
-        ("section31", None),
-        ("section32", None),
-        ("lemma44", "((n+1)*2^n-point A-sets)"),
-        ("lemma46", "((n+1)*2^n-point A-sets)"),
+    # The verify scenarios: runner, batch orders when --n is omitted (none:
+    # it takes no --n), when an order above LARGE_ORDER needs --allow-large,
+    # and what such an order costs. The runners are read from this module
+    # when the parser is built, so a wrapper installed on their names after
+    # import (the benchmark's tracer) is the one called.
+    for name, runner, batch, guard, large_cost in (
+        ("theorem23", verify_theorem_2_3, (1, 3, 5, 7, 9, 11), _human_trace,
+         "with a human-format --trace (a 2^(n+1)-row table)"),
+        ("section31", verify_section_3_1, (), None, ""),
+        ("section32", verify_section_3_2, (), None, ""),
+        ("lemma44", verify_lemma_4_4, (1, 3, 5), lambda args: True,
+         "((n+1)*2^n-point A-sets)"),
+        ("lemma46", verify_lemma_4_6, (1, 3, 5), lambda args: True,
+         "((n+1)*2^n-point A-sets)"),
     ):
-        p = vsub.add_parser(name, parents=[common])
-        if large_cost:
+        p = vsub.add_parser(name, parents=flags)
+        if batch:
             p.add_argument("--n", type=int, default=None, help="odd order (default: batch)")
             p.add_argument(
                 "--allow-large", action="store_true",
                 help=f"permit orders above {LARGE_ORDER} {large_cost}",
             )
-        p.set_defaults(runner=_SCENARIO_RUNNERS[name])
+        p.set_defaults(runner=runner, batch=batch, guard=guard)
 
-    p = vsub.add_parser("prop43", parents=[common])
+    p = vsub.add_parser("prop43", parents=flags)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=42)
-    p.set_defaults(runner=_run_prop43)
+    p.set_defaults(runner=verify_prop_4_3, takes=("trials", "seed"))
 
     probe = sub.add_parser("probe", help="probe a documented even-order candidate")
     psub = probe.add_subparsers(dest="probe_kind", required=True)
-    p = psub.add_parser("even", parents=[common])
+    p = psub.add_parser("even", parents=flags)
     p.add_argument("--n", type=int, required=True, help="even order")
     p.add_argument("--case", required=True, help=f"candidate id ({', '.join(even_candidates(2))})")
-    p.set_defaults(runner=_run_probe_even)
+    p.set_defaults(runner=probe_even, takes=("n", "case"))
 
-    p = sub.add_parser("run", parents=[common], help="execute a definition file")
+    p = sub.add_parser("run", parents=flags, help="execute a definition file")
     p.add_argument("path")
-    p.set_defaults(runner=_run_definition)
+    p.set_defaults(runner=run_definition_file, takes=("path",))
 
     return parser
 
 
-def _tracing(args: argparse.Namespace) -> bool:
-    return bool(getattr(args, "trace_local", None) or args.trace_global)
-
-
-def _format(args: argparse.Namespace) -> str:
-    return getattr(args, "format_local", None) or args.format_global or "human"
-
-
-def _orders(args: argparse.Namespace, scenario: str, guarded: bool = True) -> list[int]:
-    """The orders to run. ``guarded`` says that the scenario's cost is
-    exponential in the order, so that orders above ``LARGE_ORDER`` need
-    ``--allow-large``."""
+def _calls(args: argparse.Namespace) -> list[tuple]:
+    """The runner's arguments, one tuple per report: each order to run for
+    a scenario with batch orders, else the parsed values it takes."""
+    if not args.batch:
+        return [tuple(getattr(args, name) for name in args.takes)]
     if args.n is None:
-        return list(default_orders(scenario))
-    if guarded and args.n > LARGE_ORDER:
+        return [(n,) for n in args.batch]
+    if args.n > LARGE_ORDER and args.guard(args):
         if not args.allow_large:
             raise UsageError(
                 f"order {args.n} needs 2^{args.n + 1} evaluations; "
@@ -128,62 +141,15 @@ def _orders(args: argparse.Namespace, scenario: str, guarded: bool = True) -> li
             f"warning: order {args.n} needs 2^{args.n + 1} evaluations; this may take a while",
             file=sys.stderr,
         )
-    return [args.n]
-
-
-def _run_theorem23(args) -> list[Report]:
-    # The claims take the scalar-line route, polynomial in n; only the
-    # trace's subset-sum table grows as 2^(n+1), and only the human
-    # format renders it.
-    table = _tracing(args) and _format(args) == "human"
-    return [verify_theorem_2_3(n) for n in _orders(args, "theorem23", table)]
-
-
-def _run_section31(args) -> list[Report]:
-    return [verify_section_3_1()]
-
-
-def _run_section32(args) -> list[Report]:
-    return [verify_section_3_2()]
-
-
-def _run_lemma44(args) -> list[Report]:
-    return [verify_lemma_4_4(n) for n in _orders(args, "lemma44")]
-
-
-def _run_lemma46(args) -> list[Report]:
-    return [verify_lemma_4_6(n) for n in _orders(args, "lemma46")]
-
-
-def _run_prop43(args) -> list[Report]:
-    return [verify_prop_4_3(args.trials, args.seed)]
-
-
-def _run_probe_even(args) -> list[Report]:
-    return [probe_even(args.n, args.case)]
-
-
-def _run_definition(args) -> list[Report]:
-    return [run_definition_file(args.path)]
-
-
-_SCENARIO_RUNNERS = {
-    "theorem23": _run_theorem23,
-    "section31": _run_section31,
-    "section32": _run_section32,
-    "lemma44": _run_lemma44,
-    "lemma46": _run_lemma46,
-}
+    return [(args.n,)]
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    fmt = _format(args)
-    trace = _tracing(args)
     try:
-        reports = args.runner(args)
-        output = render(reports, fmt, trace)
+        reports = [args.runner(*call) for call in _calls(args)]
+        output = render(reports, args.format, args.trace)
     except (HamelcheckError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

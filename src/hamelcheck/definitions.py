@@ -26,6 +26,7 @@ expecting zero violations.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -42,57 +43,28 @@ from .errors import (
 )
 from .functions import Composite, PointFunction, PositivePartPower, Tabulated, tabulated_abs
 from .measures import Dirac, JClosure, MeasureExpr, Scale, Shift, Sum, atom_mass
-from .reports import Report, ReportBuilder
+from .reports import Report, ReportBuilder, Value
 
 
-class DiffRequest(NamedTuple):
+class Eval(NamedTuple):
+    """One ``eval`` line. ``evaluate`` computes its value when the
+    definition runs; ``expect`` None expects whatever it computes."""
+
     line: int
     text: str
-    backward: bool
-    at: Point
-    increments: tuple[Point, ...]
+    evaluate: Callable[[], Value]
     expect: Fraction | None
-
-
-class MassRequest(NamedTuple):
-    line: int
-    text: str
-    measure: MeasureExpr
-    at: Point
-    expect: Fraction | None
-
-
-class ProbeRequest(NamedTuple):
-    line: int
-    text: str
-    order: int
-    lo: int
-    hi: int
-    steps: tuple[int, int]
-    expect: Fraction | None
-
-
-Request = DiffRequest | MassRequest | ProbeRequest
 
 
 class ScenarioDefinition:
-    def __init__(
-        self,
-        name: str,
-        symbols: dict[str, Symbol] | None = None,
-        additives: dict[str, dict[Symbol, Fraction]] | None = None,
-        points: dict[str, Point] | None = None,
-        function: PointFunction | None = None,
-        measures: dict[str, MeasureExpr] | None = None,
-        requests: list[Request] | None = None,
-    ):
+    def __init__(self, name: str):
         self.name = name
-        self.symbols = {} if symbols is None else symbols
-        self.additives = {} if additives is None else additives
-        self.points = {} if points is None else points
-        self.function = function
-        self.measures = {} if measures is None else measures
-        self.requests = [] if requests is None else requests
+        self.symbols: dict[str, Symbol] = {}
+        self.additives: dict[str, dict[Symbol, Fraction]] = {}
+        self.points: dict[str, Point] = {}
+        self.function: PointFunction | None = None
+        self.measures: dict[str, MeasureExpr] = {}
+        self.evals: list[Eval] = []
 
     def functional(self, name: str) -> AdditiveFunctional:
         return AdditiveFunctional(self.additives[name])
@@ -298,7 +270,7 @@ class _Parser:
             text = body.strip()
 
         if text.startswith(("forward-diff", "backward-diff")):
-            backward = text.startswith("backward-diff")
+            op = backward_diff if text.startswith("backward-diff") else forward_diff
             if self.defn.function is None:
                 raise self.fail("no function declared before this eval")
             spec = text.partition("diff")[2].strip()
@@ -314,12 +286,9 @@ class _Parser:
             if not items:
                 raise InvalidIncrement(f"line {self.lineno}: empty increment list")
             increments = tuple(self.increment(s) for s in items)
-            self.defn.requests.append(
-                DiffRequest(self.lineno, rest.strip(), backward, self.point(at_text), increments, expect)
-            )
-            return
+            evaluate = partial(op, self.defn.function, self.point(at_text), increments)
 
-        if text.startswith("atom-mass"):
+        elif text.startswith("atom-mass"):
             spec = text[len("atom-mass"):].strip()
             mname, sep, at_text = spec.partition(" at ")
             mname = mname.strip()
@@ -327,44 +296,58 @@ class _Parser:
                 raise self.fail("expected: eval atom-mass <measure> at <point>")
             if mname not in self.defn.measures:
                 raise self.unknown(mname)
-            self.defn.requests.append(
-                MassRequest(self.lineno, rest.strip(), self.defn.measures[mname], self.point(at_text), expect)
-            )
-            return
+            evaluate = partial(atom_mass, self.defn.measures[mname], self.point(at_text))
 
-        if text.startswith("jensen-probe"):
-            if self.defn.function is None:
-                raise self.fail("no function declared before this eval")
-            tokens = dict(
-                t.split("=", 1) for t in text[len("jensen-probe"):].split() if "=" in t
-            )
-            if set(tokens) != {"n", "grid"}:
-                raise self.fail("expected: eval jensen-probe n=<k> grid=box(lo..hi[;steps=a..b])")
-            try:
-                order = int(tokens["n"])
-            except ValueError:
-                raise self.fail(f"bad order {tokens['n']!r}", tokens["n"]) from None
-            if order < 1:
-                raise self.fail("order must be >= 1")
-            grid = tokens["grid"]
-            if not (grid.startswith("box(") and grid.endswith(")")):
-                raise self.fail(f"bad grid spec {grid!r}", grid)
-            body = grid[4:-1]
-            range_text, _, steps_text = body.partition(";")
-            lo, hi = self._int_range(range_text)
-            steps = (1, 1)
-            if steps_text:
-                if not steps_text.startswith("steps="):
-                    raise self.fail(f"bad grid option {steps_text!r}", steps_text)
-                steps = self._int_range(steps_text[len("steps="):])
-                if steps[0] < 1:
-                    raise self.fail("steps must start at 1 or above", steps_text)
-            self.defn.requests.append(
-                ProbeRequest(self.lineno, rest.strip(), order, lo, hi, steps, expect)
-            )
-            return
+        elif text.startswith("jensen-probe"):
+            evaluate = self._jensen_probe(text[len("jensen-probe"):])
+            if expect is None:
+                expect = Fraction(0)
 
-        raise self.fail(f"unknown eval request {text.split()[0]!r}" if text else "empty eval")
+        else:
+            raise self.fail(f"unknown eval request {text.split()[0]!r}" if text else "empty eval")
+        self.defn.evals.append(Eval(self.lineno, rest.strip(), evaluate, expect))
+
+    def _jensen_probe(self, spec: str) -> Callable[[], int]:
+        """The violation count of the probe that ``spec`` describes. Its
+        samples take every positive symbol declared when the file runs."""
+        if self.defn.function is None:
+            raise self.fail("no function declared before this eval")
+        fields = [token.partition("=") for token in spec.split()]
+        tokens = {key: value for key, eq, value in fields if eq}
+        if len(fields) != 2 or set(tokens) != {"n", "grid"}:
+            raise self.fail("expected: eval jensen-probe n=<k> grid=box(lo..hi[;steps=a..b])")
+        try:
+            order = int(tokens["n"])
+        except ValueError:
+            raise self.fail(f"bad order {tokens['n']!r}", tokens["n"]) from None
+        if order < 1:
+            raise self.fail("order must be >= 1")
+        grid = tokens["grid"]
+        if not (grid.startswith("box(") and grid.endswith(")")):
+            raise self.fail(f"bad grid spec {grid!r}", grid)
+        body = grid[4:-1]
+        range_text, _, steps_text = body.partition(";")
+        lo, hi = self._int_range(range_text)
+        steps = (1, 1)
+        if steps_text:
+            if not steps_text.startswith("steps="):
+                raise self.fail(f"bad grid option {steps_text!r}", steps_text)
+            steps = self._int_range(steps_text[len("steps="):])
+            if steps[0] < 1:
+                raise self.fail("steps must start at 1 or above", steps_text)
+        symbols, f, line = self.defn.symbols, self.defn.function, self.lineno
+
+        def probe() -> int:
+            units = [unit(s) for s in symbols.values() if s.positive]
+            if not units:
+                raise DefinitionError("jensen-probe needs at least one positive symbol", line)
+            # One Point per (symbol, step), shared by every box point, so
+            # the probe finds each sample's chain by identity.
+            increments = [step * u for u in units for step in range(steps[0], steps[1] + 1)]
+            samples = [(x, h) for x in lattice_box(units, lo, hi) for h in increments]
+            return len(jensen_convexity_probe(f, order, samples).violations)
+
+        return probe
 
     def _int_range(self, text: str) -> tuple[int, int]:
         lo_text, sep, hi_text = text.partition("..")
@@ -395,38 +378,15 @@ def parse_definition(source: str, name: str = "<definition>") -> ScenarioDefinit
 def run_definition(defn: ScenarioDefinition) -> Report:
     """Execute every evaluation request and assemble the report."""
     rb = ReportBuilder(defn.name)
-    for req in defn.requests:
+    for ev in defn.evals:
         try:
-            if isinstance(req, DiffRequest):
-                op = backward_diff if req.backward else forward_diff
-                value = op(defn.function, req.at, req.increments)
-                expected = value if req.expect is None else req.expect
-                rb.claim(req.text, f"line {req.line}", value, expected)
-            elif isinstance(req, MassRequest):
-                value = atom_mass(req.measure, req.at)
-                expected = value if req.expect is None else req.expect
-                rb.claim(req.text, f"line {req.line}", value, expected)
-            else:
-                positive = [s for s in defn.symbols.values() if s.positive]
-                if not positive:
-                    raise DefinitionError(
-                        "jensen-probe needs at least one positive symbol", req.line
-                    )
-                samples = [
-                    (x, step * unit(s))
-                    for x in lattice_box([unit(s) for s in positive], req.lo, req.hi)
-                    for s in positive
-                    for step in range(req.steps[0], req.steps[1] + 1)
-                ]
-                outcome = jensen_convexity_probe(defn.function, req.order, samples)
-                count = len(outcome.violations)
-                expected = 0 if req.expect is None else req.expect
-                rb.claim(req.text, f"line {req.line}", count, expected)
+            value = ev.evaluate()
         except UntabulatedPoint as exc:
             raise DefinitionError(
                 f"evaluation needs a value outside the tabulated domain ({exc})",
-                req.line,
+                ev.line,
             ) from exc
+        rb.claim(ev.text, f"line {ev.line}", value, value if ev.expect is None else ev.expect)
     return rb.build()
 
 

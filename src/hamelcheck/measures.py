@@ -168,10 +168,15 @@ def build_mu_i(i: int, syms: Sequence[Symbol]) -> MeasureExpr:
     return j_op(Dirac(pts[i - 1]), pts)
 
 
+def signed_sum(mus: Sequence[MeasureExpr]) -> MeasureExpr:
+    """The signed combination of the closures mu_1..mu_(n+1): every one
+    but the first, minus the first."""
+    return Sum(tuple(mus[1:]) + (Scale(-1, mus[0]),))
+
+
 def build_mu(syms: Sequence[Symbol]) -> MeasureExpr:
     """Signed combination: the closures of atoms 2..n+1 minus the first."""
-    mus = [build_mu_i(i, syms) for i in range(1, len(syms) + 1)]
-    return Sum(tuple(mus[1:]) + (Scale(-1, mus[0]),))
+    return signed_sum([build_mu_i(i, syms) for i in range(1, len(syms) + 1)])
 
 
 class ASets(NamedTuple):

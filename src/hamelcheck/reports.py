@@ -68,19 +68,12 @@ class Report(Frozen):
 class ReportBuilder:
     """Accumulates claims for one scenario."""
 
-    def __init__(
-        self,
-        scenario: str,
-        claims: list[Claim] | None = None,
-        make_trace: Callable[[], tuple[TableRow, ...]] = tuple,
-        trace_title: str = "",
-        notes: list[str] | None = None,
-    ):
+    def __init__(self, scenario: str):
         self.scenario = scenario
-        self.claims = [] if claims is None else claims
-        self.make_trace = make_trace
-        self.trace_title = trace_title
-        self.notes = [] if notes is None else notes
+        self.claims: list[Claim] = []
+        self.make_trace: Callable[[], tuple[TableRow, ...]] = tuple
+        self.trace_title = ""
+        self.notes: list[str] = []
 
     def claim(self, label: str, ref: str, computed: Value, expected: Value) -> Claim:
         c = make_claim(label, ref, computed, expected)

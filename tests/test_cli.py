@@ -6,9 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from hamelcheck import cli
 from hamelcheck.cli import main
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -41,6 +45,93 @@ def test_global_flag_position(capsys):
     code, out, _ = run_cli(capsys, "--format", "tsv", "verify", "section31")
     assert code == 0
     assert out.startswith("section31\t")
+
+
+# Golden file stem -> command. The section31 golden files were made with
+# --trace; the other two reports have no trace table, so --trace leaves
+# their output as their golden files hold it.
+PLACED = {
+    "section31-trace": ["verify", "section31"],
+    "probe-prop31-witness": ["probe", "even", "--n", "2", "--case", "prop31-witness"],
+    "run-theorem23-n3": ["run", str(SAMPLES / "theorem23-n3.def")],
+}
+
+
+@pytest.mark.parametrize("fmt", ("human", "tsv", "jsonl"))
+@pytest.mark.parametrize("name", PLACED)
+def test_output_flags_before_after_and_both(capsys, name, fmt):
+    cmd = PLACED[name]
+    other = "tsv" if fmt != "tsv" else "jsonl"
+    expected = (0, (GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8"), "")
+    for argv in (
+        ["--format", fmt, "--trace", *cmd],
+        [*cmd, "--format", fmt, "--trace"],
+        ["--trace", *cmd, "--format", fmt],
+        ["--format", fmt, *cmd, "--trace"],
+        # Given on both sides, the flag after the subcommand wins.
+        ["--format", other, *cmd, "--format", fmt, "--trace"],
+        ["--format", other, "--trace", *cmd, "--trace", "--format", fmt],
+    ):
+        assert run_cli(capsys, *argv) == expected, argv
+
+
+def test_trace_is_off_unless_given(capsys):
+    for argv in (["verify", "section31"], ["--format", "human", "verify", "section31"],
+                 ["verify", "section31", "--format", "human"]):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and "PASS" in out and "trace:" not in out, argv
+
+
+LEAVES = [["verify", name] for name in (
+    "theorem23", "section31", "section32", "lemma44", "lemma46", "prop43"
+)] + [["probe", "even"], ["run"]]
+
+
+@pytest.mark.parametrize("cmd", LEAVES, ids=" ".join)
+def test_help_for_every_command(capsys, cmd):
+    with pytest.raises(SystemExit) as exc:
+        main([*cmd, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: hamelcheck {' '.join(cmd)} [-h] [--format")
+    assert "--trace" in out
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["verify", "theorem23", "--n", "1"], "verify_theorem_2_3"),
+    (["verify", "section31"], "verify_section_3_1"),
+    (["verify", "section32"], "verify_section_3_2"),
+    (["verify", "lemma44", "--n", "1"], "verify_lemma_4_4"),
+    (["verify", "lemma46", "--n", "1"], "verify_lemma_4_6"),
+    (["verify", "prop43", "--trials", "1"], "verify_prop_4_3"),
+    (["probe", "even", "--n", "2", "--case", "prop33-witness"], "probe_even"),
+    (["run", str(SAMPLES / "theorem23-n3.def")], "run_definition_file"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_commands_call_the_runner_bound_in_cli(monkeypatch, capsys, argv, name):
+    # The benchmark's tracer times each runner by rebinding its name in
+    # this module after import; a runner captured at import bypasses it.
+    runner = getattr(cli, name)
+    calls = []
+
+    def wrapped(*args):
+        calls.append(args)
+        return runner(*args)
+
+    monkeypatch.setattr(cli, name, wrapped)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0 and len(calls) == 1
+
+
+def test_malformed_jensen_probe_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "probe.def"
+    for spec in ("n=2 grid=box(-3..3) bogus nonsense", "n=2 grid=box(0..1) n=5"):
+        path.write_text(
+            "symbol u positive\nadditive a.u = 1\nfunction pospartpow 2 of a\n"
+            f"eval jensen-probe {spec}\n"
+        )
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 4, col 1: expected: eval jensen-probe")
 
 
 def test_human_trace(capsys):

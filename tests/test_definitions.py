@@ -8,10 +8,15 @@ from hamelcheck import (
     InvalidIncrement,
     ParseError,
     UnknownSymbol,
+    definitions,
+    jensen_convexity_probe,
     parse_definition,
     run_definition,
     run_definition_file,
+    symbols,
+    unit,
 )
+from hamelcheck.basis import lattice_box
 
 THEOREM_N3 = """\
 # order-3 scenario
@@ -108,6 +113,49 @@ eval jensen-probe n=2 grid=box(-3..3;steps=1..2)
     rep = run_definition(parse_definition(src))
     assert rep.passed
     assert rep.claims[0].computed == 0
+
+
+def test_jensen_probe_samples_share_each_increment(monkeypatch):
+    seen = []
+
+    def spy(f, n, samples):
+        seen.extend(samples)
+        return jensen_convexity_probe(f, n, seen)
+
+    monkeypatch.setattr(definitions, "jensen_convexity_probe", spy)
+    src = """\
+symbol u positive
+symbol v positive
+additive a.u = 1
+additive a.v = -2
+function pospartpow 2 of a
+eval jensen-probe n=2 grid=box(-1..1;steps=1..2)
+"""
+    run_definition(parse_definition(src))
+    # The same samples in the same order: each box point with every
+    # (symbol, step) increment, symbols in declaration order.
+    units = [unit(s) for s in symbols("u v", positive=True)]
+    assert seen == [
+        (x, step * u) for x in lattice_box(units, -1, 1) for u in units for step in (1, 2)
+    ]
+    # ... and one Point per (symbol, step), so the probe finds each
+    # sample's chain by identity rather than by comparing coordinates.
+    assert len({id(h) for _, h in seen}) == 4
+
+
+@pytest.mark.parametrize("spec", [
+    "n=2 grid=box(-3..3) bogus nonsense",
+    "n=2 grid=box(0..1) n=5",
+    "grid=box(0..1) n=2 grid=box(0..3)",
+    "n=2 grid=box(0..1) steps",
+    "n=2",
+])
+def test_jensen_probe_needs_one_order_and_one_grid(spec):
+    src = f"symbol u positive\nadditive a.u = 1\nfunction pospartpow 2 of a\neval jensen-probe {spec}\n"
+    with pytest.raises(ParseError) as exc:
+        parse_definition(src)
+    assert (exc.value.line, exc.value.column) == (4, 1)
+    assert "jensen-probe n=<k> grid=box" in str(exc.value)
 
 
 def test_unknown_symbol_in_function_spec():

@@ -6,6 +6,7 @@ import pytest
 
 from hamelcheck import (
     EvenOrder,
+    JClosure,
     UnknownCandidate,
     probe_even,
     scenarios,
@@ -83,6 +84,22 @@ def test_lemma44_orders():
         assert rep.passed, [c for c in rep.claims if not c.passed]
         by = claims_by_label(rep)
         assert by["d-mass-at-h1"].computed == -1
+
+
+def test_lemma44_builds_each_closure_once(monkeypatch):
+    # mu combines the per-symbol closures the claims query, so their
+    # memos are shared; building mu afresh would double the closures.
+    built = []
+    init = JClosure.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(JClosure, "__init__", counting)
+    n = 3
+    assert verify_lemma_4_4(n).passed
+    assert len(built) == (n + 1) ** 2  # n + 1 trees of n + 1 closures each
 
 
 def test_lemma46_orders_and_chain():
