@@ -16,13 +16,10 @@ from .basis import (
     unit,
 )
 from .differences import (
-    ProbeOutcome,
-    SkippedSample,
     TableRow,
     Violation,
     backward_diff,
     difference_table,
-    equal_increment_diff,
     forward_diff,
     forward_diff_closed,
     jensen_convexity_probe,
@@ -67,7 +64,6 @@ from .measures import (
     build_mu_i,
     j_op,
     nabla,
-    sorted_points,
 )
 from .reports import Claim, Report, make_claim, render
 from .definitions import parse_definition, run_definition, run_definition_file

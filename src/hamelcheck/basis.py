@@ -46,8 +46,7 @@ class Frozen:
     """Base of the package's immutable classes. A subclass's ``__init__``
     validates its arguments and then fills ``self.__dict__`` once; any later
     assignment or deletion of an attribute raises ``AttributeError``.
-    Instances keep a ``__dict__``, so ``functools.cached_property`` works,
-    and compare by identity unless a subclass defines equality."""
+    Instances compare by identity unless a subclass defines equality."""
 
     __slots__ = ()
 
@@ -143,9 +142,6 @@ class Point:
                 del acc[s]
         return Point._wrap(_sorted_terms(acc))
 
-    def __neg__(self) -> "Point":
-        return Point._wrap(tuple((s, -c) for s, c in self._terms))
-
     def __mul__(self, scalar: Scalar) -> "Point":
         q = exact(scalar)
         if not q:
@@ -162,9 +158,6 @@ class Point:
         if h is None:
             h = self._hash = hash(self._terms)
         return h
-
-    def __iter__(self) -> Iterator[tuple[Symbol, Scalar]]:
-        return iter(self._terms)
 
     def __str__(self) -> str:
         if not self._terms:
@@ -251,13 +244,6 @@ class AdditiveFunctional:
                 acc.pop(sym, None)
         self._values = acc
         self._items = tuple(sorted(acc.items()))
-
-    @property
-    def values(self) -> tuple[tuple[Symbol, Scalar], ...]:
-        return self._items
-
-    def value_on(self, sym: Symbol) -> Scalar:
-        return self._values.get(sym, 0)
 
     def __call__(self, x: Point) -> Scalar:
         total = 0

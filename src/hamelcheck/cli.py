@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .definitions import run_definition_file
 from .errors import HamelcheckError
-from .reports import all_passed, render
+from .reports import render
 from .scenarios import (
     even_candidates,
     probe_even,
@@ -160,7 +160,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
         return 2
     print(output)
-    return 0 if all_passed(reports) else 1
+    return 0 if all(r.passed for r in reports) else 1
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ expecting zero violations.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -71,7 +72,11 @@ class ScenarioDefinition:
 
 
 def _col(line_text: str, token: str) -> int:
-    pos = line_text.find(token)
+    """The column of ``token`` as a whole token of the line: not the ``e``
+    of ``eval`` nor the ``t`` of ``point``. Names run over letters,
+    digits, ``_`` and ``-``."""
+    found = re.search(rf"(?<![\w-]){re.escape(token)}(?![\w-])", line_text)
+    pos = found.start() if found else line_text.find(token)
     return pos + 1 if pos >= 0 else 1
 
 
@@ -345,7 +350,7 @@ class _Parser:
             # the probe finds each sample's chain by identity.
             increments = [step * u for u in units for step in range(steps[0], steps[1] + 1)]
             samples = [(x, h) for x in lattice_box(units, lo, hi) for h in increments]
-            return len(jensen_convexity_probe(f, order, samples).violations)
+            return len(jensen_convexity_probe(f, order, samples))
 
         return probe
 

@@ -14,11 +14,10 @@ route: it is the forward difference at ``x - sum(hs)``.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .basis import Frozen, Point, Scalar, check_increment, exact, point_combine, subset_sums
-from .errors import InvalidIncrement, UntabulatedPoint
+from .errors import InvalidIncrement
 from .functions import Composite, PointFunction, Scaled
 
 Increments = Sequence[Point]
@@ -151,13 +150,6 @@ def backward_diff(f: PointFunction, x: Point, hs: Increments) -> Scalar:
     return _chain(f, hs).value(base)
 
 
-def equal_increment_diff(f: PointFunction, x: Point, h: Point, m: int) -> Scalar:
-    """m-fold forward difference with the single increment ``h``."""
-    if m < 1:
-        raise ValueError("order must be a positive integer")
-    return forward_diff(f, x, (h,) * m)
-
-
 class TableRow(NamedTuple):
     """One evaluation of the subset-sum expansion: sign * f(point)."""
 
@@ -178,62 +170,35 @@ def difference_table(f: PointFunction, x: Point, hs: Increments) -> tuple[TableR
     )
 
 
-class Violation(Frozen):
+class Violation(NamedTuple):
+    """A sample at which the probed difference is negative. Its
+    2^(n+1)-row table is ``difference_table(f, x, increments)``."""
+
     index: int
     x: Point
     increments: tuple[Point, ...]
     value: Scalar
-    function: PointFunction
-
-    def __init__(
-        self, index: int, x: Point, increments: tuple[Point, ...], value: Scalar,
-        function: PointFunction,
-    ):
-        self.__dict__.update(
-            index=index, x=x, increments=increments, value=value, function=function
-        )
-
-    @cached_property
-    def table(self) -> tuple[TableRow, ...]:
-        """All 2^k evaluations at this sample, built on first read; a
-        probe that only counts violations never pays for them."""
-        return difference_table(self.function, self.x, self.increments)
-
-
-class SkippedSample(NamedTuple):
-    index: int
-    x: Point
-    increments: tuple[Point, ...]
-    reason: str
-
-
-class ProbeOutcome(NamedTuple):
-    violations: tuple[Violation, ...]
-    skipped: tuple[SkippedSample, ...]
-
-    @property
-    def clean(self) -> bool:
-        return not self.violations
 
 
 def jensen_convexity_probe(
     f: PointFunction, n: int, samples: Iterable[tuple[Point, Point]]
-) -> ProbeOutcome:
-    """Check the (n+1)-fold equal-increment difference >= 0 on the given
-    (x, h) samples; untabulated samples are skipped with a record."""
+) -> tuple[Violation, ...]:
+    """The samples at which the (n+1)-fold equal-increment difference over
+    the given (x, h) pairs is negative; see ``wright_convexity_probe``."""
     return wright_convexity_probe(f, n, ((x, (h,) * (n + 1)) for x, h in samples))
 
 
 def wright_convexity_probe(
     f: PointFunction, n: int, samples: Iterable[tuple[Point, Sequence[Point]]]
-) -> ProbeOutcome:
-    """Check the mixed (n+1)-increment forward difference >= 0 on the
-    given (x, hs) samples. Samples with the same increments share one
-    chain (its line terms, or its level memos) for the length of this call;
-    the increments are checked when their chain is built, since equal
-    tuples hold equal points."""
+) -> tuple[Violation, ...]:
+    """The samples at which the mixed (n+1)-increment forward difference
+    over the given (x, hs) pairs is negative. A sample that cannot be
+    evaluated stops the probe with the error ``forward_diff`` would raise
+    there (``UntabulatedPoint`` off a table's domain). Samples with the
+    same increments share one chain (its line terms, or its level memos)
+    for the length of this call; the increments are checked when their
+    chain is built, since equal tuples hold equal points."""
     violations: list[Violation] = []
-    skipped: list[SkippedSample] = []
     chains: dict[tuple[Point, ...], PointFunction] = {}
     for index, (x, hs) in enumerate(samples):
         hs = tuple(hs)
@@ -246,11 +211,7 @@ def wright_convexity_probe(
             for h in hs:
                 check_increment(h)
             chain = chains[hs] = _chain(f, hs)
-        try:
-            v = chain.value(x)
-        except UntabulatedPoint as exc:
-            skipped.append(SkippedSample(index, x, hs, str(exc)))
-            continue
+        v = chain.value(x)
         if v < 0:
-            violations.append(Violation(index, x, hs, v, f))
-    return ProbeOutcome(tuple(violations), tuple(skipped))
+            violations.append(Violation(index, x, hs, v))
+    return tuple(violations)

@@ -9,7 +9,7 @@ masses it has computed for as long as the node lives.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .basis import (
     Frozen, Point, Scalar, Symbol, check_increment, exact, is_positive_increment,
@@ -195,8 +195,3 @@ def build_a_sets(syms: Sequence[Symbol]) -> ASets:
         for i, base in enumerate(pts)
     ]
     return ASets(tuple(parts), frozenset().union(*parts))
-
-
-def sorted_points(points: Iterable[Point]) -> list[Point]:
-    """Deterministic ordering for reports and quantified checks."""
-    return sorted(points, key=lambda p: tuple((s.name, c) for s, c in p.terms))

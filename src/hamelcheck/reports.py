@@ -6,10 +6,9 @@ All comparisons are exact; a claim passes iff computed equals expected.
 from __future__ import annotations
 
 import json
-from functools import cached_property
-from typing import Callable, Iterable, NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
-from .basis import Frozen, Scalar, exact
+from .basis import Scalar, exact
 from .differences import TableRow
 
 Value = Union[Scalar, bool]
@@ -34,31 +33,15 @@ def make_claim(label: str, ref: str, computed: Value, expected: Value) -> Claim:
     return Claim(label, ref, computed, expected, computed == expected)
 
 
-class Report(Frozen):
+class Report(NamedTuple):
+    """One scenario's claims. ``make_trace`` builds its evaluation table;
+    only ``--trace`` output calls it."""
+
     scenario: str
     claims: tuple[Claim, ...]
-    make_trace: Callable[[], tuple[TableRow, ...]]
-    trace_title: str
-    notes: tuple[str, ...]
-
-    def __init__(
-        self,
-        scenario: str,
-        claims: tuple[Claim, ...],
-        make_trace: Callable[[], tuple[TableRow, ...]] = tuple,
-        trace_title: str = "",
-        notes: tuple[str, ...] = (),
-    ):
-        self.__dict__.update(
-            scenario=scenario, claims=claims, make_trace=make_trace,
-            trace_title=trace_title, notes=notes,
-        )
-
-    @cached_property
-    def trace(self) -> tuple[TableRow, ...]:
-        """The evaluation table, built on first read: only ``--trace``
-        output and callers that inspect it pay for it."""
-        return self.make_trace()
+    make_trace: Callable[[], tuple[TableRow, ...]] = tuple
+    trace_title: str = ""
+    notes: tuple[str, ...] = ()
 
     @property
     def passed(self) -> bool:
@@ -133,10 +116,11 @@ def render_human(reports: Sequence[Report], show_trace: bool = False) -> str:
             )
             if not c.passed and c.ref:
                 lines.append(f"         ({c.ref})")
-        if show_trace and rep.trace:
+        trace = rep.make_trace() if show_trace else ()
+        if trace:
             title = rep.trace_title or "evaluation table"
             lines.append(f"  trace: {title}")
-            lines.extend(render_trace(rep.trace))
+            lines.extend(render_trace(trace))
         n_pass = sum(c.passed for c in rep.claims)
         verdict = "PASS" if rep.passed else "FAIL"
         lines.append(f"  result: {verdict} ({n_pass}/{len(rep.claims)} claims)")
@@ -194,7 +178,3 @@ def render(reports: Sequence[Report], fmt: str, show_trace: bool = False) -> str
     if fmt == "jsonl":
         return render_jsonl(reports)
     raise ValueError(f"unknown format: {fmt}")
-
-
-def all_passed(reports: Iterable[Report]) -> bool:
-    return all(r.passed for r in reports)

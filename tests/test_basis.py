@@ -187,7 +187,7 @@ def test_frozen_classes_refuse_assignment_and_deletion():
     (s,) = symbols("s", positive=True)
     f = Composite(PositivePartPower(2), AdditiveFunctional({s: 1}))
     closure = JClosure(Dirac(unit(s)), unit(s))
-    violation = Violation(0, ZERO, (unit(s),), -1, f)
+    violation = Violation(0, ZERO, (unit(s),), -1)
     report = Report("demo", ())
     for obj, name in ((f, "kernel"), (closure, "step"), (violation, "value"), (report, "claims")):
         kept = getattr(obj, name)
@@ -198,5 +198,3 @@ def test_frozen_classes_refuse_assignment_and_deletion():
         with pytest.raises(AttributeError):
             obj.extra = 1
         assert getattr(obj, name) is kept and not hasattr(obj, "extra")
-    # The lazy fields are still filled on first read.
-    assert report.trace == () and len(violation.table) == 2

@@ -207,6 +207,22 @@ def test_exit_code_usage_errors(tmp_path, capsys):
     assert code == 2 and "line 2" in err
 
 
+def test_probe_needing_an_untabulated_value_is_a_usage_error(tmp_path, capsys):
+    # No sample of this probe can be evaluated: each needs 2s or -s.
+    path = tmp_path / "partial.def"
+    path.write_text(
+        "symbol s positive\nfunction tabulated { 0 : 1, s : 5 }\n"
+        "eval jensen-probe n=3 grid=box(-2..2)\n"
+    )
+    for fmt in ("human", "tsv", "jsonl"):
+        code, out, err = run_cli(capsys, "run", str(path), "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: line 3: evaluation needs a value outside the tabulated domain "
+            "(no tabulated value at 2*s)\n"
+        )
+
+
 def test_even_order_message_points_to_probe(capsys):
     code, _, err = run_cli(capsys, "verify", "theorem23", "--n", "2")
     assert code == 2

@@ -173,6 +173,20 @@ def test_unknown_symbol_in_point():
     assert exc.value.column == len("point x = h1 + ") + 1
 
 
+@pytest.mark.parametrize("line, column", [
+    # The token also occurs inside an earlier word ("eval", "point").
+    ("eval jensen-probe n=e grid=box(0..1)", 21),
+    ("point p = 2*s + t", 17),
+    ("additive f.t = 1", 12),
+    ("eval atom-mass atom at 0", 16),
+])
+def test_error_column_points_at_the_offending_token(line, column):
+    src = f"symbol s positive\nadditive a.s = 1\nfunction pospartpow 2 of a\n{line}\n"
+    with pytest.raises((ParseError, UnknownSymbol)) as exc:
+        parse_definition(src)
+    assert (exc.value.line, exc.value.column) == (4, column)
+
+
 def test_zero_increment_rejected():
     src = THEOREM_N3 + "eval forward-diff at 0 with [0]\n"
     with pytest.raises(InvalidIncrement):

@@ -23,7 +23,6 @@ from hamelcheck import (
     backward_diff,
     difference_table,
     differences,
-    equal_increment_diff,
     forward_diff,
     forward_diff_closed,
     jensen_convexity_probe,
@@ -94,16 +93,16 @@ def test_equal_increment_diff_examples():
     (u,) = symbols("u", positive=True)
     a = AdditiveFunctional({u: -1})
     f = Composite(PositivePartPower(2), a)
-    assert equal_increment_diff(f, -1 * unit(u), unit(u), 3) == -1
+    assert forward_diff(f, -1 * unit(u), (unit(u),) * 3) == -1
 
     # Exact witness with a(x) = 1, a(h) = -2.
     s, t = symbols("s t", positive=True)
     wa = AdditiveFunctional({s: 1, t: -2})
     wf = Composite(PositivePartPower(2), wa)
-    assert equal_increment_diff(wf, unit(s), unit(t), 3) == -1
+    assert forward_diff(wf, unit(s), (unit(t),) * 3) == -1
 
     # Order 1 is the plain step.
-    assert equal_increment_diff(wf, unit(s), unit(t), 1) == wf.value(
+    assert forward_diff(wf, unit(s), (unit(t),)) == wf.value(
         unit(s) + unit(t)
     ) - wf.value(unit(s))
 
@@ -154,37 +153,15 @@ def test_jensen_probe_clean_on_lattice():
         for x in (ZERO, units[0], units[1] + units[2], sum(units, ZERO))
         for h in units
     ]
-    outcome = jensen_convexity_probe(f, 3, samples)
-    assert outcome.clean and not outcome.skipped
+    assert jensen_convexity_probe(f, 3, samples) == ()
 
 
 def test_jensen_probe_flags_witness():
     s, t = symbols("s t", positive=True)
     a = AdditiveFunctional({s: 1, t: -2})
     f = Composite(PositivePartPower(2), a)
-    outcome = jensen_convexity_probe(f, 2, [(unit(s), unit(t))])
-    assert len(outcome.violations) == 1
-    v = outcome.violations[0]
-    assert v.value == -1
-    assert len(v.table) == 8  # all 2^3 evaluations retained
-
-
-def test_violation_table_is_built_on_first_read(monkeypatch):
-    calls = []
-    table = differences.difference_table
-
-    def counting(*args):
-        calls.append(args)
-        return table(*args)
-
-    monkeypatch.setattr(differences, "difference_table", counting)
-    s, t = symbols("s t", positive=True)
-    f = Composite(PositivePartPower(2), AdditiveFunctional({s: 1, t: -2}))
-    outcome = jensen_convexity_probe(f, 2, [(unit(s), unit(t))] * 3)
-    assert len(outcome.violations) == 3 and not calls
-    v = outcome.violations[0]
-    assert v.table == table(f, v.x, v.increments)
-    assert v.table is v.table and len(calls) == 1
+    (v,) = jensen_convexity_probe(f, 2, [(unit(s), unit(t))])
+    assert v == (0, unit(s), (unit(t),) * 3, -1)
 
 
 def test_jensen_probe_scaled_square_grid():
@@ -193,25 +170,30 @@ def test_jensen_probe_scaled_square_grid():
     f = Composite(PositivePartPower(2), a)
     g = Scaled(4, f)
     samples = [(j * unit(u), h) for j in range(-3, 4) for h in (unit(u), 2 * unit(u))]
-    assert jensen_convexity_probe(g, 2, samples).clean
+    assert jensen_convexity_probe(g, 2, samples) == ()
 
 
-def test_jensen_probe_skips_untabulated():
+def test_jensen_probe_raises_at_first_untabulated_sample():
+    # The table lacks 2s. Samples at x = -2s and -s fit below it; x = 0 is
+    # the first sample whose difference needs 2s, and the probe stops there
+    # with the message forward_diff gives at that sample.
     (s,) = symbols("s", positive=True)
     su = unit(s)
-    f = Tabulated({ZERO: Fraction(0), su: Fraction(1)})
-    outcome = jensen_convexity_probe(f, 1, [(ZERO, su), (su, su)])
-    assert not outcome.violations
-    assert len(outcome.skipped) == 2  # order-2 checks need points beyond the table
-    assert outcome.skipped[0].index == 0
+    f = Tabulated({j * su: j * j for j in (-2, -1, 0, 1, 3)})
+    samples = [(j * su, su) for j in (-2, -1, 0, 1)]
+    assert jensen_convexity_probe(f, 1, samples[:2]) == ()
+    with pytest.raises(UntabulatedPoint) as fresh:
+        forward_diff(f, ZERO, (su, su))
+    with pytest.raises(UntabulatedPoint) as probed:
+        jensen_convexity_probe(f, 1, samples)
+    assert str(probed.value) == str(fresh.value) == f"no tabulated value at {2 * su}"
 
 
 def test_wright_probe_flags_mixed_violation():
     syms, _, f = standard_function(3)
     units = [unit(s) for s in syms]
-    outcome = wright_convexity_probe(f, 3, [(ZERO, units)])
-    assert len(outcome.violations) == 1
-    assert outcome.violations[0].value == -1
+    (v,) = wright_convexity_probe(f, 3, [(ZERO, units)])
+    assert v.value == -1
 
 
 def test_wright_probe_clean_for_convex_kernel():
@@ -222,14 +204,14 @@ def test_wright_probe_clean_for_convex_kernel():
     samples = [
         (j * su, (su, 2 * su, su, su)) for j in range(-2, 3)
     ]
-    assert wright_convexity_probe(f, 3, samples).clean
+    assert wright_convexity_probe(f, 3, samples) == ()
 
 
 def test_wright_probe_constant_clean():
     (s,) = symbols("s", positive=True)
     const = Composite(Power(0), AdditiveFunctional({}))
     samples = [(ZERO, (unit(s),) * 2)]
-    assert wright_convexity_probe(const, 1, samples).clean
+    assert wright_convexity_probe(const, 1, samples) == ()
 
 
 def test_wright_specializes_to_jensen():
@@ -240,8 +222,7 @@ def test_wright_specializes_to_jensen():
     pairs = [(unit(s), unit(t)), (unit(s), unit(s)), (ZERO, unit(t))]
     jensen = jensen_convexity_probe(f, 2, pairs)
     wright = wright_convexity_probe(f, 2, [(x, (h,) * 3) for x, h in pairs])
-    assert [v.index for v in jensen.violations] == [v.index for v in wright.violations]
-    assert [v.value for v in jensen.violations] == [v.value for v in wright.violations]
+    assert jensen == wright and len(jensen) == 1
 
 
 def test_increment_validation():
@@ -257,8 +238,6 @@ def test_increment_validation():
         backward_diff(f, ZERO, (unit(s) - 2 * unit(s),))
     with pytest.raises(InvalidIncrement):
         wright_convexity_probe(f, 2, [(ZERO, (unit(s),))])  # wrong arity
-    with pytest.raises(ValueError):
-        equal_increment_diff(f, ZERO, unit(s), 0)
 
 
 def test_probe_rejects_an_invalid_increment_at_its_sample():
@@ -395,32 +374,22 @@ def test_repeated_increments_match_oracle():
             assert backward_diff(f, top, hs) == v
 
 
-def test_probe_chain_sharing_survives_untabulated_samples():
-    # The point 2s is missing: the sample at x = 0 raises after inner levels
-    # have stored values, and the sample at x = s shares that chain.
+def test_probe_chain_sharing_matches_fresh_differences():
+    # Repeated increments memoise each level, and the samples of one step
+    # share that chain: later samples read values stored by earlier ones.
     (s,) = symbols("s", positive=True)
     su = unit(s)
     rng = random.Random(707)
-    f = Tabulated({j * su: rng.randint(-9, 9) for j in range(13) if j != 2})
+    f = Tabulated({j * su: rng.randint(-9, 9) for j in range(13)})
     samples = [(j * su, step * su) for step in (1, 2) for j in range(7)]
-    outcome = jensen_convexity_probe(f, 2, samples)
-
-    expected_skipped, expected_values = [], {}
+    violations = jensen_convexity_probe(f, 2, samples)
+    expected = []
     for index, (x, h) in enumerate(samples):
-        try:
-            expected_values[index] = forward_diff(f, x, (h,) * 3)
-        except UntabulatedPoint as exc:
-            expected_skipped.append((index, x, (h,) * 3, str(exc)))
-    assert [
-        (r.index, r.x, r.increments, r.reason) for r in outcome.skipped
-    ] == expected_skipped
-    assert [r.index for r in outcome.skipped][:2] == [0, 1]
-    assert [(v.index, v.value) for v in outcome.violations] == [
-        (i, v) for i, v in expected_values.items() if v < 0
-    ]
-    assert outcome.violations
-    for v in outcome.violations:
-        assert v.table == difference_table(f, v.x, v.increments)
+        v = forward_diff(f, x, (h,) * 3)
+        if v < 0:
+            expected.append((index, v))
+    assert [(v.index, v.value) for v in violations] == expected
+    assert expected and len(expected) < len(samples)
 
 
 def test_fractional_coordinates_and_values_match_oracle():
@@ -521,7 +490,7 @@ def test_composite_probes_match_recursive_per_sample():
     for kernel, factor in zip(_KERNELS, _FACTORS):
         composite = Composite(kernel, AdditiveFunctional({s: 1, t: Fraction(-2, 3)}))
         for f in (composite, Scaled(factor, composite)):
-            for outcome, samples in (
+            for violations, samples in (
                 (jensen_convexity_probe(f, 2, pairs), [(x, (h,) * 3) for x, h in pairs]),
                 (wright_convexity_probe(f, 3, mixed), mixed),
             ):
@@ -530,6 +499,5 @@ def test_composite_probes_match_recursive_per_sample():
                     v = differences._recursive(f, hs).value(x)
                     if v < 0:
                         expected.append((index, v))
-                assert [(v.index, v.value) for v in outcome.violations] == expected
-                assert outcome.skipped == ()
+                assert [(v.index, v.value) for v in violations] == expected
                 assert expected or kernel == Identity() or f is not composite

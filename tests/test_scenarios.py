@@ -9,6 +9,7 @@ from hamelcheck import (
     JClosure,
     UnknownCandidate,
     probe_even,
+    render,
     scenarios,
     verify_lemma_4_4,
     verify_lemma_4_6,
@@ -30,7 +31,7 @@ def test_theorem23_odd_orders():
         by = claims_by_label(rep)
         assert by["forward-diff-at-zero"].computed == -1
         assert by["backward-diff-at-top"].computed == -1
-        assert len(rep.trace) == 2 ** (n + 1)
+        assert len(rep.make_trace()) == 2 ** (n + 1)
 
 
 def test_theorem23_trace_is_built_on_first_read(monkeypatch):
@@ -44,9 +45,11 @@ def test_theorem23_trace_is_built_on_first_read(monkeypatch):
     monkeypatch.setattr(scenarios, "difference_table", counting)
     rep = verify_theorem_2_3(5)
     assert rep.passed and not calls
-    assert len(rep.trace) == 2 ** 6
+    for fmt in ("human", "tsv", "jsonl"):
+        render([rep], fmt)
+    assert not calls
+    assert "trace: forward difference over [h1..h6] at 0" in render([rep], "human", show_trace=True)
     assert len(calls) == 1
-    assert rep.trace is rep.trace and len(calls) == 1
 
 
 def test_theorem23_rejects_even_or_nonpositive():
