@@ -7,20 +7,22 @@ Grammar (one statement per line, ``#`` starts a comment):
     point <name> = <term> [+ <term>]...        term: <rational>*<symbol> | <symbol> | 0
     function pospartpow <n> of <func>
     function [abs] tabulated { <point> : <rational> [, ...] }
-    measure <name> = dirac(<point>)
-    measure <name> = shift(<measure>, <point>)
-    measure <name> = scale(<rational>, <measure>)
-    measure <name> = sum(<measure> [, <measure>]...)
-    measure <name> = jclosure(<measure>, <point>)
+    measure <name> = dirac(<point>) | shift(<measure>, <point>) | scale(<rational>, <measure>)
+                   | sum(<measure> [, <measure>]...) | jclosure(<measure>, <point>)
     eval forward-diff at <point> with [<point>, ...] [expect <rational>]
     eval backward-diff at <point> with [<point>, ...] [expect <rational>]
     eval atom-mass <measure> at <point> [expect <rational>]
     eval jensen-probe n=<k> grid=box(<lo>..<hi>[;steps=<a>..<b>]) [expect <count>]
 
-``<point>`` is a declared point name, ``0``, or an inline combination.
-Names must be declared before use. Evaluation requests without ``expect``
-report their value and always pass; ``jensen-probe`` defaults to
-expecting zero violations.
+A line is tokens, with free whitespace between them: names (letters,
+digits, ``_`` and ``-``, starting with a letter or ``_``), rationals
+(``[-]digits[/digits|.digits]``), ``..``, and single other characters.
+A declared name is one name token; symbols and points share a namespace.
+``<point>`` is a declared point, ``0``, or an inline combination. An
+``expect`` before the last ``at``, ``with`` or ``]`` of an eval line is a
+name. Evals without ``expect`` pass with their value; ``jensen-probe``
+expects zero violations. An error gives the column of the token it
+rejects, or column 1 when it concerns the whole statement.
 """
 
 from __future__ import annotations
@@ -67,17 +69,28 @@ class ScenarioDefinition:
         self.measures: dict[str, MeasureExpr] = {}
         self.evals: list[Eval] = []
 
-    def functional(self, name: str) -> AdditiveFunctional:
-        return AdditiveFunctional(self.additives[name])
+
+# A name, a rational, ``..``, or any other single non-blank character.
+_TOKEN = re.compile(r"(?P<name>[^\W\d][\w-]*)|-?\d+(?:[/.]\d+)?|\.\.|\S")
 
 
-def _col(line_text: str, token: str) -> int:
-    """The column of ``token`` as a whole token of the line: not the ``e``
-    of ``eval`` nor the ``t`` of ``point``. Names run over letters,
-    digits, ``_`` and ``-``."""
-    found = re.search(rf"(?<![\w-]){re.escape(token)}(?![\w-])", line_text)
-    pos = found.start() if found else line_text.find(token)
-    return pos + 1 if pos >= 0 else 1
+class Token(NamedTuple):
+    text: str
+    col: int  # 1-based, as error messages give it
+    end: int  # offset in the line just past the token
+    is_name: bool
+
+
+def _starts(tokens: list[Token], *texts: str) -> bool:
+    return [tok.text for tok in tokens[:len(texts)]] == list(texts)
+
+
+def _cut(tokens: list[Token], text: str) -> tuple[list[Token], Token | None, list[Token]]:
+    """``str.partition`` for tokens, at the first ``text`` token (None when absent)."""
+    for i, tok in enumerate(tokens):
+        if tok.text == text:
+            return tokens[:i], tok, tokens[i + 1:]
+    return tokens, None, []
 
 
 class _Parser:
@@ -86,260 +99,251 @@ class _Parser:
         self.lineno = 0
         self.text = ""
 
-    def fail(self, message: str, token: str | None = None) -> ParseError:
-        col = _col(self.text, token) if token else 1
-        return ParseError(message, self.lineno, col)
+    def fail(self, message: str, tokens: list[Token] = (), error=ParseError) -> DefinitionError:
+        """An error at the first of ``tokens``; at column 1 when there are none."""
+        return error(message, self.lineno, tokens[0].col if tokens else 1)
 
-    def unknown(self, name: str) -> UnknownSymbol:
-        return UnknownSymbol(f"unknown name {name!r}", self.lineno, _col(self.text, name))
+    def span(self, tokens: list[Token]) -> str:
+        """The line's text from the first of ``tokens`` to the end of the last."""
+        return self.text[tokens[0].col - 1:tokens[-1].end] if tokens else ""
 
-    def rational(self, text: str) -> Fraction:
+    def bad(self, message: str, tokens: list[Token], error=ParseError) -> DefinitionError:
+        return self.fail(f"{message} {self.span(tokens)!r}", tokens, error)
+
+    def lookup(self, tokens: list[Token], table: dict):
+        if len(tokens) != 1 or tokens[0].text not in table:
+            raise self.bad("unknown name", tokens, UnknownSymbol)
+        return table[tokens[0].text]
+
+    def name(self, tokens: list[Token]) -> str:
+        """The name a statement declares: one name token."""
+        if len(tokens) != 1 or not tokens[0].is_name:
+            raise self.bad("bad name", tokens)
+        return tokens[0].text
+
+    def number(self, tokens: list[Token], kind: type = Fraction, what: str = "rational"):
+        """The one token of ``tokens`` read as ``kind``."""
         try:
-            return Fraction(text.strip())
+            (tok,) = tokens
+            return kind(tok.text)
         except (ValueError, ZeroDivisionError):
-            raise self.fail(f"bad rational {text.strip()!r}", text.strip()) from None
+            raise self.bad(f"bad {what}", tokens) from None
 
-    def point(self, text: str) -> Point:
-        t = text.strip()
-        if not t:
+    def entries(self, tokens: list[Token], sep: str, message="empty list entry") -> list:
+        """``tokens`` split at each ``sep``; an empty entry fails at a ``sep`` next to it."""
+        groups = []
+        while tokens:
+            entry, mark, tokens = _cut(tokens, sep)
+            if not entry or mark and not tokens:
+                raise self.fail(message, [mark])
+            groups.append(entry)
+        return groups
+
+    def point(self, tokens: list[Token]) -> Point:
+        if not tokens:
             raise self.fail("empty point expression")
-        if t == "0":
-            return ZERO
-        if t in self.defn.points:
-            return self.defn.points[t]
-        if t in self.defn.symbols:
-            return unit(self.defn.symbols[t])
-        if "*" not in t and "+" not in t:
-            raise self.unknown(t)
+        if len(tokens) == 1 and (tokens[0].text == "0" or tokens[0].text in self.defn.points):
+            return self.defn.points.get(tokens[0].text, ZERO)
         acc = ZERO
-        for term in t.split("+"):
-            term = term.strip()
-            if not term:
-                raise self.fail("empty term in point expression", t)
-            if "*" in term:
-                coeff_text, _, sym_text = term.partition("*")
-                coeff = self.rational(coeff_text)
-                sym_text = sym_text.strip()
-            else:
-                coeff, sym_text = 1, term
-            if sym_text not in self.defn.symbols:
-                raise self.unknown(sym_text)
-            acc = acc + coeff * unit(self.defn.symbols[sym_text])
+        for term in self.entries(tokens, "+", "empty term in point expression"):
+            coeff_tokens, star, sym_tokens = _cut(term, "*")
+            coeff = 1 if star is None else self.number(coeff_tokens)
+            sym = self.lookup(coeff_tokens if star is None else sym_tokens, self.defn.symbols)
+            acc = acc + coeff * unit(sym)
         return acc
 
-    def increment(self, text: str) -> Point:
-        p = self.point(text)
+    def increment(self, tokens: list[Token]) -> Point:
+        p = self.point(tokens)
         if not is_positive_increment(p):
             raise InvalidIncrement(
-                f"line {self.lineno}: increment {text.strip()!r} is not a "
+                f"line {self.lineno}: increment {self.span(tokens)!r} is not a "
                 "positive combination of positive-declared symbols"
             )
         return p
 
     def parse(self, source: str) -> ScenarioDefinition:
-        for self.lineno, raw in enumerate(source.splitlines(), 1):
-            self.text = raw
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+        for self.lineno, self.text in enumerate(source.splitlines(), 1):
+            matches = _TOKEN.finditer(self.text.partition("#")[0])
+            tokens = [Token(m[0], m.start() + 1, m.end(), m.lastgroup == "name") for m in matches]
+            if not tokens:
                 continue
-            keyword, _, rest = line.partition(" ")
-            handler = _HANDLERS.get(keyword)
-            if handler is None:
-                raise self.fail(f"unknown statement {keyword!r}", keyword)
-            handler(self, rest.strip())
+            if tokens[0].text not in _HANDLERS:
+                raise self.bad("unknown statement", tokens[:1])
+            _HANDLERS[tokens[0].text](self, tokens[1:])
         return self.defn
 
-    # statement handlers
+    # statement handlers: each takes the tokens after its keyword
 
-    def stmt_symbol(self, rest: str) -> None:
-        parts = rest.split()
-        if not parts or len(parts) > 2 or (len(parts) == 2 and parts[1] != "positive"):
+    def stmt_symbol(self, tokens: list[Token]) -> None:
+        positive = len(tokens) > 1 and tokens[-1].text == "positive"
+        tokens = tokens[:len(tokens) - positive]
+        two_words = len(tokens) > 1 and tokens[0].is_name and tokens[1].is_name
+        if not tokens or two_words:
             raise self.fail("expected: symbol <name> [positive]")
-        name = parts[0]
-        if name in self.defn.symbols:
-            raise self.fail(f"symbol {name!r} already declared", name)
-        self.defn.symbols[name] = Symbol(name, positive=len(parts) == 2)
+        name = self.name(tokens)
+        if name in self.defn.symbols or name in self.defn.points:
+            kind = "symbol" if name in self.defn.symbols else "name"
+            raise self.fail(f"{kind} {name!r} already declared", tokens)
+        self.defn.symbols[name] = Symbol(name, positive=positive)
 
-    def stmt_additive(self, rest: str) -> None:
-        lhs, eq, value_text = rest.partition("=")
-        if not eq:
+    def stmt_additive(self, tokens: list[Token]) -> None:
+        lhs, eq, value = _cut(tokens, "=")
+        if eq is None:
             raise self.fail("expected: additive <func>.<symbol> = <rational>")
-        fname, dot, sym_name = lhs.strip().partition(".")
-        if not dot or not fname or not sym_name:
-            raise self.fail("additive name must look like <func>.<symbol>", lhs.strip())
-        if sym_name not in self.defn.symbols:
-            raise self.unknown(sym_name)
-        sym = self.defn.symbols[sym_name]
-        values = self.defn.additives.setdefault(fname, {})
+        func, dot, sym_tokens = _cut(lhs, ".")
+        if dot is None or len(func) != 1 or not func[0].is_name or not sym_tokens:
+            raise self.fail("additive name must look like <func>.<symbol>", lhs)
+        sym = self.lookup(sym_tokens, self.defn.symbols)
+        values = self.defn.additives.setdefault(func[0].text, {})
         if sym in values:
-            raise self.fail(f"value for {lhs.strip()!r} already assigned", lhs.strip())
-        values[sym] = self.rational(value_text)
+            raise self.fail(f"value for {self.span(lhs)!r} already assigned", lhs)
+        values[sym] = self.number(value)
 
-    def stmt_point(self, rest: str) -> None:
-        name, eq, expr = rest.partition("=")
-        name = name.strip()
-        if not eq or not name:
+    def stmt_point(self, tokens: list[Token]) -> None:
+        name_tokens, eq, expr = _cut(tokens, "=")
+        if eq is None or not name_tokens:
             raise self.fail("expected: point <name> = <combination>")
+        name = self.name(name_tokens)
         if name in self.defn.points or name in self.defn.symbols:
-            raise self.fail(f"name {name!r} already declared", name)
+            raise self.fail(f"name {name!r} already declared", name_tokens)
         self.defn.points[name] = self.point(expr)
 
-    def stmt_function(self, rest: str) -> None:
+    def stmt_function(self, tokens: list[Token]) -> None:
         if self.defn.function is not None:
             raise self.fail("a definition file declares exactly one function")
-        parts = rest.split(None, 1)
-        if not parts:
+        if not tokens:
             raise self.fail("expected a function form")
-        head = parts[0]
-        if head == "pospartpow":
-            tokens = rest.split()
-            if len(tokens) != 4 or tokens[2] != "of":
+        if tokens[0].text == "pospartpow":
+            if len(tokens) != 4 or tokens[2].text != "of":
                 raise self.fail("expected: function pospartpow <n> of <func>")
-            try:
-                power = int(tokens[1])
-            except ValueError:
-                raise self.fail(f"bad power {tokens[1]!r}", tokens[1]) from None
+            power = self.number(tokens[1:2], int, "power")
             if power < 1:
-                raise self.fail("power must be >= 1", tokens[1])
-            fname = tokens[3]
-            if fname not in self.defn.additives:
-                raise self.unknown(fname)
-            self.defn.function = Composite(
-                PositivePartPower(power), self.defn.functional(fname)
-            )
+                raise self.fail("power must be >= 1", tokens[1:2])
+            values = self.lookup(tokens[3:], self.defn.additives)
+            self.defn.function = Composite(PositivePartPower(power), AdditiveFunctional(values))
             return
-        take_abs = False
-        if head == "abs":
-            take_abs = True
-            rest = parts[1] if len(parts) > 1 else ""
-            parts = rest.split(None, 1)
-            head = parts[0] if parts else ""
-        if head != "tabulated":
-            raise self.fail(f"unknown function form {head!r}", head)
-        body = rest.partition("tabulated")[2].strip()
-        if not (body.startswith("{") and body.endswith("}")):
+        take_abs = tokens[0].text == "abs"
+        head, body = tokens[take_abs:take_abs + 1], tokens[take_abs + 1:]
+        if not _starts(head, "tabulated"):
+            raise self.bad("unknown function form", head)
+        if not _starts(body, "{") or body[-1].text != "}":
             raise self.fail("tabulated values must be enclosed in { }")
         table: dict[Point, Fraction] = {}
-        inner = body[1:-1].strip()
-        if inner:
-            for entry in inner.split(","):
-                key_text, colon, value_text = entry.partition(":")
-                if not colon:
-                    raise self.fail(f"expected <point> : <rational> in {entry.strip()!r}")
-                table[self.point(key_text)] = self.rational(value_text)
+        for entry in self.entries(body[1:-1], ","):
+            key, colon, value = _cut(entry, ":")
+            if colon is None:
+                raise self.bad("expected <point> : <rational> in", entry)
+            table[self.point(key)] = self.number(value)
         if not table:
             raise self.fail("tabulated function needs at least one entry")
         self.defn.function = tabulated_abs(table) if take_abs else Tabulated(table)
 
-    def stmt_measure(self, rest: str) -> None:
-        name, eq, expr = rest.partition("=")
-        name = name.strip()
-        expr = expr.strip()
-        if not eq or not name:
+    def stmt_measure(self, tokens: list[Token]) -> None:
+        name_tokens, eq, expr = _cut(tokens, "=")
+        if eq is None or not name_tokens:
             raise self.fail("expected: measure <name> = <constructor>(...)")
+        name = self.name(name_tokens)
         if name in self.defn.measures:
-            raise self.fail(f"measure {name!r} already declared", name)
-        head, paren, body = expr.partition("(")
-        head = head.strip()
-        if not paren or not body.endswith(")"):
+            raise self.fail(f"measure {name!r} already declared", name_tokens)
+        head_tokens, paren, body = _cut(expr, "(")
+        if not _starts(body[-1:], ")"):
             raise self.fail("measure constructor needs parentheses", expr)
-        args = [a.strip() for a in body[:-1].split(",")] if body[:-1].strip() else []
-
-        def measure_arg(text: str) -> MeasureExpr:
-            if text not in self.defn.measures:
-                raise self.unknown(text)
-            return self.defn.measures[text]
-
+        args = self.entries(body[:-1], ",")
+        head = self.span(head_tokens)
+        measure_arg = partial(self.lookup, table=self.defn.measures)
         if head == "dirac" and len(args) == 1:
             built: MeasureExpr = Dirac(self.point(args[0]))
         elif head == "shift" and len(args) == 2:
             built = Shift(measure_arg(args[0]), self.increment(args[1]))
         elif head == "scale" and len(args) == 2:
-            built = Scale(self.rational(args[0]), measure_arg(args[1]))
+            built = Scale(self.number(args[0]), measure_arg(args[1]))
         elif head == "sum" and args:
             built = Sum(tuple(measure_arg(a) for a in args))
         elif head == "jclosure" and len(args) == 2:
             built = JClosure(measure_arg(args[0]), self.increment(args[1]))
         else:
-            raise self.fail(f"unknown measure constructor {head!r}", head)
+            raise self.bad("unknown measure constructor", head_tokens)
         self.defn.measures[name] = built
 
-    def stmt_eval(self, rest: str) -> None:
-        text = rest.strip()
+    def stmt_eval(self, tokens: list[Token]) -> None:
+        text = self.span(tokens)
+        # ``expect`` and its value end the line; an ``expect`` before the
+        # last ``at``, ``with`` or ``]`` names a point or a measure.
+        last = max((i for i, t in enumerate(tokens) if t.text in ("at", "with", "]")), default=-1)
+        mark = next((i for i, t in enumerate(tokens) if t.text == "expect" and i > last), None)
         expect: Fraction | None = None
-        if " expect " in f" {text} " or text.endswith(" expect"):
-            body, _, expect_text = text.rpartition(" expect ")
-            if not body:
-                raise self.fail("expected a value after `expect`")
-            expect = self.rational(expect_text)
-            text = body.strip()
+        if mark == len(tokens) - 1:
+            raise self.fail("expected a value after `expect`", tokens[-1:])
+        if mark is not None:
+            tokens, value = tokens[:mark], tokens[mark + 1:]
+            expect = self.number(value)
+        if not tokens:
+            raise self.fail("empty eval")
+        kind, args = tokens[0].text, tokens[1:]
+        if kind in ("forward-diff", "backward-diff", "jensen-probe") and not self.defn.function:
+            raise self.fail("no function declared before this eval")
 
-        if text.startswith(("forward-diff", "backward-diff")):
-            op = backward_diff if text.startswith("backward-diff") else forward_diff
-            if self.defn.function is None:
-                raise self.fail("no function declared before this eval")
-            spec = text.partition("diff")[2].strip()
-            if not spec.startswith("at "):
+        if kind in ("forward-diff", "backward-diff"):
+            op = backward_diff if kind == "backward-diff" else forward_diff
+            if not _starts(args, "at"):
                 raise self.fail("expected: ... at <point> with [<point>, ...]")
-            at_text, sep, list_text = spec[3:].partition(" with ")
-            if not sep:
+            # The point and the measure below may be named ``with`` or ``at``.
+            at, with_, items = _cut(args[2:], "with")
+            if with_ is None:
                 raise self.fail("expected `with [<point>, ...]`")
-            list_text = list_text.strip()
-            if not (list_text.startswith("[") and list_text.endswith("]")):
+            if not _starts(items, "[") or items[-1].text != "]":
                 raise self.fail("increments must be enclosed in [ ]")
-            items = [s for s in list_text[1:-1].split(",") if s.strip()]
-            if not items:
+            increments = tuple(map(self.increment, self.entries(items[1:-1], ",")))
+            if not increments:
                 raise InvalidIncrement(f"line {self.lineno}: empty increment list")
-            increments = tuple(self.increment(s) for s in items)
-            evaluate = partial(op, self.defn.function, self.point(at_text), increments)
+            evaluate = partial(op, self.defn.function, self.point(args[1:2] + at), increments)
 
-        elif text.startswith("atom-mass"):
-            spec = text[len("atom-mass"):].strip()
-            mname, sep, at_text = spec.partition(" at ")
-            mname = mname.strip()
-            if not sep or not mname:
+        elif kind == "atom-mass":
+            measure, at, where = _cut(args[1:], "at")
+            measure = args[:1] + measure
+            if at is None or not where:
                 raise self.fail("expected: eval atom-mass <measure> at <point>")
-            if mname not in self.defn.measures:
-                raise self.unknown(mname)
-            evaluate = partial(atom_mass, self.defn.measures[mname], self.point(at_text))
+            evaluate = partial(
+                atom_mass, self.lookup(measure, self.defn.measures), self.point(where)
+            )
 
-        elif text.startswith("jensen-probe"):
-            evaluate = self._jensen_probe(text[len("jensen-probe"):])
+        elif kind == "jensen-probe":
+            evaluate = self._jensen_probe(args)
             if expect is None:
                 expect = Fraction(0)
+            elif not value[0].text.isdecimal():
+                raise self.bad("bad count", value)
 
         else:
-            raise self.fail(f"unknown eval request {text.split()[0]!r}" if text else "empty eval")
-        self.defn.evals.append(Eval(self.lineno, rest.strip(), evaluate, expect))
+            raise self.bad("unknown eval request", tokens[:1])
+        self.defn.evals.append(Eval(self.lineno, text, evaluate, expect))
 
-    def _jensen_probe(self, spec: str) -> Callable[[], int]:
-        """The violation count of the probe that ``spec`` describes. Its
+    def _jensen_probe(self, tokens: list[Token]) -> Callable[[], int]:
+        """The violation count of the probe that ``tokens`` describe. Its
         samples take every positive symbol declared when the file runs."""
-        if self.defn.function is None:
-            raise self.fail("no function declared before this eval")
-        fields = [token.partition("=") for token in spec.split()]
-        tokens = {key: value for key, eq, value in fields if eq}
-        if len(fields) != 2 or set(tokens) != {"n", "grid"}:
+        fields: dict[str, list[Token]] = {}
+        while _starts(tokens[1:2], "=") and tokens[0].text in {"n", "grid"} - fields.keys():
+            key = tokens[0].text
+            value, close, tokens = _cut(tokens[2:], ")") if key == "grid" else (
+                tokens[2:3], None, tokens[3:])
+            fields[key] = value + [close] if close else value
+        if tokens or len(fields) != 2:
             raise self.fail("expected: eval jensen-probe n=<k> grid=box(lo..hi[;steps=a..b])")
-        try:
-            order = int(tokens["n"])
-        except ValueError:
-            raise self.fail(f"bad order {tokens['n']!r}", tokens["n"]) from None
+        order = self.number(fields["n"], int, "order")
         if order < 1:
-            raise self.fail("order must be >= 1")
-        grid = tokens["grid"]
-        if not (grid.startswith("box(") and grid.endswith(")")):
-            raise self.fail(f"bad grid spec {grid!r}", grid)
-        body = grid[4:-1]
-        range_text, _, steps_text = body.partition(";")
-        lo, hi = self._int_range(range_text)
+            raise self.fail("order must be >= 1", fields["n"])
+        grid = fields["grid"]
+        if not _starts(grid, "box", "(") or grid[-1].text != ")":
+            raise self.bad("bad grid spec", grid)
+        box, _, option = _cut(grid[2:-1], ";")
+        lo, hi = self._int_range(box)
         steps = (1, 1)
-        if steps_text:
-            if not steps_text.startswith("steps="):
-                raise self.fail(f"bad grid option {steps_text!r}", steps_text)
-            steps = self._int_range(steps_text[len("steps="):])
+        if option:
+            if not _starts(option, "steps", "="):
+                raise self.bad("bad grid option", option)
+            steps = self._int_range(option[2:])
             if steps[0] < 1:
-                raise self.fail("steps must start at 1 or above", steps_text)
+                raise self.fail("steps must start at 1 or above", option)
         symbols, f, line = self.defn.symbols, self.defn.function, self.lineno
 
         def probe() -> int:
@@ -354,25 +358,20 @@ class _Parser:
 
         return probe
 
-    def _int_range(self, text: str) -> tuple[int, int]:
-        lo_text, sep, hi_text = text.partition("..")
+    def _int_range(self, tokens: list[Token]) -> tuple[int, int]:
+        lo, _, hi = _cut(tokens, "..")
         try:
-            lo, hi = int(lo_text), int(hi_text)
+            (lo_tok,), (hi_tok,) = lo, hi
+            bounds = int(lo_tok.text), int(hi_tok.text)
+            if bounds[0] <= bounds[1]:
+                return bounds
         except ValueError:
-            raise self.fail(f"bad range {text!r}", text) from None
-        if not sep or lo > hi:
-            raise self.fail(f"bad range {text!r}", text)
-        return lo, hi
+            pass
+        raise self.bad("bad range", tokens)
 
 
-_HANDLERS: dict[str, Callable[[_Parser, str], None]] = {
-    "symbol": _Parser.stmt_symbol,
-    "additive": _Parser.stmt_additive,
-    "point": _Parser.stmt_point,
-    "function": _Parser.stmt_function,
-    "measure": _Parser.stmt_measure,
-    "eval": _Parser.stmt_eval,
-}
+_HANDLERS = {key: getattr(_Parser, f"stmt_{key}") for key in (
+    "symbol", "additive", "point", "function", "measure", "eval")}
 
 
 def parse_definition(source: str, name: str = "<definition>") -> ScenarioDefinition:

@@ -179,12 +179,157 @@ def test_unknown_symbol_in_point():
     ("point p = 2*s + t", 17),
     ("additive f.t = 1", 12),
     ("eval atom-mass atom at 0", 16),
+    # The same text stands whole earlier on the line.
+    ("point p = s + s*t", 15),
+    # A declared name is one name token.
+    ("symbol 0", 8),
+    ("symbol 3", 8),
+    ("symbol a+b", 8),
+    ("symbol x*y positive", 8),
+    ("point 0 = s", 7),
+    ("point s+t = s", 7),
 ])
 def test_error_column_points_at_the_offending_token(line, column):
     src = f"symbol s positive\nadditive a.s = 1\nfunction pospartpow 2 of a\n{line}\n"
     with pytest.raises((ParseError, UnknownSymbol)) as exc:
         parse_definition(src)
     assert (exc.value.line, exc.value.column) == (4, column)
+
+
+BASE = "symbol s positive\nadditive a.s = 1\npoint p = 2*s\nmeasure m = dirac(0)\n"
+WITH_FUNCTION = BASE + "function pospartpow 2 of a\n"
+
+
+@pytest.mark.parametrize("line, column, message", [
+    ("frobnicate all", 1, "unknown statement 'frobnicate'"),
+    ("symbol s", 8, "symbol 's' already declared"),
+    ("symbol x negative", 1, "expected: symbol <name> [positive]"),
+    ("additive a.s 1", 1, "expected: additive <func>.<symbol> = <rational>"),
+    ("additive a = 1", 10, "additive name must look like <func>.<symbol>"),
+    ("additive a.s = 2", 10, "value for 'a.s' already assigned"),
+    ("additive b.s = 2 3", 16, "bad rational '2 3'"),
+    ("additive b.s = 1/0", 16, "bad rational '1/0'"),
+    ("additive b.q = 1", 12, "unknown name 'q'"),
+    ("point q", 1, "expected: point <name> = <combination>"),
+    ("point p = s", 7, "name 'p' already declared"),
+    ("point q = s +  + s", 16, "empty term in point expression"),
+    ("measure q", 1, "expected: measure <name> = <constructor>(...)"),
+    ("measure m = dirac(0)", 9, "measure 'm' already declared"),
+    ("measure q = dirac", 13, "measure constructor needs parentheses"),
+    ("measure q = blend(m)", 13, "unknown measure constructor 'blend'"),
+    ("measure q = shift(mm, s)", 19, "unknown name 'mm'"),
+    ("measure q = dirac(p, s)", 13, "unknown measure constructor 'dirac'"),
+    ("function", 1, "expected a function form"),
+    ("function pospartpow 2", 1, "expected: function pospartpow <n> of <func>"),
+    ("function pospartpow x of a", 21, "bad power 'x'"),
+    ("function pospartpow 0 of a", 21, "power must be >= 1"),
+    ("function pospartpow 2 of b", 26, "unknown name 'b'"),
+    ("function abs spline", 14, "unknown function form 'spline'"),
+    ("function tabulated [0: 1]", 1, "tabulated values must be enclosed in { }"),
+    ("function tabulated {}", 1, "tabulated function needs at least one entry"),
+    ("function tabulated {0: 1, s 2}", 27, "expected <point> : <rational> in 's 2'"),
+    ("function tabulated {0: 1, : 2}", 1, "empty point expression"),
+    ("eval", 1, "empty eval"),
+    ("eval forward-diff at 0 with [s]", 1, "no function declared before this eval"),
+    ("eval jensen-probe n=1 grid=box(0..1)", 1, "no function declared before this eval"),
+    ("eval spline at 0", 6, "unknown eval request 'spline'"),
+])
+def test_every_parse_error_carries_its_column(line, column, message):
+    src = BASE + line + "\n"
+    with pytest.raises((ParseError, UnknownSymbol)) as exc:
+        parse_definition(src)
+    assert (exc.value.line, exc.value.column) == (5, column)
+    assert str(exc.value) == f"line 5, col {column}: {message}"
+
+
+@pytest.mark.parametrize("line, column, message", [
+    ("function tabulated {0: 1}", 1, "a definition file declares exactly one function"),
+    ("eval forward-diff 0 with [s]", 1, "expected: ... at <point> with [<point>, ...]"),
+    ("eval forward-diff at 0 [s]", 1, "expected `with [<point>, ...]`"),
+    ("eval forward-diff at 0 with s", 1, "increments must be enclosed in [ ]"),
+    ("eval forward-diff at 0 with [s] expect", 33, "expected a value after `expect`"),
+    ("eval forward-diff at 0 with [s] expect 1 2", 40, "bad rational '1 2'"),
+    ("eval atom-mass m s", 1, "expected: eval atom-mass <measure> at <point>"),
+    ("eval atom-mass n at 0", 16, "unknown name 'n'"),
+    ("eval jensen-probe n=1", 1, "expected: eval jensen-probe n=<k> grid=box"),
+    ("eval jensen-probe n=1/2 grid=box(0..1)", 21, "bad order '1/2'"),
+    ("eval jensen-probe n=0 grid=box(0..1)", 21, "order must be >= 1"),
+    ("eval jensen-probe n=1 grid=cube(0..1)", 28, "bad grid spec 'cube(0..1)'"),
+    ("eval jensen-probe n=1 grid=box(1..0)", 32, "bad range '1..0'"),
+    ("eval jensen-probe n=1 grid=box(0..1;step=1..2)", 37, "bad grid option 'step=1..2'"),
+    ("eval jensen-probe n=1 grid=box(0..1;steps=0..2)", 37, "steps must start at 1 or above"),
+    ("eval jensen-probe n=1 grid=box(0..1;steps=1..x)", 43, "bad range '1..x'"),
+])
+def test_every_eval_error_carries_its_column(line, column, message):
+    src = WITH_FUNCTION + line + "\n"
+    with pytest.raises((ParseError, UnknownSymbol)) as exc:
+        parse_definition(src)
+    assert (exc.value.line, exc.value.column) == (6, column)
+    assert str(exc.value).startswith(f"line 6, col {column}: {message}")
+
+
+@pytest.mark.parametrize("line, column", [
+    ("eval forward-diff at 0 with [s,,s]", 32),
+    ("eval forward-diff at 0 with [s, ]", 31),
+    ("eval forward-diff at 0 with [,s]", 30),
+    ("measure q = sum(m,)", 18),
+    ("function tabulated {0: 1,}", 25),
+])
+def test_empty_list_entry_is_an_error_at_its_separator(line, column):
+    # A file declares one function, so a function line goes after BASE.
+    base = BASE if line.startswith("function") else WITH_FUNCTION
+    lineno = base.count("\n") + 1
+    with pytest.raises(ParseError) as exc:
+        parse_definition(base + line + "\n")
+    assert str(exc.value) == f"line {lineno}, col {column}: empty list entry"
+
+
+def test_symbols_and_points_share_one_namespace():
+    # A symbol may not take a point's name, as a point may not take a
+    # symbol's: the increment ``p`` below would silently be the point 2*s.
+    src = "symbol s positive\npoint p = 2*s\nsymbol p positive\n"
+    with pytest.raises(ParseError) as exc:
+        parse_definition(src)
+    assert str(exc.value) == "line 3, col 8: name 'p' already declared"
+
+
+def test_expect_is_only_the_trailing_pair():
+    base = "symbol s positive\nadditive a.s = 1\nfunction pospartpow 1 of a\npoint expect = s\n"
+    # A point named ``expect`` inside the request is a name.
+    rep = run_definition(parse_definition(base + "eval forward-diff at expect with [s]\n"))
+    assert rep.claims[0].computed == 1 and rep.claims[0].label == "forward-diff at expect with [s]"
+    with pytest.raises(ParseError) as exc:
+        parse_definition(base + "eval forward-diff at 0 with [s] expect 1 expect 2\n")
+    assert str(exc.value) == "line 5, col 40: bad rational '1 expect 2'"
+    # A jensen-probe expects a count of violations.
+    for count in ("1.5", "-1", "3/1"):
+        with pytest.raises(ParseError) as exc:
+            parse_definition(base + f"eval jensen-probe n=1 grid=box(0..1) expect {count}\n")
+        assert str(exc.value) == f"line 5, col 45: bad count '{count}'"
+    assert run_definition(
+        parse_definition(base + "eval jensen-probe n=1 grid=box(0..1) expect 0\n")
+    ).passed
+
+
+def test_whitespace_between_tokens_is_free():
+    src = "symbol\tq positive\nfunction tabulated{0: 1, q:3}\neval forward-diff at 0 with[q]\n"
+    assert run_definition(parse_definition(src)).claims[0].computed == 2
+
+
+def test_claim_label_is_the_raw_eval_text():
+    src = THEOREM_N3.replace(
+        "eval forward-diff at 0 with [h1, h2, h3, h4] expect -1",
+        "eval   forward-diff at 0  with [h1,h2, h3 , h4]  expect -1   # comment",
+    )
+    (claim,) = run_definition(parse_definition(src)).claims
+    assert claim.label == "forward-diff at 0  with [h1,h2, h3 , h4]  expect -1"
+
+
+@pytest.mark.parametrize("text", ["1e3", "1_000", "+1", ".5", "5."])
+def test_a_rational_has_one_form(text):
+    with pytest.raises(ParseError) as exc:
+        parse_definition(f"symbol s positive\nadditive a.s = {text}\n")
+    assert str(exc.value) == f"line 2, col 16: bad rational '{text}'"
 
 
 def test_zero_increment_rejected():

@@ -28,6 +28,7 @@ COMMANDS = {
     "probe-prop32-grid": ["probe", "even", "--n", "2", "--case", "prop32-grid"],
     "probe-prop33-witness": ["probe", "even", "--n", "2", "--case", "prop33-witness"],
     "run-theorem23-n3": ["run", str(ROOT / "samples" / "theorem23-n3.def")],
+    "run-all-statements": ["run", str(ROOT / "samples" / "all-statements.def")],
 }
 
 CASES = [
@@ -61,7 +62,7 @@ def test_loads_without_pytest(monkeypatch):
     # __main__, so nothing is written.
     monkeypatch.setitem(sys.modules, "pytest", None)
     namespace = runpy.run_path(__file__, run_name="golden_regeneration")
-    assert len(namespace["CASES"]) == 31
+    assert len(namespace["CASES"]) == 34
 
 
 if __name__ == "__main__":
