@@ -213,6 +213,21 @@ def lattice_box(units: Sequence[Point], lo: int, hi: int) -> list[Point]:
     return pts
 
 
+def sample_box(rng, units: Sequence[Point], lo: int, hi: int, k: int) -> list[Point]:
+    """``rng.sample(lattice_box(units, lo, hi), k)`` without building the box:
+    ``rng`` draws k indices into it, decoded with the first unit slowest, so
+    the points and the state of ``rng`` afterwards are the same."""
+    width = hi - lo + 1
+    out = []
+    for i in rng.sample(range(width ** len(units)), k):
+        coeffs = []
+        for _ in units:
+            i, c = divmod(i, width)
+            coeffs.append(lo + c)
+        out.append(point_combine(zip(reversed(coeffs), units)))
+    return out
+
+
 def point_combine(terms: Iterable[tuple[Scalar, Point]]) -> Point:
     """Canonical linear combination of points; zero coefficients vanish."""
     acc: dict[Symbol, Scalar] = {}

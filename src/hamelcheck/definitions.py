@@ -335,10 +335,12 @@ class _Parser:
         grid = fields["grid"]
         if not _starts(grid, "box", "(") or grid[-1].text != ")":
             raise self.bad("bad grid spec", grid)
-        box, _, option = _cut(grid[2:-1], ";")
+        box, semicolon, option = _cut(grid[2:-1], ";")
         lo, hi = self._int_range(box)
         steps = (1, 1)
-        if option:
+        if semicolon:
+            if not option:
+                raise self.fail("empty grid option after ';'", [semicolon])
             if not _starts(option, "steps", "="):
                 raise self.bad("bad grid option", option)
             steps = self._int_range(option[2:])

@@ -1,27 +1,57 @@
 """Atomic signed measures as lazy expression trees with exact pointwise
 atom-mass evaluation.
 
-Closure nodes have infinite support, so measures are never materialized;
-every query is a finite representation count, bounded through per-symbol
-lower bounds on each subtree's support. Each closure node memoises the
-masses it has computed for as long as the node lives.
+Closure nodes have infinite support, so measures are never materialized.
+Each node evaluates on coordinate tuples over its basis, the sorted symbols
+of its subtree's points; a closure walks a chain of translates whose length
+is read off the support floor, and memoises its masses, keyed by tuples
+over its own basis, for as long as the node lives.
 """
 
 from __future__ import annotations
 
+from operator import ge, itemgetter, sub
 from typing import NamedTuple, Sequence
 
 from .basis import (
-    Frozen, Point, Scalar, Symbol, check_increment, exact, is_positive_increment,
+    ZERO, Frozen, Point, Scalar, Symbol, check_increment, exact, is_positive_increment,
     subset_sums, unit,
 )
 from .errors import InvalidIncrement, NonTerminatingJ
 
 
+def _coords(basis: Sequence[Symbol], p: Point) -> tuple[Scalar, ...]:
+    get = dict(p.terms).get
+    return tuple([get(s, 0) for s in basis])
+
+
+def _picker(idx: list[int]) -> itemgetter:
+    """An itemgetter of the positions ``idx`` that returns a tuple: a slice
+    when they run consecutively (none, one, or the whole basis)."""
+    lo = idx[0] if idx else 0
+    run = idx == list(range(lo, lo + len(idx)))
+    return itemgetter(slice(lo, lo + len(idx))) if run else itemgetter(*idx)
+
+
 class MeasureExpr(Frozen):
-    """Base class; `support_floor` bounds every support coordinate below."""
+    """Base class. `support_floor` bounds every support coordinate below.
+    Over `_basis`, `_own` is the node's atom or step and `_floor` its floor
+    as tuples. `_edges` holds `(child, keep, drop, zeros)` per child: a tuple
+    `v` has child mass only if `drop(v) == zeros`, and the child sees `keep(v)`."""
 
     support_floor: Point
+
+    def _fill(self, children: Sequence[MeasureExpr], own: Point = ZERO, **fields) -> None:
+        basis = tuple(sorted(set(own.support).union(*(c._basis for c in children))))
+        edges = []
+        for child in children:
+            keep = [i for i, s in enumerate(basis) if s in child._basis]
+            drop = [i for i, s in enumerate(basis) if s not in child._basis]
+            edges.append((child, _picker(keep), _picker(drop), (0,) * len(drop)))
+        self.__dict__.update(
+            fields, _basis=basis, _own=_coords(basis, own), _edges=tuple(edges),
+            _floor=_coords(basis, fields["support_floor"]),
+        )
 
 
 class Dirac(MeasureExpr):
@@ -30,7 +60,7 @@ class Dirac(MeasureExpr):
     point: Point
 
     def __init__(self, point: Point):
-        self.__dict__.update(point=point, support_floor=point)
+        self._fill((), point, point=point, support_floor=point)
 
 
 class Shift(MeasureExpr):
@@ -42,9 +72,7 @@ class Shift(MeasureExpr):
     def __init__(self, inner: MeasureExpr, step: Point):
         if not is_positive_increment(step):
             raise InvalidIncrement(f"shift step must be a positive increment: {step}")
-        self.__dict__.update(
-            inner=inner, step=step, support_floor=inner.support_floor + step
-        )
+        self._fill([inner], step, inner=inner, step=step, support_floor=inner.support_floor + step)
 
 
 class Sum(MeasureExpr):
@@ -55,9 +83,8 @@ class Sum(MeasureExpr):
         if not terms:
             raise ValueError("sum of measures needs at least one term")
         floors = [t.support_floor for t in terms]
-        syms = {s for f in floors for s, _ in f.terms}
-        low = {s: min(f.coordinate(s) for f in floors) for s in syms}
-        self.__dict__.update(terms=terms, support_floor=Point(low))
+        low = {s: min(g.coordinate(s) for g in floors) for f in floors for s in f.support}
+        self._fill(terms, terms=terms, support_floor=Point(low))
 
 
 class Scale(MeasureExpr):
@@ -65,9 +92,7 @@ class Scale(MeasureExpr):
     inner: MeasureExpr
 
     def __init__(self, factor: Scalar, inner: MeasureExpr):
-        self.__dict__.update(
-            factor=exact(factor), inner=inner, support_floor=inner.support_floor
-        )
+        self._fill([inner], factor=exact(factor), inner=inner, support_floor=inner.support_floor)
 
 
 class JClosure(MeasureExpr):
@@ -80,10 +105,9 @@ class JClosure(MeasureExpr):
     def __init__(self, inner: MeasureExpr, step: Point):
         if not is_positive_increment(step):
             raise NonTerminatingJ(f"closure step must be a positive increment: {step}")
-        # Support only grows upward, so the inner floor is exact. ``_memo``
-        # maps Point -> mass of this closure, filled by _closure_mass.
-        self.__dict__.update(
-            inner=inner, step=step, support_floor=inner.support_floor, _memo={}
+        # Support only grows upward, so the inner floor is exact.
+        self._fill(
+            [inner], step, inner=inner, step=step, support_floor=inner.support_floor, _memo={}
         )
 
 
@@ -93,42 +117,58 @@ def atom_mass(mu: MeasureExpr, x: Point) -> Scalar:
     Closure nodes sum finitely many translates: each step lowers some
     coordinate, and below the support floor every mass is zero.
     """
-    return _mass(mu, x)
+    coords = dict(x.terms)
+    v = tuple([coords.pop(s, 0) for s in mu._basis])
+    # Every atom lies in the span of the basis, so a point off it has none.
+    return 0 if coords else _mass(mu, v)
 
 
-def _mass(mu: MeasureExpr, x: Point) -> Scalar:
+def _mass(mu: MeasureExpr, x: tuple[Scalar, ...]) -> Scalar:
     kind = type(mu)
     if kind is Dirac:
-        return 1 if x == mu.point else 0
+        return 1 if x == mu._own else 0
     if kind is Shift:
-        return _mass(mu.inner, x - mu.step)
+        (inner, keep, drop, zeros), = mu._edges
+        x = tuple(map(sub, x, mu._own))
+        return _mass(inner, keep(x)) if drop(x) == zeros else 0
     if kind is Scale:
         return mu.factor * _mass(mu.inner, x) if mu.factor else 0
     if kind is Sum:
         out = 0
-        for t in mu.terms:
-            out += _mass(t, x)
+        for t, keep, drop, zeros in mu._edges:
+            if drop(x) == zeros:
+                out += _mass(t, keep(x))
         return out
     if kind is JClosure:
         return _closure_mass(mu, x)
     raise TypeError(f"not a measure expression: {mu!r}")
 
 
-def _closure_mass(mu: JClosure, x: Point) -> Scalar:
-    """J(x) = inner(x) + J(x - step), and J = 0 at any point that is not at
-    or above the support floor in every coordinate. Walks down to a
-    memoised point or off the floor, then adds upward, so the depth of
-    Python recursion does not grow with the number of translates."""
+def _closure_mass(mu: JClosure, x: tuple[Scalar, ...]) -> Scalar:
+    """J(x) = inner(x) + J(x - step), and J = 0 below the support floor, so
+    the walk from x takes ``min((x_i - floor_i) // step_i)`` steps over the
+    step's nonzero coordinates. It stops at a memoised point, then adds
+    upward, so Python recursion does not deepen with the translates."""
     memo = mu._memo
-    floor = mu.support_floor
-    pending: list[Point] = []
-    p = x
-    while p not in memo and all(c > 0 for _, c in (p - floor).terms):
-        pending.append(p)
-        p = p - mu.step
-    total = memo.get(p, 0)
+    total = memo.get(x)
+    if total is not None:
+        return total
+    floor, step = mu._floor, mu._own
+    if not all(map(ge, x, floor)):
+        return 0
+    pending = [x]
+    for _ in range(min([(c - f) // s for c, f, s in zip(x, floor, step) if s])):
+        x = tuple(map(sub, x, step))
+        total = memo.get(x)
+        if total is not None:
+            break
+        pending.append(x)
+    else:
+        total = 0
+    (inner, keep, drop, zeros), = mu._edges
     for p in reversed(pending):
-        total += _mass(mu.inner, p)
+        if drop(p) == zeros:
+            total += _mass(inner, keep(p))
         memo[p] = total
     return total
 

@@ -15,8 +15,8 @@ from .basis import (
     AdditiveFunctional,
     Scalar,
     Symbol,
-    lattice_box,
     point_combine,
+    sample_box,
     symbols,
     unit,
 )
@@ -363,7 +363,7 @@ def _random_instance(rng: random.Random):
         hs.append(h)
 
     hi = 55 if nsym == 1 else 7 if nsym == 2 else 5
-    probes = rng.sample(lattice_box(units, -1, hi), 50)
+    probes = sample_box(rng, units, -1, hi, 50)
     probes.extend(p for _, p in atoms if p not in set(probes))
     return nu, hs, probes
 

@@ -257,6 +257,7 @@ def test_every_parse_error_carries_its_column(line, column, message):
     ("eval jensen-probe n=1 grid=cube(0..1)", 28, "bad grid spec 'cube(0..1)'"),
     ("eval jensen-probe n=1 grid=box(1..0)", 32, "bad range '1..0'"),
     ("eval jensen-probe n=1 grid=box(0..1;step=1..2)", 37, "bad grid option 'step=1..2'"),
+    ("eval jensen-probe n=1 grid=box(0..1;)", 36, "empty grid option after ';'"),
     ("eval jensen-probe n=1 grid=box(0..1;steps=0..2)", 37, "steps must start at 1 or above"),
     ("eval jensen-probe n=1 grid=box(0..1;steps=1..x)", 43, "bad range '1..x'"),
 ])

@@ -34,6 +34,7 @@ from hamelcheck import (
     unit,
     verify_lemma_4_4,
 )
+from hamelcheck.basis import lattice_box
 from helpers import standard_function
 
 
@@ -432,3 +433,94 @@ def test_fractional_scale_masses_match_truncated_sum():
         assert m == oracle.get(x, 0)
     fractional = {m for m in masses.values() if type(m) is Fraction and m.denominator > 1}
     assert fractional == {Fraction(1, 3), Fraction(-1, 2), Fraction(-1, 6)}
+
+
+# The coordinates of atoms, steps and query points in the mixed-basis
+# trees below. Every support coordinate is >= -2 and every step coordinate
+# >= 1/2, so a query with coordinates <= 4 is reached in at most 12
+# translates per closure, and materialize_truncated(tree, 12) is exact there.
+_ATOM = (-2, -1, 0, 1, 2, 3, Fraction(1, 2), Fraction(-3, 2))
+_STEP = (1, 2, Fraction(1, 2), Fraction(3, 2))
+_QUERY = (-3, -1, 0, 1, 2, 3, 4, Fraction(1, 2), Fraction(3, 2), Fraction(-1, 2))
+
+
+def _on_some(rng, units, values, at_least):
+    """A point on a random subset of ``units`` (at least ``at_least`` of them)."""
+    chosen = rng.sample(units, rng.randint(at_least, len(units)))
+    return point_combine((rng.choice(values), u) for u in chosen)
+
+
+def _random_mixed_tree(rng, units, depth):
+    """Nodes over different symbol sets: atoms on any subset (the zero
+    point included), and steps on symbols their inner measure may lack."""
+    if depth == 0 or rng.random() < 0.25:
+        return Dirac(_on_some(rng, units, _ATOM, 0))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Shift(_random_mixed_tree(rng, units, depth - 1), _on_some(rng, units, _STEP, 1))
+    if kind == 1:
+        return JClosure(_random_mixed_tree(rng, units, depth - 1), _on_some(rng, units, _STEP, 1))
+    if kind == 2:
+        return Scale(
+            Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
+            _random_mixed_tree(rng, units, depth - 1),
+        )
+    return Sum(tuple(_random_mixed_tree(rng, units, depth - 1) for _ in range(rng.randint(1, 3))))
+
+
+def test_mixed_basis_trees_match_truncated_oracle_seeded():
+    rng = random.Random(1414)
+    syms = symbols("a b c", positive=True)
+    units = [unit(s) for s in syms]
+    (foreign,) = symbols("d", positive=True)
+    for _ in range(40):
+        tree = _random_mixed_tree(rng, units, 3)
+        oracle = materialize_truncated(tree, 12)
+        # Every atom of the oracle within reach, then random points, some
+        # with a coordinate on a symbol no node of the tree uses.
+        queries = [p for p in oracle if all(c <= 4 for _, c in p.terms)]
+        for _ in range(30):
+            x = _on_some(rng, units, _QUERY, 0)
+            if rng.random() < 0.3:
+                x = x + rng.choice((1, -1, Fraction(1, 2))) * unit(foreign)
+            queries.append(x)
+        for x in queries:
+            assert atom_mass(tree, x) == oracle.get(x, 0), (tree, x)
+
+
+def test_zero_atom_has_an_empty_basis():
+    a, b = symbols("a b", positive=True)
+    zero = Dirac(ZERO)
+    assert atom_mass(zero, ZERO) == 1
+    assert atom_mass(zero, unit(a)) == 0 and atom_mass(zero, -1 * unit(b)) == 0
+    tree = Sum((zero, Shift(zero, unit(a)), JClosure(zero, 2 * unit(b))))
+    oracle = materialize_truncated(tree, 5)
+    for x in lattice_box([unit(a), unit(b)], -1, 4):
+        assert atom_mass(tree, x) == oracle.get(x, 0)
+
+
+def test_closure_shared_by_roots_over_different_bases():
+    # A closure keys its memo by tuples over its own basis, so a root over
+    # a wider basis reaches the same entries as a narrow one: warm answers
+    # equal cold ones, and a second root adds no entry for a point the
+    # first already asked for.
+    a, b, c = symbols("a b c", positive=True)
+    ua, ub, uc = unit(a), unit(b), unit(c)
+
+    def build():
+        shared = JClosure(Sum((Dirac(ua), Scale(Fraction(1, 2), Dirac(2 * ua)))), ua)
+        return shared, Sum((shared, Dirac(ub))), Shift(shared, uc)
+
+    shared, wide, shifted = build()
+    queries = [k * ua for k in range(-1, 8)]
+    for x in queries:
+        assert atom_mass(wide, x + ub) == atom_mass(build()[1], x + ub)
+        assert atom_mass(wide, x) == atom_mass(shared, x)
+    entries = len(shared._memo)
+    assert entries
+    for x in queries:
+        assert atom_mass(shifted, x + uc) == atom_mass(build()[2], x + uc) == atom_mass(shared, x)
+    assert len(shared._memo) == entries
+    oracle = materialize_truncated(shifted, 10)
+    for x in queries:
+        assert atom_mass(shifted, x + uc) == oracle.get(x + uc, 0)

@@ -1,5 +1,6 @@
 """Built-in scenario runners and their reports."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from hamelcheck import (
     verify_section_3_2,
     verify_theorem_2_3,
 )
+from hamelcheck.basis import lattice_box
 
 
 def claims_by_label(report):
@@ -121,6 +123,26 @@ def test_theorem_and_chain_values_agree():
         fwd = claims_by_label(verify_theorem_2_3(n))["forward-diff-at-zero"].computed
         chain = claims_by_label(verify_lemma_4_6(n))["chain-measure-path"].computed
         assert fwd == chain == -1
+
+
+def test_prop43_probes_are_the_full_box_sample(monkeypatch):
+    # The probes are drawn by index into the box, not from the built box:
+    # the points, and the draws that follow them, must be those of
+    # rng.sample over lattice_box itself.
+    def full_box(rng, units, lo, hi, k):
+        return rng.sample(lattice_box(units, lo, hi), k)
+
+    symbol_counts = set()
+    for seed in range(40):
+        fast_rng, full_rng = random.Random(seed), random.Random(seed)
+        _, hs, probes = scenarios._random_instance(fast_rng)
+        with monkeypatch.context() as m:
+            m.setattr(scenarios, "sample_box", full_box)
+            _, full_hs, full_probes = scenarios._random_instance(full_rng)
+        assert (hs, probes) == (full_hs, full_probes)
+        assert fast_rng.getstate() == full_rng.getstate()
+        symbol_counts.add(len({s for p in probes for s, _ in p.terms}))
+    assert symbol_counts == {1, 2, 3}
 
 
 def test_prop43_deterministic():
