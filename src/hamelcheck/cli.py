@@ -17,6 +17,7 @@ claim passed, 1 some claim failed, 2 usage or definition error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Sequence
 
@@ -65,9 +66,12 @@ def _output_flags(
     return parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """Each command's parser sets ``runner`` and either the names of the
-    parsed values it takes (``takes``) or its batch orders (``batch``)."""
+    """Each command's parser sets ``runner``, the name of its runner in
+    this module, and either the names of the parsed values it takes
+    (``takes``) or its batch orders (``batch``). Built on the first call
+    and reused for the life of the process."""
     parser = _output_flags(
         argparse.ArgumentParser(
             prog="hamelcheck",
@@ -83,17 +87,18 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = verify.add_subparsers(dest="scenario", required=True)
     # The verify scenarios: runner, batch orders when --n is omitted (none:
     # it takes no --n), when an order above LARGE_ORDER needs --allow-large,
-    # and what such an order costs. The runners are read from this module
-    # when the parser is built, so a wrapper installed on their names after
-    # import (the benchmark's tracer) is the one called.
+    # and what such an order costs. The parser is cached, so it holds each
+    # runner's name, not the function: ``main`` looks the name up in this
+    # module on every call, and a wrapper installed on it at any time (the
+    # benchmark's tracer, a test's monkeypatch) is the one called.
     for name, runner, batch, guard, large_cost in (
-        ("theorem23", verify_theorem_2_3, (1, 3, 5, 7, 9, 11), _human_trace,
+        ("theorem23", "verify_theorem_2_3", (1, 3, 5, 7, 9, 11), _human_trace,
          "with a human-format --trace (a 2^(n+1)-row table)"),
-        ("section31", verify_section_3_1, (), None, ""),
-        ("section32", verify_section_3_2, (), None, ""),
-        ("lemma44", verify_lemma_4_4, (1, 3, 5), lambda args: True,
+        ("section31", "verify_section_3_1", (), None, ""),
+        ("section32", "verify_section_3_2", (), None, ""),
+        ("lemma44", "verify_lemma_4_4", (1, 3, 5), lambda args: True,
          "((n+1)*2^n-point A-sets)"),
-        ("lemma46", verify_lemma_4_6, (1, 3, 5), lambda args: True,
+        ("lemma46", "verify_lemma_4_6", (1, 3, 5), lambda args: True,
          "((n+1)*2^n-point A-sets)"),
     ):
         p = vsub.add_parser(name, parents=flags)
@@ -108,18 +113,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = vsub.add_parser("prop43", parents=flags)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=42)
-    p.set_defaults(runner=verify_prop_4_3, takes=("trials", "seed"))
+    p.set_defaults(runner="verify_prop_4_3", takes=("trials", "seed"))
 
     probe = sub.add_parser("probe", help="probe a documented even-order candidate")
     psub = probe.add_subparsers(dest="probe_kind", required=True)
     p = psub.add_parser("even", parents=flags)
     p.add_argument("--n", type=int, required=True, help="even order")
     p.add_argument("--case", required=True, help=f"candidate id ({', '.join(even_candidates(2))})")
-    p.set_defaults(runner=probe_even, takes=("n", "case"))
+    p.set_defaults(runner="probe_even", takes=("n", "case"))
 
     p = sub.add_parser("run", parents=flags, help="execute a definition file")
     p.add_argument("path")
-    p.set_defaults(runner=run_definition_file, takes=("path",))
+    p.set_defaults(runner="run_definition_file", takes=("path",))
 
     return parser
 
@@ -145,10 +150,10 @@ def _calls(args: argparse.Namespace) -> list[tuple]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    runner = globals()[args.runner]
     try:
-        reports = [args.runner(*call) for call in _calls(args)]
+        reports = [runner(*call) for call in _calls(args)]
         output = render(reports, args.format, args.trace)
     except (HamelcheckError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,8 +21,10 @@ A declared name is one name token; symbols and points share a namespace.
 ``<point>`` is a declared point, ``0``, or an inline combination. An
 ``expect`` before the last ``at``, ``with`` or ``]`` of an eval line is a
 name. Evals without ``expect`` pass with their value; ``jensen-probe``
-expects zero violations. An error gives the column of the token it
-rejects, or column 1 when it concerns the whole statement.
+expects zero violations. A definition needs at least one eval line; a
+file may start with a UTF-8 byte-order mark. An error gives the column
+of the token it rejects, or column 1 when it concerns the whole
+statement.
 """
 
 from __future__ import annotations
@@ -382,7 +384,10 @@ def parse_definition(source: str, name: str = "<definition>") -> ScenarioDefinit
 
 
 def run_definition(defn: ScenarioDefinition) -> Report:
-    """Execute every evaluation request and assemble the report."""
+    """Execute every evaluation request and assemble the report. A
+    definition with no request is an error: it would pass with 0 claims."""
+    if not defn.evals:
+        raise DefinitionError("no eval line: nothing to check")
     rb = ReportBuilder(defn.name)
     for ev in defn.evals:
         try:
@@ -399,5 +404,5 @@ def run_definition(defn: ScenarioDefinition) -> Report:
 def run_definition_file(path: str | Path) -> Report:
     """Parse and execute a definition file."""
     path = Path(path)
-    defn = parse_definition(path.read_text(encoding="utf-8"), name=path.stem)
+    defn = parse_definition(path.read_text(encoding="utf-8-sig"), name=path.stem)
     return run_definition(defn)

@@ -1,5 +1,6 @@
 """Command-line surface: formats, exit codes, flags."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -109,7 +110,9 @@ def test_help_for_every_command(capsys, cmd):
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_commands_call_the_runner_bound_in_cli(monkeypatch, capsys, argv, name):
     # The benchmark's tracer times each runner by rebinding its name in
-    # this module after import; a runner captured at import bypasses it.
+    # this module after import; a runner captured at import, or when the
+    # parser was built by an earlier call, bypasses it.
+    assert run_cli(capsys, *argv)[0] == 0
     runner = getattr(cli, name)
     calls = []
 
@@ -120,6 +123,66 @@ def test_commands_call_the_runner_bound_in_cli(monkeypatch, capsys, argv, name):
     monkeypatch.setattr(cli, name, wrapped)
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0 and len(calls) == 1
+
+
+def test_a_second_call_builds_no_parser(monkeypatch, capsys):
+    assert run_cli(capsys, "verify", "section32")[0] == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run_cli(capsys, "verify", "section32")[0] == 0
+    assert built == []
+
+
+def test_nothing_leaks_between_calls(capsys):
+    # Each argv after the first also follows a call that gave other flags.
+    golden = {fmt: (GOLDEN / f"section32.{fmt}").read_text(encoding="utf-8")
+              for fmt in ("human", "tsv", "jsonl")}
+    for argv, fmt in (
+        (["--format", "tsv", "verify", "section32", "--trace"], "tsv"),
+        (["verify", "section32"], "human"),
+        (["--format", "tsv", "verify", "section32", "--format", "jsonl"], "jsonl"),
+        (["--format", "jsonl", "verify", "section32", "--format", "tsv"], "tsv"),
+        (["verify", "section32"], "human"),
+    ):
+        assert run_cli(capsys, *argv) == (0, golden[fmt], ""), argv
+
+
+@pytest.mark.parametrize("text", (
+    "",
+    "# a comment\n\n   # another\n",
+    "symbol s positive\nadditive a.s = 1\nfunction pospartpow 3 of a\n"
+    "measure m = dirac(s)\n",
+), ids=("empty", "comments", "declarations"))
+@pytest.mark.parametrize("fmt", ("human", "tsv", "jsonl"))
+def test_a_file_with_no_eval_line_is_a_usage_error(tmp_path, capsys, text, fmt):
+    path = tmp_path / "nothing.def"
+    path.write_text(text)
+    assert run_cli(capsys, "run", str(path), "--format", fmt) == (
+        2, "", "error: no eval line: nothing to check\n"
+    )
+
+
+def test_a_byte_order_mark_is_ignored(tmp_path, capsys):
+    # Same file name, so the scenario name matches the golden files.
+    path = tmp_path / "theorem23-n3.def"
+    path.write_bytes(b"\xef\xbb\xbf" + (SAMPLES / "theorem23-n3.def").read_bytes())
+    for fmt in ("human", "tsv", "jsonl"):
+        golden = (GOLDEN / f"run-theorem23-n3.{fmt}").read_text(encoding="utf-8")
+        assert run_cli(capsys, "run", str(path), "--format", fmt) == (0, golden, "")
+
+    # A parse error on line 1 has the same column with or without the mark.
+    for first_line, column in (("   wibble", 4), ("point p = 2*q", 13)):
+        for bom in (b"", b"\xef\xbb\xbf"):
+            path.write_bytes(bom + f"{first_line}\n".encode())
+            code, out, err = run_cli(capsys, "run", str(path))
+            assert (code, out) == (2, ""), bom
+            assert err.startswith(f"error: line 1, col {column}: "), bom
 
 
 def test_malformed_jensen_probe_is_a_usage_error(tmp_path, capsys):
