@@ -21,9 +21,11 @@ A declared name is one name token; symbols and points share a namespace.
 ``<point>`` is a declared point, ``0``, or an inline combination. An
 ``expect`` before the last ``at``, ``with`` or ``]`` of an eval line is a
 name. Evals without ``expect`` pass with their value; ``jensen-probe``
-expects zero violations. A definition needs at least one eval line; a
-file may start with a UTF-8 byte-order mark. An error gives the column
-of the token it rejects, or column 1 when it concerns the whole
+expects zero violations. A ``pospartpow`` function holds its additive's
+values as declared so far, so no ``additive`` line for it may follow,
+and a table lists each point once. A definition needs at least one eval
+line; a file may start with a UTF-8 byte-order mark. An error gives the
+column of the token it rejects, or column 1 when it concerns the whole
 statement.
 """
 
@@ -100,6 +102,7 @@ class _Parser:
         self.defn = ScenarioDefinition(name)
         self.lineno = 0
         self.text = ""
+        self.read_additive: str | None = None  # the additive the function reads
 
     def fail(self, message: str, tokens: list[Token] = (), error=ParseError) -> DefinitionError:
         """An error at the first of ``tokens``; at column 1 when there are none."""
@@ -195,6 +198,8 @@ class _Parser:
         func, dot, sym_tokens = _cut(lhs, ".")
         if dot is None or len(func) != 1 or not func[0].is_name or not sym_tokens:
             raise self.fail("additive name must look like <func>.<symbol>", lhs)
+        if func[0].text == self.read_additive:
+            raise self.fail(f"additive {func[0].text!r} is already read by the function", func)
         sym = self.lookup(sym_tokens, self.defn.symbols)
         values = self.defn.additives.setdefault(func[0].text, {})
         if sym in values:
@@ -222,6 +227,7 @@ class _Parser:
             if power < 1:
                 raise self.fail("power must be >= 1", tokens[1:2])
             values = self.lookup(tokens[3:], self.defn.additives)
+            self.read_additive = tokens[3].text
             self.defn.function = Composite(PositivePartPower(power), AdditiveFunctional(values))
             return
         take_abs = tokens[0].text == "abs"
@@ -235,7 +241,10 @@ class _Parser:
             key, colon, value = _cut(entry, ":")
             if colon is None:
                 raise self.bad("expected <point> : <rational> in", entry)
-            table[self.point(key)] = self.number(value)
+            point = self.point(key)
+            if point in table:
+                raise self.fail(f"point {self.span(key)!r} already tabulated", key)
+            table[point] = self.number(value)
         if not table:
             raise self.fail("tabulated function needs at least one entry")
         self.defn.function = tabulated_abs(table) if take_abs else Tabulated(table)

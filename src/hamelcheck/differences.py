@@ -1,22 +1,24 @@
 """Mixed higher-order forward/backward differences and convexity probes.
 
-Three independent evaluation routes are kept side by side, and tests hold
-them equal. A ``Composite`` ``f = K(a(.))``, or ``c * f`` as ``Scaled``,
-takes the scalar-line route: its mixed difference over ``hs`` at ``x`` is
-``sum(c_e * K(a(x) + e))``, where ``{e: c_e}`` are the terms of
-``c * prod((z**a(h) - 1) for h in hs)`` (``c = 1`` for a bare
-``Composite``). Every other function takes the recursive operator
-definition. The alternating subset-sum expansion is the oracle, and the
-only route behind ``difference_table``. ``_chain`` alone chooses the
-route, by the function's type. The backward difference is not a further
-route: it is the forward difference at ``x - sum(hs)``.
+Every mixed difference over ``hs`` is one expansion: the terms ``{e: c}``
+of ``prod((z**h - 1) for h in hs)``, multiplied out one increment at a
+time with equal keys merged, give the value ``sum(c * f(x + e))``.
+``_chain`` alone chooses the keys, by the function's type. A
+``Composite`` ``f = K(a(.))``, or ``c * f`` as ``Scaled``, is keyed by
+the scalars ``a(h)``, so the sum runs along one line:
+``sum(c * K(a(x) + e))``, with every coefficient times ``c``. Any other
+function is keyed by the points ``h`` themselves and read once at each
+distinct subset sum. There is no memo. The alternating subset-sum
+expansion is the independent oracle, and the only route behind
+``difference_table``. The backward difference is not a further route: it
+is the forward difference at ``x - sum(hs)``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .basis import Frozen, Point, Scalar, check_increment, exact, point_combine, subset_sums
+from .basis import ZERO, Frozen, Point, Scalar, check_increment, exact, point_combine, subset_sums
 from .errors import InvalidIncrement
 from .functions import Composite, PointFunction, Scaled
 
@@ -32,100 +34,58 @@ def _checked(hs: Increments) -> tuple[Point, ...]:
     return hs
 
 
-class _Step(PointFunction, Frozen):
-    """One level of the operator chain: ``inner(x + step) - inner(x)``.
-    ``memo`` is a ``{Point: Scalar}`` dict when the chain's increments
-    repeat, so that the coinciding subset sums below this level are
-    evaluated once; otherwise it is None."""
+class _Expansion(PointFunction, Frozen):
+    """The mixed difference as one expansion: ``factor * prod(z**s - 1)``
+    over the steps ``s``, multiplied out one step at a time into terms
+    ``{e: c}``, has the value ``sum(c * evaluate(project(x) + e))`` at
+    ``x``. Cancelled terms are kept, so ``evaluate`` reads every distinct
+    subset sum exactly once, in the order the recursive operator
+    ``g(x + h) - g(x)`` (first increment outermost) first reads it; a zero
+    factor leaves no terms and the value 0."""
 
-    inner: PointFunction
-    step: Point
-    memo: dict[Point, Scalar] | None
+    project: Callable[[Point], object]
+    evaluate: Callable[[object], Scalar]
+    terms: tuple[tuple[object, Scalar], ...]
 
-    def __init__(self, inner: PointFunction, step: Point, memo: dict[Point, Scalar] | None):
-        self.__dict__.update(inner=inner, step=step, memo=memo)
-
-    def value(self, x: Point) -> Scalar:
-        memo = self.memo
-        if memo is None:
-            return self.inner.value(x + self.step) - self.inner.value(x)
-        v = memo.get(x)
-        if v is None:
-            # Stored only once computed: a raise leaves no entry behind.
-            v = memo[x] = self.inner.value(x + self.step) - self.inner.value(x)
-        return v
-
-
-class _Line(PointFunction, Frozen):
-    """The scalar-line route for ``f = K(a(.))``, or a multiple of it: the
-    mixed difference at ``x`` is ``sum(c * K(a(x) + e) for e, c in terms)``,
-    where the coefficients ``c`` carry the multiple. An increment off
-    the functional's support (``a(h) = 0``) cancels every term, and the
-    value is 0."""
-
-    f: Composite
-    terms: tuple[tuple[Scalar, Scalar], ...]
-
-    def __init__(self, f: Composite, terms: tuple[tuple[Scalar, Scalar], ...]):
-        self.__dict__.update(f=f, terms=terms)
+    def __init__(self, steps: Iterable, zero: object, project: Callable,
+                 evaluate: Callable, factor: Scalar = 1):
+        poly: dict = {zero: 1} if factor else {}
+        for s in steps:
+            nxt: dict = {}
+            for e, c in poly.items():
+                up = e + s
+                nxt[up] = nxt.get(up, 0) + c
+                nxt[e] = nxt.get(e, 0) - c
+            poly = nxt
+        terms = tuple((e, c * factor) for e, c in poly.items())
+        self.__dict__.update(project=project, evaluate=evaluate, terms=terms)
 
     def value(self, x: Point) -> Scalar:
-        t = self.f.functional(x)
-        apply = self.f.kernel.apply
+        base = self.project(x)
+        evaluate = self.evaluate
         total = 0
         for e, c in self.terms:
-            total += c * apply(t + e)
+            total += c * evaluate(base + e)
         return exact(total)
 
 
-def _line(f: Composite, hs: tuple[Point, ...], factor: Scalar = 1) -> _Line:
-    """The terms ``{e: factor * c}`` of ``factor * prod(z**a(h) - 1)`` over
-    ``hs``, one increment at a time, with cancelled terms dropped; a zero
-    factor leaves no terms."""
-    if not factor:
-        return _Line(f, ())
-    poly: dict[Scalar, int] = {0: 1}
-    for h in hs:
-        s = f.functional(h)
-        nxt: dict[Scalar, int] = {}
-        for e, c in poly.items():
-            up = exact(e + s)
-            nxt[up] = nxt.get(up, 0) + c
-            nxt[e] = nxt.get(e, 0) - c
-        poly = {e: c for e, c in nxt.items() if c}
-    return _Line(f, tuple((e, c * factor) for e, c in poly.items()))
-
-
-def _recursive(f: PointFunction, hs: tuple[Point, ...]) -> _Step:
-    """The recursive operator over checked ``hs``, last increment innermost.
-
-    With a repeated increment, k levels see O(k^2) distinct points instead
-    of 2^k, so each level memoises. With pairwise-distinct increments the
-    points seldom coincide and a memo would only add hashing.
-    """
-    memoise = len(set(hs)) < len(hs)
-    g = f
-    for h in reversed(hs):
-        g = _Step(g, h, {} if memoise else None)
-    return g
-
-
-def _chain(f: PointFunction, hs: tuple[Point, ...]) -> PointFunction:
-    """The evaluator of the mixed difference over checked ``hs``: the
-    scalar-line route for a ``Composite`` or a ``Scaled`` one (the
-    difference is linear, so the factor scales every coefficient), the
-    recursive operator for any other function. Every difference and probe
-    gets its route here."""
-    if type(f) is Composite:
-        return _line(f, hs)
+def _chain(f: PointFunction, hs: tuple[Point, ...]) -> _Expansion:
+    """The evaluator of the mixed difference over checked ``hs``. A
+    ``Composite`` ``K(a(.))``, or a ``Scaled`` one (the difference is
+    linear, so the factor scales every coefficient), is keyed by the
+    scalars ``a(h)`` along one line; any other function by the points
+    ``h``. Every difference and probe gets its keys here."""
+    factor = 1
     if type(f) is Scaled and type(f.inner) is Composite:
-        return _line(f.inner, hs, f.factor)
-    return _recursive(f, hs)
+        f, factor = f.inner, f.factor
+    if type(f) is Composite:
+        return _Expansion(map(f.functional, hs), 0, f.functional, f.kernel.apply, factor)
+    return _Expansion(hs, ZERO, lambda x: x, f.value)
 
 
 def forward_diff(f: PointFunction, x: Point, hs: Increments) -> Scalar:
-    """Mixed forward difference over ``hs`` at ``x``, by the route
-    ``_chain`` chooses for ``f``."""
+    """Mixed forward difference over ``hs`` at ``x``, by the expansion
+    ``_chain`` keys for ``f``."""
     return _chain(f, _checked(hs)).value(x)
 
 
@@ -142,9 +102,9 @@ def forward_diff_closed(f: PointFunction, x: Point, hs: Increments) -> Scalar:
 
 def backward_diff(f: PointFunction, x: Point, hs: Increments) -> Scalar:
     """Mixed backward difference over ``hs`` at ``x``: the forward
-    difference at ``x - sum(hs)``. On the recursive route it evaluates
-    ``f`` at the same points, in the same order, as the backward
-    recursion ``g(x) - g(x - h)`` would (by induction on the levels)."""
+    difference at ``x - sum(hs)``. A point-keyed expansion reads ``f`` at
+    the points the backward recursion ``g(x) - g(x - h)`` would, in the
+    order it would first read them (by induction on the increments)."""
     hs = _checked(hs)
     base = point_combine(((1, x), *((-1, h) for h in hs)))
     return _chain(f, hs).value(base)
@@ -195,11 +155,11 @@ def wright_convexity_probe(
     over the given (x, hs) pairs is negative. A sample that cannot be
     evaluated stops the probe with the error ``forward_diff`` would raise
     there (``UntabulatedPoint`` off a table's domain). Samples with the
-    same increments share one chain (its line terms, or its level memos)
-    for the length of this call; the increments are checked when their
-    chain is built, since equal tuples hold equal points."""
+    same increments share one expansion for the length of this call; the
+    increments are checked when their expansion is built, since equal
+    tuples hold equal points."""
     violations: list[Violation] = []
-    chains: dict[tuple[Point, ...], PointFunction] = {}
+    chains: dict[tuple[Point, ...], _Expansion] = {}
     for index, (x, hs) in enumerate(samples):
         hs = tuple(hs)
         if len(hs) != n + 1:

@@ -149,7 +149,7 @@ def test_criterion_7_oracle_equivalence_suites():
         if backward_diff(f, top, hs) == primary:
             ident += 1
     assert (agree, sym, ident) == (100, 100, 100)
-    print(f"{PASS} criterion 7: recursive/closed agreement, permutation symmetry, "
+    print(f"{PASS} criterion 7: expansion/closed agreement, permutation symmetry, "
           "and the backward identity, 100/100 each")
 
 

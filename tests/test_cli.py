@@ -270,6 +270,22 @@ def test_exit_code_usage_errors(tmp_path, capsys):
     assert code == 2 and "line 2" in err
 
 
+@pytest.mark.parametrize("lines, error", [
+    # Accepted, each would drop a value: the function holds a's values as
+    # declared before it, and a table holds one value per point.
+    (["symbol t positive", "additive a.s = 1", "function pospartpow 1 of a",
+      "additive a.t = 5", "eval forward-diff at 0 with [t]"],
+     "line 5, col 10: additive 'a' is already read by the function"),
+    (["function tabulated {0: 1, s: 2, 1*s: 7}", "eval forward-diff at 0 with [s]"],
+     "line 2, col 33: point '1*s' already tabulated"),
+])
+def test_a_definition_that_would_drop_a_value_is_a_usage_error(tmp_path, capsys, lines, error):
+    path = tmp_path / "dropped.def"
+    path.write_text("\n".join(["symbol s positive", *lines]) + "\n")
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
 def test_probe_needing_an_untabulated_value_is_a_usage_error(tmp_path, capsys):
     # No sample of this probe can be evaluated: each needs 2s or -s.
     path = tmp_path / "partial.def"
@@ -320,25 +336,39 @@ def test_large_theorem23_order_needs_no_flag(capsys):
     assert [json.loads(line)["computed"] for line in out.strip().splitlines()] == ["-1", "-1"]
 
 
-def _deep_definition(tmp_path, function):
+def _deep_definition(tmp_path, function, k=1500):
     deep = tmp_path / "deep.def"
     deep.write_text(
         f"symbol h positive\nadditive a.h = 1\nfunction {function}\n"
-        f"eval forward-diff at 0 with [{', '.join(['h'] * 1500)}]\n"
+        f"eval forward-diff at 0 with [{', '.join(['h'] * k)}]\n"
     )
     return str(deep)
 
 
-def test_deep_difference_chain_is_a_usage_error(tmp_path, capsys):
-    # 1,500 increments nest the recursive operator chain past the
-    # recursion limit before the first (missing) tabulated point is read.
+def test_deep_tabulated_difference_evaluates(tmp_path, capsys):
+    # The 1,000th difference of the indicator of 1000*h is 1; its 2^1000
+    # subset sums are 1,001 points, each read once, and nothing nests.
+    table = ", ".join(f"{j}*h: {int(j == 1000)}" for j in range(1001))
+    code, out, err = run_cli(
+        capsys, "run", _deep_definition(tmp_path, f"tabulated {{{table}}}", 1000),
+        "--format", "jsonl",
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out)["computed"] == "1"
+
+
+def test_deep_tabulated_difference_names_its_first_missing_point(tmp_path, capsys):
+    # The first point read is the sum of all 1,500 increments.
     code, out, err = run_cli(capsys, "run", _deep_definition(tmp_path, "tabulated {0: 1}"))
-    assert code == 2
-    assert out == "" and err.startswith("error: ") and "nests too deeply" in err
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: line 4: evaluation needs a value outside the tabulated domain "
+        "(no tabulated value at 1500*h)\n"
+    )
 
 
 def test_deep_composite_difference_evaluates(tmp_path, capsys):
-    # A Composite takes the scalar-line route, which does not nest: the
+    # A Composite is keyed by the scalars a(h) along one line: the
     # 1,500th difference of t^2 on t >= 0 is 0.
     code, out, err = run_cli(
         capsys, "run", _deep_definition(tmp_path, "pospartpow 2 of a"), "--format", "jsonl"

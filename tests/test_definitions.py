@@ -229,17 +229,23 @@ WITH_FUNCTION = BASE + "function pospartpow 2 of a\n"
     ("function tabulated {}", 1, "tabulated function needs at least one entry"),
     ("function tabulated {0: 1, s 2}", 27, "expected <point> : <rational> in 's 2'"),
     ("function tabulated {0: 1, : 2}", 1, "empty point expression"),
+    ("function tabulated {0: 1, s: 2, 1*s: 7}", 33, "point '1*s' already tabulated"),
+    # The function copies its additive's values when it is declared.
+    ("symbol t\nfunction pospartpow 2 of a\nadditive a.t = 5", 10,
+     "additive 'a' is already read by the function"),
     ("eval", 1, "empty eval"),
     ("eval forward-diff at 0 with [s]", 1, "no function declared before this eval"),
     ("eval jensen-probe n=1 grid=box(0..1)", 1, "no function declared before this eval"),
     ("eval spline at 0", 6, "unknown eval request 'spline'"),
 ])
 def test_every_parse_error_carries_its_column(line, column, message):
+    # The error is on the last line; a case may declare what it needs first.
     src = BASE + line + "\n"
+    lineno = src.count("\n")
     with pytest.raises((ParseError, UnknownSymbol)) as exc:
         parse_definition(src)
-    assert (exc.value.line, exc.value.column) == (5, column)
-    assert str(exc.value) == f"line 5, col {column}: {message}"
+    assert (exc.value.line, exc.value.column) == (lineno, column)
+    assert str(exc.value) == f"line {lineno}, col {column}: {message}"
 
 
 @pytest.mark.parametrize("line, column, message", [
@@ -375,6 +381,18 @@ def test_duplicate_function_and_additive_assignment():
         parse_definition(base + "function pospartpow 2 of a\n")
     with pytest.raises(ParseError):
         parse_definition("symbol s positive\nadditive a.s = 1\nadditive a.s = 2\n")
+
+
+def test_additive_after_the_function_that_reads_it():
+    # The function holds a's values as declared so far: a.t would be lost.
+    base = "symbol s positive\nsymbol t positive\nadditive a.s = 1\nfunction pospartpow 1 of a\n"
+    with pytest.raises(ParseError) as exc:
+        parse_definition(base + "additive a.t = 5\neval forward-diff at 0 with [t]\n")
+    assert (exc.value.line, exc.value.column) == (5, 10)
+    assert str(exc.value) == "line 5, col 10: additive 'a' is already read by the function"
+    # An additive the function does not read may still follow it.
+    defn = parse_definition(base + "additive b.t = 5\neval forward-diff at 0 with [s]\n")
+    assert run_definition(defn).claims[0].computed == 1
 
 
 def test_fractional_values_allowed():

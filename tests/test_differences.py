@@ -278,7 +278,8 @@ class _Recording(PointFunction):
 
 
 def test_equal_increments_evaluate_each_level_point_once():
-    # Delta_h^k t^k = k! when a(h) = 1; the expansion would take 2^k calls.
+    # Delta_h^k t^k = k! when a(h) = 1; the 2^k subset sums of k equal
+    # increments are k + 1 distinct points, each read once.
     (h,) = symbols("h", positive=True)
     k = 16
     x = -3 * unit(h)
@@ -287,8 +288,20 @@ def test_equal_increments_evaluate_each_level_point_once():
     fwd, bwd = _Recording(f), _Recording(f)
     assert forward_diff(fwd, x, hs) == math.factorial(k)
     assert backward_diff(bwd, x + k * unit(h), hs) == math.factorial(k)
-    assert len(fwd.points) <= 2 * (k + 1)
-    assert len(bwd.points) <= 2 * (k + 1)
+    assert len(fwd.points) <= k + 1
+    assert len(bwd.points) <= k + 1
+
+
+def test_each_distinct_point_is_read_once():
+    # u1 + u2 is a subset sum twice over; in the first tuple its two terms
+    # cancel, and it is read all the same, once.
+    h1, h2 = symbols("h1 h2", positive=True)
+    u1, u2 = unit(h1), unit(h2)
+    x = u1 - 2 * u2
+    for hs in ((u1, u2, u1 + u2), (u1, u1, u2, u1 + u2)):
+        f = _Recording(Composite(Power(3), AdditiveFunctional({h1: 2, h2: -1})))
+        assert forward_diff(f, x, hs) == forward_diff_closed(f.inner, x, hs)
+        assert sorted(map(str, f.points)) == sorted({str(p) for _, p in subset_sums(x, hs)})
 
 
 def _shifted(x, hs):
@@ -298,9 +311,9 @@ def _shifted(x, hs):
 
 
 def test_backward_evaluates_as_forward_at_shifted_point():
-    # Distinct, repeated (memoised levels) and half-integer increments: the
-    # backward difference at x calls f at the points, in the order, of the
-    # forward difference at x - sum(hs).
+    # Distinct, repeated and half-integer increments: the backward
+    # difference at x calls f at the points, in the order, of the forward
+    # difference at x - sum(hs).
     h1, h2 = symbols("h1 h2", positive=True)
     u1, u2 = unit(h1), unit(h2)
     half = Fraction(1, 2) * u1
@@ -375,8 +388,8 @@ def test_repeated_increments_match_oracle():
 
 
 def test_probe_chain_sharing_matches_fresh_differences():
-    # Repeated increments memoise each level, and the samples of one step
-    # share that chain: later samples read values stored by earlier ones.
+    # The samples of one step share one expansion of the repeated
+    # increments: later samples reuse the terms built for the first.
     (s,) = symbols("s", positive=True)
     su = unit(s)
     rng = random.Random(707)
@@ -419,14 +432,15 @@ _FACTORS = (3, Fraction(5, 2), Fraction(-2, 3), 0)
 
 
 def _three_routes(f, x, hs):
-    """The scalar-line, recursive and subset-sum values, and the backward
-    difference at the top point, which takes the scalar-line route."""
+    """The scalar-keyed, point-keyed (``SumOf((f,))`` is not a
+    ``Composite``) and subset-sum values, and the backward difference at
+    the top point, which is scalar-keyed."""
     top = x
     for h in hs:
         top = top + h
     return (
         forward_diff(f, x, hs),
-        differences._recursive(f, tuple(hs)).value(x),
+        forward_diff(SumOf((f,)), x, hs),
         forward_diff_closed(f, x, hs),
         backward_diff(f, top, hs),
     )
@@ -445,18 +459,18 @@ def test_three_routes_agree_seeded():
             factor = _FACTORS[(k + i) % len(_FACTORS)]
             hs = tuple(rng.choice(pool) for _ in range(k))
             x = point_combine((rng.randint(-2, 2), u) for u in units)
-            line, recursive, closed, backward = _three_routes(f, x, hs)
-            assert line == recursive == closed == backward, (kernel, k)
+            line, points, closed, backward = _three_routes(f, x, hs)
+            assert line == points == closed == backward, (kernel, k)
             assert type(line) is type(exact(line))
             scaled = _three_routes(Scaled(factor, f), x, hs)
             assert scaled == (factor * line,) * 4, (kernel, k, factor)
             assert type(scaled[0]) is type(exact(scaled[0]))
             chain = differences._chain(Scaled(factor, f), hs)
-            assert type(chain) is differences._Line
+            assert chain.project == f.functional
             assert chain.terms == () if factor == 0 else len(chain.terms) > 0
             zeroed = hs[:-1] + (units[3],)
             assert set(_three_routes(f, x, zeroed)) == {0}
-            assert differences._chain(f, zeroed).terms == ()
+            assert {c for _, c in differences._chain(f, zeroed).terms} == {0}
 
 
 def test_three_routes_agree_at_theorem23_setup():
@@ -481,7 +495,7 @@ def test_theorem23_value_is_minus_one_at_even_orders_too():
         assert forward_diff(f, ZERO, units) == -1
 
 
-def test_composite_probes_match_recursive_per_sample():
+def test_composite_probes_match_point_keyed_per_sample():
     s, t = symbols("s t", positive=True)
     us, ut = unit(s), unit(t)
     xs = [i * us + j * ut for i in range(-2, 3) for j in (-1, 0, 2)]
@@ -496,7 +510,7 @@ def test_composite_probes_match_recursive_per_sample():
             ):
                 expected = []
                 for index, (x, hs) in enumerate(samples):
-                    v = differences._recursive(f, hs).value(x)
+                    v = forward_diff(SumOf((f,)), x, hs)
                     if v < 0:
                         expected.append((index, v))
                 assert [(v.index, v.value) for v in violations] == expected
