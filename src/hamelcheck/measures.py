@@ -1,16 +1,22 @@
-"""Atomic signed measures as lazy expression trees with exact pointwise
-atom-mass evaluation.
+"""Atomic signed measures as one linear form over closure leaves, with
+exact pointwise atom-mass evaluation.
 
 Closure nodes have infinite support, so measures are never materialized.
-Each node evaluates on coordinate tuples over its basis, the sorted symbols
-of its subtree's points; a closure walks a chain of translates whose length
-is read off the support floor, and memoises its masses, keyed by tuples
-over its own basis, for as long as the node lives.
+Every node works on coordinate tuples over its basis, the sorted symbols
+of its subtree's points, and is folded at construction into one linear
+form there: merged atoms, plus merged closure leaves, each at an offset
+and with a weight. `Shift`, `Scale` and `Sum` only build forms, so a
+query reads the atoms and walks the closures; nothing recurses through
+them. A closure's form describes its inner measure. It walks a chain of
+translates whose length is read off the support floor, and memoises its
+masses, keyed by tuples over its own basis, for as long as the node
+lives. A closure is never cancelled against a difference: it stays a
+leaf that its walk evaluates.
 """
 
 from __future__ import annotations
 
-from operator import ge, itemgetter, sub
+from operator import add, ge, itemgetter, sub
 from typing import NamedTuple, Sequence
 
 from .basis import (
@@ -20,8 +26,9 @@ from .basis import (
 from .errors import InvalidIncrement, NonTerminatingJ
 
 
-def _coords(basis: Sequence[Symbol], p: Point) -> tuple[Scalar, ...]:
-    get = dict(p.terms).get
+def _coords(basis: Sequence[Symbol], terms) -> tuple[Scalar, ...]:
+    """The ``(symbol, coordinate)`` pairs ``terms`` as a tuple over ``basis``."""
+    get = dict(terms).get
     return tuple([get(s, 0) for s in basis])
 
 
@@ -33,24 +40,74 @@ def _picker(idx: list[int]) -> itemgetter:
     return itemgetter(slice(lo, lo + len(idx))) if run else itemgetter(*idx)
 
 
+def _lift(basis: tuple[Symbol, ...], part: tuple[Symbol, ...], t: tuple[Scalar, ...]):
+    """``t`` over ``part``, a subset of ``basis``, as the tuple over
+    ``basis`` that is zero on every other symbol."""
+    return t if part == basis else _coords(basis, zip(part, t))
+
+
+def _plus(a: tuple[Scalar, ...] | None, b: tuple[Scalar, ...] | None):
+    """The sum of two offsets; None is the zero offset."""
+    if a is None or b is None:
+        return b if a is None else a
+    return tuple(map(add, a, b))
+
+
 class MeasureExpr(Frozen):
     """Base class. `support_floor` bounds every support coordinate below.
     Over `_basis`, `_own` is the node's atom or step and `_floor` its floor
-    as tuples. `_edges` holds `(child, keep, drop, zeros)` per child: a tuple
-    `v` has child mass only if `drop(v) == zeros`, and the child sees `keep(v)`."""
+    as tuples, and `_atoms` and `_terms` are its linear form (a closure's
+    describes its inner measure). The mass at `v` is `_atoms.get(v, 0)`
+    plus, for each term `(closure, offset, keep, drop, zeros, c)` with
+    `w = v - offset` (`v` itself when `offset` is None) and
+    `drop(w) == zeros`, `c` times the closure's mass at `keep(w)`."""
 
     support_floor: Point
 
-    def _fill(self, children: Sequence[MeasureExpr], own: Point = ZERO, **fields) -> None:
-        basis = tuple(sorted(set(own.support).union(*(c._basis for c in children))))
-        edges = []
-        for child in children:
-            keep = [i for i, s in enumerate(basis) if s in child._basis]
-            drop = [i for i, s in enumerate(basis) if s not in child._basis]
-            edges.append((child, _picker(keep), _picker(drop), (0,) * len(drop)))
+    def _fill(
+        self, parts: Sequence[tuple[Scalar, MeasureExpr | None]], own: Point = ZERO,
+        shift: bool = False, **fields,
+    ) -> None:
+        """Fold ``Σ c·child`` over ``parts`` into this node's form,
+        translated by ``own`` when ``shift``. A child of None is the unit
+        atom at the origin, and a closure child is one term."""
+        bases = (child._basis for _, child in parts if child is not None)
+        basis = tuple(sorted(set(own.support).union(*bases)))
+        own_coords = _coords(basis, own.terms)
+        offset = own_coords if shift else None
+        atoms: dict[tuple[Scalar, ...], Scalar] = {}
+        terms: dict[tuple[JClosure, tuple[Scalar, ...] | None], Scalar] = {}
+        for c, child in parts:
+            if child is None:
+                atoms[offset] = atoms.get(offset, 0) + c
+                continue
+            if type(child) is JClosure:
+                key = child, offset
+                terms[key] = terms.get(key, 0) + c
+                continue
+            part = child._basis
+            for v, w in child._atoms.items():
+                key = _plus(_lift(basis, part, v), offset)
+                atoms[key] = atoms.get(key, 0) + c * w
+            for closure, off, *_, w in child._terms:
+                key = closure, _plus(None if off is None else _lift(basis, part, off), offset)
+                terms[key] = terms.get(key, 0) + c * w
+        pickers: dict[JClosure, tuple] = {}
+        form = []
+        for (closure, off), w in terms.items():
+            if not w:
+                continue
+            pick = pickers.get(closure)
+            if pick is None:
+                keep = [i for i, s in enumerate(basis) if s in closure._basis]
+                drop = [i for i, s in enumerate(basis) if s not in closure._basis]
+                pick = pickers[closure] = _picker(keep), _picker(drop), (0,) * len(drop)
+            form.append((closure, off, *pick, exact(w)))
         self.__dict__.update(
-            fields, _basis=basis, _own=_coords(basis, own), _edges=tuple(edges),
-            _floor=_coords(basis, fields["support_floor"]),
+            fields, _basis=basis, _own=own_coords,
+            _floor=_coords(basis, fields["support_floor"].terms),
+            _atoms={v: exact(w) for v, w in atoms.items() if w} if atoms else atoms,
+            _terms=tuple(form),
         )
 
 
@@ -60,7 +117,7 @@ class Dirac(MeasureExpr):
     point: Point
 
     def __init__(self, point: Point):
-        self._fill((), point, point=point, support_floor=point)
+        self._fill([(1, None)], point, True, point=point, support_floor=point)
 
 
 class Shift(MeasureExpr):
@@ -72,7 +129,22 @@ class Shift(MeasureExpr):
     def __init__(self, inner: MeasureExpr, step: Point):
         if not is_positive_increment(step):
             raise InvalidIncrement(f"shift step must be a positive increment: {step}")
-        self._fill([inner], step, inner=inner, step=step, support_floor=inner.support_floor + step)
+        self._fill(
+            [(1, inner)], step, True, inner=inner, step=step,
+            support_floor=inner.support_floor + step,
+        )
+
+
+def _lowest(floors: Sequence[Point]) -> Point:
+    """The coordinatewise minimum of ``floors``, in one pass; a coordinate
+    a floor lacks counts as 0."""
+    low: dict[Symbol, Scalar] = {}
+    seen: dict[Symbol, int] = {}
+    for f in floors:
+        for s, c in f.terms:
+            low[s] = min(low.get(s, c), c)
+            seen[s] = seen.get(s, 0) + 1
+    return Point({s: c if seen[s] == len(floors) else min(c, 0) for s, c in low.items()})
 
 
 class Sum(MeasureExpr):
@@ -82,9 +154,10 @@ class Sum(MeasureExpr):
         terms = tuple(terms)
         if not terms:
             raise ValueError("sum of measures needs at least one term")
-        floors = [t.support_floor for t in terms]
-        low = {s: min(g.coordinate(s) for g in floors) for f in floors for s in f.support}
-        self._fill(terms, terms=terms, support_floor=Point(low))
+        self._fill(
+            [(1, t) for t in terms], terms=terms,
+            support_floor=_lowest([t.support_floor for t in terms]),
+        )
 
 
 class Scale(MeasureExpr):
@@ -92,7 +165,10 @@ class Scale(MeasureExpr):
     inner: MeasureExpr
 
     def __init__(self, factor: Scalar, inner: MeasureExpr):
-        self._fill([inner], factor=exact(factor), inner=inner, support_floor=inner.support_floor)
+        factor = exact(factor)
+        self._fill(
+            [(factor, inner)], factor=factor, inner=inner, support_floor=inner.support_floor
+        )
 
 
 class JClosure(MeasureExpr):
@@ -107,7 +183,8 @@ class JClosure(MeasureExpr):
             raise NonTerminatingJ(f"closure step must be a positive increment: {step}")
         # Support only grows upward, so the inner floor is exact.
         self._fill(
-            [inner], step, inner=inner, step=step, support_floor=inner.support_floor, _memo={}
+            [(1, inner)], step, inner=inner, step=step, support_floor=inner.support_floor,
+            _memo={},
         )
 
 
@@ -120,28 +197,16 @@ def atom_mass(mu: MeasureExpr, x: Point) -> Scalar:
     coords = dict(x.terms)
     v = tuple([coords.pop(s, 0) for s in mu._basis])
     # Every atom lies in the span of the basis, so a point off it has none.
-    return 0 if coords else _mass(mu, v)
-
-
-def _mass(mu: MeasureExpr, x: tuple[Scalar, ...]) -> Scalar:
-    kind = type(mu)
-    if kind is Dirac:
-        return 1 if x == mu._own else 0
-    if kind is Shift:
-        (inner, keep, drop, zeros), = mu._edges
-        x = tuple(map(sub, x, mu._own))
-        return _mass(inner, keep(x)) if drop(x) == zeros else 0
-    if kind is Scale:
-        return mu.factor * _mass(mu.inner, x) if mu.factor else 0
-    if kind is Sum:
-        out = 0
-        for t, keep, drop, zeros in mu._edges:
-            if drop(x) == zeros:
-                out += _mass(t, keep(x))
-        return out
-    if kind is JClosure:
-        return _closure_mass(mu, x)
-    raise TypeError(f"not a measure expression: {mu!r}")
+    if coords:
+        return 0
+    if type(mu) is JClosure:
+        return _closure_mass(mu, v)
+    total = mu._atoms.get(v, 0)
+    for closure, off, keep, drop, zeros, c in mu._terms:
+        w = v if off is None else tuple(map(sub, v, off))
+        if drop(w) == zeros:
+            total += c * _closure_mass(closure, keep(w))
+    return total
 
 
 def _closure_mass(mu: JClosure, x: tuple[Scalar, ...]) -> Scalar:
@@ -165,10 +230,16 @@ def _closure_mass(mu: JClosure, x: tuple[Scalar, ...]) -> Scalar:
         pending.append(x)
     else:
         total = 0
-    (inner, keep, drop, zeros), = mu._edges
+    # The inner form's mass at each pending point, read as in `atom_mass`
+    # but inline: a call per translate would cost more than the step.
+    atoms, terms = mu._atoms, mu._terms
     for p in reversed(pending):
-        if drop(p) == zeros:
-            total += _mass(inner, keep(p))
+        if atoms:
+            total += atoms.get(p, 0)
+        for closure, off, keep, drop, zeros, c in terms:
+            w = p if off is None else tuple(map(sub, p, off))
+            if drop(w) == zeros:
+                total += c * _closure_mass(closure, keep(w))
         memo[p] = total
     return total
 

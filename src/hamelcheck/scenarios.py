@@ -386,7 +386,7 @@ def verify_prop_4_3(trials: int, seed: int) -> Report:
         if all(atom_mass(recovered, x) == atom_mass(nu, x) for x in probes):
             pass_recover += 1
 
-        round_trip = j_op(nabla(closed, hs), hs)
+        round_trip = j_op(recovered, hs)
         if all(atom_mass(round_trip, x) == atom_mass(closed, x) for x in probes):
             pass_fixed += 1
 

@@ -377,15 +377,39 @@ def test_deep_composite_difference_evaluates(tmp_path, capsys):
     assert json.loads(out)["computed"] == "0"
 
 
-def test_deep_shift_nesting_is_a_usage_error(tmp_path, capsys):
+def _measure_chain(tmp_path, constructor, depth, query):
     lines = ["symbol s positive", "measure m0 = dirac(s)"]
-    lines += [f"measure m{i} = shift(m{i - 1}, s)" for i in range(1, 1201)]
-    lines.append("eval atom-mass m1200 at 1201*s expect 1")
-    deep = tmp_path / "deep.def"
-    deep.write_text("\n".join(lines) + "\n")
-    code, out, err = run_cli(capsys, "run", str(deep))
+    lines += [f"measure m{i} = {constructor}(m{i - 1}, s)" for i in range(1, depth + 1)]
+    lines.append(f"eval atom-mass m{depth} at {query}")
+    chain = tmp_path / "chain.def"
+    chain.write_text("\n".join(lines) + "\n")
+    return str(chain)
+
+
+def test_deep_shift_chain_evaluates(tmp_path, capsys):
+    # Shift, Scale and Sum fold into one linear form when they are built,
+    # so a query through 5,000 shifts reads one atom and nothing recurses.
+    code, out, err = run_cli(
+        capsys, "run", _measure_chain(tmp_path, "shift", 5000, "5001*s expect 1"),
+        "--format", "jsonl",
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out)["computed"] == "1"
+
+
+def test_deep_closure_nesting_is_a_usage_error(tmp_path, capsys):
+    # A closure's walk calls the closures of its inner form, so closures
+    # nested past the recursion limit still exit 2, without a traceback.
+    code, out, err = run_cli(capsys, "run", _measure_chain(tmp_path, "jclosure", 1200, "s"))
     assert code == 2
     assert out == "" and err.startswith("error: ") and "nests too deeply" in err
+    # 400 nested closures count the ways to split 2*s among them.
+    code, out, err = run_cli(
+        capsys, "run", _measure_chain(tmp_path, "jclosure", 400, "3*s expect 80200"),
+        "--format", "jsonl",
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out)["computed"] == "80200"
 
 
 def test_cli_import_loads_no_dataclasses():

@@ -524,3 +524,111 @@ def test_closure_shared_by_roots_over_different_bases():
     oracle = materialize_truncated(shifted, 10)
     for x in queries:
         assert atom_mass(shifted, x + uc) == oracle.get(x + uc, 0)
+
+
+def test_sum_floor_matches_the_termwise_minimum_seeded():
+    # The floor is one pass over the terms' floors; it must equal the
+    # minimum over every term per coordinate, an absent one counting as 0.
+    rng = random.Random(1515)
+    syms = symbols("a b c d", positive=True)
+    units = [unit(s) for s in syms]
+    for _ in range(60):
+        terms = tuple(
+            Shift(Dirac(_on_some(rng, units, _ATOM, 0)), _on_some(rng, units, _STEP, 1))
+            if rng.random() < 0.3 else Dirac(_on_some(rng, units, _ATOM, 0))
+            for _ in range(rng.randint(1, 6))
+        )
+        floors = [t.support_floor for t in terms]
+        termwise = point_combine(
+            (min(g.coordinate(s) for g in floors), unit(s))
+            for s in {s for f in floors for s in f.support}
+        )
+        assert Sum(terms).support_floor == termwise
+
+
+def _random_dag(rng, units, size):
+    """A measure over a pool of nodes that later nodes share, as `nabla`'s
+    trees do: a node may be the child of several, a closure may be reached
+    at several offsets, and weights, atoms and offsets may be fractional.
+    No chain nests more than two closures, so the truncated oracle stays
+    small."""
+    pool = [(Dirac(_on_some(rng, units, _ATOM, 0)), 0) for _ in range(3)]
+    for _ in range(size):
+        node, nested = rng.choice(pool)
+        step = _on_some(rng, units, _STEP, 1)
+        kind = rng.randrange(6)
+        if kind == 0:
+            node = Shift(node, step)
+        elif kind == 1 and nested < 2:
+            node, nested = JClosure(node, step), nested + 1
+        elif kind == 2:
+            node = Scale(Fraction(rng.randint(-3, 3), rng.randint(1, 2)), node)
+        elif kind == 3:
+            picked = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+            node = Sum(tuple(m for m, _ in picked))
+            nested = max(n for _, n in picked)
+        else:
+            node = nabla(node, [step])
+        pool.append((node, nested))
+    return pool[-1][0]
+
+
+def test_linear_form_matches_truncated_oracle_on_shared_trees_seeded():
+    rng = random.Random(1616)
+    syms = symbols("a b c", positive=True)
+    units = [unit(s) for s in syms]
+    for _ in range(40):
+        tree = _random_dag(rng, units, 7)
+        oracle = materialize_truncated(tree, 12)
+        queries = [p for p in oracle if all(c <= 4 for _, c in p.terms)]
+        queries += [_on_some(rng, units, _QUERY, 0) for _ in range(20)]
+        for x in queries:
+            assert atom_mass(tree, x) == oracle.get(x, 0), (tree, x)
+
+
+def test_cancelled_and_zero_forms_are_empty():
+    rng = random.Random(1717)
+    syms = symbols("a b c", positive=True)
+    units = [unit(s) for s in syms]
+    for _ in range(20):
+        m = _random_mixed_tree(rng, units, 3)
+        for zero in (Sum((m, Scale(-1, m))), Scale(0, m)):
+            assert zero._atoms == {} and zero._terms == ()
+            for _ in range(10):
+                assert atom_mass(zero, _on_some(rng, units, _QUERY, 0)) == 0
+
+
+def test_one_closure_at_several_offsets():
+    a, b = symbols("a b", positive=True)
+    ua, ub = unit(a), unit(b)
+    closure = JClosure(Sum((Dirac(ZERO), Scale(Fraction(1, 3), Dirac(ub)))), ua)
+    tree = Sum((
+        closure,
+        Shift(closure, ub),
+        Scale(Fraction(-1, 2), Shift(closure, Fraction(1, 2) * ua)),
+        Scale(2, Shift(closure, ub)),
+        Shift(Shift(closure, Fraction(1, 2) * ua), Fraction(1, 2) * ua),
+    ))
+    # Offsets 0, b, a/2 and a: the two at b merge into one term of weight 3.
+    assert sorted(t[5] for t in tree._terms) == [Fraction(-1, 2), 1, 1, 3]
+    assert [t[1] for t in tree._terms].count(None) == 1
+    oracle = materialize_truncated(tree, 12)
+    for x in lattice_box([Fraction(1, 2) * ua, Fraction(1, 3) * ub], -1, 7):
+        assert atom_mass(tree, x) == oracle.get(x, 0)
+
+
+def test_nabla_of_a_closure_merges_equal_offsets():
+    # Equal increments put 2^k translates of the closure at only k + 1
+    # offsets; increments on distinct symbols keep all 2^k apart.
+    syms = symbols("h g1 g2 g3 g4", positive=True)
+    uh, *others = [unit(s) for s in syms]
+    closure = JClosure(Dirac(uh), uh)
+    for k in range(1, 6):
+        equal = nabla(closure, (uh,) * k)
+        assert len(equal._terms) == k + 1
+        # The difference undoes one closure: what is left is nabla^(k-1) of the atom.
+        assert atom_mass(equal, k * uh) == (-1) ** (k - 1)
+    for k in range(1, 5):
+        distinct = nabla(closure, others[:k])
+        assert len(distinct._terms) == 2**k
+        assert atom_mass(distinct, uh + sum(others[:k], ZERO)) == (-1) ** k
