@@ -135,14 +135,16 @@ class _Parser:
             raise self.bad(f"bad {what}", tokens) from None
 
     def entries(self, tokens: list[Token], sep: str, message="empty list entry") -> list:
-        """``tokens`` split at each ``sep``; an empty entry fails at a ``sep`` next to it."""
-        groups = []
-        while tokens:
-            entry, mark, tokens = _cut(tokens, sep)
-            if not entry or mark and not tokens:
-                raise self.fail(message, [mark])
-            groups.append(entry)
-        return groups
+        """``tokens`` split at each ``sep``, in one pass; an empty entry
+        fails at a ``sep`` next to it."""
+        groups, start = [], 0
+        for i, tok in enumerate(tokens):
+            if tok.text == sep:
+                if i == start or i == len(tokens) - 1:
+                    raise self.fail(message, [tok])
+                groups.append(tokens[start:i])
+                start = i + 1
+        return groups + [tokens[start:]] if tokens else groups
 
     def point(self, tokens: list[Token]) -> Point:
         if not tokens:

@@ -1,9 +1,10 @@
 """Mixed higher-order forward/backward differences and convexity probes.
 
 Every mixed difference over ``hs`` is one expansion: the terms ``{e: c}``
-of ``prod((z**h - 1) for h in hs)``, multiplied out one increment at a
-time with equal keys merged, give the value ``sum(c * f(x + e))``.
-``_chain`` alone chooses the keys, by the function's type. A
+of ``prod((z**h - 1) for h in hs)``, multiplied out one run of equal
+adjacent increments at a time (a run of m is one binomial row) with equal
+keys merged, give the value ``sum(c * f(x + e))``. ``_chain`` alone
+chooses the keys, by the function's type. A
 ``Composite`` ``f = K(a(.))``, or ``c * f`` as ``Scaled``, is keyed by
 the scalars ``a(h)``, so the sum runs along one line:
 ``sum(c * K(a(x) + e))``, with every coefficient times ``c``. Any other
@@ -16,6 +17,7 @@ is the forward difference at ``x - sum(hs)``.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .basis import ZERO, Frozen, Point, Scalar, check_increment, exact, point_combine, subset_sums
@@ -36,9 +38,9 @@ def _checked(hs: Increments) -> tuple[Point, ...]:
 
 class _Expansion(PointFunction, Frozen):
     """The mixed difference as one expansion: ``factor * prod(z**s - 1)``
-    over the steps ``s``, multiplied out one step at a time into terms
-    ``{e: c}``, has the value ``sum(c * evaluate(project(x) + e))`` at
-    ``x``. Cancelled terms are kept, so ``evaluate`` reads every distinct
+    over the steps ``s``, multiplied out one run of equal adjacent steps
+    at a time into terms ``{e: c}``, has the value
+    ``sum(c * evaluate(project(x) + e))`` at ``x``. Cancelled terms are kept, so ``evaluate`` reads every distinct
     subset sum exactly once, in the order the recursive operator
     ``g(x + h) - g(x)`` (first increment outermost) first reads it; a zero
     factor leaves no terms and the value 0."""
@@ -49,16 +51,24 @@ class _Expansion(PointFunction, Frozen):
 
     def __init__(self, steps: Iterable, zero: object, project: Callable,
                  evaluate: Callable, factor: Scalar = 1):
-        poly: dict = {zero: 1} if factor else {}
-        for s in steps:
+        poly: dict = {zero: factor} if factor else {}
+        for s, run in groupby(steps):
+            # (z**s - 1)**m has the row (-1)**(m - j) * C(m, j) at z**(j*s),
+            # j = m..0, each entry from the one before; the j = 0 entry is
+            # left in b and keeps e itself as its key.
+            m = sum(1 for _ in run)
+            row, b = [], 1
+            for j in range(m, 0, -1):
+                row.append((j * s, b))
+                b = -b * j // (m - j + 1)
             nxt: dict = {}
             for e, c in poly.items():
-                up = e + s
-                nxt[up] = nxt.get(up, 0) + c
-                nxt[e] = nxt.get(e, 0) - c
+                for t, bj in row:
+                    up = e + t
+                    nxt[up] = nxt.get(up, 0) + c * bj
+                nxt[e] = nxt.get(e, 0) + c * b
             poly = nxt
-        terms = tuple((e, c * factor) for e, c in poly.items())
-        self.__dict__.update(project=project, evaluate=evaluate, terms=terms)
+        self.__dict__.update(project=project, evaluate=evaluate, terms=tuple(poly.items()))
 
     def value(self, x: Point) -> Scalar:
         base = self.project(x)

@@ -5,13 +5,14 @@ Closure nodes have infinite support, so measures are never materialized.
 Every node works on coordinate tuples over its basis, the sorted symbols
 of its subtree's points, and is folded at construction into one linear
 form there: merged atoms, plus merged closure leaves, each at an offset
-and with a weight. `Shift`, `Scale` and `Sum` only build forms, so a
-query reads the atoms and walks the closures; nothing recurses through
-them. A closure's form describes its inner measure. It walks a chain of
-translates whose length is read off the support floor, and memoises its
-masses, keyed by tuples over its own basis, for as long as the node
-lives. A closure is never cancelled against a difference: it stays a
-leaf that its walk evaluates.
+and with a weight. The support floor is folded with the form, as the
+minimum of the parts' floors in the same tuples, translated with them.
+`Shift`, `Scale` and `Sum` only build forms, so a query reads the atoms
+and walks the closures; nothing recurses through them. A closure's form
+describes its inner measure. It walks a chain of translates whose length
+is read off the support floor, and memoises its masses, keyed by tuples
+over its own basis, for as long as the node lives. A closure is never
+cancelled against a difference: it stays a leaf that its walk evaluates.
 """
 
 from __future__ import annotations
@@ -54,15 +55,18 @@ def _plus(a: tuple[Scalar, ...] | None, b: tuple[Scalar, ...] | None):
 
 
 class MeasureExpr(Frozen):
-    """Base class. `support_floor` bounds every support coordinate below.
-    Over `_basis`, `_own` is the node's atom or step and `_floor` its floor
-    as tuples, and `_atoms` and `_terms` are its linear form (a closure's
-    describes its inner measure). The mass at `v` is `_atoms.get(v, 0)`
-    plus, for each term `(closure, offset, keep, drop, zeros, c)` with
-    `w = v - offset` (`v` itself when `offset` is None) and
-    `drop(w) == zeros`, `c` times the closure's mass at `keep(w)`."""
+    """Base class. Over `_basis`, `_own` is the node's atom or step and
+    `_floor` bounds every support coordinate below, as tuples, and
+    `_atoms` and `_terms` are its linear form (a closure's describes its
+    inner measure). The mass at `v` is `_atoms.get(v, 0)` plus, for each
+    term `(closure, offset, keep, drop, zeros, c)` with `w = v - offset`
+    (`v` itself when `offset` is None) and `drop(w) == zeros`, `c` times
+    the closure's mass at `keep(w)`."""
 
-    support_floor: Point
+    @property
+    def support_floor(self) -> Point:
+        """The floor as a point: no support coordinate lies below it."""
+        return Point(zip(self._basis, self._floor))
 
     def _fill(
         self, parts: Sequence[tuple[Scalar, MeasureExpr | None]], own: Point = ZERO,
@@ -70,11 +74,19 @@ class MeasureExpr(Frozen):
     ) -> None:
         """Fold ``Σ c·child`` over ``parts`` into this node's form,
         translated by ``own`` when ``shift``. A child of None is the unit
-        atom at the origin, and a closure child is one term."""
+        atom at the origin, and a closure child is one term. The floor is
+        the coordinatewise minimum of the parts' floors (the unit atom's
+        is 0; a closure's is its inner's, since its support only grows
+        upward), translated likewise."""
         bases = (child._basis for _, child in parts if child is not None)
         basis = tuple(sorted(set(own.support).union(*bases)))
         own_coords = _coords(basis, own.terms)
         offset = own_coords if shift else None
+        floors = [
+            (0,) * len(basis) if child is None else _lift(basis, child._basis, child._floor)
+            for _, child in parts
+        ]
+        floor = _plus(tuple(map(min, zip(*floors))), offset)
         atoms: dict[tuple[Scalar, ...], Scalar] = {}
         terms: dict[tuple[JClosure, tuple[Scalar, ...] | None], Scalar] = {}
         for c, child in parts:
@@ -104,8 +116,7 @@ class MeasureExpr(Frozen):
                 pick = pickers[closure] = _picker(keep), _picker(drop), (0,) * len(drop)
             form.append((closure, off, *pick, exact(w)))
         self.__dict__.update(
-            fields, _basis=basis, _own=own_coords,
-            _floor=_coords(basis, fields["support_floor"].terms),
+            fields, _basis=basis, _own=own_coords, _floor=floor,
             _atoms={v: exact(w) for v, w in atoms.items() if w} if atoms else atoms,
             _terms=tuple(form),
         )
@@ -117,7 +128,7 @@ class Dirac(MeasureExpr):
     point: Point
 
     def __init__(self, point: Point):
-        self._fill([(1, None)], point, True, point=point, support_floor=point)
+        self._fill([(1, None)], point, True, point=point)
 
 
 class Shift(MeasureExpr):
@@ -129,22 +140,7 @@ class Shift(MeasureExpr):
     def __init__(self, inner: MeasureExpr, step: Point):
         if not is_positive_increment(step):
             raise InvalidIncrement(f"shift step must be a positive increment: {step}")
-        self._fill(
-            [(1, inner)], step, True, inner=inner, step=step,
-            support_floor=inner.support_floor + step,
-        )
-
-
-def _lowest(floors: Sequence[Point]) -> Point:
-    """The coordinatewise minimum of ``floors``, in one pass; a coordinate
-    a floor lacks counts as 0."""
-    low: dict[Symbol, Scalar] = {}
-    seen: dict[Symbol, int] = {}
-    for f in floors:
-        for s, c in f.terms:
-            low[s] = min(low.get(s, c), c)
-            seen[s] = seen.get(s, 0) + 1
-    return Point({s: c if seen[s] == len(floors) else min(c, 0) for s, c in low.items()})
+        self._fill([(1, inner)], step, True, inner=inner, step=step)
 
 
 class Sum(MeasureExpr):
@@ -154,10 +150,7 @@ class Sum(MeasureExpr):
         terms = tuple(terms)
         if not terms:
             raise ValueError("sum of measures needs at least one term")
-        self._fill(
-            [(1, t) for t in terms], terms=terms,
-            support_floor=_lowest([t.support_floor for t in terms]),
-        )
+        self._fill([(1, t) for t in terms], terms=terms)
 
 
 class Scale(MeasureExpr):
@@ -166,9 +159,7 @@ class Scale(MeasureExpr):
 
     def __init__(self, factor: Scalar, inner: MeasureExpr):
         factor = exact(factor)
-        self._fill(
-            [(factor, inner)], factor=factor, inner=inner, support_floor=inner.support_floor
-        )
+        self._fill([(factor, inner)], factor=factor, inner=inner)
 
 
 class JClosure(MeasureExpr):
@@ -181,11 +172,7 @@ class JClosure(MeasureExpr):
     def __init__(self, inner: MeasureExpr, step: Point):
         if not is_positive_increment(step):
             raise NonTerminatingJ(f"closure step must be a positive increment: {step}")
-        # Support only grows upward, so the inner floor is exact.
-        self._fill(
-            [(1, inner)], step, inner=inner, step=step, support_floor=inner.support_floor,
-            _memo={},
-        )
+        self._fill([(1, inner)], step, inner=inner, step=step, _memo={})
 
 
 def atom_mass(mu: MeasureExpr, x: Point) -> Scalar:

@@ -387,6 +387,51 @@ def test_repeated_increments_match_oracle():
             assert backward_diff(f, top, hs) == v
 
 
+def _one_step_terms(steps, zero, factor=1):
+    """The expansion multiplied out one step at a time: the reference for
+    the terms of the grouped expansion."""
+    poly = {zero: 1} if factor else {}
+    for s in steps:
+        nxt = {}
+        for e, c in poly.items():
+            up = e + s
+            nxt[up] = nxt.get(up, 0) + c
+            nxt[e] = nxt.get(e, 0) - c
+        poly = nxt
+    return [(e, c * factor) for e, c in poly.items()]
+
+
+def test_grouped_expansion_matches_one_step_loop_seeded():
+    # Adjacent and non-adjacent repeats, sums that coincide (u1 + u2 beside
+    # u1 and u2), and scalar steps that are zero (a(z) = 0), negative and
+    # fractional: the same keys and coefficients, in the same order.
+    h1, h2, z = symbols("h1 h2 z", positive=True)
+    u1, u2, uz = unit(h1), unit(h2), unit(z)
+    a = AdditiveFunctional({h1: -1, h2: Fraction(3, 2)})
+    pool = (u1, u2, u1 + u2, 2 * u1, Fraction(1, 2) * u2, uz)
+    rng = random.Random(1616)
+    for _ in range(300):
+        hs = ()
+        while len(hs) < 10 and rng.random() < 0.8:
+            hs += (rng.choice(pool),) * rng.randint(1, 4)
+        hs = hs or (rng.choice(pool),)
+        f = Composite(rng.choice(_KERNELS), a)
+        factor = rng.choice(_FACTORS)
+        point_keyed = differences._chain(SumOf((f,)), hs).terms
+        assert list(point_keyed) == _one_step_terms(hs, ZERO), hs
+        line = differences._chain(Scaled(factor, f), hs).terms
+        assert list(line) == _one_step_terms(map(a, hs), 0, factor), (hs, factor)
+
+
+def test_equal_increments_expand_as_one_binomial_row():
+    (h,) = symbols("h", positive=True)
+    u = unit(h)
+    f = SumOf((Composite(Identity(), AdditiveFunctional({h: 1})),))
+    for k in (1, 2, 3, 7, 64, 500, 2000):
+        terms = differences._chain(f, (u,) * k).terms
+        assert terms == tuple((j * u, (-1) ** (k - j) * math.comb(k, j)) for j in range(k, -1, -1))
+
+
 def test_probe_chain_sharing_matches_fresh_differences():
     # The samples of one step share one expansion of the repeated
     # increments: later samples reuse the terms built for the first.

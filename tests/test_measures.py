@@ -526,9 +526,36 @@ def test_closure_shared_by_roots_over_different_bases():
         assert atom_mass(shifted, x + uc) == oracle.get(x + uc, 0)
 
 
+def _constructor_floor(expr, seen):
+    """The support floor by the rules the constructors applied to points:
+    a Dirac's point, a shift's inner floor plus its step, a sum's termwise
+    minimum (a coordinate a floor lacks counts as 0), and a scale's or a
+    closure's inner floor. Every node it reaches must report that floor
+    as its ``support_floor``."""
+    floor = seen.get(expr)
+    if floor is None:
+        if isinstance(expr, Dirac):
+            floor = expr.point
+        elif isinstance(expr, Shift):
+            floor = _constructor_floor(expr.inner, seen) + expr.step
+        elif isinstance(expr, Sum):
+            floors = [_constructor_floor(t, seen) for t in expr.terms]
+            floor = point_combine(
+                (min(g.coordinate(s) for g in floors), unit(s))
+                for s in {s for f in floors for s in f.support}
+            )
+        else:
+            floor = _constructor_floor(expr.inner, seen)
+        assert expr.support_floor == floor, expr
+        seen[expr] = floor
+    return floor
+
+
 def test_sum_floor_matches_the_termwise_minimum_seeded():
-    # The floor is one pass over the terms' floors; it must equal the
-    # minimum over every term per coordinate, an absent one counting as 0.
+    # Every node takes its floor in its linear form, as the minimum of its
+    # parts' floors; it must equal the floor of the constructor rules on
+    # every node of sums with mixed supports, of closures and nabla steps
+    # over them, of mixed-basis trees and of shared DAGs.
     rng = random.Random(1515)
     syms = symbols("a b c d", positive=True)
     units = [unit(s) for s in syms]
@@ -538,12 +565,17 @@ def test_sum_floor_matches_the_termwise_minimum_seeded():
             if rng.random() < 0.3 else Dirac(_on_some(rng, units, _ATOM, 0))
             for _ in range(rng.randint(1, 6))
         )
-        floors = [t.support_floor for t in terms]
-        termwise = point_combine(
-            (min(g.coordinate(s) for g in floors), unit(s))
-            for s in {s for f in floors for s in f.support}
-        )
-        assert Sum(terms).support_floor == termwise
+        steps = [_on_some(rng, units, _STEP, 1) for _ in range(2)]
+        seen = {}
+        for root in (
+            Sum(terms),
+            JClosure(Scale(Fraction(-1, 2), Sum(terms)), steps[0]),
+            nabla(Sum(terms), steps),
+            Shift(nabla(JClosure(terms[0], steps[1]), steps[:1]), steps[0]),
+            _random_mixed_tree(rng, units, 3),
+            _random_dag(rng, units, 7),
+        ):
+            _constructor_floor(root, seen)
 
 
 def _random_dag(rng, units, size):
