@@ -2,12 +2,14 @@
 
 Symbols are opaque tokens assumed rationally independent; they are never
 tied to real-number values, so every computation downstream is exact.
+A point is assembled by one ``point_combine``, which sorts once; ``+``,
+``*`` and ``unit`` are the fast paths for two operands or one symbol.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
@@ -82,10 +84,7 @@ class Point:
 
     def __init__(self, coords: Mapping[Symbol, Scalar] | Iterable[tuple[Symbol, Scalar]] = ()):
         items = coords.items() if isinstance(coords, Mapping) else coords
-        acc: dict[Symbol, Scalar] = {}
-        for sym, c in items:
-            acc[sym] = acc.get(sym, 0) + exact(c)
-        self._terms = _sorted_terms({s: exact(c) for s, c in acc.items() if c})
+        self._terms = point_combine((c, unit(s)) for s, c in items)._terms
         self._hash = None
 
     @classmethod
@@ -131,16 +130,7 @@ class Point:
     def __sub__(self, other: "Point") -> "Point":
         if not isinstance(other, Point):
             return NotImplemented
-        if not other._terms:
-            return self
-        acc = dict(self._terms)
-        for s, c in other._terms:
-            q = acc.get(s, 0) - c
-            if q:
-                acc[s] = q if type(q) is int else exact(q)
-            else:
-                del acc[s]
-        return Point._wrap(_sorted_terms(acc))
+        return point_combine(((1, self), (-1, other)))
 
     def __mul__(self, scalar: Scalar) -> "Point":
         q = exact(scalar)
@@ -185,7 +175,7 @@ def _sorted_terms(acc: dict[Symbol, Scalar]) -> tuple[tuple[Symbol, Scalar], ...
 
 
 #: The zero point (empty support).
-ZERO = Point()
+ZERO = Point._wrap(())
 
 
 def unit(sym: Symbol) -> Point:
@@ -193,24 +183,21 @@ def unit(sym: Symbol) -> Point:
     return Point._wrap(((sym, 1),))
 
 
-def subset_sums(x: Point, hs: Sequence[Point]) -> Iterator[tuple[int, Point]]:
-    """``(size, x + sum of the subset)`` for every subset of ``hs``: sizes
-    descending, subsets in index-lexicographic order within a size."""
+def subset_sums(x: Point, hs: Sequence[Point]) -> Iterator[tuple[tuple[int, ...], Point]]:
+    """``(subset, x + sum(hs[i] for i in subset))`` for every tuple of
+    indices into ``hs``: sizes descending, index-lexicographic within a
+    size. This is the one enumeration of the subset sums; each is
+    assembled by one ``point_combine``."""
     for size in range(len(hs), -1, -1):
-        for subset in combinations(hs, size):
-            p = x
-            for h in subset:
-                p = p + h
-            yield size, p
+        for subset in combinations(range(len(hs)), size):
+            yield subset, point_combine(((1, x), *((1, hs[i]) for i in subset)))
 
 
 def lattice_box(units: Sequence[Point], lo: int, hi: int) -> list[Point]:
     """Every combination of ``units`` with integer coefficients in
     ``lo..hi``, the first unit varying slowest."""
-    pts = [ZERO]
-    for u in units:
-        pts = [p + c * u for p in pts for c in range(lo, hi + 1)]
-    return pts
+    return [point_combine(zip(cs, units))
+            for cs in product(range(lo, hi + 1), repeat=len(units))]
 
 
 def sample_box(rng, units: Sequence[Point], lo: int, hi: int, k: int) -> list[Point]:

@@ -87,28 +87,31 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = verify.add_subparsers(dest="scenario", required=True)
     # The verify scenarios: runner, batch orders when --n is omitted (none:
     # it takes no --n), when an order above LARGE_ORDER needs --allow-large,
-    # and what such an order costs. The parser is cached, so it holds each
-    # runner's name, not the function: ``main`` looks the name up in this
-    # module on every call, and a wrapper installed on it at any time (the
-    # benchmark's tracer, a test's monkeypatch) is the one called.
-    for name, runner, batch, guard, large_cost in (
+    # and what such an order costs, with {n} the order and {m} = n + 1: the
+    # help text, the error and the warning all read this one cost. The
+    # parser is cached, so it holds each runner's name, not the function:
+    # ``main`` looks the name up in this module on every call, and a wrapper
+    # installed on it at any time (the benchmark's tracer, a test's
+    # monkeypatch) is the one called.
+    for name, runner, batch, guard, cost in (
         ("theorem23", "verify_theorem_2_3", (1, 3, 5, 7, 9, 11), _human_trace,
-         "with a human-format --trace (a 2^(n+1)-row table)"),
+         "a 2^{m}-row table for a human-format --trace"),
         ("section31", "verify_section_3_1", (), None, ""),
         ("section32", "verify_section_3_2", (), None, ""),
         ("lemma44", "verify_lemma_4_4", (1, 3, 5), lambda args: True,
-         "((n+1)*2^n-point A-sets)"),
+         "{m}*2^{n}-point A-sets"),
         ("lemma46", "verify_lemma_4_6", (1, 3, 5), lambda args: True,
-         "((n+1)*2^n-point A-sets)"),
+         "{m}*2^{n}-point A-sets"),
     ):
         p = vsub.add_parser(name, parents=flags)
         if batch:
             p.add_argument("--n", type=int, default=None, help="odd order (default: batch)")
             p.add_argument(
                 "--allow-large", action="store_true",
-                help=f"permit orders above {LARGE_ORDER} {large_cost}",
+                help=f"permit orders above {LARGE_ORDER} that need "
+                + cost.format(n="n", m="(n+1)"),
             )
-        p.set_defaults(runner=runner, batch=batch, guard=guard)
+        p.set_defaults(runner=runner, batch=batch, guard=guard, cost=cost)
 
     p = vsub.add_parser("prop43", parents=flags)
     p.add_argument("--trials", type=int, default=100)
@@ -137,15 +140,10 @@ def _calls(args: argparse.Namespace) -> list[tuple]:
     if args.n is None:
         return [(n,) for n in args.batch]
     if args.n > LARGE_ORDER and args.guard(args):
+        cost = args.cost.format(n=args.n, m=args.n + 1)
         if not args.allow_large:
-            raise UsageError(
-                f"order {args.n} needs 2^{args.n + 1} evaluations; "
-                "pass --allow-large to proceed"
-            )
-        print(
-            f"warning: order {args.n} needs 2^{args.n + 1} evaluations; this may take a while",
-            file=sys.stderr,
-        )
+            raise UsageError(f"order {args.n} needs {cost}; pass --allow-large to proceed")
+        print(f"warning: order {args.n} needs {cost}; this may take a while", file=sys.stderr)
     return [(args.n,)]
 
 

@@ -38,7 +38,8 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .basis import (
-    ZERO, AdditiveFunctional, Point, Symbol, is_positive_increment, lattice_box, unit,
+    ZERO, AdditiveFunctional, Point, Symbol, is_positive_increment, lattice_box, point_combine,
+    unit,
 )
 from .differences import backward_diff, forward_diff, jensen_convexity_probe
 from .errors import (
@@ -151,13 +152,13 @@ class _Parser:
             raise self.fail("empty point expression")
         if len(tokens) == 1 and (tokens[0].text == "0" or tokens[0].text in self.defn.points):
             return self.defn.points.get(tokens[0].text, ZERO)
-        acc = ZERO
+        terms = []
         for term in self.entries(tokens, "+", "empty term in point expression"):
             coeff_tokens, star, sym_tokens = _cut(term, "*")
             coeff = 1 if star is None else self.number(coeff_tokens)
             sym = self.lookup(coeff_tokens if star is None else sym_tokens, self.defn.symbols)
-            acc = acc + coeff * unit(sym)
-        return acc
+            terms.append((coeff, unit(sym)))
+        return point_combine(terms)
 
     def increment(self, tokens: list[Token]) -> Point:
         p = self.point(tokens)
@@ -263,19 +264,25 @@ class _Parser:
             raise self.fail("measure constructor needs parentheses", expr)
         args = self.entries(body[:-1], ",")
         head = self.span(head_tokens)
-        measure_arg = partial(self.lookup, table=self.defn.measures)
-        if head == "dirac" and len(args) == 1:
-            built: MeasureExpr = Dirac(self.point(args[0]))
-        elif head == "shift" and len(args) == 2:
-            built = Shift(measure_arg(args[0]), self.increment(args[1]))
-        elif head == "scale" and len(args) == 2:
-            built = Scale(self.number(args[0]), measure_arg(args[1]))
-        elif head == "sum" and args:
-            built = Sum(tuple(measure_arg(a) for a in args))
-        elif head == "jclosure" and len(args) == 2:
-            built = JClosure(measure_arg(args[0]), self.increment(args[1]))
-        else:
+        if head not in _ARITY:
             raise self.bad("unknown measure constructor", head_tokens)
+        arity = _ARITY[head]
+        if arity and len(args) != arity:
+            plural = "s" if arity > 1 else ""
+            raise self.fail(f"{head} takes {arity} argument{plural}, got {len(args)}", head_tokens)
+        if not args:
+            raise self.fail(f"{head} needs at least one measure", head_tokens)
+        measure_arg = partial(self.lookup, table=self.defn.measures)
+        if head == "dirac":
+            built: MeasureExpr = Dirac(self.point(args[0]))
+        elif head == "shift":
+            built = Shift(measure_arg(args[0]), self.increment(args[1]))
+        elif head == "scale":
+            built = Scale(self.number(args[0]), measure_arg(args[1]))
+        elif head == "sum":
+            built = Sum(tuple(measure_arg(a) for a in args))
+        else:
+            built = JClosure(measure_arg(args[0]), self.increment(args[1]))
         self.defn.measures[name] = built
 
     def stmt_eval(self, tokens: list[Token]) -> None:
@@ -384,6 +391,9 @@ class _Parser:
             pass
         raise self.bad("bad range", tokens)
 
+
+# The arguments each measure constructor takes; 0 for one or more (sum).
+_ARITY = {"dirac": 1, "shift": 2, "scale": 2, "sum": 0, "jclosure": 2}
 
 _HANDLERS = {key: getattr(_Parser, f"stmt_{key}") for key in (
     "symbol", "additive", "point", "function", "measure", "eval")}

@@ -4,20 +4,22 @@ Every mixed difference over ``hs`` is one expansion: the terms ``{e: c}``
 of ``prod((z**h - 1) for h in hs)``, multiplied out one run of equal
 adjacent increments at a time (a run of m is one binomial row) with equal
 keys merged, give the value ``sum(c * f(x + e))``. ``_chain`` alone
-chooses the keys, by the function's type. A
-``Composite`` ``f = K(a(.))``, or ``c * f`` as ``Scaled``, is keyed by
-the scalars ``a(h)``, so the sum runs along one line:
-``sum(c * K(a(x) + e))``, with every coefficient times ``c``. Any other
-function is keyed by the points ``h`` themselves and read once at each
-distinct subset sum. There is no memo. The alternating subset-sum
-expansion is the independent oracle, and the only route behind
-``difference_table``. The backward difference is not a further route: it
-is the forward difference at ``x - sum(hs)``.
+chooses the keys, by the function's type. A ``Composite`` ``f = K(a(.))``,
+or ``c * f`` as ``Scaled``, is keyed by the scalars ``a(h)``, so the sum
+runs along one line: ``sum(c * K(a(x) + e))``, with every coefficient
+times ``c``. Any other function is keyed by the points ``h`` themselves
+and read once at each distinct subset sum. There is no memo. The
+alternating subset-sum expansion is the independent oracle:
+``difference_table`` alone signs its rows, ``group_sums`` alone totals
+them by subset size, and ``forward_diff_closed`` sums the signed rows.
+The backward difference is not a further route: it is the forward
+difference at ``x - sum(hs)``.
 """
 
 from __future__ import annotations
 
 from itertools import groupby
+from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .basis import ZERO, Frozen, Point, Scalar, check_increment, exact, point_combine, subset_sums
@@ -40,10 +42,11 @@ class _Expansion(PointFunction, Frozen):
     """The mixed difference as one expansion: ``factor * prod(z**s - 1)``
     over the steps ``s``, multiplied out one run of equal adjacent steps
     at a time into terms ``{e: c}``, has the value
-    ``sum(c * evaluate(project(x) + e))`` at ``x``. Cancelled terms are kept, so ``evaluate`` reads every distinct
-    subset sum exactly once, in the order the recursive operator
-    ``g(x + h) - g(x)`` (first increment outermost) first reads it; a zero
-    factor leaves no terms and the value 0."""
+    ``sum(c * evaluate(project(x) + e))`` at ``x``. Cancelled terms are
+    kept, so ``evaluate`` reads every distinct subset sum exactly once, in
+    the order the recursive operator ``g(x + h) - g(x)`` (first increment
+    outermost) first reads it; a zero factor leaves no terms and the
+    value 0."""
 
     project: Callable[[Point], object]
     evaluate: Callable[[object], Scalar]
@@ -100,14 +103,9 @@ def forward_diff(f: PointFunction, x: Point, hs: Increments) -> Scalar:
 
 
 def forward_diff_closed(f: PointFunction, x: Point, hs: Increments) -> Scalar:
-    """Same value via the alternating sum over all subsets of ``hs``."""
-    hs = _checked(hs)
-    k = len(hs)
-    total = 0
-    for size, p in subset_sums(x, hs):
-        v = f.value(p)
-        total += -v if (k - size) % 2 else v
-    return total
+    """Same value via the alternating sum over all subsets of ``hs``: the
+    signed rows of ``difference_table``, never ``_Expansion``."""
+    return sum(row.sign * row.value for row in difference_table(f, x, hs))
 
 
 def backward_diff(f: PointFunction, x: Point, hs: Increments) -> Scalar:
@@ -135,9 +133,19 @@ def difference_table(f: PointFunction, x: Point, hs: Increments) -> tuple[TableR
     hs = _checked(hs)
     k = len(hs)
     return tuple(
-        TableRow(size, p, f.value(p), -1 if (k - size) % 2 else 1)
-        for size, p in subset_sums(x, hs)
+        TableRow(len(subset), p, f.value(p), -1 if (k - len(subset)) % 2 else 1)
+        for subset, p in subset_sums(x, hs)
     )
+
+
+def group_sums(rows: Iterable[TableRow]) -> list[tuple[int, int, Scalar]]:
+    """``(size, sign, sum of the values)`` for each run of equal sizes in
+    ``rows``, a ``difference_table``, in table order."""
+    out = []
+    for size, group in groupby(rows, attrgetter("size")):
+        group = list(group)
+        out.append((size, group[0].sign, sum(row.value for row in group)))
+    return out
 
 
 class Violation(NamedTuple):

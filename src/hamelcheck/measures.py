@@ -285,11 +285,12 @@ class ASets(NamedTuple):
 
 
 def build_a_sets(syms: Sequence[Symbol]) -> ASets:
-    """Enumerate, for each symbol, its unit point plus every 0/1
-    combination of the others, and the union over all symbols."""
+    """The 0/1 combinations of the unit points, enumerated once: ``A_i``
+    is the sums whose subset contains index i, and the union is every
+    nonempty subset's sum."""
     pts = _unit_increments(syms)
-    parts = [
-        frozenset(p for _, p in subset_sums(base, pts[:i] + pts[i + 1:]))
-        for i, base in enumerate(pts)
-    ]
-    return ASets(tuple(parts), frozenset().union(*parts))
+    parts: list[list[Point]] = [[] for _ in pts]
+    for subset, p in subset_sums(ZERO, pts):
+        for i in subset:
+            parts[i].append(p)
+    return ASets(tuple(map(frozenset, parts)), frozenset().union(*parts))

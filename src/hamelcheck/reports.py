@@ -9,7 +9,7 @@ import json
 from typing import Callable, NamedTuple, Sequence, Union
 
 from .basis import Scalar, exact
-from .differences import TableRow
+from .differences import TableRow, group_sums
 
 Value = Union[Scalar, bool]
 
@@ -85,18 +85,13 @@ def _json_value(v: Value):
 
 def render_trace(rows: Sequence[TableRow]) -> list[str]:
     """Evaluation table grouped by subset size, with per-group signed sums."""
-    lines: list[str] = []
-    sums: list[tuple[int, Scalar]] = []
-    current = None
-    for row in rows:
-        if row.size != current:
-            current = row.size
-            sums.append((row.sign, 0))
-        sums[-1] = (row.sign, sums[-1][1] + row.value)
-        mark = "+" if row.sign > 0 else "-"
-        lines.append(f"    [{mark}] size {row.size}: f({row.point}) = {row.value}")
-    total = sum(sign * s for sign, s in sums)
-    grouped = " ".join(f"{'+' if sign > 0 else '-'}{s}" for sign, s in sums)
+    lines = [
+        f"    [{'+' if row.sign > 0 else '-'}] size {row.size}: f({row.point}) = {row.value}"
+        for row in rows
+    ]
+    sums = group_sums(rows)
+    total = sum(sign * s for _, sign, s in sums)
+    grouped = " ".join(f"{'+' if sign > 0 else '-'}{s}" for _, sign, s in sums)
     lines.append(f"    group sums: {grouped} = {total}")
     return lines
 

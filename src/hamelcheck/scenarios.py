@@ -13,7 +13,6 @@ import random
 from .basis import (
     ZERO,
     AdditiveFunctional,
-    Scalar,
     Symbol,
     point_combine,
     sample_box,
@@ -24,6 +23,7 @@ from .differences import (
     backward_diff,
     difference_table,
     forward_diff,
+    group_sums,
     jensen_convexity_probe,
 )
 from .errors import EvenOrder, UnknownCandidate
@@ -112,8 +112,6 @@ def verify_section_3_1() -> Report:
     _, units, _, f, _ = _standard_setup(3)
     rb = ReportBuilder("section31")
     rows = difference_table(f, ZERO, units)
-    total = 0
-    group_sums: dict[int, Scalar] = {}
     for row, expected in zip(rows, _WALKTHROUGH_VALUES):
         rb.claim(
             f"value[{row.point}]",
@@ -121,19 +119,18 @@ def verify_section_3_1() -> Report:
             row.value,
             expected,
         )
-        group_sums[row.size] = group_sums.get(row.size, 0) + row.value
-        total += row.sign * row.value
-    for size in sorted(group_sums, reverse=True):
+    groups = group_sums(rows)
+    for size, _, value in groups:
         rb.claim(
             f"group-sum-{size}",
             f"sum of the size-{size} evaluations",
-            group_sums[size],
+            value,
             _WALKTHROUGH_GROUP_SUMS[size],
         )
     rb.claim(
         "alternating-total",
         "8 - 30 + 24 - 3 + 0",
-        total,
+        sum(sign * value for _, sign, value in groups),
         -1,
     )
     rb.make_trace = lambda: rows

@@ -16,7 +16,8 @@ from hamelcheck import (
     symbols,
     unit,
 )
-from hamelcheck.basis import check_increment
+from hamelcheck.basis import check_increment, lattice_box, subset_sums
+from hamelcheck.definitions import parse_definition
 from hamelcheck.differences import Violation
 from hamelcheck.functions import Composite, PositivePartPower
 from hamelcheck.measures import Dirac, JClosure
@@ -151,6 +152,77 @@ def test_point_combine_round_trip_seeded():
         assert all(p.coordinate(s) == c for s, c in coords.items())
         rebuilt = point_combine((c, unit(s)) for s, c in p.terms)
         assert rebuilt == p
+
+
+def test_subset_sums_yield_each_index_subset_once_in_order():
+    a, b, c = (unit(s) for s in symbols("a b c", positive=True))
+    # Equal points at different indices are different subsets.
+    hs = (a, b, a, 2 * c)
+    x = Fraction(1, 2) * b
+    got = list(subset_sums(x, hs))
+    expected = sorted(
+        (tuple(i for i in range(4) if mask >> i & 1) for mask in range(16)),
+        key=lambda subset: (-len(subset), subset),
+    )
+    assert [subset for subset, _ in got] == expected
+    for subset, p in got:
+        chained = x
+        for i in subset:
+            chained = chained + hs[i]
+        assert p == chained
+    assert list(subset_sums(x, ())) == [((), x)]
+
+
+def _chained(pairs):
+    """``sum(c * unit(s))`` over ``(s, c)`` pairs, one ``+`` per term."""
+    acc = ZERO
+    for s, c in pairs:
+        acc = acc + c * unit(s)
+    return acc
+
+
+def _same(p, q):
+    """Equal points whose coordinates also have the same int/Fraction form."""
+    return p == q and [type(c) for _, c in p.terms] == [type(c) for _, c in q.terms]
+
+
+def test_combined_points_match_chained_arithmetic_seeded():
+    # Point(pairs), p - q, lattice_box and parsed points are each built by
+    # one point_combine; the chained + and * route is independent of it.
+    rng = random.Random(717)
+    pool = symbols("a b c d e", positive=True)
+
+    def rational():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    for _ in range(200):
+        pairs = [(rng.choice(pool), rational()) for _ in range(rng.randint(0, 7))]
+        p = Point(pairs)
+        assert _same(p, _chained(pairs))
+        assert _same(Point(dict(pairs)), _chained(dict(pairs).items()))
+        q = Point((rng.choice(pool), rational()) for _ in range(rng.randint(0, 7)))
+        assert _same(p - q, p + (-1) * q)
+        assert _same(p - p, ZERO)
+
+    for _ in range(30):
+        units = [rational() * unit(s) for s in rng.sample(pool, rng.randint(0, 3))]
+        lo = rng.randint(-2, 1)
+        hi = lo + rng.randint(0, 2)
+        chained = [ZERO]
+        for u in units:
+            chained = [p + c * u for p in chained for c in range(lo, hi + 1)]
+        box = lattice_box(units, lo, hi)
+        assert len(box) == len(chained)
+        assert all(_same(p, q) for p, q in zip(box, chained))
+
+    header = "".join(f"symbol {s.name} positive\n" for s in pool)
+    for _ in range(50):
+        pairs = [(rng.choice(pool), rational()) for _ in range(rng.randint(1, 6))]
+        text = " + ".join(
+            s.name if c == 1 and rng.random() < 0.5 else f"{c}*{s.name}" for s, c in pairs
+        )
+        parsed = parse_definition(header + f"point p = {text}\n").points["p"]
+        assert _same(parsed, _chained(pairs))
 
 
 def test_equality_is_congruence_for_combine():

@@ -125,6 +125,32 @@ def test_commands_call_the_runner_bound_in_cli(monkeypatch, capsys, argv, name):
     assert code == 0 and len(calls) == 1
 
 
+@pytest.mark.parametrize("argv, name, cost", [
+    (["lemma44"], "verify_lemma_4_4", "14*2^13-point A-sets"),
+    (["lemma46"], "verify_lemma_4_6", "14*2^13-point A-sets"),
+    (["theorem23", "--trace"], "verify_theorem_2_3", "a 2^14-row table for a human-format --trace"),
+])
+def test_large_orders_quote_their_own_cost(monkeypatch, capsys, argv, name, cost):
+    # The error, the warning and --help read one cost per scenario: the
+    # A-sets for the closure lemmas, the trace table for theorem23.
+    code, out, err = run_cli(capsys, "verify", *argv, "--n", "13")
+    assert (code, out) == (2, "")
+    assert err == f"error: order 13 needs {cost}; pass --allow-large to proceed\n"
+    # With the flag the same cost is a warning; the runner is swapped for
+    # order 1 so that the test stays fast.
+    runner = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda n: runner(1))
+    code, _, err = run_cli(capsys, "verify", *argv, "--n", "13", "--allow-large")
+    assert code == 0
+    assert err == f"warning: order 13 needs {cost}; this may take a while\n"
+    # Wide enough that argparse does not wrap the help at a hyphen.
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit):
+        main(["verify", argv[0], "--help"])
+    symbolic = cost.replace("14", "(n+1)").replace("13", "n")
+    assert f"orders above 11 that need {symbolic}" in " ".join(capsys.readouterr().out.split())
+
+
 def test_a_second_call_builds_no_parser(monkeypatch, capsys):
     assert run_cli(capsys, "verify", "section32")[0] == 0
     built = []

@@ -218,7 +218,12 @@ WITH_FUNCTION = BASE + "function pospartpow 2 of a\n"
     ("measure q = dirac", 13, "measure constructor needs parentheses"),
     ("measure q = blend(m)", 13, "unknown measure constructor 'blend'"),
     ("measure q = shift(mm, s)", 19, "unknown name 'mm'"),
-    ("measure q = dirac(p, s)", 13, "unknown measure constructor 'dirac'"),
+    ("measure q = dirac(p, s)", 13, "dirac takes 1 argument, got 2"),
+    ("measure q = dirac()", 13, "dirac takes 1 argument, got 0"),
+    ("measure q = shift(m)", 13, "shift takes 2 arguments, got 1"),
+    ("measure q = scale(2)", 13, "scale takes 2 arguments, got 1"),
+    ("measure q = jclosure(m)", 13, "jclosure takes 2 arguments, got 1"),
+    ("measure q = sum()", 13, "sum needs at least one measure"),
     ("function", 1, "expected a function form"),
     ("function pospartpow 2", 1, "expected: function pospartpow <n> of <func>"),
     ("function pospartpow x of a", 21, "bad power 'x'"),

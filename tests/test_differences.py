@@ -33,6 +33,7 @@ from hamelcheck import (
     wright_convexity_probe,
 )
 from hamelcheck.basis import exact, subset_sums
+from hamelcheck.differences import group_sums
 from helpers import random_tabulated_instance, standard_function
 
 
@@ -142,7 +143,10 @@ def test_difference_table_structure():
     assert len(rows) == 16
     assert [r.size for r in rows] == [4] + [3] * 4 + [2] * 6 + [1] * 4 + [0]
     assert [r.value for r in rows] == [8, 1, 1, 1, 27, 0, 0, 0, 8, 8, 8, 0, 1, 1, 1, 0]
+    assert [r.sign for r in rows] == [(-1) ** (4 - r.size) for r in rows]
     assert sum(r.sign * r.value for r in rows) == -1
+    # The walkthrough's 8 - 30 + 24 - 3 + 0.
+    assert group_sums(rows) == [(4, 1, 8), (3, -1, 30), (2, 1, 24), (1, -1, 3), (0, 1, 0)]
 
 
 def test_jensen_probe_clean_on_lattice():

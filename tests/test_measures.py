@@ -187,7 +187,9 @@ def test_build_a_sets_counts():
 
 
 def test_build_a_sets_matches_mask_enumeration():
-    for n in range(1, 7):
+    # The oracle builds each A_i on its own, by chained additions over a
+    # bit mask; build_a_sets filters one enumeration of every subset.
+    for n in range(1, 10):
         syms, units = _units(n)
         expected = []
         for i, base in enumerate(units):
