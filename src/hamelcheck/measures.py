@@ -10,9 +10,11 @@ minimum of the parts' floors in the same tuples, translated with them.
 `Shift`, `Scale` and `Sum` only build forms, so a query reads the atoms
 and walks the closures; nothing recurses through them. A closure's form
 describes its inner measure. It walks a chain of translates whose length
-is read off the support floor, and memoises its masses, keyed by tuples
-over its own basis, for as long as the node lives. A closure is never
-cancelled against a difference: it stays a leaf that its walk evaluates.
+is read off the support floor. Every node memoises the masses asked of
+it, keyed by tuples over its own basis, for as long as the node lives: a
+closure each point of its walk, any other node the total of its form. A
+closure is never cancelled against a difference: it stays a leaf that
+its walk evaluates.
 """
 
 from __future__ import annotations
@@ -61,7 +63,8 @@ class MeasureExpr(Frozen):
     inner measure). The mass at `v` is `_atoms.get(v, 0)` plus, for each
     term `(closure, offset, keep, drop, zeros, c)` with `w = v - offset`
     (`v` itself when `offset` is None) and `drop(w) == zeros`, `c` times
-    the closure's mass at `keep(w)`."""
+    the closure's mass at `keep(w)`. `_memo` maps each such `v` already
+    answered to the node's mass there."""
 
     @property
     def support_floor(self) -> Point:
@@ -116,7 +119,7 @@ class MeasureExpr(Frozen):
                 pick = pickers[closure] = _picker(keep), _picker(drop), (0,) * len(drop)
             form.append((closure, off, *pick, exact(w)))
         self.__dict__.update(
-            fields, _basis=basis, _own=own_coords, _floor=floor,
+            fields, _basis=basis, _own=own_coords, _floor=floor, _memo={},
             _atoms={v: exact(w) for v, w in atoms.items() if w} if atoms else atoms,
             _terms=tuple(form),
         )
@@ -172,14 +175,16 @@ class JClosure(MeasureExpr):
     def __init__(self, inner: MeasureExpr, step: Point):
         if not is_positive_increment(step):
             raise NonTerminatingJ(f"closure step must be a positive increment: {step}")
-        self._fill([(1, inner)], step, inner=inner, step=step, _memo={})
+        self._fill([(1, inner)], step, inner=inner, step=step)
 
 
 def atom_mass(mu: MeasureExpr, x: Point) -> Scalar:
     """Exact signed mass of the atom of ``mu`` at ``x``.
 
     Closure nodes sum finitely many translates: each step lowers some
-    coordinate, and below the support floor every mass is zero.
+    coordinate, and below the support floor every mass is zero. Every
+    node memoises its answers by the coordinate tuple of ``x``, so a
+    repeated query reads one dict entry.
     """
     coords = dict(x.terms)
     v = tuple([coords.pop(s, 0) for s in mu._basis])
@@ -188,11 +193,16 @@ def atom_mass(mu: MeasureExpr, x: Point) -> Scalar:
         return 0
     if type(mu) is JClosure:
         return _closure_mass(mu, v)
+    memo = mu._memo
+    total = memo.get(v)
+    if total is not None:
+        return total
     total = mu._atoms.get(v, 0)
     for closure, off, keep, drop, zeros, c in mu._terms:
         w = v if off is None else tuple(map(sub, v, off))
         if drop(w) == zeros:
             total += c * _closure_mass(closure, keep(w))
+    memo[v] = total
     return total
 
 

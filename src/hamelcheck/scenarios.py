@@ -241,8 +241,9 @@ def verify_lemma_4_4(n: int) -> Report:
         True,
     )
 
+    delta1 = Dirac(h1)
     ok_e = all(
-        max(atom_mass(mu, x), 0) == atom_mass(mu, x) + atom_mass(Dirac(h1), x)
+        max(atom_mass(mu, x), 0) == atom_mass(mu, x) + atom_mass(delta1, x)
         for x in a_sets.union
     )
     rb.claim(
@@ -361,7 +362,8 @@ def _random_instance(rng: random.Random):
 
     hi = 55 if nsym == 1 else 7 if nsym == 2 else 5
     probes = sample_box(rng, units, -1, hi, 50)
-    probes.extend(p for _, p in atoms if p not in set(probes))
+    sampled = set(probes)
+    probes.extend(p for p in dict.fromkeys(p for _, p in atoms) if p not in sampled)
     return nu, hs, probes
 
 

@@ -14,6 +14,7 @@ from hamelcheck import (
     JClosure,
     MeasureMass,
     NonTerminatingJ,
+    Point,
     PointwisePower,
     Scale,
     Scaled,
@@ -666,3 +667,81 @@ def test_nabla_of_a_closure_merges_equal_offsets():
         distinct = nabla(closure, others[:k])
         assert len(distinct._terms) == 2**k
         assert atom_mass(distinct, uh + sum(others[:k], ZERO)) == (-1) ** k
+
+
+def _memo_roots(ua, ub):
+    """A closure, its inner form, and non-closure roots over it: a sum with
+    an atom, a scaling, a shift and a nabla result, all over the basis
+    ``(a, b)`` except the inner form, whose basis is ``(a,)``."""
+    inner = Sum((Dirac(ZERO), Scale(Fraction(1, 2), Dirac(2 * ua))))
+    closure = JClosure(inner, ua)
+    return [
+        inner,
+        closure,
+        Sum((closure, Dirac(ub))),
+        Scale(3, Shift(closure, ub)),
+        Shift(closure, ua + ub),
+        nabla(Shift(closure, ub), [ua, ub]),
+    ]
+
+
+def test_every_node_answers_repeats_as_a_fresh_tree_seeded():
+    # Each root memoises its own totals. Two rounds of shuffled queries,
+    # interleaved across roots and asked through equal but distinct
+    # points, must answer as a freshly built tree does and as the
+    # truncated sum; a memo shared between nodes, or a total stored
+    # before the closure terms are added, answers wrong the second time.
+    a, b = symbols("a b", positive=True)
+    ua, ub = unit(a), unit(b)
+    rng = random.Random(1818)
+    roots = _memo_roots(ua, ub)
+    oracles = [materialize_truncated(r, 12) for r in roots]
+    box = lattice_box([ua, ub], -1, 5)
+    for _ in range(2):
+        order = [(i, x) for i in range(len(roots)) for x in box]
+        rng.shuffle(order)
+        for i, x in order:
+            got = atom_mass(roots[i], Point(x.terms))
+            assert got == atom_mass(_memo_roots(ua, ub)[i], x) == oracles[i].get(x, 0), (i, x)
+    for root in roots[2:]:
+        assert len(root._memo) == len(box)
+
+
+def test_off_basis_query_returns_zero_and_stores_nothing():
+    # A point with a coordinate off a node's basis has mass 0 there and
+    # leaves its memo as it was, cold or warm. The warm point is on every
+    # basis; a non-closure node holds it as its one entry.
+    a, b, c = symbols("a b c", positive=True)
+    ua, ub, uc = unit(a), unit(b), unit(c)
+    for i, root in enumerate(_memo_roots(ua, ub)):
+        for warm in (False, True):
+            if warm:
+                for _ in range(2):
+                    assert atom_mass(root, 2 * ua) == atom_mass(_memo_roots(ua, ub)[i], 2 * ua)
+                if i != 1:
+                    assert len(root._memo) == 1
+            entries = dict(root._memo)
+            assert atom_mass(root, 2 * ua + ub + uc) == 0
+            assert atom_mass(root, uc) == 0
+            assert root._memo == entries
+
+
+def test_repeated_lemma46_queries_keep_one_entry_per_point():
+    # Lemma 4.6 asks mu at every point of A in several claims, and the
+    # unit atom at h1 alongside it; mu keeps one entry per distinct point.
+    n = 3
+    syms, _ = _units(n)
+    mu = build_mu(syms)
+    a_sets = build_a_sets(syms)
+    fresh = build_mu(syms)
+    expected = {x: atom_mass(fresh, x) for x in a_sets.union}
+    delta1 = Dirac(unit(syms[0]))
+    power = PointwisePower(SumOf((MeasureMass(mu), MeasureMass(delta1))), n)
+    for _ in range(3):
+        for x in a_sets.union:
+            assert atom_mass(mu, Point(x.terms)) == expected[x]
+            power.value(x)
+            atom_mass(delta1, x)
+    assert len(mu._memo) == len(a_sets.union)
+    # h1 is the one point of A on the atom's basis; the rest are off it.
+    assert list(delta1._memo) == [(1,)]

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hamelcheck import (
+    Dirac,
     EvenOrder,
     JClosure,
     UnknownCandidate,
@@ -107,6 +108,22 @@ def test_lemma44_builds_each_closure_once(monkeypatch):
     assert len(built) == (n + 1) ** 2  # n + 1 trees of n + 1 closures each
 
 
+def test_lemma44_builds_each_atom_once(monkeypatch):
+    # One unit atom per closure tree, and one for the positive-part claim
+    # across all of A, not one per point.
+    built = []
+    init = Dirac.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(Dirac, "__init__", counting)
+    n = 3
+    assert verify_lemma_4_4(n).passed
+    assert len(built) == n + 2
+
+
 def test_lemma46_orders_and_chain():
     for n in (1, 3, 5):
         rep = verify_lemma_4_6(n)
@@ -143,6 +160,21 @@ def test_prop43_probes_are_the_full_box_sample(monkeypatch):
         assert fast_rng.getstate() == full_rng.getstate()
         symbol_counts.add(len({s for p in probes for s, _ in p.terms}))
     assert symbol_counts == {1, 2, 3}
+
+
+def test_prop43_probes_append_each_new_atom_once():
+    # After the box sample come the atoms' points that it missed, in the
+    # order the atoms were drawn, each once however often it was drawn.
+    seen_repeat = seen_sampled = False
+    for seed in range(200):
+        nu, _, probes = scenarios._random_instance(random.Random(seed))
+        atoms = [t.inner.point for t in nu.terms]
+        sample = probes[:50]
+        missed = [p for p in dict.fromkeys(atoms) if p not in sample]
+        assert probes == sample + missed
+        seen_repeat |= len(set(atoms)) < len(atoms)
+        seen_sampled |= len(missed) < len(set(atoms))
+    assert seen_repeat and seen_sampled
 
 
 def test_prop43_deterministic():
