@@ -46,9 +46,12 @@ class Symbol(NamedTuple):
 
 class Frozen:
     """Base of the package's immutable classes. A subclass's ``__init__``
-    validates its arguments and then fills ``self.__dict__`` once; any later
-    assignment or deletion of an attribute raises ``AttributeError``.
-    Instances compare by identity unless a subclass defines equality."""
+    validates its arguments and then fills ``self.__dict__``; any later
+    assignment or deletion of an attribute raises ``AttributeError``. A
+    subclass may fill private caches (names starting with ``_``) after
+    ``__init__``, through ``self.__dict__``, the first time they are read;
+    they never change what the public fields say. Instances compare by
+    identity unless a subclass defines equality."""
 
     __slots__ = ()
 
@@ -77,21 +80,23 @@ class Point:
 
     Canonical form: zero coefficients are dropped, integral ones are held
     as ``int`` (see ``exact``) and terms are sorted by symbol, so equality
-    and hashing are structural.
+    and hashing are structural. A point keeps its coordinate tuple over
+    the last basis ``coords`` was asked for, so reading one point again on
+    an equal basis converts it once; the cache never enters equality.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_hash", "_read")
 
     def __init__(self, coords: Mapping[Symbol, Scalar] | Iterable[tuple[Symbol, Scalar]] = ()):
         items = coords.items() if isinstance(coords, Mapping) else coords
         self._terms = point_combine((c, unit(s)) for s, c in items)._terms
-        self._hash = None
+        self._hash = self._read = None
 
     @classmethod
     def _wrap(cls, terms: tuple[tuple[Symbol, Scalar], ...]) -> "Point":
         p = object.__new__(cls)
         p._terms = terms
-        p._hash = None
+        p._hash = p._read = None
         return p
 
     @property
@@ -107,6 +112,20 @@ class Point:
             if s == sym:
                 return c
         return 0
+
+    def coords(self, basis: tuple[Symbol, ...]) -> tuple[Scalar, ...] | None:
+        """The coordinates as a tuple over ``basis``, or None when the
+        support is not inside it. The answer for the last basis asked is
+        kept, and reused for that basis or an equal one."""
+        read = self._read
+        if read is not None and (read[0] is basis or read[0] == basis):
+            return read[1]
+        rest = dict(self._terms)
+        v = tuple([rest.pop(s, 0) for s in basis])
+        if rest:
+            v = None
+        self._read = basis, v
+        return v
 
     def is_zero(self) -> bool:
         return not self._terms

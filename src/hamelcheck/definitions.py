@@ -128,10 +128,15 @@ class _Parser:
         return tokens[0].text
 
     def number(self, tokens: list[Token], kind: type = Fraction, what: str = "rational"):
-        """The one token of ``tokens`` read as ``kind``."""
+        """The one token of ``tokens`` read as ``kind``. A rational with no
+        ``/`` or ``.`` is read through ``int``, which is faster than
+        ``Fraction`` and gives the same value or the same error."""
         try:
             (tok,) = tokens
-            return kind(tok.text)
+            text = tok.text
+            if kind is Fraction and "/" not in text and "." not in text:
+                return int(text)
+            return kind(text)
         except (ValueError, ZeroDivisionError):
             raise self.bad(f"bad {what}", tokens) from None
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -270,3 +271,24 @@ def test_frozen_classes_refuse_assignment_and_deletion():
         with pytest.raises(AttributeError):
             obj.extra = 1
         assert getattr(obj, name) is kept and not hasattr(obj, "extra")
+
+
+def test_coords_follow_the_basis_asked_seeded():
+    # One point read on bases in turn, identical and equal but distinct
+    # ones among them, gives its coordinates on each, or None when a symbol
+    # of its support is missing; the kept tuple never leaks across bases.
+    syms = symbols("a b c d", positive=True)
+    rng = random.Random(2121)
+    bases = [tuple(s) for k in range(5) for s in combinations(syms, k)]
+    for _ in range(40):
+        p = point_combine((rng.choice((-2, 0, 1, Fraction(1, 2))), unit(s)) for s in syms)
+        twin = Point(p.terms)
+        for _ in range(30):
+            basis = rng.choice(bases)
+            if rng.random() < 0.5:
+                basis = tuple(list(basis))
+            coords = dict(p.terms)
+            want = None if set(coords) - set(basis) else tuple(coords.get(s, 0) for s in basis)
+            assert p.coords(basis) == twin.coords(basis) == want
+            assert p.coords(basis) == want
+        assert p == twin and hash(p) == hash(twin)

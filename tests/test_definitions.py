@@ -16,7 +16,7 @@ from hamelcheck import (
     symbols,
     unit,
 )
-from hamelcheck.basis import lattice_box
+from hamelcheck.basis import ZERO, exact, lattice_box
 
 THEOREM_N3 = """\
 # order-3 scenario
@@ -342,6 +342,50 @@ def test_a_rational_has_one_form(text):
     with pytest.raises(ParseError) as exc:
         parse_definition(f"symbol s positive\nadditive a.s = {text}\n")
     assert str(exc.value) == f"line 2, col 16: bad rational '{text}'"
+
+
+@pytest.mark.parametrize("text", [
+    "7", "-7", "0", "-0", "007", "123456789012345678901234567890", "\u0663",
+    "3/4", "-6/4", "4/2", "1.25", "-0.50", "2.0",
+])
+def test_every_number_reads_to_its_canonical_value(text):
+    # A token with no `/` or `.` is read through int, the rest through
+    # Fraction. Coefficients, values, table entries, factors and expected
+    # values all hold the canonical form of the value Fraction reads.
+    want = exact(Fraction(text))
+    defn = parse_definition(
+        "symbol s positive\n"
+        f"additive a.s = {text}\n"
+        f"point p = {text}*s\n"
+        f"function tabulated {{0: {text}, s: 1}}\n"
+        "measure d = dirac(0)\n"
+        f"measure m = scale({text}, d)\n"
+        f"eval atom-mass m at 0 expect {text}\n"
+    )
+    (s,) = defn.symbols.values()
+    assert defn.additives["a"][s] == want
+    read = [
+        defn.points["p"].coordinate(s), defn.function.table[ZERO],
+        defn.measures["m"].factor, exact(defn.evals[0].expect),
+    ]
+    assert read == [want] * 4 and {type(v) for v in read} == {type(want)}
+    assert run_definition(defn).passed
+
+
+@pytest.mark.parametrize("text", ["x", "-", "1/0", "2 3", "3/-4", "1.-5"])
+def test_a_bad_number_fails_alike_everywhere(text):
+    # The error names the whole rejected text at its first token, wherever
+    # a rational is read.
+    for line, col in (
+        (f"additive a.s = {text}", 16),
+        (f"point q = {text}*s", 11),
+        (f"function tabulated {{s: {text}}}", 24),
+        (f"measure q = scale({text}, m)", 19),
+        (f"eval atom-mass m at 0 expect {text}", 30),
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse_definition(BASE.replace("additive a.s = 1\n", "") + line + "\n")
+        assert str(exc.value) == f"line 4, col {col}: bad rational '{text}'", line
 
 
 def test_zero_increment_rejected():
