@@ -46,12 +46,9 @@ class Symbol(NamedTuple):
 
 class Frozen:
     """Base of the package's immutable classes. A subclass's ``__init__``
-    validates its arguments and then fills ``self.__dict__``; any later
-    assignment or deletion of an attribute raises ``AttributeError``. A
-    subclass may fill private caches (names starting with ``_``) after
-    ``__init__``, through ``self.__dict__``, the first time they are read;
-    they never change what the public fields say. Instances compare by
-    identity unless a subclass defines equality."""
+    validates its arguments and then fills ``self.__dict__`` once; any later
+    assignment or deletion of an attribute raises ``AttributeError``.
+    Instances compare by identity unless a subclass defines equality."""
 
     __slots__ = ()
 

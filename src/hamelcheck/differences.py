@@ -3,10 +3,7 @@
 Every mixed difference over ``hs`` is one expansion: the terms ``{e: c}``
 of ``prod((z**h - 1) for h in hs)``, multiplied out one run of equal
 adjacent increments at a time (a run of m is one binomial row) with equal
-keys merged, give the value ``sum(c * f(x + e))``. A one-shot difference
-anchors the expansion at ``x``, so each key ``x + e`` is formed by one
-addition and read as it is; a probe shares one expansion, anchored at
-zero, among its samples and adds ``x`` at each read. ``_chain`` alone
+keys merged, give the value ``sum(c * f(x + e))``. ``_chain`` alone
 chooses the keys, by the function's type. A ``Composite`` ``f = K(a(.))``,
 or ``c * f`` as ``Scaled``, is keyed by the scalars ``a(h)``, so the sum
 runs along one line: ``sum(c * K(a(x) + e))``, with every coefficient
@@ -44,14 +41,12 @@ def _checked(hs: Increments) -> tuple[Point, ...]:
 class _Expansion(PointFunction, Frozen):
     """The mixed difference as one expansion: ``factor * prod(z**s - 1)``
     over the steps ``s``, multiplied out one run of equal adjacent steps
-    at a time into terms ``{e: c}`` with the empty product at ``zero``,
-    the anchor. Anchored at zero, its value at ``x`` is
-    ``sum(c * evaluate(project(x) + e))`` (``value``); anchored at
-    ``project(x)``, it is ``sum(c * evaluate(e))`` (``anchored``).
-    Cancelled terms are kept, so ``evaluate`` reads every distinct subset
-    sum exactly once, in the order the recursive operator
-    ``g(x + h) - g(x)`` (first increment outermost) first reads it; a zero
-    factor leaves no terms and the value 0."""
+    at a time into terms ``{e: c}``, has the value
+    ``sum(c * evaluate(project(x) + e))`` at ``x``. Cancelled terms are
+    kept, so ``evaluate`` reads every distinct subset sum exactly once, in
+    the order the recursive operator ``g(x + h) - g(x)`` (first increment
+    outermost) first reads it; a zero factor leaves no terms and the
+    value 0."""
 
     project: Callable[[Point], object]
     evaluate: Callable[[object], Scalar]
@@ -79,7 +74,6 @@ class _Expansion(PointFunction, Frozen):
         self.__dict__.update(project=project, evaluate=evaluate, terms=tuple(poly.items()))
 
     def value(self, x: Point) -> Scalar:
-        """The difference at ``x``, for an expansion anchored at zero."""
         base = self.project(x)
         evaluate = self.evaluate
         total = 0
@@ -87,36 +81,25 @@ class _Expansion(PointFunction, Frozen):
             total += c * evaluate(base + e)
         return exact(total)
 
-    def anchored(self) -> Scalar:
-        """The difference at the anchor: ``evaluate`` at each key as it is."""
-        evaluate = self.evaluate
-        total = 0
-        for e, c in self.terms:
-            total += c * evaluate(e)
-        return exact(total)
 
-
-def _chain(f: PointFunction, hs: tuple[Point, ...], at: Point = ZERO) -> _Expansion:
-    """The evaluator of the mixed difference over checked ``hs``, with its
-    keys anchored at ``at``. A ``Composite`` ``K(a(.))``, or a ``Scaled``
-    one (the difference is linear, so the factor scales every
-    coefficient), is keyed by the scalars ``a(h)`` along one line; any
-    other function by the points ``h``. Every difference and probe gets
-    its keys here."""
+def _chain(f: PointFunction, hs: tuple[Point, ...]) -> _Expansion:
+    """The evaluator of the mixed difference over checked ``hs``. A
+    ``Composite`` ``K(a(.))``, or a ``Scaled`` one (the difference is
+    linear, so the factor scales every coefficient), is keyed by the
+    scalars ``a(h)`` along one line; any other function by the points
+    ``h``. Every difference and probe gets its keys here."""
     factor = 1
     if type(f) is Scaled and type(f.inner) is Composite:
         f, factor = f.inner, f.factor
     if type(f) is Composite:
-        a = f.functional
-        return _Expansion(map(a, hs), a(at), a, f.kernel.apply, factor)
-    return _Expansion(hs, at, lambda x: x, f.value)
+        return _Expansion(map(f.functional, hs), 0, f.functional, f.kernel.apply, factor)
+    return _Expansion(hs, ZERO, lambda x: x, f.value)
 
 
 def forward_diff(f: PointFunction, x: Point, hs: Increments) -> Scalar:
     """Mixed forward difference over ``hs`` at ``x``, by the expansion
-    ``_chain`` keys for ``f``, anchored at ``x``: each key is formed by
-    one addition and read as it is."""
-    return _chain(f, _checked(hs), x).anchored()
+    ``_chain`` keys for ``f``."""
+    return _chain(f, _checked(hs)).value(x)
 
 
 def forward_diff_closed(f: PointFunction, x: Point, hs: Increments) -> Scalar:
@@ -132,7 +115,7 @@ def backward_diff(f: PointFunction, x: Point, hs: Increments) -> Scalar:
     order it would first read them (by induction on the increments)."""
     hs = _checked(hs)
     base = point_combine(((1, x), *((-1, h) for h in hs)))
-    return _chain(f, hs, base).anchored()
+    return _chain(f, hs).value(base)
 
 
 class TableRow(NamedTuple):

@@ -3,17 +3,15 @@ exact pointwise atom-mass evaluation.
 
 Closure nodes have infinite support, so measures are never materialized.
 Every node works on coordinate tuples over its basis, the sorted symbols
-of its subtree's points, which it takes when it is built. It folds into
-one linear form there the first time it is read (queried, walked as a
-closure's inner, or asked for its support floor): merged atoms, plus
+of its subtree's points (shared with a child whose basis is equal), and
+is folded at construction into one linear form there: merged atoms, plus
 merged closure leaves, each at an offset and with a weight. The support
 floor is folded with the form, as the minimum of the parts' floors in
 the same tuples, translated with them. `Shift`, `Scale` and `Sum` only
-feed forms, so a query reads the atoms and walks the closures; nothing
-recurses through them, and an intermediate node that is never read
-holds no form. A closure's form describes its inner measure. It walks a
-chain of translates whose length is read off the support floor. Every
-node memoises the masses asked of it, keyed by tuples over its own
+build forms, so a query reads the atoms and walks the closures; nothing
+recurses through them. A closure's form describes its inner measure. It
+walks a chain of translates whose length is read off the support floor.
+Every node memoises the masses asked of it, keyed by tuples over its own
 basis, for as long as the node lives: a closure each point of its walk,
 any other node the total of its form. A closure is never cancelled
 against a difference: it stays a leaf that its walk evaluates.
@@ -56,44 +54,85 @@ def _plus(a: tuple[Scalar, ...] | None, b: tuple[Scalar, ...] | None):
 
 
 class MeasureExpr(Frozen):
-    """Base class. From construction a node holds `_basis`, `_parts`, the
-    ``(coefficient, child)`` pairs it sums (a child of None is the unit
-    atom at the origin), and `_own`, its atom or step as a tuple over
-    `_basis` (None for `Sum` and `Scale`); a `Dirac` or `Shift` translates
-    its parts by `_own`. `_fold` fills the rest on first read. Over
-    `_basis`, `_floor` bounds every support coordinate below, and `_atoms`
-    and `_terms` are the node's linear form (a closure's describes its
-    inner measure). The mass at `v` is `_atoms.get(v, 0)` plus, for each
-    term `(closure, offset, keep, drop, zeros, c)` with `w = v - offset`
-    (`v` itself when `offset` is None), `c` times the closure's mass at
-    `w`. When the closure's basis is smaller than the node's, the term
-    counts only where `drop(w) == zeros`, at `keep(w)`; otherwise all
-    three are None. `_memo` maps each such `v` already answered to the
-    node's mass there; it is None until the node is folded."""
+    """Base class. Over `_basis`, `_own` is the node's atom or step (None
+    for `Sum` and `Scale`) and `_floor` bounds every support coordinate
+    below, as tuples, and `_atoms` and `_terms` are its linear form (a
+    closure's describes its inner measure). The mass at `v` is
+    `_atoms.get(v, 0)` plus, for each term `(closure, offset, keep, drop,
+    zeros, c)` with `w = v - offset` (`v` itself when `offset` is None),
+    `c` times the closure's mass at `w`. When the closure's basis is
+    smaller than the node's, the term counts only where
+    `drop(w) == zeros`, at `keep(w)`; otherwise all three are None.
+    `_memo` maps each such `v` already answered to the node's mass there."""
 
-    _floor = _atoms = _terms = _memo = None
+    @property
+    def support_floor(self) -> Point:
+        """The floor as a point: no support coordinate lies below it."""
+        return Point(zip(self._basis, self._floor))
 
-    def _start(
+    def _fill(
         self, parts: Sequence[tuple[Scalar, MeasureExpr | None]], own: Point | None = None,
-        **fields,
+        shift: bool = False, **fields,
     ) -> None:
-        """Take the basis: the sorted symbols of ``own`` and of the parts'
-        bases. A child basis that holds them all is shared, so a point read
-        on that child and on this node converts once."""
+        """Fold ``Σ c·child`` over ``parts`` into this node's form,
+        translated by ``own`` when ``shift``. A child of None is the unit
+        atom at the origin, and a closure child is one term. The basis is
+        the sorted symbols of ``own`` and of the parts' bases; a child
+        basis that holds them all is shared, so a point read on that child
+        and on this node converts once. The floor is the coordinatewise
+        minimum of the parts' floors (the unit atom's is 0; a closure's is
+        its inner's, since its support only grows upward), translated
+        likewise."""
         bases = [child._basis for _, child in parts if child is not None]
         syms = set(() if own is None else own.support).union(*bases)
         basis = next((b for b in bases if len(b) == len(syms)), None)
         if basis is None:
             basis = tuple(sorted(syms))
+        own_coords = None if own is None else own.coords(basis)
+        offset = own_coords if shift else None
+        floors = [
+            (0,) * len(basis) if child is None else _lift(basis, child._basis, child._floor)
+            for _, child in parts
+        ]
+        floor = _plus(tuple(map(min, zip(*floors))), offset)
+        atoms: dict[tuple[Scalar, ...], Scalar] = {}
+        terms: dict[tuple[JClosure, tuple[Scalar, ...] | None], Scalar] = {}
+        for c, child in parts:
+            if child is None:
+                atoms[offset] = atoms.get(offset, 0) + c
+                continue
+            if type(child) is JClosure:
+                key = child, offset
+                terms[key] = terms.get(key, 0) + c
+                continue
+            part = child._basis
+            for v, w in child._atoms.items():
+                key = _plus(_lift(basis, part, v), offset)
+                atoms[key] = atoms.get(key, 0) + c * w
+            for closure, off, *_, w in child._terms:
+                key = closure, _plus(None if off is None else _lift(basis, part, off), offset)
+                terms[key] = terms.get(key, 0) + c * w
+        pickers: dict[JClosure, tuple] = {}
+        form = []
+        for (closure, off), w in terms.items():
+            if not w:
+                continue
+            pick = pickers.get(closure)
+            if pick is None:
+                part = closure._basis
+                if part == basis:
+                    pick = None, None, None
+                else:
+                    drop = [i for i, s in enumerate(basis) if s not in part]
+                    keep = [i for i, s in enumerate(basis) if s in part]
+                    pick = _picker(keep), _picker(drop), (0,) * len(drop)
+                pickers[closure] = pick
+            form.append((closure, off, *pick, exact(w)))
         self.__dict__.update(
-            fields, _basis=basis, _parts=tuple(parts),
-            _own=None if own is None else own.coords(basis),
+            fields, _basis=basis, _own=own_coords, _floor=floor, _memo={},
+            _atoms={v: exact(w) for v, w in atoms.items() if w} if atoms else atoms,
+            _terms=tuple(form),
         )
-
-    @property
-    def support_floor(self) -> Point:
-        """The floor as a point: no support coordinate lies below it."""
-        return Point(zip(self._basis, _fold(self)._floor))
 
 
 class Dirac(MeasureExpr):
@@ -102,7 +141,7 @@ class Dirac(MeasureExpr):
     point: Point
 
     def __init__(self, point: Point):
-        self._start([(1, None)], point, point=point)
+        self._fill([(1, None)], point, True, point=point)
 
 
 class Shift(MeasureExpr):
@@ -114,7 +153,7 @@ class Shift(MeasureExpr):
     def __init__(self, inner: MeasureExpr, step: Point):
         if not is_positive_increment(step):
             raise InvalidIncrement(f"shift step must be a positive increment: {step}")
-        self._start([(1, inner)], step, inner=inner, step=step)
+        self._fill([(1, inner)], step, True, inner=inner, step=step)
 
 
 class Sum(MeasureExpr):
@@ -124,7 +163,7 @@ class Sum(MeasureExpr):
         terms = tuple(terms)
         if not terms:
             raise ValueError("sum of measures needs at least one term")
-        self._start([(1, t) for t in terms], terms=terms)
+        self._fill([(1, t) for t in terms], terms=terms)
 
 
 class Scale(MeasureExpr):
@@ -133,7 +172,7 @@ class Scale(MeasureExpr):
 
     def __init__(self, factor: Scalar, inner: MeasureExpr):
         factor = exact(factor)
-        self._start([(factor, inner)], factor=factor, inner=inner)
+        self._fill([(factor, inner)], factor=factor, inner=inner)
 
 
 class JClosure(MeasureExpr):
@@ -146,142 +185,24 @@ class JClosure(MeasureExpr):
     def __init__(self, inner: MeasureExpr, step: Point):
         if not is_positive_increment(step):
             raise NonTerminatingJ(f"closure step must be a positive increment: {step}")
-        self._start([(1, inner)], step, inner=inner, step=step)
-
-
-def _fold(mu: MeasureExpr) -> MeasureExpr:
-    """Fill the form, floor and memo of ``mu`` unless it has them, and
-    return it. A pending stack, not recursion, folds first every node
-    that ``_region`` says must be folded before ``mu``: its floor or its
-    form enters ``mu``'s."""
-    pending = [mu]
-    while pending:
-        node = pending[-1]
-        if node._memo is not None:
-            pending.pop()
-            continue
-        order, cold = _region(node)
-        if cold:
-            # Children before parents, so each folds once, over folded parts.
-            pending += reversed(cold)
-        else:
-            pending.pop()
-            _fill(node, order)
-    return mu
-
-
-def _region(root: MeasureExpr) -> tuple[list[MeasureExpr], list[MeasureExpr]]:
-    """The nodes whose parts the fold of ``root`` expands, parents before
-    children: ``root`` and every unfolded node below it, stopping at unit
-    atoms, closures and folded nodes. Also, children before parents, the
-    nodes to fold first: each unfolded closure reached (its floor enters
-    the form) and each node reached from two parents (folded once, then
-    copied into both). Without those, every expanded node has one parent,
-    so it is reached at one offset and the fold is linear in the region."""
-    parent_of = {root: None}
-    order, shared = [], set()
-    stack = [(root, iter(root._parts))]
-    while stack:
-        node, parts = stack[-1]
-        for _, child in parts:
-            if child is None or child._memo is not None:
-                continue
-            first = parent_of.get(child)
-            if first is None:
-                parent_of[child] = node
-                if type(child) is JClosure:
-                    order.append(child)
-                else:
-                    stack.append((child, iter(child._parts)))
-                    break
-            elif first is not node:
-                shared.add(child)
-        else:
-            stack.pop()
-            order.append(node)
-    cold = [m for m in order if m is not root and (type(m) is JClosure or m in shared)]
-    order.reverse()
-    return order, cold
-
-
-def _fill(root: MeasureExpr, order: list[MeasureExpr]) -> None:
-    """Fold ``root`` over a region ``_region`` found with nothing to fold
-    first: push each node's one offset and weight down to its parts, and
-    sum what reaches a unit atom, a closure or a folded node, lifted to
-    ``root``'s basis and translated, into merged atoms and closure terms.
-    The floor is the minimum over everything reached, whatever its weight."""
-    basis = root._basis
-    reach = {root: (None, 1)}
-    atoms: dict[tuple[Scalar, ...], Scalar] = {}
-    terms: dict[tuple[JClosure, tuple[Scalar, ...] | None], Scalar] = {}
-    floors = []
-    for node in order:
-        off, w = reach.pop(node)
-        if node._own is not None and type(node) is not JClosure:
-            off = _plus(_lift(basis, node._basis, node._own), off)
-        for c, child in node._parts:
-            cw = c * w
-            if child is None:
-                # Only a Dirac has this part, and it set ``off``.
-                atoms[off] = atoms.get(off, 0) + cw
-                floors.append(off)
-                continue
-            if child._memo is None:
-                # One parent, so one offset: only the weight accumulates.
-                prev = reach.get(child)
-                reach[child] = off, cw if prev is None else prev[1] + cw
-                continue
-            part = child._basis
-            floors.append(_plus(_lift(basis, part, child._floor), off))
-            if type(child) is JClosure:
-                key = child, off
-                terms[key] = terms.get(key, 0) + cw
-                continue
-            for v, m in child._atoms.items():
-                key = _plus(_lift(basis, part, v), off)
-                atoms[key] = atoms.get(key, 0) + cw * m
-            for closure, o, *_, m in child._terms:
-                key = closure, _plus(None if o is None else _lift(basis, part, o), off)
-                terms[key] = terms.get(key, 0) + cw * m
-    pickers: dict[JClosure, tuple] = {}
-    form = []
-    for (closure, off), w in terms.items():
-        if not w:
-            continue
-        pick = pickers.get(closure)
-        if pick is None:
-            part = closure._basis
-            if part == basis:
-                pick = None, None, None
-            else:
-                drop = [i for i, s in enumerate(basis) if s not in part]
-                keep = [i for i, s in enumerate(basis) if s in part]
-                pick = _picker(keep), _picker(drop), (0,) * len(drop)
-            pickers[closure] = pick
-        form.append((closure, off, *pick, exact(w)))
-    root.__dict__.update(
-        _floor=tuple(map(min, zip(*floors))),
-        _atoms={v: exact(w) for v, w in atoms.items() if w},
-        _terms=tuple(form), _memo={},
-    )
+        self._fill([(1, inner)], step, inner=inner, step=step)
 
 
 def atom_mass(mu: MeasureExpr, x: Point) -> Scalar:
     """Exact signed mass of the atom of ``mu`` at ``x``.
 
-    ``x`` is read once per basis (``Point.coords``), and ``mu`` folds on
-    its first query. Closure nodes sum finitely many translates: each
-    step lowers some coordinate, and below the support floor every mass
-    is zero. Every node memoises its answers by the coordinate tuple of
-    ``x``, so a repeated query reads one dict entry.
+    ``x`` is converted to a tuple over ``mu``'s basis by ``Point.coords``,
+    which keeps it for the next read on that basis. Closure nodes sum
+    finitely many translates: each step lowers some coordinate, and below
+    the support floor every mass is zero. Every node memoises its answers
+    by the coordinate tuple of ``x``, so a repeated query reads one dict
+    entry.
     """
     v = x.coords(mu._basis)
     # Every atom lies in the span of the basis, so a point off it has none.
     if v is None:
         return 0
     memo = mu._memo
-    if memo is None:
-        memo = _fold(mu)._memo
     total = memo.get(v)
     if total is not None:
         return total
@@ -304,8 +225,7 @@ def _closure_mass(mu: JClosure, x: tuple[Scalar, ...]) -> Scalar:
     """J(x) = inner(x) + J(x - step), and J = 0 below the support floor, so
     the walk from x takes ``min((x_i - floor_i) // step_i)`` steps over the
     step's nonzero coordinates. It stops at a memoised point, then adds
-    upward, so Python recursion does not deepen with the translates.
-    ``mu`` is folded, and so is every closure its form holds."""
+    upward, so Python recursion does not deepen with the translates."""
     memo = mu._memo
     total = memo.get(x)
     if total is not None:

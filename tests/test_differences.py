@@ -32,7 +32,7 @@ from hamelcheck import (
     unit,
     wright_convexity_probe,
 )
-from hamelcheck.basis import Point, exact, subset_sums
+from hamelcheck.basis import exact, subset_sums
 from hamelcheck.differences import group_sums
 from helpers import random_tabulated_instance, standard_function
 
@@ -434,38 +434,6 @@ def test_equal_increments_expand_as_one_binomial_row():
     for k in (1, 2, 3, 7, 64, 500, 2000):
         terms = differences._chain(f, (u,) * k).terms
         assert terms == tuple((j * u, (-1) ** (k - j) * math.comb(k, j)) for j in range(k, -1, -1))
-
-
-def test_one_shot_differences_form_each_key_once_in_reference_order(monkeypatch):
-    # forward_diff and backward_diff anchor the expansion at their base
-    # point: each key is formed by one addition while the expansion is
-    # built and none when it is read, and the points are read in the order
-    # of the one-step reference, so a partial table names the same first
-    # missing point.
-    adds = []
-    add = Point.__add__
-    monkeypatch.setattr(Point, "__add__", lambda p, q: adds.append(1) or add(p, q))
-    rng = random.Random(2020)
-    for _ in range(60):
-        full, x, hs = random_tabulated_instance(rng)
-        top = point_combine(((1, x), *((1, h) for h in hs)))
-        reference = [x + e for e, _ in _one_step_terms(hs, ZERO)]
-        want = forward_diff_closed(full, x, hs)
-        for diff, at in ((forward_diff, x), (backward_diff, top)):
-            adds.clear()
-            differences._chain(full, hs, x)
-            built = len(adds)
-            adds.clear()
-            f = _Recording(full)
-            assert diff(f, at, hs) == want
-            assert len(adds) == built
-            assert f.points == reference
-            missing = set(rng.sample(reference, rng.randint(1, len(reference))))
-            partial = Tabulated({p: v for p, v in full.table.items() if p not in missing})
-            first = next(p for p in reference if p in missing)
-            with pytest.raises(UntabulatedPoint) as exc:
-                diff(partial, at, hs)
-            assert str(exc.value) == f"no tabulated value at {first}"
 
 
 def test_probe_chain_sharing_matches_fresh_differences():

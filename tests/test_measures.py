@@ -36,7 +36,6 @@ from hamelcheck import (
     verify_lemma_4_4,
 )
 from hamelcheck.basis import lattice_box
-from hamelcheck.measures import _fold
 from helpers import standard_function
 
 
@@ -629,7 +628,7 @@ def test_cancelled_and_zero_forms_are_empty():
     for _ in range(20):
         m = _random_mixed_tree(rng, units, 3)
         for zero in (Sum((m, Scale(-1, m))), Scale(0, m)):
-            assert _fold(zero)._atoms == {} and zero._terms == ()
+            assert zero._atoms == {} and zero._terms == ()
             for _ in range(10):
                 assert atom_mass(zero, _on_some(rng, units, _QUERY, 0)) == 0
 
@@ -646,7 +645,7 @@ def test_one_closure_at_several_offsets():
         Shift(Shift(closure, Fraction(1, 2) * ua), Fraction(1, 2) * ua),
     ))
     # Offsets 0, b, a/2 and a: the two at b merge into one term of weight 3.
-    assert sorted(t[5] for t in _fold(tree)._terms) == [Fraction(-1, 2), 1, 1, 3]
+    assert sorted(t[5] for t in tree._terms) == [Fraction(-1, 2), 1, 1, 3]
     assert [t[1] for t in tree._terms].count(None) == 1
     oracle = materialize_truncated(tree, 12)
     for x in lattice_box([Fraction(1, 2) * ua, Fraction(1, 3) * ub], -1, 7):
@@ -661,12 +660,12 @@ def test_nabla_of_a_closure_merges_equal_offsets():
     closure = JClosure(Dirac(uh), uh)
     for k in range(1, 6):
         equal = nabla(closure, (uh,) * k)
-        assert len(_fold(equal)._terms) == k + 1
+        assert len(equal._terms) == k + 1
         # The difference undoes one closure: what is left is nabla^(k-1) of the atom.
         assert atom_mass(equal, k * uh) == (-1) ** (k - 1)
     for k in range(1, 5):
         distinct = nabla(closure, others[:k])
-        assert len(_fold(distinct)._terms) == 2**k
+        assert len(distinct._terms) == 2**k
         assert atom_mass(distinct, uh + sum(others[:k], ZERO)) == (-1) ** k
 
 
@@ -721,10 +720,7 @@ def test_off_basis_query_returns_zero_and_stores_nothing():
                     assert atom_mass(root, 2 * ua) == atom_mass(_memo_roots(ua, ub)[i], 2 * ua)
                 if i != 1:
                     assert len(root._memo) == 1
-            else:
-                # A cold node answers an off-basis point without folding.
-                assert atom_mass(root, uc) == 0 and root._memo is None
-            entries = dict(_fold(root)._memo)
+            entries = dict(root._memo)
             assert atom_mass(root, 2 * ua + ub + uc) == 0
             assert atom_mass(root, uc) == 0
             assert root._memo == entries
@@ -798,68 +794,17 @@ def test_points_read_once_per_basis_answer_as_fresh_trees_seeded():
             )
 
 
-def _form_entries(root):
-    """Folded atoms and closure terms held by every node under ``root``."""
-    total, seen, stack = 0, set(), [root]
-    while stack:
-        node = stack.pop()
-        if node is None or node in seen:
-            continue
-        seen.add(node)
-        if node._memo is not None:
-            total += len(node._atoms) + len(node._terms)
-        stack.extend(child for _, child in node._parts)
-    return total
-
-
-def test_nested_sums_fold_linearly():
-    # k nested sums that each add one atom hold k + 1 atoms in all once the
-    # root is read: the intermediates are never read, so they hold no form.
-    (s,) = symbols("s", positive=True)
-    u = unit(s)
-    for k in (10, 100, 1000):
-        m = Dirac(ZERO)
-        for i in range(1, k + 1):
-            m = Sum((m, Dirac(i * u)))
-        assert _form_entries(m) == 0
-        assert atom_mass(m, k * u) == atom_mass(m, ZERO) == 1
-        assert atom_mass(m, (k + 1) * u) == 0
-        assert _form_entries(m) == k + 1
-        assert m.terms[0]._memo is None
-
-
-def test_a_node_with_two_parents_folds_once():
-    # A shift chain read through a sum of all its levels: each level is
-    # reached from the next one and from the sum, so it folds once, to one
-    # atom, and every parent copies that atom. Pushing weights down to the
-    # leaves instead would reach level i at k - i offsets.
-    (s,) = symbols("s", positive=True)
-    u = unit(s)
-    k = 300
-    chain = [Dirac(u)]
-    for _ in range(k):
-        chain.append(Shift(chain[-1], u))
-    wide = Sum(tuple(chain[:k]))
-    assert atom_mass(chain[k], (k + 1) * u) == 1
-    for j in range(1, k + 1):
-        assert atom_mass(wide, j * u) == 1
-    assert atom_mass(wide, (k + 1) * u) == atom_mass(wide, ZERO) == 0
-    assert wide.support_floor == u
-    # The sum holds k atoms and each level it shares with the next one
-    # atom; its top level has one parent, the sum, and holds none.
-    assert _form_entries(wide) == k + (k - 1)
-    assert chain[k - 1]._memo is None
-
-
 def test_doubling_dag_folds_without_exponential_work():
-    # m = sum(m, m), k times: 2^k paths reach the atom, but each level has
-    # one parent, so the fold visits each once and the weight doubles.
+    # m = sum(m, m), k times: 2^k paths reach the atom, but each level
+    # folds its one child's form once, so every node holds one atom and
+    # the weight doubles.
     (s,) = symbols("s", positive=True)
     u = unit(s)
     k = 200
     m = Shift(Dirac(ZERO), u)
     for _ in range(k):
+        assert len(m._atoms) == 1 and m._terms == ()
         m = Sum((m, m))
+    assert m._atoms == {(1,): 2**k} and m._terms == ()
     assert atom_mass(m, u) == 2**k
-    assert _form_entries(m) == 1
     assert atom_mass(JClosure(m, u), 3 * u) == 2**k
