@@ -27,6 +27,7 @@ from .reports import render
 from .scenarios import (
     even_candidates,
     probe_even,
+    require_odd,
     verify_lemma_4_4,
     verify_lemma_4_6,
     verify_prop_4_3,
@@ -134,11 +135,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _calls(args: argparse.Namespace) -> list[tuple]:
     """The runner's arguments, one tuple per report: each order to run for
-    a scenario with batch orders, else the parsed values it takes."""
+    a scenario with batch orders, else the parsed values it takes. An
+    order is checked to be odd before its cost is."""
     if not args.batch:
         return [tuple(getattr(args, name) for name in args.takes)]
     if args.n is None:
         return [(n,) for n in args.batch]
+    require_odd(args.n)
     if args.n > LARGE_ORDER and args.guard(args):
         cost = args.cost.format(n=args.n, m=args.n + 1)
         if not args.allow_large:

@@ -9,12 +9,14 @@ merged closure leaves, each at an offset and with a weight. The support
 floor is folded with the form, as the minimum of the parts' floors in
 the same tuples, translated with them. `Shift`, `Scale` and `Sum` only
 build forms, so a query reads the atoms and walks the closures; nothing
-recurses through them. A closure's form describes its inner measure. It
-walks a chain of translates whose length is read off the support floor.
-Every node memoises the masses asked of it, keyed by tuples over its own
-basis, for as long as the node lives: a closure each point of its walk,
-any other node the total of its form. A closure is never cancelled
-against a difference: it stays a leaf that its walk evaluates.
+recurses through them. A closure's form describes its inner measure, and
+only a closure stores a step. One evaluator, `_mass`, answers
+every node: a node with no step reads its form at the query, and a
+closure reads its form at each point of a chain of translates whose
+length is read off the support floor. Every node memoises the masses
+asked of it, keyed by tuples over its own basis, for as long as the node
+lives, and only `_mass` reads or fills that memo. A closure is never
+cancelled against a difference: it stays a leaf that its walk evaluates.
 """
 
 from __future__ import annotations
@@ -54,16 +56,16 @@ def _plus(a: tuple[Scalar, ...] | None, b: tuple[Scalar, ...] | None):
 
 
 class MeasureExpr(Frozen):
-    """Base class. Over `_basis`, `_own` is the node's atom or step (None
-    for `Sum` and `Scale`) and `_floor` bounds every support coordinate
-    below, as tuples, and `_atoms` and `_terms` are its linear form (a
-    closure's describes its inner measure). The mass at `v` is
-    `_atoms.get(v, 0)` plus, for each term `(closure, offset, keep, drop,
-    zeros, c)` with `w = v - offset` (`v` itself when `offset` is None),
-    `c` times the closure's mass at `w`. When the closure's basis is
-    smaller than the node's, the term counts only where
-    `drop(w) == zeros`, at `keep(w)`; otherwise all three are None.
-    `_memo` maps each such `v` already answered to the node's mass there."""
+    """Base class. Over `_basis`, `_floor` bounds every support coordinate
+    below, as a tuple, and `_atoms` and `_terms` are the node's linear form
+    (a closure's describes its inner measure; a closure alone has a
+    `_step`, a tuple too). The form's mass at `v` is `_atoms.get(v, 0)`
+    plus, for each term `(closure, offset, keep, drop, zeros, c)` with
+    `w = v - offset` (`v` itself when `offset` is None), `c` times the
+    closure's mass at `w`. When the closure's basis is smaller than the
+    node's, the term counts only where `drop(w) == zeros`, at `keep(w)`;
+    otherwise all three are None. `_memo` maps each `v` that `_mass` has
+    answered to the node's mass there."""
 
     @property
     def support_floor(self) -> Point:
@@ -72,24 +74,25 @@ class MeasureExpr(Frozen):
 
     def _fill(
         self, parts: Sequence[tuple[Scalar, MeasureExpr | None]], own: Point | None = None,
-        shift: bool = False, **fields,
+        **fields,
     ) -> None:
         """Fold ``Σ c·child`` over ``parts`` into this node's form,
-        translated by ``own`` when ``shift``. A child of None is the unit
-        atom at the origin, and a closure child is one term. The basis is
-        the sorted symbols of ``own`` and of the parts' bases; a child
-        basis that holds them all is shared, so a point read on that child
-        and on this node converts once. The floor is the coordinatewise
-        minimum of the parts' floors (the unit atom's is 0; a closure's is
-        its inner's, since its support only grows upward), translated
-        likewise."""
+        translated by ``own``; in a closure ``own`` is instead the step,
+        kept as ``_step``. A child of None is the unit atom at the origin,
+        and a closure child is one term. The basis is the sorted symbols
+        of ``own`` and of the parts' bases; a child basis that holds them
+        all is shared, so a point read on that child and on this node
+        converts once. The floor is the coordinatewise minimum of the
+        parts' floors (the unit atom's is 0; a closure's is its inner's,
+        since its support only grows upward), translated likewise."""
         bases = [child._basis for _, child in parts if child is not None]
         syms = set(() if own is None else own.support).union(*bases)
         basis = next((b for b in bases if len(b) == len(syms)), None)
         if basis is None:
             basis = tuple(sorted(syms))
-        own_coords = None if own is None else own.coords(basis)
-        offset = own_coords if shift else None
+        offset = None if own is None else own.coords(basis)
+        if type(self) is JClosure:
+            offset, fields["_step"] = None, offset
         floors = [
             (0,) * len(basis) if child is None else _lift(basis, child._basis, child._floor)
             for _, child in parts
@@ -129,7 +132,7 @@ class MeasureExpr(Frozen):
                 pickers[closure] = pick
             form.append((closure, off, *pick, exact(w)))
         self.__dict__.update(
-            fields, _basis=basis, _own=own_coords, _floor=floor, _memo={},
+            fields, _basis=basis, _floor=floor, _memo={},
             _atoms={v: exact(w) for v, w in atoms.items() if w} if atoms else atoms,
             _terms=tuple(form),
         )
@@ -141,7 +144,7 @@ class Dirac(MeasureExpr):
     point: Point
 
     def __init__(self, point: Point):
-        self._fill([(1, None)], point, True, point=point)
+        self._fill([(1, None)], point, point=point)
 
 
 class Shift(MeasureExpr):
@@ -153,7 +156,7 @@ class Shift(MeasureExpr):
     def __init__(self, inner: MeasureExpr, step: Point):
         if not is_positive_increment(step):
             raise InvalidIncrement(f"shift step must be a positive increment: {step}")
-        self._fill([(1, inner)], step, True, inner=inner, step=step)
+        self._fill([(1, inner)], step, inner=inner, step=step)
 
 
 class Sum(MeasureExpr):
@@ -189,61 +192,41 @@ class JClosure(MeasureExpr):
 
 
 def atom_mass(mu: MeasureExpr, x: Point) -> Scalar:
-    """Exact signed mass of the atom of ``mu`` at ``x``.
-
-    ``x`` is converted to a tuple over ``mu``'s basis by ``Point.coords``,
-    which keeps it for the next read on that basis. Closure nodes sum
-    finitely many translates: each step lowers some coordinate, and below
-    the support floor every mass is zero. Every node memoises its answers
-    by the coordinate tuple of ``x``, so a repeated query reads one dict
-    entry.
-    """
+    """Exact signed mass of the atom of ``mu`` at ``x``: ``x`` converted to
+    a tuple over ``mu``'s basis by ``Point.coords``, which keeps it for the
+    next read on that basis, and read by `_mass`."""
     v = x.coords(mu._basis)
     # Every atom lies in the span of the basis, so a point off it has none.
-    if v is None:
-        return 0
+    return 0 if v is None else _mass(mu, v)
+
+
+def _mass(mu: MeasureExpr, v: tuple[Scalar, ...]) -> Scalar:
+    """The mass of ``mu`` at the tuple ``v`` over its basis. A node with no
+    step reads its form at ``v``. A closure sums its inner form at ``v``
+    and every translate below it: J(v) = inner(v) + J(v - step), and J = 0
+    below the support floor, so the walk from ``v`` takes
+    ``min((v_i - floor_i) // step_i)`` steps over the step's nonzero
+    coordinates. It stops at a memoised point, then reads the form at each
+    pending point and adds upward, storing each total. Each closure term
+    of a form is read by a call here, so Python recursion deepens by one
+    frame per nested closure and not with the translates."""
     memo = mu._memo
     total = memo.get(v)
     if total is not None:
         return total
+    pending = [v]
+    total = 0
     if type(mu) is JClosure:
-        return _closure_mass(mu, v)
-    total = mu._atoms.get(v, 0)
-    for closure, off, keep, drop, zeros, c in mu._terms:
-        w = v if off is None else tuple(map(sub, v, off))
-        if keep is not None:
-            if drop(w) != zeros:
-                continue
-            w = keep(w)
-        m = closure._memo.get(w)
-        total += c * (_closure_mass(closure, w) if m is None else m)
-    memo[v] = total
-    return total
-
-
-def _closure_mass(mu: JClosure, x: tuple[Scalar, ...]) -> Scalar:
-    """J(x) = inner(x) + J(x - step), and J = 0 below the support floor, so
-    the walk from x takes ``min((x_i - floor_i) // step_i)`` steps over the
-    step's nonzero coordinates. It stops at a memoised point, then adds
-    upward, so Python recursion does not deepen with the translates."""
-    memo = mu._memo
-    total = memo.get(x)
-    if total is not None:
-        return total
-    floor, step = mu._floor, mu._own
-    if not all(map(ge, x, floor)):
-        return 0
-    pending = [x]
-    for _ in range(min([(c - f) // s for c, f, s in zip(x, floor, step) if s])):
-        x = tuple(map(sub, x, step))
-        total = memo.get(x)
-        if total is not None:
-            break
-        pending.append(x)
-    else:
-        total = 0
-    # The inner form's mass at each pending point, read as in `atom_mass`
-    # but inline: a call per translate would cost more than the step.
+        floor, step = mu._floor, mu._step
+        if not all(map(ge, v, floor)):
+            return 0
+        for _ in range(min([(c - f) // s for c, f, s in zip(v, floor, step) if s])):
+            v = tuple(map(sub, v, step))
+            m = memo.get(v)
+            if m is not None:
+                total = m
+                break
+            pending.append(v)
     atoms, terms = mu._atoms, mu._terms
     for p in reversed(pending):
         if atoms:
@@ -254,8 +237,7 @@ def _closure_mass(mu: JClosure, x: tuple[Scalar, ...]) -> Scalar:
                 if drop(w) != zeros:
                     continue
                 w = keep(w)
-            m = closure._memo.get(w)
-            total += c * (_closure_mass(closure, w) if m is None else m)
+            total += c * _mass(closure, w)
         memo[p] = total
     return total
 

@@ -51,7 +51,8 @@ from .measures import (
 from .reports import Report, ReportBuilder
 
 
-def _require_odd(n: int) -> None:
+def require_odd(n: int) -> None:
+    """Refuse an order the odd-order scenarios cannot run."""
     if n < 1:
         raise ValueError(f"order must be a positive integer, got {n}")
     if n % 2 == 0:
@@ -78,7 +79,7 @@ def _standard_setup(n: int):
 def verify_theorem_2_3(n: int) -> Report:
     """Wright-convexity failure of the positive-part power of the signed
     additive map: the mixed difference over all n+1 increments at 0 is -1."""
-    _require_odd(n)
+    require_odd(n)
     _, units, _, f, top = _standard_setup(n)
     rb = ReportBuilder(f"theorem23(n={n})")
     fwd = forward_diff(f, ZERO, units)
@@ -187,7 +188,7 @@ def verify_section_3_2() -> Report:
 
 def verify_lemma_4_4(n: int) -> Report:
     """Mass pattern of the closure measures on the 0/1-combination sets."""
-    _require_odd(n)
+    require_odd(n)
     syms, units, _, _, _ = _standard_setup(n)
     mus = [build_mu_i(i, syms) for i in range(1, n + 2)]
     # mu is built from these closures, not fresh ones, so that its masses
@@ -258,7 +259,7 @@ def verify_lemma_4_4(n: int) -> Report:
 def verify_lemma_4_6(n: int) -> Report:
     """Pointwise mass identities on A and the backward-difference chain
     computed through measures and directly through the function."""
-    _require_odd(n)
+    require_odd(n)
     syms, units, a, f, top = _standard_setup(n)
     mu = build_mu(syms)
     a_sets = build_a_sets(syms)

@@ -281,6 +281,14 @@ def test_exit_code_usage_errors(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", "lemma44", "--n", "13")
     assert code == 2 and "--allow-large" in err
 
+    # An even order is refused as even before its cost is weighed: it is
+    # neither asked for --allow-large nor warned about with it.
+    code, _, err = run_cli(capsys, "verify", "lemma44", "--n", "12")
+    assert code == 2 and "even" in err and "--allow-large" not in err
+
+    code, _, err = run_cli(capsys, "verify", "theorem23", "--n", "14", "--trace", "--allow-large")
+    assert code == 2 and "even" in err and "warning" not in err
+
     code, _, err = run_cli(capsys, "probe", "even", "--n", "3", "--case", "prop32-grid")
     assert code == 2
 
@@ -436,6 +444,14 @@ def test_deep_closure_nesting_is_a_usage_error(tmp_path, capsys):
     )
     assert code == 0 and err == ""
     assert json.loads(out)["computed"] == "80200"
+    # 800 levels still evaluate: the walk takes one Python frame per
+    # nested closure and no more, which keeps the limit near 990.
+    code, out, err = run_cli(
+        capsys, "run", _measure_chain(tmp_path, "jclosure", 800, "3*s expect 320400"),
+        "--format", "jsonl",
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out)["computed"] == "320400"
 
 
 def test_cli_import_loads_no_dataclasses():
