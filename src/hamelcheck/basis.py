@@ -4,18 +4,22 @@ Symbols are opaque tokens assumed rationally independent; they are never
 tied to real-number values, so every computation downstream is exact.
 A point is assembled by one ``point_combine``, which sorts once; ``+``,
 ``*`` and ``unit`` are the fast paths for two operands or one symbol.
+A point whose coordinates are already a tuple over a sorted basis is
+built from that tuple by ``Point.from_coords``, which keeps it: the box
+and subset-sum enumerations and ``Point(pairs)`` build their points so.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import InvalidIncrement
 
 Scalar = Union[int, Fraction]
+_INT = frozenset((int,))
 
 
 def exact(v) -> Scalar:
@@ -80,20 +84,45 @@ class Point:
     and hashing are structural. A point keeps its coordinate tuple over
     the last basis ``coords`` was asked for, so reading one point again on
     an equal basis converts it once; the cache never enters equality.
+    ``Point(pairs)`` sums the coefficients given for each symbol and is
+    built, like every point made by ``from_coords``, with its tuple over
+    the sorted symbols it was given already kept.
     """
 
     __slots__ = ("_terms", "_hash", "_read")
 
     def __init__(self, coords: Mapping[Symbol, Scalar] | Iterable[tuple[Symbol, Scalar]] = ()):
         items = coords.items() if isinstance(coords, Mapping) else coords
-        self._terms = point_combine((c, unit(s)) for s, c in items)._terms
-        self._hash = self._read = None
+        acc: dict[Symbol, Scalar] = {}
+        for s, c in items:
+            acc[s] = acc.get(s, 0) + exact(c)
+        basis = tuple(sorted(acc))
+        p = Point.from_coords(basis, [acc[s] for s in basis])
+        self._terms, self._hash, self._read = p._terms, None, p._read
 
     @classmethod
     def _wrap(cls, terms: tuple[tuple[Symbol, Scalar], ...]) -> "Point":
         p = object.__new__(cls)
         p._terms = terms
         p._hash = p._read = None
+        return p
+
+    @classmethod
+    def from_coords(cls, basis: tuple[Symbol, ...], coords: Iterable[Scalar]) -> "Point":
+        """The canonical point with coordinates ``coords`` over ``basis``, a
+        tuple of distinct symbols in sorted order with one coordinate each.
+        Every coordinate goes through ``exact`` and the zero ones are
+        dropped from the terms. The tuple of exact coordinates is kept as
+        the answer of ``coords`` for ``basis``, so the first read over that
+        basis or an equal one converts nothing; like any kept answer, it is
+        replaced when another basis is read and never enters equality."""
+        v = tuple(coords)
+        if not _INT.issuperset(map(type, v)):  # an int is already exact
+            v = tuple(map(exact, v))
+        p = object.__new__(cls)
+        p._terms = tuple(compress(zip(basis, v), v))
+        p._hash = None
+        p._read = basis, v
         return p
 
     @property
@@ -199,35 +228,64 @@ def unit(sym: Symbol) -> Point:
     return Point._wrap(((sym, 1),))
 
 
+def _span(points: Sequence[Point]) -> tuple[tuple[Symbol, ...], list[list[tuple[int, Scalar]]]]:
+    """The sorted symbols of all ``points``, and each point's coordinates
+    over them as ``(position, coefficient)`` pairs, zeros left out."""
+    basis = tuple(sorted({s for p in points for s, _ in p.terms}))
+    at = {s: j for j, s in enumerate(basis)}
+    return basis, [[(at[s], c) for s, c in p.terms] for p in points]
+
+
+def _weighted(basis: tuple[Symbol, ...], terms: Iterable[tuple[Scalar, list]]) -> Point:
+    """``Σ c·row`` over the ``(c, row)`` of ``terms``, rows from ``_span``,
+    as the point built from that tuple over ``basis``."""
+    v = [0] * len(basis)
+    for c, row in terms:
+        for j, x in row:
+            v[j] += c * x
+    return Point.from_coords(basis, v)
+
+
 def subset_sums(x: Point, hs: Sequence[Point]) -> Iterator[tuple[tuple[int, ...], Point]]:
     """``(subset, x + sum(hs[i] for i in subset))`` for every tuple of
     indices into ``hs``: sizes descending, index-lexicographic within a
-    size. This is the one enumeration of the subset sums; each is
-    assembled by one ``point_combine``."""
+    size. This is the one enumeration of the subset sums. Each sum is
+    built from coordinate tuples over the sorted symbols of ``x`` and
+    ``hs`` and keeps its tuple over them (``Point.from_coords``); it equals
+    the ``point_combine`` of the same points."""
+    basis, (base, *rows) = _span((x, *hs))
     for size in range(len(hs), -1, -1):
         for subset in combinations(range(len(hs)), size):
-            yield subset, point_combine(((1, x), *((1, hs[i]) for i in subset)))
+            yield subset, _weighted(basis, [(1, base)] + [(1, rows[i]) for i in subset])
 
 
 def lattice_box(units: Sequence[Point], lo: int, hi: int) -> list[Point]:
     """Every combination of ``units`` with integer coefficients in
-    ``lo..hi``, the first unit varying slowest."""
-    return [point_combine(zip(cs, units))
+    ``lo..hi``, the first unit varying slowest. Each point is built from coordinate tuples over the sorted symbols of
+    ``units`` and keeps its tuple over them (``Point.from_coords``); it
+    equals the ``point_combine`` of the same coefficients."""
+    basis, rows = _span(units)
+    return [_weighted(basis, zip(cs, rows))
             for cs in product(range(lo, hi + 1), repeat=len(units))]
 
 
 def sample_box(rng, units: Sequence[Point], lo: int, hi: int, k: int) -> list[Point]:
     """``rng.sample(lattice_box(units, lo, hi), k)`` without building the box:
     ``rng`` draws k indices into it, decoded with the first unit slowest, so
-    the points and the state of ``rng`` afterwards are the same."""
-    width = hi - lo + 1
+    the points and the state of ``rng`` afterwards are the same. Each point
+    is built as ``lattice_box`` builds it, from coordinate tuples over the
+    sorted symbols of ``units``, and keeps its tuple over them."""
+    basis, rows = _span(units)
+    width = max(hi - lo + 1, 0)
     out = []
     for i in rng.sample(range(width ** len(units)), k):
-        coeffs = []
-        for _ in units:
+        v = [0] * len(basis)
+        for row in reversed(rows):
             i, c = divmod(i, width)
-            coeffs.append(lo + c)
-        out.append(point_combine(zip(reversed(coeffs), units)))
+            c += lo
+            for j, x in row:
+                v[j] += c * x
+        out.append(Point.from_coords(basis, v))
     return out
 
 

@@ -37,10 +37,17 @@ from .scenarios import (
 )
 
 LARGE_ORDER = 11
+# theorem23's claims take the scalar line at any order, but its time grows
+# as the cube of the order, so an order above this one needs --allow-large.
+LINE_ORDER = 1001
 
 
 class UsageError(HamelcheckError):
     pass
+
+
+def _always(args: argparse.Namespace) -> bool:
+    return True
 
 
 def _human_trace(args: argparse.Namespace) -> bool:
@@ -87,32 +94,36 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run a built-in scenario")
     vsub = verify.add_subparsers(dest="scenario", required=True)
     # The verify scenarios: runner, batch orders when --n is omitted (none:
-    # it takes no --n), when an order above LARGE_ORDER needs --allow-large,
-    # and what such an order costs, with {n} the order and {m} = n + 1: the
-    # help text, the error and the warning all read this one cost. The
-    # parser is cached, so it holds each runner's name, not the function:
-    # ``main`` looks the name up in this module on every call, and a wrapper
-    # installed on it at any time (the benchmark's tracer, a test's
-    # monkeypatch) is the one called.
-    for name, runner, batch, guard, cost in (
-        ("theorem23", "verify_theorem_2_3", (1, 3, 5, 7, 9, 11), _human_trace,
-         "a 2^{m}-row table for a human-format --trace"),
-        ("section31", "verify_section_3_1", (), None, ""),
-        ("section32", "verify_section_3_2", (), None, ""),
-        ("lemma44", "verify_lemma_4_4", (1, 3, 5), lambda args: True,
-         "{m}*2^{n}-point A-sets"),
-        ("lemma46", "verify_lemma_4_6", (1, 3, 5), lambda args: True,
-         "{m}*2^{n}-point A-sets"),
+    # it takes no --n), and its cost guards. A guard is an order above which
+    # --allow-large is needed, when it applies, and what such an order
+    # costs, with {n} the order and {m} = n + 1: the help text, the error
+    # and the warning all read this one cost, and the first guard that
+    # applies is the one quoted. The parser is cached, so it holds each
+    # runner's name, not the function: ``main`` looks the name up in this
+    # module on every call, and a wrapper installed on it at any time (the
+    # benchmark's tracer, a test's monkeypatch) is the one called.
+    a_sets = ((LARGE_ORDER, _always, "{m}*2^{n}-point A-sets"),)
+    for name, runner, batch, guards in (
+        ("theorem23", "verify_theorem_2_3", (1, 3, 5, 7, 9, 11), (
+            (LARGE_ORDER, _human_trace, "a 2^{m}-row table for a human-format --trace"),
+            (LINE_ORDER, _always, "a scalar line of {m} factors (time cubic in n)"),
+        )),
+        ("section31", "verify_section_3_1", (), ()),
+        ("section32", "verify_section_3_2", (), ()),
+        ("lemma44", "verify_lemma_4_4", (1, 3, 5), a_sets),
+        ("lemma46", "verify_lemma_4_6", (1, 3, 5), a_sets),
     ):
         p = vsub.add_parser(name, parents=flags)
         if batch:
             p.add_argument("--n", type=int, default=None, help="odd order (default: batch)")
             p.add_argument(
                 "--allow-large", action="store_true",
-                help=f"permit orders above {LARGE_ORDER} that need "
-                + cost.format(n="n", m="(n+1)"),
+                help="permit orders " + ", and ".join(
+                    f"above {limit} that need " + cost.format(n="n", m="(n+1)")
+                    for limit, _, cost in guards
+                ),
             )
-        p.set_defaults(runner=runner, batch=batch, guard=guard, cost=cost)
+        p.set_defaults(runner=runner, batch=batch, guards=guards)
 
     p = vsub.add_parser("prop43", parents=flags)
     p.add_argument("--trials", type=int, default=100)
@@ -142,11 +153,13 @@ def _calls(args: argparse.Namespace) -> list[tuple]:
     if args.n is None:
         return [(n,) for n in args.batch]
     require_odd(args.n)
-    if args.n > LARGE_ORDER and args.guard(args):
-        cost = args.cost.format(n=args.n, m=args.n + 1)
-        if not args.allow_large:
-            raise UsageError(f"order {args.n} needs {cost}; pass --allow-large to proceed")
-        print(f"warning: order {args.n} needs {cost}; this may take a while", file=sys.stderr)
+    for limit, applies, cost in args.guards:
+        if args.n > limit and applies(args):
+            cost = cost.format(n=args.n, m=args.n + 1)
+            if not args.allow_large:
+                raise UsageError(f"order {args.n} needs {cost}; pass --allow-large to proceed")
+            print(f"warning: order {args.n} needs {cost}; this may take a while", file=sys.stderr)
+            break
     return [(args.n,)]
 
 

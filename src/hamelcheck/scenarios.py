@@ -13,6 +13,7 @@ import random
 from .basis import (
     ZERO,
     AdditiveFunctional,
+    Point,
     Symbol,
     point_combine,
     sample_box,
@@ -338,14 +339,15 @@ def verify_lemma_4_6(n: int) -> Report:
 
 def _random_instance(rng: random.Random):
     """One randomized round-trip instance: a finite atomic measure with
-    small nonnegative coordinates, 1-3 increments, and 50+ probe points."""
+    small nonnegative coordinates, 1-3 increments, and 50+ probe points.
+    Atoms and increments are built from their coordinate tuples over the
+    symbols, which ``s1 < s2 < s3`` already sorts."""
     nsym = rng.randint(1, 3)
-    syms = [Symbol(f"s{i + 1}", positive=True) for i in range(nsym)]
-    units = [unit(s) for s in syms]
+    syms = tuple(Symbol(f"s{i + 1}", positive=True) for i in range(nsym))
 
     atoms = []
     for _ in range(rng.randint(1, 5)):
-        p = point_combine((rng.randint(0, 5), u) for u in units)
+        p = Point.from_coords(syms, [rng.randint(0, 5) for _ in syms])
         w = rng.randint(1, 3)
         atoms.append((w, p))
     nu = Sum(tuple(Scale(w, Dirac(p)) for w, p in atoms))
@@ -353,16 +355,18 @@ def _random_instance(rng: random.Random):
     hs = []
     for _ in range(rng.randint(1, 3)):
         if nsym == 1 or rng.random() < 0.6:
-            h = rng.randint(1, 2) * rng.choice(units)
+            # A multiple of one unit: the multiple is drawn before the unit.
+            coords = [0] * nsym
+            k = rng.randint(1, 2)
+            coords[rng.randrange(nsym)] = k
         else:
-            coords = [rng.randint(0, 2) for _ in units]
+            coords = [rng.randint(0, 2) for _ in syms]
             if not any(coords):
                 coords[rng.randrange(nsym)] = 1
-            h = point_combine(zip(coords, units))
-        hs.append(h)
+        hs.append(Point.from_coords(syms, coords))
 
     hi = 55 if nsym == 1 else 7 if nsym == 2 else 5
-    probes = sample_box(rng, units, -1, hi, 50)
+    probes = sample_box(rng, [unit(s) for s in syms], -1, hi, 50)
     sampled = set(probes)
     probes.extend(p for p in dict.fromkeys(p for _, p in atoms) if p not in sampled)
     return nu, hs, probes

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -17,7 +17,7 @@ from hamelcheck import (
     symbols,
     unit,
 )
-from hamelcheck.basis import check_increment, lattice_box, subset_sums
+from hamelcheck.basis import check_increment, lattice_box, sample_box, subset_sums
 from hamelcheck.definitions import parse_definition
 from hamelcheck.differences import Violation
 from hamelcheck.functions import Composite, PositivePartPower
@@ -292,3 +292,130 @@ def test_coords_follow_the_basis_asked_seeded():
             assert p.coords(basis) == twin.coords(basis) == want
             assert p.coords(basis) == want
         assert p == twin and hash(p) == hash(twin)
+
+
+def _all_same(ps, qs):
+    """Two lists of points pairwise ``_same``, in the same order."""
+    ps, qs = list(ps), list(qs)
+    return len(ps) == len(qs) and all(map(_same, ps, qs))
+
+
+def _generators(rng, pool):
+    """0-4 points to combine, in an order their symbols do not sort in:
+    units, Fraction multiples, multi-symbol points, points sharing a symbol
+    (halves that sum to integral coordinates, and cancelling pairs)."""
+    out = []
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            out.append(unit(rng.choice(pool)))
+        elif kind == 1:
+            out.append(Fraction(rng.choice((-3, -1, 1, 2, 3)), rng.randint(1, 3)) * unit(rng.choice(pool)))
+        elif kind == 2:
+            out.append(point_combine(
+                (Fraction(rng.randint(-2, 2), rng.randint(1, 2)), unit(s))
+                for s in rng.sample(pool, rng.randint(2, 3))
+            ))
+        else:
+            s = rng.choice(pool)
+            half = Fraction(1, 2) * unit(s)
+            out.append(half + unit(rng.choice(pool)) if rng.random() < 0.5 else -1 * half)
+            out.append(half)
+    return out[:4]
+
+
+def test_tuple_built_points_match_point_combine_seeded():
+    # lattice_box, sample_box and subset_sums build each point from the
+    # coefficient-weighted sum of their points' tuples over the sorted
+    # symbols; point_combine of the same coefficients is the oracle: the
+    # same points with the same scalar forms, in the same order, and the
+    # same rng state after a sample.
+    pool = symbols("d b e a c", positive=True)
+    rng = random.Random(4321)
+    seen = set()
+    for _ in range(300):
+        gens = _generators(rng, pool)
+        lo = rng.randint(-2, 1)
+        hi = lo + rng.randint(-2, 2)
+        box = [point_combine(zip(cs, gens))
+               for cs in product(range(lo, hi + 1), repeat=len(gens))]
+        assert _all_same(lattice_box(gens, lo, hi), box)
+
+        for k in {0, min(1, len(box)), len(box) // 2, len(box)}:
+            seed = rng.random()
+            fast, full = random.Random(seed), random.Random(seed)
+            sample = sample_box(fast, gens, lo, hi, k)
+            assert _all_same(sample, full.sample(box, k))
+            assert fast.getstate() == full.getstate()
+        if not box:
+            with pytest.raises(ValueError):
+                sample_box(random.Random(0), gens, lo, hi, 1)
+
+        x = rng.choice([ZERO, *gens]) if gens else ZERO
+        sums = list(subset_sums(x, gens))
+        want = [
+            (subset, point_combine([(1, x), *((1, gens[i]) for i in subset)]))
+            for size in range(len(gens), -1, -1)
+            for subset in combinations(range(len(gens)), size)
+        ]
+        assert [s for s, _ in sums] == [s for s, _ in want]
+        assert _all_same((p for _, p in sums), (p for _, p in want))
+        seen.add((len(gens), lo > hi, any(type(c) is Fraction for p in box for _, c in p.terms)))
+    assert {(3, False, True), (2, True, False), (0, False, False)} <= seen
+
+
+def test_kept_tuple_answers_coords_seeded():
+    # A point built from a tuple keeps it as the answer of coords on the
+    # construction basis: the tuple a fresh equal point converts to, there
+    # and on an equal but distinct basis tuple. Reading another basis
+    # replaces it, and no read changes equality or hash.
+    pool = symbols("c a d b", positive=True)
+    rng = random.Random(99)
+    bases = [tuple(s) for k in range(5) for s in combinations(sorted(pool), k)]
+
+    def fresh_coords(p, basis):
+        twin = point_combine([(1, p)])
+        return twin.coords(basis)
+
+    built = []
+    for _ in range(60):
+        basis = rng.choice(bases)
+        coords = [rng.choice((0, 1, -2, Fraction(1, 2), Fraction(4, 2))) for _ in basis]
+        built.append((basis, Point.from_coords(basis, coords)))
+        pairs = [(rng.choice(pool), rng.choice((1, -1, Fraction(1, 3)))) for _ in range(rng.randint(0, 4))]
+        p = Point(pairs)
+        built.append((tuple(sorted({s for s, _ in pairs})), p))
+        gens = _generators(rng, pool)
+        for q in lattice_box(gens, -1, 1)[:3] + [q for _, q in subset_sums(ZERO, gens)][:3]:
+            built.append((tuple(sorted({s for g in gens for s, _ in g.terms})), q))
+    for basis, p in built:
+        want = fresh_coords(p, basis)
+        assert want is not None and all(type(c) is int or type(c) is Fraction and c.denominator > 1
+                                        for c in want)
+        assert p._read == (basis, want)
+        assert p.coords(tuple(list(basis))) == want
+        assert p.coords(basis) is p._read[1]
+        h = hash(p)
+        assert p == point_combine([(1, p)])
+        other = rng.choice(bases)
+        assert p.coords(other) == fresh_coords(p, other)
+        assert p._read[0] == other
+        assert p.coords(basis) == want
+        assert hash(p) == h and p == point_combine([(1, p)])
+    # The same point built over bases of different size is one point.
+    a, b = sorted(pool)[:2]
+    wide, narrow = Point.from_coords((a, b), (3, 0)), Point.from_coords((a,), (3,))
+    assert wide == narrow and hash(wide) == hash(narrow)
+    assert wide.coords((a,)) == narrow.coords((a,)) == (3,)
+    assert wide.coords((b,)) is None
+
+
+def test_from_coords_is_canonical():
+    a, b, c = symbols("a b c", positive=True)
+    p = Point.from_coords((a, b, c), (Fraction(4, 2), 0, Fraction(-1, 3)))
+    assert _same(p, point_combine([(2, unit(a)), (Fraction(-1, 3), unit(c))]))
+    assert [type(x) for _, x in p.terms] == [int, Fraction]
+    assert p.coords((a, b, c)) == (2, 0, Fraction(-1, 3))
+    assert [type(x) for x in p.coords((a, b, c))] == [int, int, Fraction]
+    assert Point.from_coords((a, b), (0, 0)) == ZERO and Point.from_coords((), ()) == ZERO
+    assert Point([(b, 1), (a, 2), (b, -1)]).terms == ((a, 2),)

@@ -151,6 +151,36 @@ def test_large_orders_quote_their_own_cost(monkeypatch, capsys, argv, name, cost
     assert f"orders above 11 that need {symbolic}" in " ".join(capsys.readouterr().out.split())
 
 
+def test_theorem23_beyond_the_line_order_needs_the_flag(monkeypatch, capsys):
+    # The scalar line costs time cubic in the order, so above LINE_ORDER
+    # theorem23 is refused before anything is built (order 10^11 would
+    # never return), and with the flag it warns; order 1001 needs neither.
+    calls = []
+    runner = cli.verify_theorem_2_3
+    monkeypatch.setattr(cli, "verify_theorem_2_3", lambda n: calls.append(n) or runner(1))
+    cost = "a scalar line of 100000000000 factors (time cubic in n)"
+    code, out, err = run_cli(capsys, "verify", "theorem23", "--n", "99999999999", "--format", "jsonl")
+    assert (code, out, calls) == (2, "", [])
+    assert err == f"error: order 99999999999 needs {cost}; pass --allow-large to proceed\n"
+
+    code, _, err = run_cli(capsys, "verify", "theorem23", "--n", "1003", "--allow-large")
+    assert (code, calls) == (0, [1003])
+    assert err == ("warning: order 1003 needs a scalar line of 1004 factors (time cubic in n); "
+                   "this may take a while\n")
+
+    code, _, err = run_cli(capsys, "verify", "theorem23", "--n", "1001", "--format", "jsonl")
+    assert (code, err, calls) == (0, "", [1003, 1001])
+    # Past both orders a human-format trace quotes the exponential table.
+    code, _, err = run_cli(capsys, "verify", "theorem23", "--n", "1003", "--trace")
+    assert code == 2 and "2^1004-row table" in err and calls == [1003, 1001]
+
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit):
+        main(["verify", "theorem23", "--help"])
+    assert (f"above {cli.LINE_ORDER} that need a scalar line of (n+1) factors (time cubic in n)"
+            in " ".join(capsys.readouterr().out.split()))
+
+
 def test_a_second_call_builds_no_parser(monkeypatch, capsys):
     assert run_cli(capsys, "verify", "section32")[0] == 0
     built = []

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -20,7 +21,7 @@ from hamelcheck import (
     verify_section_3_2,
     verify_theorem_2_3,
 )
-from hamelcheck.basis import lattice_box
+from hamelcheck.basis import Symbol, lattice_box, point_combine, unit
 
 
 def claims_by_label(report):
@@ -160,6 +161,51 @@ def test_prop43_probes_are_the_full_box_sample(monkeypatch):
         assert fast_rng.getstate() == full_rng.getstate()
         symbol_counts.add(len({s for p in probes for s, _ in p.terms}))
     assert symbol_counts == {1, 2, 3}
+
+
+def _point_combine_instance(rng):
+    """The draws of ``scenarios._random_instance``, in the same order, with
+    every point built by ``point_combine`` and the probes sampled from the
+    built box: ``(weight, atom)`` pairs, increments and probes."""
+    nsym = rng.randint(1, 3)
+    units = [unit(Symbol(f"s{i + 1}", positive=True)) for i in range(nsym)]
+    atoms = []
+    for _ in range(rng.randint(1, 5)):
+        p = point_combine((rng.randint(0, 5), u) for u in units)
+        atoms.append((rng.randint(1, 3), p))
+    hs = []
+    for _ in range(rng.randint(1, 3)):
+        if nsym == 1 or rng.random() < 0.6:
+            h = rng.randint(1, 2) * rng.choice(units)
+        else:
+            coords = [rng.randint(0, 2) for _ in units]
+            if not any(coords):
+                coords[rng.randrange(nsym)] = 1
+            h = point_combine(zip(coords, units))
+        hs.append(h)
+    hi = 55 if nsym == 1 else 7 if nsym == 2 else 5
+    box = [point_combine(zip(cs, units)) for cs in product(range(-1, hi + 1), repeat=nsym)]
+    probes = rng.sample(box, 50)
+    probes += [p for p in dict.fromkeys(p for _, p in atoms) if p not in probes]
+    return atoms, hs, probes
+
+
+def test_prop43_instances_match_point_combine_draws():
+    # Atoms, increments and probes are built from coordinate tuples; the
+    # same draws through point_combine give the same points, with the same
+    # scalar forms, and leave the rng in the same state.
+    def canonical(points):
+        return [[(s, type(c), c) for s, c in p.terms] for p in points]
+
+    for seed in range(300):
+        rng, oracle = random.Random(seed), random.Random(seed)
+        nu, hs, probes = scenarios._random_instance(rng)
+        atoms, want_hs, want_probes = _point_combine_instance(oracle)
+        assert [t.factor for t in nu.terms] == [w for w, _ in atoms]
+        assert canonical(t.inner.point for t in nu.terms) == canonical(p for _, p in atoms)
+        assert canonical(hs) == canonical(want_hs)
+        assert canonical(probes) == canonical(want_probes)
+        assert rng.getstate() == oracle.getstate()
 
 
 def test_prop43_probes_append_each_new_atom_once():
