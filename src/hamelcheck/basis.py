@@ -12,14 +12,13 @@ and subset-sum enumerations and ``Point(pairs)`` build their points so.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, compress, product
+from itertools import combinations, compress
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import InvalidIncrement
 
 Scalar = Union[int, Fraction]
-_INT = frozenset((int,))
 
 
 def exact(v) -> Scalar:
@@ -97,8 +96,13 @@ class Point:
         for s, c in items:
             acc[s] = acc.get(s, 0) + exact(c)
         basis = tuple(sorted(acc))
-        p = Point.from_coords(basis, [acc[s] for s in basis])
-        self._terms, self._hash, self._read = p._terms, None, p._read
+        self._set_coords(basis, [acc[s] for s in basis])
+
+    def _set_coords(self, basis: tuple[Symbol, ...], coords: Iterable[Scalar]) -> None:
+        v = tuple(map(exact, coords))
+        self._terms = tuple(compress(zip(basis, v), v))
+        self._hash = None
+        self._read = basis, v
 
     @classmethod
     def _wrap(cls, terms: tuple[tuple[Symbol, Scalar], ...]) -> "Point":
@@ -116,13 +120,8 @@ class Point:
         the answer of ``coords`` for ``basis``, so the first read over that
         basis or an equal one converts nothing; like any kept answer, it is
         replaced when another basis is read and never enters equality."""
-        v = tuple(coords)
-        if not _INT.issuperset(map(type, v)):  # an int is already exact
-            v = tuple(map(exact, v))
         p = object.__new__(cls)
-        p._terms = tuple(compress(zip(basis, v), v))
-        p._hash = None
-        p._read = basis, v
+        p._set_coords(basis, coords)
         return p
 
     @property
@@ -236,16 +235,6 @@ def _span(points: Sequence[Point]) -> tuple[tuple[Symbol, ...], list[list[tuple[
     return basis, [[(at[s], c) for s, c in p.terms] for p in points]
 
 
-def _weighted(basis: tuple[Symbol, ...], terms: Iterable[tuple[Scalar, list]]) -> Point:
-    """``Σ c·row`` over the ``(c, row)`` of ``terms``, rows from ``_span``,
-    as the point built from that tuple over ``basis``."""
-    v = [0] * len(basis)
-    for c, row in terms:
-        for j, x in row:
-            v[j] += c * x
-    return Point.from_coords(basis, v)
-
-
 def subset_sums(x: Point, hs: Sequence[Point]) -> Iterator[tuple[tuple[int, ...], Point]]:
     """``(subset, x + sum(hs[i] for i in subset))`` for every tuple of
     indices into ``hs``: sizes descending, index-lexicographic within a
@@ -256,29 +245,22 @@ def subset_sums(x: Point, hs: Sequence[Point]) -> Iterator[tuple[tuple[int, ...]
     basis, (base, *rows) = _span((x, *hs))
     for size in range(len(hs), -1, -1):
         for subset in combinations(range(len(hs)), size):
-            yield subset, _weighted(basis, [(1, base)] + [(1, rows[i]) for i in subset])
+            v = [0] * len(basis)
+            for row in (base, *(rows[i] for i in subset)):
+                for j, c in row:
+                    v[j] += c
+            yield subset, Point.from_coords(basis, v)
 
 
-def lattice_box(units: Sequence[Point], lo: int, hi: int) -> list[Point]:
-    """Every combination of ``units`` with integer coefficients in
-    ``lo..hi``, the first unit varying slowest. Each point is built from coordinate tuples over the sorted symbols of
-    ``units`` and keeps its tuple over them (``Point.from_coords``); it
+def _box_points(units: Sequence[Point], lo: int, width: int, indices: Iterable[int]) -> list[Point]:
+    """The points at ``indices`` into the box of ``units`` with integer
+    coefficients in ``lo..lo + width - 1``, the first unit varying
+    slowest. Each is built from coordinate tuples over the sorted symbols
+    of ``units`` and keeps its tuple over them (``Point.from_coords``); it
     equals the ``point_combine`` of the same coefficients."""
     basis, rows = _span(units)
-    return [_weighted(basis, zip(cs, rows))
-            for cs in product(range(lo, hi + 1), repeat=len(units))]
-
-
-def sample_box(rng, units: Sequence[Point], lo: int, hi: int, k: int) -> list[Point]:
-    """``rng.sample(lattice_box(units, lo, hi), k)`` without building the box:
-    ``rng`` draws k indices into it, decoded with the first unit slowest, so
-    the points and the state of ``rng`` afterwards are the same. Each point
-    is built as ``lattice_box`` builds it, from coordinate tuples over the
-    sorted symbols of ``units``, and keeps its tuple over them."""
-    basis, rows = _span(units)
-    width = max(hi - lo + 1, 0)
     out = []
-    for i in rng.sample(range(width ** len(units)), k):
+    for i in indices:
         v = [0] * len(basis)
         for row in reversed(rows):
             i, c = divmod(i, width)
@@ -287,6 +269,24 @@ def sample_box(rng, units: Sequence[Point], lo: int, hi: int, k: int) -> list[Po
                 v[j] += c * x
         out.append(Point.from_coords(basis, v))
     return out
+
+
+def lattice_box(units: Sequence[Point], lo: int, hi: int) -> list[Point]:
+    """Every combination of ``units`` with integer coefficients in
+    ``lo..hi``, the first unit varying slowest: ``_box_points`` at every
+    index of the box, so each point keeps its coordinate tuple over the
+    sorted symbols of ``units``."""
+    width = max(hi - lo + 1, 0)
+    return _box_points(units, lo, width, range(width ** len(units)))
+
+
+def sample_box(rng, units: Sequence[Point], lo: int, hi: int, k: int) -> list[Point]:
+    """``rng.sample(lattice_box(units, lo, hi), k)`` without building the box:
+    ``rng`` draws k indices into it, decoded by ``_box_points`` as
+    ``lattice_box`` decodes them, so the points and the state of ``rng``
+    afterwards are the same."""
+    width = max(hi - lo + 1, 0)
+    return _box_points(units, lo, width, rng.sample(range(width ** len(units)), k))
 
 
 def point_combine(terms: Iterable[tuple[Scalar, Point]]) -> Point:

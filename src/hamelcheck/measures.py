@@ -69,9 +69,8 @@ class MeasureExpr(Frozen):
 
     @property
     def support_floor(self) -> Point:
-        """The floor as a point, built from its tuple over the basis: no
-        support coordinate lies below it."""
-        return Point.from_coords(self._basis, self._floor)
+        """The floor as a point: no support coordinate lies below it."""
+        return Point(zip(self._basis, self._floor))
 
     def _fill(
         self, parts: Sequence[tuple[Scalar, MeasureExpr | None]], own: Point | None = None,
