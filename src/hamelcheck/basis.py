@@ -80,12 +80,9 @@ class Point:
 
     Canonical form: zero coefficients are dropped, integral ones are held
     as ``int`` (see ``exact``) and terms are sorted by symbol, so equality
-    and hashing are structural. A point keeps its coordinate tuple over
-    the last basis ``coords`` was asked for, so reading one point again on
-    an equal basis converts it once; the cache never enters equality.
-    ``Point(pairs)`` sums the coefficients given for each symbol and is
-    built, like every point made by ``from_coords``, with its tuple over
-    the sorted symbols it was given already kept.
+    and hashing are structural. ``Point(pairs)`` sums the coefficients
+    given for each symbol and, like ``from_coords``, keeps the tuple it was
+    built from for ``coords``; nothing changes a point once it is built.
     """
 
     __slots__ = ("_terms", "_hash", "_read")
@@ -117,9 +114,8 @@ class Point:
         tuple of distinct symbols in sorted order with one coordinate each.
         Every coordinate goes through ``exact`` and the zero ones are
         dropped from the terms. The tuple of exact coordinates is kept as
-        the answer of ``coords`` for ``basis``, so the first read over that
-        basis or an equal one converts nothing; like any kept answer, it is
-        replaced when another basis is read and never enters equality."""
+        the answer of ``coords`` over ``basis`` or an equal basis, and
+        never enters equality."""
         p = object.__new__(cls)
         p._set_coords(basis, coords)
         return p
@@ -140,17 +136,14 @@ class Point:
 
     def coords(self, basis: tuple[Symbol, ...]) -> tuple[Scalar, ...] | None:
         """The coordinates as a tuple over ``basis``, or None when the
-        support is not inside it. The answer for the last basis asked is
-        kept, and reused for that basis or an equal one."""
+        support is not inside it: the kept tuple when ``basis`` equals the
+        one the point was built over, else a conversion that is not kept."""
         read = self._read
-        if read is not None and (read[0] is basis or read[0] == basis):
+        if read is not None and read[0] == basis:
             return read[1]
         rest = dict(self._terms)
         v = tuple([rest.pop(s, 0) for s in basis])
-        if rest:
-            v = None
-        self._read = basis, v
-        return v
+        return None if rest else v
 
     def is_zero(self) -> bool:
         return not self._terms

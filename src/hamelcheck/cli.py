@@ -40,6 +40,9 @@ LARGE_ORDER = 11
 # theorem23's claims take the scalar line at any order, but its time grows
 # as the cube of the order, so an order above this one needs --allow-large.
 LINE_ORDER = 1001
+# theorem23's human-format trace took 10.6 s and 376 MiB at this order, and
+# four times that per step of two: above it, --allow-large does not help.
+TRACE_ORDER = 17
 
 
 class UsageError(HamelcheckError):
@@ -93,20 +96,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run a built-in scenario")
     vsub = verify.add_subparsers(dest="scenario", required=True)
-    # The verify scenarios: runner, batch orders when --n is omitted (none:
-    # it takes no --n), and its cost guards. A guard is an order above which
-    # --allow-large is needed, when it applies, and what such an order
-    # costs, with {n} the order and {m} = n + 1: the help text, the error
-    # and the warning all read this one cost, and the first guard that
-    # applies is the one quoted. The parser is cached, so it holds each
-    # runner's name, not the function: ``main`` looks the name up in this
-    # module on every call, and a wrapper installed on it at any time (the
-    # benchmark's tracer, a test's monkeypatch) is the one called.
-    a_sets = ((LARGE_ORDER, _always, "{m}*2^{n}-point A-sets"),)
+    # The verify scenarios: runner, batch orders when --n is omitted (none: it
+    # takes no --n), and its cost guards. A guard is an order above which
+    # --allow-large is needed, when it applies, what such an order costs ({n}
+    # the order, {m} = n + 1) and the order past which it is refused anyway, if
+    # any: the help text, the error and the warning all read this one cost, and
+    # the first guard that applies is the one quoted. The parser is cached, so
+    # it holds each runner's name, not the function: ``main`` looks the name up
+    # in this module on every call, and a wrapper installed on it at any time
+    # (the benchmark's tracer, a test's monkeypatch) is the one called.
+    a_sets = ((LARGE_ORDER, _always, "{m}*2^{n}-point A-sets", None),)
     for name, runner, batch, guards in (
         ("theorem23", "verify_theorem_2_3", (1, 3, 5, 7, 9, 11), (
-            (LARGE_ORDER, _human_trace, "a 2^{m}-row table for a human-format --trace"),
-            (LINE_ORDER, _always, "a scalar line of {m} factors (time cubic in n)"),
+            (LARGE_ORDER, _human_trace, "a 2^{m}-row table for a human-format --trace",
+             TRACE_ORDER),
+            (LINE_ORDER, _always, "a scalar line of {m} factors (time cubic in n)", None),
         )),
         ("section31", "verify_section_3_1", (), ()),
         ("section32", "verify_section_3_2", (), ()),
@@ -120,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--allow-large", action="store_true",
                 help="permit orders " + ", and ".join(
                     f"above {limit} that need " + cost.format(n="n", m="(n+1)")
-                    for limit, _, cost in guards
+                    for limit, _, cost, _ in guards
                 ),
             )
         p.set_defaults(runner=runner, batch=batch, guards=guards)
@@ -153,9 +157,11 @@ def _calls(args: argparse.Namespace) -> list[tuple]:
     if args.n is None:
         return [(n,) for n in args.batch]
     require_odd(args.n)
-    for limit, applies, cost in args.guards:
+    for limit, applies, cost, ceiling in args.guards:
         if args.n > limit and applies(args):
             cost = cost.format(n=args.n, m=args.n + 1)
+            if ceiling is not None and args.n > ceiling:
+                raise UsageError(f"order {args.n} needs {cost}; refused above order {ceiling}")
             if not args.allow_large:
                 raise UsageError(f"order {args.n} needs {cost}; pass --allow-large to proceed")
             print(f"warning: order {args.n} needs {cost}; this may take a while", file=sys.stderr)
@@ -177,6 +183,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             "error: input nests too deeply to evaluate (recursion limit reached)",
             file=sys.stderr,
         )
+        return 2
+    except MemoryError:
+        print("error: out of memory (the input is too large to evaluate)", file=sys.stderr)
         return 2
     print(output)
     return 0 if all(r.passed for r in reports) else 1

@@ -38,7 +38,7 @@ def _checked(hs: Increments) -> tuple[Point, ...]:
     return hs
 
 
-class _Expansion(PointFunction, Frozen):
+class _Expansion(Frozen):
     """The mixed difference as one expansion: ``factor * prod(z**s - 1)``
     over the steps ``s``, multiplied out one run of equal adjacent steps
     at a time into terms ``{e: c}``, has the value

@@ -78,9 +78,6 @@ class PointFunction:
     def value(self, x: Point) -> Scalar:
         raise NotImplementedError
 
-    def __call__(self, x: Point) -> Scalar:
-        return self.value(x)
-
 
 class Composite(PointFunction, Frozen):
     """Scalar kernel applied to the value of an additive functional."""

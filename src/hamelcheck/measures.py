@@ -3,20 +3,20 @@ exact pointwise atom-mass evaluation.
 
 Closure nodes have infinite support, so measures are never materialized.
 Every node works on coordinate tuples over its basis, the sorted symbols
-of its subtree's points (shared with a child whose basis is equal), and
-is folded at construction into one linear form there: merged atoms, plus
-merged closure leaves, each at an offset and with a weight. The support
-floor is folded with the form, as the minimum of the parts' floors in
-the same tuples, translated with them. `Shift`, `Scale` and `Sum` only
-build forms, so a query reads the atoms and walks the closures; nothing
-recurses through them. A closure's form describes its inner measure, and
-only a closure stores a step. One evaluator, `_mass`, answers
-every node: a node with no step reads its form at the query, and a
-closure reads its form at each point of a chain of translates whose
-length is read off the support floor. Every node memoises the masses
-asked of it, keyed by tuples over its own basis, for as long as the node
-lives, and only `_mass` reads or fills that memo. A closure is never
-cancelled against a difference: it stays a leaf that its walk evaluates.
+of its subtree's points, and is folded at construction into one linear
+form there: merged atoms, plus merged closure leaves, each at an offset
+and with a weight. The support floor is folded with the form, as the
+minimum of the parts' floors in the same tuples, translated with them.
+`Shift`, `Scale` and `Sum` only build forms, so a query reads the
+atoms and walks the closures; nothing recurses through them. A closure's
+form describes its inner measure, and only a closure stores a step. One
+evaluator, `_mass`, answers every node: a node with no step reads its
+form at the query, and a closure reads its form at each point of a chain
+of translates whose length is read off the support floor. Every node
+memoises the masses asked of it, keyed by tuples over its own basis, for
+as long as the node lives, and only `_mass` reads or fills that memo. A
+closure is never cancelled against a difference: it stays a leaf that
+its walk evaluates.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ class MeasureExpr(Frozen):
     closure's mass at `w`. When the closure's basis is smaller than the
     node's, the term counts only where `drop(w) == zeros`, at `keep(w)`;
     otherwise all three are None. `_memo` maps each `v` that `_mass` has
-    answered to the node's mass there."""
+    answered to the node's mass there. `_basis` is the node's own tuple."""
 
     @property
     def support_floor(self) -> Point:
@@ -79,17 +79,13 @@ class MeasureExpr(Frozen):
         """Fold ``Σ c·child`` over ``parts`` into this node's form,
         translated by ``own``; in a closure ``own`` is instead the step,
         kept as ``_step``. A child of None is the unit atom at the origin,
-        and a closure child is one term. The basis is the sorted symbols
-        of ``own`` and of the parts' bases; a child basis that holds them
-        all is shared, so a point read on that child and on this node
-        converts once. The floor is the coordinatewise minimum of the
-        parts' floors (the unit atom's is 0; a closure's is its inner's,
-        since its support only grows upward), translated likewise."""
+        and a closure child is one term. The basis is a new tuple of the
+        sorted symbols of ``own`` and of the parts' bases. The floor is the
+        coordinatewise minimum of the parts' floors (the unit atom's is 0;
+        a closure's is its inner's, since its support only grows upward),
+        translated likewise."""
         bases = [child._basis for _, child in parts if child is not None]
-        syms = set(() if own is None else own.support).union(*bases)
-        basis = next((b for b in bases if len(b) == len(syms)), None)
-        if basis is None:
-            basis = tuple(sorted(syms))
+        basis = tuple(sorted(set(() if own is None else own.support).union(*bases)))
         offset = None if own is None else own.coords(basis)
         if type(self) is JClosure:
             offset, fields["_step"] = None, offset
@@ -192,9 +188,9 @@ class JClosure(MeasureExpr):
 
 
 def atom_mass(mu: MeasureExpr, x: Point) -> Scalar:
-    """Exact signed mass of the atom of ``mu`` at ``x``: ``x`` converted to
-    a tuple over ``mu``'s basis by ``Point.coords``, which keeps it for the
-    next read on that basis, and read by `_mass`."""
+    """Exact signed mass of the atom of ``mu`` at ``x``: ``x`` read as a
+    tuple over ``mu``'s basis by ``Point.coords``, which leaves ``x`` as it
+    was, and looked up by `_mass`."""
     v = x.coords(mu._basis)
     # Every atom lies in the span of the basis, so a point off it has none.
     return 0 if v is None else _mass(mu, v)

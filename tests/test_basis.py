@@ -21,7 +21,7 @@ from hamelcheck.basis import check_increment, lattice_box, sample_box, subset_su
 from hamelcheck.definitions import parse_definition
 from hamelcheck.differences import Violation
 from hamelcheck.functions import Composite, PositivePartPower
-from hamelcheck.measures import Dirac, JClosure
+from hamelcheck.measures import Dirac, JClosure, Shift, atom_mass, nabla
 from hamelcheck.reports import Report
 
 
@@ -367,8 +367,10 @@ def test_tuple_built_points_match_point_combine_seeded():
 def test_kept_tuple_answers_coords_seeded():
     # A point built from a tuple keeps it as the answer of coords on the
     # construction basis: the tuple a fresh equal point converts to, there
-    # and on an equal but distinct basis tuple. Reading another basis
-    # replaces it, and no read changes equality or hash.
+    # and on an equal but distinct basis tuple. Nothing changes a point once
+    # it is built: reading another basis converts afresh, and building a
+    # measure on the point or reading a mass there leaves the kept tuple as
+    # it was. No read changes equality or hash.
     pool = symbols("c a d b", positive=True)
     rng = random.Random(99)
     bases = [tuple(s) for k in range(5) for s in combinations(sorted(pool), k)]
@@ -388,6 +390,7 @@ def test_kept_tuple_answers_coords_seeded():
         gens = _generators(rng, pool)
         for q in lattice_box(gens, -1, 1)[:3] + [q for _, q in subset_sums(ZERO, gens)][:3]:
             built.append((tuple(sorted({s for g in gens for s, _ in g.terms})), q))
+    steps = 0
     for basis, p in built:
         want = fresh_coords(p, basis)
         assert want is not None and all(type(c) is int or type(c) is Fraction and c.denominator > 1
@@ -399,9 +402,17 @@ def test_kept_tuple_answers_coords_seeded():
         assert p == point_combine([(1, p)])
         other = rng.choice(bases)
         assert p.coords(other) == fresh_coords(p, other)
-        assert p._read[0] == other
+        assert p._read == (basis, want)
         assert p.coords(basis) == want
         assert hash(p) == h and p == point_combine([(1, p)])
+        u = unit(rng.choice(pool))
+        mus = [Dirac(p)]
+        if is_positive_increment(p):
+            steps += 1
+            mus += [Shift(Dirac(u), p), JClosure(Dirac(u), p), nabla(Dirac(u), [p, u])]
+        assert all(atom_mass(mu, p) == atom_mass(mu, point_combine([(1, p)])) for mu in mus)
+        assert p._read == (basis, want)
+    assert steps > 40
     # The same point built over bases of different size is one point.
     a, b = sorted(pool)[:2]
     wide, narrow = Point.from_coords((a, b), (3, 0)), Point.from_coords((a,), (3,))

@@ -11,6 +11,7 @@ import pytest
 
 from hamelcheck import cli
 from hamelcheck.cli import main
+from hamelcheck.scenarios import verify_prop_4_3
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -179,6 +180,64 @@ def test_theorem23_beyond_the_line_order_needs_the_flag(monkeypatch, capsys):
         main(["verify", "theorem23", "--help"])
     assert (f"above {cli.LINE_ORDER} that need a scalar line of (n+1) factors (time cubic in n)"
             in " ".join(capsys.readouterr().out.split()))
+
+
+def test_theorem23_human_trace_above_the_trace_order_is_refused(monkeypatch, capsys):
+    # The trace table has 2^(n+1) rows, so above TRACE_ORDER a human-format
+    # trace is refused even with --allow-large, before anything is built
+    # (order 31 would need 2^32 rows and run out of memory). Up to that
+    # order the flag still lets it run with a warning, and other formats
+    # render no table.
+    calls = []
+    runner = cli.verify_theorem_2_3
+    monkeypatch.setattr(cli, "verify_theorem_2_3", lambda n: calls.append(n) or runner(1))
+    top = cli.TRACE_ORDER
+    for n in (top + 2, 31, 1003):
+        code, out, err = run_cli(capsys, "verify", "theorem23", "--n", str(n), "--trace",
+                                 "--allow-large")
+        assert (code, out, calls) == (2, "", [])
+        assert err == (f"error: order {n} needs a 2^{n + 1}-row table for a human-format "
+                       f"--trace; refused above order {top}\n")
+    code, _, err = run_cli(capsys, "verify", "theorem23", "--n", str(top), "--trace",
+                           "--allow-large")
+    assert (code, calls) == (0, [top]) and err.startswith(f"warning: order {top} needs a 2^")
+    code, _, err = run_cli(capsys, "verify", "theorem23", "--n", str(top + 2), "--trace",
+                           "--format", "jsonl")
+    assert (code, err, calls) == (0, "", [top, top + 2])
+
+
+def test_prop43_above_the_trial_maximum_is_refused(monkeypatch, capsys):
+    # A count past 100,000 trials (about 100 s) is refused before the first
+    # trial is drawn: 10^11 trials would never return.
+    most = 100_000
+    drawn = []
+
+    def draw(rng):
+        drawn.append(rng)
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr("hamelcheck.scenarios._random_instance", draw)
+    for trials in ("99999999999", str(most + 1)):
+        code, out, err = run_cli(capsys, "verify", "prop43", "--trials", trials,
+                                 "--format", "jsonl")
+        assert (code, out, drawn) == (2, "", [])
+        assert err == f"error: trials must be <= {most}\n"
+    # The maximum itself is accepted: its first trial is drawn.
+    with pytest.raises(AssertionError, match="a trial was drawn"):
+        verify_prop_4_3(most, 1)
+    assert len(drawn) == 1
+
+
+def test_out_of_memory_is_a_usage_error(monkeypatch, capsys):
+    # Running out of memory is not a failed claim (exit 1) or a traceback:
+    # it exits 2 with one line, as a recursion limit does.
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "verify_section_3_2", exhausted)
+    code, out, err = run_cli(capsys, "verify", "section32", "--format", "jsonl")
+    assert (code, out) == (2, "")
+    assert err == "error: out of memory (the input is too large to evaluate)\n"
 
 
 def test_a_second_call_builds_no_parser(monkeypatch, capsys):
