@@ -21,12 +21,13 @@ A declared name is one name token; symbols and points share a namespace.
 ``<point>`` is a declared point, ``0``, or an inline combination. An
 ``expect`` before the last ``at``, ``with`` or ``]`` of an eval line is a
 name. Evals without ``expect`` pass with their value; ``jensen-probe``
-expects zero violations. A ``pospartpow`` function holds its additive's
-values as declared so far, so no ``additive`` line for it may follow,
-and a table lists each point once. A definition needs at least one eval
-line; a file may start with a UTF-8 byte-order mark. An error gives the
-column of the token it rejects, or column 1 when it concerns the whole
-statement.
+expects zero violations, and is refused above order ``PROBE_ORDER`` or
+above ``PROBE_READS`` function values in all. A ``pospartpow`` function
+holds its additive's values as declared so far, so no ``additive`` line
+for it may follow, and a table lists each point once. A definition needs
+at least one eval line; a file may start with a UTF-8 byte-order mark.
+An error gives the column of the token it rejects, or column 1 when it
+concerns the whole statement.
 """
 
 from __future__ import annotations
@@ -52,6 +53,17 @@ from .errors import (
 from .functions import Composite, PointFunction, PositivePartPower, Tabulated, tabulated_abs
 from .measures import Dirac, JClosure, MeasureExpr, Scale, Shift, Sum, atom_mass
 from .reports import Report, ReportBuilder, Value
+
+
+# A jensen-probe's bounds, checked before it builds anything, so that a
+# probe that could never finish exits 2 instead. Its binomial row holds
+# n + 2 integers of about n bits: order 20,001 took 0.4 s and 94 MiB,
+# order 50,001 1.4 s and 490 MiB. Each sample reads n + 2 values: a box
+# of 0..1000 over two symbols at order 3 reads 10,020,010 and took 16 s.
+# Just inside both bounds, 99 samples at order 20,000 took 5.2 s, and
+# 666,666 samples at order 1 took 4.9 s and 271 MiB.
+PROBE_ORDER = 20_000
+PROBE_READS = 2_000_000
 
 
 class Eval(NamedTuple):
@@ -357,6 +369,8 @@ class _Parser:
         order = self.number(fields["n"], int, "order")
         if order < 1:
             raise self.fail("order must be >= 1", fields["n"])
+        if order > PROBE_ORDER:
+            raise self.fail(f"order must be <= {PROBE_ORDER}", fields["n"])
         grid = fields["grid"]
         if not _starts(grid, "box", "(") or grid[-1].text != ")":
             raise self.bad("bad grid spec", grid)
@@ -377,8 +391,16 @@ class _Parser:
             units = [unit(s) for s in symbols.values() if s.positive]
             if not units:
                 raise DefinitionError("jensen-probe needs at least one positive symbol", line)
-            # One Point per (symbol, step), shared by every box point, so
-            # the probe finds each sample's chain by identity.
+            count = (hi - lo + 1) ** len(units) * len(units) * (steps[1] - steps[0] + 1)
+            if count * (order + 2) > PROBE_READS:
+                raise DefinitionError(
+                    f"jensen-probe of {count} samples at order {order} reads {order + 2} "
+                    f"values per sample; refused above {PROBE_READS} values in all",
+                    line,
+                )
+            # One Point per (symbol, step), shared by every box point: the
+            # probe finds each sample's chain by equality of its increment
+            # tuple, so equal increments share one chain.
             increments = [step * u for u in units for step in range(steps[0], steps[1] + 1)]
             samples = [(x, h) for x in lattice_box(units, lo, hi) for h in increments]
             return len(jensen_convexity_probe(f, order, samples))

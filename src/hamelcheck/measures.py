@@ -274,14 +274,19 @@ def build_mu_i(i: int, syms: Sequence[Symbol]) -> MeasureExpr:
 
 
 def signed_sum(mus: Sequence[MeasureExpr]) -> MeasureExpr:
-    """The signed combination of the closures mu_1..mu_(n+1): every one
-    but the first, minus the first."""
+    """The signed combination of mu_1..mu_(n+1), closures or their unit
+    atoms: every one but the first, minus the first."""
     return Sum(tuple(mus[1:]) + (Scale(-1, mus[0]),))
 
 
 def build_mu(syms: Sequence[Symbol]) -> MeasureExpr:
-    """Signed combination: the closures of atoms 2..n+1 minus the first."""
-    return signed_sum([build_mu_i(i, syms) for i in range(1, len(syms) + 1)])
+    """The signed combination of ``build_mu_i`` over every symbol, built
+    as one chain: J is linear, so ``Σ_{i≥2} J(δ_{h_i}) − J(δ_{h_1})`` is
+    the chain of unit-step closures over the signed unit atoms
+    ``Σ_{i≥2} δ_{h_i} − δ_{h_1}``, and a query walks it once where
+    ``signed_sum`` of the ``build_mu_i`` walks one chain per atom."""
+    pts = _unit_increments(syms)
+    return j_op(signed_sum([Dirac(p) for p in pts]), pts)
 
 
 class ASets(NamedTuple):

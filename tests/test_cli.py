@@ -312,6 +312,36 @@ def test_malformed_jensen_probe_is_a_usage_error(tmp_path, capsys):
         assert err.startswith("error: line 4, col 1: expected: eval jensen-probe")
 
 
+def test_jensen_probe_that_could_never_finish_is_a_usage_error(tmp_path, capsys):
+    # Each refused probe ran without end before: the order's binomial row
+    # alone, or 8,000,120,000,600,001 box points times three increments.
+    # The limits sit between these and probes that finish in about a second.
+    one = "symbol h positive\nadditive a.h = 1\nfunction pospartpow 3 of a\n"
+    three = (
+        "symbol h positive\nsymbol k positive\nsymbol l positive\n"
+        "additive a.h = 1\nadditive a.k = 2\nfunction pospartpow 3 of a\n"
+    )
+    two = "symbol h positive\nsymbol k positive\nadditive a.h = 1\nfunction pospartpow 3 of a\n"
+    path = tmp_path / "probe.def"
+    for head, probe, error in (
+        (one, "n=99999999 grid=box(0..0)", "line 4, col 21: order must be <= 20000"),
+        (one, "n=20001 grid=box(0..0)", "line 4, col 21: order must be <= 20000"),
+        (three, "n=3 grid=box(-100000..100000)",
+         "line 7: jensen-probe of 24000360001800003 samples at order 3 reads 5 values "
+         "per sample; refused above 2000000 values in all"),
+        (two, "n=3 grid=box(0..1000)",
+         "line 5: jensen-probe of 2004002 samples at order 3 reads 5 values "
+         "per sample; refused above 2000000 values in all"),
+    ):
+        path.write_text(f"{head}eval jensen-probe {probe}\n")
+        assert run_cli(capsys, "run", str(path)) == (2, "", f"error: {error}\n"), probe
+    for head, probe in ((one, "n=10001 grid=box(0..0)"), (two, "n=3 grid=box(0..100)")):
+        path.write_text(f"{head}eval jensen-probe {probe}\n")
+        code, out, err = run_cli(capsys, "run", str(path), "--format", "tsv")
+        assert (code, err) == (0, ""), probe
+        assert out.endswith(f"jensen-probe {probe}\t0\t0\ttrue\n"), probe
+
+
 def test_human_trace(capsys):
     code, out, _ = run_cli(capsys, "verify", "section31", "--trace")
     assert code == 0

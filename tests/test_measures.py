@@ -35,7 +35,8 @@ from hamelcheck import (
     unit,
     verify_lemma_4_4,
 )
-from hamelcheck.basis import lattice_box
+from hamelcheck.basis import lattice_box, sample_box
+from hamelcheck.measures import signed_sum
 from helpers import standard_function
 
 
@@ -169,6 +170,24 @@ def test_build_mu_masses():
     assert atom_mass(mu, units[0]) == -1
     assert atom_mass(mu, units[0] + units[1]) == 0
     assert atom_mass(mu, units[1] + units[2]) == 2
+
+
+def test_one_chain_mu_matches_one_chain_per_closure_seeded():
+    # Lemma 4.6 builds mu as one chain of closures over the signed unit
+    # atoms; lemma 4.4 sums one chain per atom. Both must equal the
+    # truncated sum of the per-closure route at every point of A and at
+    # sampled points with coordinates in -1..2 (kmax = 2 reaches them all).
+    rng = random.Random(4646)
+    for n in (1, 3, 5, 7):
+        syms, units = _units(n)
+        one_chain = build_mu(syms)
+        per_closure = signed_sum([build_mu_i(i, syms) for i in range(1, n + 2)])
+        truncated = materialize_truncated(per_closure, 2)
+        probes = set(build_a_sets(syms).union)
+        probes.update(sample_box(rng, units, -1, 2, min(4 ** (n + 1), 200)))
+        for x in probes:
+            want = truncated.get(x, 0)
+            assert atom_mass(one_chain, x) == atom_mass(per_closure, x) == want, (n, x)
 
 
 def test_build_a_sets_order_one():
@@ -729,22 +748,26 @@ def test_off_basis_query_returns_zero_and_stores_nothing():
 def test_repeated_lemma46_queries_keep_one_entry_per_point():
     # Lemma 4.6 asks mu at every point of A in several claims, and the
     # unit atom at h1 alongside it; mu keeps one entry per distinct point.
-    n = 3
-    syms, _ = _units(n)
-    mu = build_mu(syms)
-    a_sets = build_a_sets(syms)
-    fresh = build_mu(syms)
-    expected = {x: atom_mass(fresh, x) for x in a_sets.union}
-    delta1 = Dirac(unit(syms[0]))
-    power = PointwisePower(SumOf((MeasureMass(mu), MeasureMass(delta1))), n)
-    for _ in range(3):
-        for x in a_sets.union:
-            assert atom_mass(mu, Point(x.terms)) == expected[x]
-            power.value(x)
-            atom_mass(delta1, x)
-    assert len(mu._memo) == len(a_sets.union)
-    # h1 is the one point of A on the atom's basis; the rest are off it.
-    assert list(delta1._memo) == [(1,)]
+    # mu's root is a closure whose walk runs down to the support floor,
+    # the origin, so the origin is stored too: exactly |A| + 1 entries,
+    # the same after every repeat.
+    for n in (1, 3, 5):
+        syms, _ = _units(n)
+        mu = build_mu(syms)
+        a_sets = build_a_sets(syms)
+        fresh = build_mu(syms)
+        expected = {x: atom_mass(fresh, x) for x in a_sets.union}
+        delta1 = Dirac(unit(syms[0]))
+        power = PointwisePower(SumOf((MeasureMass(mu), MeasureMass(delta1))), n)
+        for _ in range(3):
+            for x in a_sets.union:
+                assert atom_mass(mu, Point(x.terms)) == expected[x]
+                power.value(x)
+                atom_mass(delta1, x)
+            assert len(mu._memo) == len(a_sets.union) + 1
+        assert mu._memo[(0,) * (n + 1)] == 0
+        # h1 is the one point of A on the atom's basis; the rest are off it.
+        assert list(delta1._memo) == [(1,)]
 
 
 def _probe_roots(units, rng):
