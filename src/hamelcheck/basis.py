@@ -245,14 +245,16 @@ def subset_sums(x: Point, hs: Sequence[Point]) -> Iterator[tuple[tuple[int, ...]
             yield subset, Point.from_coords(basis, v)
 
 
-def _box_points(units: Sequence[Point], lo: int, width: int, indices: Iterable[int]) -> list[Point]:
-    """The points at ``indices`` into the box of ``units`` with integer
-    coefficients in ``lo..lo + width - 1``, the first unit varying
-    slowest. Each is built from coordinate tuples over the sorted symbols
-    of ``units`` and keeps its tuple over them (``Point.from_coords``); it
-    equals the ``point_combine`` of the same coefficients."""
+def _box_points(
+    units: Sequence[Point], lo: int, width: int, indices: Iterable[int]
+) -> Iterator[Point]:
+    """Yield the points at ``indices`` into the box of ``units`` with
+    integer coefficients in ``lo..lo + width - 1``, the first unit varying
+    slowest, one at a time. Each is built from coordinate tuples over the
+    sorted symbols of ``units`` and keeps its tuple over them
+    (``Point.from_coords``); it equals the ``point_combine`` of the same
+    coefficients."""
     basis, rows = _span(units)
-    out = []
     for i in indices:
         v = [0] * len(basis)
         for row in reversed(rows):
@@ -260,8 +262,7 @@ def _box_points(units: Sequence[Point], lo: int, width: int, indices: Iterable[i
             c += lo
             for j, x in row:
                 v[j] += c * x
-        out.append(Point.from_coords(basis, v))
-    return out
+        yield Point.from_coords(basis, v)
 
 
 def lattice_box(units: Sequence[Point], lo: int, hi: int) -> list[Point]:
@@ -270,7 +271,7 @@ def lattice_box(units: Sequence[Point], lo: int, hi: int) -> list[Point]:
     index of the box, so each point keeps its coordinate tuple over the
     sorted symbols of ``units``."""
     width = max(hi - lo + 1, 0)
-    return _box_points(units, lo, width, range(width ** len(units)))
+    return list(_box_points(units, lo, width, range(width ** len(units))))
 
 
 def sample_box(rng, units: Sequence[Point], lo: int, hi: int, k: int) -> list[Point]:
@@ -279,7 +280,7 @@ def sample_box(rng, units: Sequence[Point], lo: int, hi: int, k: int) -> list[Po
     ``lattice_box`` decodes them, so the points and the state of ``rng``
     afterwards are the same."""
     width = max(hi - lo + 1, 0)
-    return _box_points(units, lo, width, rng.sample(range(width ** len(units)), k))
+    return list(_box_points(units, lo, width, rng.sample(range(width ** len(units)), k)))
 
 
 def point_combine(terms: Iterable[tuple[Scalar, Point]]) -> Point:

@@ -10,15 +10,17 @@
 
 Output goes to stdout in --format human|tsv|jsonl; --trace adds the full
 evaluation table (human format). Both flags go before or after the
-subcommand; one given after it overrides one before. Exit codes: 0 every
-claim passed, 1 some claim failed, 2 usage or definition error.
+subcommand; one given after it overrides one before. An option's value
+follows it or is joined to it by "=", a unique prefix of an option stands
+for it, and "--" ends the options. Exit codes: 0 every claim passed, 1
+some claim failed, 2 usage or definition error, or stdout closed early.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
+import os
 import sys
+from types import SimpleNamespace
 from typing import Sequence
 
 from .definitions import run_definition_file
@@ -49,106 +51,251 @@ class UsageError(HamelcheckError):
     pass
 
 
-def _always(args: argparse.Namespace) -> bool:
+def _always(args: SimpleNamespace) -> bool:
     return True
 
 
-def _human_trace(args: argparse.Namespace) -> bool:
+def _human_trace(args: SimpleNamespace) -> bool:
     # theorem23's claims take the scalar-line route, polynomial in n; only
     # the trace's subset-sum table grows as 2^(n+1), and only the human
     # format renders it.
     return args.trace and args.format == "human"
 
 
-def _output_flags(
-    parser: argparse.ArgumentParser, fmt=argparse.SUPPRESS, trace=argparse.SUPPRESS
-) -> argparse.ArgumentParser:
-    """Declare --format and --trace. The top parser gives their defaults;
-    the parent parser of every command leaves them unset unless given, so
-    a flag after the subcommand overrides one before it."""
-    parser.add_argument(
-        "--format", choices=("human", "tsv", "jsonl"), default=fmt,
-        help="output format (default: human)",
-    )
-    parser.add_argument(
-        "--trace", action="store_true", default=trace,
-        help="emit the full evaluation table (human format)",
-    )
-    return parser
+# An option maps to its type, default and help. The type is int, str,
+# bool (a flag that takes no value) or the tuple of values it accepts; a
+# default of REQUIRED makes it required, and a name without "--" in front
+# is a positional argument.
+REQUIRED = object()
+HELP = ("-h", "--help")
+OUTPUT = {
+    "--format": (("human", "tsv", "jsonl"), "human", "output format (default: human)"),
+    "--trace": (bool, False, "emit the full evaluation table (human format)"),
+}
+BATCH = {
+    "--n": (int, None, "odd order (default: batch)"),
+    "--allow-large": (bool, False, None),  # the help quotes the command's guards
+}
+A_SETS = ((LARGE_ORDER, _always, "{m}*2^{n}-point A-sets", None),)
+
+# Each command's words map to its runner, its batch orders when --n is
+# omitted (none: the runner takes its options' values, in this order), its
+# cost guards and its options besides OUTPUT. A guard is an order above
+# which --allow-large is needed, when it applies, what such an order costs
+# ({n} the order, {m} = n + 1) and the order past which it is refused
+# anyway, if any: the help text, the error and the warning all read this
+# one cost, and the first guard that applies is the one quoted. The table
+# holds each runner's name, not the function: ``main`` looks the name up in
+# this module on every call, so a wrapper installed on it at any time (the
+# benchmark's tracer, a test's monkeypatch) is the one called.
+COMMANDS = {
+    ("verify", "theorem23"): ("verify_theorem_2_3", (1, 3, 5, 7, 9, 11), (
+        (LARGE_ORDER, _human_trace, "a 2^{m}-row table for a human-format --trace", TRACE_ORDER),
+        (LINE_ORDER, _always, "a scalar line of {m} factors (time cubic in n)", None),
+    ), BATCH),
+    ("verify", "section31"): ("verify_section_3_1", (), (), {}),
+    ("verify", "section32"): ("verify_section_3_2", (), (), {}),
+    ("verify", "lemma44"): ("verify_lemma_4_4", (1, 3, 5), A_SETS, BATCH),
+    ("verify", "lemma46"): ("verify_lemma_4_6", (1, 3, 5), A_SETS, BATCH),
+    ("verify", "prop43"): ("verify_prop_4_3", (), (), {
+        "--trials": (int, 100, "number of random trials (default: 100)"),
+        "--seed": (int, 42, "random seed (default: 42)"),
+    }),
+    ("probe", "even"): ("probe_even", (), (), {
+        "--n": (int, REQUIRED, "even order"),
+        "--case": (str, REQUIRED, f"candidate id ({', '.join(even_candidates(2))})"),
+    }),
+    ("run",): ("run_definition_file", (), (), {"path": (str, REQUIRED, "definition file to execute")}),
+}
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """Each command's parser sets ``runner``, the name of its runner in
-    this module, and either the names of the parsed values it takes
-    (``takes``) or its batch orders (``batch``). Built on the first call
-    and reused for the life of the process."""
-    parser = _output_flags(
-        argparse.ArgumentParser(
-            prog="hamelcheck",
-            description="Exact checks of higher-order convexity claims on a formal basis lattice.",
-        ),
-        "human", False,
-    )
-    parser.set_defaults(takes=(), batch=())
-    flags = [_output_flags(argparse.ArgumentParser(add_help=False))]
-    sub = parser.add_subparsers(dest="command", required=True)
+def _dest(name: str) -> str:
+    return name.lstrip("-").replace("-", "_")
 
-    verify = sub.add_parser("verify", help="run a built-in scenario")
-    vsub = verify.add_subparsers(dest="scenario", required=True)
-    # The verify scenarios: runner, batch orders when --n is omitted (none: it
-    # takes no --n), and its cost guards. A guard is an order above which
-    # --allow-large is needed, when it applies, what such an order costs ({n}
-    # the order, {m} = n + 1) and the order past which it is refused anyway, if
-    # any: the help text, the error and the warning all read this one cost, and
-    # the first guard that applies is the one quoted. The parser is cached, so
-    # it holds each runner's name, not the function: ``main`` looks the name up
-    # in this module on every call, and a wrapper installed on it at any time
-    # (the benchmark's tracer, a test's monkeypatch) is the one called.
-    a_sets = ((LARGE_ORDER, _always, "{m}*2^{n}-point A-sets", None),)
-    for name, runner, batch, guards in (
-        ("theorem23", "verify_theorem_2_3", (1, 3, 5, 7, 9, 11), (
-            (LARGE_ORDER, _human_trace, "a 2^{m}-row table for a human-format --trace",
-             TRACE_ORDER),
-            (LINE_ORDER, _always, "a scalar line of {m} factors (time cubic in n)", None),
-        )),
-        ("section31", "verify_section_3_1", (), ()),
-        ("section32", "verify_section_3_2", (), ()),
-        ("lemma44", "verify_lemma_4_4", (1, 3, 5), a_sets),
-        ("lemma46", "verify_lemma_4_6", (1, 3, 5), a_sets),
-    ):
-        p = vsub.add_parser(name, parents=flags)
-        if batch:
-            p.add_argument("--n", type=int, default=None, help="odd order (default: batch)")
-            p.add_argument(
-                "--allow-large", action="store_true",
-                help="permit orders " + ", and ".join(
-                    f"above {limit} that need " + cost.format(n="n", m="(n+1)")
-                    for limit, _, cost, _ in guards
-                ),
+
+def _next_words(words: tuple[str, ...]) -> list[str]:
+    """The words that can follow ``words`` in a command."""
+    depth = len(words)
+    return list(dict.fromkeys(key[depth] for key in COMMANDS if key[:depth] == words))
+
+
+def _options(words: tuple[str, ...]) -> dict:
+    """The options read after ``words``: the output flags before a command,
+    none between its words, the output flags and its own after it."""
+    command = COMMANDS.get(words)
+    if command:
+        return {**OUTPUT, **command[3]}
+    return {} if words else OUTPUT
+
+
+def _form(name: str, kind) -> str:
+    if kind is bool or not name.startswith("-"):
+        return name
+    if isinstance(kind, tuple):
+        return f"{name} {{{','.join(kind)}}}"
+    return f"{name} {_dest(name).upper()}"
+
+
+def _usage(words: tuple[str, ...], options: dict) -> str:
+    """``words`` and ``options`` as a usage line shows them, each option
+    in brackets unless it is required."""
+    parts = ["hamelcheck", *words]
+    for name, (kind, default, _) in options.items():
+        form = _form(name, kind)
+        parts.append(form if default is REQUIRED else f"[{form}]")
+    return " ".join(parts)
+
+
+def _usage_line(words: tuple[str, ...]) -> str:
+    line = f"usage: {_usage(words, {'-h': (bool, False, None), **_options(words)})}"
+    if words in COMMANDS:
+        return line
+    return f"{line} {{{','.join(_next_words(words))}}} ..."
+
+
+def _help(words: tuple[str, ...]) -> str:
+    lines = [_usage_line(words), ""]
+    if words not in COMMANDS:
+        if not words:
+            lines += ["Exact checks of higher-order convexity claims on a formal basis lattice.", ""]
+        lines.append("commands:")
+        lines += [f"  {_usage(key, spec[3])}"
+                  for key, spec in COMMANDS.items() if key[:len(words)] == words]
+        lines.append("")
+    rows = [("-h, --help", "show this help message and exit")]
+    for name, (kind, _, text) in _options(words).items():
+        if name == "--allow-large":
+            text = "permit orders " + ", and ".join(
+                f"above {limit} that need " + cost.format(n="n", m="(n+1)")
+                for limit, _, cost, _ in COMMANDS[words][2]
             )
-        p.set_defaults(runner=runner, batch=batch, guards=guards)
-
-    p = vsub.add_parser("prop43", parents=flags)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=42)
-    p.set_defaults(runner="verify_prop_4_3", takes=("trials", "seed"))
-
-    probe = sub.add_parser("probe", help="probe a documented even-order candidate")
-    psub = probe.add_subparsers(dest="probe_kind", required=True)
-    p = psub.add_parser("even", parents=flags)
-    p.add_argument("--n", type=int, required=True, help="even order")
-    p.add_argument("--case", required=True, help=f"candidate id ({', '.join(even_candidates(2))})")
-    p.set_defaults(runner="probe_even", takes=("n", "case"))
-
-    p = sub.add_parser("run", parents=flags, help="execute a definition file")
-    p.add_argument("path")
-    p.set_defaults(runner="run_definition_file", takes=("path",))
-
-    return parser
+        rows.append((_form(name, kind), text))
+    width = max(len(form) for form, _ in rows)
+    lines.append("options:")
+    lines += [f"  {form:<{width}}  {text}" for form, text in rows]
+    return "\n".join(lines)
 
 
-def _calls(args: argparse.Namespace) -> list[tuple]:
+def _write(text: str) -> bool:
+    """Print ``text`` to stdout; False if the reader closed it early."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # As the Python docs advise (``| head``), point stdout at devnull,
+        # so that the flush at exit does not fail again and print
+        # "Exception ignored".
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return False
+    return True
+
+
+def _fail(words: tuple[str, ...], message: str):
+    print(f"{_usage_line(words)}\nhamelcheck: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _option(token: str, names: Sequence[str], words: tuple[str, ...]) -> tuple[str, str | None] | None:
+    """What ``token`` is among the option ``names``, as argparse read it:
+    None for a positional argument, else the option's name (empty when it
+    is unknown) and the value joined to it by "=", if any. A unique prefix of
+    a name stands for it; a negative number is positional."""
+    if not token.startswith("-") or token == "-":
+        return None
+    key, eq, value = token.partition("=")
+    found = [key] if key in names else [name for name in names if name.startswith(key)]
+    if len(found) > 1:
+        _fail(words, f"ambiguous option: {key} could match {', '.join(found)}")
+    if found:
+        return found[0], value if eq else None
+    if token[1:].isdecimal() or " " in token:
+        return None
+    return "", None
+
+
+def _value(name: str, kind, value: str, words: tuple[str, ...]):
+    """``value`` read as the option ``name`` of type ``kind``."""
+    if kind is int:
+        try:
+            return int(value)
+        except ValueError:
+            _fail(words, f"argument {name}: invalid int value: {value!r}")
+    if kind is not str and value not in kind:
+        _fail(words, f"argument {name}: invalid choice: {value!r} "
+                     f"(choose from {', '.join(map(repr, kind))})")
+    return value
+
+
+def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """Read ``argv`` once, left to right, against COMMANDS. The result
+    names the command's runner, batch orders and guards, the options its
+    runner takes (``takes``) and every option's value: the last one given,
+    else its default. -h or --help prints the help of the words read so far
+    and exits 0; a usage error prints the usage and one error line to
+    stderr and exits 2. An unknown option or extra argument is reported
+    after the rest is read, so a -h after it still prints the help."""
+    words: tuple[str, ...] = ()
+    command = None
+    options = OUTPUT
+    names = [*HELP, *options]
+    values = {"format": "human", "trace": False}
+    positional: list[str] = []
+    extra: list[str] = []
+    ended = False
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if token == "--" and not ended:
+            ended = True
+            continue
+        hit = None if ended else _option(token, names, words)
+        if hit is None:
+            if command is None:
+                if token not in _next_words(words):
+                    _fail(words, f"invalid choice: {token!r} (choose from "
+                                 f"{', '.join(map(repr, _next_words(words)))})")
+                words += (token,)
+                command = COMMANDS.get(words)
+                options = _options(words)
+                names = [*HELP, *(name for name in options if name.startswith("-"))]
+                if command:
+                    positional = [name for name in command[3] if not name.startswith("-")]
+                    values.update((_dest(name), spec[1]) for name, spec in command[3].items())
+            elif positional:
+                values[_dest(positional.pop(0))] = token
+            else:
+                extra.append(token)
+            continue
+        name, value = hit
+        if not name:
+            extra.append(token)
+            continue
+        if name in HELP or options[name][0] is bool:
+            if value is not None:
+                _fail(words, f"argument {name}: ignored explicit argument {value!r}")
+            if name in HELP:
+                raise SystemExit(0 if _write(_help(words)) else 2)
+            values[_dest(name)] = True
+            continue
+        if value is None:
+            if i == len(argv) or argv[i] == "--" or _option(argv[i], names, words) is not None:
+                _fail(words, f"argument {name}: expected one argument")
+            value = argv[i]
+            i += 1
+        values[_dest(name)] = _value(name, options[name][0], value, words)
+    if command is None:
+        _fail(words, f"a command is required ({', '.join(_next_words(words))})")
+    missing = [name for name in command[3] if values[_dest(name)] is REQUIRED]
+    if missing:
+        _fail(words, f"the following arguments are required: {', '.join(missing)}")
+    if extra:
+        _fail(words, f"unrecognized arguments: {' '.join(extra)}")
+    runner, batch, guards, own = command
+    return SimpleNamespace(runner=runner, batch=batch, guards=guards,
+                           takes=tuple(map(_dest, own)), **values)
+
+
+def _calls(args: SimpleNamespace) -> list[tuple]:
     """The runner's arguments, one tuple per report: each order to run for
     a scenario with batch orders, else the parsed values it takes. An
     order is checked to be odd before its cost is."""
@@ -170,7 +317,7 @@ def _calls(args: argparse.Namespace) -> list[tuple]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     runner = globals()[args.runner]
     try:
         reports = [runner(*call) for call in _calls(args)]
@@ -187,7 +334,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except MemoryError:
         print("error: out of memory (the input is too large to evaluate)", file=sys.stderr)
         return 2
-    print(output)
+    if not _write(output):
+        return 2
     return 0 if all(r.passed for r in reports) else 1
 
 

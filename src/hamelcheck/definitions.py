@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .basis import (
-    ZERO, AdditiveFunctional, Point, Symbol, is_positive_increment, lattice_box, point_combine,
+    ZERO, AdditiveFunctional, Point, Symbol, _box_points, is_positive_increment, point_combine,
     unit,
 )
 from .differences import backward_diff, forward_diff, jensen_convexity_probe
@@ -61,7 +61,7 @@ from .reports import Report, ReportBuilder, Value
 # order 50,001 1.4 s and 490 MiB. Each sample reads n + 2 values: a box
 # of 0..1000 over two symbols at order 3 reads 10,020,010 and took 16 s.
 # Just inside both bounds, 99 samples at order 20,000 took 5.2 s, and
-# 666,666 samples at order 1 took 4.9 s and 271 MiB.
+# 666,666 samples at order 1 took 3.3-3.9 s and 14-16 MiB.
 PROBE_ORDER = 20_000
 PROBE_READS = 2_000_000
 
@@ -391,7 +391,8 @@ class _Parser:
             units = [unit(s) for s in symbols.values() if s.positive]
             if not units:
                 raise DefinitionError("jensen-probe needs at least one positive symbol", line)
-            count = (hi - lo + 1) ** len(units) * len(units) * (steps[1] - steps[0] + 1)
+            width = hi - lo + 1
+            count = width ** len(units) * len(units) * (steps[1] - steps[0] + 1)
             if count * (order + 2) > PROBE_READS:
                 raise DefinitionError(
                     f"jensen-probe of {count} samples at order {order} reads {order + 2} "
@@ -400,9 +401,15 @@ class _Parser:
                 )
             # One Point per (symbol, step), shared by every box point: the
             # probe finds each sample's chain by equality of its increment
-            # tuple, so equal increments share one chain.
+            # tuple, so equal increments share one chain. The probe reads
+            # each sample once, in order, so the box is streamed and one
+            # box point is held at a time.
             increments = [step * u for u in units for step in range(steps[0], steps[1] + 1)]
-            samples = [(x, h) for x in lattice_box(units, lo, hi) for h in increments]
+            samples = (
+                (x, h)
+                for x in _box_points(units, lo, width, range(width ** len(units)))
+                for h in increments
+            )
             return len(jensen_convexity_probe(f, order, samples))
 
         return probe

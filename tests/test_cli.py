@@ -11,6 +11,7 @@ import pytest
 
 from hamelcheck import cli
 from hamelcheck.cli import main
+from hamelcheck.errors import HamelcheckError
 from hamelcheck.scenarios import verify_prop_4_3
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -240,18 +241,19 @@ def test_out_of_memory_is_a_usage_error(monkeypatch, capsys):
     assert err == "error: out of memory (the input is too large to evaluate)\n"
 
 
-def test_a_second_call_builds_no_parser(monkeypatch, capsys):
-    assert run_cli(capsys, "verify", "section32")[0] == 0
-    built = []
-    init = argparse.ArgumentParser.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    assert run_cli(capsys, "verify", "section32")[0] == 0
-    assert built == []
+def test_cli_main_loads_no_argparse():
+    # Building the argparse tree cost every CLI process about 5 ms, and
+    # importing argparse and gettext about 3 ms more. -S keeps
+    # site-packages hooks from loading them first.
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, hamelcheck.cli; code = hamelcheck.cli.main(['verify', 'section32']); "
+            "print(code, sorted({'argparse', 'gettext'} & set(sys.modules)))")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_nothing_leaks_between_calls(capsys):
@@ -585,3 +587,151 @@ def test_cli_import_loads_no_dataclasses():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_a_closed_stdout_exits_2_without_a_traceback():
+    # Order 11's trace table is about 240 kB, more than a pipe holds, so
+    # the write is still under way when the reader closes after one line.
+    src = Path(__file__).resolve().parent.parent / "src"
+    with subprocess.Popen(
+        [sys.executable, "-m", "hamelcheck", "verify", "theorem23", "--n", "11", "--trace"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert first == "scenario: theorem23(n=11)\n"
+    assert (code, err) == (2, "")
+
+
+def _oracle():
+    """The argparse tree the command line was parsed by, kept as the
+    reference for the scanner: each command's parser sets ``runner``,
+    ``takes``, ``batch`` and ``guards`` as ``cli.parse_args`` does."""
+    def output_flags(parser, fmt=argparse.SUPPRESS, trace=argparse.SUPPRESS):
+        parser.add_argument("--format", choices=("human", "tsv", "jsonl"), default=fmt)
+        parser.add_argument("--trace", action="store_true", default=trace)
+        return parser
+
+    parser = output_flags(argparse.ArgumentParser(prog="hamelcheck"), "human", False)
+    parser.set_defaults(takes=(), batch=(), guards=())
+    flags = [output_flags(argparse.ArgumentParser(add_help=False))]
+    sub = parser.add_subparsers(dest="command", required=True)
+    vsub = sub.add_parser("verify").add_subparsers(dest="scenario", required=True)
+    a_sets = ((cli.LARGE_ORDER, cli._always, "{m}*2^{n}-point A-sets", None),)
+    for name, runner, batch, guards in (
+        ("theorem23", "verify_theorem_2_3", (1, 3, 5, 7, 9, 11), (
+            (cli.LARGE_ORDER, cli._human_trace, "a 2^{m}-row table for a human-format --trace",
+             cli.TRACE_ORDER),
+            (cli.LINE_ORDER, cli._always, "a scalar line of {m} factors (time cubic in n)", None),
+        )),
+        ("section31", "verify_section_3_1", (), ()),
+        ("section32", "verify_section_3_2", (), ()),
+        ("lemma44", "verify_lemma_4_4", (1, 3, 5), a_sets),
+        ("lemma46", "verify_lemma_4_6", (1, 3, 5), a_sets),
+    ):
+        p = vsub.add_parser(name, parents=flags)
+        if batch:
+            p.add_argument("--n", type=int, default=None)
+            p.add_argument("--allow-large", action="store_true")
+        p.set_defaults(runner=runner, batch=batch, guards=guards)
+    p = vsub.add_parser("prop43", parents=flags)
+    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--seed", type=int, default=42)
+    p.set_defaults(runner="verify_prop_4_3", takes=("trials", "seed"))
+    p = sub.add_parser("probe").add_subparsers(dest="kind", required=True).add_parser(
+        "even", parents=flags)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--case", required=True)
+    p.set_defaults(runner="probe_even", takes=("n", "case"))
+    p = sub.add_parser("run", parents=flags)
+    p.add_argument("path")
+    p.set_defaults(runner="run_definition_file", takes=("path",))
+    return parser
+
+
+_COMPLETE = {" ".join(cmd): cmd for cmd in PLACED.values()}
+_COMPLETE.update({" ".join(cmd): cmd for cmd in LEAVES if len(cmd) == 2 and cmd[0] == "verify"})
+_FILE = str(SAMPLES / "theorem23-n3.def")
+
+
+def _corpus():
+    for cmd in _COMPLETE.values():
+        yield cmd
+        yield [*cmd, "-h"]
+        yield [*cmd, "--he"]
+        for flags in (["--format", "tsv"], ["--format=jsonl"], ["--fo=tsv"], ["--f", "jsonl"],
+                      ["--trace"], ["--tr"], ["--t"], ["--trace", "--format", "tsv"]):
+            yield [*flags, *cmd]
+            yield [*cmd, *flags]
+        yield ["--format", "jsonl", "--trace", *cmd, "--format", "tsv"]
+        yield ["--format", "tsv", *cmd, "--format=human", "--trace"]
+        for bad in (["--format", "TSV"], ["--format"], ["--format="], ["--trace=1"],
+                    ["--bogus"], ["extra"], ["-x"], ["---format", "tsv"]):
+            yield [*cmd, *bad]
+        yield [*cmd, "--bogus", "-h"]
+        yield [*cmd, "extra", "--help"]
+        yield [*cmd, "--", "--trace"]
+    for scenario in ("theorem23", "lemma44", "lemma46"):
+        cmd = ["verify", scenario]
+        for n in (["--n", "3"], ["--n=5"], ["--n", "-3"], ["--n=-3"], ["--n", "4"],
+                  ["--n", "13"], ["--n", "13", "--allow-large"], ["--n", "13", "--a"],
+                  ["--n", "13", "--trace", "--allow-large"], ["--allow-large", "--n", "3"],
+                  ["--n", "3", "--n", "5"], ["--n", "x"], ["--n"], ["--n="], ["--n", "-"],
+                  ["--n", "--trace"], ["--n", "--", "5"], ["--n", "3", "--", "5"],
+                  ["--n", "3", "--allow-large=yes"], ["--n", "1003", "--allow-large"],
+                  ["--n", "19", "--trace", "--allow-large"], ["--n", "99999999999"]):
+            yield [*cmd, *n]
+    for flags in (["--trials", "3"], ["--tri", "3", "--s", "5"], ["--trials=7", "--seed=-5"],
+                  ["--seed", "-5"], ["--trials", "x"], ["--seed"], ["--tr", "3"],
+                  ["--trials", "3", "--trials", "4"], ["--trace", "--trials", "2"]):
+        yield ["verify", "prop43", *flags]
+    probe = ["probe", "even"]
+    for flags in (["--n", "2", "--case", "prop32-grid"], ["--case=prop33-witness", "--n=2"],
+                  ["--c", "nope", "--n", "4"], ["--n", "2"], ["--case", "x"], [],
+                  ["--n", "2", "--case"], ["--n", "2", "--case", "-x"], ["--n", "2", "--case", "--"], ["--n", "-2", "--case", "x"]):
+        yield [*probe, *flags]
+    for tail in (["--", _FILE], ["--format", "tsv", "--", _FILE], ["--", "-x.def"],
+                 ["--", "--trace"], [_FILE, "--"], ["--", "--", _FILE], ["-3"], ["-"],
+                 ["-- x"], ["-x y"], [], ["a", "b"], [_FILE, "--trace", "--format", "tsv"]):
+        yield ["run", *tail]
+    for argv in ([], ["-h"], ["--help"], ["--h"], ["verify"], ["verify", "-h"], ["verify", "--h"],
+                 ["probe"], ["probe", "-h"], ["probe", "odd"], ["nosuch"], ["verify", "nosuch"],
+                 ["verify", "nosuch", "-h"], ["--format", "tsv"], ["--n", "3", "verify", "theorem23"],
+                 ["verify", "--trace", "section31"], ["-", "run", _FILE], ["--trace", "--", "run"]):
+        yield argv
+
+
+def _outcome(capsys, parse, argv):
+    """What ``parse`` makes of ``argv``: the exit code of a usage error or
+    of the help, else the runner, what ``cli._calls`` returns or raises for
+    it (with what it prints), the format and the trace flag."""
+    try:
+        args = parse(argv)
+    except SystemExit as exc:
+        return exc.code
+    try:
+        calls = cli._calls(args)
+    except (HamelcheckError, ValueError) as exc:
+        calls = repr(exc)
+    return args.runner, calls, args.format, args.trace, capsys.readouterr().err
+
+
+def test_the_scanner_reads_every_argv_as_argparse_did(capsys):
+    oracle = _oracle().parse_args
+    corpus = list(_corpus())
+    assert len(corpus) > 300
+    for argv in corpus:
+        expected = _outcome(capsys, oracle, argv)
+        capsys.readouterr()
+        assert _outcome(capsys, cli.parse_args, argv) == expected, argv
+        out, err = capsys.readouterr()
+        if expected == 2:
+            # The usage of the words read, then one error line.
+            usage, error = err.splitlines()
+            assert usage.startswith("usage: hamelcheck ") and error.startswith("hamelcheck: error: ")
+            assert out == "", argv
+        elif expected == 0:
+            assert out.startswith("usage: hamelcheck ") and err == "", argv

@@ -1,5 +1,6 @@
 """Definition-file parsing and execution."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -141,6 +142,24 @@ eval jensen-probe n=2 grid=box(-1..1;steps=1..2)
     # ... and one Point per (symbol, step), so the probe finds each
     # sample's chain by identity rather than by comparing coordinates.
     assert len({id(h) for _, h in seen}) == 4
+
+
+def test_jensen_probe_holds_one_box_point_at_a_time():
+    # The probe reads each sample once, in order, so neither the box nor
+    # its samples are built as lists: 10,000 points over one symbol held
+    # at once take about 3.5 MiB.
+    defn = parse_definition(
+        "symbol u positive\nadditive a.u = 1\nfunction pospartpow 2 of a\n"
+        "eval jensen-probe n=1 grid=box(0..9999)\n"
+    )
+    tracemalloc.start()
+    try:
+        rep = run_definition(defn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and rep.claims[0].computed == 0
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("spec", [
