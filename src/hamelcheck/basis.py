@@ -220,6 +220,15 @@ def unit(sym: Symbol) -> Point:
     return Point._wrap(((sym, 1),))
 
 
+def lift(basis: tuple[Symbol, ...], part: tuple[Symbol, ...], t: tuple[Scalar, ...]):
+    """``t`` over ``part``, a subset of ``basis``, as the tuple over
+    ``basis`` that is zero on every other symbol."""
+    if part == basis:
+        return t
+    get = dict(zip(part, t)).get
+    return tuple([get(s, 0) for s in basis])
+
+
 def _span(points: Sequence[Point]) -> tuple[tuple[Symbol, ...], list[list[tuple[int, Scalar]]]]:
     """The sorted symbols of all ``points``, and each point's coordinates
     over them as ``(position, coefficient)`` pairs, zeros left out."""

@@ -7,9 +7,12 @@ keys merged, give the value ``sum(c * f(x + e))``. ``_chain`` alone
 chooses the keys, by the function's type. A ``Composite`` ``f = K(a(.))``,
 or ``c * f`` as ``Scaled``, is keyed by the scalars ``a(h)``, so the sum
 runs along one line: ``sum(c * K(a(x) + e))``, with every coefficient
-times ``c``. Any other function is keyed by the points ``h`` themselves
-and read once at each distinct subset sum. There is no memo. The
-alternating subset-sum expansion is the independent oracle:
+times ``c``. Any other function is keyed by the points ``h`` as
+coordinate tuples over one basis, the sorted symbols of the increments
+and the base point, and read once at each distinct subset sum through
+its ``reader`` of such tuples, which in this package builds no ``Point``
+per read. The expansion holds no memo of values. The alternating
+subset-sum expansion is the independent oracle, on ``Point``s:
 ``difference_table`` alone signs its rows, ``group_sums`` alone totals
 them by subset size, and ``forward_diff_closed`` sums the signed rows.
 The backward difference is not a further route: it is the forward
@@ -19,10 +22,13 @@ difference at ``x - sum(hs)``.
 from __future__ import annotations
 
 from itertools import groupby
-from operator import attrgetter
+from operator import add, attrgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .basis import ZERO, Frozen, Point, Scalar, check_increment, exact, point_combine, subset_sums
+from .basis import (
+    ZERO, AdditiveFunctional, Frozen, Point, Scalar, Symbol, check_increment, exact, lift,
+    point_combine, subset_sums,
+)
 from .errors import InvalidIncrement
 from .functions import Composite, PointFunction, Scaled
 
@@ -41,19 +47,17 @@ def _checked(hs: Increments) -> tuple[Point, ...]:
 class _Expansion(Frozen):
     """The mixed difference as one expansion: ``factor * prod(z**s - 1)``
     over the steps ``s``, multiplied out one run of equal adjacent steps
-    at a time into terms ``{e: c}``, has the value
-    ``sum(c * evaluate(project(x) + e))`` at ``x``. Cancelled terms are
-    kept, so ``evaluate`` reads every distinct subset sum exactly once, in
-    the order the recursive operator ``g(x + h) - g(x)`` (first increment
-    outermost) first reads it; a zero factor leaves no terms and the
-    value 0."""
+    at a time into terms ``{e: c}``, has the value ``sum(c * f(x + e))``
+    at ``x``. The keys are scalars along one line (`_Line`) or coordinate
+    tuples over one basis (`_Points`). Cancelled terms are kept, so the
+    value reads every distinct subset sum exactly once, in the order the
+    recursive operator ``g(x + h) - g(x)`` (first increment outermost)
+    first reads it; a zero factor leaves no terms and the value 0."""
 
-    project: Callable[[Point], object]
-    evaluate: Callable[[object], Scalar]
     terms: tuple[tuple[object, Scalar], ...]
 
-    def __init__(self, steps: Iterable, zero: object, project: Callable,
-                 evaluate: Callable, factor: Scalar = 1):
+    def __init__(self, steps: Iterable, zero: object, factor: Scalar = 1, **fields):
+        tuples = type(zero) is tuple
         poly: dict = {zero: factor} if factor else {}
         for s, run in groupby(steps):
             # (z**s - 1)**m has the row (-1)**(m - j) * C(m, j) at z**(j*s),
@@ -62,16 +66,28 @@ class _Expansion(Frozen):
             m = sum(1 for _ in run)
             row, b = [], 1
             for j in range(m, 0, -1):
-                row.append((j * s, b))
+                row.append((tuple([j * c for c in s]) if tuples else j * s, b))
                 b = -b * j // (m - j + 1)
             nxt: dict = {}
             for e, c in poly.items():
                 for t, bj in row:
-                    up = e + t
+                    up = tuple(map(add, e, t)) if tuples else e + t
                     nxt[up] = nxt.get(up, 0) + c * bj
                 nxt[e] = nxt.get(e, 0) + c * b
             poly = nxt
-        self.__dict__.update(project=project, evaluate=evaluate, terms=tuple(poly.items()))
+        self.__dict__.update(fields, terms=tuple(poly.items()))
+
+
+class _Line(_Expansion):
+    """A ``Composite`` ``K(a(.))`` times ``factor``, keyed by the scalars
+    ``a(h)``: the value at ``x`` is ``sum(c * K(a(x) + e))``."""
+
+    project: AdditiveFunctional
+    evaluate: Callable[[Scalar], Scalar]
+
+    def __init__(self, f: Composite, hs: tuple[Point, ...], factor: Scalar):
+        super().__init__(map(f.functional, hs), 0, factor,
+                         project=f.functional, evaluate=f.kernel.apply)
 
     def value(self, x: Point) -> Scalar:
         base = self.project(x)
@@ -82,24 +98,68 @@ class _Expansion(Frozen):
         return exact(total)
 
 
-def _chain(f: PointFunction, hs: tuple[Point, ...]) -> _Expansion:
-    """The evaluator of the mixed difference over checked ``hs``. A
-    ``Composite`` ``K(a(.))``, or a ``Scaled`` one (the difference is
-    linear, so the factor scales every coefficient), is keyed by the
-    scalars ``a(h)`` along one line; any other function by the points
-    ``h``. Every difference and probe gets its keys here."""
+class _Points(_Expansion):
+    """The functions ``fs`` keyed by the increments as coordinate tuples
+    over ``basis``, the sorted symbols of the increments and of a base
+    point. A point off that basis widens it: the terms are lifted, and
+    each widened basis, like the first, gets its terms and each function's
+    ``reader`` once, so a table is re-keyed once per basis, not per read."""
+
+    basis: tuple[Symbol, ...]
+    fs: tuple[PointFunction, ...]
+
+    def __init__(self, fs: Sequence[PointFunction], hs: tuple[Point, ...], x: Point):
+        basis = tuple(sorted({s for p in (x, *hs) for s, _ in p.terms}))
+        steps = {h: h.coords(basis) for h in dict.fromkeys(hs)}
+        super().__init__(map(steps.__getitem__, hs), (0,) * len(basis),
+                         basis=basis, fs=tuple(fs), _over={})
+
+    def values(self, x: Point) -> list[Scalar]:
+        """The value of each of ``fs`` at ``x``, one function after the
+        other."""
+        basis = self.basis
+        base = x.coords(basis)
+        if base is None:
+            basis = tuple(sorted({*basis, *x.support}))
+            base = x.coords(basis)
+        over = self._over.get(basis)
+        if over is None:
+            terms = self.terms
+            if basis != self.basis:
+                terms = tuple((lift(basis, self.basis, e), c) for e, c in terms)
+            over = self._over[basis] = terms, [f.reader(basis) for f in self.fs]
+        terms, reads = over
+        keys = [tuple(map(add, base, e)) for e, _ in terms] if any(base) else [e for e, _ in terms]
+        out = []
+        for read in reads:
+            total = 0
+            for k, (_, c) in zip(keys, terms):
+                total += c * read(k)
+            out.append(exact(total))
+        return out
+
+    def value(self, x: Point) -> Scalar:
+        return self.values(x)[0]
+
+
+def _chain(f: PointFunction, hs: tuple[Point, ...], x: Point = ZERO) -> _Line | _Points:
+    """The evaluator of the mixed difference over checked ``hs``, for base
+    points like ``x``. A ``Composite`` ``K(a(.))``, or a ``Scaled`` one
+    (the difference is linear, so the factor scales every coefficient), is
+    keyed by the scalars ``a(h)`` along one line; any other function by
+    coordinate tuples. Every difference and probe gets its keys here."""
     factor = 1
     if type(f) is Scaled and type(f.inner) is Composite:
         f, factor = f.inner, f.factor
     if type(f) is Composite:
-        return _Expansion(map(f.functional, hs), 0, f.functional, f.kernel.apply, factor)
-    return _Expansion(hs, ZERO, lambda x: x, f.value)
+        return _Line(f, hs, factor)
+    return _Points((f,), hs, x)
 
 
 def forward_diff(f: PointFunction, x: Point, hs: Increments) -> Scalar:
     """Mixed forward difference over ``hs`` at ``x``, by the expansion
     ``_chain`` keys for ``f``."""
-    return _chain(f, _checked(hs)).value(x)
+    return _chain(f, _checked(hs), x).value(x)
 
 
 def forward_diff_closed(f: PointFunction, x: Point, hs: Increments) -> Scalar:
@@ -115,7 +175,17 @@ def backward_diff(f: PointFunction, x: Point, hs: Increments) -> Scalar:
     order it would first read them (by induction on the increments)."""
     hs = _checked(hs)
     base = point_combine(((1, x), *((-1, h) for h in hs)))
-    return _chain(f, hs).value(base)
+    return _chain(f, hs, base).value(base)
+
+
+def backward_diffs(fs: Sequence[PointFunction], x: Point, hs: Increments) -> list[Scalar]:
+    """``backward_diff`` of each of ``fs`` at ``x``, every one keyed by
+    coordinate tuples (a ``Composite`` too) over one expansion built once;
+    each function is read in full, in the order ``backward_diff`` reads
+    it, before the next."""
+    hs = _checked(hs)
+    base = point_combine(((1, x), *((-1, h) for h in hs)))
+    return _Points(fs, hs, base).values(base)
 
 
 class TableRow(NamedTuple):
@@ -188,7 +258,7 @@ def wright_convexity_probe(
         if chain is None:
             for h in hs:
                 check_increment(h)
-            chain = chains[hs] = _chain(f, hs)
+            chain = chains[hs] = _chain(f, hs, x)
         v = chain.value(x)
         if v < 0:
             violations.append(Violation(index, x, hs, v))

@@ -2,16 +2,17 @@
 
 Every function maps Point -> exact scalar (see ``basis.exact``) and is
 total on its declared domain; only tabulated functions have a partial
-domain.
+domain. ``reader(basis)`` gives the same function on coordinate tuples
+over a sorted basis, which is how point-keyed differences read it.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Callable, Mapping
 
-from .basis import AdditiveFunctional, Frozen, Point, Scalar, exact
+from .basis import AdditiveFunctional, Frozen, Point, Scalar, Symbol, exact, unit
 from .errors import UntabulatedPoint
-from .measures import MeasureExpr, atom_mass
+from .measures import MeasureExpr, atom_mass, mass_reader
 
 
 class Kernel(Frozen):
@@ -78,6 +79,13 @@ class PointFunction:
     def value(self, x: Point) -> Scalar:
         raise NotImplementedError
 
+    def reader(self, basis: tuple[Symbol, ...]) -> Callable:
+        """The function at coordinate tuples over ``basis``, a sorted tuple
+        of distinct symbols: here ``value`` at the point each tuple builds.
+        The package's functions read the tuple itself."""
+        value = self.value
+        return lambda v: value(Point.from_coords(basis, v))
+
 
 class Composite(PointFunction, Frozen):
     """Scalar kernel applied to the value of an additive functional."""
@@ -90,6 +98,16 @@ class Composite(PointFunction, Frozen):
 
     def value(self, x: Point) -> Scalar:
         return self.kernel.apply(self.functional(x))
+
+    def reader(self, basis: tuple[Symbol, ...]) -> Callable:
+        pairs = [(i, c) for i, c in enumerate(map(self.functional, map(unit, basis))) if c]
+        apply = self.kernel.apply
+
+        def read(v: tuple[Scalar, ...]) -> Scalar:
+            total = sum([c * v[i] for i, c in pairs])
+            return apply(total if type(total) is int else exact(total))
+
+        return read
 
 
 class Tabulated(PointFunction, Frozen):
@@ -107,6 +125,19 @@ class Tabulated(PointFunction, Frozen):
         except KeyError:
             raise UntabulatedPoint(x) from None
 
+    def reader(self, basis: tuple[Symbol, ...]) -> Callable:
+        """The table re-keyed once by tuples over ``basis``; a miss names
+        the point its tuple builds."""
+        table = {v: val for p, val in self.table.items() if (v := p.coords(basis)) is not None}
+
+        def read(v: tuple[Scalar, ...]) -> Scalar:
+            try:
+                return table[v]
+            except KeyError:
+                raise UntabulatedPoint(Point.from_coords(basis, v)) from None
+
+        return read
+
 
 class MeasureMass(PointFunction, Frozen):
     """x -> atom mass of a measure at x."""
@@ -118,6 +149,9 @@ class MeasureMass(PointFunction, Frozen):
 
     def value(self, x: Point) -> Scalar:
         return atom_mass(self.measure, x)
+
+    def reader(self, basis: tuple[Symbol, ...]) -> Callable:
+        return mass_reader(self.measure, basis)
 
 
 class Scaled(PointFunction, Frozen):
@@ -132,6 +166,13 @@ class Scaled(PointFunction, Frozen):
             return 0
         return self.factor * self.inner.value(x)
 
+    def reader(self, basis: tuple[Symbol, ...]) -> Callable:
+        factor = self.factor
+        if not factor:
+            return lambda v: 0
+        read = self.inner.reader(basis)
+        return lambda v: factor * read(v)
+
 
 class SumOf(PointFunction, Frozen):
     parts: tuple[PointFunction, ...]
@@ -145,6 +186,10 @@ class SumOf(PointFunction, Frozen):
             total += f.value(x)
         return total
 
+    def reader(self, basis: tuple[Symbol, ...]) -> Callable:
+        reads = [f.reader(basis) for f in self.parts]
+        return lambda v: sum([r(v) for r in reads])
+
 
 class PointwisePower(PointFunction, Frozen):
     inner: PointFunction
@@ -157,6 +202,10 @@ class PointwisePower(PointFunction, Frozen):
 
     def value(self, x: Point) -> Scalar:
         return self.inner.value(x) ** self.power
+
+    def reader(self, basis: tuple[Symbol, ...]) -> Callable:
+        read, power = self.inner.reader(basis), self.power
+        return lambda v: read(v) ** power
 
 
 def tabulated_abs(table: Mapping[Point, Scalar]) -> Tabulated:

@@ -22,6 +22,7 @@ from .basis import (
 )
 from .differences import (
     backward_diff,
+    backward_diffs,
     difference_table,
     forward_diff,
     group_sums,
@@ -299,22 +300,24 @@ def verify_lemma_4_6(n: int) -> Report:
         True,
     )
 
-    mu_pow = PointwisePower(MeasureMass(mu), n)
+    # The three measure-path differences share one expansion of the units.
+    mu_pow_diff, atom_diff, measure_path = backward_diffs(
+        (PointwisePower(MeasureMass(mu), n), MeasureMass(delta1), combined_pow), top, units
+    )
     rb.claim(
         "power-mass-diff-at-top",
         f"backward difference of mu^{n} over h1..h{n + 1} at h1+...+h{n + 1}",
-        backward_diff(mu_pow, top, units),
+        mu_pow_diff,
         0,
     )
 
     rb.claim(
         "unit-atom-diff-at-top",
         f"backward difference of the unit atom mass at h1, value (-1)^{n}",
-        backward_diff(MeasureMass(delta1), top, units),
+        atom_diff,
         sign_n,
     )
 
-    measure_path = backward_diff(combined_pow, top, units)
     rb.claim(
         "chain-measure-path",
         "backward difference of the combined mass power at the top point",

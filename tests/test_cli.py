@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hamelcheck import cli
+from hamelcheck import cli, measures
 from hamelcheck.cli import main
 from hamelcheck.errors import HamelcheckError
 from hamelcheck.scenarios import verify_prop_4_3
@@ -573,6 +573,26 @@ def test_deep_closure_nesting_is_a_usage_error(tmp_path, capsys):
     )
     assert code == 0 and err == ""
     assert json.loads(out)["computed"] == "320400"
+
+
+def test_a_walk_past_the_limit_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # The walk from 99999999999*g1 down to the floor g1 stepped without end
+    # (one memo entry per translate); it is now refused before its first
+    # step. Under a limit of 10, a walk of 10 steps still evaluates.
+    path = tmp_path / "walk.def"
+    head = "symbol g1 positive\nmeasure d = dirac(g1)\nmeasure j = jclosure(d, g1)\n"
+    path.write_text(f"{head}eval atom-mass j at 99999999999*g1\n")
+    assert run_cli(capsys, "run", str(path)) == (
+        2, "", "error: closure walk of 99999999998 translates refused above 1000000\n"
+    )
+    monkeypatch.setattr(measures, "WALK_LIMIT", 10)
+    path.write_text(f"{head}eval atom-mass j at 11*g1 expect 1\n")
+    code, out, err = run_cli(capsys, "run", str(path), "--format", "jsonl")
+    assert (code, err) == (0, "") and json.loads(out)["computed"] == "1"
+    path.write_text(f"{head}eval atom-mass j at 12*g1 expect 1\n")
+    assert run_cli(capsys, "run", str(path)) == (
+        2, "", "error: closure walk of 11 translates refused above 10\n"
+    )
 
 
 def test_cli_import_loads_no_dataclasses():

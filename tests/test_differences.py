@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 
@@ -11,12 +12,20 @@ from hamelcheck import (
     AbsoluteValue,
     AdditiveFunctional,
     Composite,
+    Dirac,
     Identity,
     InvalidIncrement,
+    JClosure,
+    MeasureMass,
+    Point,
     PointFunction,
+    PointwisePower,
     PositivePartPower,
     Power,
+    Scale,
     Scaled,
+    Shift,
+    Sum,
     SumOf,
     Tabulated,
     UntabulatedPoint,
@@ -26,6 +35,7 @@ from hamelcheck import (
     forward_diff,
     forward_diff_closed,
     jensen_convexity_probe,
+    nabla,
     point_combine,
     symbols,
     tabulated_abs,
@@ -405,6 +415,12 @@ def _one_step_terms(steps, zero, factor=1):
     return [(e, c * factor) for e, c in poly.items()]
 
 
+def _point_terms(chain):
+    """A point-keyed expansion's terms with each coordinate-tuple key read
+    back as the point it stands for."""
+    return [(Point.from_coords(chain.basis, e), c) for e, c in chain.terms]
+
+
 def test_grouped_expansion_matches_one_step_loop_seeded():
     # Adjacent and non-adjacent repeats, sums that coincide (u1 + u2 beside
     # u1 and u2), and scalar steps that are zero (a(z) = 0), negative and
@@ -421,8 +437,8 @@ def test_grouped_expansion_matches_one_step_loop_seeded():
         hs = hs or (rng.choice(pool),)
         f = Composite(rng.choice(_KERNELS), a)
         factor = rng.choice(_FACTORS)
-        point_keyed = differences._chain(SumOf((f,)), hs).terms
-        assert list(point_keyed) == _one_step_terms(hs, ZERO), hs
+        point_keyed = _point_terms(differences._chain(SumOf((f,)), hs))
+        assert point_keyed == _one_step_terms(hs, ZERO), hs
         line = differences._chain(Scaled(factor, f), hs).terms
         assert list(line) == _one_step_terms(map(a, hs), 0, factor), (hs, factor)
 
@@ -432,7 +448,7 @@ def test_equal_increments_expand_as_one_binomial_row():
     u = unit(h)
     f = SumOf((Composite(Identity(), AdditiveFunctional({h: 1})),))
     for k in (1, 2, 3, 7, 64, 500, 2000):
-        terms = differences._chain(f, (u,) * k).terms
+        terms = tuple(_point_terms(differences._chain(f, (u,) * k)))
         assert terms == tuple((j * u, (-1) ** (k - j) * math.comb(k, j)) for j in range(k, -1, -1))
 
 
@@ -564,3 +580,123 @@ def test_composite_probes_match_point_keyed_per_sample():
                         expected.append((index, v))
                 assert [(v.index, v.value) for v in violations] == expected
                 assert expected or kernel == Identity() or f is not composite
+
+
+def _point_keyed_value(f, x, hs):
+    """The point-keyed expansion as it was before coordinate tuples: each
+    run of equal steps is one binomial row over ``Point`` keys, and ``f``
+    is read through ``value`` at ``x + e``, term by term. It is the oracle
+    of the tuple-keyed route."""
+    poly = {ZERO: 1}
+    for s, run in groupby(hs):
+        m = sum(1 for _ in run)
+        row, b = [], 1
+        for j in range(m, 0, -1):
+            row.append((j * s, b))
+            b = -b * j // (m - j + 1)
+        nxt = {}
+        for e, c in poly.items():
+            for t, bj in row:
+                nxt[e + t] = nxt.get(e + t, 0) + c * bj
+            nxt[e] = nxt.get(e, 0) + c * b
+        poly = nxt
+    total = 0
+    for e, c in poly.items():
+        total += c * f.value(x + e)
+    return exact(total)
+
+
+def _route_instances(rng):
+    """Seeded ``(f, x, hs)`` with ``f`` read by coordinate tuples: partial
+    tables, and masses of closures over a smaller basis than the query's
+    (under ``nabla`` and ``Shift``, at fractional steps), inside sums,
+    multiples and powers; ``t`` is a symbol no increment or measure has."""
+    h1, h2, h3 = symbols("h1 h2 h3", positive=True)
+    (t,) = symbols("t")
+    u1, u2, u3, ut = unit(h1), unit(h2), unit(h3), unit(t)
+    half = Fraction(1, 2) * u1
+    closures = (
+        JClosure(Dirac(u1), u1),
+        JClosure(JClosure(Dirac(half), half), u2),
+        nabla(JClosure(Dirac(u1 + u2), u2), [u1]),
+        Shift(JClosure(Dirac(u3), u1 + u3), u2),
+        Sum((JClosure(Dirac(ZERO), u3), Scale(-2, Dirac(2 * u1)))),
+        JClosure(Scale(Fraction(2, 3), Dirac(u1 + half)), half),
+    )
+    pool = (u1, u2, u3, u1 + u2, half, 2 * u3, u1 + Fraction(3, 2) * u3)
+    for _ in range(60):
+        hs = ()
+        while len(hs) < 5 and (not hs or rng.random() < 0.7):
+            hs += (rng.choice(pool),) * rng.choice((1, 1, 2, 3))
+        x = point_combine(
+            (rng.choice((0, 0, 1, -1, 2, Fraction(1, 2))), u) for u in (u1, u2, u3, ut)
+        )
+        m1, m2 = (MeasureMass(rng.choice(closures)) for _ in range(2))
+        yield rng.choice((
+            m1,
+            SumOf((m1, m2)),
+            Scaled(rng.choice(_FACTORS), m1),
+            PointwisePower(SumOf((m1, Scaled(-1, m2))), rng.randint(1, 3)),
+            SumOf((Composite(AbsoluteValue(), AdditiveFunctional({h1: 1, t: -2})), m1)),
+        )), x, hs
+    for _ in range(40):
+        full, x, hs = random_tabulated_instance(rng)
+        yield rng.choice((
+            full,
+            SumOf((full, Scaled(Fraction(-3, 2), full))),
+            PointwisePower(full, 2),
+        )), x, hs
+
+
+def test_tuple_keyed_route_matches_point_keyed_oracle_seeded():
+    # Each instance three ways: the tuple-keyed route, the Point-keyed
+    # oracle and the subset-sum closed form. A recording part sees the
+    # same points in the same order on the route and on the oracle, and a
+    # table with a point taken out fails on both with the same message.
+    rng = random.Random(2525)
+    for f, x, hs in _route_instances(rng):
+        top = x
+        for h in hs:
+            top = top + h
+        v = _point_keyed_value(f, x, hs)
+        assert forward_diff(f, x, hs) == v == forward_diff_closed(f, x, hs), (f, x, hs)
+        assert backward_diff(f, top, hs) == v
+        assert differences.backward_diffs((f, Scaled(3, f), f), top, hs) == [v, 3 * v, v]
+        route, oracle = _Recording(f), _Recording(f)
+        assert forward_diff(SumOf((f, route)), x, hs) == 2 * v
+        assert _point_keyed_value(SumOf((f, oracle)), x, hs) == 2 * v
+        assert route.points == oracle.points
+        if type(f) is Tabulated:
+            missing = rng.choice(route.points)
+            partial = Tabulated({p: w for p, w in f.table.items() if p != missing})
+            with pytest.raises(UntabulatedPoint) as got:
+                forward_diff(partial, x, hs)
+            with pytest.raises(UntabulatedPoint) as want:
+                _point_keyed_value(partial, x, hs)
+            assert str(got.value) == str(want.value) == f"no tabulated value at {missing}"
+
+
+def test_probe_expansion_widens_to_each_sample_basis():
+    # One expansion per increment tuple, built over the first sample's
+    # basis; samples off it (on h2, or on g, which no increment has and
+    # which sorts first) are read over a widened basis, as the oracle
+    # reads them.
+    h1, h2 = symbols("h1 h2", positive=True)
+    (g,) = symbols("g")
+    u1, u2, ug = unit(h1), unit(h2), unit(g)
+    rng = random.Random(3131)
+    table = {
+        point_combine(((i, u1), (j, u2), (k, ug))): rng.randint(-9, 9)
+        for i in range(-1, 5) for j in range(-1, 3) for k in range(-1, 2)
+    }
+    mass = MeasureMass(nabla(JClosure(Dirac(u1), u1), [u2]))
+    for f in (Tabulated(table), SumOf((Tabulated(table), mass)), mass):
+        samples = [(ZERO, (u1, u1, u1)), (u2, (u1, u1, u1)), (ug - u1, (u1, u1, u1)),
+                   (-1 * u2, (u1, u1, u1)), (u1, (u1, u2, u1)), (ug + u2, (u1, u2, u1))]
+        violations = wright_convexity_probe(f, 2, samples)
+        expected = [
+            (index, v) for index, (x, hs) in enumerate(samples)
+            if (v := _point_keyed_value(f, x, hs)) < 0
+        ]
+        assert [(w.index, w.value) for w in violations] == expected
+        assert expected or f is mass
