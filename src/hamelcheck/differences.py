@@ -10,8 +10,8 @@ runs along one line: ``sum(c * K(a(x) + e))``, with every coefficient
 times ``c``. Any other function is keyed by the points ``h`` as
 coordinate tuples over one basis, the sorted symbols of the increments
 and the base point, and read once at each distinct subset sum through
-its ``reader`` of such tuples, which in this package builds no ``Point``
-per read. The expansion holds no memo of values. The alternating
+its ``reader`` of such tuples: a measure mass or a table builds no
+``Point`` per read. The expansion holds no memo of values. The alternating
 subset-sum expansion is the independent oracle, on ``Point``s:
 ``difference_table`` alone signs its rows, ``group_sums`` alone totals
 them by subset size, and ``forward_diff_closed`` sums the signed rows.
@@ -22,7 +22,7 @@ difference at ``x - sum(hs)``.
 from __future__ import annotations
 
 from itertools import groupby
-from operator import add, attrgetter
+from operator import add, attrgetter, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .basis import (
@@ -52,12 +52,14 @@ class _Expansion(Frozen):
     tuples over one basis (`_Points`). Cancelled terms are kept, so the
     value reads every distinct subset sum exactly once, in the order the
     recursive operator ``g(x + h) - g(x)`` (first increment outermost)
-    first reads it; a zero factor leaves no terms and the value 0."""
+    first reads it; a zero factor leaves no terms and the value 0. Each
+    subclass gives its keys' ``_times(j, s)``, the multiple ``j * s`` of a
+    step, and ``_plus(e, t)``, the sum of two keys."""
 
     terms: tuple[tuple[object, Scalar], ...]
 
     def __init__(self, steps: Iterable, zero: object, factor: Scalar = 1, **fields):
-        tuples = type(zero) is tuple
+        times, plus = self._times, self._plus
         poly: dict = {zero: factor} if factor else {}
         for s, run in groupby(steps):
             # (z**s - 1)**m has the row (-1)**(m - j) * C(m, j) at z**(j*s),
@@ -66,12 +68,12 @@ class _Expansion(Frozen):
             m = sum(1 for _ in run)
             row, b = [], 1
             for j in range(m, 0, -1):
-                row.append((tuple([j * c for c in s]) if tuples else j * s, b))
+                row.append((times(j, s), b))
                 b = -b * j // (m - j + 1)
             nxt: dict = {}
             for e, c in poly.items():
                 for t, bj in row:
-                    up = tuple(map(add, e, t)) if tuples else e + t
+                    up = plus(e, t)
                     nxt[up] = nxt.get(up, 0) + c * bj
                 nxt[e] = nxt.get(e, 0) + c * b
             poly = nxt
@@ -84,6 +86,7 @@ class _Line(_Expansion):
 
     project: AdditiveFunctional
     evaluate: Callable[[Scalar], Scalar]
+    _times, _plus = staticmethod(mul), staticmethod(add)
 
     def __init__(self, f: Composite, hs: tuple[Point, ...], factor: Scalar):
         super().__init__(map(f.functional, hs), 0, factor,
@@ -107,6 +110,8 @@ class _Points(_Expansion):
 
     basis: tuple[Symbol, ...]
     fs: tuple[PointFunction, ...]
+    _times = staticmethod(lambda j, s: tuple([j * c for c in s]))
+    _plus = staticmethod(lambda e, t: tuple(map(add, e, t)))
 
     def __init__(self, fs: Sequence[PointFunction], hs: tuple[Point, ...], x: Point):
         basis = tuple(sorted({s for p in (x, *hs) for s, _ in p.terms}))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Mapping
 
-from .basis import AdditiveFunctional, Frozen, Point, Scalar, Symbol, exact, unit
+from .basis import AdditiveFunctional, Frozen, Point, Scalar, Symbol, exact
 from .errors import UntabulatedPoint
 from .measures import MeasureExpr, atom_mass, mass_reader
 
@@ -82,7 +82,8 @@ class PointFunction:
     def reader(self, basis: tuple[Symbol, ...]) -> Callable:
         """The function at coordinate tuples over ``basis``, a sorted tuple
         of distinct symbols: here ``value`` at the point each tuple builds.
-        The package's functions read the tuple itself."""
+        A measure mass and a table read the tuple itself, and a multiple,
+        sum or power composes the readers of its parts."""
         value = self.value
         return lambda v: value(Point.from_coords(basis, v))
 
@@ -98,16 +99,6 @@ class Composite(PointFunction, Frozen):
 
     def value(self, x: Point) -> Scalar:
         return self.kernel.apply(self.functional(x))
-
-    def reader(self, basis: tuple[Symbol, ...]) -> Callable:
-        pairs = [(i, c) for i, c in enumerate(map(self.functional, map(unit, basis))) if c]
-        apply = self.kernel.apply
-
-        def read(v: tuple[Scalar, ...]) -> Scalar:
-            total = sum([c * v[i] for i, c in pairs])
-            return apply(total if type(total) is int else exact(total))
-
-        return read
 
 
 class Tabulated(PointFunction, Frozen):

@@ -15,9 +15,9 @@ form at the query, and a closure reads its form at each point of a chain
 of translates whose length is read off the support floor. Every node
 memoises the masses asked of it, keyed by tuples over its own basis, for
 as long as the node lives, and only `_mass` reads or fills that memo. A
-walk longer than `WALK_LIMIT` is refused before its first step. A
-closure is never cancelled against a difference: it stays a leaf that
-its walk evaluates.
+query more than `WALK_LIMIT` steps above a closure's support floor is
+refused before the walk starts. A closure is never cancelled against a
+difference: it stays a leaf that its walk evaluates.
 """
 
 from __future__ import annotations
@@ -32,8 +32,10 @@ from .basis import (
 )
 from .errors import HamelcheckError, InvalidIncrement, NonTerminatingJ
 
-#: The longest closure walk `_mass` takes: one memo entry per translate,
-#: so 1,000,000 steps cost about 1.3 s and 160 MiB. A longer one is refused.
+#: The farthest above a closure's support floor, in steps, that `_mass`
+#: answers a query (a walk of 1,000,000 steps: about 1.3 s and 160 MiB).
+#: It is checked before the walk looks for a memoised point, and bounds
+#: each walk, not their product when closures with different steps nest.
 WALK_LIMIT = 1_000_000
 
 
@@ -221,9 +223,10 @@ def _mass(mu: MeasureExpr, v: tuple[Scalar, ...]) -> Scalar:
     and every translate below it: J(v) = inner(v) + J(v - step), and J = 0
     below the support floor, so the walk from ``v`` takes
     ``min((v_i - floor_i) // step_i)`` steps over the step's nonzero
-    coordinates; more than ``WALK_LIMIT`` is refused before the first. It
-    stops at a memoised point, then reads the form at each
-    pending point and adds upward, storing each total. Each closure term
+    coordinates; a query more than ``WALK_LIMIT`` steps above the floor
+    is refused before the first, memoised points below it or not. The
+    walk stops at a memoised point, then reads the form at each pending
+    point and adds upward, storing each total. Each closure term
     of a form is read by a call here, so Python recursion deepens by one
     frame per nested closure and not with the translates."""
     memo = mu._memo
@@ -239,7 +242,8 @@ def _mass(mu: MeasureExpr, v: tuple[Scalar, ...]) -> Scalar:
         steps = min([(c - f) // s for c, f, s in zip(v, floor, step) if s])
         if steps > WALK_LIMIT:
             raise HamelcheckError(
-                f"closure walk of {steps} translates refused above {WALK_LIMIT}"
+                f"closure query {steps} steps above its support floor refused"
+                f" (limit {WALK_LIMIT})"
             )
         for _ in range(steps):
             v = tuple(map(sub, v, step))

@@ -578,12 +578,15 @@ def test_deep_closure_nesting_is_a_usage_error(tmp_path, capsys):
 def test_a_walk_past_the_limit_is_a_usage_error(tmp_path, capsys, monkeypatch):
     # The walk from 99999999999*g1 down to the floor g1 stepped without end
     # (one memo entry per translate); it is now refused before its first
-    # step. Under a limit of 10, a walk of 10 steps still evaluates.
+    # step. Under a limit of 10, a query 10 steps above the floor still
+    # evaluates.
     path = tmp_path / "walk.def"
     head = "symbol g1 positive\nmeasure d = dirac(g1)\nmeasure j = jclosure(d, g1)\n"
     path.write_text(f"{head}eval atom-mass j at 99999999999*g1\n")
     assert run_cli(capsys, "run", str(path)) == (
-        2, "", "error: closure walk of 99999999998 translates refused above 1000000\n"
+        2, "",
+        "error: closure query 99999999998 steps above its support floor refused"
+        " (limit 1000000)\n",
     )
     monkeypatch.setattr(measures, "WALK_LIMIT", 10)
     path.write_text(f"{head}eval atom-mass j at 11*g1 expect 1\n")
@@ -591,7 +594,18 @@ def test_a_walk_past_the_limit_is_a_usage_error(tmp_path, capsys, monkeypatch):
     assert (code, err) == (0, "") and json.loads(out)["computed"] == "1"
     path.write_text(f"{head}eval atom-mass j at 12*g1 expect 1\n")
     assert run_cli(capsys, "run", str(path)) == (
-        2, "", "error: closure walk of 11 translates refused above 10\n"
+        2, "", "error: closure query 11 steps above its support floor refused (limit 10)\n"
+    )
+    # The limit is on the distance from the floor, read before the walk
+    # looks for a memoised point: after 11*g1 fills the memo from g1 up,
+    # 14*g1 would stop there after 3 steps and is refused all the same,
+    # while a repeat of 11*g1 reads its own entry.
+    path.write_text(
+        f"{head}eval atom-mass j at 11*g1 expect 1\neval atom-mass j at 11*g1 expect 1\n"
+        "eval atom-mass j at 14*g1 expect 1\n"
+    )
+    assert run_cli(capsys, "run", str(path)) == (
+        2, "", "error: closure query 13 steps above its support floor refused (limit 10)\n"
     )
 
 
