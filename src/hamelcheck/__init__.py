@@ -37,14 +37,11 @@ from .errors import (
     UntabulatedPoint,
 )
 from .functions import (
-    AbsoluteValue,
     Composite,
-    Identity,
     MeasureMass,
     PointFunction,
     PointwisePower,
     PositivePartPower,
-    Power,
     Scaled,
     SumOf,
     Tabulated,

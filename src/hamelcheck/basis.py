@@ -2,11 +2,12 @@
 
 Symbols are opaque tokens assumed rationally independent; they are never
 tied to real-number values, so every computation downstream is exact.
-A point is assembled by one ``point_combine``, which sorts once; ``+``,
-``*`` and ``unit`` are the fast paths for two operands or one symbol.
-A point whose coordinates are already a tuple over a sorted basis is
-built from that tuple by ``Point.from_coords``, which keeps it: the box
-and subset-sum enumerations and ``Point(pairs)`` build their points so.
+A point is assembled by one ``point_combine``, which sorts once, or by
+``unit`` for one symbol. ``+`` and ``*`` merge two operands term by term:
+they are the chained route the tests hold ``point_combine`` to. A point
+whose coordinates are already a tuple over a sorted basis is built from
+that tuple by ``Point.from_coords``, which keeps it: the box enumeration
+``box_points``, ``subset_sums`` and ``Point(pairs)`` build their points so.
 """
 
 from __future__ import annotations
@@ -128,19 +129,16 @@ class Point:
     def support(self) -> tuple[Symbol, ...]:
         return tuple(s for s, _ in self._terms)
 
-    def coordinate(self, sym: Symbol) -> Scalar:
-        for s, c in self._terms:
-            if s == sym:
-                return c
-        return 0
-
     def coords(self, basis: tuple[Symbol, ...]) -> tuple[Scalar, ...] | None:
         """The coordinates as a tuple over ``basis``, or None when the
         support is not inside it: the kept tuple when ``basis`` equals the
-        one the point was built over, else a conversion that is not kept."""
+        one the point was built over, None at once when the support has
+        more symbols than ``basis``, else a conversion that is not kept."""
         read = self._read
         if read is not None and read[0] == basis:
             return read[1]
+        if len(self._terms) > len(basis):
+            return None
         rest = dict(self._terms)
         v = tuple([rest.pop(s, 0) for s in basis])
         return None if rest else v
@@ -254,7 +252,7 @@ def subset_sums(x: Point, hs: Sequence[Point]) -> Iterator[tuple[tuple[int, ...]
             yield subset, Point.from_coords(basis, v)
 
 
-def _box_points(
+def box_points(
     units: Sequence[Point], lo: int, width: int, indices: Iterable[int]
 ) -> Iterator[Point]:
     """Yield the points at ``indices`` into the box of ``units`` with
@@ -274,22 +272,14 @@ def _box_points(
         yield Point.from_coords(basis, v)
 
 
-def lattice_box(units: Sequence[Point], lo: int, hi: int) -> list[Point]:
-    """Every combination of ``units`` with integer coefficients in
-    ``lo..hi``, the first unit varying slowest: ``_box_points`` at every
-    index of the box, so each point keeps its coordinate tuple over the
-    sorted symbols of ``units``."""
-    width = max(hi - lo + 1, 0)
-    return list(_box_points(units, lo, width, range(width ** len(units))))
-
-
 def sample_box(rng, units: Sequence[Point], lo: int, hi: int, k: int) -> list[Point]:
-    """``rng.sample(lattice_box(units, lo, hi), k)`` without building the box:
-    ``rng`` draws k indices into it, decoded by ``_box_points`` as
-    ``lattice_box`` decodes them, so the points and the state of ``rng``
-    afterwards are the same."""
+    """``rng.sample`` of ``k`` points from the box of ``units`` with integer
+    coefficients in ``lo..hi``, listed in ``box_points`` order, without
+    building the box: ``rng`` draws k indices into it, decoded by
+    ``box_points``, so the points and the state of ``rng`` afterwards are
+    the same."""
     width = max(hi - lo + 1, 0)
-    return list(_box_points(units, lo, width, rng.sample(range(width ** len(units)), k)))
+    return list(box_points(units, lo, width, rng.sample(range(width ** len(units)), k)))
 
 
 def point_combine(terms: Iterable[tuple[Scalar, Point]]) -> Point:
@@ -310,7 +300,7 @@ class AdditiveFunctional:
     is the linear pairing with the point's coordinates.
     """
 
-    __slots__ = ("_values", "_items")
+    __slots__ = ("_values",)
 
     def __init__(self, values: Mapping[Symbol, Scalar] | Iterable[tuple[Symbol, Scalar]] = ()):
         items = values.items() if isinstance(values, Mapping) else values
@@ -322,7 +312,6 @@ class AdditiveFunctional:
             else:
                 acc.pop(sym, None)
         self._values = acc
-        self._items = tuple(sorted(acc.items()))
 
     def __call__(self, x: Point) -> Scalar:
         total = 0
@@ -333,14 +322,8 @@ class AdditiveFunctional:
                 total += c * v
         return total if type(total) is int else exact(total)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, AdditiveFunctional) and self._items == other._items
-
-    def __hash__(self) -> int:
-        return hash(self._items)
-
     def __repr__(self) -> str:
-        body = ", ".join(f"{s.name}: {v}" for s, v in self._items)
+        body = ", ".join(f"{s.name}: {v}" for s, v in sorted(self._values.items()))
         return f"AdditiveFunctional({{{body}}})"
 
 

@@ -45,6 +45,9 @@ LINE_ORDER = 1001
 # theorem23's human-format trace took 10.6 s and 376 MiB at this order, and
 # four times that per step of two: above it, --allow-large does not help.
 TRACE_ORDER = 17
+# lemma44 took 12.2 s and 259 MiB at this order (lemma46 9.0 s and 216 MiB),
+# and four times that per step of two: above it, --allow-large does not help.
+A_SET_ORDER = 15
 
 
 class UsageError(HamelcheckError):
@@ -76,7 +79,7 @@ BATCH = {
     "--n": (int, None, "odd order (default: batch)"),
     "--allow-large": (bool, False, None),  # the help quotes the command's guards
 }
-A_SETS = ((LARGE_ORDER, _always, "{m}*2^{n}-point A-sets", None),)
+A_SETS = ((LARGE_ORDER, _always, "{m}*2^{n}-point A-sets", A_SET_ORDER),)
 
 # Each command's words map to its runner, its batch orders when --n is
 # omitted (none: the runner takes its options' values, in this order), its

@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .basis import (
-    ZERO, AdditiveFunctional, Point, Symbol, _box_points, is_positive_increment, point_combine,
+    ZERO, AdditiveFunctional, Point, Symbol, box_points, is_positive_increment, point_combine,
     unit,
 )
 from .differences import backward_diff, forward_diff, jensen_convexity_probe
@@ -407,7 +407,7 @@ class _Parser:
             increments = [step * u for u in units for step in range(steps[0], steps[1] + 1)]
             samples = (
                 (x, h)
-                for x in _box_points(units, lo, width, range(width ** len(units)))
+                for x in box_points(units, lo, width, range(width ** len(units)))
                 for h in increments
             )
             return len(jensen_convexity_probe(f, order, samples))

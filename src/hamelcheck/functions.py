@@ -45,34 +45,6 @@ class PositivePartPower(Kernel):
         return (t if t > 0 else 0) ** self.power
 
 
-class AbsoluteValue(Kernel):
-    """t -> |t|."""
-
-    def apply(self, t: Scalar) -> Scalar:
-        return -t if t < 0 else t
-
-
-class Power(Kernel):
-    """t -> t**power, power >= 0 (0**0 == 1)."""
-
-    power: int
-
-    def __init__(self, power: int):
-        if power < 0:
-            raise ValueError("power must be nonnegative")
-        self.__dict__.update(power=power)
-
-    def apply(self, t: Scalar) -> Scalar:
-        return t ** self.power
-
-
-class Identity(Kernel):
-    """t -> t."""
-
-    def apply(self, t: Scalar) -> Scalar:
-        return t
-
-
 class PointFunction:
     """Base class; subclasses implement ``value``."""
 

@@ -76,11 +76,6 @@ class MeasureExpr(Frozen):
     otherwise all three are None. `_memo` maps each `v` that `_mass` has
     answered to the node's mass there. `_basis` is the node's own tuple."""
 
-    @property
-    def support_floor(self) -> Point:
-        """The floor as a point: no support coordinate lies below it."""
-        return Point(zip(self._basis, self._floor))
-
     def _fill(
         self, parts: Sequence[tuple[Scalar, MeasureExpr | None]], own: Point | None = None,
         **fields,

@@ -1,16 +1,65 @@
-"""Shared generators for seeded randomized suites."""
+"""Shared generators for seeded randomized suites, and the kernels and
+point readers that only the tests use."""
 
 from fractions import Fraction
 
 from hamelcheck import (
     AdditiveFunctional,
     Composite,
+    Point,
     PositivePartPower,
     Symbol,
     Tabulated,
     point_combine,
     unit,
 )
+from hamelcheck.basis import box_points
+from hamelcheck.functions import Kernel
+
+
+class AbsoluteValue(Kernel):
+    """t -> |t|."""
+
+    def apply(self, t):
+        return -t if t < 0 else t
+
+
+class Power(Kernel):
+    """t -> t**power, power >= 0 (0**0 == 1)."""
+
+    def __init__(self, power):
+        if power < 0:
+            raise ValueError("power must be nonnegative")
+        self.__dict__.update(power=power)
+
+    def apply(self, t):
+        return t ** self.power
+
+
+class Identity(Kernel):
+    """t -> t."""
+
+    def apply(self, t):
+        return t
+
+
+def coordinate(p, sym):
+    """The coefficient of ``sym`` in the point ``p`` (0 off its support)."""
+    return dict(p.terms).get(sym, 0)
+
+
+def support_floor(mu):
+    """The floor of the measure ``mu`` as a point: no support coordinate
+    lies below it."""
+    return Point.from_coords(mu._basis, mu._floor)
+
+
+def lattice_box(units, lo, hi):
+    """Every combination of ``units`` with integer coefficients in
+    ``lo..hi``, the first unit varying slowest: ``box_points`` at every
+    index of the box, the order ``sample_box`` draws from."""
+    width = max(hi - lo + 1, 0)
+    return list(box_points(units, lo, width, range(width ** len(units))))
 
 
 def standard_function(n):

@@ -207,6 +207,30 @@ def test_theorem23_human_trace_above_the_trace_order_is_refused(monkeypatch, cap
     assert (code, err, calls) == (0, "", [top, top + 2])
 
 
+@pytest.mark.parametrize("scenario, name", [
+    ("lemma44", "verify_lemma_4_4"), ("lemma46", "verify_lemma_4_6"),
+])
+def test_a_sets_above_the_ceiling_are_refused(monkeypatch, capsys, scenario, name):
+    # Each step of two costs the closure lemmas about four times as much,
+    # so above A_SET_ORDER they are refused even with --allow-large, before
+    # anything is built (order 99 ran until it was killed). At the ceiling
+    # the flag still reaches the runner, stubbed here so nothing runs. CI
+    # runs lemma46 at order 15, so the ceiling is at least that.
+    calls = []
+    monkeypatch.setattr(cli, name, lambda n: calls.append(n) or cli.verify_section_3_1())
+    top = cli.A_SET_ORDER
+    assert top >= 15
+    for n in (top + 2, 99):
+        code, out, err = run_cli(capsys, "verify", scenario, "--n", str(n), "--allow-large",
+                                 "--format", "jsonl")
+        assert (code, out, calls) == (2, "", [])
+        assert err == f"error: order {n} needs {n + 1}*2^{n}-point A-sets; refused above order {top}\n"
+    code, _, err = run_cli(capsys, "verify", scenario, "--n", str(top), "--allow-large",
+                           "--format", "jsonl")
+    assert (code, calls) == (0, [top])
+    assert err == f"warning: order {top} needs {top + 1}*2^{top}-point A-sets; this may take a while\n"
+
+
 def test_prop43_above_the_trial_maximum_is_refused(monkeypatch, capsys):
     # A count past 100,000 trials (about 100 s) is refused before the first
     # trial is drawn: 10^11 trials would never return.
@@ -654,7 +678,7 @@ def _oracle():
     flags = [output_flags(argparse.ArgumentParser(add_help=False))]
     sub = parser.add_subparsers(dest="command", required=True)
     vsub = sub.add_parser("verify").add_subparsers(dest="scenario", required=True)
-    a_sets = ((cli.LARGE_ORDER, cli._always, "{m}*2^{n}-point A-sets", None),)
+    a_sets = ((cli.LARGE_ORDER, cli._always, "{m}*2^{n}-point A-sets", cli.A_SET_ORDER),)
     for name, runner, batch, guards in (
         ("theorem23", "verify_theorem_2_3", (1, 3, 5, 7, 9, 11), (
             (cli.LARGE_ORDER, cli._human_trace, "a 2^{m}-row table for a human-format --trace",

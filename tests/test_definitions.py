@@ -17,7 +17,8 @@ from hamelcheck import (
     symbols,
     unit,
 )
-from hamelcheck.basis import ZERO, exact, lattice_box
+from hamelcheck.basis import ZERO, exact
+from helpers import coordinate, lattice_box
 
 THEOREM_N3 = """\
 # order-3 scenario
@@ -384,7 +385,7 @@ def test_every_number_reads_to_its_canonical_value(text):
     (s,) = defn.symbols.values()
     assert defn.additives["a"][s] == want
     read = [
-        defn.points["p"].coordinate(s), defn.function.table[ZERO],
+        coordinate(defn.points["p"], s), defn.function.table[ZERO],
         defn.measures["m"].factor, exact(defn.evals[0].expect),
     ]
     assert read == [want] * 4 and {type(v) for v in read} == {type(want)}

@@ -9,11 +9,9 @@ import pytest
 
 from hamelcheck import (
     ZERO,
-    AbsoluteValue,
     AdditiveFunctional,
     Composite,
     Dirac,
-    Identity,
     InvalidIncrement,
     JClosure,
     MeasureMass,
@@ -21,7 +19,6 @@ from hamelcheck import (
     PointFunction,
     PointwisePower,
     PositivePartPower,
-    Power,
     Scale,
     Scaled,
     Shift,
@@ -44,7 +41,7 @@ from hamelcheck import (
 )
 from hamelcheck.basis import exact, subset_sums
 from hamelcheck.differences import group_sums
-from helpers import random_tabulated_instance, standard_function
+from helpers import AbsoluteValue, Identity, Power, random_tabulated_instance, standard_function
 
 
 def test_second_difference_of_affine_vanishes():

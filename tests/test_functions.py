@@ -7,13 +7,10 @@ import pytest
 
 from hamelcheck import (
     ZERO,
-    AbsoluteValue,
     AdditiveFunctional,
     Composite,
-    Identity,
     PointwisePower,
     PositivePartPower,
-    Power,
     Scaled,
     SumOf,
     Tabulated,
@@ -22,6 +19,7 @@ from hamelcheck import (
     tabulated_abs,
     unit,
 )
+from helpers import AbsoluteValue, Identity, Power
 
 
 def _theorem_function(n=3):

@@ -35,9 +35,9 @@ from hamelcheck import (
     unit,
     verify_lemma_4_4,
 )
-from hamelcheck.basis import lattice_box, sample_box
+from hamelcheck.basis import sample_box
 from hamelcheck.measures import signed_sum
-from helpers import standard_function
+from helpers import coordinate, lattice_box, standard_function, support_floor
 
 
 def _units(n):
@@ -563,12 +563,12 @@ def _constructor_floor(expr, seen):
         elif isinstance(expr, Sum):
             floors = [_constructor_floor(t, seen) for t in expr.terms]
             floor = point_combine(
-                (min(g.coordinate(s) for g in floors), unit(s))
+                (min(coordinate(g, s) for g in floors), unit(s))
                 for s in {s for f in floors for s in f.support}
             )
         else:
             floor = _constructor_floor(expr.inner, seen)
-        assert expr.support_floor == floor, expr
+        assert support_floor(expr) == floor, expr
         seen[expr] = floor
     return floor
 

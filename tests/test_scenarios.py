@@ -21,7 +21,8 @@ from hamelcheck import (
     verify_section_3_2,
     verify_theorem_2_3,
 )
-from hamelcheck.basis import Symbol, lattice_box, point_combine, unit
+from hamelcheck.basis import Symbol, point_combine, unit
+from helpers import lattice_box
 
 
 def claims_by_label(report):
