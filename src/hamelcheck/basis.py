@@ -97,7 +97,9 @@ class Point:
         self._set_coords(basis, [acc[s] for s in basis])
 
     def _set_coords(self, basis: tuple[Symbol, ...], coords: Iterable[Scalar]) -> None:
-        v = tuple(map(exact, coords))
+        v = tuple(coords)
+        if {*map(type, v)} - {int}:
+            v = tuple(map(exact, v))
         self._terms = tuple(compress(zip(basis, v), v))
         self._hash = None
         self._read = basis, v
@@ -113,10 +115,10 @@ class Point:
     def from_coords(cls, basis: tuple[Symbol, ...], coords: Iterable[Scalar]) -> "Point":
         """The canonical point with coordinates ``coords`` over ``basis``, a
         tuple of distinct symbols in sorted order with one coordinate each.
-        Every coordinate goes through ``exact`` and the zero ones are
-        dropped from the terms. The tuple of exact coordinates is kept as
-        the answer of ``coords`` over ``basis`` or an equal basis, and
-        never enters equality."""
+        Coordinates that are not all ``int`` go through ``exact``, and the
+        zero ones are dropped from the terms. The tuple of exact coordinates
+        is kept as the answer of ``coords`` over ``basis`` or an equal
+        basis, and never enters equality."""
         p = object.__new__(cls)
         p._set_coords(basis, coords)
         return p

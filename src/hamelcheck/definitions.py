@@ -181,8 +181,8 @@ class _Parser:
         p = self.point(tokens)
         if not is_positive_increment(p):
             raise InvalidIncrement(
-                f"line {self.lineno}: increment {self.span(tokens)!r} is not a "
-                "positive combination of positive-declared symbols"
+                f"line {self.lineno}, col {tokens[0].col}: increment {self.span(tokens)!r} "
+                "is not a positive combination of positive-declared symbols"
             )
         return p
 
@@ -332,7 +332,9 @@ class _Parser:
                 raise self.fail("increments must be enclosed in [ ]")
             increments = tuple(map(self.increment, self.entries(items[1:-1], ",")))
             if not increments:
-                raise InvalidIncrement(f"line {self.lineno}: empty increment list")
+                raise InvalidIncrement(
+                    f"line {self.lineno}, col {items[0].col}: empty increment list"
+                )
             evaluate = partial(op, self.defn.function, self.point(args[1:2] + at), increments)
 
         elif kind == "atom-mass":

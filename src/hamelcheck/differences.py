@@ -9,9 +9,10 @@ or ``c * f`` as ``Scaled``, is keyed by the scalars ``a(h)``, so the sum
 runs along one line: ``sum(c * K(a(x) + e))``, with every coefficient
 times ``c``. Any other function is keyed by the points ``h`` as
 coordinate tuples over one basis, the sorted symbols of the increments
-and the base point, and read once at each distinct subset sum through
-its ``reader`` of such tuples: a measure mass or a table builds no
-``Point`` per read. The expansion holds no memo of values. The alternating
+and the base point, and read through ``value`` once at each distinct
+subset sum, at the point ``Point.from_coords`` builds from its tuple. That
+point keeps the tuple, so a measure over the same basis reads it with no
+conversion. The expansion holds no memo of values. The alternating
 subset-sum expansion is the independent oracle, on ``Point``s:
 ``difference_table`` alone signs its rows, ``group_sums`` alone totals
 them by subset size, and ``forward_diff_closed`` sums the signed rows.
@@ -26,7 +27,7 @@ from operator import add, attrgetter, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .basis import (
-    ZERO, AdditiveFunctional, Frozen, Point, Scalar, Symbol, check_increment, exact, lift,
+    ZERO, AdditiveFunctional, Frozen, Point, Scalar, Symbol, check_increment, exact,
     point_combine, subset_sums,
 )
 from .errors import InvalidIncrement
@@ -103,45 +104,34 @@ class _Line(_Expansion):
 
 class _Points(_Expansion):
     """The functions ``fs`` keyed by the increments as coordinate tuples
-    over ``basis``, the sorted symbols of the increments and of a base
-    point. A point off that basis widens it: the terms are lifted, and
-    each widened basis, like the first, gets its terms and each function's
-    ``reader`` once, so a table is re-keyed once per basis, not per read."""
+    over ``basis``, the sorted symbols of the increments, of a base point
+    and of ``wider``. A base point off that basis has no value here: the
+    probe builds a wider expansion for it."""
 
     basis: tuple[Symbol, ...]
     fs: tuple[PointFunction, ...]
     _times = staticmethod(lambda j, s: tuple([j * c for c in s]))
     _plus = staticmethod(lambda e, t: tuple(map(add, e, t)))
 
-    def __init__(self, fs: Sequence[PointFunction], hs: tuple[Point, ...], x: Point):
-        basis = tuple(sorted({s for p in (x, *hs) for s, _ in p.terms}))
+    def __init__(self, fs: Sequence[PointFunction], hs: tuple[Point, ...], x: Point,
+                 wider: tuple[Symbol, ...] = ()):
+        basis = tuple(sorted({*wider, *(s for p in (x, *hs) for s, _ in p.terms)}))
         steps = {h: h.coords(basis) for h in dict.fromkeys(hs)}
         super().__init__(map(steps.__getitem__, hs), (0,) * len(basis),
-                         basis=basis, fs=tuple(fs), _over={})
+                         basis=basis, fs=tuple(fs))
 
     def values(self, x: Point) -> list[Scalar]:
-        """The value of each of ``fs`` at ``x``, one function after the
-        other."""
+        """The value of each of ``fs`` at ``x``: the point of each key is
+        built once and every function is read there."""
         basis = self.basis
         base = x.coords(basis)
-        if base is None:
-            basis = tuple(sorted({*basis, *x.support}))
-            base = x.coords(basis)
-        over = self._over.get(basis)
-        if over is None:
-            terms = self.terms
-            if basis != self.basis:
-                terms = tuple((lift(basis, self.basis, e), c) for e, c in terms)
-            over = self._over[basis] = terms, [f.reader(basis) for f in self.fs]
-        terms, reads = over
-        keys = [tuple(map(add, base, e)) for e, _ in terms] if any(base) else [e for e, _ in terms]
-        out = []
-        for read in reads:
-            total = 0
-            for k, (_, c) in zip(keys, terms):
-                total += c * read(k)
-            out.append(exact(total))
-        return out
+        shift = any(base)
+        reads = [f.value for f in self.fs]
+        totals = [0] * len(reads)
+        for e, c in self.terms:
+            p = Point.from_coords(basis, map(add, base, e) if shift else e)
+            totals = [t + c * read(p) for t, read in zip(totals, reads)]
+        return [exact(t) for t in totals]
 
     def value(self, x: Point) -> Scalar:
         return self.values(x)[0]
@@ -185,9 +175,10 @@ def backward_diff(f: PointFunction, x: Point, hs: Increments) -> Scalar:
 
 def backward_diffs(fs: Sequence[PointFunction], x: Point, hs: Increments) -> list[Scalar]:
     """``backward_diff`` of each of ``fs`` at ``x``, every one keyed by
-    coordinate tuples (a ``Composite`` too) over one expansion built once;
-    each function is read in full, in the order ``backward_diff`` reads
-    it, before the next."""
+    coordinate tuples (a ``Composite`` too) over one expansion built once.
+    The functions are read together: at each point, in the order
+    ``backward_diff`` reads one of them, every one is read before the
+    next point is built."""
     hs = _checked(hs)
     base = point_combine(((1, x), *((-1, h) for h in hs)))
     return _Points(fs, hs, base).values(base)
@@ -250,7 +241,9 @@ def wright_convexity_probe(
     there (``UntabulatedPoint`` off a table's domain). Samples with the
     same increments share one expansion for the length of this call; the
     increments are checked when their expansion is built, since equal
-    tuples hold equal points."""
+    tuples hold equal points. A sample off a point-keyed expansion's basis
+    replaces it with one over that basis widened by the sample's symbols,
+    so each increment tuple is rebuilt at most once per new symbol."""
     violations: list[Violation] = []
     chains: dict[tuple[Point, ...], _Expansion] = {}
     for index, (x, hs) in enumerate(samples):
@@ -264,6 +257,8 @@ def wright_convexity_probe(
             for h in hs:
                 check_increment(h)
             chain = chains[hs] = _chain(f, hs, x)
+        elif type(chain) is _Points and x.coords(chain.basis) is None:
+            chain = chains[hs] = _Points(chain.fs, hs, x, chain.basis)
         v = chain.value(x)
         if v < 0:
             violations.append(Violation(index, x, hs, v))

@@ -2,17 +2,17 @@
 
 Every function maps Point -> exact scalar (see ``basis.exact``) and is
 total on its declared domain; only tabulated functions have a partial
-domain. ``reader(basis)`` gives the same function on coordinate tuples
-over a sorted basis, which is how point-keyed differences read it.
+domain. ``value`` is the one way to read a function: point-keyed
+differences read it at points that keep their coordinate tuples.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Mapping
 
-from .basis import AdditiveFunctional, Frozen, Point, Scalar, Symbol, exact
+from .basis import AdditiveFunctional, Frozen, Point, Scalar, exact
 from .errors import UntabulatedPoint
-from .measures import MeasureExpr, atom_mass, mass_reader
+from .measures import MeasureExpr, atom_mass
 
 
 class Kernel(Frozen):
@@ -51,14 +51,6 @@ class PointFunction:
     def value(self, x: Point) -> Scalar:
         raise NotImplementedError
 
-    def reader(self, basis: tuple[Symbol, ...]) -> Callable:
-        """The function at coordinate tuples over ``basis``, a sorted tuple
-        of distinct symbols: here ``value`` at the point each tuple builds.
-        A measure mass and a table read the tuple itself, and a multiple,
-        sum or power composes the readers of its parts."""
-        value = self.value
-        return lambda v: value(Point.from_coords(basis, v))
-
 
 class Composite(PointFunction, Frozen):
     """Scalar kernel applied to the value of an additive functional."""
@@ -88,19 +80,6 @@ class Tabulated(PointFunction, Frozen):
         except KeyError:
             raise UntabulatedPoint(x) from None
 
-    def reader(self, basis: tuple[Symbol, ...]) -> Callable:
-        """The table re-keyed once by tuples over ``basis``; a miss names
-        the point its tuple builds."""
-        table = {v: val for p, val in self.table.items() if (v := p.coords(basis)) is not None}
-
-        def read(v: tuple[Scalar, ...]) -> Scalar:
-            try:
-                return table[v]
-            except KeyError:
-                raise UntabulatedPoint(Point.from_coords(basis, v)) from None
-
-        return read
-
 
 class MeasureMass(PointFunction, Frozen):
     """x -> atom mass of a measure at x."""
@@ -112,9 +91,6 @@ class MeasureMass(PointFunction, Frozen):
 
     def value(self, x: Point) -> Scalar:
         return atom_mass(self.measure, x)
-
-    def reader(self, basis: tuple[Symbol, ...]) -> Callable:
-        return mass_reader(self.measure, basis)
 
 
 class Scaled(PointFunction, Frozen):
@@ -129,13 +105,6 @@ class Scaled(PointFunction, Frozen):
             return 0
         return self.factor * self.inner.value(x)
 
-    def reader(self, basis: tuple[Symbol, ...]) -> Callable:
-        factor = self.factor
-        if not factor:
-            return lambda v: 0
-        read = self.inner.reader(basis)
-        return lambda v: factor * read(v)
-
 
 class SumOf(PointFunction, Frozen):
     parts: tuple[PointFunction, ...]
@@ -149,10 +118,6 @@ class SumOf(PointFunction, Frozen):
             total += f.value(x)
         return total
 
-    def reader(self, basis: tuple[Symbol, ...]) -> Callable:
-        reads = [f.reader(basis) for f in self.parts]
-        return lambda v: sum([r(v) for r in reads])
-
 
 class PointwisePower(PointFunction, Frozen):
     inner: PointFunction
@@ -165,10 +130,6 @@ class PointwisePower(PointFunction, Frozen):
 
     def value(self, x: Point) -> Scalar:
         return self.inner.value(x) ** self.power
-
-    def reader(self, basis: tuple[Symbol, ...]) -> Callable:
-        read, power = self.inner.reader(basis), self.power
-        return lambda v: read(v) ** power
 
 
 def tabulated_abs(table: Mapping[Point, Scalar]) -> Tabulated:

@@ -22,9 +22,8 @@ difference: it stays a leaf that its walk evaluates.
 
 from __future__ import annotations
 
-from functools import partial
 from operator import add, ge, itemgetter, sub
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .basis import (
     ZERO, Frozen, Point, Scalar, Symbol, check_increment, exact, is_positive_increment, lift,
@@ -193,23 +192,6 @@ def atom_mass(mu: MeasureExpr, x: Point) -> Scalar:
     v = x.coords(mu._basis)
     # Every atom lies in the span of the basis, so a point off it has none.
     return 0 if v is None else _mass(mu, v)
-
-
-def mass_reader(mu: MeasureExpr, basis: tuple[Symbol, ...]) -> Callable:
-    """The atom mass of ``mu`` at coordinate tuples over ``basis``, a sorted
-    tuple of distinct symbols: `_mass` itself over ``mu``'s own basis;
-    otherwise 0 wherever a tuple is nonzero off ``mu``'s basis, and
-    elsewhere `_mass` at the tuple picked and lifted onto it."""
-    part = mu._basis
-    if basis == part:
-        return partial(_mass, mu)
-    inside = tuple(s for s in basis if s in part)
-    keep, drop, zeros = _restrict(basis, part)
-
-    def mass(v: tuple[Scalar, ...]) -> Scalar:
-        return 0 if drop(v) != zeros else _mass(mu, lift(part, inside, keep(v)))
-
-    return mass
 
 
 def _mass(mu: MeasureExpr, v: tuple[Scalar, ...]) -> Scalar:

@@ -155,15 +155,16 @@ def test_large_orders_quote_their_own_cost(monkeypatch, capsys, argv, name, cost
 
 def test_theorem23_beyond_the_line_order_needs_the_flag(monkeypatch, capsys):
     # The scalar line costs time cubic in the order, so above LINE_ORDER
-    # theorem23 is refused before anything is built (order 10^11 would
-    # never return), and with the flag it warns; order 1001 needs neither.
+    # theorem23 needs the flag and warns with it; order 1001 needs neither.
+    # Order 10^11 would never return: above LINE_CEILING it is refused
+    # before anything is built.
     calls = []
     runner = cli.verify_theorem_2_3
     monkeypatch.setattr(cli, "verify_theorem_2_3", lambda n: calls.append(n) or runner(1))
     cost = "a scalar line of 100000000000 factors (time cubic in n)"
     code, out, err = run_cli(capsys, "verify", "theorem23", "--n", "99999999999", "--format", "jsonl")
     assert (code, out, calls) == (2, "", [])
-    assert err == f"error: order 99999999999 needs {cost}; pass --allow-large to proceed\n"
+    assert err == f"error: order 99999999999 needs {cost}; refused above order {cli.LINE_CEILING}\n"
 
     code, _, err = run_cli(capsys, "verify", "theorem23", "--n", "1003", "--allow-large")
     assert (code, calls) == (0, [1003])
@@ -181,6 +182,21 @@ def test_theorem23_beyond_the_line_order_needs_the_flag(monkeypatch, capsys):
         main(["verify", "theorem23", "--help"])
     assert (f"above {cli.LINE_ORDER} that need a scalar line of (n+1) factors (time cubic in n)"
             in " ".join(capsys.readouterr().out.split()))
+
+
+def test_theorem23_above_the_line_ceiling_is_refused(monkeypatch, capsys):
+    # The line's time grows as the cube of the order, so above LINE_CEILING
+    # it is refused even with --allow-large, before the stubbed runner is
+    # called (order 10^11 would never return).
+    calls = []
+    monkeypatch.setattr(cli, "verify_theorem_2_3",
+                        lambda n: calls.append(n) or cli.verify_section_3_1())
+    n = cli.LINE_CEILING + 2
+    code, out, err = run_cli(capsys, "verify", "theorem23", "--n", str(n), "--allow-large",
+                             "--format", "jsonl")
+    assert (code, out, calls) == (2, "", [])
+    assert err == (f"error: order {n} needs a scalar line of {n + 1} factors (time cubic in n); "
+                   f"refused above order {cli.LINE_CEILING}\n")
 
 
 def test_theorem23_human_trace_above_the_trace_order_is_refused(monkeypatch, capsys):
@@ -683,7 +699,8 @@ def _oracle():
         ("theorem23", "verify_theorem_2_3", (1, 3, 5, 7, 9, 11), (
             (cli.LARGE_ORDER, cli._human_trace, "a 2^{m}-row table for a human-format --trace",
              cli.TRACE_ORDER),
-            (cli.LINE_ORDER, cli._always, "a scalar line of {m} factors (time cubic in n)", None),
+            (cli.LINE_ORDER, cli._always, "a scalar line of {m} factors (time cubic in n)",
+             cli.LINE_CEILING),
         )),
         ("section31", "verify_section_3_1", (), ()),
         ("section32", "verify_section_3_2", (), ()),

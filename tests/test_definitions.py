@@ -1,5 +1,6 @@
 """Definition-file parsing and execution."""
 
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -8,8 +9,10 @@ import pytest
 from hamelcheck import (
     InvalidIncrement,
     ParseError,
+    Tabulated,
     UnknownSymbol,
     definitions,
+    forward_diff_closed,
     jensen_convexity_probe,
     parse_definition,
     run_definition,
@@ -161,6 +164,37 @@ def test_jensen_probe_holds_one_box_point_at_a_time():
         tracemalloc.stop()
     assert rep.passed and rep.claims[0].computed == 0
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("names, hi, order, steps, seed", [
+    ("p q", 5, 1, (1, 2), 2727),
+    ("p q r", 3, 2, (1, 1), 2828),
+])
+def test_tabulated_jensen_probe_over_several_symbols(names, hi, order, steps, seed):
+    # The box starts at 0, so the first sample of each increment lies on
+    # that increment's symbol alone, and later samples leave the basis of
+    # its expansion. The violation count must equal one taken sample by
+    # sample with the subset-sum closed form.
+    rng = random.Random(seed)
+    units = [unit(s) for s in symbols(names, positive=True)]
+    table = {
+        p: Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+        for p in lattice_box(units, 0, hi + (order + 1) * steps[1])
+    }
+    entries = ", ".join(
+        f"{' + '.join(f'{c}*{s.name}' for s, c in p.terms) or 0}: {v}" for p, v in table.items()
+    )
+    src = "".join(f"symbol {name} positive\n" for name in names.split())
+    src += f"function tabulated {{{entries}}}\n"
+    src += f"eval jensen-probe n={order} grid=box(0..{hi};steps={steps[0]}..{steps[1]})\n"
+    rep = run_definition(parse_definition(src))
+    f = Tabulated(table)
+    expected = sum(
+        forward_diff_closed(f, x, (step * u,) * (order + 1)) < 0
+        for x in lattice_box(units, 0, hi) for u in units
+        for step in range(steps[0], steps[1] + 1)
+    )
+    assert expected and rep.claims[0].computed == expected
 
 
 @pytest.mark.parametrize("spec", [
@@ -410,14 +444,37 @@ def test_a_bad_number_fails_alike_everywhere(text):
 
 def test_zero_increment_rejected():
     src = THEOREM_N3 + "eval forward-diff at 0 with [0]\n"
-    with pytest.raises(InvalidIncrement):
+    with pytest.raises(InvalidIncrement) as exc:
         parse_definition(src)
+    assert str(exc.value) == (
+        "line 12, col 30: increment '0' is not a positive combination of positive-declared symbols"
+    )
 
 
 def test_nonpositive_symbol_increment_rejected():
     src = "symbol w\nadditive a.w = 1\nfunction pospartpow 1 of a\neval forward-diff at 0 with [w]\n"
-    with pytest.raises(InvalidIncrement):
+    with pytest.raises(InvalidIncrement) as exc:
         parse_definition(src)
+    assert str(exc.value) == (
+        "line 4, col 30: increment 'w' is not a positive combination of positive-declared symbols"
+    )
+
+
+def test_closure_step_increment_names_its_column():
+    src = "symbol h positive\nsymbol k\nmeasure d = dirac(h)\nmeasure j = jclosure(d,  2*k + h)\n"
+    with pytest.raises(InvalidIncrement) as exc:
+        parse_definition(src)
+    assert str(exc.value) == (
+        "line 4, col 26: increment '2*k + h' is not a positive combination of "
+        "positive-declared symbols"
+    )
+
+
+def test_empty_increment_list_names_its_bracket():
+    src = THEOREM_N3 + "eval forward-diff at 0 with  [ ]\n"
+    with pytest.raises(InvalidIncrement) as exc:
+        parse_definition(src)
+    assert str(exc.value) == "line 12, col 30: empty increment list"
 
 
 def test_parse_errors_carry_line():
