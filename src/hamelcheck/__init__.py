@@ -42,8 +42,6 @@ from .functions import (
     PointFunction,
     PointwisePower,
     PositivePartPower,
-    Scaled,
-    SumOf,
     Tabulated,
     tabulated_abs,
 )

@@ -21,8 +21,10 @@ A declared name is one name token; symbols and points share a namespace.
 ``<point>`` is a declared point, ``0``, or an inline combination. An
 ``expect`` before the last ``at``, ``with`` or ``]`` of an eval line is a
 name. Evals without ``expect`` pass with their value; ``jensen-probe``
-expects zero violations, and is refused above order ``PROBE_ORDER`` or
-above ``PROBE_READS`` function values in all. A ``pospartpow`` function
+expects zero violations, and is refused above order ``PROBE_ORDER``,
+above ``PROBE_READS`` function values in all, or when its expansions, one
+per distinct increment, would hold more than
+``differences.EXPANSION_LIMIT`` keys in all. A ``pospartpow`` function
 holds its additive's values as declared so far, so no ``additive`` line
 for it may follow, and a table lists each point once. A definition needs
 at least one eval line; a file may start with a UTF-8 byte-order mark.
@@ -42,6 +44,7 @@ from .basis import (
     ZERO, AdditiveFunctional, Point, Symbol, box_points, is_positive_increment, point_combine,
     unit,
 )
+from . import differences
 from .differences import backward_diff, forward_diff, jensen_convexity_probe
 from .errors import (
     DefinitionError,
@@ -60,8 +63,12 @@ from .reports import Report, ReportBuilder, Value
 # n + 2 integers of about n bits: order 20,001 took 0.4 s and 94 MiB,
 # order 50,001 1.4 s and 490 MiB. Each sample reads n + 2 values: a box
 # of 0..1000 over two symbols at order 3 reads 10,020,010 and took 16 s.
-# Just inside both bounds, 99 samples at order 20,000 took 5.2 s, and
-# 666,666 samples at order 1 took 3.3-3.9 s and 14-16 MiB.
+# Just inside both bounds, 99 samples of one increment at order 20,000
+# took 5.2 s, and 666,666 samples at order 1 took 3.3-3.9 s and 14-16 MiB.
+# The probe also holds an expansion of order + 2 keys for each distinct
+# increment for the whole call, so their keys together are bounded by
+# ``differences.EXPANSION_LIMIT``: 99 steps at order 20,000 held 1 GB
+# after 10 s, still growing.
 PROBE_ORDER = 20_000
 PROBE_READS = 2_000_000
 
@@ -394,11 +401,19 @@ class _Parser:
             if not units:
                 raise DefinitionError("jensen-probe needs at least one positive symbol", line)
             width = hi - lo + 1
-            count = width ** len(units) * len(units) * (steps[1] - steps[0] + 1)
+            distinct = len(units) * (steps[1] - steps[0] + 1)
+            count = width ** len(units) * distinct
             if count * (order + 2) > PROBE_READS:
                 raise DefinitionError(
                     f"jensen-probe of {count} samples at order {order} reads {order + 2} "
                     f"values per sample; refused above {PROBE_READS} values in all",
+                    line,
+                )
+            limit = differences.EXPANSION_LIMIT
+            if distinct * (order + 2) > limit:
+                raise DefinitionError(
+                    f"jensen-probe of {distinct} distinct increments at order {order} holds "
+                    f"{order + 2} keys per increment; refused above {limit} keys in all",
                     line,
                 )
             # One Point per (symbol, step), shared by every box point: the

@@ -3,21 +3,21 @@
 Every mixed difference over ``hs`` is one expansion: the terms ``{e: c}``
 of ``prod((z**h - 1) for h in hs)``, multiplied out one run of equal
 adjacent increments at a time (a run of m is one binomial row) with equal
-keys merged, give the value ``sum(c * f(x + e))``. ``_chain`` alone
-chooses the keys, by the function's type. A ``Composite`` ``f = K(a(.))``,
-or ``c * f`` as ``Scaled``, is keyed by the scalars ``a(h)``, so the sum
-runs along one line: ``sum(c * K(a(x) + e))``, with every coefficient
-times ``c``. Any other function is keyed by the points ``h`` as
-coordinate tuples over one basis, the sorted symbols of the increments
-and the base point, and read through ``value`` once at each distinct
-subset sum, at the point ``Point.from_coords`` builds from its tuple. That
-point keeps the tuple, so a measure over the same basis reads it with no
-conversion. The expansion holds no memo of values. The alternating
-subset-sum expansion is the independent oracle, on ``Point``s:
-``difference_table`` alone signs its rows, ``group_sums`` alone totals
-them by subset size, and ``forward_diff_closed`` sums the signed rows.
-The backward difference is not a further route: it is the forward
-difference at ``x - sum(hs)``.
+keys merged, give the value ``sum(c * f(x + e))``. An expansion that
+could grow past ``EXPANSION_LIMIT`` keys is refused before the run that
+would take it there. ``_chain`` alone chooses the keys, by the function's
+type. A ``Composite`` ``f = K(a(.))`` is keyed by the scalars ``a(h)``,
+so the sum runs along one line: ``sum(c * K(a(x) + e))``. Any other
+function is keyed by the points ``h`` as coordinate tuples over one
+basis, the sorted symbols of the increments and the base point, and read
+through ``value`` once at each distinct subset sum, at the point
+``Point.from_coords`` builds from its tuple. That point keeps the tuple,
+so a measure over the same basis reads it with no conversion. The
+expansion holds no memo of values. The alternating subset-sum expansion
+is the independent oracle, on ``Point``s: ``difference_table`` alone
+signs its rows, ``group_sums`` alone totals them by subset size, and
+``forward_diff_closed`` sums the signed rows. The backward difference is
+not a further route: it is the forward difference at ``x - sum(hs)``.
 """
 
 from __future__ import annotations
@@ -30,10 +30,18 @@ from .basis import (
     ZERO, AdditiveFunctional, Frozen, Point, Scalar, Symbol, check_increment, exact,
     point_combine, subset_sums,
 )
-from .errors import InvalidIncrement
-from .functions import Composite, PointFunction, Scaled
+from .errors import HamelcheckError, InvalidIncrement
+from .functions import Composite, PointFunction
 
 Increments = Sequence[Point]
+
+#: The most keys an expansion may hold: ``lemma46 --n 15``'s 2^16 subset
+#: sums, the largest the A-set ceiling allows. Each run of m equal steps
+#: is refused before it is multiplied out when it could give more, since
+#: every term is built before the first read: without the limit, 20
+#: distinct rational steps took 48 s, and 80,000 equal ones 7.8 s and
+#: 1.2 GiB (CPython 3.11, 2 cores).
+EXPANSION_LIMIT = 65_536
 
 
 def _checked(hs: Increments) -> tuple[Point, ...]:
@@ -46,27 +54,34 @@ def _checked(hs: Increments) -> tuple[Point, ...]:
 
 
 class _Expansion(Frozen):
-    """The mixed difference as one expansion: ``factor * prod(z**s - 1)``
-    over the steps ``s``, multiplied out one run of equal adjacent steps
-    at a time into terms ``{e: c}``, has the value ``sum(c * f(x + e))``
-    at ``x``. The keys are scalars along one line (`_Line`) or coordinate
-    tuples over one basis (`_Points`). Cancelled terms are kept, so the
-    value reads every distinct subset sum exactly once, in the order the
-    recursive operator ``g(x + h) - g(x)`` (first increment outermost)
-    first reads it; a zero factor leaves no terms and the value 0. Each
-    subclass gives its keys' ``_times(j, s)``, the multiple ``j * s`` of a
-    step, and ``_plus(e, t)``, the sum of two keys."""
+    """The mixed difference as one expansion: ``prod(z**s - 1)`` over the
+    steps ``s``, multiplied out one run of equal adjacent steps at a time
+    into terms ``{e: c}``, has the value ``sum(c * f(x + e))`` at ``x``.
+    The keys are scalars along one line (`_Line`) or coordinate tuples over
+    one basis (`_Points`). Cancelled terms are kept, so the value reads
+    every distinct subset sum exactly once, in the order the recursive
+    operator ``g(x + h) - g(x)`` (first increment outermost) first reads
+    it. A run of m equal steps times the terms so far could give
+    ``len(poly) * (m + 1)`` keys; it is refused before it is multiplied
+    out when that exceeds ``EXPANSION_LIMIT``. Each subclass gives its
+    keys' ``_times(j, s)``, the multiple ``j * s`` of a step, and
+    ``_plus(e, t)``, the sum of two keys."""
 
     terms: tuple[tuple[object, Scalar], ...]
 
-    def __init__(self, steps: Iterable, zero: object, factor: Scalar = 1, **fields):
+    def __init__(self, steps: Iterable, zero: object, **fields):
         times, plus = self._times, self._plus
-        poly: dict = {zero: factor} if factor else {}
+        poly: dict = {zero: 1}
         for s, run in groupby(steps):
             # (z**s - 1)**m has the row (-1)**(m - j) * C(m, j) at z**(j*s),
             # j = m..0, each entry from the one before; the j = 0 entry is
             # left in b and keeps e itself as its key.
             m = sum(1 for _ in run)
+            if len(poly) * (m + 1) > EXPANSION_LIMIT:
+                raise HamelcheckError(
+                    f"difference expansion of up to {len(poly) * (m + 1)} keys refused"
+                    f" (limit {EXPANSION_LIMIT})"
+                )
             row, b = [], 1
             for j in range(m, 0, -1):
                 row.append((times(j, s), b))
@@ -82,15 +97,15 @@ class _Expansion(Frozen):
 
 
 class _Line(_Expansion):
-    """A ``Composite`` ``K(a(.))`` times ``factor``, keyed by the scalars
-    ``a(h)``: the value at ``x`` is ``sum(c * K(a(x) + e))``."""
+    """A ``Composite`` ``K(a(.))`` keyed by the scalars ``a(h)``: the value
+    at ``x`` is ``sum(c * K(a(x) + e))``."""
 
     project: AdditiveFunctional
     evaluate: Callable[[Scalar], Scalar]
     _times, _plus = staticmethod(mul), staticmethod(add)
 
-    def __init__(self, f: Composite, hs: tuple[Point, ...], factor: Scalar):
-        super().__init__(map(f.functional, hs), 0, factor,
+    def __init__(self, f: Composite, hs: tuple[Point, ...]):
+        super().__init__(map(f.functional, hs), 0,
                          project=f.functional, evaluate=f.kernel.apply)
 
     def value(self, x: Point) -> Scalar:
@@ -139,15 +154,11 @@ class _Points(_Expansion):
 
 def _chain(f: PointFunction, hs: tuple[Point, ...], x: Point = ZERO) -> _Line | _Points:
     """The evaluator of the mixed difference over checked ``hs``, for base
-    points like ``x``. A ``Composite`` ``K(a(.))``, or a ``Scaled`` one
-    (the difference is linear, so the factor scales every coefficient), is
-    keyed by the scalars ``a(h)`` along one line; any other function by
-    coordinate tuples. Every difference and probe gets its keys here."""
-    factor = 1
-    if type(f) is Scaled and type(f.inner) is Composite:
-        f, factor = f.inner, f.factor
+    points like ``x``. A ``Composite`` ``K(a(.))`` is keyed by the scalars
+    ``a(h)`` along one line; any other function by coordinate tuples.
+    Every difference and probe gets its keys here."""
     if type(f) is Composite:
-        return _Line(f, hs, factor)
+        return _Line(f, hs)
     return _Points((f,), hs, x)
 
 

@@ -16,19 +16,10 @@ from .measures import MeasureExpr, atom_mass
 
 
 class Kernel(Frozen):
-    """A scalar kernel ``t -> K(t)``. Kernels are values: two are equal,
-    and hash alike, when they have the same type and the same power."""
+    """A scalar kernel ``t -> K(t)``, read through ``apply``."""
 
     def apply(self, t: Scalar) -> Scalar:
         raise NotImplementedError
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __hash__(self) -> int:
-        return hash((type(self), *vars(self).values()))
 
 
 class PositivePartPower(Kernel):
@@ -91,32 +82,6 @@ class MeasureMass(PointFunction, Frozen):
 
     def value(self, x: Point) -> Scalar:
         return atom_mass(self.measure, x)
-
-
-class Scaled(PointFunction, Frozen):
-    factor: Scalar
-    inner: PointFunction
-
-    def __init__(self, factor: Scalar, inner: PointFunction):
-        self.__dict__.update(factor=exact(factor), inner=inner)
-
-    def value(self, x: Point) -> Scalar:
-        if not self.factor:
-            return 0
-        return self.factor * self.inner.value(x)
-
-
-class SumOf(PointFunction, Frozen):
-    parts: tuple[PointFunction, ...]
-
-    def __init__(self, parts: tuple[PointFunction, ...]):
-        self.__dict__.update(parts=tuple(parts))
-
-    def value(self, x: Point) -> Scalar:
-        total = 0
-        for f in self.parts:
-            total += f.value(x)
-        return total
 
 
 class PointwisePower(PointFunction, Frozen):

@@ -34,8 +34,6 @@ from .functions import (
     MeasureMass,
     PointwisePower,
     PositivePartPower,
-    Scaled,
-    SumOf,
     tabulated_abs,
 )
 from .measures import (
@@ -278,8 +276,7 @@ def verify_lemma_4_6(n: int) -> Report:
         True,
     )
 
-    combined = SumOf((MeasureMass(mu), MeasureMass(delta1)))
-    combined_pow = PointwisePower(combined, n)
+    combined_pow = PointwisePower(MeasureMass(Sum((mu, delta1))), n)
     ok_power = all(f.value(x) == combined_pow.value(x) for x in a_sets.union)
     rb.claim(
         "mass-power-identity-on-A",
@@ -439,22 +436,21 @@ def _prop31_witness():
 
 
 def _prop32_grid(c: int):
-    """The scaled squared positive part c^2*x_+^2 and the integer grid
-    x in [-3,3], h in {1,2}, on which it has no violations."""
+    """The scaled squared positive part c^2*x_+^2, which for c >= 0 is
+    (c*x)_+^2, and the integer grid x in [-3,3], h in {1,2}, on which it
+    has no violations."""
     u = Symbol("u", positive=True)
     uu = unit(u)
-    a = AdditiveFunctional({u: 1})
-    f = Scaled(c * c, Composite(PositivePartPower(2), a))
+    f = Composite(PositivePartPower(2), AdditiveFunctional({u: c}))
     return f, [(j * uu, h) for j in range(-3, 4) for h in (uu, 2 * uu)]
 
 
 def _prop33_square(c: int):
-    """The reflected square c^2*(-x)_+^2 with x = -1, h = 1, where the
-    third difference is -c^2."""
+    """The reflected square c^2*(-x)_+^2, which for c < 0 is (c*x)_+^2,
+    with x = -1, h = 1, where the third difference is -c^2."""
     u = Symbol("u", positive=True)
     uu = unit(u)
-    a = AdditiveFunctional({u: -1})
-    f = Scaled(c * c, Composite(PositivePartPower(2), a))
+    f = Composite(PositivePartPower(2), AdditiveFunctional({u: c}))
     return f, -1 * uu, uu
 
 

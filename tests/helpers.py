@@ -1,5 +1,5 @@
-"""Shared generators for seeded randomized suites, and the kernels and
-point readers that only the tests use."""
+"""Shared generators for seeded randomized suites, and the kernels, point
+functions and point readers that only the tests use."""
 
 from fractions import Fraction
 
@@ -7,13 +7,14 @@ from hamelcheck import (
     AdditiveFunctional,
     Composite,
     Point,
+    PointFunction,
     PositivePartPower,
     Symbol,
     Tabulated,
     point_combine,
     unit,
 )
-from hamelcheck.basis import box_points
+from hamelcheck.basis import Frozen, box_points, exact
 from hamelcheck.functions import Kernel
 
 
@@ -41,6 +42,33 @@ class Identity(Kernel):
 
     def apply(self, t):
         return t
+
+
+class Scaled(PointFunction, Frozen):
+    """x -> factor * inner(x): not a ``Composite``, so its differences are
+    keyed by points."""
+
+    def __init__(self, factor, inner):
+        self.__dict__.update(factor=exact(factor), inner=inner)
+
+    def value(self, x):
+        if not self.factor:
+            return 0
+        return self.factor * self.inner.value(x)
+
+
+class SumOf(PointFunction, Frozen):
+    """x -> the sum of ``parts`` at x: ``SumOf((f,))`` is ``f`` read on the
+    point-keyed route."""
+
+    def __init__(self, parts):
+        self.__dict__.update(parts=tuple(parts))
+
+    def value(self, x):
+        total = 0
+        for f in self.parts:
+            total += f.value(x)
+        return total
 
 
 def coordinate(p, sym):

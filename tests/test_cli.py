@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hamelcheck import cli, measures
+from hamelcheck import cli, differences, measures
 from hamelcheck.cli import main
 from hamelcheck.errors import HamelcheckError
 from hamelcheck.scenarios import verify_prop_4_3
@@ -646,6 +646,76 @@ def test_a_walk_past_the_limit_is_a_usage_error(tmp_path, capsys, monkeypatch):
     )
     assert run_cli(capsys, "run", str(path)) == (
         2, "", "error: closure query 13 steps above its support floor refused (limit 10)\n"
+    )
+
+
+def _distinct_symbols(k, values):
+    """Declarations of k positive symbols g1..gk, with ``values`` (one
+    per symbol, or None) as the additive map ``a`` behind a cube."""
+    names = [f"g{i}" for i in range(1, k + 1)]
+    head = "".join(f"symbol {name} positive\n" for name in names)
+    if values is not None:
+        head += "".join(f"additive a.{name} = {v}\n" for name, v in zip(names, values))
+        head += "function pospartpow 3 of a\n"
+    return head, names
+
+
+def test_an_expansion_past_the_limit_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # Every term is built before the first read, so a difference over many
+    # distinct increments ran for minutes or ran out of memory, and a long
+    # equal run grew as its square. Each run of equal steps is refused
+    # before it is multiplied out when it could give more keys than the
+    # limit; under a limit of 8, an expansion of 8 keys still evaluates
+    # (the cube's third difference over a = 1, 2, 4 is 3! * 8 = 48).
+    path = tmp_path / "diff.def"
+    monkeypatch.setattr(differences, "EXPANSION_LIMIT", 8)
+    line, names = _distinct_symbols(4, (1, 2, 4, 8))
+    points, _ = _distinct_symbols(4, None)
+    points += "function tabulated {0: 1}\n"
+    for head, hs, keys in (
+        (line, names, 16),        # the scalar line
+        (points, names, 16),      # coordinate tuples
+        (line, ["g1"] * 8, 9),    # one equal run
+    ):
+        path.write_text(f"{head}eval forward-diff at 0 with [{', '.join(hs)}]\n")
+        assert run_cli(capsys, "run", str(path)) == (
+            2, "", f"error: difference expansion of up to {keys} keys refused (limit 8)\n"
+        ), hs
+    for hs, expect in ((names[:3], 48), (["g1"] * 7, 0)):
+        path.write_text(f"{line}eval forward-diff at 0 with [{', '.join(hs)}] expect {expect}\n")
+        code, out, err = run_cli(capsys, "run", str(path), "--format", "jsonl")
+        assert (code, err) == (0, "") and json.loads(out)["pass"] is True, hs
+    # A probe holds one expansion of order + 2 keys per distinct increment
+    # for the whole call: 2 steps at order 2 hold 8 keys, 3 steps 12.
+    head = "symbol h positive\nadditive a.h = 1\nfunction pospartpow 3 of a\n"
+    path.write_text(f"{head}eval jensen-probe n=2 grid=box(0..1;steps=1..3)\n")
+    assert run_cli(capsys, "run", str(path)) == (
+        2, "",
+        "error: line 4: jensen-probe of 3 distinct increments at order 2 holds 4 keys per"
+        " increment; refused above 8 keys in all\n",
+    )
+    path.write_text(f"{head}eval jensen-probe n=2 grid=box(0..1;steps=1..2)\n")
+    code, out, err = run_cli(capsys, "run", str(path), "--format", "jsonl")
+    assert (code, err) == (0, "") and json.loads(out)["pass"] is True
+
+
+def test_an_expansion_at_the_limit_evaluates_and_one_past_it_exits_2(tmp_path, capsys):
+    # 16 distinct units are the 2^16 keys lemma46 --n 15 needs, and with
+    # a(g_i) = 2^(i-1) every subset sum is a distinct key: the cube's 16th
+    # difference over them is 0. A table over 30 distinct symbols (a one
+    # entry table: it would fail at its first missing point) is refused at
+    # the 17th symbol instead of building 2^30 keys.
+    path = tmp_path / "diff.def"
+    head, names = _distinct_symbols(16, [2 ** i for i in range(16)])
+    path.write_text(f"{head}eval forward-diff at 0 with [{', '.join(names)}] expect 0\n")
+    code, out, err = run_cli(capsys, "run", str(path), "--format", "jsonl")
+    assert (code, err) == (0, "") and json.loads(out)["pass"] is True
+    head, names = _distinct_symbols(30, None)
+    path.write_text(
+        f"{head}function tabulated {{0: 1}}\neval forward-diff at 0 with [{', '.join(names)}]\n"
+    )
+    assert run_cli(capsys, "run", str(path)) == (
+        2, "", "error: difference expansion of up to 131072 keys refused (limit 65536)\n"
     )
 
 

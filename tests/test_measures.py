@@ -17,10 +17,8 @@ from hamelcheck import (
     Point,
     PointwisePower,
     Scale,
-    Scaled,
     Shift,
     Sum,
-    SumOf,
     Tabulated,
     atom_mass,
     build_a_sets,
@@ -37,7 +35,9 @@ from hamelcheck import (
 )
 from hamelcheck.basis import sample_box
 from hamelcheck.measures import signed_sum
-from helpers import coordinate, lattice_box, standard_function, support_floor
+from helpers import (
+    Scaled, SumOf, coordinate, lattice_box, standard_function, support_floor,
+)
 
 
 def _units(n):
