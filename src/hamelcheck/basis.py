@@ -2,19 +2,18 @@
 
 Symbols are opaque tokens assumed rationally independent; they are never
 tied to real-number values, so every computation downstream is exact.
-A point is assembled by one ``point_combine``, which sorts once, or by
-``unit`` for one symbol. ``+`` and ``*`` merge two operands term by term:
-they are the chained route the tests hold ``point_combine`` to. A point
-whose coordinates are already a tuple over a sorted basis is built from
-that tuple by ``Point.from_coords``, which keeps it: the box enumeration
-``box_points``, ``subset_sums`` and ``Point(pairs)`` build their points so.
+Every point is built by ``Point.from_coords`` from a coordinate tuple
+over a sorted basis, and keeps that tuple. ``Point(pairs)``,
+``point_combine`` and ``+`` first sum coefficients per symbol, ``*``
+scales the kept tuple, and ``box_points`` and ``subset_sums`` sum tuples
+directly. ``+`` and ``*`` are the chained route the tests hold
+``point_combine`` to.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, compress
-from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import InvalidIncrement
@@ -82,45 +81,35 @@ class Point:
     Canonical form: zero coefficients are dropped, integral ones are held
     as ``int`` (see ``exact``) and terms are sorted by symbol, so equality
     and hashing are structural. ``Point(pairs)`` sums the coefficients
-    given for each symbol and, like ``from_coords``, keeps the tuple it was
-    built from for ``coords``; nothing changes a point once it is built.
+    given for each symbol and builds the point with ``from_coords``, as
+    every other constructor does; every point keeps the tuple it was built
+    from for ``coords``, and nothing changes a point once it is built.
     """
 
     __slots__ = ("_terms", "_hash", "_read")
 
-    def __init__(self, coords: Mapping[Symbol, Scalar] | Iterable[tuple[Symbol, Scalar]] = ()):
+    def __new__(cls, coords: Mapping[Symbol, Scalar] | Iterable[tuple[Symbol, Scalar]] = ()):
         items = coords.items() if isinstance(coords, Mapping) else coords
         acc: dict[Symbol, Scalar] = {}
         for s, c in items:
             acc[s] = acc.get(s, 0) + exact(c)
-        basis = tuple(sorted(acc))
-        self._set_coords(basis, [acc[s] for s in basis])
-
-    def _set_coords(self, basis: tuple[Symbol, ...], coords: Iterable[Scalar]) -> None:
-        v = tuple(coords)
-        if {*map(type, v)} - {int}:
-            v = tuple(map(exact, v))
-        self._terms = tuple(compress(zip(basis, v), v))
-        self._hash = None
-        self._read = basis, v
-
-    @classmethod
-    def _wrap(cls, terms: tuple[tuple[Symbol, Scalar], ...]) -> "Point":
-        p = object.__new__(cls)
-        p._terms = terms
-        p._hash = p._read = None
-        return p
+        return cls.from_coords(*_sorted_coords(acc))
 
     @classmethod
     def from_coords(cls, basis: tuple[Symbol, ...], coords: Iterable[Scalar]) -> "Point":
         """The canonical point with coordinates ``coords`` over ``basis``, a
         tuple of distinct symbols in sorted order with one coordinate each.
-        Coordinates that are not all ``int`` go through ``exact``, and the
-        zero ones are dropped from the terms. The tuple of exact coordinates
-        is kept as the answer of ``coords`` over ``basis`` or an equal
-        basis, and never enters equality."""
+        Every point is built here. Coordinates that are not all ``int`` go
+        through ``exact``, and the zero ones are dropped from the terms. The
+        tuple of exact coordinates is kept as the answer of ``coords`` over
+        ``basis`` or an equal basis, and never enters equality."""
+        v = tuple(coords)
+        if {*map(type, v)} - {int}:
+            v = tuple(map(exact, v))
         p = object.__new__(cls)
-        p._set_coords(basis, coords)
+        p._terms = tuple(compress(zip(basis, v), v))
+        p._hash = None
+        p._read = basis, v
         return p
 
     @property
@@ -134,11 +123,12 @@ class Point:
     def coords(self, basis: tuple[Symbol, ...]) -> tuple[Scalar, ...] | None:
         """The coordinates as a tuple over ``basis``, or None when the
         support is not inside it: the kept tuple when ``basis`` equals the
-        one the point was built over, None at once when the support has
-        more symbols than ``basis``, else a conversion that is not kept."""
-        read = self._read
-        if read is not None and read[0] == basis:
-            return read[1]
+        one the point was built over (every point keeps one), None at once
+        when the support has more symbols than ``basis``, else a conversion
+        that is not kept."""
+        built, v = self._read
+        if built == basis:
+            return v
         if len(self._terms) > len(basis):
             return None
         rest = dict(self._terms)
@@ -157,12 +147,8 @@ class Point:
             return other
         acc = dict(self._terms)
         for s, c in other._terms:
-            q = acc.get(s, 0) + c
-            if q:
-                acc[s] = q if type(q) is int else exact(q)
-            else:
-                del acc[s]
-        return Point._wrap(_sorted_terms(acc))
+            acc[s] = acc.get(s, 0) + c
+        return Point.from_coords(*_sorted_coords(acc))
 
     def __sub__(self, other: "Point") -> "Point":
         if not isinstance(other, Point):
@@ -171,9 +157,8 @@ class Point:
 
     def __mul__(self, scalar: Scalar) -> "Point":
         q = exact(scalar)
-        if not q:
-            return ZERO
-        return Point._wrap(tuple((s, exact(c * q)) for s, c in self._terms))
+        basis, v = self._read
+        return Point.from_coords(basis, [q * c for c in v])
 
     __rmul__ = __mul__
 
@@ -203,21 +188,20 @@ class Point:
         return f"Point({self})"
 
 
-_symbol_of = itemgetter(0)
-
-
-def _sorted_terms(acc: dict[Symbol, Scalar]) -> tuple[tuple[Symbol, Scalar], ...]:
-    """The terms of a canonical coordinate dict, sorted by symbol."""
-    return tuple(sorted(acc.items(), key=_symbol_of))
+def _sorted_coords(acc: dict[Symbol, Scalar]) -> tuple[tuple[Symbol, ...], list[Scalar]]:
+    """The sorted symbols of a coefficient dict and their coefficients, the
+    arguments of ``Point.from_coords``."""
+    basis = tuple(sorted(acc))
+    return basis, [acc[s] for s in basis]
 
 
 #: The zero point (empty support).
-ZERO = Point._wrap(())
+ZERO = Point.from_coords((), ())
 
 
 def unit(sym: Symbol) -> Point:
     """The point consisting of a single basis symbol."""
-    return Point._wrap(((sym, 1),))
+    return Point.from_coords((sym,), (1,))
 
 
 def lift(basis: tuple[Symbol, ...], part: tuple[Symbol, ...], t: tuple[Scalar, ...]):
@@ -241,9 +225,8 @@ def subset_sums(x: Point, hs: Sequence[Point]) -> Iterator[tuple[tuple[int, ...]
     """``(subset, x + sum(hs[i] for i in subset))`` for every tuple of
     indices into ``hs``: sizes descending, index-lexicographic within a
     size. This is the one enumeration of the subset sums. Each sum is
-    built from coordinate tuples over the sorted symbols of ``x`` and
-    ``hs`` and keeps its tuple over them (``Point.from_coords``); it equals
-    the ``point_combine`` of the same points."""
+    built by summing coordinate tuples over the sorted symbols of ``x``
+    and ``hs``; it equals the ``point_combine`` of the same points."""
     basis, (base, *rows) = _span((x, *hs))
     for size in range(len(hs), -1, -1):
         for subset in combinations(range(len(hs)), size):
@@ -259,10 +242,9 @@ def box_points(
 ) -> Iterator[Point]:
     """Yield the points at ``indices`` into the box of ``units`` with
     integer coefficients in ``lo..lo + width - 1``, the first unit varying
-    slowest, one at a time. Each is built from coordinate tuples over the
-    sorted symbols of ``units`` and keeps its tuple over them
-    (``Point.from_coords``); it equals the ``point_combine`` of the same
-    coefficients."""
+    slowest, one at a time. Each is built by summing coordinate tuples
+    over the sorted symbols of ``units``; it equals the ``point_combine``
+    of the same coefficients."""
     basis, rows = _span(units)
     for i in indices:
         v = [0] * len(basis)
@@ -292,7 +274,7 @@ def point_combine(terms: Iterable[tuple[Scalar, Point]]) -> Point:
         if q:
             for s, c in p.terms:
                 acc[s] = acc.get(s, 0) + q * c
-    return Point._wrap(_sorted_terms({s: exact(c) for s, c in acc.items() if c}))
+    return Point.from_coords(*_sorted_coords(acc))
 
 
 class AdditiveFunctional:

@@ -332,12 +332,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (HamelcheckError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError:
-        print(
-            "error: input nests too deeply to evaluate (recursion limit reached)",
-            file=sys.stderr,
-        )
-        return 2
     except MemoryError:
         print("error: out of memory (the input is too large to evaluate)", file=sys.stderr)
         return 2

@@ -21,15 +21,17 @@ A declared name is one name token; symbols and points share a namespace.
 ``<point>`` is a declared point, ``0``, or an inline combination. An
 ``expect`` before the last ``at``, ``with`` or ``]`` of an eval line is a
 name. Evals without ``expect`` pass with their value; ``jensen-probe``
-expects zero violations, and is refused above order ``PROBE_ORDER``,
-above ``PROBE_READS`` function values in all, or when its expansions, one
-per distinct increment, would hold more than
-``differences.EXPANSION_LIMIT`` keys in all. A ``pospartpow`` function
+expects zero violations, and is refused above order ``ORDER_CEILING``
+(20,000), above ``PROBE_READS`` function values in all, or when its
+expansions, one per distinct increment, would hold more than
+``differences.EXPANSION_LIMIT`` keys in all. A ``pospartpow`` power is
+refused above the same ``ORDER_CEILING``. A ``pospartpow`` function
 holds its additive's values as declared so far, so no ``additive`` line
 for it may follow, and a table lists each point once. A definition needs
 at least one eval line; a file may start with a UTF-8 byte-order mark.
 An error gives the column of the token it rejects, or column 1 when it
-concerns the whole statement.
+concerns the whole statement. An error in evaluating an eval line gives
+that line.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from . import differences
 from .differences import backward_diff, forward_diff, jensen_convexity_probe
 from .errors import (
     DefinitionError,
+    HamelcheckError,
     InvalidIncrement,
     ParseError,
     UnknownSymbol,
@@ -58,9 +61,13 @@ from .measures import Dirac, JClosure, MeasureExpr, Scale, Shift, Sum, atom_mass
 from .reports import Report, ReportBuilder, Value
 
 
-# A jensen-probe's bounds, checked before it builds anything, so that a
-# probe that could never finish exits 2 instead. Its binomial row holds
-# n + 2 integers of about n bits: order 20,001 took 0.4 s and 94 MiB,
+# A jensen-probe's order and a pospartpow power are refused above
+# ORDER_CEILING when the line is parsed. Evaluated, a power of 10^8 ran
+# 2 s and 10^9 22 s (CPython 3.11, 2 cores) before a value too long to
+# render, and 10^10 ran out of memory.
+# A jensen-probe's other bounds are checked before it builds anything, so
+# that a probe that could never finish exits 2 instead. Its binomial row
+# holds n + 2 integers of about n bits: order 20,001 took 0.4 s and 94 MiB,
 # order 50,001 1.4 s and 490 MiB. Each sample reads n + 2 values: a box
 # of 0..1000 over two symbols at order 3 reads 10,020,010 and took 16 s.
 # Just inside both bounds, 99 samples of one increment at order 20,000
@@ -69,7 +76,7 @@ from .reports import Report, ReportBuilder, Value
 # increment for the whole call, so their keys together are bounded by
 # ``differences.EXPANSION_LIMIT``: 99 steps at order 20,000 held 1 GB
 # after 10 s, still growing.
-PROBE_ORDER = 20_000
+ORDER_CEILING = 20_000
 PROBE_READS = 2_000_000
 
 
@@ -253,6 +260,8 @@ class _Parser:
             power = self.number(tokens[1:2], int, "power")
             if power < 1:
                 raise self.fail("power must be >= 1", tokens[1:2])
+            if power > ORDER_CEILING:
+                raise self.fail(f"power must be <= {ORDER_CEILING}", tokens[1:2])
             values = self.lookup(tokens[3:], self.defn.additives)
             self.read_additive = tokens[3].text
             self.defn.function = Composite(PositivePartPower(power), AdditiveFunctional(values))
@@ -378,8 +387,8 @@ class _Parser:
         order = self.number(fields["n"], int, "order")
         if order < 1:
             raise self.fail("order must be >= 1", fields["n"])
-        if order > PROBE_ORDER:
-            raise self.fail(f"order must be <= {PROBE_ORDER}", fields["n"])
+        if order > ORDER_CEILING:
+            raise self.fail(f"order must be <= {ORDER_CEILING}", fields["n"])
         grid = fields["grid"]
         if not _starts(grid, "box", "(") or grid[-1].text != ")":
             raise self.bad("bad grid spec", grid)
@@ -457,17 +466,26 @@ def parse_definition(source: str, name: str = "<definition>") -> ScenarioDefinit
 
 def run_definition(defn: ScenarioDefinition) -> Report:
     """Execute every evaluation request and assemble the report. A
-    definition with no request is an error: it would pass with 0 claims."""
+    definition with no request is an error: it would pass with 0 claims.
+    An error in an evaluation names its eval line."""
     if not defn.evals:
         raise DefinitionError("no eval line: nothing to check")
     rb = ReportBuilder(defn.name)
     for ev in defn.evals:
         try:
             value = ev.evaluate()
+        except DefinitionError:
+            raise
         except UntabulatedPoint as exc:
             raise DefinitionError(
                 f"evaluation needs a value outside the tabulated domain ({exc})",
                 ev.line,
+            ) from exc
+        except HamelcheckError as exc:
+            raise DefinitionError(str(exc), ev.line) from exc
+        except RecursionError as exc:
+            raise DefinitionError(
+                "input nests too deeply to evaluate (recursion limit reached)", ev.line
             ) from exc
         rb.claim(ev.text, f"line {ev.line}", value, value if ev.expect is None else ev.expect)
     return rb.build()

@@ -17,7 +17,7 @@ from hamelcheck import (
     symbols,
     unit,
 )
-from hamelcheck.basis import check_increment, sample_box, subset_sums
+from hamelcheck.basis import box_points, check_increment, sample_box, subset_sums
 from hamelcheck.definitions import parse_definition
 from hamelcheck.differences import Violation
 from hamelcheck.functions import Composite, PositivePartPower
@@ -432,3 +432,36 @@ def test_from_coords_is_canonical():
     assert [type(x) for x in p.coords((a, b, c))] == [int, int, Fraction]
     assert Point.from_coords((a, b), (0, 0)) == ZERO and Point.from_coords((), ()) == ZERO
     assert Point([(b, 1), (a, 2), (b, -1)]).terms == ((a, 2),)
+
+
+def test_every_route_builds_a_point_that_keeps_its_tuple_seeded():
+    # Every constructor ends in Point.from_coords, so every point keeps the
+    # tuple it was built from: the tuple rebuilds the same point, and coords
+    # over the kept basis hands back the kept tuple itself.
+    pool = symbols("c a d b", positive=True)
+    rng = random.Random(29)
+    kinds = set()
+
+    def coeff():
+        return Fraction(rng.choice((-3, -1, 1, 2, 4)), rng.choice((1, 1, 2, 3)))
+
+    built = [ZERO]
+    for _ in range(3):
+        s, t, u = rng.sample(pool, 3)
+        c, d = coeff(), coeff()
+        built += [
+            Point([(s, c), (t, d), (s, -c), (u, 1), (t, d)]),  # repeated and cancelling
+            point_combine([(c, unit(s)), (Fraction(1, 2), unit(t)), (-c, unit(s))]),
+        ]
+        p, q = rng.sample(built, 2)
+        built += [p + q, p - q, p - p, p * 0, p * -rng.randint(1, 3), Fraction(1, 3) * p]
+        built += [unit(u), Point.from_coords(tuple(sorted((s, t))), (c, 0))]
+        gens = [unit(s), c * unit(t), unit(s) + unit(u)]
+        built += [q for _, q in subset_sums(unit(t), gens)][:3]
+        built += box_points(gens[:2], -1, 3, rng.sample(range(9), 2))
+    for p in built:
+        basis, v = p._read
+        assert _same(Point.from_coords(basis, v), p)
+        assert p.coords(basis) is v
+        kinds.add((p.is_zero(), any(type(c) is Fraction for _, c in p.terms)))
+    assert kinds == {(True, False), (False, False), (False, True)}

@@ -598,6 +598,7 @@ def test_deep_closure_nesting_is_a_usage_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "run", _measure_chain(tmp_path, "jclosure", 1200, "s"))
     assert code == 2
     assert out == "" and err.startswith("error: ") and "nests too deeply" in err
+    assert err.startswith("error: line 1203: ")
     # 400 nested closures count the ways to split 2*s among them.
     code, out, err = run_cli(
         capsys, "run", _measure_chain(tmp_path, "jclosure", 400, "3*s expect 80200"),
@@ -625,7 +626,7 @@ def test_a_walk_past_the_limit_is_a_usage_error(tmp_path, capsys, monkeypatch):
     path.write_text(f"{head}eval atom-mass j at 99999999999*g1\n")
     assert run_cli(capsys, "run", str(path)) == (
         2, "",
-        "error: closure query 99999999998 steps above its support floor refused"
+        "error: line 4: closure query 99999999998 steps above its support floor refused"
         " (limit 1000000)\n",
     )
     monkeypatch.setattr(measures, "WALK_LIMIT", 10)
@@ -634,7 +635,7 @@ def test_a_walk_past_the_limit_is_a_usage_error(tmp_path, capsys, monkeypatch):
     assert (code, err) == (0, "") and json.loads(out)["computed"] == "1"
     path.write_text(f"{head}eval atom-mass j at 12*g1 expect 1\n")
     assert run_cli(capsys, "run", str(path)) == (
-        2, "", "error: closure query 11 steps above its support floor refused (limit 10)\n"
+        2, "", "error: line 4: closure query 11 steps above its support floor refused (limit 10)\n"
     )
     # The limit is on the distance from the floor, read before the walk
     # looks for a memoised point: after 11*g1 fills the memo from g1 up,
@@ -645,7 +646,7 @@ def test_a_walk_past_the_limit_is_a_usage_error(tmp_path, capsys, monkeypatch):
         "eval atom-mass j at 14*g1 expect 1\n"
     )
     assert run_cli(capsys, "run", str(path)) == (
-        2, "", "error: closure query 13 steps above its support floor refused (limit 10)\n"
+        2, "", "error: line 6: closure query 13 steps above its support floor refused (limit 10)\n"
     )
 
 
@@ -679,7 +680,8 @@ def test_an_expansion_past_the_limit_is_a_usage_error(tmp_path, capsys, monkeypa
     ):
         path.write_text(f"{head}eval forward-diff at 0 with [{', '.join(hs)}]\n")
         assert run_cli(capsys, "run", str(path)) == (
-            2, "", f"error: difference expansion of up to {keys} keys refused (limit 8)\n"
+            2, "", f"error: line {len(head.splitlines()) + 1}: difference expansion of up to {keys}"
+            " keys refused (limit 8)\n"
         ), hs
     for hs, expect in ((names[:3], 48), (["g1"] * 7, 0)):
         path.write_text(f"{line}eval forward-diff at 0 with [{', '.join(hs)}] expect {expect}\n")
@@ -715,7 +717,7 @@ def test_an_expansion_at_the_limit_evaluates_and_one_past_it_exits_2(tmp_path, c
         f"{head}function tabulated {{0: 1}}\neval forward-diff at 0 with [{', '.join(names)}]\n"
     )
     assert run_cli(capsys, "run", str(path)) == (
-        2, "", "error: difference expansion of up to 131072 keys refused (limit 65536)\n"
+        2, "", "error: line 32: difference expansion of up to 131072 keys refused (limit 65536)\n"
     )
 
 

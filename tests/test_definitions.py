@@ -282,6 +282,7 @@ WITH_FUNCTION = BASE + "function pospartpow 2 of a\n"
     ("function pospartpow 2", 1, "expected: function pospartpow <n> of <func>"),
     ("function pospartpow x of a", 21, "bad power 'x'"),
     ("function pospartpow 0 of a", 21, "power must be >= 1"),
+    ("function pospartpow 20001 of a", 21, "power must be <= 20000"),
     ("function pospartpow 2 of b", 26, "unknown name 'b'"),
     ("function abs spline", 14, "unknown function form 'spline'"),
     ("function tabulated [0: 1]", 1, "tabulated values must be enclosed in { }"),
