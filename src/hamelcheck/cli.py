@@ -54,10 +54,6 @@ TRACE_ORDER = 17
 A_SET_ORDER = 15
 
 
-class UsageError(HamelcheckError):
-    pass
-
-
 def _always(args: SimpleNamespace) -> bool:
     return True
 
@@ -315,9 +311,9 @@ def _calls(args: SimpleNamespace) -> list[tuple]:
         if args.n > limit and applies(args):
             cost = cost.format(n=args.n, m=args.n + 1)
             if ceiling is not None and args.n > ceiling:
-                raise UsageError(f"order {args.n} needs {cost}; refused above order {ceiling}")
+                raise HamelcheckError(f"order {args.n} needs {cost}; refused above order {ceiling}")
             if not args.allow_large:
-                raise UsageError(f"order {args.n} needs {cost}; pass --allow-large to proceed")
+                raise HamelcheckError(f"order {args.n} needs {cost}; pass --allow-large to proceed")
             print(f"warning: order {args.n} needs {cost}; this may take a while", file=sys.stderr)
             break
     return [(args.n,)]

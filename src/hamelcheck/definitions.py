@@ -58,7 +58,7 @@ from .errors import (
 )
 from .functions import Composite, PointFunction, PositivePartPower, Tabulated, tabulated_abs
 from .measures import Dirac, JClosure, MeasureExpr, Scale, Shift, Sum, atom_mass
-from .reports import Report, ReportBuilder, Value
+from .reports import Report, Value, make_claim
 
 
 # A jensen-probe's order and a pospartpow power are refused above
@@ -470,7 +470,7 @@ def run_definition(defn: ScenarioDefinition) -> Report:
     An error in an evaluation names its eval line."""
     if not defn.evals:
         raise DefinitionError("no eval line: nothing to check")
-    rb = ReportBuilder(defn.name)
+    claims = []
     for ev in defn.evals:
         try:
             value = ev.evaluate()
@@ -487,8 +487,10 @@ def run_definition(defn: ScenarioDefinition) -> Report:
             raise DefinitionError(
                 "input nests too deeply to evaluate (recursion limit reached)", ev.line
             ) from exc
-        rb.claim(ev.text, f"line {ev.line}", value, value if ev.expect is None else ev.expect)
-    return rb.build()
+        claims.append(make_claim(
+            ev.text, f"line {ev.line}", value, value if ev.expect is None else ev.expect
+        ))
+    return Report(defn.name, tuple(claims))
 
 
 def run_definition_file(path: str | Path) -> Report:

@@ -1,6 +1,8 @@
 """Structured pass/fail reports and their human/tsv/jsonl renderings.
 
 All comparisons are exact; a claim passes iff computed equals expected.
+Runners build each ``Report`` directly from the ``make_claim`` values
+they compute.
 """
 
 from __future__ import annotations
@@ -46,31 +48,6 @@ class Report(NamedTuple):
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.claims)
-
-
-class ReportBuilder:
-    """Accumulates claims for one scenario."""
-
-    def __init__(self, scenario: str):
-        self.scenario = scenario
-        self.claims: list[Claim] = []
-        self.make_trace: Callable[[], tuple[TableRow, ...]] = tuple
-        self.trace_title = ""
-        self.notes: list[str] = []
-
-    def claim(self, label: str, ref: str, computed: Value, expected: Value) -> Claim:
-        c = make_claim(label, ref, computed, expected)
-        self.claims.append(c)
-        return c
-
-    def note(self, text: str) -> None:
-        self.notes.append(text)
-
-    def build(self) -> Report:
-        return Report(
-            self.scenario, tuple(self.claims), self.make_trace, self.trace_title,
-            tuple(self.notes),
-        )
 
 
 def render_value(v: Value) -> str:

@@ -48,7 +48,7 @@ from .measures import (
     nabla,
     signed_sum,
 )
-from .reports import Report, ReportBuilder
+from .reports import Claim, Report, make_claim
 
 
 def require_odd(n: int) -> None:
@@ -81,24 +81,27 @@ def verify_theorem_2_3(n: int) -> Report:
     additive map: the mixed difference over all n+1 increments at 0 is -1."""
     require_odd(n)
     _, units, _, f, top = _standard_setup(n)
-    rb = ReportBuilder(f"theorem23(n={n})")
     fwd = forward_diff(f, ZERO, units)
-    rb.claim(
-        "forward-diff-at-zero",
-        f"mixed forward difference of (a(.))_+^{n} over h1..h{n + 1} at 0",
-        fwd,
-        -1,
-    )
     bwd = backward_diff(f, top, units)
-    rb.claim(
-        "backward-diff-at-top",
-        "same value through the backward form at h1+...+h%d" % (n + 1),
-        bwd,
-        -1,
+    return Report(
+        f"theorem23(n={n})",
+        (
+            make_claim(
+                "forward-diff-at-zero",
+                f"mixed forward difference of (a(.))_+^{n} over h1..h{n + 1} at 0",
+                fwd,
+                -1,
+            ),
+            make_claim(
+                "backward-diff-at-top",
+                "same value through the backward form at h1+...+h%d" % (n + 1),
+                bwd,
+                -1,
+            ),
+        ),
+        lambda: difference_table(f, ZERO, units),
+        f"forward difference over [h1..h{n + 1}] at 0",
     )
-    rb.make_trace = lambda: difference_table(f, ZERO, units)
-    rb.trace_title = f"forward difference over [h1..h{n + 1}] at 0"
-    return rb.build()
 
 
 # Frozen value table for the order-3 walkthrough, in subset-size order
@@ -111,79 +114,83 @@ def verify_section_3_1() -> Report:
     """The order-3 instance with every one of the 16 evaluations spelled
     out and the grouped alternating sum."""
     _, units, _, f, _ = _standard_setup(3)
-    rb = ReportBuilder("section31")
     rows = difference_table(f, ZERO, units)
-    for row, expected in zip(rows, _WALKTHROUGH_VALUES):
-        rb.claim(
-            f"value[{row.point}]",
-            f"f(0 + {row.point}) with f = (a(.))_+^3",
-            row.value,
-            expected,
-        )
     groups = group_sums(rows)
-    for size, _, value in groups:
-        rb.claim(
-            f"group-sum-{size}",
-            f"sum of the size-{size} evaluations",
-            value,
-            _WALKTHROUGH_GROUP_SUMS[size],
-        )
-    rb.claim(
-        "alternating-total",
-        "8 - 30 + 24 - 3 + 0",
-        sum(sign * value for _, sign, value in groups),
-        -1,
+    claims = (
+        *(
+            make_claim(
+                f"value[{row.point}]",
+                f"f(0 + {row.point}) with f = (a(.))_+^3",
+                row.value,
+                expected,
+            )
+            for row, expected in zip(rows, _WALKTHROUGH_VALUES)
+        ),
+        *(
+            make_claim(
+                f"group-sum-{size}",
+                f"sum of the size-{size} evaluations",
+                value,
+                _WALKTHROUGH_GROUP_SUMS[size],
+            )
+            for size, _, value in groups
+        ),
+        make_claim(
+            "alternating-total",
+            "8 - 30 + 24 - 3 + 0",
+            sum(sign * value for _, sign, value in groups),
+            -1,
+        ),
     )
-    rb.make_trace = lambda: rows
-    rb.trace_title = "forward difference over [h1..h4] at 0"
-    return rb.build()
+    return Report("section31", claims, lambda: rows, "forward difference over [h1..h4] at 0")
 
 
 def verify_section_3_2() -> Report:
     """Order-2 candidates: the tabulated quadratic-magnitude example and
     the three scaled-kernel propositions."""
-    rb = ReportBuilder("section32")
-
     # Quadratic-magnitude table on a one-step lattice; raw values are the
     # signed ones, magnitudes taken at construction.
     s = Symbol("s", positive=True)
     su = unit(s)
     q_raw = {ZERO: -9, su: 4, 2 * su: 7, 3 * su: 0}
     q_abs = tabulated_abs(q_raw)
-    rb.claim(
-        "q-table-third-diff",
-        "third equal-step difference of |Q| tabulated as 9, 4, 7, 0",
-        forward_diff(q_abs, ZERO, (su, su, su)),
-        -18,
-    )
-
     f, x, h = _prop31_witness()
-    rb.claim(
-        "prop31-witness",
-        "third difference -(a(x))^2 at the exact witness (a(x)=1, a(h)=-2)",
-        forward_diff(f, x, (h,) * 3),
-        -1,
-    )
-
-    for c in (0, 1, 2):
-        f, grid = _prop32_grid(c)
-        rb.claim(
-            f"prop32-grid-c={c}",
-            f"violations of the third-difference sign for {c}^2*x_+^2 "
-            "on x in [-3,3], h in {1,2}",
-            len(jensen_convexity_probe(f, 2, grid)),
-            0,
-        )
-
-    for c in (-1, -2):
-        f, x, h = _prop33_square(c)
-        rb.claim(
-            f"prop33-c={c}",
-            f"third difference of {c}^2*(-x)_+^2 at x=-1, h=1",
+    grids = [(c, *_prop32_grid(c)) for c in (0, 1, 2)]
+    squares = [(c, *_prop33_square(c)) for c in (-1, -2)]
+    claims = (
+        make_claim(
+            "q-table-third-diff",
+            "third equal-step difference of |Q| tabulated as 9, 4, 7, 0",
+            forward_diff(q_abs, ZERO, (su, su, su)),
+            -18,
+        ),
+        make_claim(
+            "prop31-witness",
+            "third difference -(a(x))^2 at the exact witness (a(x)=1, a(h)=-2)",
             forward_diff(f, x, (h,) * 3),
-            -c * c,
-        )
-    return rb.build()
+            -1,
+        ),
+        *(
+            make_claim(
+                f"prop32-grid-c={c}",
+                f"violations of the third-difference sign for {c}^2*x_+^2 "
+                "on x in [-3,3], h in {1,2}",
+                len(jensen_convexity_probe(f, 2, grid)),
+                0,
+            )
+            for c, f, grid in grids
+        ),
+        *(
+            make_claim(
+                f"prop33-c={c}",
+                f"third difference of {c}^2*(-x)_+^2 at x=-1, h=1",
+                forward_diff(f, x, (h,) * 3),
+                -c * c,
+            )
+            for c, f, x, h in squares
+        ),
+    )
+    return Report("section32", claims)
 
 
 def verify_lemma_4_4(n: int) -> Report:
@@ -196,64 +203,61 @@ def verify_lemma_4_4(n: int) -> Report:
     mu = signed_sum(mus)
     a_sets = build_a_sets(syms)
     h1 = units[0]
-    rb = ReportBuilder(f"lemma44(n={n})")
+    delta1 = Dirac(h1)
 
     ok_a = all(
         atom_mass(mus[i], x) == 1
         for i in range(n + 1)
         for x in a_sets.sets[i]
     )
-    rb.claim(
-        "a-unit-mass-on-own-set",
-        "mu_i(x) = 1 for every x in A_i, for every i",
-        ok_a,
-        True,
-    )
-
     ok_b = all(
         atom_mass(mus[i], x) == 0
         for i in range(n + 1)
         for x in a_sets.union - a_sets.sets[i]
     )
-    rb.claim(
-        "b-zero-mass-off-set",
-        "mu_i(x) = 0 for every x in A outside A_i",
-        ok_b,
-        True,
-    )
-
     negatives = {x for x in a_sets.union if atom_mass(mu, x) < 0}
-    rb.claim(
-        "c-negative-only-at-h1",
-        "mu(x) < 0 on A exactly at x = h1",
-        negatives == {h1},
-        True,
-    )
-
-    rb.claim("d-mass-at-h1", "mu(h1)", atom_mass(mu, h1), -1)
     only_first = atom_mass(mus[0], h1) == 1 and all(
         atom_mass(m, h1) == 0 for m in mus[1:]
     )
-    rb.claim(
-        "d-only-first-closure-at-h1",
-        "at h1 the first closure carries mass 1 and the others carry 0, "
-        "so the signed combination is -1",
-        only_first,
-        True,
-    )
-
-    delta1 = Dirac(h1)
     ok_e = all(
         max(atom_mass(mu, x), 0) == atom_mass(mu, x) + atom_mass(delta1, x)
         for x in a_sets.union
     )
-    rb.claim(
-        "e-positive-part-shift",
-        "max(mu(x), 0) = mu(x) + [x = h1] on all of A",
-        ok_e,
-        True,
+    claims = (
+        make_claim(
+            "a-unit-mass-on-own-set",
+            "mu_i(x) = 1 for every x in A_i, for every i",
+            ok_a,
+            True,
+        ),
+        make_claim(
+            "b-zero-mass-off-set",
+            "mu_i(x) = 0 for every x in A outside A_i",
+            ok_b,
+            True,
+        ),
+        make_claim(
+            "c-negative-only-at-h1",
+            "mu(x) < 0 on A exactly at x = h1",
+            negatives == {h1},
+            True,
+        ),
+        make_claim("d-mass-at-h1", "mu(h1)", atom_mass(mu, h1), -1),
+        make_claim(
+            "d-only-first-closure-at-h1",
+            "at h1 the first closure carries mass 1 and the others carry 0, "
+            "so the signed combination is -1",
+            only_first,
+            True,
+        ),
+        make_claim(
+            "e-positive-part-shift",
+            "max(mu(x), 0) = mu(x) + [x = h1] on all of A",
+            ok_e,
+            True,
+        ),
     )
-    return rb.build()
+    return Report(f"lemma44(n={n})", claims)
 
 
 def verify_lemma_4_6(n: int) -> Report:
@@ -266,75 +270,71 @@ def verify_lemma_4_6(n: int) -> Report:
     h1 = units[0]
     delta1 = Dirac(h1)
     sign_n = (-1) ** n
-    rb = ReportBuilder(f"lemma46(n={n})")
 
     ok_additive = all(a(x) == atom_mass(mu, x) for x in a_sets.union)
-    rb.claim(
-        "additive-matches-mass-on-A",
-        "a(x) = mu(x) for every x in A",
-        ok_additive,
-        True,
-    )
-
     combined_pow = PointwisePower(MeasureMass(Sum((mu, delta1))), n)
     ok_power = all(f.value(x) == combined_pow.value(x) for x in a_sets.union)
-    rb.claim(
-        "mass-power-identity-on-A",
-        f"f(x) = (mu + delta_h1)^{n}(x) pointwise on A",
-        ok_power,
-        True,
-    )
-
     ok_binom = all(
         combined_pow.value(x)
         == atom_mass(mu, x) ** n - sign_n * atom_mass(delta1, x)
         for x in a_sets.union
     )
-    rb.claim(
-        "binomial-reduction-on-A",
-        f"(mu + delta_h1)^{n}(x) = mu^{n}(x) - (-1)^{n}*[x = h1] on A",
-        ok_binom,
-        True,
-    )
-
     # The three measure-path differences share one expansion of the units.
     mu_pow_diff, atom_diff, measure_path = backward_diffs(
         (PointwisePower(MeasureMass(mu), n), MeasureMass(delta1), combined_pow), top, units
     )
-    rb.claim(
-        "power-mass-diff-at-top",
-        f"backward difference of mu^{n} over h1..h{n + 1} at h1+...+h{n + 1}",
-        mu_pow_diff,
-        0,
-    )
-
-    rb.claim(
-        "unit-atom-diff-at-top",
-        f"backward difference of the unit atom mass at h1, value (-1)^{n}",
-        atom_diff,
-        sign_n,
-    )
-
-    rb.claim(
-        "chain-measure-path",
-        "backward difference of the combined mass power at the top point",
-        measure_path,
-        -1,
-    )
     direct_path = backward_diff(f, top, units)
-    rb.claim(
-        "chain-direct-path",
-        "backward difference of f itself at the top point",
-        direct_path,
-        -1,
+    claims = (
+        make_claim(
+            "additive-matches-mass-on-A",
+            "a(x) = mu(x) for every x in A",
+            ok_additive,
+            True,
+        ),
+        make_claim(
+            "mass-power-identity-on-A",
+            f"f(x) = (mu + delta_h1)^{n}(x) pointwise on A",
+            ok_power,
+            True,
+        ),
+        make_claim(
+            "binomial-reduction-on-A",
+            f"(mu + delta_h1)^{n}(x) = mu^{n}(x) - (-1)^{n}*[x = h1] on A",
+            ok_binom,
+            True,
+        ),
+        make_claim(
+            "power-mass-diff-at-top",
+            f"backward difference of mu^{n} over h1..h{n + 1} at h1+...+h{n + 1}",
+            mu_pow_diff,
+            0,
+        ),
+        make_claim(
+            "unit-atom-diff-at-top",
+            f"backward difference of the unit atom mass at h1, value (-1)^{n}",
+            atom_diff,
+            sign_n,
+        ),
+        make_claim(
+            "chain-measure-path",
+            "backward difference of the combined mass power at the top point",
+            measure_path,
+            -1,
+        ),
+        make_claim(
+            "chain-direct-path",
+            "backward difference of f itself at the top point",
+            direct_path,
+            -1,
+        ),
+        make_claim(
+            "paths-agree",
+            "measure route and direct route produce the same value",
+            measure_path == direct_path,
+            True,
+        ),
     )
-    rb.claim(
-        "paths-agree",
-        "measure route and direct route produce the same value",
-        measure_path == direct_path,
-        True,
-    )
-    return rb.build()
+    return Report(f"lemma46(n={n})", claims)
 
 
 def _random_instance(rng: random.Random):
@@ -396,26 +396,27 @@ def verify_prop_4_3(trials: int, seed: int) -> Report:
         if all(atom_mass(round_trip, x) == atom_mass(closed, x) for x in probes):
             pass_fixed += 1
 
-    rb = ReportBuilder(f"prop43(trials={trials},seed={seed})")
-    rb.claim(
-        "recover-source-measure",
-        "difference of the closure returns the source measure pointwise",
-        pass_recover,
-        trials,
+    claims = (
+        make_claim(
+            "recover-source-measure",
+            "difference of the closure returns the source measure pointwise",
+            pass_recover,
+            trials,
+        ),
+        make_claim(
+            "recover-closure-fixed-point",
+            "closure of the difference returns the closed measure pointwise",
+            pass_fixed,
+            trials,
+        ),
+        make_claim(
+            "probe-coverage-at-least-50",
+            "every trial compared at 50 or more probe points",
+            bool(min_probes is not None and min_probes >= 50),
+            True,
+        ),
     )
-    rb.claim(
-        "recover-closure-fixed-point",
-        "closure of the difference returns the closed measure pointwise",
-        pass_fixed,
-        trials,
-    )
-    rb.claim(
-        "probe-coverage-at-least-50",
-        "every trial compared at 50 or more probe points",
-        bool(min_probes is not None and min_probes >= 50),
-        True,
-    )
-    return rb.build()
+    return Report(f"prop43(trials={trials},seed={seed})", claims)
 
 
 _OPEN_NOTE = (
@@ -454,41 +455,46 @@ def _prop33_square(c: int):
     return f, -1 * uu, uu
 
 
-def _even_prop31_witness(rb: ReportBuilder) -> None:
+def _even_prop31_witness() -> tuple[Claim, ...]:
     f, x, h = _prop31_witness()
     violations = jensen_convexity_probe(f, 2, [(x, h)])
-    rb.claim(
-        "jensen-violation-count",
-        "the exact witness sample violates the third-difference sign",
-        len(violations),
-        1,
-    )
-    value = violations[0].value if violations else 0
-    rb.claim(
-        "jensen-violation-value",
-        "violation value -(a(x))^2 at the witness",
-        value,
-        -1,
+    return (
+        make_claim(
+            "jensen-violation-count",
+            "the exact witness sample violates the third-difference sign",
+            len(violations),
+            1,
+        ),
+        make_claim(
+            "jensen-violation-value",
+            "violation value -(a(x))^2 at the witness",
+            violations[0].value if violations else 0,
+            -1,
+        ),
     )
 
 
-def _even_prop32_grid(rb: ReportBuilder) -> None:
+def _even_prop32_grid() -> tuple[Claim, ...]:
     f, grid = _prop32_grid(1)
-    rb.claim(
-        "grid-violations",
-        "x_+^2 stays clean on x in [-3,3], h in {1,2}; no counterexample here",
-        len(jensen_convexity_probe(f, 2, grid)),
-        0,
+    return (
+        make_claim(
+            "grid-violations",
+            "x_+^2 stays clean on x in [-3,3], h in {1,2}; no counterexample here",
+            len(jensen_convexity_probe(f, 2, grid)),
+            0,
+        ),
     )
 
 
-def _even_prop33_witness(rb: ReportBuilder) -> None:
+def _even_prop33_witness() -> tuple[Claim, ...]:
     f, x, h = _prop33_square(-1)
-    rb.claim(
-        "jensen-violation-value",
-        "third difference of (-x)_+^2 at x=-1, h=1 is -c^2 with c=-1",
-        forward_diff(f, x, (h,) * 3),
-        -1,
+    return (
+        make_claim(
+            "jensen-violation-value",
+            "third difference of (-x)_+^2 at x=-1, h=1 is -c^2 with c=-1",
+            forward_diff(f, x, (h,) * 3),
+            -1,
+        ),
     )
 
 
@@ -516,8 +522,5 @@ def probe_even(n: int, case: str) -> Report:
         raise UnknownCandidate(
             f"no documented candidate {case!r} for order {n} (known: {known})"
         )
-    rb = ReportBuilder(f"probe-even(n={n},case={case})")
-    rb.note(_OPEN_NOTE)
-    cases[case](rb)
-    return rb.build()
+    return Report(f"probe-even(n={n},case={case})", cases[case](), notes=(_OPEN_NOTE,))
 

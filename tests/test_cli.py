@@ -429,7 +429,21 @@ def test_exit_code_failing_claim(tmp_path, capsys):
     )
     code, out, _ = run_cli(capsys, "run", str(path))
     assert code == 1
-    assert "FAIL" in out
+    lines = out.splitlines()
+    row = lines.index("  [FAIL] forward-diff at 0 with [s] expect 7  computed=1  expected=7")
+    assert lines[row + 1] == "         (line 4)"
+    assert "overall: FAIL" in out
+
+    code, out, _ = run_cli(capsys, "run", str(path), "--format", "tsv")
+    assert code == 1
+    assert out.splitlines() == ["bad\tforward-diff at 0 with [s] expect 7\t1\t7\tfalse"]
+
+    code, out, _ = run_cli(capsys, "run", str(path), "--format", "jsonl")
+    assert code == 1
+    assert out.splitlines() == [
+        '{"scenario": "bad", "label": "forward-diff at 0 with [s] expect 7",'
+        ' "computed": "1", "expected": "7", "pass": false}'
+    ]
 
 
 def test_exit_code_usage_errors(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Default CLI output, byte for byte, against the files in tests/golden/.
+"""Default CLI output, byte for byte, against the files in tests/golden/,
+and every claim's ref against tests/golden/refs.tsv.
 
 Regenerate the files (only when an output change is intended) with
 
@@ -11,6 +12,7 @@ import runpy
 import sys
 from pathlib import Path
 
+from hamelcheck import cli
 from hamelcheck.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,6 +40,10 @@ CASES = [
 ]
 CASES.append(("theorem23-n3-trace.human", ["verify", "theorem23", "--n", "3", "--trace"]))
 
+# The human format prints a claim's ref only under a failing claim, so no
+# output above shows one; refs.tsv holds each claim's ref once.
+REF_COMMANDS = [*COMMANDS.values(), ["verify", "theorem23", "--n", "3"]]
+
 
 def _stdout(argv):
     buf = io.StringIO()
@@ -45,6 +51,18 @@ def _stdout(argv):
         code = main(argv)
     assert code == 0
     return buf.getvalue()
+
+
+def _refs():
+    """One ``scenario, label, ref`` row per claim the commands report."""
+    rows = []
+    for argv in REF_COMMANDS:
+        args = cli.parse_args(argv)
+        runner = vars(cli)[args.runner]
+        for call in cli._calls(args):
+            report = runner(*call)
+            rows.extend(f"{report.scenario}\t{c.label}\t{c.ref}\n" for c in report.claims)
+    return "".join(dict.fromkeys(rows))
 
 
 def pytest_generate_tests(metafunc):
@@ -55,6 +73,10 @@ def pytest_generate_tests(metafunc):
 
 def test_output_matches_golden(name, argv):
     assert _stdout(argv) == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_refs_match_golden():
+    assert _refs() == (GOLDEN / "refs.tsv").read_text(encoding="utf-8")
 
 
 def test_loads_without_pytest(monkeypatch):
@@ -69,3 +91,4 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in CASES:
         (GOLDEN / name).write_text(_stdout(argv), encoding="utf-8")
+    (GOLDEN / "refs.tsv").write_text(_refs(), encoding="utf-8")
