@@ -21,22 +21,22 @@ A declared name is one name token; symbols and points share a namespace.
 ``<point>`` is a declared point, ``0``, or an inline combination. An
 ``expect`` before the last ``at``, ``with`` or ``]`` of an eval line is a
 name. Evals without ``expect`` pass with their value; ``jensen-probe``
-expects zero violations, and is refused above order ``ORDER_CEILING``
-(20,000), above ``PROBE_READS`` function values in all, or when its
-expansions, one per distinct increment, would hold more than
-``differences.EXPANSION_LIMIT`` keys in all. A ``pospartpow`` power is
-refused above the same ``ORDER_CEILING``. A ``pospartpow`` function
-holds its additive's values as declared so far, so no ``additive`` line
-for it may follow, and a table lists each point once. A definition needs
-at least one eval line; a file may start with a UTF-8 byte-order mark.
-An error gives the column of the token it rejects, or column 1 when it
-concerns the whole statement. An error in evaluating an eval line gives
-that line.
+expects zero violations. A probe's order and a ``pospartpow`` power above
+``ORDER_CEILING`` (20,000) are refused when the line is parsed, as is a
+literal too long to read. Each eval line runs under its own work budget
+(``errors.metered``), and a value too long to print is refused at its
+line. A ``pospartpow`` function holds its additive's values as declared so
+far, so no ``additive`` line for it may follow, and a table lists each
+point once. A definition needs at least one eval line; a UTF-8 file may
+start with a byte-order mark. An error gives the column of the token it
+rejects, or column 1 when it concerns the whole statement. An error in
+evaluating an eval line gives that line.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -46,7 +46,6 @@ from .basis import (
     ZERO, AdditiveFunctional, Point, Symbol, box_points, is_positive_increment, point_combine,
     unit,
 )
-from . import differences
 from .differences import backward_diff, forward_diff, jensen_convexity_probe
 from .errors import (
     DefinitionError,
@@ -55,6 +54,8 @@ from .errors import (
     ParseError,
     UnknownSymbol,
     UntabulatedPoint,
+    charge,
+    metered,
 )
 from .functions import Composite, PointFunction, PositivePartPower, Tabulated, tabulated_abs
 from .measures import Dirac, JClosure, MeasureExpr, Scale, Shift, Sum, atom_mass
@@ -62,22 +63,9 @@ from .reports import Report, Value, make_claim
 
 
 # A jensen-probe's order and a pospartpow power are refused above
-# ORDER_CEILING when the line is parsed. Evaluated, a power of 10^8 ran
-# 2 s and 10^9 22 s (CPython 3.11, 2 cores) before a value too long to
-# render, and 10^10 ran out of memory.
-# A jensen-probe's other bounds are checked before it builds anything, so
-# that a probe that could never finish exits 2 instead. Its binomial row
-# holds n + 2 integers of about n bits: order 20,001 took 0.4 s and 94 MiB,
-# order 50,001 1.4 s and 490 MiB. Each sample reads n + 2 values: a box
-# of 0..1000 over two symbols at order 3 reads 10,020,010 and took 16 s.
-# Just inside both bounds, 99 samples of one increment at order 20,000
-# took 5.2 s, and 666,666 samples at order 1 took 3.3-3.9 s and 14-16 MiB.
-# The probe also holds an expansion of order + 2 keys for each distinct
-# increment for the whole call, so their keys together are bounded by
-# ``differences.EXPANSION_LIMIT``: 99 steps at order 20,000 held 1 GB
-# after 10 s, still growing.
+# ORDER_CEILING in O(1) when the line is parsed (a power of 10^9 ran 22 s on
+# CPython 3.11, 2 cores); the work meter bounds the rest of each eval line.
 ORDER_CEILING = 20_000
-PROBE_READS = 2_000_000
 
 
 class Eval(NamedTuple):
@@ -164,6 +152,9 @@ class _Parser:
                 return int(text)
             return kind(text)
         except (ValueError, ZeroDivisionError):
+            limit = sys.get_int_max_str_digits() if len(tokens) == 1 else 0
+            if limit and max(map(len, re.findall(r"\d+", tokens[0].text)), default=0) > limit:
+                raise self.fail(f"{what} too long (more than {limit} digits)", tokens) from None
             raise self.bad(f"bad {what}", tokens) from None
 
     def entries(self, tokens: list[Token], sep: str, message="empty list entry") -> list:
@@ -403,28 +394,16 @@ class _Parser:
             steps = self._int_range(option[2:])
             if steps[0] < 1:
                 raise self.fail("steps must start at 1 or above", option)
-        symbols, f, line = self.defn.symbols, self.defn.function, self.lineno
+        symbols, f = self.defn.symbols, self.defn.function
 
         def probe() -> int:
             units = [unit(s) for s in symbols.values() if s.positive]
             if not units:
-                raise DefinitionError("jensen-probe needs at least one positive symbol", line)
+                raise HamelcheckError("jensen-probe needs at least one positive symbol")
             width = hi - lo + 1
-            distinct = len(units) * (steps[1] - steps[0] + 1)
-            count = width ** len(units) * distinct
-            if count * (order + 2) > PROBE_READS:
-                raise DefinitionError(
-                    f"jensen-probe of {count} samples at order {order} reads {order + 2} "
-                    f"values per sample; refused above {PROBE_READS} values in all",
-                    line,
-                )
-            limit = differences.EXPANSION_LIMIT
-            if distinct * (order + 2) > limit:
-                raise DefinitionError(
-                    f"jensen-probe of {distinct} distinct increments at order {order} holds "
-                    f"{order + 2} keys per increment; refused above {limit} keys in all",
-                    line,
-                )
+            # Its reads, order + 2 a sample, bound its keys, charged as built.
+            count = width ** len(units) * len(units) * (steps[1] - steps[0] + 1)
+            charge(count * (order + 2), "jensen-probe")
             # One Point per (symbol, step), shared by every box point: the
             # probe finds each sample's chain by equality of its increment
             # tuple, so equal increments share one chain. The probe reads
@@ -465,21 +444,19 @@ def parse_definition(source: str, name: str = "<definition>") -> ScenarioDefinit
 
 
 def run_definition(defn: ScenarioDefinition) -> Report:
-    """Execute every evaluation request and assemble the report. A
-    definition with no request is an error: it would pass with 0 claims.
-    An error in an evaluation names its eval line."""
+    """Execute every evaluation request, each under its own work budget,
+    and assemble the report. A definition with no request is an error: it
+    would pass with 0 claims. An error in an evaluation names its line."""
     if not defn.evals:
         raise DefinitionError("no eval line: nothing to check")
     claims = []
     for ev in defn.evals:
         try:
-            value = ev.evaluate()
-        except DefinitionError:
-            raise
+            with metered():
+                value = ev.evaluate()
         except UntabulatedPoint as exc:
             raise DefinitionError(
-                f"evaluation needs a value outside the tabulated domain ({exc})",
-                ev.line,
+                f"evaluation needs a value outside the tabulated domain ({exc})", ev.line
             ) from exc
         except HamelcheckError as exc:
             raise DefinitionError(str(exc), ev.line) from exc
@@ -487,6 +464,11 @@ def run_definition(defn: ScenarioDefinition) -> Report:
             raise DefinitionError(
                 "input nests too deeply to evaluate (recursion limit reached)", ev.line
             ) from exc
+        try:
+            str(value)
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            raise DefinitionError(f"value too long to print (more than {limit} digits)", ev.line)
         claims.append(make_claim(
             ev.text, f"line {ev.line}", value, value if ev.expect is None else ev.expect
         ))
@@ -496,5 +478,8 @@ def run_definition(defn: ScenarioDefinition) -> Report:
 def run_definition_file(path: str | Path) -> Report:
     """Parse and execute a definition file."""
     path = Path(path)
-    defn = parse_definition(path.read_text(encoding="utf-8-sig"), name=path.stem)
-    return run_definition(defn)
+    try:
+        source = path.read_bytes().decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise DefinitionError(f"{path}: not UTF-8 at byte {exc.start} ({exc.reason})") from None
+    return run_definition(parse_definition(source, name=path.stem))

@@ -3,9 +3,9 @@
 Every mixed difference over ``hs`` is one expansion: the terms ``{e: c}``
 of ``prod((z**h - 1) for h in hs)``, multiplied out one run of equal
 adjacent increments at a time (a run of m is one binomial row) with equal
-keys merged, give the value ``sum(c * f(x + e))``. An expansion that
-could grow past ``EXPANSION_LIMIT`` keys is refused before the run that
-would take it there. ``_chain`` alone chooses the keys, by the function's
+keys merged, give the value ``sum(c * f(x + e))``. Each run is charged
+to the work meter before it is multiplied out, since every term is built
+before the first read. ``_chain`` alone chooses the keys, by the function's
 type. A ``Composite`` ``f = K(a(.))`` is keyed by the scalars ``a(h)``,
 so the sum runs along one line: ``sum(c * K(a(x) + e))``. Any other
 function is keyed by the points ``h`` as coordinate tuples over one
@@ -30,18 +30,10 @@ from .basis import (
     ZERO, AdditiveFunctional, Frozen, Point, Scalar, Symbol, check_increment, exact,
     point_combine, subset_sums,
 )
-from .errors import HamelcheckError, InvalidIncrement
+from .errors import InvalidIncrement, charge
 from .functions import Composite, PointFunction
 
 Increments = Sequence[Point]
-
-#: The most keys an expansion may hold: ``lemma46 --n 15``'s 2^16 subset
-#: sums, the largest the A-set ceiling allows. Each run of m equal steps
-#: is refused before it is multiplied out when it could give more, since
-#: every term is built before the first read: without the limit, 20
-#: distinct rational steps took 48 s, and 80,000 equal ones 7.8 s and
-#: 1.2 GiB (CPython 3.11, 2 cores).
-EXPANSION_LIMIT = 65_536
 
 
 def _checked(hs: Increments) -> tuple[Point, ...]:
@@ -61,11 +53,11 @@ class _Expansion(Frozen):
     one basis (`_Points`). Cancelled terms are kept, so the value reads
     every distinct subset sum exactly once, in the order the recursive
     operator ``g(x + h) - g(x)`` (first increment outermost) first reads
-    it. A run of m equal steps times the terms so far could give
-    ``len(poly) * (m + 1)`` keys; it is refused before it is multiplied
-    out when that exceeds ``EXPANSION_LIMIT``. Each subclass gives its
-    keys' ``_times(j, s)``, the multiple ``j * s`` of a step, and
-    ``_plus(e, t)``, the sum of two keys."""
+    it. A run of m equal steps times the terms so far gives up to
+    ``len(poly) * (m + 1)`` keys of up to m more bits, charged a unit per
+    key and one more per 4 KiB (unmetered, 80,000 equal steps took 7.8 s
+    and 1.2 GiB). Each subclass gives its keys' ``_times(j, s)``, the
+    multiple ``j * s`` of a step, and ``_plus(e, t)``, their sum."""
 
     terms: tuple[tuple[object, Scalar], ...]
 
@@ -77,11 +69,7 @@ class _Expansion(Frozen):
             # j = m..0, each entry from the one before; the j = 0 entry is
             # left in b and keeps e itself as its key.
             m = sum(1 for _ in run)
-            if len(poly) * (m + 1) > EXPANSION_LIMIT:
-                raise HamelcheckError(
-                    f"difference expansion of up to {len(poly) * (m + 1)} keys refused"
-                    f" (limit {EXPANSION_LIMIT})"
-                )
+            charge(len(poly) * (m + 1) * (1 + (m >> 15)), "difference expansion")
             row, b = [], 1
             for j in range(m, 0, -1):
                 row.append((times(j, s), b))

@@ -1,6 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the work meter:
+``metered`` arms a budget of work for a ``with`` block, and ``charge``
+spends from it before the work it pays for; unarmed, it never refuses."""
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+
+#: The units one armed block may spend: above any test's 131,070, below a 17th step's 262,142.
+WORK_LIMIT = 200_000
+_spent = None  # spent in the armed block; None when unarmed
 
 
 class HamelcheckError(Exception):
@@ -55,3 +63,26 @@ class ParseError(DefinitionError):
 
 class UnknownSymbol(DefinitionError):
     """A definition file refers to an undeclared name."""
+
+
+@contextmanager
+def metered():
+    """Arm the work meter, with nothing spent, for the length of the block."""
+    global _spent
+    outer, _spent = _spent, 0
+    try:
+        yield
+    finally:
+        _spent = outer
+
+
+def charge(units: int, what: str) -> None:
+    """Spend ``units`` on ``what`` (give back, if negative); armed, refuse past the limit."""
+    global _spent
+    if _spent is not None:
+        _spent += units
+        if _spent > WORK_LIMIT:
+            after = f" after {_spent - units}" if _spent > units else ""
+            count = units if units.bit_length() < 1024 else f"2^{units.bit_length() - 1} or more"
+            raise HamelcheckError(f"{what} of {count} units of work{after} refused"
+                                  f" (work limit {WORK_LIMIT})")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .basis import AdditiveFunctional, Frozen, Point, Scalar, exact
-from .errors import UntabulatedPoint
+from .errors import UntabulatedPoint, charge
 from .measures import MeasureExpr, atom_mass
 
 
@@ -23,7 +23,7 @@ class Kernel(Frozen):
 
 
 class PositivePartPower(Kernel):
-    """t -> (max(t, 0))**power, power >= 1."""
+    """t -> (max(t, 0))**power, power >= 1; one unit of work per 64-bit word of result."""
 
     power: int
 
@@ -33,7 +33,11 @@ class PositivePartPower(Kernel):
         self.__dict__.update(power=power)
 
     def apply(self, t: Scalar) -> Scalar:
-        return (t if t > 0 else 0) ** self.power
+        if t <= 0:
+            return 0
+        bits = t.numerator.bit_length() + t.denominator.bit_length()
+        charge(self.power * bits >> 6, "pospartpow result")
+        return t ** self.power
 
 
 class PointFunction:

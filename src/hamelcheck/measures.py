@@ -14,10 +14,10 @@ evaluator, `_mass`, answers every node: a node with no step reads its
 form at the query, and a closure reads its form at each point of a chain
 of translates whose length is read off the support floor. Every node
 memoises the masses asked of it, keyed by tuples over its own basis, for
-as long as the node lives, and only `_mass` reads or fills that memo. A
-query more than `WALK_LIMIT` steps above a closure's support floor is
-refused before the walk starts. A closure is never cancelled against a
-difference: it stays a leaf that its walk evaluates.
+as long as the node lives, and only `_mass` reads or fills that memo.
+Each walk charges the work meter its translates before it starts, and
+gives back those a memoised point saves. A closure is never cancelled
+against a difference: it stays a leaf that its walk evaluates.
 """
 
 from __future__ import annotations
@@ -29,13 +29,7 @@ from .basis import (
     ZERO, Frozen, Point, Scalar, Symbol, check_increment, exact, is_positive_increment, lift,
     subset_sums, unit,
 )
-from .errors import HamelcheckError, InvalidIncrement, NonTerminatingJ
-
-#: The farthest above a closure's support floor, in steps, that `_mass`
-#: answers a query (a walk of 1,000,000 steps: about 1.3 s and 160 MiB).
-#: It is checked before the walk looks for a memoised point, and bounds
-#: each walk, not their product when closures with different steps nest.
-WALK_LIMIT = 1_000_000
+from .errors import InvalidIncrement, NonTerminatingJ, charge
 
 
 def _picker(idx: list[int]) -> itemgetter:
@@ -200,12 +194,12 @@ def _mass(mu: MeasureExpr, v: tuple[Scalar, ...]) -> Scalar:
     and every translate below it: J(v) = inner(v) + J(v - step), and J = 0
     below the support floor, so the walk from ``v`` takes
     ``min((v_i - floor_i) // step_i)`` steps over the step's nonzero
-    coordinates; a query more than ``WALK_LIMIT`` steps above the floor
-    is refused before the first, memoised points below it or not. The
-    walk stops at a memoised point, then reads the form at each pending
-    point and adds upward, storing each total. Each closure term
-    of a form is read by a call here, so Python recursion deepens by one
-    frame per nested closure and not with the translates."""
+    coordinates, charged to the work meter before the first, memoised
+    points below it or not (1,000,000 took 1.3 s and 160 MiB). The walk
+    stops at a memoised point, gives back the steps it saves, then reads
+    the form at each pending point and adds upward, storing each total.
+    Each closure term of a form is read by a call here, so Python
+    recursion deepens by one frame per nested closure, not per translate."""
     memo = mu._memo
     total = memo.get(v)
     if total is not None:
@@ -217,16 +211,13 @@ def _mass(mu: MeasureExpr, v: tuple[Scalar, ...]) -> Scalar:
         if not all(map(ge, v, floor)):
             return 0
         steps = min([(c - f) // s for c, f, s in zip(v, floor, step) if s])
-        if steps > WALK_LIMIT:
-            raise HamelcheckError(
-                f"closure query {steps} steps above its support floor refused"
-                f" (limit {WALK_LIMIT})"
-            )
+        charge(steps, "closure query")
         for _ in range(steps):
             v = tuple(map(sub, v, step))
             m = memo.get(v)
             if m is not None:
                 total = m
+                charge(len(pending) - steps, "closure query")  # the steps the memo saves
                 break
             pending.append(v)
     atoms, terms = mu._atoms, mu._terms

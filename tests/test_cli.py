@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hamelcheck import cli, differences, measures
+from hamelcheck import cli, errors
 from hamelcheck.cli import main
 from hamelcheck.errors import HamelcheckError
 from hamelcheck.scenarios import verify_prop_4_3
@@ -357,7 +357,8 @@ def test_malformed_jensen_probe_is_a_usage_error(tmp_path, capsys):
 def test_jensen_probe_that_could_never_finish_is_a_usage_error(tmp_path, capsys):
     # Each refused probe ran without end before: the order's binomial row
     # alone, or 8,000,120,000,600,001 box points times three increments.
-    # The limits sit between these and probes that finish in about a second.
+    # The order ceiling and the work limit sit between these and probes
+    # that finish in well under a second.
     one = "symbol h positive\nadditive a.h = 1\nfunction pospartpow 3 of a\n"
     three = (
         "symbol h positive\nsymbol k positive\nsymbol l positive\n"
@@ -368,12 +369,11 @@ def test_jensen_probe_that_could_never_finish_is_a_usage_error(tmp_path, capsys)
     for head, probe, error in (
         (one, "n=99999999 grid=box(0..0)", "line 4, col 21: order must be <= 20000"),
         (one, "n=20001 grid=box(0..0)", "line 4, col 21: order must be <= 20000"),
+        # 24000360001800003 and 2004002 samples, each reading 5 values.
         (three, "n=3 grid=box(-100000..100000)",
-         "line 7: jensen-probe of 24000360001800003 samples at order 3 reads 5 values "
-         "per sample; refused above 2000000 values in all"),
+         "line 7: jensen-probe of 120001800009000015 units of work refused (work limit 200000)"),
         (two, "n=3 grid=box(0..1000)",
-         "line 5: jensen-probe of 2004002 samples at order 3 reads 5 values "
-         "per sample; refused above 2000000 values in all"),
+         "line 5: jensen-probe of 10020010 units of work refused (work limit 200000)"),
     ):
         path.write_text(f"{head}eval jensen-probe {probe}\n")
         assert run_cli(capsys, "run", str(path)) == (2, "", f"error: {error}\n"), probe
@@ -524,9 +524,10 @@ def test_value_too_long_to_render_is_a_usage_error(tmp_path, capsys):
         "symbol h positive\nadditive a.h = 2\nfunction pospartpow 20000 of a\n"
         "eval forward-diff at h with [h]\n"
     )
-    code, out, err = run_cli(capsys, "run", str(big))
-    assert code == 2
-    assert out == "" and err.startswith("error: ") and "integer string conversion" in err
+    assert run_cli(capsys, "run", str(big)) == (
+        2, "", f"error: line 4: value too long to print (more than {sys.get_int_max_str_digits()}"
+        " digits)\n"
+    )
 
 
 def test_large_theorem23_order_needs_no_flag(capsys):
@@ -633,25 +634,24 @@ def test_deep_closure_nesting_is_a_usage_error(tmp_path, capsys):
 def test_a_walk_past_the_limit_is_a_usage_error(tmp_path, capsys, monkeypatch):
     # The walk from 99999999999*g1 down to the floor g1 stepped without end
     # (one memo entry per translate); it is now refused before its first
-    # step. Under a limit of 10, a query 10 steps above the floor still
-    # evaluates.
+    # step. Under a work limit of 10, a query 10 steps above the floor
+    # still evaluates.
     path = tmp_path / "walk.def"
     head = "symbol g1 positive\nmeasure d = dirac(g1)\nmeasure j = jclosure(d, g1)\n"
     path.write_text(f"{head}eval atom-mass j at 99999999999*g1\n")
     assert run_cli(capsys, "run", str(path)) == (
         2, "",
-        "error: line 4: closure query 99999999998 steps above its support floor refused"
-        " (limit 1000000)\n",
+        "error: line 4: closure query of 99999999998 units of work refused (work limit 200000)\n",
     )
-    monkeypatch.setattr(measures, "WALK_LIMIT", 10)
+    monkeypatch.setattr(errors, "WORK_LIMIT", 10)
     path.write_text(f"{head}eval atom-mass j at 11*g1 expect 1\n")
     code, out, err = run_cli(capsys, "run", str(path), "--format", "jsonl")
     assert (code, err) == (0, "") and json.loads(out)["computed"] == "1"
     path.write_text(f"{head}eval atom-mass j at 12*g1 expect 1\n")
     assert run_cli(capsys, "run", str(path)) == (
-        2, "", "error: line 4: closure query 11 steps above its support floor refused (limit 10)\n"
+        2, "", "error: line 4: closure query of 11 units of work refused (work limit 10)\n"
     )
-    # The limit is on the distance from the floor, read before the walk
+    # The charge is the distance from the floor, read before the walk
     # looks for a memoised point: after 11*g1 fills the memo from g1 up,
     # 14*g1 would stop there after 3 steps and is refused all the same,
     # while a repeat of 11*g1 reads its own entry.
@@ -660,7 +660,7 @@ def test_a_walk_past_the_limit_is_a_usage_error(tmp_path, capsys, monkeypatch):
         "eval atom-mass j at 14*g1 expect 1\n"
     )
     assert run_cli(capsys, "run", str(path)) == (
-        2, "", "error: line 6: closure query 13 steps above its support floor refused (limit 10)\n"
+        2, "", "error: line 6: closure query of 13 units of work refused (work limit 10)\n"
     )
 
 
@@ -678,39 +678,41 @@ def _distinct_symbols(k, values):
 def test_an_expansion_past_the_limit_is_a_usage_error(tmp_path, capsys, monkeypatch):
     # Every term is built before the first read, so a difference over many
     # distinct increments ran for minutes or ran out of memory, and a long
-    # equal run grew as its square. Each run of equal steps is refused
-    # before it is multiplied out when it could give more keys than the
-    # limit; under a limit of 8, an expansion of 8 keys still evaluates
+    # equal run grew as its square. Each run of equal steps charges the
+    # keys it could give before it is multiplied out; under a work limit
+    # of 14, the 2 + 4 + 8 keys of three distinct steps still evaluate
     # (the cube's third difference over a = 1, 2, 4 is 3! * 8 = 48).
     path = tmp_path / "diff.def"
-    monkeypatch.setattr(differences, "EXPANSION_LIMIT", 8)
+    monkeypatch.setattr(errors, "WORK_LIMIT", 14)
     line, names = _distinct_symbols(4, (1, 2, 4, 8))
     points, _ = _distinct_symbols(4, None)
     points += "function tabulated {0: 1}\n"
-    for head, hs, keys in (
-        (line, names, 16),        # the scalar line
-        (points, names, 16),      # coordinate tuples
-        (line, ["g1"] * 8, 9),    # one equal run
+    for head, hs, refused in (
+        (line, names, "16 units of work after 14"),   # the scalar line
+        (points, names, "16 units of work after 14"), # coordinate tuples
+        (line, ["g1"] * 14, "15 units of work"),      # one equal run
     ):
         path.write_text(f"{head}eval forward-diff at 0 with [{', '.join(hs)}]\n")
         assert run_cli(capsys, "run", str(path)) == (
-            2, "", f"error: line {len(head.splitlines()) + 1}: difference expansion of up to {keys}"
-            " keys refused (limit 8)\n"
+            2, "", f"error: line {len(head.splitlines()) + 1}: difference expansion of {refused}"
+            " refused (work limit 14)\n"
         ), hs
-    for hs, expect in ((names[:3], 48), (["g1"] * 7, 0)):
+    for hs, expect in ((names[:3], 48), (["g1"] * 13, 0)):
         path.write_text(f"{line}eval forward-diff at 0 with [{', '.join(hs)}] expect {expect}\n")
         code, out, err = run_cli(capsys, "run", str(path), "--format", "jsonl")
         assert (code, err) == (0, "") and json.loads(out)["pass"] is True, hs
-    # A probe holds one expansion of order + 2 keys per distinct increment
-    # for the whole call: 2 steps at order 2 hold 8 keys, 3 steps 12.
+    # A probe charges its reads, 4 a sample at order 2, before it builds
+    # anything, and then the 4 keys of each distinct increment's expansion
+    # as it builds them: 6 samples read 24 values, and 2 samples over two
+    # increments read 8 and build 8 keys.
     head = "symbol h positive\nadditive a.h = 1\nfunction pospartpow 3 of a\n"
-    path.write_text(f"{head}eval jensen-probe n=2 grid=box(0..1;steps=1..3)\n")
-    assert run_cli(capsys, "run", str(path)) == (
-        2, "",
-        "error: line 4: jensen-probe of 3 distinct increments at order 2 holds 4 keys per"
-        " increment; refused above 8 keys in all\n",
-    )
-    path.write_text(f"{head}eval jensen-probe n=2 grid=box(0..1;steps=1..2)\n")
+    for grid, refused in (("0..1;steps=1..3", "jensen-probe of 24 units of work"),
+                          ("0..0;steps=1..2", "difference expansion of 4 units of work after 12")):
+        path.write_text(f"{head}eval jensen-probe n=2 grid=box({grid})\n")
+        assert run_cli(capsys, "run", str(path)) == (
+            2, "", f"error: line 4: {refused} refused (work limit 14)\n"
+        ), grid
+    path.write_text(f"{head}eval jensen-probe n=2 grid=box(0..1)\n")
     code, out, err = run_cli(capsys, "run", str(path), "--format", "jsonl")
     assert (code, err) == (0, "") and json.loads(out)["pass"] is True
 
@@ -718,9 +720,11 @@ def test_an_expansion_past_the_limit_is_a_usage_error(tmp_path, capsys, monkeypa
 def test_an_expansion_at_the_limit_evaluates_and_one_past_it_exits_2(tmp_path, capsys):
     # 16 distinct units are the 2^16 keys lemma46 --n 15 needs, and with
     # a(g_i) = 2^(i-1) every subset sum is a distinct key: the cube's 16th
-    # difference over them is 0. A table over 30 distinct symbols (a one
-    # entry table: it would fail at its first missing point) is refused at
-    # the 17th symbol instead of building 2^30 keys.
+    # difference over them is 0, and its runs charge 2 + 4 + ... + 2^16
+    # keys, the most any test spends in one eval line. A table over 30
+    # distinct symbols (a one entry table: it would fail at its first
+    # missing point) is refused at the 17th symbol instead of building
+    # 2^30 keys.
     path = tmp_path / "diff.def"
     head, names = _distinct_symbols(16, [2 ** i for i in range(16)])
     path.write_text(f"{head}eval forward-diff at 0 with [{', '.join(names)}] expect 0\n")
@@ -731,8 +735,138 @@ def test_an_expansion_at_the_limit_evaluates_and_one_past_it_exits_2(tmp_path, c
         f"{head}function tabulated {{0: 1}}\neval forward-diff at 0 with [{', '.join(names)}]\n"
     )
     assert run_cli(capsys, "run", str(path)) == (
-        2, "", "error: line 32: difference expansion of up to 131072 keys refused (limit 65536)\n"
+        2, "", "error: line 32: difference expansion of 131072 units of work after 131070"
+        " refused (work limit 200000)\n"
     )
+
+
+def _unbounded_inputs():
+    """Definition files that each ran past a 12 s timeout before the work
+    meter, with the line that refuses them now and what it charges: two
+    walks nested at 1,000,001 steps each, a power of a 4,300-digit value
+    (285 Mbit), and 4,096 powers of 20,000 over twelve units with
+    a(g_i) = 2^(i-1) (0.24 Mbit each)."""
+    units = [f"g{i}" for i in range(1, 13)]
+    return {
+        "nested": (6, "closure query", "symbol g1 positive\nsymbol g2 positive\n"
+                   "measure d = dirac(g1 + g2)\nmeasure i = jclosure(d, g1)\n"
+                   "measure j = jclosure(i, g2)\neval atom-mass j at 1000001*g1 + 1000001*g2\n"),
+        "long-value": (4, "pospartpow result", f"symbol s positive\nadditive a.s = {'9' * 4300}\n"
+                       "function pospartpow 20000 of a\neval forward-diff at s with [s]\n"),
+        "twelve-units": (26, "pospartpow result", "".join(
+            f"symbol {g} positive\nadditive a.{g} = {2 ** i}\n" for i, g in enumerate(units)
+        ) + f"function pospartpow 20000 of a\neval forward-diff at 0 with [{', '.join(units)}]\n"),
+    }
+
+
+@pytest.mark.parametrize("name", ["nested", "long-value", "twelve-units"])
+def test_inputs_that_ran_without_end_are_refused_at_their_line(tmp_path, capsys, monkeypatch, name):
+    # Under a limit of 20,000 the twelve units build their 8,190 keys and
+    # are refused at the fourth power, not by any one charge.
+    line, what, text = _unbounded_inputs()[name]
+    path = tmp_path / f"{name}.def"
+    path.write_text(text)
+    monkeypatch.setattr(errors, "WORK_LIMIT", 20_000)
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: line {line}: {what} of ") and err.endswith(
+        " refused (work limit 20000)\n"), err
+    assert (" after " in err) == (name != "nested"), err
+
+
+def test_inputs_that_ran_without_end_exit_2_at_the_real_limit(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    for name, (line, what, text) in _unbounded_inputs().items():
+        path = tmp_path / f"{name}.def"
+        path.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "hamelcheck", "run", str(path)],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            timeout=10,
+        )
+        assert (proc.returncode, proc.stdout) == (2, ""), name
+        assert proc.stderr.startswith(f"error: line {line}: {what} of "), proc.stderr
+
+
+def test_the_work_budget_is_per_eval_line(tmp_path, capsys, monkeypatch):
+    # Two lines each spend 10 units, just under a limit of 11 (two distinct
+    # closures, so the second finds no memo). Closures nested in two
+    # directions are charged the product of their walks: 10 outer steps,
+    # then 10 inner ones from each of the 11 points the outer walk reads.
+    head = ("symbol g1 positive\nsymbol g2 positive\nmeasure d = dirac(g1 + g2)\n"
+            "measure i = jclosure(d, g1)\nmeasure k = jclosure(d, g1)\n"
+            "measure j = jclosure(i, g2)\n")
+    path = tmp_path / "budget.def"
+    path.write_text(f"{head}eval atom-mass i at 11*g1 + g2 expect 1\n"
+                    "eval atom-mass k at 11*g1 + g2 expect 1\n")
+    monkeypatch.setattr(errors, "WORK_LIMIT", 11)
+    code, out, err = run_cli(capsys, "run", str(path), "--format", "jsonl")
+    assert (code, err) == (0, "") and [json.loads(row)["pass"] for row in out.splitlines()] == [
+        True, True]
+    monkeypatch.setattr(errors, "WORK_LIMIT", 119)
+    path.write_text(f"{head}eval atom-mass j at 11*g1 + 11*g2 expect 1\n")
+    assert run_cli(capsys, "run", str(path)) == (
+        2, "", "error: line 7: closure query of 10 units of work after 110 refused"
+        " (work limit 119)\n"
+    )
+    monkeypatch.setattr(errors, "WORK_LIMIT", 120)
+    code, out, err = run_cli(capsys, "run", str(path), "--format", "jsonl")
+    assert (code, err) == (0, "") and json.loads(out)["pass"] is True
+
+
+def test_a_walk_gives_back_the_steps_a_memo_saves(tmp_path, capsys, monkeypatch):
+    # The outer walk of jj from n*h reads the inner closure at 0, h, ...,
+    # n*h; each inner walk is charged its k steps, stops at the entry one
+    # step below and gives back k - 1. A line spends at most n + (n - 1) +
+    # n = 3n - 1 at once, where without the refund it spent n + n(n+1)/2
+    # (500,500 + 1,000 at 1000*h), and three nested closures more.
+    head = ("symbol h positive\nmeasure d = dirac(0)\nmeasure j = jclosure(d, h)\n"
+            "measure jj = jclosure(j, h)\nmeasure jjj = jclosure(jj, h)\n")
+    path = tmp_path / "nested.def"
+    path.write_text(f"{head}eval atom-mass jj at 1000*h expect 1001\n"
+                    "eval atom-mass jjj at 1000*h expect 501501\n")
+    code, out, err = run_cli(capsys, "run", str(path), "--format", "jsonl")
+    assert (code, err) == (0, "") and [json.loads(row)["pass"] for row in out.splitlines()] == [
+        True, True]
+    path.write_text(f"{head}eval atom-mass jj at 10*h expect 11\n")
+    monkeypatch.setattr(errors, "WORK_LIMIT", 29)
+    code, out, err = run_cli(capsys, "run", str(path), "--format", "jsonl")
+    assert (code, err) == (0, "") and json.loads(out)["pass"] is True
+    monkeypatch.setattr(errors, "WORK_LIMIT", 28)
+    assert run_cli(capsys, "run", str(path)) == (
+        2, "", "error: line 6: closure query of 10 units of work after 19 refused"
+        " (work limit 28)\n"
+    )
+
+
+def test_a_charge_too_long_to_print_is_still_refused_at_its_line(tmp_path, capsys):
+    # 10^8000 box points over two symbols at order 3: the count has more
+    # digits than str() prints, so the message gives its power of two.
+    units = 10 ** 8000 * 2 * 5
+    path = tmp_path / "probe.def"
+    path.write_text(
+        "symbol h positive\nsymbol k positive\nadditive a.h = 1\nfunction pospartpow 3 of a\n"
+        f"eval jensen-probe n=3 grid=box(0..{'9' * 4000})\n"
+    )
+    assert run_cli(capsys, "run", str(path)) == (
+        2, "", f"error: line 5: jensen-probe of 2^{units.bit_length() - 1} or more units of work"
+        " refused (work limit 200000)\n"
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "theorem23", "--n", "5"], ["verify", "lemma46", "--n", "3"],
+    ["verify", "prop43", "--trials", "3"], ["probe", "even", "--n", "2", "--case", "prop32-grid"],
+], ids=" ".join)
+def test_verify_runners_are_not_metered(capsys, monkeypatch, argv):
+    # Only a definition's eval lines arm the meter; a library caller that
+    # arms it around a runner gets the same refusal.
+    monkeypatch.setattr(errors, "WORK_LIMIT", 0)
+    assert run_cli(capsys, *argv)[0] == 0
+    args = cli.parse_args(argv)
+    with pytest.raises(HamelcheckError, match=r"refused \(work limit 0\)$"):
+        with errors.metered():
+            getattr(cli, args.runner)(*cli._calls(args)[0])
 
 
 def test_cli_import_loads_no_dataclasses():

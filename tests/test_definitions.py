@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from hamelcheck import (
+    DefinitionError,
     InvalidIncrement,
     ParseError,
     Tabulated,
@@ -441,6 +442,34 @@ def test_a_bad_number_fails_alike_everywhere(text):
         with pytest.raises(ParseError) as exc:
             parse_definition(BASE.replace("additive a.s = 1\n", "") + line + "\n")
         assert str(exc.value) == f"line 4, col {col}: bad rational '{text}'", line
+
+
+@pytest.mark.parametrize("text", ["1" * 4301, "-1/" + "3" * 4301, "0." + "5" * 4301])
+def test_a_literal_too_long_to_read_fails_alike_everywhere(text):
+    # A valid rational with a run of more digits than Python reads as an
+    # integer is too long, not bad; a run of 4300 digits still reads.
+    for line, col in (
+        (f"additive a.s = {text}", 16),
+        (f"point q = {text}*s", 11),
+        (f"function tabulated {{s: {text}}}", 24),
+        (f"measure q = scale({text}, m)", 19),
+        (f"eval atom-mass m at 0 expect {text}", 30),
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse_definition(BASE.replace("additive a.s = 1\n", "") + line + "\n")
+        assert str(exc.value) == f"line 4, col {col}: rational too long (more than 4300 digits)"
+    defn = parse_definition(f"symbol s positive\nadditive a.s = {text[:-1]}\n")
+    assert defn.additives["a"][defn.symbols["s"]] == exact(Fraction(text[:-1]))
+
+
+def test_a_file_that_is_not_utf8_names_its_byte(tmp_path):
+    # The offset counts from the start of the file, byte-order mark and all.
+    path = tmp_path / "latin1.def"
+    for bom, offset in ((b"", 18), (b"\xef\xbb\xbf", 21)):
+        path.write_bytes(bom + b"symbol s positive\n\xff\n")
+        with pytest.raises(DefinitionError) as exc:
+            run_definition_file(path)
+        assert str(exc.value) == f"{path}: not UTF-8 at byte {offset} (invalid start byte)"
 
 
 def test_zero_increment_rejected():
