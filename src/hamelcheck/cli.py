@@ -23,7 +23,6 @@ import sys
 from types import SimpleNamespace
 from typing import Sequence
 
-from .definitions import run_definition_file
 from .errors import HamelcheckError
 from .reports import render
 from .scenarios import (
@@ -52,6 +51,15 @@ TRACE_ORDER = 17
 # lemma44 took 12.2 s and 259 MiB at this order (lemma46 9.0 s and 216 MiB),
 # and four times that per step of two: above it, --allow-large does not help.
 A_SET_ORDER = 15
+
+
+def run_definition_file(path: str):
+    """The ``run`` command's runner. The definition-file front end is
+    imported here, so that it is compiled only by a process that runs a
+    file, never by ``verify`` or ``probe``."""
+    from .definitions import run_definition_file as run
+
+    return run(path)
 
 
 def _always(args: SimpleNamespace) -> bool:

@@ -66,6 +66,11 @@ from .reports import Report, Value, make_claim
 # ORDER_CEILING in O(1) when the line is parsed (a power of 10^9 ran 22 s on
 # CPython 3.11, 2 cores); the work meter bounds the rest of each eval line.
 ORDER_CEILING = 20_000
+# A jensen-probe box of more than 2^BOX_BITS points is charged 2^bits, a
+# lower bound read off the bit lengths of its width and dimension, instead
+# of its count: the work limit refuses either, and multiplying the count out
+# took 5.3 s at 2^26,575,438 points (up to 0.1 s at 2^BOX_BITS).
+BOX_BITS = 1 << 20
 
 
 class Eval(NamedTuple):
@@ -401,9 +406,11 @@ class _Parser:
             if not units:
                 raise HamelcheckError("jensen-probe needs at least one positive symbol")
             width = hi - lo + 1
-            # Its reads, order + 2 a sample, bound its keys, charged as built.
-            count = width ** len(units) * len(units) * (steps[1] - steps[0] + 1)
-            charge(count * (order + 2), "jensen-probe")
+            # Its reads, order + 2 a sample, bound its keys, charged as built;
+            # a box past 2^BOX_BITS points is counted from below.
+            bits = len(units) * (width.bit_length() - 1)
+            points = 1 << bits if bits > BOX_BITS else width ** len(units)
+            charge(points * len(units) * (steps[1] - steps[0] + 1) * (order + 2), "jensen-probe")
             # One Point per (symbol, step), shared by every box point: the
             # probe finds each sample's chain by equality of its increment
             # tuple, so equal increments share one chain. The probe reads

@@ -177,6 +177,11 @@ class JClosure(MeasureExpr):
         if not is_positive_increment(step):
             raise NonTerminatingJ(f"closure step must be a positive increment: {step}")
         self._fill([(1, inner)], step, inner=inner, step=step)
+        # (position, floor, step) at each nonzero step coordinate, the only
+        # ones `_mass` reads a walk's length at.
+        self.__dict__["_walk"] = tuple(
+            (i, f, s) for i, (f, s) in enumerate(zip(self._floor, self._step)) if s
+        )
 
 
 def atom_mass(mu: MeasureExpr, x: Point) -> Scalar:
@@ -207,10 +212,10 @@ def _mass(mu: MeasureExpr, v: tuple[Scalar, ...]) -> Scalar:
     pending = [v]
     total = 0
     if type(mu) is JClosure:
-        floor, step = mu._floor, mu._step
-        if not all(map(ge, v, floor)):
+        step = mu._step
+        if not all(map(ge, v, mu._floor)):
             return 0
-        steps = min([(c - f) // s for c, f, s in zip(v, floor, step) if s])
+        steps = min([(v[i] - f) // s for i, f, s in mu._walk])
         charge(steps, "closure query")
         for _ in range(steps):
             v = tuple(map(sub, v, step))

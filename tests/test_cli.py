@@ -100,7 +100,8 @@ def test_help_for_every_command(capsys, cmd):
     assert "--trace" in out
 
 
-@pytest.mark.parametrize("argv, name", [
+# One passing argv for each command, with the name of its runner in cli.
+COMMAND_RUNNERS = [
     (["verify", "theorem23", "--n", "1"], "verify_theorem_2_3"),
     (["verify", "section31"], "verify_section_3_1"),
     (["verify", "section32"], "verify_section_3_2"),
@@ -109,7 +110,11 @@ def test_help_for_every_command(capsys, cmd):
     (["verify", "prop43", "--trials", "1"], "verify_prop_4_3"),
     (["probe", "even", "--n", "2", "--case", "prop33-witness"], "probe_even"),
     (["run", str(SAMPLES / "theorem23-n3.def")], "run_definition_file"),
-], ids=lambda v: v if isinstance(v, str) else None)
+]
+
+
+@pytest.mark.parametrize("argv, name", COMMAND_RUNNERS,
+                         ids=lambda v: v if isinstance(v, str) else None)
 def test_commands_call_the_runner_bound_in_cli(monkeypatch, capsys, argv, name):
     # The benchmark's tracer times each runner by rebinding its name in
     # this module after import; a runner captured at import, or when the
@@ -382,6 +387,25 @@ def test_jensen_probe_that_could_never_finish_is_a_usage_error(tmp_path, capsys)
         code, out, err = run_cli(capsys, "run", str(path), "--format", "tsv")
         assert (code, err) == (0, ""), probe
         assert out.endswith(f"jensen-probe {probe}\t0\t0\ttrue\n"), probe
+
+
+def test_a_box_too_wide_to_count_is_refused_at_once(tmp_path):
+    # 10^4000 points a side over 2,000 symbols: multiplying the count out
+    # took 5.3 s before the meter refused it. The bit lengths bound it
+    # below, by 2^(2000 * 13287) points times 2000 * 5 reads each.
+    names = [f"g{i}" for i in range(1, 2001)]
+    path = tmp_path / "box.def"
+    path.write_text("".join(f"symbol {g} positive\n" for g in names)
+                    + "additive a.g1 = 1\nfunction pospartpow 3 of a\n"
+                    f"eval jensen-probe n=3 grid=box(0..{'9' * 4000})\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "hamelcheck", "run", str(path)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: line 2003: jensen-probe of 2^26574013 or more units of work"
+                           " refused (work limit 200000)\n")
 
 
 def test_human_trace(capsys):
@@ -881,6 +905,50 @@ def test_cli_import_loads_no_dataclasses():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_only_run_compiles_the_definition_front_end():
+    # definitions.py is the package's largest compile, and only `run`
+    # reads a definition file. The package registers the module unexecuted
+    # (the benchmark's tracer looks the module up in sys.modules), so an
+    # audit hook on `exec` shows whether its code ran. -S keeps
+    # site-packages hooks from loading it first.
+    src = Path(__file__).resolve().parent.parent / "src"
+    *others, (run_argv, _) = COMMAND_RUNNERS
+    code = f"""if True:
+        import contextlib, io, json, sys
+        ran = []
+        sys.addaudithook(lambda event, args: event == "exec" and ran.append(args[0].co_filename))
+        executed = lambda: any(name.endswith("definitions.py") for name in ran)
+        import hamelcheck, hamelcheck.cli
+        seen = {{}}
+        with contextlib.redirect_stdout(io.StringIO()):
+            seen["codes"] = [hamelcheck.cli.main(argv) for argv in {[argv for argv, _ in others]!r}]
+            seen["registered"] = "hamelcheck.definitions" in sys.modules
+            seen["after_others"] = executed()
+            seen["codes"].append(hamelcheck.cli.main({run_argv!r}))
+        seen["after_run"] = executed()
+        from hamelcheck import parse_definition, run_definition, run_definition_file
+        module = sys.modules["hamelcheck.definitions"]
+        seen["same"] = [parse_definition is module.parse_definition,
+                        run_definition is module.run_definition,
+                        run_definition_file is module.run_definition_file]
+        try:
+            hamelcheck.nosuch
+        except AttributeError as exc:
+            seen["nosuch"] = str(exc)
+        print(json.dumps(seen))
+    """
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "codes": [0] * len(COMMAND_RUNNERS), "registered": True, "after_others": False,
+        "after_run": True, "same": [True] * 3,
+        "nosuch": "module 'hamelcheck' has no attribute 'nosuch'",
+    }
 
 
 def test_a_closed_stdout_exits_2_without_a_traceback():
