@@ -48,8 +48,9 @@ LINE_CEILING = 5501
 # theorem23's human-format trace took 10.6 s and 376 MiB at this order, and
 # four times that per step of two: above it, --allow-large does not help.
 TRACE_ORDER = 17
-# lemma44 took 12.2 s and 259 MiB at this order (lemma46 9.0 s and 216 MiB),
-# and four times that per step of two: above it, --allow-large does not help.
+# lemma44 took 5.5 s and 136 MiB at this order (lemma46 3.5 s and 134 MiB) in
+# a CLI process on CPython 3.11 with 2 cores, and four to five times that
+# time per step of two: above it, --allow-large does not help.
 A_SET_ORDER = 15
 
 

@@ -8,21 +8,29 @@ form there: merged atoms, plus merged closure leaves, each at an offset
 and with a weight. The support floor is folded with the form, as the
 minimum of the parts' floors in the same tuples, translated with them.
 `Shift`, `Scale` and `Sum` only build forms, so a query reads the
-atoms and walks the closures; nothing recurses through them. A closure's
-form describes its inner measure, and only a closure stores a step. One
-evaluator, `_mass`, answers every node: a node with no step reads its
-form at the query, and a closure reads its form at each point of a chain
-of translates whose length is read off the support floor. Every node
-memoises the masses asked of it, keyed by tuples over its own basis, for
-as long as the node lives, and only `_mass` reads or fills that memo.
-Each walk charges the work meter its translates before it starts, and
-gives back those a memoised point saves. A closure is never cancelled
-against a difference: it stays a leaf that its walk evaluates.
+atoms and reads the closures; nothing recurses through them. Only a
+closure stores a step, and its route is chosen when it is built. A
+closure over a form with no closure term, or over a closure with a chain
+record, gets a chain record when every distinct step of its chain has
+one nonzero coordinate and no two share one (the axis-aligned case, which
+`build_mu_i` and `build_mu` are): the chain's runs of equal steps, with
+its atoms as its form. It answers in closed form, one read per atom.
+Every other closure's form describes its inner measure, and it walks:
+it reads its form at each point of a chain of translates whose length is
+read off the support floor. One evaluator, `_mass`, answers every node.
+Every node memoises the masses asked of it, keyed by tuples over its own
+basis, for as long as the node lives, and only `_mass` reads or fills
+that memo. Each query charges the work meter before its work: a walk its
+translates, less those a memoised point saves, and a closed form its
+atom reads and a bound on its binomials' size. A closure is never
+cancelled against a difference: it stays a leaf that its closed form or
+its walk evaluates.
 """
 
 from __future__ import annotations
 
-from operator import add, ge, itemgetter, sub
+from math import comb, prod
+from operator import add, floordiv, ge, itemgetter, mod, sub
 from typing import NamedTuple, Sequence
 
 from .basis import (
@@ -60,8 +68,9 @@ def _plus(a: tuple[Scalar, ...] | None, b: tuple[Scalar, ...] | None):
 class MeasureExpr(Frozen):
     """Base class. Over `_basis`, `_floor` bounds every support coordinate
     below, as a tuple, and `_atoms` and `_terms` are the node's linear form
-    (a closure's describes its inner measure; a closure alone has a
-    `_step`, a tuple too). The form's mass at `v` is `_atoms.get(v, 0)`
+    (a closure's describes its inner measure, or with `_runs` its chain's
+    atoms; a closure alone has a `_step`, a tuple too, and `_runs`, None
+    when it walks). The form's mass at `v` is `_atoms.get(v, 0)`
     plus, for each term `(closure, offset, keep, drop, zeros, c)` with
     `w = v - offset` (`v` itself when `offset` is None), `c` times the
     closure's mass at `w`. When the closure's basis is smaller than the
@@ -84,6 +93,9 @@ class MeasureExpr(Frozen):
         bases = [child._basis for _, child in parts if child is not None]
         basis = tuple(sorted(set(() if own is None else own.support).union(*bases)))
         offset = None if own is None else own.coords(basis)
+        # A closure with chain runs folds its inner chain's base atoms in as
+        # a form's; every other closure child is one term.
+        fold = fields.get("_runs") is not None
         if type(self) is JClosure:
             offset, fields["_step"] = None, offset
         floors = [
@@ -97,7 +109,7 @@ class MeasureExpr(Frozen):
             if child is None:
                 atoms[offset] = atoms.get(offset, 0) + c
                 continue
-            if type(child) is JClosure:
+            if type(child) is JClosure and not fold:
                 key = child, offset
                 terms[key] = terms.get(key, 0) + c
                 continue
@@ -176,12 +188,60 @@ class JClosure(MeasureExpr):
     def __init__(self, inner: MeasureExpr, step: Point):
         if not is_positive_increment(step):
             raise NonTerminatingJ(f"closure step must be a positive increment: {step}")
-        self._fill([(1, inner)], step, inner=inner, step=step)
-        # (position, floor, step) at each nonzero step coordinate, the only
-        # ones `_mass` reads a walk's length at.
-        self.__dict__["_walk"] = tuple(
-            (i, f, s) for i, (f, s) in enumerate(zip(self._floor, self._step)) if s
-        )
+        runs = _chain_runs(inner, step)
+        self._fill([(1, inner)], step, inner=inner, step=step, _runs=runs)
+        if runs is None:
+            # (position, floor, step) at each nonzero step coordinate, the
+            # only ones `_mass` reads a walk's length at.
+            self.__dict__["_walk"] = tuple(
+                (i, f, s) for i, (f, s) in enumerate(zip(self._floor, self._step)) if s
+            )
+
+
+def _chain_runs(inner: MeasureExpr, step: Point) -> tuple | None:
+    """The chain record's runs of a closure of ``inner`` along ``step``,
+    each ``(symbol, step value, multiplicity)``: ``inner``'s own runs (none
+    for a form with no closure term) with ``step`` counted in. None, so
+    that the closure walks, when ``inner`` is any other closure or form,
+    when ``step`` has more than one nonzero coordinate, or when a run on
+    its symbol has another step value. Translations commute, so the runs
+    fix the chain whatever its order."""
+    if type(inner) is JClosure:
+        runs = inner._runs
+    else:
+        runs = None if inner._terms else ()
+    if runs is None or len(step.terms) != 1:
+        return None
+    ((s, g),) = step.terms
+    for r, (t, h, m) in enumerate(runs):
+        if t == s:
+            return runs[:r] + ((s, g, m + 1),) + runs[r + 1:] if h == g else None
+    return runs + ((s, g, 1),)
+
+
+def _chain_index(mu: JClosure) -> tuple:
+    """What a closure with chain runs answers from, built at its first
+    query: pickers of the runs' positions (``on``) and of the others
+    (``off``), the step values over ``on``, the residues of a whole point
+    when every step is 1 (all 0; else None), each multiplicity less one
+    (None when every one is 0), the floor's quotients by the steps, and
+    the form's atoms grouped by their ``off`` coordinates and their ``on``
+    ones modulo the steps, each as its ``on`` coordinates floor-divided by
+    the steps, and its weight. Two points of one group lie a whole number
+    of steps apart on each run."""
+    basis = mu._basis
+    pos, steps, counts = zip(*sorted([(basis.index(s), g, m - 1) for s, g, m in mu._runs]))
+    on, off = _picker(list(pos)), _picker([i for i in range(len(basis)) if i not in pos])
+    zeros = (0,) * len(steps) if steps == (1,) * len(steps) else None
+    low = tuple(map(floordiv, on(mu._floor), steps))
+    groups: dict[tuple, list] = {}
+    for p, w in mu._atoms.items():
+        c = on(p)
+        key = off(p), tuple(map(mod, c, steps))
+        groups.setdefault(key, []).append((tuple(map(floordiv, c, steps)), w))
+    index = on, off, steps, zeros, counts if any(counts) else None, low, groups
+    mu.__dict__["_index"] = index
+    return index
 
 
 def atom_mass(mu: MeasureExpr, x: Point) -> Scalar:
@@ -195,16 +255,19 @@ def atom_mass(mu: MeasureExpr, x: Point) -> Scalar:
 
 def _mass(mu: MeasureExpr, v: tuple[Scalar, ...]) -> Scalar:
     """The mass of ``mu`` at the tuple ``v`` over its basis. A node with no
-    step reads its form at ``v``. A closure sums its inner form at ``v``
-    and every translate below it: J(v) = inner(v) + J(v - step), and J = 0
-    below the support floor, so the walk from ``v`` takes
+    step reads its form at ``v``. A closure with chain runs answers from
+    `_chain_mass` once ``v`` is past its floor. Any other closure sums its
+    inner form at ``v`` and every translate below it: J(v) = inner(v) +
+    J(v - step), and J = 0 below the support floor, so the walk from ``v``
+    takes
     ``min((v_i - floor_i) // step_i)`` steps over the step's nonzero
     coordinates, charged to the work meter before the first, memoised
     points below it or not (1,000,000 took 1.3 s and 160 MiB). The walk
     stops at a memoised point, gives back the steps it saves, then reads
     the form at each pending point and adds upward, storing each total.
     Each closure term of a form is read by a call here, so Python
-    recursion deepens by one frame per nested closure, not per translate."""
+    recursion deepens by one frame per nested walking closure, not per
+    translate."""
     memo = mu._memo
     total = memo.get(v)
     if total is not None:
@@ -212,9 +275,12 @@ def _mass(mu: MeasureExpr, v: tuple[Scalar, ...]) -> Scalar:
     pending = [v]
     total = 0
     if type(mu) is JClosure:
-        step = mu._step
         if not all(map(ge, v, mu._floor)):
             return 0
+        if mu._runs is not None:
+            total = memo[v] = _chain_mass(mu, v)
+            return total
+        step = mu._step
         steps = min([(v[i] - f) // s for i, f, s in mu._walk])
         charge(steps, "closure query")
         for _ in range(steps):
@@ -237,6 +303,40 @@ def _mass(mu: MeasureExpr, v: tuple[Scalar, ...]) -> Scalar:
                 w = keep(w)
             total += c * _mass(closure, w)
         memo[p] = total
+    return total
+
+
+def _chain_mass(mu: JClosure, v: tuple[Scalar, ...]) -> Scalar:
+    """The mass at ``v`` of a closure with chain runs, in closed form: the
+    closures of one run, m of them along g, are ``Σ_c C(m − 1 + c, c)·T^{cg}``,
+    so the mass is ``Σ_p w_p · Π_r C(m_r − 1 + c_r, c_r)`` over the form's
+    atoms ``p``, where ``c_r = (v − p)[i_r] / g_r`` must be a whole number
+    of steps, at least 0, and ``v − p`` must be 0 off the runs' positions.
+    Before any is read, the work meter is charged for each atom read its
+    runs and a bound on its binomials' 64-bit words."""
+    on, off, steps, zeros, counts, low, groups = mu.__dict__.get("_index") or _chain_index(mu)
+    u = on(v)
+    # Over unit steps a point of int coordinates is its own quotient, with
+    # residues 0; a sum with a Fraction in it is a Fraction.
+    if zeros is not None and type(sum(u)) is int:
+        rest = zeros
+    else:
+        u, rest = tuple(map(floordiv, u, steps)), tuple(map(mod, u, steps))
+    atoms = groups.get((off(v), rest))
+    if atoms is None:
+        return 0
+    words = 0
+    if counts is not None:
+        # c_r is at most u_r less the floor's quotient on run r.
+        words = sum(min(k, m) * (k + m).bit_length()
+                    for k, m in zip(map(sub, u, low), counts) if k > 0) >> 6
+    charge(len(atoms) * (len(u) + words), "closure query")
+    total = 0
+    for c, w in atoms:
+        if all(map(ge, u, c)):
+            if counts is not None:
+                w *= prod(map(comb, map(add, map(sub, u, c), counts), counts))
+            total += w
     return total
 
 

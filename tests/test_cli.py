@@ -3,13 +3,14 @@
 import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from hamelcheck import cli, errors
+from hamelcheck import cli, errors, measures
 from hamelcheck.cli import main
 from hamelcheck.errors import HamelcheckError
 from hamelcheck.scenarios import verify_prop_4_3
@@ -611,9 +612,9 @@ def test_deep_composite_difference_evaluates(tmp_path, capsys):
     assert json.loads(out)["computed"] == "0"
 
 
-def _measure_chain(tmp_path, constructor, depth, query):
-    lines = ["symbol s positive", "measure m0 = dirac(s)"]
-    lines += [f"measure m{i} = {constructor}(m{i - 1}, s)" for i in range(1, depth + 1)]
+def _measure_chain(tmp_path, constructor, depth, query, step="s"):
+    lines = ["symbol s positive", "symbol t positive", "measure m0 = dirac(s)"]
+    lines += [f"measure m{i} = {constructor}(m{i - 1}, {step})" for i in range(1, depth + 1)]
     lines.append(f"eval atom-mass m{depth} at {query}")
     chain = tmp_path / "chain.def"
     chain.write_text("\n".join(lines) + "\n")
@@ -632,59 +633,76 @@ def test_deep_shift_chain_evaluates(tmp_path, capsys):
 
 
 def test_deep_closure_nesting_is_a_usage_error(tmp_path, capsys):
-    # A closure's walk calls the closures of its inner form, so closures
-    # nested past the recursion limit still exit 2, without a traceback.
-    code, out, err = run_cli(capsys, "run", _measure_chain(tmp_path, "jclosure", 1200, "s"))
+    # A walking closure's query calls the closures of its inner form, so
+    # walks nested past the recursion limit still exit 2, without a
+    # traceback. Closures along s + t walk.
+    code, out, err = run_cli(
+        capsys, "run", _measure_chain(tmp_path, "jclosure", 1200, "s", "s + t")
+    )
     assert code == 2
     assert out == "" and err.startswith("error: ") and "nests too deeply" in err
-    assert err.startswith("error: line 1203: ")
-    # 400 nested closures count the ways to split 2*s among them.
-    code, out, err = run_cli(
-        capsys, "run", _measure_chain(tmp_path, "jclosure", 400, "3*s expect 80200"),
-        "--format", "jsonl",
-    )
-    assert code == 0 and err == ""
-    assert json.loads(out)["computed"] == "80200"
-    # 800 levels still evaluate: the walk takes one Python frame per
+    assert err.startswith("error: line 1204: ")
+    # 400 nested closures count the ways to split 2*(s + t) among them,
+    # and 800 levels still evaluate: the walk takes one Python frame per
     # nested closure and no more, which keeps the limit near 990.
-    code, out, err = run_cli(
-        capsys, "run", _measure_chain(tmp_path, "jclosure", 800, "3*s expect 320400"),
-        "--format", "jsonl",
-    )
-    assert code == 0 and err == ""
-    assert json.loads(out)["computed"] == "320400"
+    for depth, expect in ((400, 80200), (800, 320400)):
+        code, out, err = run_cli(
+            capsys, "run",
+            _measure_chain(tmp_path, "jclosure", depth, f"3*s + 2*t expect {expect}", "s + t"),
+            "--format", "jsonl",
+        )
+        assert code == 0 and err == ""
+        assert json.loads(out)["computed"] == str(expect)
+    # Closures along s keep a chain record and answer in closed form at any
+    # depth: C(1199, 0) at s under 1,200 of them, C(5001, 2) at 3*s under
+    # 5,000 (1,200 at s exited 2 when they walked).
+    for depth, query, expect in ((1200, "s", 1), (5000, "3*s", 12502500)):
+        code, out, err = run_cli(
+            capsys, "run", _measure_chain(tmp_path, "jclosure", depth, f"{query} expect {expect}"),
+            "--format", "jsonl",
+        )
+        assert code == 0 and err == ""
+        assert json.loads(out)["computed"] == str(expect)
 
 
 def test_a_walk_past_the_limit_is_a_usage_error(tmp_path, capsys, monkeypatch):
-    # The walk from 99999999999*g1 down to the floor g1 stepped without end
-    # (one memo entry per translate); it is now refused before its first
-    # step. Under a work limit of 10, a query 10 steps above the floor
-    # still evaluates.
+    # The walk from 99999999999*(g1 + g2) down to the floor g1 + g2 stepped
+    # without end (one memo entry per translate); it is now refused before
+    # its first step. Under a work limit of 10, a query 10 steps above the
+    # floor still evaluates.
     path = tmp_path / "walk.def"
-    head = "symbol g1 positive\nmeasure d = dirac(g1)\nmeasure j = jclosure(d, g1)\n"
-    path.write_text(f"{head}eval atom-mass j at 99999999999*g1\n")
+    head = ("symbol g1 positive\nsymbol g2 positive\nmeasure d = dirac(g1 + g2)\n"
+            "measure j = jclosure(d, g1 + g2)\n")
+    path.write_text(f"{head}eval atom-mass j at 99999999999*g1 + 99999999999*g2\n")
     assert run_cli(capsys, "run", str(path)) == (
         2, "",
-        "error: line 4: closure query of 99999999998 units of work refused (work limit 200000)\n",
+        "error: line 5: closure query of 99999999998 units of work refused (work limit 200000)\n",
     )
-    monkeypatch.setattr(errors, "WORK_LIMIT", 10)
-    path.write_text(f"{head}eval atom-mass j at 11*g1 expect 1\n")
+    # Along g1 alone the closure keeps a chain record, and the same query
+    # reads its one atom.
+    path.write_text("symbol g1 positive\nmeasure d = dirac(g1)\nmeasure j = jclosure(d, g1)\n"
+                    "eval atom-mass j at 99999999999*g1 expect 1\n")
     code, out, err = run_cli(capsys, "run", str(path), "--format", "jsonl")
     assert (code, err) == (0, "") and json.loads(out)["computed"] == "1"
-    path.write_text(f"{head}eval atom-mass j at 12*g1 expect 1\n")
+    monkeypatch.setattr(errors, "WORK_LIMIT", 10)
+    path.write_text(f"{head}eval atom-mass j at 11*g1 + 11*g2 expect 1\n")
+    code, out, err = run_cli(capsys, "run", str(path), "--format", "jsonl")
+    assert (code, err) == (0, "") and json.loads(out)["computed"] == "1"
+    path.write_text(f"{head}eval atom-mass j at 12*g1 + 12*g2 expect 1\n")
     assert run_cli(capsys, "run", str(path)) == (
-        2, "", "error: line 4: closure query of 11 units of work refused (work limit 10)\n"
+        2, "", "error: line 5: closure query of 11 units of work refused (work limit 10)\n"
     )
     # The charge is the distance from the floor, read before the walk
-    # looks for a memoised point: after 11*g1 fills the memo from g1 up,
-    # 14*g1 would stop there after 3 steps and is refused all the same,
-    # while a repeat of 11*g1 reads its own entry.
+    # looks for a memoised point: after 11*(g1 + g2) fills the memo from
+    # the floor up, 14*(g1 + g2) would stop there after 3 steps and is
+    # refused all the same, while a repeat of 11*(g1 + g2) reads its own
+    # entry.
     path.write_text(
-        f"{head}eval atom-mass j at 11*g1 expect 1\neval atom-mass j at 11*g1 expect 1\n"
-        "eval atom-mass j at 14*g1 expect 1\n"
+        f"{head}eval atom-mass j at 11*g1 + 11*g2 expect 1\n"
+        "eval atom-mass j at 11*g1 + 11*g2 expect 1\neval atom-mass j at 14*g1 + 14*g2 expect 1\n"
     )
     assert run_cli(capsys, "run", str(path)) == (
-        2, "", "error: line 6: closure query of 13 units of work refused (work limit 10)\n"
+        2, "", "error: line 7: closure query of 13 units of work refused (work limit 10)\n"
     )
 
 
@@ -767,14 +785,15 @@ def test_an_expansion_at_the_limit_evaluates_and_one_past_it_exits_2(tmp_path, c
 def _unbounded_inputs():
     """Definition files that each ran past a 12 s timeout before the work
     meter, with the line that refuses them now and what it charges: two
-    walks nested at 1,000,001 steps each, a power of a 4,300-digit value
-    (285 Mbit), and 4,096 powers of 20,000 over twelve units with
-    a(g_i) = 2^(i-1) (0.24 Mbit each)."""
+    walks, along g1 + g3 and g2 + g3, nested at 1,000,000 steps each, a
+    power of a 4,300-digit value (285 Mbit), and 4,096 powers of 20,000
+    over twelve units with a(g_i) = 2^(i-1) (0.24 Mbit each)."""
     units = [f"g{i}" for i in range(1, 13)]
     return {
-        "nested": (6, "closure query", "symbol g1 positive\nsymbol g2 positive\n"
-                   "measure d = dirac(g1 + g2)\nmeasure i = jclosure(d, g1)\n"
-                   "measure j = jclosure(i, g2)\neval atom-mass j at 1000001*g1 + 1000001*g2\n"),
+        "nested": (7, "closure query", "symbol g1 positive\nsymbol g2 positive\n"
+                   "symbol g3 positive\nmeasure d = dirac(g1 + g2 + g3)\n"
+                   "measure i = jclosure(d, g1 + g3)\nmeasure j = jclosure(i, g2 + g3)\n"
+                   "eval atom-mass j at 1000001*g1 + 1000001*g2 + 2000001*g3\n"),
         "long-value": (4, "pospartpow result", f"symbol s positive\nadditive a.s = {'9' * 4300}\n"
                        "function pospartpow 20000 of a\neval forward-diff at s with [s]\n"),
         "twelve-units": (26, "pospartpow result", "".join(
@@ -812,55 +831,142 @@ def test_inputs_that_ran_without_end_exit_2_at_the_real_limit(tmp_path):
         assert proc.stderr.startswith(f"error: line {line}: {what} of "), proc.stderr
 
 
+def _chain_record_inputs():
+    """Definition files whose closures all keep chain records, with the
+    exit code and the start of the output each gives: two closures along g1
+    and g2 nested over one atom, whose walks ran past a 12 s timeout and
+    then hit the work limit, read it at once; 1,200 nested along s queried
+    99999999998 steps up have a mass of about 10,000 digits, too long to
+    print; and 5,000 queried a 4,000-digit multiple of s up are refused
+    before their binomial is computed."""
+    def chain(depth, query):
+        return "symbol s positive\nmeasure m0 = dirac(s)\n" + "".join(
+            f"measure m{i} = jclosure(m{i - 1}, s)\n" for i in range(1, depth + 1)
+        ) + f"eval atom-mass m{depth} at {query}\n"
+
+    return {
+        "nested": (0, '{"scenario": "nested", "label": "atom-mass j at 1000001*g1 + 1000001*g2",'
+                   ' "computed": "1"', "symbol g1 positive\nsymbol g2 positive\n"
+                   "measure d = dirac(g1 + g2)\nmeasure i = jclosure(d, g1)\n"
+                   "measure j = jclosure(i, g2)\neval atom-mass j at 1000001*g1 + 1000001*g2\n"),
+        "far": (2, "error: line 1203: value too long to print (more than ",
+                chain(1200, "99999999999*s")),
+        "huge": (2, "error: line 5003: closure query of ", chain(5000, f"{'9' * 4000}*s")),
+    }
+
+
+def _address_space_cap():
+    # As `ulimit -v 2000000` (KiB).
+    resource.setrlimit(resource.RLIMIT_AS, (2_000_000 * 1024,) * 2)
+
+
+@pytest.mark.parametrize("name", ["nested", "far", "huge"])
+def test_chain_records_answer_or_refuse_at_once(tmp_path, name):
+    code, start, text = _chain_record_inputs()[name]
+    path = tmp_path / f"{name}.def"
+    path.write_text(text)
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "hamelcheck", "run", str(path), "--format", "jsonl"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        timeout=10, preexec_fn=_address_space_cap,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert (proc.stderr if code else proc.stdout).startswith(start), (proc.stdout, proc.stderr)
+    if code:
+        assert proc.stdout == "" and "Traceback" not in proc.stderr
+
+
+def test_a_binomial_past_the_limit_is_refused_before_it_is_computed(tmp_path, capsys, monkeypatch):
+    # C(4999 + c, 4999) for a 4,000-digit c has about 66 Mbit: the query's
+    # charge, its one atom's run and about a million words, comes before
+    # math.comb is called.
+    def comb(*args):
+        raise AssertionError(f"comb{args} ran")
+
+    monkeypatch.setattr(measures, "comb", comb)
+    path = tmp_path / "huge.def"
+    path.write_text(_chain_record_inputs()["huge"][2])
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert (code, out, err) == (2, "", "error: line 5003: closure query of 1037918 units of work"
+                                " refused (work limit 200000)\n")
+
+
 def test_the_work_budget_is_per_eval_line(tmp_path, capsys, monkeypatch):
     # Two lines each spend 10 units, just under a limit of 11 (two distinct
     # closures, so the second finds no memo). Closures nested in two
     # directions are charged the product of their walks: 10 outer steps,
     # then 10 inner ones from each of the 11 points the outer walk reads.
-    head = ("symbol g1 positive\nsymbol g2 positive\nmeasure d = dirac(g1 + g2)\n"
-            "measure i = jclosure(d, g1)\nmeasure k = jclosure(d, g1)\n"
-            "measure j = jclosure(i, g2)\n")
+    head = ("symbol g1 positive\nsymbol g2 positive\nsymbol g3 positive\n"
+            "measure d = dirac(g1 + g2 + g3)\nmeasure i = jclosure(d, g1 + g3)\n"
+            "measure k = jclosure(d, g1 + g3)\nmeasure j = jclosure(i, g2 + g3)\n")
     path = tmp_path / "budget.def"
-    path.write_text(f"{head}eval atom-mass i at 11*g1 + g2 expect 1\n"
-                    "eval atom-mass k at 11*g1 + g2 expect 1\n")
+    path.write_text(f"{head}eval atom-mass i at 11*g1 + g2 + 11*g3 expect 1\n"
+                    "eval atom-mass k at 11*g1 + g2 + 11*g3 expect 1\n")
     monkeypatch.setattr(errors, "WORK_LIMIT", 11)
     code, out, err = run_cli(capsys, "run", str(path), "--format", "jsonl")
     assert (code, err) == (0, "") and [json.loads(row)["pass"] for row in out.splitlines()] == [
         True, True]
     monkeypatch.setattr(errors, "WORK_LIMIT", 119)
-    path.write_text(f"{head}eval atom-mass j at 11*g1 + 11*g2 expect 1\n")
+    path.write_text(f"{head}eval atom-mass j at 11*g1 + 11*g2 + 21*g3 expect 1\n")
     assert run_cli(capsys, "run", str(path)) == (
-        2, "", "error: line 7: closure query of 10 units of work after 110 refused"
+        2, "", "error: line 8: closure query of 10 units of work after 110 refused"
         " (work limit 119)\n"
     )
     monkeypatch.setattr(errors, "WORK_LIMIT", 120)
     code, out, err = run_cli(capsys, "run", str(path), "--format", "jsonl")
     assert (code, err) == (0, "") and json.loads(out)["pass"] is True
-
-
-def test_a_walk_gives_back_the_steps_a_memo_saves(tmp_path, capsys, monkeypatch):
-    # The outer walk of jj from n*h reads the inner closure at 0, h, ...,
-    # n*h; each inner walk is charged its k steps, stops at the entry one
-    # step below and gives back k - 1. A line spends at most n + (n - 1) +
-    # n = 3n - 1 at once, where without the refund it spent n + n(n+1)/2
-    # (500,500 + 1,000 at 1000*h), and three nested closures more.
-    head = ("symbol h positive\nmeasure d = dirac(0)\nmeasure j = jclosure(d, h)\n"
-            "measure jj = jclosure(j, h)\nmeasure jjj = jclosure(jj, h)\n")
-    path = tmp_path / "nested.def"
-    path.write_text(f"{head}eval atom-mass jj at 1000*h expect 1001\n"
-                    "eval atom-mass jjj at 1000*h expect 501501\n")
+    # Along g1 and g2 alone the closures keep chain records: a query reads
+    # each atom once per run, 1 unit for i and 2 for j.
+    path.write_text("symbol g1 positive\nsymbol g2 positive\nmeasure d = dirac(g1 + g2)\n"
+                    "measure i = jclosure(d, g1)\nmeasure j = jclosure(i, g2)\n"
+                    "eval atom-mass i at 11*g1 + g2 expect 1\n"
+                    "eval atom-mass j at 11*g1 + 11*g2 expect 1\n")
+    monkeypatch.setattr(errors, "WORK_LIMIT", 1)
+    assert run_cli(capsys, "run", str(path)) == (
+        2, "", "error: line 7: closure query of 2 units of work refused (work limit 1)\n"
+    )
+    monkeypatch.setattr(errors, "WORK_LIMIT", 2)
     code, out, err = run_cli(capsys, "run", str(path), "--format", "jsonl")
     assert (code, err) == (0, "") and [json.loads(row)["pass"] for row in out.splitlines()] == [
         True, True]
-    path.write_text(f"{head}eval atom-mass jj at 10*h expect 11\n")
+
+
+def test_a_walk_gives_back_the_steps_a_memo_saves(tmp_path, capsys, monkeypatch):
+    # The outer walk of jj from n*(h + k) reads the inner closure at 0,
+    # h + k, ..., n*(h + k); each inner walk is charged its j steps, stops
+    # at the entry one step below and gives back j - 1. A line spends at
+    # most n + (n - 1) + n = 3n - 1 at once, where without the refund it
+    # spent n + n(n+1)/2 (500,500 + 1,000 at 1000*(h + k)), and three
+    # nested closures more.
+    head = ("symbol h positive\nsymbol k positive\nmeasure d = dirac(0)\n"
+            "measure j = jclosure(d, h + k)\nmeasure jj = jclosure(j, h + k)\n"
+            "measure jjj = jclosure(jj, h + k)\n")
+    path = tmp_path / "nested.def"
+    path.write_text(f"{head}eval atom-mass jj at 1000*h + 1000*k expect 1001\n"
+                    "eval atom-mass jjj at 1000*h + 1000*k expect 501501\n")
+    code, out, err = run_cli(capsys, "run", str(path), "--format", "jsonl")
+    assert (code, err) == (0, "") and [json.loads(row)["pass"] for row in out.splitlines()] == [
+        True, True]
+    path.write_text(f"{head}eval atom-mass jj at 10*h + 10*k expect 11\n")
     monkeypatch.setattr(errors, "WORK_LIMIT", 29)
     code, out, err = run_cli(capsys, "run", str(path), "--format", "jsonl")
     assert (code, err) == (0, "") and json.loads(out)["pass"] is True
     monkeypatch.setattr(errors, "WORK_LIMIT", 28)
     assert run_cli(capsys, "run", str(path)) == (
-        2, "", "error: line 6: closure query of 10 units of work after 19 refused"
+        2, "", "error: line 7: closure query of 10 units of work after 19 refused"
         " (work limit 28)\n"
     )
+    # Along h alone the closures keep chain records, and each query reads
+    # the one atom once, within a limit of 1.
+    monkeypatch.setattr(errors, "WORK_LIMIT", 1)
+    path.write_text("symbol h positive\nmeasure d = dirac(0)\nmeasure j = jclosure(d, h)\n"
+                    "measure jj = jclosure(j, h)\nmeasure jjj = jclosure(jj, h)\n"
+                    "eval atom-mass jj at 1000*h expect 1001\n"
+                    "eval atom-mass jjj at 1000*h expect 501501\n")
+    code, out, err = run_cli(capsys, "run", str(path), "--format", "jsonl")
+    assert (code, err) == (0, "") and [json.loads(row)["pass"] for row in out.splitlines()] == [
+        True, True]
 
 
 def test_a_charge_too_long_to_print_is_still_refused_at_its_line(tmp_path, capsys):

@@ -2,6 +2,7 @@
 on the 0/1-combination sets."""
 
 import random
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from itertools import combinations
 
@@ -33,6 +34,7 @@ from hamelcheck import (
     unit,
     verify_lemma_4_4,
 )
+from hamelcheck import measures
 from hamelcheck.basis import sample_box
 from hamelcheck.measures import signed_sum
 from helpers import (
@@ -747,27 +749,117 @@ def test_off_basis_query_returns_zero_and_stores_nothing():
 
 def test_repeated_lemma46_queries_keep_one_entry_per_point():
     # Lemma 4.6 asks mu at every point of A in several claims, and the
-    # unit atom at h1 alongside it; mu keeps one entry per distinct point.
-    # mu's root is a closure whose walk runs down to the support floor,
-    # the origin, so the origin is stored too: exactly |A| + 1 entries,
-    # the same after every repeat.
+    # unit atom at h1 alongside it; mu keeps one entry per distinct point,
+    # the same after every repeat. mu's root is a unit-step chain: with its
+    # record it answers each point in closed form and stores just those,
+    # |A| entries; walking, it runs down to the support floor, the origin,
+    # and stores that too, |A| + 1.
     for n in (1, 3, 5):
         syms, _ = _units(n)
-        mu = build_mu(syms)
         a_sets = build_a_sets(syms)
-        fresh = build_mu(syms)
-        expected = {x: atom_mass(fresh, x) for x in a_sets.union}
-        delta1 = Dirac(unit(syms[0]))
-        power = PointwisePower(SumOf((MeasureMass(mu), MeasureMass(delta1))), n)
-        for _ in range(3):
-            for x in a_sets.union:
-                assert atom_mass(mu, Point(x.terms)) == expected[x]
-                power.value(x)
-                atom_mass(delta1, x)
-            assert len(mu._memo) == len(a_sets.union) + 1
-        assert mu._memo[(0,) * (n + 1)] == 0
-        # h1 is the one point of A on the atom's basis; the rest are off it.
-        assert list(delta1._memo) == [(1,)]
+        origin = (0,) * (n + 1)
+        for walks in (False, True):
+            with _walks_only() if walks else nullcontext():
+                mu = build_mu(syms)
+                fresh = build_mu(syms)
+            assert (mu._runs is None) == walks
+            expected = {x: atom_mass(fresh, x) for x in a_sets.union}
+            delta1 = Dirac(unit(syms[0]))
+            power = PointwisePower(SumOf((MeasureMass(mu), MeasureMass(delta1))), n)
+            for _ in range(3):
+                for x in a_sets.union:
+                    assert atom_mass(mu, Point(x.terms)) == expected[x]
+                    power.value(x)
+                    atom_mass(delta1, x)
+                assert len(mu._memo) == len(a_sets.union) + walks
+            assert mu._memo.get(origin) == (0 if walks else None)
+            # h1 is the one point of A on the atom's basis; the rest are off it.
+            assert list(delta1._memo) == [(1,)]
+
+
+@contextmanager
+def _walks_only():
+    """Closures built in the block get no chain record, so they walk: the
+    oracle a record closure is held to."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(measures, "_chain_runs", lambda inner, step: None)
+        yield
+
+
+def _random_chain(rng, units):
+    """A chain of one to three closures over a finite atomic measure, and a
+    root over it. Each symbol has one step value, 1, 2, 1/2 or 3/2 times
+    its unit, and may be stepped more than once; the atoms may be
+    fractional, of negative weight, or off the stepped symbols. The root is
+    the chain, or a shift, a scaling, a nabla, a sum with an atom or a
+    closure along two symbols, which walks, above it."""
+    step_of = {u: rng.choice(_STEP) * u for u in units}
+    nu = Sum(tuple(
+        Scale(rng.choice((1, -1, 2, Fraction(-1, 2))), Dirac(_on_some(rng, units, _ATOM, 0)))
+        for _ in range(rng.randint(1, 4))
+    ))
+    chain = nu
+    for _ in range(rng.randint(1, 3)):
+        chain = JClosure(chain, step_of[rng.choice(units)])
+    step = _on_some(rng, units, _STEP, 1)
+    root = rng.choice((
+        chain, Shift(chain, step), Scale(Fraction(-3, 2), chain), nabla(chain, [step]),
+        Sum((chain, Dirac(_on_some(rng, units, _ATOM, 0)))),
+        JClosure(chain, _on_some(rng, units, _STEP, 2)),
+    ))
+    return chain, root
+
+
+def test_chain_records_match_the_walk_and_the_truncated_sum_seeded():
+    # A chain record's closed form must answer as the same tree does with
+    # its records cleared, which walks, and as the truncated sum, at the
+    # atoms within reach, at random points and at points off the basis.
+    rng = random.Random(2020)
+    syms = symbols("a b c", positive=True)
+    units = [unit(s) for s in syms]
+    (foreign,) = symbols("d", positive=True)
+    for _ in range(40):
+        seed = rng.random()
+        chain, root = _random_chain(random.Random(seed), units)
+        with _walks_only():
+            walk_chain, walk = _random_chain(random.Random(seed), units)
+        assert chain._runs is not None and walk_chain._runs is None
+        oracle = materialize_truncated(root, 12)
+        queries = [p for p in oracle if all(c <= 4 for _, c in p.terms)]
+        for _ in range(30):
+            x = _on_some(rng, units, _QUERY, 0)
+            if rng.random() < 0.3:
+                x = x + rng.choice((1, -1, Fraction(1, 2))) * unit(foreign)
+            queries.append(x)
+        for x in queries:
+            assert atom_mass(root, x) == atom_mass(walk, x) == oracle.get(x, 0), (root, x)
+    # The closure lemmas' chains, over all of A and a box around it.
+    for n in (1, 3):
+        syms, units = _units(n)
+        with _walks_only():
+            walks = [build_mu(syms)] + [build_mu_i(i, syms) for i in range(1, n + 2)]
+        records = [build_mu(syms)] + [build_mu_i(i, syms) for i in range(1, n + 2)]
+        for x in lattice_box(units, -1, 2):
+            assert [atom_mass(r, x) for r in records] == [atom_mass(w, x) for w in walks], x
+
+
+def test_only_axis_aligned_chains_over_atoms_keep_a_record():
+    # Runs (symbol, step value, multiplicity), whatever the chain's order.
+    a, b = symbols("a b", positive=True)
+    ua, ub = unit(a), unit(b)
+    atom = Dirac(ua)
+    assert JClosure(atom, ua)._runs == ((a, 1, 1),)
+    assert JClosure(JClosure(atom, ua), ua)._runs == ((a, 1, 2),)
+    assert JClosure(JClosure(JClosure(atom, 2 * ub), ua), 2 * ub)._runs == ((b, 2, 2), (a, 1, 1))
+    assert JClosure(Sum((atom, Scale(-1, Dirac(ub)))), Fraction(1, 2) * ub)._runs is not None
+    for walks in (
+        JClosure(atom, ua + ub),                       # a step on two symbols
+        JClosure(JClosure(atom, ua), 2 * ua),          # h beside 2*h
+        JClosure(JClosure(atom, ua + ub), ua),         # over a walking closure
+        JClosure(Sum((JClosure(atom, ua), atom)), ub),  # over a form with a closure term
+        JClosure(Shift(JClosure(atom, ua), ub), ub),
+    ):
+        assert walks._runs is None
 
 
 def _probe_roots(units, rng):
