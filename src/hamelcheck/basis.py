@@ -5,9 +5,10 @@ tied to real-number values, so every computation downstream is exact.
 Every point is built by ``Point.from_coords`` from a coordinate tuple
 over a sorted basis, and keeps that tuple. ``Point(pairs)``,
 ``point_combine`` and ``+`` first sum coefficients per symbol, ``*``
-scales the kept tuple, and ``box_points`` and ``subset_sums`` sum tuples
-directly. ``+`` and ``*`` are the chained route the tests hold
-``point_combine`` to.
+scales the kept tuple, ``subset_sums`` sums tuples directly, and
+``box_points`` writes each coefficient of a box over symbols at its
+symbol's position in their sorted basis. ``+`` and ``*`` are the chained
+route the tests hold ``point_combine`` to.
 """
 
 from __future__ import annotations
@@ -204,30 +205,15 @@ def unit(sym: Symbol) -> Point:
     return Point.from_coords((sym,), (1,))
 
 
-def lift(basis: tuple[Symbol, ...], part: tuple[Symbol, ...], t: tuple[Scalar, ...]):
-    """``t`` over ``part``, a subset of ``basis``, as the tuple over
-    ``basis`` that is zero on every other symbol."""
-    if part == basis:
-        return t
-    get = dict(zip(part, t)).get
-    return tuple([get(s, 0) for s in basis])
-
-
-def _span(points: Sequence[Point]) -> tuple[tuple[Symbol, ...], list[list[tuple[int, Scalar]]]]:
-    """The sorted symbols of all ``points``, and each point's coordinates
-    over them as ``(position, coefficient)`` pairs, zeros left out."""
-    basis = tuple(sorted({s for p in points for s, _ in p.terms}))
-    at = {s: j for j, s in enumerate(basis)}
-    return basis, [[(at[s], c) for s, c in p.terms] for p in points]
-
-
 def subset_sums(x: Point, hs: Sequence[Point]) -> Iterator[tuple[tuple[int, ...], Point]]:
     """``(subset, x + sum(hs[i] for i in subset))`` for every tuple of
     indices into ``hs``: sizes descending, index-lexicographic within a
     size. This is the one enumeration of the subset sums. Each sum is
     built by summing coordinate tuples over the sorted symbols of ``x``
     and ``hs``; it equals the ``point_combine`` of the same points."""
-    basis, (base, *rows) = _span((x, *hs))
+    basis = tuple(sorted({s for p in (x, *hs) for s, _ in p.terms}))
+    at = {s: j for j, s in enumerate(basis)}
+    base, *rows = [[(at[s], c) for s, c in p.terms] for p in (x, *hs)]
     for size in range(len(hs), -1, -1):
         for subset in combinations(range(len(hs)), size):
             v = [0] * len(basis)
@@ -238,32 +224,31 @@ def subset_sums(x: Point, hs: Sequence[Point]) -> Iterator[tuple[tuple[int, ...]
 
 
 def box_points(
-    units: Sequence[Point], lo: int, width: int, indices: Iterable[int]
+    syms: Sequence[Symbol], lo: int, width: int, indices: Iterable[int]
 ) -> Iterator[Point]:
-    """Yield the points at ``indices`` into the box of ``units`` with
-    integer coefficients in ``lo..lo + width - 1``, the first unit varying
-    slowest, one at a time. Each is built by summing coordinate tuples
-    over the sorted symbols of ``units``; it equals the ``point_combine``
-    of the same coefficients."""
-    basis, rows = _span(units)
+    """Yield the points at ``indices`` into the box over the distinct
+    ``syms`` with integer coefficients in ``lo..lo + width - 1``, the first
+    symbol varying slowest, one at a time. Each index is read as digits in
+    base ``width``, and each digit, plus ``lo``, is written at its symbol's
+    position in the sorted basis."""
+    basis = tuple(sorted(syms))
+    pos = [basis.index(s) for s in reversed(syms)]
     for i in indices:
         v = [0] * len(basis)
-        for row in reversed(rows):
+        for j in pos:
             i, c = divmod(i, width)
-            c += lo
-            for j, x in row:
-                v[j] += c * x
+            v[j] = c + lo
         yield Point.from_coords(basis, v)
 
 
-def sample_box(rng, units: Sequence[Point], lo: int, hi: int, k: int) -> list[Point]:
-    """``rng.sample`` of ``k`` points from the box of ``units`` with integer
+def sample_box(rng, syms: Sequence[Symbol], lo: int, hi: int, k: int) -> list[Point]:
+    """``rng.sample`` of ``k`` points from the box over ``syms`` with integer
     coefficients in ``lo..hi``, listed in ``box_points`` order, without
     building the box: ``rng`` draws k indices into it, decoded by
     ``box_points``, so the points and the state of ``rng`` afterwards are
     the same."""
     width = max(hi - lo + 1, 0)
-    return list(box_points(units, lo, width, rng.sample(range(width ** len(units)), k)))
+    return list(box_points(syms, lo, width, rng.sample(range(width ** len(syms)), k)))
 
 
 def point_combine(terms: Iterable[tuple[Scalar, Point]]) -> Point:

@@ -402,24 +402,24 @@ class _Parser:
         symbols, f = self.defn.symbols, self.defn.function
 
         def probe() -> int:
-            units = [unit(s) for s in symbols.values() if s.positive]
-            if not units:
+            syms = [s for s in symbols.values() if s.positive]
+            if not syms:
                 raise HamelcheckError("jensen-probe needs at least one positive symbol")
             width = hi - lo + 1
             # Its reads, order + 2 a sample, bound its keys, charged as built;
             # a box past 2^BOX_BITS points is counted from below.
-            bits = len(units) * (width.bit_length() - 1)
-            points = 1 << bits if bits > BOX_BITS else width ** len(units)
-            charge(points * len(units) * (steps[1] - steps[0] + 1) * (order + 2), "jensen-probe")
+            bits = len(syms) * (width.bit_length() - 1)
+            points = 1 << bits if bits > BOX_BITS else width ** len(syms)
+            charge(points * len(syms) * (steps[1] - steps[0] + 1) * (order + 2), "jensen-probe")
             # One Point per (symbol, step), shared by every box point: the
             # probe finds each sample's chain by equality of its increment
             # tuple, so equal increments share one chain. The probe reads
             # each sample once, in order, so the box is streamed and one
             # box point is held at a time.
-            increments = [step * u for u in units for step in range(steps[0], steps[1] + 1)]
+            increments = [step * unit(s) for s in syms for step in range(steps[0], steps[1] + 1)]
             samples = (
                 (x, h)
-                for x in box_points(units, lo, width, range(width ** len(units)))
+                for x in box_points(syms, lo, width, range(width ** len(syms)))
                 for h in increments
             )
             return len(jensen_convexity_probe(f, order, samples))

@@ -67,7 +67,8 @@ class _Expansion(Frozen):
         for s, run in groupby(steps):
             # (z**s - 1)**m has the row (-1)**(m - j) * C(m, j) at z**(j*s),
             # j = m..0, each entry from the one before; the j = 0 entry is
-            # left in b and keeps e itself as its key.
+            # left in b and keeps e itself as its key. A new key under a
+            # multiplier of 1 takes the row's own coefficient, not a copy.
             m = sum(1 for _ in run)
             charge(len(poly) * (m + 1) * (1 + (m >> 15)), "difference expansion")
             row, b = [], 1
@@ -78,9 +79,11 @@ class _Expansion(Frozen):
             for e, c in poly.items():
                 for t, bj in row:
                     up = plus(e, t)
-                    nxt[up] = nxt.get(up, 0) + c * bj
+                    old = nxt.get(up)
+                    nxt[up] = (bj if c == 1 else c * bj) if old is None else old + c * bj
                 nxt[e] = nxt.get(e, 0) + c * b
             poly = nxt
+            del row
         self.__dict__.update(fields, terms=tuple(poly.items()))
 
 

@@ -65,6 +65,15 @@ class UnknownSymbol(DefinitionError):
     """A definition file refers to an undeclared name."""
 
 
+def superlinear(words: int) -> int:
+    """The units for a ``**`` or ``math.comb`` result of ``words`` 64-bit
+    words: one a word, times one more per 2^15 words, as a word costs more
+    the longer the result. On CPython 3.11 (2 cores) ``**`` took 1.0, 5.0
+    and 9.5 µs a word at 2,000, 39,000 and 197,000 words, and ``comb`` 3,
+    18 and 28 µs at 2,700, 104,000 and 200,000."""
+    return words * (1 + (words >> 15))
+
+
 @contextmanager
 def metered():
     """Arm the work meter, with nothing spent, for the length of the block."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .basis import AdditiveFunctional, Frozen, Point, Scalar, exact
-from .errors import UntabulatedPoint, charge
+from .errors import UntabulatedPoint, charge, superlinear
 from .measures import MeasureExpr, atom_mass
 
 
@@ -23,7 +23,7 @@ class Kernel(Frozen):
 
 
 class PositivePartPower(Kernel):
-    """t -> (max(t, 0))**power, power >= 1; one unit of work per 64-bit word of result."""
+    """t -> (max(t, 0))**power, power >= 1, charged by its result's words (``superlinear``)."""
 
     power: int
 
@@ -36,7 +36,7 @@ class PositivePartPower(Kernel):
         if t <= 0:
             return 0
         bits = t.numerator.bit_length() + t.denominator.bit_length()
-        charge(self.power * bits >> 6, "pospartpow result")
+        charge(superlinear(self.power * bits >> 6), "pospartpow result")
         return t ** self.power
 
 

@@ -5,26 +5,24 @@ Closure nodes have infinite support, so measures are never materialized.
 Every node works on coordinate tuples over its basis, the sorted symbols
 of its subtree's points, and is folded at construction into one linear
 form there: merged atoms, plus merged closure leaves, each at an offset
-and with a weight. The support floor is folded with the form, as the
-minimum of the parts' floors in the same tuples, translated with them.
-`Shift`, `Scale` and `Sum` only build forms, so a query reads the
-atoms and reads the closures; nothing recurses through them. Only a
-closure stores a step, and its route is chosen when it is built. A
-closure over a form with no closure term, or over a closure with a chain
-record, gets a chain record when every distinct step of its chain has
-one nonzero coordinate and no two share one (the axis-aligned case, which
-`build_mu_i` and `build_mu` are): the chain's runs of equal steps, with
-its atoms as its form. It answers in closed form, one read per atom.
-Every other closure's form describes its inner measure, and it walks:
-it reads its form at each point of a chain of translates whose length is
-read off the support floor. One evaluator, `_mass`, answers every node.
-Every node memoises the masses asked of it, keyed by tuples over its own
-basis, for as long as the node lives, and only `_mass` reads or fills
-that memo. Each query charges the work meter before its work: a walk its
-translates, less those a memoised point saves, and a closed form its
-atom reads and a bound on its binomials' size. A closure is never
-cancelled against a difference: it stays a leaf that its closed form or
-its walk evaluates.
+and with a weight, and a support floor, the minimum of the parts'
+floors. A tuple over a smaller basis is placed in, or read out of, a
+tuple over a wider one by the positions of its symbols there, found once
+per pair of bases. `Shift`, `Scale` and `Sum` only build forms, so a
+query reads the atoms and reads the closures; nothing recurses through
+them. Only a closure stores a step, and its route is chosen when it is
+built: a closure over a form with no closure term, or over a closure
+with a chain record, gets a chain record when every distinct step of its
+chain has one nonzero coordinate and no two share one (the axis-aligned
+case, which `build_mu_i` and `build_mu` are), and answers in closed
+form, one read per atom. Every other closure walks: it reads its inner
+form at each translate down to its support floor. One evaluator,
+`_mass`, answers every node, and alone reads or fills each node's memo
+of the masses asked of it. Each query charges the work meter before its
+work: a walk its translates, less those a memoised point saves, and a
+closed form its atom reads and its binomials' size, weighed
+superlinearly. A closure is never cancelled against a difference: it
+stays a leaf that its closed form or its walk evaluates.
 """
 
 from __future__ import annotations
@@ -34,28 +32,31 @@ from operator import add, floordiv, ge, itemgetter, mod, sub
 from typing import NamedTuple, Sequence
 
 from .basis import (
-    ZERO, Frozen, Point, Scalar, Symbol, check_increment, exact, is_positive_increment, lift,
-    subset_sums, unit,
+    ZERO, Frozen, Point, Scalar, Symbol, check_increment, exact, is_positive_increment, subset_sums,
+    unit,
 )
-from .errors import InvalidIncrement, NonTerminatingJ, charge
+from .errors import InvalidIncrement, NonTerminatingJ, charge, superlinear
 
 
-def _picker(idx: list[int]) -> itemgetter:
-    """An itemgetter of the positions ``idx`` that returns a tuple: a slice
-    when they run consecutively (none or one position always does)."""
-    lo = idx[0] if idx else 0
-    run = idx == list(range(lo, lo + len(idx)))
-    return itemgetter(slice(lo, lo + len(idx))) if run else itemgetter(*idx)
+def _pickers(basis: tuple[Symbol, ...], part: Sequence[Symbol]) -> tuple[itemgetter, itemgetter]:
+    """``(keep, drop)``: tuple getters of the positions in ``basis`` of the
+    symbols of ``part`` and of the others; a run, as 0 or 1 positions are, is a slice."""
+    def pick(idx):
+        lo = idx[0] if idx else 0
+        run = idx == list(range(lo, lo + len(idx)))
+        return itemgetter(slice(lo, lo + len(idx))) if run else itemgetter(*idx)
+    pos = [basis.index(s) for s in part]
+    return pick(pos), pick([i for i in range(len(basis)) if i not in pos])
 
 
-def _restrict(basis: tuple[Symbol, ...], part: tuple[Symbol, ...]) -> tuple:
-    """``(keep, drop, zeros)`` for reading tuples over ``basis`` on the
-    symbols of ``part`` among them: ``keep`` picks those positions, ``drop``
-    the others, and a tuple lies in their span where ``drop`` gives
-    ``zeros``."""
-    drop = [i for i, s in enumerate(basis) if s not in part]
-    keep = [i for i, s in enumerate(basis) if s in part]
-    return _picker(keep), _picker(drop), (0,) * len(drop)
+def _place(t: tuple[Scalar, ...], pos: list[int] | None, n: int) -> tuple[Scalar, ...]:
+    """``t`` written at the positions ``pos`` of ``n`` zeros; None: ``t``."""
+    if pos is None:
+        return t
+    v = [0] * n
+    for i, c in zip(pos, t):
+        v[i] = c
+    return tuple(v)
 
 
 def _plus(a: tuple[Scalar, ...] | None, b: tuple[Scalar, ...] | None):
@@ -71,11 +72,11 @@ class MeasureExpr(Frozen):
     (a closure's describes its inner measure, or with `_runs` its chain's
     atoms; a closure alone has a `_step`, a tuple too, and `_runs`, None
     when it walks). The form's mass at `v` is `_atoms.get(v, 0)`
-    plus, for each term `(closure, offset, keep, drop, zeros, c)` with
+    plus, for each term `(closure, offset, keep, drop, c)` with
     `w = v - offset` (`v` itself when `offset` is None), `c` times the
     closure's mass at `w`. When the closure's basis is smaller than the
-    node's, the term counts only where `drop(w) == zeros`, at `keep(w)`;
-    otherwise all three are None. `_memo` maps each `v` that `_mass` has
+    node's, the term counts only where `drop(w)` is all 0, at `keep(w)`;
+    otherwise both are None. `_memo` maps each `v` that `_mass` has
     answered to the node's mass there. `_basis` is the node's own tuple."""
 
     def _fill(
@@ -92,20 +93,22 @@ class MeasureExpr(Frozen):
         translated likewise."""
         bases = [child._basis for _, child in parts if child is not None]
         basis = tuple(sorted(set(() if own is None else own.support).union(*bases)))
+        n = len(basis)
         offset = None if own is None else own.coords(basis)
         # A closure with chain runs folds its inner chain's base atoms in as
         # a form's; every other closure child is one term.
         fold = fields.get("_runs") is not None
         if type(self) is JClosure:
             offset, fields["_step"] = None, offset
-        floors = [
-            (0,) * len(basis) if child is None else lift(basis, child._basis, child._floor)
-            for _, child in parts
-        ]
+        # Each child's positions in the basis, found once (None: the same basis).
+        places = [None if child is None or child._basis == basis
+                  else [basis.index(s) for s in child._basis] for _, child in parts]
+        floors = [(0,) * n if child is None else _place(child._floor, pos, n)
+                  for (_, child), pos in zip(parts, places)]
         floor = _plus(tuple(map(min, zip(*floors))), offset)
         atoms: dict[tuple[Scalar, ...], Scalar] = {}
         terms: dict[tuple[JClosure, tuple[Scalar, ...] | None], Scalar] = {}
-        for c, child in parts:
+        for (c, child), pos in zip(parts, places):
             if child is None:
                 atoms[offset] = atoms.get(offset, 0) + c
                 continue
@@ -113,12 +116,11 @@ class MeasureExpr(Frozen):
                 key = child, offset
                 terms[key] = terms.get(key, 0) + c
                 continue
-            part = child._basis
             for v, w in child._atoms.items():
-                key = _plus(lift(basis, part, v), offset)
+                key = _plus(_place(v, pos, n), offset)
                 atoms[key] = atoms.get(key, 0) + c * w
             for closure, off, *_, w in child._terms:
-                key = closure, _plus(None if off is None else lift(basis, part, off), offset)
+                key = closure, _plus(None if off is None else _place(off, pos, n), offset)
                 terms[key] = terms.get(key, 0) + c * w
         pickers: dict[JClosure, tuple] = {}
         form = []
@@ -128,7 +130,7 @@ class MeasureExpr(Frozen):
             pick = pickers.get(closure)
             if pick is None:
                 part = closure._basis
-                pick = (None, None, None) if part == basis else _restrict(basis, part)
+                pick = (None, None) if part == basis else _pickers(basis, part)
                 pickers[closure] = pick
             form.append((closure, off, *pick, exact(w)))
         self.__dict__.update(
@@ -229,9 +231,8 @@ def _chain_index(mu: JClosure) -> tuple:
     ones modulo the steps, each as its ``on`` coordinates floor-divided by
     the steps, and its weight. Two points of one group lie a whole number
     of steps apart on each run."""
-    basis = mu._basis
-    pos, steps, counts = zip(*sorted([(basis.index(s), g, m - 1) for s, g, m in mu._runs]))
-    on, off = _picker(list(pos)), _picker([i for i in range(len(basis)) if i not in pos])
+    syms, steps, counts = zip(*sorted([(s, g, m - 1) for s, g, m in mu._runs]))
+    on, off = _pickers(mu._basis, syms)
     zeros = (0,) * len(steps) if steps == (1,) * len(steps) else None
     low = tuple(map(floordiv, on(mu._floor), steps))
     groups: dict[tuple, list] = {}
@@ -295,10 +296,10 @@ def _mass(mu: MeasureExpr, v: tuple[Scalar, ...]) -> Scalar:
     for p in reversed(pending):
         if atoms:
             total += atoms.get(p, 0)
-        for closure, off, keep, drop, zeros, c in terms:
+        for closure, off, keep, drop, c in terms:
             w = p if off is None else tuple(map(sub, p, off))
             if keep is not None:
-                if drop(w) != zeros:
+                if any(drop(w)):
                     continue
                 w = keep(w)
             total += c * _mass(closure, w)
@@ -313,7 +314,8 @@ def _chain_mass(mu: JClosure, v: tuple[Scalar, ...]) -> Scalar:
     atoms ``p``, where ``c_r = (v − p)[i_r] / g_r`` must be a whole number
     of steps, at least 0, and ``v − p`` must be 0 off the runs' positions.
     Before any is read, the work meter is charged for each atom read its
-    runs and a bound on its binomials' 64-bit words."""
+    runs and a bound on its binomials' 64-bit words, weighed by
+    ``superlinear``."""
     on, off, steps, zeros, counts, low, groups = mu.__dict__.get("_index") or _chain_index(mu)
     u = on(v)
     # Over unit steps a point of int coordinates is its own quotient, with
@@ -330,7 +332,7 @@ def _chain_mass(mu: JClosure, v: tuple[Scalar, ...]) -> Scalar:
         # c_r is at most u_r less the floor's quotient on run r.
         words = sum(min(k, m) * (k + m).bit_length()
                     for k, m in zip(map(sub, u, low), counts) if k > 0) >> 6
-    charge(len(atoms) * (len(u) + words), "closure query")
+    charge(len(atoms) * (len(u) + superlinear(words)), "closure query")
     total = 0
     for c, w in atoms:
         if all(map(ge, u, c)):

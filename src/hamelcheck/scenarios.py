@@ -366,7 +366,7 @@ def _random_instance(rng: random.Random):
         hs.append(Point.from_coords(syms, coords))
 
     hi = 55 if nsym == 1 else 7 if nsym == 2 else 5
-    probes = sample_box(rng, [unit(s) for s in syms], -1, hi, 50)
+    probes = sample_box(rng, syms, -1, hi, 50)
     sampled = set(probes)
     probes.extend(p for p in dict.fromkeys(p for _, p in atoms) if p not in sampled)
     return nu, hs, probes

@@ -2,6 +2,7 @@
 functions and point readers that only the tests use."""
 
 from fractions import Fraction
+from itertools import product
 
 from hamelcheck import (
     AdditiveFunctional,
@@ -14,7 +15,7 @@ from hamelcheck import (
     point_combine,
     unit,
 )
-from hamelcheck.basis import Frozen, box_points, exact
+from hamelcheck.basis import Frozen, exact
 from hamelcheck.functions import Kernel
 
 
@@ -82,12 +83,12 @@ def support_floor(mu):
     return Point.from_coords(mu._basis, mu._floor)
 
 
-def lattice_box(units, lo, hi):
-    """Every combination of ``units`` with integer coefficients in
-    ``lo..hi``, the first unit varying slowest: ``box_points`` at every
-    index of the box, the order ``sample_box`` draws from."""
-    width = max(hi - lo + 1, 0)
-    return list(box_points(units, lo, width, range(width ** len(units))))
+def lattice_box(gens, lo, hi):
+    """Every combination of the points ``gens`` with integer coefficients
+    in ``lo..hi``, the first varying slowest, each built by
+    ``point_combine``: over unit points, the order ``sample_box`` draws
+    from, built independently of ``box_points``."""
+    return [point_combine(zip(cs, gens)) for cs in product(range(lo, hi + 1), repeat=len(gens))]
 
 
 def standard_function(n):

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 
@@ -189,8 +189,8 @@ def _same(p, q):
 
 
 def test_combined_points_match_chained_arithmetic_seeded():
-    # p - q and parsed points are built by one point_combine, Point(pairs)
-    # and lattice_box from coordinate tuples; the chained + and * route is
+    # p - q, parsed points and lattice_box are built by point_combine, and
+    # Point(pairs) from coordinate tuples; the chained + and * route is
     # independent of both.
     rng = random.Random(717)
     pool = symbols("a b c d e", positive=True)
@@ -327,31 +327,33 @@ def _generators(rng, pool):
 
 
 def test_tuple_built_points_match_point_combine_seeded():
-    # lattice_box, sample_box and subset_sums build each point from the
-    # coefficient-weighted sum of their points' tuples over the sorted
-    # symbols; point_combine of the same coefficients is the oracle: the
-    # same points with the same scalar forms, in the same order, and the
-    # same rng state after a sample.
+    # box_points, sample_box and subset_sums build each point as a tuple
+    # over the sorted symbols; point_combine of the same coefficients is
+    # the oracle: the same points with the same scalar forms, in the same
+    # order, and the same rng state after a sample. A box is given by its
+    # symbols, here in an order they do not sort in, and lattice_box
+    # builds it from their unit points.
     pool = symbols("d b e a c", positive=True)
     rng = random.Random(4321)
     seen = set()
     for _ in range(300):
         gens = _generators(rng, pool)
+        syms = rng.sample(pool, rng.randint(0, 3))
         lo = rng.randint(-2, 1)
         hi = lo + rng.randint(-2, 2)
-        box = [point_combine(zip(cs, gens))
-               for cs in product(range(lo, hi + 1), repeat=len(gens))]
-        assert _all_same(lattice_box(gens, lo, hi), box)
+        box = lattice_box([unit(s) for s in syms], lo, hi)
+        width = max(hi - lo + 1, 0)
+        assert _all_same(box_points(syms, lo, width, range(width ** len(syms))), box)
 
         for k in {0, min(1, len(box)), len(box) // 2, len(box)}:
             seed = rng.random()
             fast, full = random.Random(seed), random.Random(seed)
-            sample = sample_box(fast, gens, lo, hi, k)
+            sample = sample_box(fast, syms, lo, hi, k)
             assert _all_same(sample, full.sample(box, k))
             assert fast.getstate() == full.getstate()
         if not box:
             with pytest.raises(ValueError):
-                sample_box(random.Random(0), gens, lo, hi, 1)
+                sample_box(random.Random(0), syms, lo, hi, 1)
 
         x = rng.choice([ZERO, *gens]) if gens else ZERO
         sums = list(subset_sums(x, gens))
@@ -362,8 +364,10 @@ def test_tuple_built_points_match_point_combine_seeded():
         ]
         assert [s for s, _ in sums] == [s for s, _ in want]
         assert _all_same((p for _, p in sums), (p for _, p in want))
-        seen.add((len(gens), lo > hi, any(type(c) is Fraction for p in box for _, c in p.terms)))
-    assert {(3, False, True), (2, True, False), (0, False, False)} <= seen
+        fraction = any(type(c) is Fraction for _, p in sums for _, c in p.terms)
+        seen.add((len(syms), lo > hi, syms != sorted(syms), len(gens), fraction))
+    assert {(3, False, True), (2, True, True), (0, False, False)} <= {s[:3] for s in seen}
+    assert {(4, True), (3, True), (0, False)} <= {s[3:] for s in seen}
 
 
 def test_kept_tuple_answers_coords_seeded():
@@ -390,8 +394,9 @@ def test_kept_tuple_answers_coords_seeded():
         p = Point(pairs)
         built.append((tuple(sorted({s for s, _ in pairs})), p))
         gens = _generators(rng, pool)
-        for q in lattice_box(gens, -1, 1)[:3] + [q for _, q in subset_sums(ZERO, gens)][:3]:
-            built.append((tuple(sorted({s for g in gens for s, _ in g.terms})), q))
+        span = tuple(sorted({s for g in gens for s, _ in g.terms}))
+        sums = [q for _, q in subset_sums(ZERO, gens)][:3]
+        built += [(span, q) for q in [*box_points(span[::-1], -1, 3, range(3)), *sums]]
     steps = 0
     for basis, p in built:
         want = fresh_coords(p, basis)
@@ -458,7 +463,7 @@ def test_every_route_builds_a_point_that_keeps_its_tuple_seeded():
         built += [unit(u), Point.from_coords(tuple(sorted((s, t))), (c, 0))]
         gens = [unit(s), c * unit(t), unit(s) + unit(u)]
         built += [q for _, q in subset_sums(unit(t), gens)][:3]
-        built += box_points(gens[:2], -1, 3, rng.sample(range(9), 2))
+        built += box_points([t, s], -1, 3, rng.sample(range(9), 2))
     for p in built:
         basis, v = p._read
         assert _same(Point.from_coords(basis, v), p)

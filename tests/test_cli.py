@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import resource
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 from hamelcheck import cli, errors, measures
 from hamelcheck.cli import main
 from hamelcheck.errors import HamelcheckError
+from hamelcheck.functions import PositivePartPower
 from hamelcheck.scenarios import verify_prop_4_3
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -879,8 +881,8 @@ def test_chain_records_answer_or_refuse_at_once(tmp_path, name):
 
 def test_a_binomial_past_the_limit_is_refused_before_it_is_computed(tmp_path, capsys, monkeypatch):
     # C(4999 + c, 4999) for a 4,000-digit c has about 66 Mbit: the query's
-    # charge, its one atom's run and about a million words, comes before
-    # math.comb is called.
+    # charge, its one atom's run and 1,037,917 words weighed 32 times
+    # (errors.superlinear), comes before math.comb is called.
     def comb(*args):
         raise AssertionError(f"comb{args} ran")
 
@@ -888,8 +890,50 @@ def test_a_binomial_past_the_limit_is_refused_before_it_is_computed(tmp_path, ca
     path = tmp_path / "huge.def"
     path.write_text(_chain_record_inputs()["huge"][2])
     code, out, err = run_cli(capsys, "run", str(path))
-    assert (code, out, err) == (2, "", "error: line 5003: closure query of 1037918 units of work"
+    assert (code, out, err) == (2, "", "error: line 5003: closure query of 33213345 units of work"
                                 " refused (work limit 200000)\n")
+
+
+def test_a_power_past_the_limit_is_refused_before_it_is_computed(tmp_path, capsys):
+    # x**20000 of a 190-digit x, about 198,000 words, was charged a unit a
+    # word, under the limit, and ran 2.3 s before the next power was
+    # refused. Weighed by errors.superlinear, the line spends 2 units on its
+    # expansion's keys and its first read, (2x)**20000, is refused: 198,125
+    # words weighed 7 times.
+    path = tmp_path / "power.def"
+    path.write_text(f"symbol s positive\nadditive a.s = {'9' * 190}\n"
+                    "function pospartpow 20000 of a\neval forward-diff at s with [s]\n")
+    assert run_cli(capsys, "run", str(path)) == (
+        2, "", "error: line 4: pospartpow result of 1386875 units of work after 2 refused"
+        " (work limit 200000)\n"
+    )
+    with errors.metered(), pytest.raises(HamelcheckError) as raised:
+        PositivePartPower(20000).apply(2 * (10 ** 190 - 1))
+    assert str(raised.value) == (
+        "pospartpow result of 1386875 units of work refused (work limit 200000)")
+
+
+def test_a_long_binomial_is_refused_before_comb_runs(tmp_path, capsys, monkeypatch):
+    # 5,000 closures nested along s: at 3*s the one binomial, C(5001, 2),
+    # is computed (an error prints no claim, so its line shows only in the
+    # call). At a 770-digit multiple of s, a unit a word charged its
+    # 199,803 words under the limit, and comb ran 6 s on a value then too
+    # long to print; weighed 7 times, they are refused before comb runs.
+    calls = []
+
+    def comb(*args):
+        calls.append(args)
+        return math.comb(*args)
+
+    monkeypatch.setattr(measures, "comb", comb)
+    path = tmp_path / "chain.def"
+    path.write_text("symbol s positive\nmeasure m0 = dirac(s)\n" + "".join(
+        f"measure m{i} = jclosure(m{i - 1}, s)\n" for i in range(1, 5001)
+    ) + f"eval atom-mass m5000 at 3*s expect 12502500\neval atom-mass m5000 at {'9' * 770}*s\n")
+    assert run_cli(capsys, "run", str(path)) == (
+        2, "", "error: line 5004: closure query of 1398622 units of work refused"
+        " (work limit 200000)\n")
+    assert calls == [(5001, 4999)]
 
 
 def test_the_work_budget_is_per_eval_line(tmp_path, capsys, monkeypatch):

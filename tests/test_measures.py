@@ -181,12 +181,12 @@ def test_one_chain_mu_matches_one_chain_per_closure_seeded():
     # sampled points with coordinates in -1..2 (kmax = 2 reaches them all).
     rng = random.Random(4646)
     for n in (1, 3, 5, 7):
-        syms, units = _units(n)
+        syms, _ = _units(n)
         one_chain = build_mu(syms)
         per_closure = signed_sum([build_mu_i(i, syms) for i in range(1, n + 2)])
         truncated = materialize_truncated(per_closure, 2)
         probes = set(build_a_sets(syms).union)
-        probes.update(sample_box(rng, units, -1, 2, min(4 ** (n + 1), 200)))
+        probes.update(sample_box(rng, syms, -1, 2, min(4 ** (n + 1), 200)))
         for x in probes:
             want = truncated.get(x, 0)
             assert atom_mass(one_chain, x) == atom_mass(per_closure, x) == want, (n, x)
@@ -666,7 +666,7 @@ def test_one_closure_at_several_offsets():
         Shift(Shift(closure, Fraction(1, 2) * ua), Fraction(1, 2) * ua),
     ))
     # Offsets 0, b, a/2 and a: the two at b merge into one term of weight 3.
-    assert sorted(t[5] for t in tree._terms) == [Fraction(-1, 2), 1, 1, 3]
+    assert sorted(t[-1] for t in tree._terms) == [Fraction(-1, 2), 1, 1, 3]
     assert [t[1] for t in tree._terms].count(None) == 1
     oracle = materialize_truncated(tree, 12)
     for x in lattice_box([Fraction(1, 2) * ua, Fraction(1, 3) * ub], -1, 7):

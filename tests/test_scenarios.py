@@ -148,8 +148,8 @@ def test_prop43_probes_are_the_full_box_sample(monkeypatch):
     # The probes are drawn by index into the box, not from the built box:
     # the points, and the draws that follow them, must be those of
     # rng.sample over lattice_box itself.
-    def full_box(rng, units, lo, hi, k):
-        return rng.sample(lattice_box(units, lo, hi), k)
+    def full_box(rng, syms, lo, hi, k):
+        return rng.sample(lattice_box([unit(s) for s in syms], lo, hi), k)
 
     symbol_counts = set()
     for seed in range(40):
