@@ -23,7 +23,9 @@ class Kernel(Frozen):
 
 
 class PositivePartPower(Kernel):
-    """t -> (max(t, 0))**power, power >= 1, charged by its result's words (``superlinear``)."""
+    """t -> (max(t, 0))**power, power >= 1, charged by its result's words
+    (``superlinear``); a result of under 64 bits is under one word, and
+    charges nothing."""
 
     power: int
 
@@ -35,8 +37,9 @@ class PositivePartPower(Kernel):
     def apply(self, t: Scalar) -> Scalar:
         if t <= 0:
             return 0
-        bits = t.numerator.bit_length() + t.denominator.bit_length()
-        charge(superlinear(self.power * bits >> 6), "pospartpow result")
+        bits = self.power * (t.numerator.bit_length() + t.denominator.bit_length())
+        if bits >= 64:
+            charge(superlinear(bits >> 6), "pospartpow result")
         return t ** self.power
 
 

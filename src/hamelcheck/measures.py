@@ -8,17 +8,25 @@ form there: merged atoms, plus merged closure leaves, each at an offset
 and with a weight, and a support floor, the minimum of the parts'
 floors. A tuple over a smaller basis is placed in, or read out of, a
 tuple over a wider one by the positions of its symbols there, found once
-per pair of bases. `Shift`, `Scale` and `Sum` only build forms, so a
-query reads the atoms and reads the closures; nothing recurses through
-them. Only a closure stores a step, and its route is chosen when it is
-built: a closure over a form with no closure term, or over a closure
-with a chain record, gets a chain record when every distinct step of its
-chain has one nonzero coordinate and no two share one (the axis-aligned
-case, which `build_mu_i` and `build_mu` are), and answers in closed
-form, one read per atom. Every other closure walks: it reads its inner
-form at each translate down to its support floor. One evaluator,
-`_mass`, answers every node, and alone reads or fills each node's memo
-of the masses asked of it. Each query charges the work meter before its
+per pair of bases. `Shift`, `Scale`, `Sum` and `Nabla` only build forms,
+so a query reads the atoms and reads the closures; nothing recurses
+through them. Each part of a fold carries its own translation (a
+`Dirac`'s point, a `Shift`'s step). The difference ∇ over k increments
+is one fold, `Nabla`, which takes ``form − T_h form`` once per
+increment on its form alone; it has the atoms and terms, in the same
+order, of the fold ``acc − T_h acc`` built as nested sums, scalings and
+shifts, without their nodes. Only a closure stores a step, its fold's
+``own``, and its route is chosen when it is built: a closure over a form
+with no closure term, or over a closure with a chain record, gets a
+chain record when every distinct step of its chain has one nonzero
+coordinate and no two share one (the axis-aligned case, which
+`build_mu_i` and `build_mu` are), and answers in closed form, one read
+per atom. Every other closure walks: it reads its inner form at each
+translate down to its support floor. One evaluator, `_mass`, answers
+every node, and alone reads or fills each node's memo of the masses
+asked of it; it reads a closure term with no call when the closure has
+answered that point, from its memo, or when the point lies below the
+closure's floor, as 0. Each query charges the work meter before its
 work: a walk its translates, less those a memoised point saves, and a
 closed form its atom reads and its binomials' size, weighed
 superlinearly. A closure is never cancelled against a difference: it
@@ -66,6 +74,16 @@ def _plus(a: tuple[Scalar, ...] | None, b: tuple[Scalar, ...] | None):
     return tuple(map(add, a, b))
 
 
+def _difference(form: dict, shift) -> dict:
+    """``form − T form`` for the translation ``shift`` of a key: the old keys,
+    then the shifted ones, with the weights that cancel dropped."""
+    merged = dict(form)
+    for key, w in form.items():
+        key = shift(key)
+        merged[key] = merged.get(key, 0) - w
+    return {key: w for key, w in merged.items() if w}
+
+
 class MeasureExpr(Frozen):
     """Base class. Over `_basis`, `_floor` bounds every support coordinate
     below, as a tuple, and `_atoms` and `_terms` are the node's linear form
@@ -77,41 +95,56 @@ class MeasureExpr(Frozen):
     closure's mass at `w`. When the closure's basis is smaller than the
     node's, the term counts only where `drop(w)` is all 0, at `keep(w)`;
     otherwise both are None. `_memo` maps each `v` that `_mass` has
-    answered to the node's mass there. `_basis` is the node's own tuple."""
+    answered to the node's mass there. `_basis` is a tuple, shared with
+    the node's first part when it is that part's basis."""
 
     def _fill(
-        self, parts: Sequence[tuple[Scalar, MeasureExpr | None]], own: Point | None = None,
-        **fields,
+        self, parts: Sequence[tuple[Scalar, MeasureExpr | None, Point | None]],
+        own: Point | None = None, diffs: Sequence[Point] = (), **fields,
     ) -> None:
-        """Fold ``Σ c·child`` over ``parts`` into this node's form,
-        translated by ``own``; in a closure ``own`` is instead the step,
-        kept as ``_step``. A child of None is the unit atom at the origin,
-        and a closure child is one term. The basis is a new tuple of the
-        sorted symbols of ``own`` and of the parts' bases. The floor is the
-        coordinatewise minimum of the parts' floors (the unit atom's is 0;
-        a closure's is its inner's, since its support only grows upward),
-        translated likewise."""
-        bases = [child._basis for _, child in parts if child is not None]
-        basis = tuple(sorted(set(() if own is None else own.support).union(*bases)))
+        """Fold ``Σ c·T_at child`` over the parts ``(c, child, at)`` into this
+        node's form, each child translated by its own offset ``at`` (None:
+        not translated), then take ``form − T_h form`` for each increment
+        ``h`` of ``diffs`` in turn. A child of None is the unit atom at the
+        origin, and a closure child is one term. ``own`` is a closure's
+        step, kept as ``_step``. The basis is the first part's, unless
+        another part's basis, an offset, an increment or ``own`` brings a
+        symbol it lacks; then it is a new tuple of the sorted symbols of all
+        of them. The floor is the coordinatewise minimum of the parts'
+        floors (the unit atom's is 0; a closure's is its inner's, since its
+        support only grows upward), each translated by its part's offset;
+        an increment is positive, so a difference keeps it."""
+        first = parts[0][1]
+        basis = () if first is None else first._basis
+        points = [at for _, _, at in parts if at is not None]
+        points += diffs
+        if own is not None:
+            points.append(own)
+        bases = [child._basis for _, child, _ in parts
+                 if child is not None and child._basis != basis]
+        # A point has no coordinates over a basis that lacks one of its symbols.
+        if bases or points and any(p.coords(basis) is None for p in points):
+            syms = set(basis).union(*bases, *[p.support for p in points])
+            if len(syms) > len(basis):
+                basis = tuple(sorted(syms))
+        offsets = [at and at.coords(basis) for _, _, at in parts]
+        if own is not None:
+            fields["_step"] = own.coords(basis)
         n = len(basis)
-        offset = None if own is None else own.coords(basis)
         # A closure with chain runs folds its inner chain's base atoms in as
         # a form's; every other closure child is one term.
         fold = fields.get("_runs") is not None
-        if type(self) is JClosure:
-            offset, fields["_step"] = None, offset
-        # Each child's positions in the basis, found once (None: the same basis).
-        places = [None if child is None or child._basis == basis
-                  else [basis.index(s) for s in child._basis] for _, child in parts]
-        floors = [(0,) * n if child is None else _place(child._floor, pos, n)
-                  for (_, child), pos in zip(parts, places)]
-        floor = _plus(tuple(map(min, zip(*floors))), offset)
+        floors = []
         atoms: dict[tuple[Scalar, ...], Scalar] = {}
         terms: dict[tuple[JClosure, tuple[Scalar, ...] | None], Scalar] = {}
-        for (c, child), pos in zip(parts, places):
+        for (c, child, _), offset in zip(parts, offsets):
             if child is None:
+                floors.append(offset)
                 atoms[offset] = atoms.get(offset, 0) + c
                 continue
+            # The child's positions in the basis, found once (None: the same basis).
+            pos = None if child._basis == basis else [basis.index(s) for s in child._basis]
+            floors.append(_plus(_place(child._floor, pos, n), offset))
             if type(child) is JClosure and not fold:
                 key = child, offset
                 terms[key] = terms.get(key, 0) + c
@@ -122,6 +155,10 @@ class MeasureExpr(Frozen):
             for closure, off, *_, w in child._terms:
                 key = closure, _plus(None if off is None else _place(off, pos, n), offset)
                 terms[key] = terms.get(key, 0) + c * w
+        for h in diffs:
+            h = h.coords(basis)
+            atoms = _difference(atoms, lambda v: tuple(map(add, v, h)))
+            terms = _difference(terms, lambda key: (key[0], _plus(key[1], h)))
         pickers: dict[JClosure, tuple] = {}
         form = []
         for (closure, off), w in terms.items():
@@ -133,6 +170,7 @@ class MeasureExpr(Frozen):
                 pick = (None, None) if part == basis else _pickers(basis, part)
                 pickers[closure] = pick
             form.append((closure, off, *pick, exact(w)))
+        floor = floors[0] if len(floors) == 1 else tuple(map(min, zip(*floors)))
         self.__dict__.update(
             fields, _basis=basis, _floor=floor, _memo={},
             _atoms={v: exact(w) for v, w in atoms.items() if w} if atoms else atoms,
@@ -146,7 +184,7 @@ class Dirac(MeasureExpr):
     point: Point
 
     def __init__(self, point: Point):
-        self._fill([(1, None)], point, point=point)
+        self._fill([(1, None, point)], point=point)
 
 
 class Shift(MeasureExpr):
@@ -158,7 +196,7 @@ class Shift(MeasureExpr):
     def __init__(self, inner: MeasureExpr, step: Point):
         if not is_positive_increment(step):
             raise InvalidIncrement(f"shift step must be a positive increment: {step}")
-        self._fill([(1, inner)], step, inner=inner, step=step)
+        self._fill([(1, inner, step)], inner=inner, step=step)
 
 
 class Sum(MeasureExpr):
@@ -168,7 +206,7 @@ class Sum(MeasureExpr):
         terms = tuple(terms)
         if not terms:
             raise ValueError("sum of measures needs at least one term")
-        self._fill([(1, t) for t in terms], terms=terms)
+        self._fill([(1, t, None) for t in terms], terms=terms)
 
 
 class Scale(MeasureExpr):
@@ -177,7 +215,23 @@ class Scale(MeasureExpr):
 
     def __init__(self, factor: Scalar, inner: MeasureExpr):
         factor = exact(factor)
-        self._fill([(factor, inner)], factor=factor, inner=inner)
+        self._fill([(factor, inner, None)], factor=factor, inner=inner)
+
+
+class Nabla(MeasureExpr):
+    """Iterated difference ``Π(1 − T_h)`` of ``inner`` over ``steps``, in one
+    fold: ``inner``'s form taken as ``form − T_h form`` for each increment
+    in turn. Each turn keeps the old keys, then adds the shifted ones, and
+    drops those whose weights cancel, as ``Sum((acc, Scale(-1, Shift(acc,
+    h))))`` does; so the form has the atoms, and the terms in the same
+    order, of that fold, without its nodes."""
+
+    inner: MeasureExpr
+    steps: tuple[Point, ...]
+
+    def __init__(self, inner: MeasureExpr, steps: Sequence[Point]):
+        steps = tuple(map(check_increment, steps))
+        self._fill([(1, inner, None)], diffs=steps, inner=inner, steps=steps)
 
 
 class JClosure(MeasureExpr):
@@ -191,7 +245,7 @@ class JClosure(MeasureExpr):
         if not is_positive_increment(step):
             raise NonTerminatingJ(f"closure step must be a positive increment: {step}")
         runs = _chain_runs(inner, step)
-        self._fill([(1, inner)], step, inner=inner, step=step, _runs=runs)
+        self._fill([(1, inner, None)], step, inner=inner, step=step, _runs=runs)
         if runs is None:
             # (position, floor, step) at each nonzero step coordinate, the
             # only ones `_mass` reads a walk's length at.
@@ -250,37 +304,40 @@ def atom_mass(mu: MeasureExpr, x: Point) -> Scalar:
     tuple over ``mu``'s basis by ``Point.coords``, which leaves ``x`` as it
     was, and looked up by `_mass`."""
     v = x.coords(mu._basis)
-    # Every atom lies in the span of the basis, so a point off it has none.
-    return 0 if v is None else _mass(mu, v)
+    # Every atom lies in the span of the basis, so a point off it has none,
+    # and a closure has none below its floor.
+    if v is None or type(mu) is JClosure and not all(map(ge, v, mu._floor)):
+        return 0
+    return _mass(mu, v)
 
 
 def _mass(mu: MeasureExpr, v: tuple[Scalar, ...]) -> Scalar:
-    """The mass of ``mu`` at the tuple ``v`` over its basis. A node with no
-    step reads its form at ``v``. A closure with chain runs answers from
-    `_chain_mass` once ``v`` is past its floor. Any other closure sums its
-    inner form at ``v`` and every translate below it: J(v) = inner(v) +
-    J(v - step), and J = 0 below the support floor, so the walk from ``v``
-    takes
+    """The mass of ``mu`` at the tuple ``v`` over its basis, where ``v`` is
+    not below a closure's floor: a closure is 0 there, and `atom_mass` and
+    a form's term reads answer that without a call. A node with no step
+    reads its form at ``v``. A closure with chain runs answers from
+    `_chain_mass`. Any other closure sums its inner form at ``v`` and
+    every translate below it: J(v) = inner(v) + J(v - step), and J = 0
+    below the support floor, so the walk from ``v`` takes
     ``min((v_i - floor_i) // step_i)`` steps over the step's nonzero
     coordinates, charged to the work meter before the first, memoised
     points below it or not (1,000,000 took 1.3 s and 160 MiB). The walk
     stops at a memoised point, gives back the steps it saves, then reads
     the form at each pending point and adds upward, storing each total.
-    Each closure term of a form is read by a call here, so Python
-    recursion deepens by one frame per nested walking closure, not per
-    translate."""
+    Each closure term of a form is read from the closure's memo, as 0
+    below its floor, or else by a call here, so Python recursion deepens
+    by one frame per nested walking closure, not per translate."""
     memo = mu._memo
     total = memo.get(v)
     if total is not None:
         return total
-    pending = [v]
+    pending = (v,)
     total = 0
     if type(mu) is JClosure:
-        if not all(map(ge, v, mu._floor)):
-            return 0
         if mu._runs is not None:
             total = memo[v] = _chain_mass(mu, v)
             return total
+        pending = [v]
         step = mu._step
         steps = min([(v[i] - f) // s for i, f, s in mu._walk])
         charge(steps, "closure query")
@@ -292,8 +349,9 @@ def _mass(mu: MeasureExpr, v: tuple[Scalar, ...]) -> Scalar:
                 charge(len(pending) - steps, "closure query")  # the steps the memo saves
                 break
             pending.append(v)
+        pending.reverse()
     atoms, terms = mu._atoms, mu._terms
-    for p in reversed(pending):
+    for p in pending:
         if atoms:
             total += atoms.get(p, 0)
         for closure, off, keep, drop, c in terms:
@@ -302,7 +360,12 @@ def _mass(mu: MeasureExpr, v: tuple[Scalar, ...]) -> Scalar:
                 if any(drop(w)):
                     continue
                 w = keep(w)
-            total += c * _mass(closure, w)
+            m = closure._memo.get(w)
+            if m is None:
+                if not all(map(ge, w, closure._floor)):
+                    continue
+                m = _mass(closure, w)
+            total += c * m
         memo[p] = total
     return total
 
@@ -343,12 +406,10 @@ def _chain_mass(mu: JClosure, v: tuple[Scalar, ...]) -> Scalar:
 
 
 def nabla(mu: MeasureExpr, hs: Sequence[Point]) -> MeasureExpr:
-    """Iterated difference against the shift: fold of mu - shift(mu, h)."""
-    acc = mu
-    for h in hs:
-        check_increment(h)
-        acc = Sum((acc, Scale(-1, Shift(acc, h))))
-    return acc
+    """Iterated difference against the shift, ``Π(1 − T_h) mu`` over
+    ``hs``: one `Nabla` node, or ``mu`` itself when ``hs`` is empty."""
+    hs = tuple(hs)
+    return Nabla(mu, hs) if hs else mu
 
 
 def j_op(nu: MeasureExpr, hs: Sequence[Point]) -> MeasureExpr:

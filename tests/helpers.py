@@ -1,5 +1,5 @@
 """Shared generators for seeded randomized suites, and the kernels, point
-functions and point readers that only the tests use."""
+functions, point readers and reference measures that only the tests use."""
 
 from fractions import Fraction
 from itertools import product
@@ -10,12 +10,15 @@ from hamelcheck import (
     Point,
     PointFunction,
     PositivePartPower,
+    Scale,
+    Shift,
+    Sum,
     Symbol,
     Tabulated,
     point_combine,
     unit,
 )
-from hamelcheck.basis import Frozen, exact
+from hamelcheck.basis import Frozen, check_increment, exact
 from hamelcheck.functions import Kernel
 
 
@@ -89,6 +92,17 @@ def lattice_box(gens, lo, hi):
     ``point_combine``: over unit points, the order ``sample_box`` draws
     from, built independently of ``box_points``."""
     return [point_combine(zip(cs, gens)) for cs in product(range(lo, hi + 1), repeat=len(gens))]
+
+
+def nested_nabla(mu, hs):
+    """The iterated difference as the fold of ``acc − T_h acc`` over ``hs``,
+    one ``Sum``, ``Scale`` and ``Shift`` node for each increment: the
+    reference ``nabla``'s one node is held to, form for form."""
+    acc = mu
+    for h in hs:
+        check_increment(h)
+        acc = Sum((acc, Scale(-1, Shift(acc, h))))
+    return acc
 
 
 def standard_function(n):

@@ -5,6 +5,7 @@ import random
 from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from itertools import combinations
+from operator import add
 
 import pytest
 
@@ -34,11 +35,11 @@ from hamelcheck import (
     unit,
     verify_lemma_4_4,
 )
-from hamelcheck import measures
+from hamelcheck import errors, measures, scenarios
 from hamelcheck.basis import sample_box
-from hamelcheck.measures import signed_sum
+from hamelcheck.measures import Nabla, signed_sum
 from helpers import (
-    Scaled, SumOf, coordinate, lattice_box, standard_function, support_floor,
+    Scaled, SumOf, coordinate, lattice_box, nested_nabla, standard_function, support_floor,
 )
 
 
@@ -47,12 +48,24 @@ def _units(n):
     return syms, [unit(s) for s in syms]
 
 
+def _difference(atoms, steps):
+    """The atom dict ``atoms`` with ``acc − T_h acc`` taken for each step."""
+    for h in steps:
+        acc = dict(atoms)
+        for p, m in atoms.items():
+            acc[p + h] = acc.get(p + h, Fraction(0)) - m
+        atoms = acc
+    return atoms
+
+
 def materialize(expr):
     """Independent atom-dict oracle for closure-free trees."""
     if isinstance(expr, Dirac):
         return {expr.point: Fraction(1)}
     if isinstance(expr, Shift):
         return {p + expr.step: m for p, m in materialize(expr.inner).items()}
+    if isinstance(expr, Nabla):
+        return _difference(materialize(expr.inner), expr.steps)
     if isinstance(expr, Scale):
         return {p: expr.factor * m for p, m in materialize(expr.inner).items()}
     if isinstance(expr, Sum):
@@ -78,6 +91,8 @@ def materialize_truncated(expr, kmax):
         return acc
     if isinstance(expr, Shift):
         return {p + expr.step: m for p, m in materialize_truncated(expr.inner, kmax).items()}
+    if isinstance(expr, Nabla):
+        return _difference(materialize_truncated(expr.inner, kmax), expr.steps)
     if isinstance(expr, Scale):
         return {p: expr.factor * m for p, m in materialize_truncated(expr.inner, kmax).items()}
     if isinstance(expr, Sum):
@@ -550,12 +565,21 @@ def test_closure_shared_by_roots_over_different_bases():
         assert atom_mass(shifted, x + uc) == oracle.get(x + uc, 0)
 
 
+def _termwise_minimum(floors):
+    """The coordinatewise minimum of points (a coordinate a point lacks counts as 0)."""
+    return point_combine(
+        (min(coordinate(g, s) for g in floors), unit(s))
+        for s in {s for f in floors for s in f.support}
+    )
+
+
 def _constructor_floor(expr, seen):
     """The support floor by the rules the constructors applied to points:
     a Dirac's point, a shift's inner floor plus its step, a sum's termwise
-    minimum (a coordinate a floor lacks counts as 0), and a scale's or a
-    closure's inner floor. Every node it reaches must report that floor
-    as its ``support_floor``."""
+    minimum, a difference's termwise minimum of its inner floor and that
+    floor plus each sum of its steps, and a scale's or a closure's inner
+    floor. Every node it reaches must report that floor as its
+    ``support_floor``."""
     floor = seen.get(expr)
     if floor is None:
         if isinstance(expr, Dirac):
@@ -563,11 +587,12 @@ def _constructor_floor(expr, seen):
         elif isinstance(expr, Shift):
             floor = _constructor_floor(expr.inner, seen) + expr.step
         elif isinstance(expr, Sum):
-            floors = [_constructor_floor(t, seen) for t in expr.terms]
-            floor = point_combine(
-                (min(coordinate(g, s) for g in floors), unit(s))
-                for s in {s for f in floors for s in f.support}
-            )
+            floor = _termwise_minimum([_constructor_floor(t, seen) for t in expr.terms])
+        elif isinstance(expr, Nabla):
+            floors = [_constructor_floor(expr.inner, seen)]
+            for h in expr.steps:
+                floors += [f + h for f in floors]
+            floor = _termwise_minimum(floors)
         else:
             floor = _constructor_floor(expr.inner, seen)
         assert support_floor(expr) == floor, expr
@@ -603,8 +628,8 @@ def test_sum_floor_matches_the_termwise_minimum_seeded():
 
 
 def _random_dag(rng, units, size):
-    """A measure over a pool of nodes that later nodes share, as `nabla`'s
-    trees do: a node may be the child of several, a closure may be reached
+    """A measure over a pool of nodes that later nodes share, as the nested
+    fold of a difference does: a node may be the child of several, a closure may be reached
     at several offsets, and weights, atoms and offsets may be fractional.
     No chain nests more than two closures, so the truncated oracle stays
     small."""
@@ -923,3 +948,148 @@ def test_doubling_dag_folds_without_exponential_work():
     assert m._atoms == {(1,): 2**k} and m._terms == ()
     assert atom_mass(m, u) == 2**k
     assert atom_mass(JClosure(m, u), 3 * u) == 2**k
+
+
+def _form(mu):
+    """A node's form: basis, floor, atoms and terms in order, each term's
+    pickers read as the positions they pick."""
+    idx = tuple(range(len(mu._basis)))
+    return mu._basis, mu._floor, list(mu._atoms.items()), [
+        (closure, off, None if keep is None else (keep(idx), drop(idx)), c)
+        for closure, off, keep, drop, c in mu._terms
+    ]
+
+
+def _increments(rng, hs, foreign):
+    """``hs`` in a random order with more increments: a repeat of one (equal
+    increments merge), the sum of two (h1 + h2 = h3 cancels an offset),
+    a fractional multiple of one, or a step on the symbol ``foreign``."""
+    hs = list(hs)
+    for _ in range(rng.randint(0, 2)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            hs.append(rng.choice(hs))
+        elif kind == 1:
+            pair = rng.sample(hs, 2) if len(hs) > 1 else hs * 2
+            hs.append(pair[0] + pair[1])
+        elif kind == 2:
+            hs.append(Fraction(rng.choice((1, 3)), 2) * rng.choice(hs))
+        else:
+            hs.append(rng.choice((1, 2, Fraction(1, 2))) * unit(foreign))
+    rng.shuffle(hs)
+    return hs
+
+
+def test_nabla_is_the_nested_fold_form_for_form_seeded():
+    # nabla builds Π(1 − T_h) mu as one node; it must hold the form of the
+    # nested Sum/Scale/Shift fold in tests/helpers: the same basis and
+    # floor, the same atoms, and the same terms in the same order with the
+    # same weights, and so the same masses. The measures are prop43's
+    # instances and their closures (with a chain record and walking), a
+    # difference of a closure, and shared DAGs, and a cancelling sum
+    # h1 + h2 = h3 comes back on a closure at every round.
+    rng = random.Random(3535)
+    units = [unit(s) for s in symbols("s1 s2 s3", positive=True)]
+    (foreign,) = symbols("t", positive=True)
+    merged = cancelled = 0
+    for _ in range(40):
+        nu, hs, _ = scenarios._random_instance(rng)
+        closed = j_op(nu, hs)
+        with _walks_only():
+            walks = j_op(nu, hs)
+        h1, h2 = units[0], rng.choice(units[1:])
+        roots = [
+            (closed, _increments(rng, hs, foreign)),
+            (walks, _increments(rng, hs, foreign)),
+            (nu, _increments(rng, hs, foreign)),
+            (nabla(closed, hs[:1]), _increments(rng, hs, foreign)),
+            (_random_dag(rng, units, 5), _increments(rng, [h1, h2], foreign)),
+            (closed, [h1, h2, h1 + h2, rng.choice((h1, h2))]),
+        ]
+        for mu, steps in roots:
+            got, want = nabla(mu, steps), nested_nabla(mu, steps)
+            assert type(got) is Nabla and got.steps == tuple(steps)
+            assert _form(got) == _form(want), (mu, steps)
+            n = len(got._basis)
+            for x in sample_box(rng, got._basis, -1, 6, min(8 ** n, 30)):
+                assert atom_mass(got, x) == atom_mass(want, x), (mu, steps, x)
+            # Equal increments merge a closure's translates at some offsets.
+            merged += type(mu) is JClosure and len(got._terms) < 2 ** len(steps)
+        # h1 + h2 cancels the closure at offset h1 + h2 once the sum is
+        # taken, and the last increment brings it back.
+        cancelled += (closed, tuple(map(add, *(p.coords(got._basis) for p in (h1, h2))))) in {
+            t[:2] for t in got._terms}
+    assert merged and cancelled == 40
+
+
+def test_nabla_of_no_increment_is_mu_and_the_first_bad_one_is_named():
+    (a,) = symbols("a", positive=True)
+    (m,) = symbols("m")
+    ua = unit(a)
+    mu = JClosure(Dirac(ua), ua)
+    assert nabla(mu, []) is mu and nabla(mu, ()) is mu
+    for bad, first in (
+        ([ZERO], ZERO),
+        ([ua, -1 * ua, ZERO], -1 * ua),
+        ([Fraction(1, 2) * ua, unit(m), ZERO], unit(m)),
+    ):
+        with pytest.raises(InvalidIncrement) as got:
+            nabla(mu, bad)
+        with pytest.raises(InvalidIncrement) as want:
+            nested_nabla(mu, bad)
+        assert str(got.value) == str(want.value) == f"not a positive increment: {first}"
+
+
+def test_a_metered_difference_of_a_walking_closure_charges_as_before():
+    # A closure along a + b walks; the difference of it reads it at the
+    # eight translates of each query. The walks charge the translates they
+    # take, less those the memo saves: 27 units for the first query and 17
+    # for the second, as the nested fold charged.
+    a, b = symbols("a b", positive=True)
+    ua, ub = unit(a), unit(b)
+    walk = JClosure(Sum((Dirac(ZERO), Scale(2, Dirac(ub)))), ua + ub)
+    mu = nabla(walk, [ua, ub, ua])
+    assert walk._runs is None
+    with errors.metered():
+        first = atom_mass(mu, 9 * ua + 7 * ub)
+        spent = errors._spent
+        second = atom_mass(mu, 11 * ua + 10 * ub)
+        assert (first, spent, second, errors._spent) == (1, 27, -1, 44)
+    assert len(walk._memo) == 49
+
+
+def test_a_term_the_memo_or_the_floor_answers_is_read_without_a_call(monkeypatch):
+    # The difference of a closure reads it at four translates. Once the
+    # closure has answered each, the read takes the memo's total and makes
+    # no call into the closure: the one call is the query's own. A
+    # translate below the closure's floor is 0, read with no call too.
+    a, b = symbols("a b", positive=True)
+    ua, ub = unit(a), unit(b)
+    x, y = 4 * ua + 3 * ub, ua + ub
+
+    def build():
+        closure = JClosure(Sum((Dirac(ua), Scale(Fraction(-1, 2), Dirac(ub)))), ua + ub)
+        return closure, nabla(closure, [ua, 2 * ub])
+
+    want = {p: atom_mass(build()[1], p) for p in (x, y)}
+    closure, mu = build()
+    for w in (x, x - ua, x - 2 * ub, x - ua - 2 * ub):
+        atom_mass(closure, w)
+    calls = []
+    real = measures._mass
+    monkeypatch.setattr(measures, "_mass", lambda node, v: calls.append(node) or real(node, v))
+    assert atom_mass(mu, x) == want[x]
+    assert calls == [mu]
+    # A cold closure is called into at each: no translate lies on
+    # another's walk.
+    closure, mu = build()
+    calls.clear()
+    assert atom_mass(mu, x) == want[x]
+    assert calls.count(closure) == 4
+    # At a + b, the translates a + b - 2b and b - 2b lie below the floor.
+    closure, mu = build()
+    calls.clear()
+    assert atom_mass(mu, y) == want[y]
+    assert calls == [mu, closure, closure]
+    # So is a query of the closure itself there.
+    assert atom_mass(closure, y - 2 * ub) == 0 and len(calls) == 3
