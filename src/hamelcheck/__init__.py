@@ -54,6 +54,7 @@ from .functions import (
 from .measures import (
     ASets,
     Dirac,
+    Form,
     JClosure,
     MeasureExpr,
     Scale,

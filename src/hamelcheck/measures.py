@@ -2,18 +2,19 @@
 exact pointwise atom-mass evaluation.
 
 Closure nodes have infinite support, so measures are never materialized.
-Every node works on coordinate tuples over its basis, the sorted symbols
-of its subtree's points, and is folded at construction into one linear
-form there: merged atoms, plus merged closure leaves, each at an offset
-and with a weight, and a support floor, the minimum of the parts'
-floors. A tuple over a smaller basis is placed in, or read out of, a
-tuple over a wider one by the positions of its symbols there, found once
-per pair of bases. `Shift`, `Scale`, `Sum` and `Nabla` only build forms,
-so a query reads the atoms and reads the closures; nothing recurses
-through them. Each part of a fold carries its own translation (a
-`Dirac`'s point, a `Shift`'s step). The difference ∇ over k increments
-is one fold, `Nabla`, which takes ``form − T_h form`` once per
-increment on its form alone; it has the atoms and terms, in the same
+A node is a `JClosure` or a `Form`, every other measure, which `Dirac`,
+`Shift`, `Scale`, `Sum`, `nabla` and `signed_sum` build. Every node
+works on coordinate tuples over its basis, the sorted symbols of its
+subtree's points, and is folded at construction into one linear form
+there: merged atoms, plus merged closure leaves, each at an offset and
+with a weight, and a support floor, the minimum of the parts' floors. A
+tuple over a smaller basis is placed in, or read out of, a tuple over a
+wider one by the positions of its symbols there, found once per pair of
+bases. A `Form` only builds a form, so a query reads the atoms and reads
+the closures; nothing recurses through it. Each part of a fold carries
+its own translation, and a weighted atom is a part. The difference ∇
+over k increments is one `Form`, which takes ``form − T_h form`` once
+per increment on its form alone; it has the atoms and terms, in the same
 order, of the fold ``acc − T_h acc`` built as nested sums, scalings and
 shifts, without their nodes. Only a closure stores a step, its fold's
 ``own``, and its route is chosen when it is built: a closure over a form
@@ -85,35 +86,36 @@ def _difference(form: dict, shift) -> dict:
 
 
 class MeasureExpr(Frozen):
-    """Base class. Over `_basis`, `_floor` bounds every support coordinate
-    below, as a tuple, and `_atoms` and `_terms` are the node's linear form
-    (a closure's describes its inner measure, or with `_runs` its chain's
-    atoms; a closure alone has a `_step`, a tuple too, and `_runs`, None
-    when it walks). The form's mass at `v` is `_atoms.get(v, 0)`
-    plus, for each term `(closure, offset, keep, drop, c)` with
-    `w = v - offset` (`v` itself when `offset` is None), `c` times the
-    closure's mass at `w`. When the closure's basis is smaller than the
-    node's, the term counts only where `drop(w)` is all 0, at `keep(w)`;
-    otherwise both are None. `_memo` maps each `v` that `_mass` has
-    answered to the node's mass there. `_basis` is a tuple, shared with
-    the node's first part when it is that part's basis."""
+    """Base class of `Form` and `JClosure`. Over `_basis`, `_floor` bounds
+    every support coordinate below, as a tuple, and `_atoms` and `_terms`
+    are the node's linear form (a closure's describes its inner measure,
+    or with `_runs` its chain's atoms; a closure alone has a `_step`, a
+    tuple too, and `_runs`, None when it walks). The form's mass at `v` is
+    `_atoms.get(v, 0)` plus, for each term `(closure, offset, keep, drop,
+    c)` with `w = v - offset` (`v` itself when `offset` is None), `c`
+    times the closure's mass at `w`. When the closure's basis is smaller
+    than the node's, the term counts only where `drop(w)` is all 0, at
+    `keep(w)`; otherwise both are None. `_memo` maps each `v` that `_mass`
+    has answered to the node's mass there. `_basis` is a tuple, shared
+    with the node's first part when it is that part's basis."""
 
     def _fill(
         self, parts: Sequence[tuple[Scalar, MeasureExpr | None, Point | None]],
-        own: Point | None = None, diffs: Sequence[Point] = (), **fields,
+        own: Point | None = None, diffs: Sequence[Point] = (), /, **fields,
     ) -> None:
         """Fold ``Σ c·T_at child`` over the parts ``(c, child, at)`` into this
         node's form, each child translated by its own offset ``at`` (None:
         not translated), then take ``form − T_h form`` for each increment
-        ``h`` of ``diffs`` in turn. A child of None is the unit atom at the
-        origin, and a closure child is one term. ``own`` is a closure's
-        step, kept as ``_step``. The basis is the first part's, unless
-        another part's basis, an offset, an increment or ``own`` brings a
-        symbol it lacks; then it is a new tuple of the sorted symbols of all
-        of them. The floor is the coordinatewise minimum of the parts'
-        floors (the unit atom's is 0; a closure's is its inner's, since its
-        support only grows upward), each translated by its part's offset;
-        an increment is positive, so a difference keeps it."""
+        ``h`` of ``diffs`` in turn: a `Form`'s parts and increments, or a
+        closure's one part, its inner measure. A child of None is the unit
+        atom at the origin, and a closure child is one term. ``own`` is a
+        closure's step, kept as ``_step``. The basis is the first part's,
+        unless another part's basis, an offset, an increment or ``own``
+        brings a symbol it lacks; then it is a new tuple of the sorted
+        symbols of all of them. The floor is the coordinatewise minimum of
+        the parts' floors (the unit atom's is 0; a closure's is its inner's,
+        since its support only grows upward), each translated by its part's
+        offset; an increment is positive, so a difference keeps it."""
         first = parts[0][1]
         basis = () if first is None else first._basis
         points = [at for _, _, at in parts if at is not None]
@@ -178,60 +180,26 @@ class MeasureExpr(Frozen):
         )
 
 
-class Dirac(MeasureExpr):
-    """Unit atom at a point."""
+class Form(MeasureExpr):
+    """Every measure that is not a closure: ``Σ c·T_at child`` over its
+    ``parts`` ``(c, child, at)``, with ``Π(1 − T_h)`` taken over the
+    increments ``diffs``. A child of None is the unit atom at the origin,
+    so ``(w, None, p)`` is the atom of weight ``w`` at ``p``; an ``at`` of
+    None translates nothing. `Dirac`, `Shift`, `Scale`, `Sum`, `nabla` and
+    `signed_sum` each build one."""
 
-    point: Point
+    parts: tuple[tuple[Scalar, MeasureExpr | None, Point | None], ...]
+    diffs: tuple[Point, ...]
 
-    def __init__(self, point: Point):
-        self._fill([(1, None, point)], point=point)
-
-
-class Shift(MeasureExpr):
-    """Translation: mass at x taken from the inner measure at x - step."""
-
-    inner: MeasureExpr
-    step: Point
-
-    def __init__(self, inner: MeasureExpr, step: Point):
-        if not is_positive_increment(step):
-            raise InvalidIncrement(f"shift step must be a positive increment: {step}")
-        self._fill([(1, inner, step)], inner=inner, step=step)
-
-
-class Sum(MeasureExpr):
-    terms: tuple[MeasureExpr, ...]
-
-    def __init__(self, terms: tuple[MeasureExpr, ...]):
-        terms = tuple(terms)
-        if not terms:
+    def __init__(
+        self, parts: Sequence[tuple[Scalar, MeasureExpr | None, Point | None]],
+        diffs: Sequence[Point] = (),
+    ):
+        parts = tuple(parts)
+        if not parts:
             raise ValueError("sum of measures needs at least one term")
-        self._fill([(1, t, None) for t in terms], terms=terms)
-
-
-class Scale(MeasureExpr):
-    factor: Scalar
-    inner: MeasureExpr
-
-    def __init__(self, factor: Scalar, inner: MeasureExpr):
-        factor = exact(factor)
-        self._fill([(factor, inner, None)], factor=factor, inner=inner)
-
-
-class Nabla(MeasureExpr):
-    """Iterated difference ``Π(1 − T_h)`` of ``inner`` over ``steps``, in one
-    fold: ``inner``'s form taken as ``form − T_h form`` for each increment
-    in turn. Each turn keeps the old keys, then adds the shifted ones, and
-    drops those whose weights cancel, as ``Sum((acc, Scale(-1, Shift(acc,
-    h))))`` does; so the form has the atoms, and the terms in the same
-    order, of that fold, without its nodes."""
-
-    inner: MeasureExpr
-    steps: tuple[Point, ...]
-
-    def __init__(self, inner: MeasureExpr, steps: Sequence[Point]):
-        steps = tuple(map(check_increment, steps))
-        self._fill([(1, inner, None)], diffs=steps, inner=inner, steps=steps)
+        diffs = tuple(map(check_increment, diffs))
+        self._fill(parts, None, diffs, parts=parts, diffs=diffs)
 
 
 class JClosure(MeasureExpr):
@@ -405,11 +373,34 @@ def _chain_mass(mu: JClosure, v: tuple[Scalar, ...]) -> Scalar:
     return total
 
 
+def Dirac(point: Point) -> Form:
+    """Unit atom at a point."""
+    return Form(((1, None, point),))
+
+
+def Shift(inner: MeasureExpr, step: Point) -> Form:
+    """Translation: mass at x taken from the inner measure at x - step."""
+    if not is_positive_increment(step):
+        raise InvalidIncrement(f"shift step must be a positive increment: {step}")
+    return Form(((1, inner, step),))
+
+
+def Sum(terms: Sequence[MeasureExpr]) -> Form:
+    """The sum of at least one measure."""
+    return Form([(1, t, None) for t in terms])
+
+
+def Scale(factor: Scalar, inner: MeasureExpr) -> Form:
+    """``inner`` times an exact factor."""
+    return Form(((exact(factor), inner, None),))
+
+
 def nabla(mu: MeasureExpr, hs: Sequence[Point]) -> MeasureExpr:
     """Iterated difference against the shift, ``Π(1 − T_h) mu`` over
-    ``hs``: one `Nabla` node, or ``mu`` itself when ``hs`` is empty."""
+    ``hs``: one `Form` of the part ``mu`` and the increments ``hs``, or
+    ``mu`` itself when ``hs`` is empty."""
     hs = tuple(hs)
-    return Nabla(mu, hs) if hs else mu
+    return Form(((1, mu, None),), hs) if hs else mu
 
 
 def j_op(nu: MeasureExpr, hs: Sequence[Point]) -> MeasureExpr:
@@ -441,7 +432,7 @@ def build_mu_i(i: int, syms: Sequence[Symbol]) -> MeasureExpr:
 def signed_sum(mus: Sequence[MeasureExpr]) -> MeasureExpr:
     """The signed combination of mu_1..mu_(n+1), closures or their unit
     atoms: every one but the first, minus the first."""
-    return Sum(tuple(mus[1:]) + (Scale(-1, mus[0]),))
+    return Form([(1, mu, None) for mu in mus[1:]] + [(-1, mus[0], None)])
 
 
 def build_mu(syms: Sequence[Symbol]) -> MeasureExpr:
@@ -451,7 +442,7 @@ def build_mu(syms: Sequence[Symbol]) -> MeasureExpr:
     ``Σ_{i≥2} δ_{h_i} − δ_{h_1}``, and a query walks it once where
     ``signed_sum`` of the ``build_mu_i`` walks one chain per atom."""
     pts = _unit_increments(syms)
-    return j_op(signed_sum([Dirac(p) for p in pts]), pts)
+    return j_op(Form([(1, None, p) for p in pts[1:]] + [(-1, None, pts[0])]), pts)
 
 
 class ASets(NamedTuple):

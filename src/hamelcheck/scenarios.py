@@ -38,7 +38,7 @@ from .functions import (
 )
 from .measures import (
     Dirac,
-    Scale,
+    Form,
     Sum,
     atom_mass,
     build_a_sets,
@@ -341,7 +341,8 @@ def _random_instance(rng: random.Random):
     """One randomized round-trip instance: a finite atomic measure with
     small nonnegative coordinates, 1-3 increments, and 50+ probe points.
     Atoms and increments are built from their coordinate tuples over the
-    symbols, which ``s1 < s2 < s3`` already sorts."""
+    symbols, which ``s1 < s2 < s3`` already sorts, and the measure is one
+    `Form` whose parts are its weighted atoms ``(w, None, p)``."""
     nsym = rng.randint(1, 3)
     syms = tuple(Symbol(f"s{i + 1}", positive=True) for i in range(nsym))
 
@@ -350,7 +351,7 @@ def _random_instance(rng: random.Random):
         p = Point.from_coords(syms, [rng.randint(0, 5) for _ in syms])
         w = rng.randint(1, 3)
         atoms.append((w, p))
-    nu = Sum(tuple(Scale(w, Dirac(p)) for w, p in atoms))
+    nu = Form([(w, None, p) for w, p in atoms])
 
     hs = []
     for _ in range(rng.randint(1, 3)):

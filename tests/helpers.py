@@ -5,8 +5,11 @@ from fractions import Fraction
 from itertools import product
 
 from hamelcheck import (
+    ZERO,
     AdditiveFunctional,
     Composite,
+    Form,
+    JClosure,
     Point,
     PointFunction,
     PositivePartPower,
@@ -103,6 +106,60 @@ def nested_nabla(mu, hs):
         check_increment(h)
         acc = Sum((acc, Scale(-1, Shift(acc, h))))
     return acc
+
+
+def _difference(atoms, steps):
+    """The atom dict ``atoms`` with ``acc − T_h acc`` taken for each step."""
+    for h in steps:
+        acc = dict(atoms)
+        for p, m in atoms.items():
+            acc[p + h] = acc.get(p + h, Fraction(0)) - m
+        atoms = acc
+    return atoms
+
+
+def _form_atoms(expr, child_atoms):
+    """The atom dict of a `Form`, by Point arithmetic: ``c`` times each
+    part's child (``child_atoms`` of it; the unit atom at the origin for
+    None) moved by the part's offset, summed, then ``acc − T_h acc`` for
+    each increment."""
+    acc = {}
+    for c, child, at in expr.parts:
+        atoms = {ZERO: Fraction(1)} if child is None else child_atoms(child)
+        for p, m in atoms.items():
+            q = p if at is None else p + at
+            acc[q] = acc.get(q, Fraction(0)) + c * m
+    return _difference(acc, expr.diffs)
+
+
+def materialize(expr):
+    """Independent atom-dict oracle for closure-free trees."""
+    if type(expr) is not Form:
+        raise TypeError(expr)
+    return _form_atoms(expr, materialize)
+
+
+def materialize_truncated(expr, kmax, memo=None):
+    """Oracle including closures, truncated at kmax translates per level;
+    valid for probe points within reach of kmax steps. ``memo`` holds the
+    dict of each node already reached, so a node shared in a DAG is
+    expanded once."""
+    memo = {} if memo is None else memo
+    atoms = memo.get(expr)
+    if atoms is not None:
+        return atoms
+    if isinstance(expr, JClosure):
+        inner = materialize_truncated(expr.inner, kmax, memo)
+        atoms = {}
+        for k in range(kmax + 1):
+            shift = k * expr.step
+            for p, m in inner.items():
+                q = p + shift
+                atoms[q] = atoms.get(q, Fraction(0)) + m
+    else:
+        atoms = _form_atoms(expr, lambda child: materialize_truncated(child, kmax, memo))
+    memo[expr] = atoms
+    return atoms
 
 
 def standard_function(n):

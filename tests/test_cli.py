@@ -624,8 +624,9 @@ def _measure_chain(tmp_path, constructor, depth, query, step="s"):
 
 
 def test_deep_shift_chain_evaluates(tmp_path, capsys):
-    # Shift, Scale and Sum fold into one linear form when they are built,
-    # so a query through 5,000 shifts reads one atom and nothing recurses.
+    # Every measure that is not a closure is one Form, folded into one
+    # linear form when it is built, so a query through 5,000 shifts reads
+    # one atom and nothing recurses.
     code, out, err = run_cli(
         capsys, "run", _measure_chain(tmp_path, "shift", 5000, "5001*s expect 1"),
         "--format", "jsonl",

@@ -9,6 +9,7 @@ import pytest
 from hamelcheck import (
     DefinitionError,
     InvalidIncrement,
+    JClosure,
     ParseError,
     Tabulated,
     UnknownSymbol,
@@ -16,13 +17,14 @@ from hamelcheck import (
     forward_diff_closed,
     jensen_convexity_probe,
     parse_definition,
+    point_combine,
     run_definition,
     run_definition_file,
     symbols,
     unit,
 )
 from hamelcheck.basis import ZERO, exact
-from helpers import coordinate, lattice_box
+from helpers import coordinate, lattice_box, materialize_truncated
 
 THEOREM_N3 = """\
 # order-3 scenario
@@ -107,6 +109,88 @@ eval atom-mass moved at h
     rep = run_definition(parse_definition(src))
     assert rep.passed
     assert rep.claims[-1].computed == 0  # h - 2h is below the support
+
+
+def _seeded_measure_lines(rng, steps=(Fraction(1, 2), 1, Fraction(3, 2), 2)):
+    """The declaration lines of 1-3 symbols and 3-9 measures: a dirac,
+    then dirac, shift, scale, sum or jclosure (at most three closures) of
+    earlier measures, most often of the last three, with atoms at
+    coordinates in 0..2, factors in -2..2 and steps of ``steps`` on one or
+    more symbols, all with denominators up to 3. Every support coordinate
+    is at least 0, and every step has a coordinate of at least 1/2."""
+    names = [f"s{i}" for i in range(1, rng.randint(1, 3) + 1)]
+
+    def number(lo, hi):
+        d = rng.randint(1, 3)
+        return Fraction(rng.randint(lo * d, hi * d), d)
+
+    def point(coords):
+        return " + ".join(f"{c}*{n}" for n, c in coords) or "0"
+
+    def step():
+        on = rng.sample(names, rng.randint(1, len(names)))
+        return point((n, rng.choice(steps)) for n in on)
+
+    def earlier():
+        return rng.choice(measures[-3:] if rng.random() < 0.7 else measures)
+
+    lines = [f"symbol {n} positive" for n in names]
+    measures = []
+    for i in range(rng.randint(3, 9)):
+        closures = sum("jclosure" in line for line in lines)
+        kind = rng.choice(("dirac", "shift", "scale", "sum", "jclosure")[:4 + (closures < 3)])
+        if not measures or kind == "dirac":
+            rhs = f"dirac({point((n, number(0, 2)) for n in names if rng.random() < 0.7)})"
+        elif kind == "scale":
+            rhs = f"scale({number(-2, 2)}, {earlier()})"
+        elif kind == "sum":
+            rhs = "sum(%s)" % ", ".join(earlier() for _ in range(rng.randint(1, 3)))
+        else:
+            rhs = f"{kind}({earlier()}, {step()})"
+        measures.append(f"m{i}")
+        lines.append(f"measure m{i} = {rhs}")
+    return lines
+
+
+def test_measure_lines_hold_the_truncated_sum_seeded():
+    # Parsed measure lines reach the builders; every atom-mass line must
+    # equal the truncated sum of the parsed measure, at points within reach
+    # of the truncation: with supports at 0 or above and every step at
+    # least 1/2 on some symbol, no closure reaches a point with coordinates
+    # up to 3 from more than 6 translates. Most points are drawn from the
+    # truncated sum's nonzero atoms, the rest from the box -1..3.
+    rng = random.Random(3636)
+    reach = 3
+    kinds, routes, nonzero = set(), set(), 0
+    for _ in range(40):
+        lines = _seeded_measure_lines(rng)
+        defn = parse_definition("\n".join(lines) + "\n")
+        syms = list(defn.symbols.values())
+        memo = {}
+        queries = []
+        for _ in range(10):
+            name = rng.choice(list(defn.measures))
+            atoms = materialize_truncated(defn.measures[name], 2 * reach, memo)
+            near = [p for p, m in atoms.items() if m and all(c <= reach for _, c in p.terms)]
+            if near and rng.random() < 0.7:
+                queries.append((name, rng.choice(near)))
+            else:
+                queries.append((name, point_combine(
+                    (Fraction(rng.randint(-6, 6 * reach), 6), unit(s)) for s in syms)))
+        lines += [
+            f"eval atom-mass {name} at {' + '.join(f'{c}*{s.name}' for s, c in p.terms) or 0}"
+            for name, p in queries
+        ]
+        defn = parse_definition("\n".join(lines) + "\n")
+        memo = {}
+        for claim, (name, p) in zip(run_definition(defn).claims, queries, strict=True):
+            want = materialize_truncated(defn.measures[name], 2 * reach, memo).get(p, 0)
+            assert claim.computed == want, (lines, name, p)
+            nonzero += want != 0
+        kinds |= {line.split(" = ")[1].split("(")[0] for line in lines if line.startswith("measure ")}
+        routes |= {m._runs is None for m in defn.measures.values() if type(m) is JClosure}
+    assert kinds == {"dirac", "shift", "scale", "sum", "jclosure"}
+    assert routes == {True, False} and nonzero > 100
 
 
 def test_jensen_probe_request_with_steps():
@@ -422,7 +506,7 @@ def test_every_number_reads_to_its_canonical_value(text):
     assert defn.additives["a"][s] == want
     read = [
         coordinate(defn.points["p"], s), defn.function.table[ZERO],
-        defn.measures["m"].factor, exact(defn.evals[0].expect),
+        defn.measures["m"].parts[0][0], exact(defn.evals[0].expect),
     ]
     assert read == [want] * 4 and {type(v) for v in read} == {type(want)}
     assert run_definition(defn).passed

@@ -53,8 +53,12 @@ def test_pospartpow_charges_only_a_result_of_a_word_or_more(monkeypatch):
     monkeypatch.setattr(
         functions, "charge", lambda units, what: calls.append(units) or real(units, what))
     with errors.metered():
-        # 21 * (2 + 1), 3 * (3 + 2) and 1 * (62 + 1) bits; a value <= 0 reads no bits.
-        for power, t in ((21, 2), (3, Fraction(5, 3)), (1, 2**61), (7, -2**100), (5, 0)):
+        # 21 * (2 + 1), 3 * (3 + 2) and 1 * (62 + 1) bits; a value <= 0 reads
+        # no bits, also at 0 to a power of 64 or more, where 0's one
+        # denominator bit would make 64.
+        reads = ((21, 2), (3, Fraction(5, 3)), (1, 2**61), (7, -2**100), (5, 0), (64, 0),
+                 (20000, 0))
+        for power, t in reads:
             PositivePartPower(power).apply(t)
         assert calls == [] and errors._spent == 0
         # 1 * (63 + 1) = 64 bits; 22 * 3 = 66; 64 * 102 = 6528 bits, 102

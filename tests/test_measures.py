@@ -12,6 +12,7 @@ import pytest
 from hamelcheck import (
     ZERO,
     Dirac,
+    Form,
     InvalidIncrement,
     JClosure,
     MeasureMass,
@@ -37,71 +38,16 @@ from hamelcheck import (
 )
 from hamelcheck import errors, measures, scenarios
 from hamelcheck.basis import sample_box
-from hamelcheck.measures import Nabla, signed_sum
+from hamelcheck.measures import signed_sum
 from helpers import (
-    Scaled, SumOf, coordinate, lattice_box, nested_nabla, standard_function, support_floor,
+    Scaled, SumOf, coordinate, lattice_box, materialize, materialize_truncated, nested_nabla,
+    standard_function, support_floor,
 )
 
 
 def _units(n):
     syms = symbols(" ".join(f"h{i}" for i in range(1, n + 2)), positive=True)
     return syms, [unit(s) for s in syms]
-
-
-def _difference(atoms, steps):
-    """The atom dict ``atoms`` with ``acc − T_h acc`` taken for each step."""
-    for h in steps:
-        acc = dict(atoms)
-        for p, m in atoms.items():
-            acc[p + h] = acc.get(p + h, Fraction(0)) - m
-        atoms = acc
-    return atoms
-
-
-def materialize(expr):
-    """Independent atom-dict oracle for closure-free trees."""
-    if isinstance(expr, Dirac):
-        return {expr.point: Fraction(1)}
-    if isinstance(expr, Shift):
-        return {p + expr.step: m for p, m in materialize(expr.inner).items()}
-    if isinstance(expr, Nabla):
-        return _difference(materialize(expr.inner), expr.steps)
-    if isinstance(expr, Scale):
-        return {p: expr.factor * m for p, m in materialize(expr.inner).items()}
-    if isinstance(expr, Sum):
-        acc = {}
-        for t in expr.terms:
-            for p, m in materialize(t).items():
-                acc[p] = acc.get(p, Fraction(0)) + m
-        return acc
-    raise TypeError(expr)
-
-
-def materialize_truncated(expr, kmax):
-    """Oracle including closures, truncated at kmax translates per level;
-    valid for probe points within reach of kmax steps."""
-    if isinstance(expr, JClosure):
-        inner = materialize_truncated(expr.inner, kmax)
-        acc = {}
-        for k in range(kmax + 1):
-            shift = k * expr.step
-            for p, m in inner.items():
-                q = p + shift
-                acc[q] = acc.get(q, Fraction(0)) + m
-        return acc
-    if isinstance(expr, Shift):
-        return {p + expr.step: m for p, m in materialize_truncated(expr.inner, kmax).items()}
-    if isinstance(expr, Nabla):
-        return _difference(materialize_truncated(expr.inner, kmax), expr.steps)
-    if isinstance(expr, Scale):
-        return {p: expr.factor * m for p, m in materialize_truncated(expr.inner, kmax).items()}
-    if isinstance(expr, Sum):
-        acc = {}
-        for t in expr.terms:
-            for p, m in materialize_truncated(t, kmax).items():
-                acc[p] = acc.get(p, Fraction(0)) + m
-        return acc
-    return materialize(expr)
 
 
 def test_dirac_masses():
@@ -453,7 +399,7 @@ def test_values_are_int_on_integral_inputs():
         assert type(c.computed) in (int, bool), c.label
 
     # The four entry points normalise a scalar given from outside.
-    assert type(Scale(Fraction(4, 2), Dirac(ZERO)).factor) is int
+    assert type(Scale(Fraction(4, 2), Dirac(ZERO)).parts[0][0]) is int
     assert type(Scaled(Fraction(9, 3), f).factor) is int
     assert type(Tabulated({ZERO: Fraction(5, 1)}).value(ZERO)) is int
     assert type(make_claim("c", "", Fraction(-2, 2), Fraction(-1)).computed) is int
@@ -575,26 +521,23 @@ def _termwise_minimum(floors):
 
 def _constructor_floor(expr, seen):
     """The support floor by the rules the constructors applied to points:
-    a Dirac's point, a shift's inner floor plus its step, a sum's termwise
-    minimum, a difference's termwise minimum of its inner floor and that
-    floor plus each sum of its steps, and a scale's or a closure's inner
-    floor. Every node it reaches must report that floor as its
-    ``support_floor``."""
+    a closure's inner floor, and a form's termwise minimum of its parts'
+    floors, each its child's floor (the origin for the unit atom) plus the
+    part's offset, and of those plus each sum of its increments. Every
+    node it reaches must report that floor as its ``support_floor``."""
     floor = seen.get(expr)
     if floor is None:
-        if isinstance(expr, Dirac):
-            floor = expr.point
-        elif isinstance(expr, Shift):
-            floor = _constructor_floor(expr.inner, seen) + expr.step
-        elif isinstance(expr, Sum):
-            floor = _termwise_minimum([_constructor_floor(t, seen) for t in expr.terms])
-        elif isinstance(expr, Nabla):
-            floors = [_constructor_floor(expr.inner, seen)]
-            for h in expr.steps:
+        if isinstance(expr, JClosure):
+            floor = _constructor_floor(expr.inner, seen)
+        else:
+            floors = [
+                (ZERO if child is None else _constructor_floor(child, seen))
+                + (ZERO if at is None else at)
+                for _, child, at in expr.parts
+            ]
+            for h in expr.diffs:
                 floors += [f + h for f in floors]
             floor = _termwise_minimum(floors)
-        else:
-            floor = _constructor_floor(expr.inner, seen)
         assert support_floor(expr) == floor, expr
         seen[expr] = floor
     return floor
@@ -1008,7 +951,7 @@ def test_nabla_is_the_nested_fold_form_for_form_seeded():
         ]
         for mu, steps in roots:
             got, want = nabla(mu, steps), nested_nabla(mu, steps)
-            assert type(got) is Nabla and got.steps == tuple(steps)
+            assert type(got) is Form and got.diffs == tuple(steps)
             assert _form(got) == _form(want), (mu, steps)
             n = len(got._basis)
             for x in sample_box(rng, got._basis, -1, 6, min(8 ** n, 30)):

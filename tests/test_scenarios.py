@@ -7,8 +7,8 @@ from itertools import product
 import pytest
 
 from hamelcheck import (
-    Dirac,
     EvenOrder,
+    Form,
     JClosure,
     UnknownCandidate,
     probe_even,
@@ -114,13 +114,14 @@ def test_lemma44_builds_each_atom_once(monkeypatch):
     # One unit atom per closure tree, and one for the positive-part claim
     # across all of A, not one per point.
     built = []
-    init = Dirac.__init__
+    init = Form.__init__
 
-    def counting(self, *args):
-        built.append(self)
-        init(self, *args)
+    def counting(self, parts, *args):
+        parts = tuple(parts)
+        built.extend(part for part in parts if part[1] is None)
+        init(self, parts, *args)
 
-    monkeypatch.setattr(Dirac, "__init__", counting)
+    monkeypatch.setattr(Form, "__init__", counting)
     n = 3
     assert verify_lemma_4_4(n).passed
     assert len(built) == n + 2
@@ -202,8 +203,8 @@ def test_prop43_instances_match_point_combine_draws():
         rng, oracle = random.Random(seed), random.Random(seed)
         nu, hs, probes = scenarios._random_instance(rng)
         atoms, want_hs, want_probes = _point_combine_instance(oracle)
-        assert [t.factor for t in nu.terms] == [w for w, _ in atoms]
-        assert canonical(t.inner.point for t in nu.terms) == canonical(p for _, p in atoms)
+        assert [(c, child) for c, child, _ in nu.parts] == [(w, None) for w, _ in atoms]
+        assert canonical(at for _, _, at in nu.parts) == canonical(p for _, p in atoms)
         assert canonical(hs) == canonical(want_hs)
         assert canonical(probes) == canonical(want_probes)
         assert rng.getstate() == oracle.getstate()
@@ -215,7 +216,7 @@ def test_prop43_probes_append_each_new_atom_once():
     seen_repeat = seen_sampled = False
     for seed in range(200):
         nu, _, probes = scenarios._random_instance(random.Random(seed))
-        atoms = [t.inner.point for t in nu.terms]
+        atoms = [at for _, _, at in nu.parts]
         sample = probes[:50]
         missed = [p for p in dict.fromkeys(atoms) if p not in sample]
         assert probes == sample + missed
