@@ -54,7 +54,6 @@ from .functions import (
 from .measures import (
     ASets,
     Dirac,
-    Form,
     JClosure,
     MeasureExpr,
     Scale,

@@ -429,10 +429,16 @@ def build_mu_i(i: int, syms: Sequence[Symbol]) -> MeasureExpr:
     return j_op(Dirac(pts[i - 1]), pts)
 
 
+def _signed(pairs: Sequence[tuple]) -> Form:
+    """The `Form` of the ``(child, at)`` parts ``pairs``: every one but
+    the first, minus the first, in that part order."""
+    return Form([(1, *pair) for pair in pairs[1:]] + [(-1, *pairs[0])])
+
+
 def signed_sum(mus: Sequence[MeasureExpr]) -> MeasureExpr:
     """The signed combination of mu_1..mu_(n+1), closures or their unit
     atoms: every one but the first, minus the first."""
-    return Form([(1, mu, None) for mu in mus[1:]] + [(-1, mus[0], None)])
+    return _signed([(mu, None) for mu in mus])
 
 
 def build_mu(syms: Sequence[Symbol]) -> MeasureExpr:
@@ -442,7 +448,7 @@ def build_mu(syms: Sequence[Symbol]) -> MeasureExpr:
     ``Σ_{i≥2} δ_{h_i} − δ_{h_1}``, and a query walks it once where
     ``signed_sum`` of the ``build_mu_i`` walks one chain per atom."""
     pts = _unit_increments(syms)
-    return j_op(Form([(1, None, p) for p in pts[1:]] + [(-1, None, pts[0])]), pts)
+    return j_op(_signed([(None, p) for p in pts]), pts)
 
 
 class ASets(NamedTuple):

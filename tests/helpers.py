@@ -8,7 +8,6 @@ from hamelcheck import (
     ZERO,
     AdditiveFunctional,
     Composite,
-    Form,
     JClosure,
     Point,
     PointFunction,
@@ -23,6 +22,7 @@ from hamelcheck import (
 )
 from hamelcheck.basis import Frozen, check_increment, exact
 from hamelcheck.functions import Kernel
+from hamelcheck.measures import Form
 
 
 class AbsoluteValue(Kernel):

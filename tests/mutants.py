@@ -3,15 +3,15 @@ the test modules named beside it must fail on it.
 
 Run from the root of the repository, with pytest installed:
 
-    python tests/mutants.py          # every mutant
-    python tests/mutants.py NAME...  # only the named ones
+    python tests/mutants.py
 
 The unmutated tree must pass every named module first. Then, for each
 mutant, the tree (``src/``, ``tests/``, ``samples/``, ``pyproject.toml``
 and ``perfbench/``, which ``tests/test_tracer.py`` imports) is copied into
 a temporary directory, the edit is applied there (its text must occur in
 the file exactly once), and the modules run with ``pytest -x``. A mutant
-is killed when a test fails; the script exits 1 if any survives or
+is killed when a test fails, or when its run outlasts ``TIMEOUT`` seconds
+(a test that no longer ends); the script exits 1 if any survives or
 cannot be applied. pytest does not collect this file.
 """
 
@@ -29,6 +29,9 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "samples", "perfbench", "pyproject.toml")
 FOLD = ("test_measures.py", "test_functions.py", "test_scenarios.py")
+# Seconds per run. A run takes 1-7 s; the unmutated run and eight mutants,
+# each at this limit, still end inside the CI job's 10 minutes.
+TIMEOUT = 45
 
 
 class Mutant(NamedTuple):
@@ -52,6 +55,11 @@ MUTANTS = (
            "floor = floors[0] if len(floors) == 1 else tuple(map(min, zip(*floors)))",
            "floor = floors[0]", FOLD),
     Mutant("first-increment-only", "measures.py", "for h in diffs:", "for h in diffs[:1]:", FOLD),
+    # The builders' mapping of their arguments to parts.
+    Mutant("shift-step-dropped", "measures.py",
+           "return Form(((1, inner, step),))", "return Form(((1, inner, None),))", FOLD),
+    Mutant("scale-factor-dropped", "measures.py",
+           "return Form(((exact(factor), inner, None),))", "return Form(((1, inner, None),))", FOLD),
     # A zero read charges nothing, whatever the power.
     Mutant("pospartpow-zero-charged", "functions.py", "if t <= 0:", "if t < 0:",
            ("test_functions.py",)),
@@ -68,26 +76,24 @@ def copy_tree(dst: Path) -> None:
             shutil.copy2(src, dst / name)
 
 
-def run_tests(tree: Path, modules: tuple[str, ...]) -> tuple[int, str]:
-    """Run ``modules`` of ``tree``'s tests with ``-x``: the exit status and
-    the last line of the output."""
+def run_tests(tree: Path, modules: tuple[str, ...]) -> tuple[int | None, str]:
+    """Run ``modules`` of ``tree``'s tests with ``-x``: the exit status,
+    None if the run outlasts ``TIMEOUT``, and the last line of the output."""
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
-    run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-         *(f"tests/{m}" for m in modules)],
-        cwd=tree, env=env, capture_output=True, text=True, timeout=600,
-    )
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             *(f"tests/{m}" for m in modules)],
+            cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT,
+        )
+    except subprocess.TimeoutExpired:
+        return None, f"timed out after {TIMEOUT} s"
     lines = run.stdout.strip().splitlines()
     return run.returncode, lines[-1] if lines else run.stderr.strip()
 
 
-def main(names: list[str]) -> int:
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutant: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 2
-    chosen = [m for m in MUTANTS if not names or m.name in names]
-    modules = tuple(dict.fromkeys(m for mutant in chosen for m in mutant.modules))
+def main() -> int:
+    modules = tuple(dict.fromkeys(m for mutant in MUTANTS for m in mutant.modules))
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp) / "base"
@@ -97,7 +103,7 @@ def main(names: list[str]) -> int:
         if status != 0:
             print("the unmutated tree must pass every named module", file=sys.stderr)
             return 1
-        for mutant in chosen:
+        for mutant in MUTANTS:
             tree = Path(tmp) / mutant.name
             shutil.copytree(base, tree)
             path = tree / "src" / "hamelcheck" / mutant.path
@@ -111,9 +117,9 @@ def main(names: list[str]) -> int:
             start = time.perf_counter()
             status, last = run_tests(tree, mutant.modules)
             took = time.perf_counter() - start
-            # 1: a test failed. Any other status (no test run, a usage or
-            # collection error) does not count as a kill.
-            killed = status == 1
+            # 1: a test failed; None: the run did not end. Any other status
+            # (no test run, a usage or collection error) is not a kill.
+            killed = status in (1, None)
             print(f"{mutant.name}: {'killed' if killed else 'SURVIVED'} in {took:.1f} s ({last})")
             failed += not killed
             shutil.rmtree(tree)
@@ -121,4 +127,4 @@ def main(names: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -12,7 +12,6 @@ import pytest
 from hamelcheck import (
     ZERO,
     Dirac,
-    Form,
     InvalidIncrement,
     JClosure,
     MeasureMass,
@@ -38,7 +37,7 @@ from hamelcheck import (
 )
 from hamelcheck import errors, measures, scenarios
 from hamelcheck.basis import sample_box
-from hamelcheck.measures import signed_sum
+from hamelcheck.measures import Form, signed_sum
 from helpers import (
     Scaled, SumOf, coordinate, lattice_box, materialize, materialize_truncated, nested_nabla,
     standard_function, support_floor,

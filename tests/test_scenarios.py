@@ -8,7 +8,6 @@ import pytest
 
 from hamelcheck import (
     EvenOrder,
-    Form,
     JClosure,
     UnknownCandidate,
     probe_even,
@@ -22,6 +21,7 @@ from hamelcheck import (
     verify_theorem_2_3,
 )
 from hamelcheck.basis import Symbol, point_combine, unit
+from hamelcheck.measures import Form
 from helpers import lattice_box
 
 
