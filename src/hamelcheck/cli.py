@@ -95,7 +95,7 @@ A_SETS = ((LARGE_ORDER, _always, "{m}*2^{n}-point A-sets", A_SET_ORDER),)
 # cost guards and its options besides OUTPUT. A guard is an order above
 # which --allow-large is needed, when it applies, what such an order costs
 # ({n} the order, {m} = n + 1) and the order past which it is refused
-# anyway, if any: the help text, the error and the warning all read this
+# anyway: the help text, the error and the warning all read this
 # one cost, and the first guard that applies is the one quoted. The table
 # holds each runner's name, not the function: ``main`` looks the name up in
 # this module on every call, so a wrapper installed on it at any time (the
@@ -319,7 +319,7 @@ def _calls(args: SimpleNamespace) -> list[tuple]:
     for limit, applies, cost, ceiling in args.guards:
         if args.n > limit and applies(args):
             cost = cost.format(n=args.n, m=args.n + 1)
-            if ceiling is not None and args.n > ceiling:
+            if args.n > ceiling:
                 raise HamelcheckError(f"order {args.n} needs {cost}; refused above order {ceiling}")
             if not args.allow_large:
                 raise HamelcheckError(f"order {args.n} needs {cost}; pass --allow-large to proceed")
@@ -343,7 +343,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     if not _write(output):
         return 2
     return 0 if all(r.passed for r in reports) else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

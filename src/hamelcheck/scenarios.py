@@ -147,16 +147,13 @@ def verify_section_3_1() -> Report:
 
 def verify_section_3_2() -> Report:
     """Order-2 candidates: the tabulated quadratic-magnitude example and
-    the three scaled-kernel propositions."""
+    the claims of each candidate that `probe even` checks."""
     # Quadratic-magnitude table on a one-step lattice; raw values are the
     # signed ones, magnitudes taken at construction.
     s = Symbol("s", positive=True)
     su = unit(s)
     q_raw = {ZERO: -9, su: 4, 2 * su: 7, 3 * su: 0}
     q_abs = tabulated_abs(q_raw)
-    f, x, h = _prop31_witness()
-    grids = [(c, *_prop32_grid(c)) for c in (0, 1, 2)]
-    squares = [(c, *_prop33_square(c)) for c in (-1, -2)]
     claims = (
         make_claim(
             "q-table-third-diff",
@@ -164,31 +161,7 @@ def verify_section_3_2() -> Report:
             forward_diff(q_abs, ZERO, (su, su, su)),
             -18,
         ),
-        make_claim(
-            "prop31-witness",
-            "third difference -(a(x))^2 at the exact witness (a(x)=1, a(h)=-2)",
-            forward_diff(f, x, (h,) * 3),
-            -1,
-        ),
-        *(
-            make_claim(
-                f"prop32-grid-c={c}",
-                f"violations of the third-difference sign for {c}^2*x_+^2 "
-                "on x in [-3,3], h in {1,2}",
-                len(jensen_convexity_probe(f, 2, grid)),
-                0,
-            )
-            for c, f, grid in grids
-        ),
-        *(
-            make_claim(
-                f"prop33-c={c}",
-                f"third difference of {c}^2*(-x)_+^2 at x=-1, h=1",
-                forward_diff(f, x, (h,) * 3),
-                -c * c,
-            )
-            for c, f, x, h in squares
-        ),
+        *(claim for candidate in _EVEN_CASES[2].values() for claim in candidate()),
     )
     return Report("section32", claims)
 
@@ -426,84 +399,67 @@ _OPEN_NOTE = (
 )
 
 
-# The order-2 candidates, each defined once for `section32` and `probe even`.
+# The order-2 candidates, each checked once for `section32` and `probe even`.
 
 
-def _prop31_witness():
-    """(a(.))_+^2 with a(s) = 1, a(t) = -2, and the exact witness x = s,
-    h = t, at which the third difference is -(a(x))^2 = -1."""
+def _prop31_claims() -> tuple[Claim, ...]:
+    """(a(.))_+^2 with a(s) = 1, a(t) = -2 at the exact witness x = s,
+    h = t, where the third difference is -(a(x))^2 = -1."""
     s, t = Symbol("s", positive=True), Symbol("t", positive=True)
-    a = AdditiveFunctional({s: 1, t: -2})
-    return Composite(PositivePartPower(2), a), unit(s), unit(t)
-
-
-def _prop32_grid(c: int):
-    """The scaled squared positive part c^2*x_+^2, which for c >= 0 is
-    (c*x)_+^2, and the integer grid x in [-3,3], h in {1,2}, on which it
-    has no violations."""
-    u = Symbol("u", positive=True)
-    uu = unit(u)
-    f = Composite(PositivePartPower(2), AdditiveFunctional({u: c}))
-    return f, [(j * uu, h) for j in range(-3, 4) for h in (uu, 2 * uu)]
-
-
-def _prop33_square(c: int):
-    """The reflected square c^2*(-x)_+^2, which for c < 0 is (c*x)_+^2,
-    with x = -1, h = 1, where the third difference is -c^2."""
-    u = Symbol("u", positive=True)
-    uu = unit(u)
-    f = Composite(PositivePartPower(2), AdditiveFunctional({u: c}))
-    return f, -1 * uu, uu
-
-
-def _even_prop31_witness() -> tuple[Claim, ...]:
-    f, x, h = _prop31_witness()
-    violations = jensen_convexity_probe(f, 2, [(x, h)])
+    f = Composite(PositivePartPower(2), AdditiveFunctional({s: 1, t: -2}))
     return (
         make_claim(
-            "jensen-violation-count",
-            "the exact witness sample violates the third-difference sign",
-            len(violations),
-            1,
-        ),
-        make_claim(
-            "jensen-violation-value",
-            "violation value -(a(x))^2 at the witness",
-            violations[0].value if violations else 0,
+            "prop31-witness",
+            "third difference -(a(x))^2 at the exact witness (a(x)=1, a(h)=-2)",
+            forward_diff(f, unit(s), (unit(t),) * 3),
             -1,
         ),
     )
 
 
-def _even_prop32_grid() -> tuple[Claim, ...]:
-    f, grid = _prop32_grid(1)
-    return (
-        make_claim(
-            "grid-violations",
-            "x_+^2 stays clean on x in [-3,3], h in {1,2}; no counterexample here",
+def _scaled_square(c: int):
+    """c^2*x_+^2 for c >= 0 and c^2*(-x)_+^2 for c < 0, both (c*x)_+^2,
+    over one symbol, with that symbol's unit."""
+    u = Symbol("u", positive=True)
+    return Composite(PositivePartPower(2), AdditiveFunctional({u: c})), unit(u)
+
+
+def _prop32_claims() -> tuple[Claim, ...]:
+    """For c = 0, 1, 2, no violation of the third-difference sign on the
+    integer grid x in [-3,3], h in {1,2}."""
+    claims = []
+    for c in (0, 1, 2):
+        f, u = _scaled_square(c)
+        grid = [(j * u, h) for j in range(-3, 4) for h in (u, 2 * u)]
+        claims.append(make_claim(
+            f"prop32-grid-c={c}",
+            f"violations of the third-difference sign for {c}^2*x_+^2 "
+            "on x in [-3,3], h in {1,2}",
             len(jensen_convexity_probe(f, 2, grid)),
             0,
-        ),
-    )
+        ))
+    return tuple(claims)
 
 
-def _even_prop33_witness() -> tuple[Claim, ...]:
-    f, x, h = _prop33_square(-1)
-    return (
-        make_claim(
-            "jensen-violation-value",
-            "third difference of (-x)_+^2 at x=-1, h=1 is -c^2 with c=-1",
-            forward_diff(f, x, (h,) * 3),
-            -1,
-        ),
-    )
+def _prop33_claims() -> tuple[Claim, ...]:
+    """For c = -1, -2, the third difference -c^2 at x = -1, h = 1."""
+    claims = []
+    for c in (-1, -2):
+        f, u = _scaled_square(c)
+        claims.append(make_claim(
+            f"prop33-c={c}",
+            f"third difference of {c}^2*(-x)_+^2 at x=-1, h=1",
+            forward_diff(f, -1 * u, (u,) * 3),
+            -c * c,
+        ))
+    return tuple(claims)
 
 
 _EVEN_CASES = {
     2: {
-        "prop31-witness": _even_prop31_witness,
-        "prop32-grid": _even_prop32_grid,
-        "prop33-witness": _even_prop33_witness,
+        "prop31-witness": _prop31_claims,
+        "prop32-grid": _prop32_claims,
+        "prop33-witness": _prop33_claims,
     }
 }
 
@@ -513,8 +469,8 @@ def even_candidates(n: int) -> tuple[str, ...]:
 
 
 def probe_even(n: int, case: str) -> Report:
-    """Run a documented even-order candidate probe; reports its failure
-    mode and nothing more."""
+    """Run a documented even-order candidate: the claims `section32` checks
+    for it, with the note that the class comparison stays open."""
     if n < 2 or n % 2:
         raise ValueError(f"probe order must be a positive even integer, got {n}")
     cases = _EVEN_CASES.get(n)

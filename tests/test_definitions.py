@@ -367,7 +367,6 @@ WITH_FUNCTION = BASE + "function pospartpow 2 of a\n"
     ("function pospartpow 2", 1, "expected: function pospartpow <n> of <func>"),
     ("function pospartpow x of a", 21, "bad power 'x'"),
     ("function pospartpow 0 of a", 21, "power must be >= 1"),
-    ("function pospartpow 20001 of a", 21, "power must be <= 20000"),
     ("function pospartpow 2 of b", 26, "unknown name 'b'"),
     ("function abs spline", 14, "unknown function form 'spline'"),
     ("function tabulated [0: 1]", 1, "tabulated values must be enclosed in { }"),
@@ -418,6 +417,27 @@ def test_every_eval_error_carries_its_column(line, column, message):
         parse_definition(src)
     assert (exc.value.line, exc.value.column) == (6, column)
     assert str(exc.value).startswith(f"line 6, col {column}: {message}")
+
+
+def test_a_pospartpow_power_has_no_ceiling_and_its_result_is_metered():
+    # No ceiling on the power: the meter charges a pospartpow result by its
+    # words before it is computed, so a power of 10^8 or more is refused at
+    # its eval line in O(1), and a read at a(x) <= 0 is 0 at any power.
+    parse_definition(BASE + "function pospartpow 20001 of a\n")
+    for power in (10 ** 8, 10 ** 10, 10 ** 12):
+        for value in (1, 2):
+            defn = parse_definition(
+                f"symbol s positive\nadditive a.s = {value}\nfunction pospartpow {power} of a\n"
+                "eval forward-diff at s with [s]\n")
+            with pytest.raises(DefinitionError) as exc:
+                run_definition(defn)
+            assert exc.value.line == 4
+            assert str(exc.value).startswith("line 4: pospartpow result of ")
+            assert str(exc.value).endswith(" refused (work limit 200000)")
+    defn = parse_definition("symbol s positive\nadditive a.s = -1\n"
+                            f"function pospartpow {10 ** 12} of a\n"
+                            "eval forward-diff at s with [s] expect 0\n")
+    assert run_definition(defn).passed
 
 
 @pytest.mark.parametrize("line, column", [

@@ -1000,6 +1000,29 @@ def test_a_metered_difference_of_a_walking_closure_charges_as_before():
     assert len(walk._memo) == 49
 
 
+def test_a_repeated_query_is_answered_from_the_memo(monkeypatch):
+    # A closure answers a point it has answered from its memo: a chain
+    # record makes no second closed-form call there, and a walk is charged
+    # nothing the second time.
+    a, b = symbols("a b", positive=True)
+    ua, ub = unit(a), unit(b)
+    record = JClosure(Sum((Dirac(ua), Dirac(ua + ub))), ua)
+    assert record._runs is not None
+    calls = []
+    real = measures._chain_mass
+    monkeypatch.setattr(measures, "_chain_mass", lambda mu, v: calls.append(v) or real(mu, v))
+    assert [atom_mass(record, 5 * ua + ub) for _ in range(2)] == [1, 1]
+    assert len(calls) == 1
+    walk = JClosure(Sum((Dirac(ZERO), Scale(2, Dirac(ub)))), ua + ub)
+    assert walk._runs is None
+    x = 9 * ua + 7 * ub
+    with errors.metered():
+        first = atom_mass(walk, x)
+        spent = errors._spent
+        assert spent > 0
+        assert atom_mass(walk, x) == first and errors._spent == spent
+
+
 def test_a_term_the_memo_or_the_floor_answers_is_read_without_a_call(monkeypatch):
     # The difference of a closure reads it at four translates. Once the
     # closure has answered each, the read takes the memo's total and makes

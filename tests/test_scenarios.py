@@ -238,14 +238,28 @@ def test_prop43_deterministic():
 def test_probe_even_cases():
     rep = probe_even(2, "prop31-witness")
     assert rep.passed
-    assert claims_by_label(rep)["jensen-violation-value"].computed == -1
+    assert [(c.label, c.computed) for c in rep.claims] == [("prop31-witness", -1)]
     assert rep.notes  # explicitly marked as probe-only
 
-    rep = probe_even(2, "prop33-witness")
-    assert claims_by_label(rep)["jensen-violation-value"].computed == -1
-
     rep = probe_even(2, "prop32-grid")
-    assert claims_by_label(rep)["grid-violations"].computed == 0
+    assert [(c.label, c.computed) for c in rep.claims] == [
+        ("prop32-grid-c=0", 0), ("prop32-grid-c=1", 0), ("prop32-grid-c=2", 0)]
+
+    rep = probe_even(2, "prop33-witness")
+    assert [(c.label, c.computed) for c in rep.claims] == [("prop33-c=-1", -1), ("prop33-c=-2", -4)]
+
+
+def test_probe_even_reports_section32s_claims():
+    # Each candidate is checked in one place: a probe's claims are the
+    # section32 claims of the same labels, and the cases between them
+    # report every section32 claim but the tabulated example's.
+    section = claims_by_label(verify_section_3_2())
+    seen = []
+    for case in scenarios.even_candidates(2):
+        claims = probe_even(2, case).claims
+        assert claims and list(claims) == [section[c.label] for c in claims], case
+        seen += [c.label for c in claims]
+    assert sorted(seen) == sorted(section.keys() - {"q-table-third-diff"})
 
 
 def test_probe_even_errors():
