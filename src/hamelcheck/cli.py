@@ -48,10 +48,17 @@ LINE_CEILING = 5501
 # theorem23's human-format trace took 10.6 s and 376 MiB at this order, and
 # four times that per step of two: above it, --allow-large does not help.
 TRACE_ORDER = 17
-# lemma44 took 5.5 s and 136 MiB at this order (lemma46 3.5 s and 134 MiB) in
-# a CLI process on CPython 3.11 with 2 cores, and four to five times that
-# time per step of two: above it, --allow-large does not help.
+# lemma44 took 5.5 s and 136 MiB at this order in a CLI process on CPython
+# 3.11 with 2 cores, and four to five times that time per step of two:
+# above it, --allow-large does not help.
 A_SET_ORDER = 15
+# lemma46 reads A by its 2(n+1) symmetry classes, each read of the chain
+# taking time quadratic in the order: it took 0.3 s at this order in a CLI
+# process (1.4 s at 201), so an order above it needs --allow-large.
+CLASS_ORDER = 101
+# lemma46 took 3.8-4.2 s and 25 MiB at this order in a CLI process, and 19 s
+# in process at 501: above it, --allow-large does not help.
+CLASS_CEILING = 301
 
 
 def run_definition_file(path: str):
@@ -88,7 +95,6 @@ BATCH = {
     "--n": (int, None, "odd order (default: batch)"),
     "--allow-large": (bool, False, None),  # the help quotes the command's guards
 }
-A_SETS = ((LARGE_ORDER, _always, "{m}*2^{n}-point A-sets", A_SET_ORDER),)
 
 # Each command's words map to its runner, its batch orders when --n is
 # omitted (none: the runner takes its options' values, in this order), its
@@ -107,8 +113,13 @@ COMMANDS = {
     ), BATCH),
     ("verify", "section31"): ("verify_section_3_1", (), (), {}),
     ("verify", "section32"): ("verify_section_3_2", (), (), {}),
-    ("verify", "lemma44"): ("verify_lemma_4_4", (1, 3, 5), A_SETS, BATCH),
-    ("verify", "lemma46"): ("verify_lemma_4_6", (1, 3, 5), A_SETS, BATCH),
+    ("verify", "lemma44"): ("verify_lemma_4_4", (1, 3, 5), (
+        (LARGE_ORDER, _always, "{m}*2^{n}-point A-sets", A_SET_ORDER),
+    ), BATCH),
+    ("verify", "lemma46"): ("verify_lemma_4_6", (1, 3, 5), (
+        (CLASS_ORDER, _always, "a chain of {m} closures read at 2*{m} classes (time cubic in n)",
+         CLASS_CEILING),
+    ), BATCH),
     ("verify", "prop43"): ("verify_prop_4_3", (), (), {
         "--trials": (int, 100, "number of random trials (default: 100)"),
         "--seed": (int, 42, "random seed (default: 42)"),

@@ -24,8 +24,11 @@ class Kernel(Frozen):
 
 class PositivePartPower(Kernel):
     """t -> (max(t, 0))**power, power >= 1, charged by its result's words
-    (``superlinear``); a result of under 64 bits is under one word, and
-    charges nothing."""
+    (``superlinear``), its bits taken as the power times the ceiling of
+    log2 of the numerator and of the denominator, ``(p - 1).bit_length()``,
+    within ``power`` bits a part of the true count. A result of under 64
+    bits is under one word and charges nothing, so t = 1 is free at any
+    power."""
 
     power: int
 
@@ -37,7 +40,7 @@ class PositivePartPower(Kernel):
     def apply(self, t: Scalar) -> Scalar:
         if t <= 0:
             return 0
-        bits = self.power * (t.numerator.bit_length() + t.denominator.bit_length())
+        bits = self.power * ((t.numerator - 1).bit_length() + (t.denominator - 1).bit_length())
         if bits >= 64:
             charge(superlinear(bits >> 6), "pospartpow result")
         return t ** self.power

@@ -22,8 +22,9 @@ with no closure term, or over a closure with a chain record, gets a
 chain record when every distinct step of its chain has one nonzero
 coordinate and no two share one (the axis-aligned case, which
 `build_mu_i` and `build_mu` are), and answers in closed form, one read
-per atom. Every other closure walks: it reads its inner form at each
-translate down to its support floor. One evaluator, `_mass`, answers
+per atom; `fixed_by` says whether a renaming of the symbols maps that
+record onto itself. Every other closure walks: it reads its inner form
+at each translate down to its support floor. One evaluator, `_mass`, answers
 every node, and alone reads or fills each node's memo of the masses
 asked of it; it reads a closure term with no call when the closure has
 answered that point, from its memo, or when the point lies below the
@@ -265,6 +266,23 @@ def _chain_index(mu: JClosure) -> tuple:
     index = on, off, steps, zeros, counts if any(counts) else None, low, groups
     mu.__dict__["_index"] = index
     return index
+
+
+def fixed_by(mu: MeasureExpr, perm: dict[Symbol, Symbol]) -> bool:
+    """Whether renaming the symbols of ``mu`` by ``perm`` (a symbol it does
+    not name stays) maps ``mu``'s chain record, its runs and its atoms with
+    their weights, onto itself, so that the closed form gives the same mass
+    at a point and at its renamed point. False for a node with no chain
+    record, or when ``perm`` does not permute ``mu``'s basis."""
+    runs = getattr(mu, "_runs", None)
+    basis = mu._basis
+    image = [perm.get(s, s) for s in basis]
+    if runs is None or sorted(image) != list(basis):
+        return False
+    to = [basis.index(s) for s in image]
+    atoms = mu._atoms
+    return (sorted([(perm.get(s, s), g, m) for s, g, m in runs]) == sorted(runs)
+            and all(atoms.get(_place(v, to, len(v))) == w for v, w in atoms.items()))
 
 
 def atom_mass(mu: MeasureExpr, x: Point) -> Scalar:

@@ -1,8 +1,9 @@
 """Structured pass/fail reports and their human/tsv/jsonl renderings.
 
-All comparisons are exact; a claim passes iff computed equals expected.
-Runners build each ``Report`` directly from the ``make_claim`` values
-they compute.
+All comparisons are exact; a claim passes iff computed equals expected,
+unless its runner fails it because the route to its value is not
+certified (lemma 4.6's symmetry classes). Runners build each ``Report``
+directly from the ``make_claim`` values they compute.
 """
 
 from __future__ import annotations

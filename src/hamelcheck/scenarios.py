@@ -9,6 +9,8 @@ report, so every run is reproducible.
 from __future__ import annotations
 
 import random
+from math import comb
+from operator import mul
 
 from .basis import (
     ZERO,
@@ -22,7 +24,6 @@ from .basis import (
 )
 from .differences import (
     backward_diff,
-    backward_diffs,
     difference_table,
     forward_diff,
     group_sums,
@@ -44,6 +45,7 @@ from .measures import (
     build_a_sets,
     build_mu,
     build_mu_i,
+    fixed_by,
     j_op,
     nabla,
     signed_sum,
@@ -233,47 +235,88 @@ def verify_lemma_4_4(n: int) -> Report:
     return Report(f"lemma44(n={n})", claims)
 
 
+# The other members of each class of A read beside its representative, and
+# the seed they are drawn from.
+_CLASS_DRAWS, _CLASS_SEED = 2, 46
+
+
+def _symmetric(syms: list[Symbol], units: list[Point], a: AdditiveFunctional, mu) -> bool:
+    """Whether the cycle (h2 ... h(n+1)) and the transposition (h2 h3),
+    which generate the permutations of ``syms[1:]``, each fix ``a``'s
+    values at the ``units`` of ``syms`` and ``mu``'s chain record
+    (`fixed_by`). Below three symbols past h1 the transposition is the
+    identity."""
+    rest = syms[1:]
+    cycle = dict(zip(rest, rest[1:] + rest[:1]))
+    swap = dict(zip(rest[:2], rest[1::-1]))
+    values = dict(zip(syms, map(a, units)))
+    return all(
+        fixed_by(mu, g) and all(values[g.get(s, s)] == v for s, v in values.items())
+        for g in (cycle, swap)
+    )
+
+
 def verify_lemma_4_6(n: int) -> Report:
     """Pointwise mass identities on A and the backward-difference chain
-    computed through measures and directly through the function."""
+    computed through measures and directly through the function. The
+    measure route reads A by its 2(n+1) classes under the permutations of
+    h2..h(n+1), which `_symmetric` must certify fix mu and a: a subset S
+    of the units is in class (b, k) for b = [h1 in S] and k = |S - {h1}|,
+    with the representative b*h1 + h2 + ... + h(k+1). A pointwise claim
+    reads every nonempty class's representative, and seeded other members
+    that must read the same; a difference at the top point is the class
+    sum of C(n, k)*(-1)^(n+1-b-k) times the value at the representative.
+    Uncertified, every claim but the direct path's fails."""
     require_odd(n)
     syms, units, a, f, top = _standard_setup(n)
     mu = build_mu(syms)
-    a_sets = build_a_sets(syms)
-    h1 = units[0]
-    delta1 = Dirac(h1)
+    delta1 = Dirac(units[0])
     sign_n = (-1) ** n
-
-    ok_additive = all(a(x) == atom_mass(mu, x) for x in a_sets.union)
     combined_pow = PointwisePower(MeasureMass(Sum((mu, delta1))), n)
-    ok_power = all(f.value(x) == combined_pow.value(x) for x in a_sets.union)
-    ok_binom = all(
-        combined_pow.value(x)
-        == atom_mass(mu, x) ** n - sign_n * atom_mass(delta1, x)
-        for x in a_sets.union
-    )
-    # The three measure-path differences share one expansion of the units.
-    mu_pow_diff, atom_diff, measure_path = backward_diffs(
-        (PointwisePower(MeasureMass(mu), n), MeasureMass(delta1), combined_pow), top, units
-    )
+    basis = tuple(sorted(syms))
+    at = [basis.index(s) for s in syms]
+
+    def reads(b: int, rest) -> tuple:
+        """a, mu, f, the combined power and delta_h1 at the sum of h1 (if b)
+        and the units at the indices ``rest``."""
+        v = [0] * (n + 1)
+        for i in (0, *rest) if b else rest:
+            v[at[i]] = 1
+        x = Point.from_coords(basis, v)
+        return a(x), atom_mass(mu, x), f.value(x), combined_pow.value(x), atom_mass(delta1, x)
+
+    rng = random.Random(_CLASS_SEED)
+    weights, values = [], []  # per class; (0, 0), the empty subset's, is first and not in A
+    same = True
+    for b in (0, 1):
+        for k in range(n + 1):
+            weights.append(comb(n, k) * (-1) ** (n + 1 - b - k))
+            values.append(rep := reads(b, range(1, k + 1)))
+            if 0 < k < n:
+                for _ in range(_CLASS_DRAWS):
+                    same &= reads(b, rng.sample(range(1, n + 1), k)) == rep
+    av, ms, fs, cs, ds = zip(*values)
+    mu_pow_diff = sum(map(mul, weights, [m ** n for m in ms]))
+    atom_diff = sum(map(mul, weights, ds))
+    measure_path = sum(map(mul, weights, cs))
     direct_path = backward_diff(f, top, units)
     claims = (
         make_claim(
             "additive-matches-mass-on-A",
             "a(x) = mu(x) for every x in A",
-            ok_additive,
+            same and av[1:] == ms[1:],
             True,
         ),
         make_claim(
             "mass-power-identity-on-A",
             f"f(x) = (mu + delta_h1)^{n}(x) pointwise on A",
-            ok_power,
+            same and fs[1:] == cs[1:],
             True,
         ),
         make_claim(
             "binomial-reduction-on-A",
             f"(mu + delta_h1)^{n}(x) = mu^{n}(x) - (-1)^{n}*[x = h1] on A",
-            ok_binom,
+            same and all(c == m ** n - sign_n * d for m, c, d in zip(ms[1:], cs[1:], ds[1:])),
             True,
         ),
         make_claim(
@@ -307,6 +350,10 @@ def verify_lemma_4_6(n: int) -> Report:
             True,
         ),
     )
+    if not _symmetric(syms, units, a, mu):
+        note = f"; uncertified: a permutation of h2..h{n + 1} moves mu's chain record or a"
+        claims = tuple(c if c.label == "chain-direct-path" else
+                       c._replace(ref=c.ref + note, passed=False) for c in claims)
     return Report(f"lemma46(n={n})", claims)
 
 
@@ -448,7 +495,7 @@ def _prop33_claims() -> tuple[Claim, ...]:
         f, u = _scaled_square(c)
         claims.append(make_claim(
             f"prop33-c={c}",
-            f"third difference of {c}^2*(-x)_+^2 at x=-1, h=1",
+            f"third difference of ({c})^2*(-x)_+^2 at x=-1, h=1",
             forward_diff(f, -1 * u, (u,) * 3),
             -c * c,
         ))

@@ -8,19 +8,28 @@ from hamelcheck import (
     ZERO,
     AdditiveFunctional,
     Composite,
+    Dirac,
     JClosure,
+    MeasureMass,
     Point,
     PointFunction,
+    PointwisePower,
     PositivePartPower,
     Scale,
     Shift,
     Sum,
     Symbol,
     Tabulated,
+    atom_mass,
+    backward_diff,
+    build_a_sets,
+    build_mu,
     point_combine,
+    scenarios,
     unit,
 )
 from hamelcheck.basis import Frozen, check_increment, exact
+from hamelcheck.differences import backward_diffs
 from hamelcheck.functions import Kernel
 from hamelcheck.measures import Form
 
@@ -206,3 +215,32 @@ def random_tabulated_instance(rng, max_increments=5):
 
 def random_lattice_point(rng, units, lo=0, hi=3):
     return point_combine((rng.randint(lo, hi), u) for u in units)
+
+
+def lemma_4_6_full(n):
+    """Each claim's computed value of ``verify_lemma_4_6(n)`` by the full
+    route, the oracle of its class route: every pointwise claim reads all
+    2^(n+1) - 1 points of A from ``build_a_sets``, and the three
+    measure-path differences share one ``backward_diffs`` expansion over
+    the 2^(n+1) subset sums of the units."""
+    syms, units, a, f, top = scenarios._standard_setup(n)
+    mu = build_mu(syms)
+    union = build_a_sets(syms).union
+    delta1 = Dirac(units[0])
+    sign_n = (-1) ** n
+    combined_pow = PointwisePower(MeasureMass(Sum((mu, delta1))), n)
+    mu_pow_diff, atom_diff, measure_path = backward_diffs(
+        (PointwisePower(MeasureMass(mu), n), MeasureMass(delta1), combined_pow), top, units)
+    direct_path = backward_diff(f, top, units)
+    return {
+        "additive-matches-mass-on-A": all(a(x) == atom_mass(mu, x) for x in union),
+        "mass-power-identity-on-A": all(f.value(x) == combined_pow.value(x) for x in union),
+        "binomial-reduction-on-A": all(
+            combined_pow.value(x) == atom_mass(mu, x) ** n - sign_n * atom_mass(delta1, x)
+            for x in union),
+        "power-mass-diff-at-top": mu_pow_diff,
+        "unit-atom-diff-at-top": atom_diff,
+        "chain-measure-path": measure_path,
+        "chain-direct-path": direct_path,
+        "paths-agree": measure_path == direct_path,
+    }

@@ -29,9 +29,10 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "samples", "perfbench", "pyproject.toml")
 FOLD = ("test_measures.py", "test_functions.py", "test_scenarios.py")
+CLASSES = ("test_scenarios.py",)
 # Seconds per run. The unmutated run takes about 13 s and a mutant's 1-9 s
 # (CPython 3.11, 2 cores); (1 + len(MUTANTS)) runs, each at this limit,
-# must end inside the CI job's 10 minutes.
+# must end inside the CI job's 12 minutes.
 TIMEOUT = 30
 
 
@@ -86,6 +87,15 @@ MUTANTS = (
            ("test_differences.py",)),
     # The even-order candidates' scaled square (c*x)_+^2.
     Mutant("scaled-square-sign-dropped", "scenarios.py", "{u: c}", "{u: abs(c)}", FOLD),
+    # Lemma 4.6's class route: each class's weight and sign in the sums at
+    # the top point, its representative, and the certificate's generators.
+    Mutant("class-weight-off-by-one", "scenarios.py", "comb(n, k)", "comb(n + 1, k)", CLASSES),
+    Mutant("class-sign-flipped", "scenarios.py",
+           "(-1) ** (n + 1 - b - k)", "(-1) ** (n - b - k)", CLASSES),
+    Mutant("class-representative-without-h1", "scenarios.py",
+           "for i in (0, *rest) if b else rest:", "for i in rest:", CLASSES),
+    Mutant("certificate-generator-dropped", "scenarios.py",
+           "for g in (cycle, swap)", "for g in (cycle,)", CLASSES),
 )
 
 

@@ -136,29 +136,33 @@ def test_commands_call_the_runner_bound_in_cli(monkeypatch, capsys, argv, name):
 
 
 @pytest.mark.parametrize("argv, name, cost", [
-    (["lemma44"], "verify_lemma_4_4", "14*2^13-point A-sets"),
-    (["lemma46"], "verify_lemma_4_6", "14*2^13-point A-sets"),
-    (["theorem23", "--trace"], "verify_theorem_2_3", "a 2^14-row table for a human-format --trace"),
+    (["lemma44", "--n", "13"], "verify_lemma_4_4", "14*2^13-point A-sets"),
+    (["lemma46", "--n", "103"], "verify_lemma_4_6",
+     "a chain of 104 closures read at 2*104 classes (time cubic in n)"),
+    (["theorem23", "--trace", "--n", "13"], "verify_theorem_2_3",
+     "a 2^14-row table for a human-format --trace"),
 ])
 def test_large_orders_quote_their_own_cost(monkeypatch, capsys, argv, name, cost):
     # The error, the warning and --help read one cost per scenario: the
-    # A-sets for the closure lemmas, the trace table for theorem23.
-    code, out, err = run_cli(capsys, "verify", *argv, "--n", "13")
+    # A-sets for lemma44, the chain's class reads for lemma46, the trace
+    # table for theorem23, each at the first odd order above its limit.
+    n = int(argv[-1])
+    code, out, err = run_cli(capsys, "verify", *argv)
     assert (code, out) == (2, "")
-    assert err == f"error: order 13 needs {cost}; pass --allow-large to proceed\n"
+    assert err == f"error: order {n} needs {cost}; pass --allow-large to proceed\n"
     # With the flag the same cost is a warning; the runner is swapped for
     # order 1 so that the test stays fast.
     runner = getattr(cli, name)
     monkeypatch.setattr(cli, name, lambda n: runner(1))
-    code, _, err = run_cli(capsys, "verify", *argv, "--n", "13", "--allow-large")
+    code, _, err = run_cli(capsys, "verify", *argv, "--allow-large")
     assert code == 0
-    assert err == f"warning: order 13 needs {cost}; this may take a while\n"
+    assert err == f"warning: order {n} needs {cost}; this may take a while\n"
     # Wide enough that argparse does not wrap the help at a hyphen.
     monkeypatch.setenv("COLUMNS", "200")
     with pytest.raises(SystemExit):
         main(["verify", argv[0], "--help"])
-    symbolic = cost.replace("14", "(n+1)").replace("13", "n")
-    assert f"orders above 11 that need {symbolic}" in " ".join(capsys.readouterr().out.split())
+    symbolic = cost.replace(str(n + 1), "(n+1)").replace(str(n), "n")
+    assert f"orders above {n - 2} that need {symbolic}" in " ".join(capsys.readouterr().out.split())
 
 
 def test_theorem23_beyond_the_line_order_needs_the_flag(monkeypatch, capsys):
@@ -235,24 +239,34 @@ def test_theorem23_human_trace_above_the_trace_order_is_refused(monkeypatch, cap
     ("lemma44", "verify_lemma_4_4"), ("lemma46", "verify_lemma_4_6"),
 ])
 def test_a_sets_above_the_ceiling_are_refused(monkeypatch, capsys, scenario, name):
-    # Each step of two costs the closure lemmas about four times as much,
-    # so above A_SET_ORDER they are refused even with --allow-large, before
-    # anything is built (order 99 ran until it was killed). At the ceiling
-    # the flag still reaches the runner, stubbed here so nothing runs. CI
-    # runs lemma46 at order 15, so the ceiling is at least that.
+    # Each step of two costs lemma44's A-sets about four times as much, so
+    # above A_SET_ORDER it is refused even with --allow-large, before
+    # anything is built (order 99 ran until it was killed); CI runs it at
+    # order 13, so the ceiling is above that. Lemma46 reads A by classes,
+    # in time cubic in the order (19 s at order 501): above CLASS_CEILING
+    # it is refused the same way, and CI runs it at order 101 with no
+    # flag. At the ceiling the flag still reaches the runner, stubbed here
+    # so nothing runs.
+    top, cost, least = {
+        "lemma44": (cli.A_SET_ORDER, "{m}*2^{n}-point A-sets", 13),
+        "lemma46": (cli.CLASS_CEILING,
+                    "a chain of {m} closures read at 2*{m} classes (time cubic in n)",
+                    cli.CLASS_ORDER),
+    }[scenario]
     calls = []
     monkeypatch.setattr(cli, name, lambda n: calls.append(n) or cli.verify_section_3_1())
-    top = cli.A_SET_ORDER
-    assert top >= 15
-    for n in (top + 2, 99):
+    assert top > least
+    for n in (top + 2, 99999999999):
         code, out, err = run_cli(capsys, "verify", scenario, "--n", str(n), "--allow-large",
                                  "--format", "jsonl")
         assert (code, out, calls) == (2, "", [])
-        assert err == f"error: order {n} needs {n + 1}*2^{n}-point A-sets; refused above order {top}\n"
+        assert err == (f"error: order {n} needs {cost.format(n=n, m=n + 1)}; "
+                       f"refused above order {top}\n")
     code, _, err = run_cli(capsys, "verify", scenario, "--n", str(top), "--allow-large",
                            "--format", "jsonl")
     assert (code, calls) == (0, [top])
-    assert err == f"warning: order {top} needs {top + 1}*2^{top}-point A-sets; this may take a while\n"
+    assert err == (f"warning: order {top} needs {cost.format(n=top, m=top + 1)}; "
+                   "this may take a while\n")
 
 
 def test_prop43_above_the_trial_maximum_is_refused(monkeypatch, capsys):
@@ -275,6 +289,13 @@ def test_prop43_above_the_trial_maximum_is_refused(monkeypatch, capsys):
     with pytest.raises(AssertionError, match="a trial was drawn"):
         verify_prop_4_3(most, 1)
     assert len(drawn) == 1
+
+
+def test_prop43_needs_a_trial(capsys):
+    with pytest.raises(ValueError, match=r"^trials must be >= 1$"):
+        verify_prop_4_3(0, 1)
+    assert run_cli(capsys, "verify", "prop43", "--trials", "0") == (
+        2, "", "error: trials must be >= 1\n")
 
 
 def test_out_of_memory_is_a_usage_error(monkeypatch, capsys):
@@ -899,19 +920,41 @@ def test_a_power_past_the_limit_is_refused_before_it_is_computed(tmp_path, capsy
     # x**20000 of a 190-digit x, about 198,000 words, was charged a unit a
     # word, under the limit, and ran 2.3 s before the next power was
     # refused. Weighed by errors.superlinear, the line spends 2 units on its
-    # expansion's keys and its first read, (2x)**20000, is refused: 198,125
-    # words weighed 7 times.
+    # expansion's keys and its first read, (2x)**20000, is refused: 20,000
+    # times the 632 bits of ceil(log2(2x)), 197,812 words, weighed 7 times.
     path = tmp_path / "power.def"
     path.write_text(f"symbol s positive\nadditive a.s = {'9' * 190}\n"
                     "function pospartpow 20000 of a\neval forward-diff at s with [s]\n")
     assert run_cli(capsys, "run", str(path)) == (
-        2, "", "error: line 4: pospartpow result of 1386875 units of work after 2 refused"
+        2, "", "error: line 4: pospartpow result of 1384684 units of work after 2 refused"
         " (work limit 200000)\n"
     )
     with errors.metered(), pytest.raises(HamelcheckError) as raised:
         PositivePartPower(20000).apply(2 * (10 ** 190 - 1))
     assert str(raised.value) == (
-        "pospartpow result of 1386875 units of work refused (work limit 200000)")
+        "pospartpow result of 1384684 units of work refused (work limit 200000)")
+
+
+def test_a_jensen_probe_with_no_positive_symbol_is_refused_at_its_line(tmp_path, capsys):
+    # The samples take every positive symbol declared; with none there is
+    # no increment to probe along.
+    path = tmp_path / "none.def"
+    path.write_text("symbol s\nadditive a.s = 1\nfunction pospartpow 3 of a\n"
+                    "eval jensen-probe n=3 grid=box(0..1)\n")
+    assert run_cli(capsys, "run", str(path)) == (
+        2, "", "error: line 4: jensen-probe needs at least one positive symbol\n")
+
+
+def test_a_power_of_one_is_free_at_any_power(tmp_path, capsys):
+    # f(s) = 1**(10^8) and f(0) = 0: a read of 1 has no bits to charge, so
+    # the difference is 1. Charged by the bits of 1's numerator and
+    # denominator, the read was refused as a result of 2*10^8 bits.
+    path = tmp_path / "one.def"
+    path.write_text("symbol s positive\nadditive a.s = 1\nfunction pospartpow 100000000 of a\n"
+                    "eval forward-diff at 0 with [s] expect 1\n")
+    code, out, err = run_cli(capsys, "run", str(path), "--format", "jsonl")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["computed"] == "1"
 
 
 def test_a_long_binomial_is_refused_before_comb_runs(tmp_path, capsys, monkeypatch):
@@ -1144,7 +1187,10 @@ def _oracle():
         ("section31", "verify_section_3_1", (), ()),
         ("section32", "verify_section_3_2", (), ()),
         ("lemma44", "verify_lemma_4_4", (1, 3, 5), a_sets),
-        ("lemma46", "verify_lemma_4_6", (1, 3, 5), a_sets),
+        ("lemma46", "verify_lemma_4_6", (1, 3, 5), (
+            (cli.CLASS_ORDER, cli._always,
+             "a chain of {m} closures read at 2*{m} classes (time cubic in n)", cli.CLASS_CEILING),
+        )),
     ):
         p = vsub.add_parser(name, parents=flags)
         if batch:
@@ -1196,7 +1242,8 @@ def _corpus():
                   ["--n", "3", "--n", "5"], ["--n", "x"], ["--n"], ["--n="], ["--n", "-"],
                   ["--n", "--trace"], ["--n", "--", "5"], ["--n", "3", "--", "5"],
                   ["--n", "3", "--allow-large=yes"], ["--n", "1003", "--allow-large"],
-                  ["--n", "19", "--trace", "--allow-large"], ["--n", "99999999999"]):
+                  ["--n", "19", "--trace", "--allow-large"], ["--n", "99999999999"],
+                  ["--n", "103"], ["--n", "303", "--allow-large"]):
             yield [*cmd, *n]
     for flags in (["--trials", "3"], ["--tri", "3", "--s", "5"], ["--trials=7", "--seed=-5"],
                   ["--seed", "-5"], ["--trials", "x"], ["--seed"], ["--tr", "3"],

@@ -44,34 +44,36 @@ def test_kernels():
 
 
 def test_pospartpow_charges_only_a_result_of_a_word_or_more(monkeypatch):
-    # A read is charged by its result's 64-bit words: the power times the
-    # bits of the value's numerator and denominator, shifted by 6 and
-    # weighed by superlinear. Under 64 bits that is 0 units, and the read
-    # makes no call to the meter; from 64 bits on it charges as before.
+    # A read is charged by its result's 64-bit words: the power times
+    # ceil(log2) of the value's numerator and of its denominator, shifted
+    # by 6 and weighed by superlinear. Under 64 bits that is 0 units, and
+    # the read makes no call to the meter; from 64 bits on it charges.
     calls = []
     real = functions.charge
     monkeypatch.setattr(
         functions, "charge", lambda units, what: calls.append(units) or real(units, what))
     with errors.metered():
-        # 21 * (2 + 1), 3 * (3 + 2) and 1 * (62 + 1) bits; a value <= 0 reads
-        # no bits, also at 0 to a power of 64 or more, where 0's one
-        # denominator bit would make 64.
-        reads = ((21, 2), (3, Fraction(5, 3)), (1, 2**61), (7, -2**100), (5, 0), (64, 0),
-                 (20000, 0))
+        # 21 * 1, 3 * (3 + 2), 1 * 63 and 31 * 2 bits; 1 is 0 bits at any
+        # power. A value <= 0 reads no bits, also at 0 to a power of 64 or
+        # more, where ceil(log2) of 0's numerator, (-1).bit_length(), would
+        # make 64.
+        reads = ((21, 2), (3, Fraction(5, 3)), (1, 2**63), (31, 4), (64, 1), (10**8, 1),
+                 (7, -2**100), (5, 0), (64, 0), (20000, 0))
         for power, t in reads:
-            PositivePartPower(power).apply(t)
+            assert PositivePartPower(power).apply(t) == max(t, 0) ** power
         assert calls == [] and errors._spent == 0
-        # 1 * (63 + 1) = 64 bits; 22 * 3 = 66; 64 * 102 = 6528 bits, 102
-        # words; 3 * (101 + 2) = 309 bits, 4 words; 2100 * 1001 bits,
-        # 32,845 words, weighed twice past 2^15 words.
-        reads = ((1, 2**62), (22, 2), (64, 2**100), (3, Fraction(2**100 + 1, 3)), (2100, 2**999))
+        # 1 * 64 bits; 1 * 65; 32 * 2; 64 * 100 = 6400 bits, 100 words;
+        # 3 * (101 + 2) = 309 bits, 4 words; 2100 * 999 bits, 32,779
+        # words, weighed twice past 2^15 words.
+        reads = ((1, 2**64), (1, 2**64 + 1), (32, 4), (64, 2**100),
+                 (3, Fraction(2**100 + 1, 3)), (2100, 2**999))
         for power, t in reads:
             assert PositivePartPower(power).apply(t) == t**power
-        assert calls == [1, 1, 102, 4, 65690] and errors._spent == sum(calls)
-    monkeypatch.setattr(errors, "WORK_LIMIT", 101)
+        assert calls == [1, 1, 1, 100, 4, 65558] and errors._spent == sum(calls)
+    monkeypatch.setattr(errors, "WORK_LIMIT", 99)
     with errors.metered(), pytest.raises(HamelcheckError) as raised:
         PositivePartPower(64).apply(2**100)
-    assert str(raised.value) == "pospartpow result of 102 units of work refused (work limit 101)"
+    assert str(raised.value) == "pospartpow result of 100 units of work refused (work limit 99)"
 
 
 def test_function_eval_cube_values():

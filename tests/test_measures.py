@@ -21,6 +21,7 @@ from hamelcheck import (
     Scale,
     Shift,
     Sum,
+    Symbol,
     Tabulated,
     atom_mass,
     build_a_sets,
@@ -827,6 +828,39 @@ def test_only_axis_aligned_chains_over_atoms_keep_a_record():
         JClosure(Shift(JClosure(atom, ua), ub), ub),
     ):
         assert walks._runs is None
+
+
+def test_a_repeated_basis_symbol_is_refused():
+    a, b = symbols("a b", positive=True)
+    for build in (build_mu, build_a_sets, lambda syms: build_mu_i(1, syms)):
+        with pytest.raises(ValueError, match=r"^basis symbols must be distinct$"):
+            build([a, b, a])
+
+
+def test_fixed_by_reads_the_chain_record_runs_atoms_and_weights():
+    # A renaming fixes a chain record when it maps its runs and its
+    # weighted atoms onto themselves; a node with no record, or a renaming
+    # that leaves the basis, is never certified.
+    a, b, c = symbols("a b c", positive=True)
+    ua, ub, uc = unit(a), unit(b), unit(c)
+    swap, cycle = {a: b, b: a}, {a: b, b: c, c: a}
+    mu = build_mu([c, a, b])  # -1 at c, +1 at a and b
+    assert measures.fixed_by(mu, swap) and measures.fixed_by(mu, {})
+    assert not measures.fixed_by(mu, cycle)
+    assert not measures.fixed_by(mu, {a: c, c: a})  # the weights of a and c differ
+    assert not measures.fixed_by(mu, {a: b})  # not a permutation of the basis
+    assert not measures.fixed_by(mu, {a: b, b: Symbol("d", positive=True)})
+    # Equal atoms over runs of unequal steps or multiplicities.
+    atoms = Sum((Dirac(ua), Dirac(ub)))
+    assert measures.fixed_by(j_op(atoms, [ua, ub]), swap)
+    assert not measures.fixed_by(j_op(atoms, [ua, 2 * ub]), swap)
+    assert not measures.fixed_by(j_op(atoms, [ua, ua, ub]), swap)
+    # Atoms h_a + 2h_b, h_b + 2h_c, h_c + 2h_a: fixed by the cycle alone.
+    ring = Sum([Dirac(point_combine(((1, p), (2, q)))) for p, q in ((ua, ub), (ub, uc), (uc, ua))])
+    closed = j_op(ring, [ua, ub, uc])
+    assert measures.fixed_by(closed, cycle) and not measures.fixed_by(closed, swap)
+    for node in (atoms, JClosure(atoms, ua + ub), Sum((mu, Dirac(uc)))):
+        assert not measures.fixed_by(node, {})
 
 
 def _probe_roots(units, rng):

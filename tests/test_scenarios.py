@@ -20,9 +20,10 @@ from hamelcheck import (
     verify_section_3_2,
     verify_theorem_2_3,
 )
-from hamelcheck.basis import Symbol, point_combine, unit
-from hamelcheck.measures import Form
-from helpers import lattice_box
+from hamelcheck.basis import AdditiveFunctional, Symbol, point_combine, unit
+from hamelcheck.functions import Composite, PositivePartPower
+from hamelcheck.measures import Form, build_mu, j_op
+from helpers import lattice_box, lemma_4_6_full
 
 
 def claims_by_label(report):
@@ -136,6 +137,89 @@ def test_lemma46_orders_and_chain():
         assert by["unit-atom-diff-at-top"].computed == Fraction((-1) ** n)
         assert by["chain-measure-path"].computed == -1
         assert by["chain-direct-path"].computed == -1
+
+
+def test_lemma46_class_route_matches_the_full_route():
+    # The class route reads 2(n+1) classes of A; the oracle reads all of A
+    # and expands the three measure-path differences over every subset sum.
+    for n in range(1, 14, 2):
+        rep = verify_lemma_4_6(n)
+        assert rep.passed
+        assert {c.label: c.computed for c in rep.claims} == lemma_4_6_full(n), n
+
+
+def _lemma46_with(monkeypatch, n, a_at_last=1, extra=()):
+    """verify_lemma_4_6(n) with a(h(n+1)) set to ``a_at_last`` and the
+    weighted points ``extra`` added to mu's signed unit atoms, under the
+    same chain of closures."""
+    setup = scenarios._standard_setup
+
+    def asymmetric(n):
+        syms, units, a, f, top = setup(n)
+        a = AdditiveFunctional({**{s: a(unit(s)) for s in syms}, syms[-1]: a_at_last})
+        return syms, units, a, Composite(PositivePartPower(n), a), top
+
+    def mu(syms):
+        units = [unit(s) for s in syms]
+        atoms = [(-1, units[0]), *((1, u) for u in units[1:]), *extra]
+        return j_op(Form([(w, None, p) for w, p in atoms]), units)
+
+    monkeypatch.setattr(scenarios, "_standard_setup", asymmetric)
+    monkeypatch.setattr(scenarios, "build_mu", mu)
+    return claims_by_label(verify_lemma_4_6(n))
+
+
+def test_lemma46_as_built_is_certified(monkeypatch):
+    # The builders the cases below patch, with nothing moved, give the
+    # scenario's own claims, and the certificate holds as built.
+    for n in (1, 3, 5):
+        want = claims_by_label(verify_lemma_4_6(n))
+        with monkeypatch.context() as m:
+            assert _lemma46_with(m, n) == want
+        syms, units, a, _, _ = scenarios._standard_setup(n)
+        assert scenarios._symmetric(syms, units, a, build_mu(syms))
+
+
+@pytest.mark.parametrize("a_at_last, extra", [
+    # a(h4) = 2: the transposition (h2 h3) fixes a's values, the cycle does not.
+    (2, ()),
+    # Atoms at h2 + 2*h3, h3 + 2*h4 and h4 + 2*h2: the cycle fixes mu's
+    # chain record, the transposition does not. They leave every mass on A
+    # as it was.
+    (1, ((0, 1, 2, 0), (0, 0, 1, 2), (0, 2, 0, 1))),
+], ids=["a-moved-by-the-cycle", "mu-moved-by-the-transposition"])
+def test_lemma46_fails_every_claim_an_uncertified_symmetry_reaches(monkeypatch, a_at_last, extra):
+    # With no other member drawn, only the certificate can see the moved
+    # values; every claim but the direct path's fails, even one whose
+    # computed value equals its expected one, and the full route does not
+    # stand in. The direct path reads f alone, and passes either way.
+    units = [unit(s) for s in scenarios._standard_setup(3)[0]]
+    monkeypatch.setattr(scenarios, "_CLASS_DRAWS", 0)
+    by = _lemma46_with(monkeypatch, 3, a_at_last,
+                       [(1, point_combine(zip(coeffs, units))) for coeffs in extra])
+    direct = by.pop("chain-direct-path")
+    assert direct.passed and "uncertified" not in direct.ref
+    assert not any(c.passed for c in by.values())
+    atom = by["unit-atom-diff-at-top"]
+    assert atom.computed == atom.expected == -1 and not atom.passed
+    assert atom.ref.endswith("; uncertified: a permutation of h2..h4 moves mu's chain record or a")
+
+
+def test_lemma46_other_members_must_read_as_their_representative(monkeypatch):
+    # Atoms +1 at h2 + h4 and -1 at h2 + h3 + h4 leave every
+    # representative's mass as it was, h2 + h3 + h4 among them, but add 1
+    # at the member h2 + h4 of class (0, 2). With the certificate taken as
+    # passed, the drawn members alone fail the pointwise claims.
+    units = [unit(s) for s in scenarios._standard_setup(3)[0]]
+    extra = [(1, units[1] + units[3]), (-1, units[1] + units[2] + units[3])]
+    monkeypatch.setattr(scenarios, "_symmetric", lambda *args: True)
+    by = _lemma46_with(monkeypatch, 3, extra=extra)
+    pointwise = ("additive-matches-mass-on-A", "mass-power-identity-on-A",
+                 "binomial-reduction-on-A")
+    assert [by[label].computed for label in pointwise] == [False, False, False]
+    monkeypatch.setattr(scenarios, "_CLASS_DRAWS", 0)
+    by = _lemma46_with(monkeypatch, 3, extra=extra)
+    assert [by[label].computed for label in pointwise] == [True, True, True]
 
 
 def test_theorem_and_chain_values_agree():
