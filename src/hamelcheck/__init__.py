@@ -44,9 +44,7 @@ from .errors import (
 )
 from .functions import (
     Composite,
-    MeasureMass,
     PointFunction,
-    PointwisePower,
     PositivePartPower,
     Tabulated,
     tabulated_abs,

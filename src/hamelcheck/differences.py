@@ -3,19 +3,20 @@
 Every mixed difference over ``hs`` is one expansion: the terms ``{e: c}``
 of ``prod((z**h - 1) for h in hs)``, multiplied out one run of equal
 adjacent increments at a time (a run of m is one binomial row) with equal
-keys merged, give the value ``sum(c * f(x + e))``. Each run is charged
-to the work meter before it is multiplied out, since every term is built
-before the first read. ``_chain`` alone chooses the keys, by the function's
-type. A ``Composite`` ``f = K(a(.))`` is keyed by the scalars ``a(h)``,
-so the sum runs along one line: ``sum(c * K(a(x) + e))``. Any other
-function is keyed by the points ``h`` as coordinate tuples over one
-basis, the sorted symbols of the increments and the base point, and read
-through ``value`` once at each distinct subset sum, at the point
+keys merged, give the value ``sum(c * f(x + e))``. Each run is charged to
+the work meter before it is multiplied out, since every term is built
+before the first read. ``_chain`` alone chooses the keys, by the
+function's type, and each expansion reads the one function it is built
+for. A ``Composite`` ``f = K(a(.))`` is keyed by the scalars ``a(h)``, so
+the sum runs along one line: ``sum(c * K(a(x) + e))``. Any other function
+is keyed by the points ``h`` as coordinate tuples over one basis, the
+sorted symbols of the increments and the base point, and read through
+``value`` once at each distinct subset sum, at the point
 ``Point.from_coords`` builds from its tuple. That point keeps the tuple,
-so a measure over the same basis reads it with no conversion. The
-expansion holds no memo of values. The alternating subset-sum expansion
-is the independent oracle, on ``Point``s: ``difference_table`` alone
-signs its rows, ``group_sums`` alone totals them by subset size, and
+so a reader over the same basis needs no conversion. The expansion holds
+no memo of values. The alternating subset-sum expansion is the independent
+oracle, on ``Point``s: ``difference_table`` alone signs its rows,
+``group_sums`` alone totals them by subset size, and
 ``forward_diff_closed`` sums the signed rows. The backward difference is
 not a further route: it is the forward difference at ``x - sum(hs)``.
 """
@@ -109,38 +110,33 @@ class _Line(_Expansion):
 
 
 class _Points(_Expansion):
-    """The functions ``fs`` keyed by the increments as coordinate tuples
+    """The function ``f`` keyed by the increments as coordinate tuples
     over ``basis``, the sorted symbols of the increments, of a base point
-    and of ``wider``. A base point off that basis has no value here: the
+    and of ``wider``: the value at ``x`` is ``sum(c * f(x + e))``, read at
+    the point ``Point.from_coords`` builds from each key shifted by the
+    tuple of ``x``. A base point off that basis has no value here: the
     probe builds a wider expansion for it."""
 
     basis: tuple[Symbol, ...]
-    fs: tuple[PointFunction, ...]
+    f: PointFunction
     _times = staticmethod(lambda j, s: tuple([j * c for c in s]))
     _plus = staticmethod(lambda e, t: tuple(map(add, e, t)))
 
-    def __init__(self, fs: Sequence[PointFunction], hs: tuple[Point, ...], x: Point,
+    def __init__(self, f: PointFunction, hs: tuple[Point, ...], x: Point,
                  wider: tuple[Symbol, ...] = ()):
         basis = tuple(sorted({*wider, *(s for p in (x, *hs) for s, _ in p.terms)}))
         steps = {h: h.coords(basis) for h in dict.fromkeys(hs)}
-        super().__init__(map(steps.__getitem__, hs), (0,) * len(basis),
-                         basis=basis, fs=tuple(fs))
+        super().__init__(map(steps.__getitem__, hs), (0,) * len(basis), basis=basis, f=f)
 
-    def values(self, x: Point) -> list[Scalar]:
-        """The value of each of ``fs`` at ``x``: the point of each key is
-        built once and every function is read there."""
+    def value(self, x: Point) -> Scalar:
         basis = self.basis
         base = x.coords(basis)
         shift = any(base)
-        reads = [f.value for f in self.fs]
-        totals = [0] * len(reads)
+        read = self.f.value
+        total = 0
         for e, c in self.terms:
-            p = Point.from_coords(basis, map(add, base, e) if shift else e)
-            totals = [t + c * read(p) for t, read in zip(totals, reads)]
-        return [exact(t) for t in totals]
-
-    def value(self, x: Point) -> Scalar:
-        return self.values(x)[0]
+            total += c * read(Point.from_coords(basis, map(add, base, e) if shift else e))
+        return exact(total)
 
 
 def _chain(f: PointFunction, hs: tuple[Point, ...], x: Point = ZERO) -> _Line | _Points:
@@ -150,7 +146,7 @@ def _chain(f: PointFunction, hs: tuple[Point, ...], x: Point = ZERO) -> _Line | 
     Every difference and probe gets its keys here."""
     if type(f) is Composite:
         return _Line(f, hs)
-    return _Points((f,), hs, x)
+    return _Points(f, hs, x)
 
 
 def forward_diff(f: PointFunction, x: Point, hs: Increments) -> Scalar:
@@ -173,17 +169,6 @@ def backward_diff(f: PointFunction, x: Point, hs: Increments) -> Scalar:
     hs = _checked(hs)
     base = point_combine(((1, x), *((-1, h) for h in hs)))
     return _chain(f, hs, base).value(base)
-
-
-def backward_diffs(fs: Sequence[PointFunction], x: Point, hs: Increments) -> list[Scalar]:
-    """``backward_diff`` of each of ``fs`` at ``x``, every one keyed by
-    coordinate tuples (a ``Composite`` too) over one expansion built once.
-    The functions are read together: at each point, in the order
-    ``backward_diff`` reads one of them, every one is read before the
-    next point is built."""
-    hs = _checked(hs)
-    base = point_combine(((1, x), *((-1, h) for h in hs)))
-    return _Points(fs, hs, base).values(base)
 
 
 class TableRow(NamedTuple):
@@ -260,7 +245,7 @@ def wright_convexity_probe(
                 check_increment(h)
             chain = chains[hs] = _chain(f, hs, x)
         elif type(chain) is _Points and x.coords(chain.basis) is None:
-            chain = chains[hs] = _Points(chain.fs, hs, x, chain.basis)
+            chain = chains[hs] = _Points(chain.f, hs, x, chain.basis)
         v = chain.value(x)
         if v < 0:
             violations.append(Violation(index, x, hs, v))

@@ -12,7 +12,6 @@ from typing import Mapping
 
 from .basis import AdditiveFunctional, Frozen, Point, Scalar, exact
 from .errors import UntabulatedPoint, charge, superlinear
-from .measures import MeasureExpr, atom_mass
 
 
 class Kernel(Frozen):
@@ -80,31 +79,6 @@ class Tabulated(PointFunction, Frozen):
             return self.table[x]
         except KeyError:
             raise UntabulatedPoint(x) from None
-
-
-class MeasureMass(PointFunction, Frozen):
-    """x -> atom mass of a measure at x."""
-
-    measure: MeasureExpr
-
-    def __init__(self, measure: MeasureExpr):
-        self.__dict__.update(measure=measure)
-
-    def value(self, x: Point) -> Scalar:
-        return atom_mass(self.measure, x)
-
-
-class PointwisePower(PointFunction, Frozen):
-    inner: PointFunction
-    power: int
-
-    def __init__(self, inner: PointFunction, power: int):
-        if power < 1:
-            raise ValueError("power must be a positive integer")
-        self.__dict__.update(inner=inner, power=power)
-
-    def value(self, x: Point) -> Scalar:
-        return self.inner.value(x) ** self.power
 
 
 def tabulated_abs(table: Mapping[Point, Scalar]) -> Tabulated:

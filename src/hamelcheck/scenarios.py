@@ -32,8 +32,6 @@ from .differences import (
 from .errors import EvenOrder, UnknownCandidate
 from .functions import (
     Composite,
-    MeasureMass,
-    PointwisePower,
     PositivePartPower,
     tabulated_abs,
 )
@@ -272,18 +270,18 @@ def verify_lemma_4_6(n: int) -> Report:
     mu = build_mu(syms)
     delta1 = Dirac(units[0])
     sign_n = (-1) ** n
-    combined_pow = PointwisePower(MeasureMass(Sum((mu, delta1))), n)
+    combined = Sum((mu, delta1))
     basis = tuple(sorted(syms))
     at = [basis.index(s) for s in syms]
 
     def reads(b: int, rest) -> tuple:
-        """a, mu, f, the combined power and delta_h1 at the sum of h1 (if b)
-        and the units at the indices ``rest``."""
+        """a, mu, f, the n-th power of the combined mass and delta_h1 at the
+        sum of h1 (if b) and the units at the indices ``rest``."""
         v = [0] * (n + 1)
         for i in (0, *rest) if b else rest:
             v[at[i]] = 1
         x = Point.from_coords(basis, v)
-        return a(x), atom_mass(mu, x), f.value(x), combined_pow.value(x), atom_mass(delta1, x)
+        return a(x), atom_mass(mu, x), f.value(x), atom_mass(combined, x) ** n, atom_mass(delta1, x)
 
     rng = random.Random(_CLASS_SEED)
     weights, values = [], []  # per class; (0, 0), the empty subset's, is first and not in A

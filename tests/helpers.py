@@ -10,10 +10,8 @@ from hamelcheck import (
     Composite,
     Dirac,
     JClosure,
-    MeasureMass,
     Point,
     PointFunction,
-    PointwisePower,
     PositivePartPower,
     Scale,
     Shift,
@@ -29,7 +27,6 @@ from hamelcheck import (
     unit,
 )
 from hamelcheck.basis import Frozen, check_increment, exact
-from hamelcheck.differences import backward_diffs
 from hamelcheck.functions import Kernel
 from hamelcheck.measures import Form
 
@@ -85,6 +82,28 @@ class SumOf(PointFunction, Frozen):
         for f in self.parts:
             total += f.value(x)
         return total
+
+
+class MeasureMass(PointFunction, Frozen):
+    """x -> the atom mass of ``measure`` at x."""
+
+    def __init__(self, measure):
+        self.__dict__.update(measure=measure)
+
+    def value(self, x):
+        return atom_mass(self.measure, x)
+
+
+class PointwisePower(PointFunction, Frozen):
+    """x -> inner(x)**power, power >= 1."""
+
+    def __init__(self, inner, power):
+        if power < 1:
+            raise ValueError("power must be a positive integer")
+        self.__dict__.update(inner=inner, power=power)
+
+    def value(self, x):
+        return self.inner.value(x) ** self.power
 
 
 def coordinate(p, sym):
@@ -220,17 +239,18 @@ def random_lattice_point(rng, units, lo=0, hi=3):
 def lemma_4_6_full(n):
     """Each claim's computed value of ``verify_lemma_4_6(n)`` by the full
     route, the oracle of its class route: every pointwise claim reads all
-    2^(n+1) - 1 points of A from ``build_a_sets``, and the three
-    measure-path differences share one ``backward_diffs`` expansion over
-    the 2^(n+1) subset sums of the units."""
+    2^(n+1) - 1 points of A from ``build_a_sets``, and each of the three
+    measure-path differences is one ``backward_diff`` expansion over the
+    2^(n+1) subset sums of the units."""
     syms, units, a, f, top = scenarios._standard_setup(n)
     mu = build_mu(syms)
     union = build_a_sets(syms).union
     delta1 = Dirac(units[0])
     sign_n = (-1) ** n
     combined_pow = PointwisePower(MeasureMass(Sum((mu, delta1))), n)
-    mu_pow_diff, atom_diff, measure_path = backward_diffs(
-        (PointwisePower(MeasureMass(mu), n), MeasureMass(delta1), combined_pow), top, units)
+    mu_pow_diff = backward_diff(PointwisePower(MeasureMass(mu), n), top, units)
+    atom_diff = backward_diff(MeasureMass(delta1), top, units)
+    measure_path = backward_diff(combined_pow, top, units)
     direct_path = backward_diff(f, top, units)
     return {
         "additive-matches-mass-on-A": all(a(x) == atom_mass(mu, x) for x in union),

@@ -85,6 +85,12 @@ MUTANTS = (
     Mutant("table-sign-flipped", "differences.py",
            "-1 if (k - len(subset)) % 2 else 1", "1 if (k - len(subset)) % 2 else -1",
            ("test_differences.py",)),
+    # Each expansion's read at the base point: the scalar line reads K at
+    # a(x) + e, and a point-keyed expansion at the key shifted by x.
+    Mutant("line-base-dropped", "differences.py",
+           "evaluate(base + e)", "evaluate(e)", ("test_differences.py",)),
+    Mutant("points-base-dropped", "differences.py",
+           "map(add, base, e) if shift else e", "e", ("test_differences.py",)),
     # The even-order candidates' scaled square (c*x)_+^2.
     Mutant("scaled-square-sign-dropped", "scenarios.py", "{u: c}", "{u: abs(c)}", FOLD),
     # Lemma 4.6's class route: each class's weight and sign in the sums at

@@ -9,7 +9,6 @@ from hamelcheck import (
     ZERO,
     AdditiveFunctional,
     Composite,
-    PointwisePower,
     PositivePartPower,
     Tabulated,
     UntabulatedPoint,
@@ -19,7 +18,7 @@ from hamelcheck import (
 )
 from hamelcheck import errors, functions
 from hamelcheck.errors import HamelcheckError
-from helpers import AbsoluteValue, Identity, Power, Scaled, SumOf
+from helpers import AbsoluteValue, Identity, PointwisePower, Power, Scaled, SumOf
 
 
 def _theorem_function(n=3):

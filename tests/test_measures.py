@@ -14,10 +14,8 @@ from hamelcheck import (
     Dirac,
     InvalidIncrement,
     JClosure,
-    MeasureMass,
     NonTerminatingJ,
     Point,
-    PointwisePower,
     Scale,
     Shift,
     Sum,
@@ -40,8 +38,8 @@ from hamelcheck import errors, measures, scenarios
 from hamelcheck.basis import sample_box
 from hamelcheck.measures import Form, signed_sum
 from helpers import (
-    Scaled, SumOf, coordinate, lattice_box, materialize, materialize_truncated, nested_nabla,
-    standard_function, support_floor,
+    MeasureMass, PointwisePower, Scaled, SumOf, coordinate, lattice_box, materialize,
+    materialize_truncated, nested_nabla, standard_function, support_floor,
 )
 
 
