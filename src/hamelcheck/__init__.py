@@ -50,7 +50,6 @@ from .functions import (
     tabulated_abs,
 )
 from .measures import (
-    ASets,
     Dirac,
     JClosure,
     MeasureExpr,
@@ -58,7 +57,6 @@ from .measures import (
     Shift,
     Sum,
     atom_mass,
-    build_a_sets,
     build_mu,
     build_mu_i,
     j_op,

@@ -48,16 +48,23 @@ LINE_CEILING = 5501
 # theorem23's human-format trace took 10.6 s and 376 MiB at this order, and
 # four times that per step of two: above it, --allow-large does not help.
 TRACE_ORDER = 17
-# lemma44 took 5.5 s and 136 MiB at this order in a CLI process on CPython
-# 3.11 with 2 cores, and four to five times that time per step of two:
+# lemma44 reads its pairs (i, S) by their 2(n+1) symmetry classes, after
+# building n + 1 chains of n + 1 closures, in time about cubic in the order:
+# it took 0.20-0.28 s and 22 MiB at this order in a CLI process on CPython
+# 3.11 with 2 cores (0.8-1.0 s and 50 MiB at 101), so an order above it
+# needs --allow-large.
+PAIR_ORDER = 51
+# lemma44 took 2.1-2.5 s and 115 MiB at this order in a CLI process, and
+# its memory grows as the cube of the order too (5.7 s and 231 MiB at 201):
 # above it, --allow-large does not help.
-A_SET_ORDER = 15
+PAIR_CEILING = 151
 # lemma46 reads A by its 2(n+1) symmetry classes, each read of the chain
-# taking time quadratic in the order: it took 0.3 s at this order in a CLI
-# process (1.4 s at 201), so an order above it needs --allow-large.
+# testing each of its n + 1 atoms at one coordinate: it took 0.12-0.15 s
+# at this order in a CLI process (0.25-0.34 s at 201), so an order above
+# it needs --allow-large.
 CLASS_ORDER = 101
-# lemma46 took 3.8-4.2 s and 25 MiB at this order in a CLI process, and 19 s
-# in process at 501: above it, --allow-large does not help.
+# lemma46 took 0.5-0.8 s and 23 MiB at this order in a CLI process, and
+# 1.9 s in process at 501: above it, --allow-large does not help.
 CLASS_CEILING = 301
 
 
@@ -114,7 +121,8 @@ COMMANDS = {
     ("verify", "section31"): ("verify_section_3_1", (), (), {}),
     ("verify", "section32"): ("verify_section_3_2", (), (), {}),
     ("verify", "lemma44"): ("verify_lemma_4_4", (1, 3, 5), (
-        (LARGE_ORDER, _always, "{m}*2^{n}-point A-sets", A_SET_ORDER),
+        (PAIR_ORDER, _always, "{m} chains of {m} closures read at 2*{m} classes (time cubic in n)",
+         PAIR_CEILING),
     ), BATCH),
     ("verify", "lemma46"): ("verify_lemma_4_6", (1, 3, 5), (
         (CLASS_ORDER, _always, "a chain of {m} closures read at 2*{m} classes (time cubic in n)",

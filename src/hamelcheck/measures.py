@@ -16,15 +16,18 @@ its own translation, and a weighted atom is a part. The difference ∇
 over k increments is one `Form`, which takes ``form − T_h form`` once
 per increment on its form alone; it has the atoms and terms, in the same
 order, of the fold ``acc − T_h acc`` built as nested sums, scalings and
-shifts, without their nodes. Only a closure stores a step, its fold's
-``own``, and its route is chosen when it is built: a closure over a form
-with no closure term, or over a closure with a chain record, gets a
-chain record when every distinct step of its chain has one nonzero
-coordinate and no two share one (the axis-aligned case, which
-`build_mu_i` and `build_mu` are), and answers in closed form, one read
-per atom; `fixed_by` says whether a renaming of the symbols maps that
-record onto itself. Every other closure walks: it reads its inner form
-at each translate down to its support floor. One evaluator, `_mass`, answers
+shifts, without their nodes. Only a closure stores a step, and its
+route is chosen when it is built: a closure over a form with no closure
+term, or over a closure with a chain record, gets a chain record when
+every distinct step of its chain has one nonzero coordinate and no two
+share one (the axis-aligned case, which `build_mu_i` and `build_mu`
+are). Its form is then its inner's atoms and floor, with the step's
+symbol put into the basis, and it answers in closed form, one read per
+atom, testing each atom only where it lies above the floor; `fixed_by`
+says whether a renaming of the symbols maps that record onto itself, or
+onto another closure's. Every other closure is folded by `_fill` over its
+one part, and walks: it reads its inner form at each translate down to
+its support floor. One evaluator, `_mass`, answers
 every node, and alone reads or fills each node's memo of the masses
 asked of it; it reads a closure term with no call when the closure has
 answered that point, from its memo, or when the point lies below the
@@ -37,6 +40,7 @@ stays a leaf that its closed form or its walk evaluates.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import comb, prod
 from operator import add, floordiv, ge, itemgetter, mod, sub
 from typing import NamedTuple, Sequence
@@ -48,15 +52,32 @@ from .basis import (
 from .errors import InvalidIncrement, NonTerminatingJ, charge, superlinear
 
 
+def _positions(basis: tuple[Symbol, ...], part: Sequence[Symbol]) -> list[int]:
+    """The positions in ``basis`` of the symbols of ``part``, a sorted
+    subset of it: each search starts where the last ended, so together
+    they make one pass over ``basis``."""
+    pos, i = [], 0
+    for s in part:
+        i = basis.index(s, i)
+        pos.append(i)
+    return pos
+
+
+def _pick(idx: list[int]) -> itemgetter:
+    """A getter of the tuple of the increasing positions ``idx``; a run, as
+    0 or 1 positions are, is a slice."""
+    if not idx or idx[-1] - idx[0] == len(idx) - 1:
+        lo = idx[0] if idx else 0
+        return itemgetter(slice(lo, lo + len(idx)))
+    return itemgetter(*idx)
+
+
 def _pickers(basis: tuple[Symbol, ...], part: Sequence[Symbol]) -> tuple[itemgetter, itemgetter]:
     """``(keep, drop)``: tuple getters of the positions in ``basis`` of the
-    symbols of ``part`` and of the others; a run, as 0 or 1 positions are, is a slice."""
-    def pick(idx):
-        lo = idx[0] if idx else 0
-        run = idx == list(range(lo, lo + len(idx)))
-        return itemgetter(slice(lo, lo + len(idx))) if run else itemgetter(*idx)
-    pos = [basis.index(s) for s in part]
-    return pick(pos), pick([i for i in range(len(basis)) if i not in pos])
+    symbols of ``part`` and of the others."""
+    pos = _positions(basis, part)
+    kept = set(pos)
+    return _pick(pos), _pick([i for i in range(len(basis)) if i not in kept])
 
 
 def _place(t: tuple[Scalar, ...], pos: list[int] | None, n: int) -> tuple[Scalar, ...]:
@@ -108,9 +129,9 @@ class MeasureExpr(Frozen):
         node's form, each child translated by its own offset ``at`` (None:
         not translated), then take ``form − T_h form`` for each increment
         ``h`` of ``diffs`` in turn: a `Form`'s parts and increments, or a
-        closure's one part, its inner measure. A child of None is the unit
-        atom at the origin, and a closure child is one term. ``own`` is a
-        closure's step, kept as ``_step``. The basis is the first part's,
+        walking closure's one part, its inner measure. A child of None is the
+        unit atom at the origin, and a closure child is one term. ``own`` is
+        a closure's step, kept as ``_step``. The basis is the first part's,
         unless another part's basis, an offset, an increment or ``own``
         brings a symbol it lacks; then it is a new tuple of the sorted
         symbols of all of them. The floor is the coordinatewise minimum of
@@ -134,9 +155,6 @@ class MeasureExpr(Frozen):
         if own is not None:
             fields["_step"] = own.coords(basis)
         n = len(basis)
-        # A closure with chain runs folds its inner chain's base atoms in as
-        # a form's; every other closure child is one term.
-        fold = fields.get("_runs") is not None
         floors = []
         atoms: dict[tuple[Scalar, ...], Scalar] = {}
         terms: dict[tuple[JClosure, tuple[Scalar, ...] | None], Scalar] = {}
@@ -146,9 +164,9 @@ class MeasureExpr(Frozen):
                 atoms[offset] = atoms.get(offset, 0) + c
                 continue
             # The child's positions in the basis, found once (None: the same basis).
-            pos = None if child._basis == basis else [basis.index(s) for s in child._basis]
+            pos = None if child._basis == basis else _positions(basis, child._basis)
             floors.append(_plus(_place(child._floor, pos, n), offset))
-            if type(child) is JClosure and not fold:
+            if type(child) is JClosure:
                 key = child, offset
                 terms[key] = terms.get(key, 0) + c
                 continue
@@ -214,13 +232,28 @@ class JClosure(MeasureExpr):
         if not is_positive_increment(step):
             raise NonTerminatingJ(f"closure step must be a positive increment: {step}")
         runs = _chain_runs(inner, step)
-        self._fill([(1, inner, None)], step, inner=inner, step=step, _runs=runs)
         if runs is None:
+            self._fill([(1, inner, None)], step, inner=inner, step=step, _runs=None)
             # (position, floor, step) at each nonzero step coordinate, the
             # only ones `_mass` reads a walk's length at.
             self.__dict__["_walk"] = tuple(
                 (i, f, s) for i, (f, s) in enumerate(zip(self._floor, self._step)) if s
             )
+            return
+        # A chain's form is its inner chain's base atoms, and its floor the
+        # inner's, over the inner's basis with the step's one symbol put in
+        # at its sorted place (coordinate 0) when it is new there.
+        ((sym, g),) = step.terms
+        basis, floor, atoms = inner._basis, inner._floor, inner._atoms
+        j = bisect_left(basis, sym)
+        if j == len(basis) or basis[j] != sym:
+            basis = (*basis[:j], sym, *basis[j:])
+            floor = (*floor[:j], 0, *floor[j:])
+            atoms = {(*v[:j], 0, *v[j:]): w for v, w in atoms.items()}
+        self.__dict__.update(
+            inner=inner, step=step, _runs=runs, _basis=basis, _floor=floor, _memo={},
+            _atoms=atoms, _terms=(), _step=(0,) * j + (g,) + (0,) * (len(basis) - j - 1),
+        )
 
 
 def _chain_runs(inner: MeasureExpr, step: Point) -> tuple | None:
@@ -252,8 +285,9 @@ def _chain_index(mu: JClosure) -> tuple:
     (None when every one is 0), the floor's quotients by the steps, and
     the form's atoms grouped by their ``off`` coordinates and their ``on``
     ones modulo the steps, each as its ``on`` coordinates floor-divided by
-    the steps, and its weight. Two points of one group lie a whole number
-    of steps apart on each run."""
+    the steps, its weight, and a getter of those quotients where they are
+    above the floor's, with their values there. Two points of one group
+    lie a whole number of steps apart on each run."""
     syms, steps, counts = zip(*sorted([(s, g, m - 1) for s, g, m in mu._runs]))
     on, off = _pickers(mu._basis, syms)
     zeros = (0,) * len(steps) if steps == (1,) * len(steps) else None
@@ -262,27 +296,33 @@ def _chain_index(mu: JClosure) -> tuple:
     for p, w in mu._atoms.items():
         c = on(p)
         key = off(p), tuple(map(mod, c, steps))
-        groups.setdefault(key, []).append((tuple(map(floordiv, c, steps)), w))
+        c = tuple(map(floordiv, c, steps))
+        above = _pick([] if c == low else [i for i, (q, f) in enumerate(zip(c, low)) if q > f])
+        groups.setdefault(key, []).append((c, w, above, above(c)))
     index = on, off, steps, zeros, counts if any(counts) else None, low, groups
     mu.__dict__["_index"] = index
     return index
 
 
-def fixed_by(mu: MeasureExpr, perm: dict[Symbol, Symbol]) -> bool:
+def fixed_by(mu: MeasureExpr, perm: dict[Symbol, Symbol], image: MeasureExpr | None = None) -> bool:
     """Whether renaming the symbols of ``mu`` by ``perm`` (a symbol it does
     not name stays) maps ``mu``'s chain record, its runs and its atoms with
-    their weights, onto itself, so that the closed form gives the same mass
-    at a point and at its renamed point. False for a node with no chain
-    record, or when ``perm`` does not permute ``mu``'s basis."""
-    runs = getattr(mu, "_runs", None)
-    basis = mu._basis
-    image = [perm.get(s, s) for s in basis]
-    if runs is None or sorted(image) != list(basis):
+    their weights, onto ``image``'s (None: ``mu``'s own), so that the closed
+    forms give the same mass at a point of ``mu`` and at its renamed point
+    of ``image``. False when either node has no chain record, or when
+    ``perm`` does not map ``mu``'s basis onto ``image``'s."""
+    image = mu if image is None else image
+    runs, target = getattr(mu, "_runs", None), getattr(image, "_runs", None)
+    if runs is None or target is None or len(mu._basis) != len(image._basis):
         return False
-    to = [basis.index(s) for s in image]
-    atoms = mu._atoms
-    return (sorted([(perm.get(s, s), g, m) for s, g, m in runs]) == sorted(runs)
-            and all(atoms.get(_place(v, to, len(v))) == w for v, w in atoms.items()))
+    where = dict(zip(image._basis, range(len(image._basis))))
+    to = [where.get(perm.get(s, s)) for s in mu._basis]
+    if None in to or len(set(to)) != len(to):
+        return False
+    atoms, onto = mu._atoms, image._atoms
+    return ({perm.get(s, s): r for s, *r in runs} == {s: r for s, *r in target}
+            and len(atoms) == len(onto)
+            and all(onto.get(_place(v, to, len(v))) == w for v, w in atoms.items()))
 
 
 def atom_mass(mu: MeasureExpr, x: Point) -> Scalar:
@@ -383,8 +423,10 @@ def _chain_mass(mu: JClosure, v: tuple[Scalar, ...]) -> Scalar:
                     for k, m in zip(map(sub, u, low), counts) if k > 0) >> 6
     charge(len(atoms) * (len(u) + superlinear(words)), "closure query")
     total = 0
-    for c, w in atoms:
-        if all(map(ge, u, c)):
+    # A queried point is not below the floor, so ``u`` is at least an
+    # atom's quotient wherever that is not above the floor's.
+    for c, w, above, q in atoms:
+        if all(map(ge, above(u), q)):
             if counts is not None:
                 w *= prod(map(comb, map(add, map(sub, u, c), counts), counts))
             total += w
@@ -470,7 +512,11 @@ def build_mu(syms: Sequence[Symbol]) -> MeasureExpr:
 
 
 class ASets(NamedTuple):
-    """The 0/1-combination evaluation sets: one per symbol plus the union."""
+    """The 0/1-combination evaluation sets: one per symbol plus the union.
+    No scenario reads them: both lemmas read A by its symmetry classes, and
+    the full routes that the tests keep as their oracles read these sets.
+    They stay here, not among the tests, because the benchmark's tracer
+    (perfbench/tracer.py) times `build_a_sets` as a builder of this module."""
 
     sets: tuple[frozenset[Point], ...]
     union: frozenset[Point]

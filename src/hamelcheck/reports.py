@@ -2,7 +2,7 @@
 
 All comparisons are exact; a claim passes iff computed equals expected,
 unless its runner fails it because the route to its value is not
-certified (lemma 4.6's symmetry classes). Runners build each ``Report``
+certified (the lemmas' symmetry classes). Runners build each ``Report``
 directly from the ``make_claim`` values they compute.
 """
 

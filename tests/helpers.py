@@ -20,15 +20,15 @@ from hamelcheck import (
     Tabulated,
     atom_mass,
     backward_diff,
-    build_a_sets,
     build_mu,
+    build_mu_i,
     point_combine,
     scenarios,
     unit,
 )
 from hamelcheck.basis import Frozen, check_increment, exact
 from hamelcheck.functions import Kernel
-from hamelcheck.measures import Form
+from hamelcheck.measures import Form, build_a_sets, signed_sum
 
 
 class AbsoluteValue(Kernel):
@@ -263,4 +263,31 @@ def lemma_4_6_full(n):
         "chain-measure-path": measure_path,
         "chain-direct-path": direct_path,
         "paths-agree": measure_path == direct_path,
+    }
+
+
+def lemma_4_4_full(n):
+    """Each claim's computed value of ``verify_lemma_4_4(n)`` by the full
+    route, the oracle of its class route: every mu_i is read at all of its
+    A_i and of the rest of A, and mu at all 2^(n+1) - 1 points of A, from
+    ``build_a_sets``."""
+    syms, units, _, _, _ = scenarios._standard_setup(n)
+    mus = [build_mu_i(i, syms) for i in range(1, n + 2)]
+    mu = signed_sum(mus)
+    a_sets = build_a_sets(syms)
+    h1 = units[0]
+    delta1 = Dirac(h1)
+    return {
+        "a-unit-mass-on-own-set": all(
+            atom_mass(mus[i], x) == 1 for i in range(n + 1) for x in a_sets.sets[i]),
+        "b-zero-mass-off-set": all(
+            atom_mass(mus[i], x) == 0
+            for i in range(n + 1) for x in a_sets.union - a_sets.sets[i]),
+        "c-negative-only-at-h1": {x for x in a_sets.union if atom_mass(mu, x) < 0} == {h1},
+        "d-mass-at-h1": atom_mass(mu, h1),
+        "d-only-first-closure-at-h1": atom_mass(mus[0], h1) == 1 and all(
+            atom_mass(m, h1) == 0 for m in mus[1:]),
+        "e-positive-part-shift": all(
+            max(atom_mass(mu, x), 0) == atom_mass(mu, x) + atom_mass(delta1, x)
+            for x in a_sets.union),
     }

@@ -32,7 +32,7 @@ FOLD = ("test_measures.py", "test_functions.py", "test_scenarios.py")
 CLASSES = ("test_scenarios.py",)
 # Seconds per run. The unmutated run takes about 13 s and a mutant's 1-9 s
 # (CPython 3.11, 2 cores); (1 + len(MUTANTS)) runs, each at this limit,
-# must end inside the CI job's 12 minutes.
+# must end inside the CI job's 15 minutes.
 TIMEOUT = 30
 
 
@@ -53,6 +53,11 @@ MUTANTS = (
            "atoms[key] = atoms.get(key, 0) + c * w", "atoms[key] = atoms.get(key, 0) + w", FOLD),
     Mutant("weight-off-child-terms", "measures.py",
            "terms[key] = terms.get(key, 0) + c * w", "terms[key] = terms.get(key, 0) + w", FOLD),
+    # A chain closure's form: its inner's atoms with the step's new symbol
+    # put in at its sorted place.
+    Mutant("chain-coordinate-appended", "measures.py",
+           "atoms = {(*v[:j], 0, *v[j:]): w for v, w in atoms.items()}",
+           "atoms = {(*v, 0): w for v, w in atoms.items()}", FOLD),
     Mutant("floor-of-first-part", "measures.py",
            "floor = floors[0] if len(floors) == 1 else tuple(map(min, zip(*floors)))",
            "floor = floors[0]", FOLD),
@@ -102,6 +107,15 @@ MUTANTS = (
            "for i in (0, *rest) if b else rest:", "for i in rest:", CLASSES),
     Mutant("certificate-generator-dropped", "scenarios.py",
            "for g in (cycle, swap)", "for g in (cycle,)", CLASSES),
+    # Lemma 4.4's class route: the mu_i read for the pairs with h_i in S,
+    # the family certificate's generators, and the unit outside S whose
+    # mu_i reads 0.
+    Mutant("pair-representative-off-by-one", "scenarios.py",
+           "atom_mass(mus[rest[0]], x) if rest", "atom_mass(mus[rest[0] - 1], x) if rest", CLASSES),
+    Mutant("family-generator-dropped", "scenarios.py",
+           "for g in _generators(syms):", "for g in _generators(syms)[:1]:", CLASSES),
+    Mutant("outside-unit-taken-from-s", "scenarios.py",
+           "for i in range(n, 0, -1) if i not in rest", "for i in range(n, 0, -1)", CLASSES),
 )
 
 

@@ -16,13 +16,13 @@ from hamelcheck import (
     PositivePartPower,
     Symbol,
     backward_diff,
-    build_a_sets,
     forward_diff,
     forward_diff_closed,
     jensen_convexity_probe,
     unit,
 )
 from hamelcheck.cli import main
+from hamelcheck.measures import build_a_sets
 from helpers import random_tabulated_instance
 
 PASS = "[PASS]"

@@ -136,7 +136,8 @@ def test_commands_call_the_runner_bound_in_cli(monkeypatch, capsys, argv, name):
 
 
 @pytest.mark.parametrize("argv, name, cost", [
-    (["lemma44", "--n", "13"], "verify_lemma_4_4", "14*2^13-point A-sets"),
+    (["lemma44", "--n", "53"], "verify_lemma_4_4",
+     "54 chains of 54 closures read at 2*54 classes (time cubic in n)"),
     (["lemma46", "--n", "103"], "verify_lemma_4_6",
      "a chain of 104 closures read at 2*104 classes (time cubic in n)"),
     (["theorem23", "--trace", "--n", "13"], "verify_theorem_2_3",
@@ -144,7 +145,7 @@ def test_commands_call_the_runner_bound_in_cli(monkeypatch, capsys, argv, name):
 ])
 def test_large_orders_quote_their_own_cost(monkeypatch, capsys, argv, name, cost):
     # The error, the warning and --help read one cost per scenario: the
-    # A-sets for lemma44, the chain's class reads for lemma46, the trace
+    # chains' class reads for lemma44 and for lemma46, the trace
     # table for theorem23, each at the first odd order above its limit.
     n = int(argv[-1])
     code, out, err = run_cli(capsys, "verify", *argv)
@@ -239,16 +240,16 @@ def test_theorem23_human_trace_above_the_trace_order_is_refused(monkeypatch, cap
     ("lemma44", "verify_lemma_4_4"), ("lemma46", "verify_lemma_4_6"),
 ])
 def test_a_sets_above_the_ceiling_are_refused(monkeypatch, capsys, scenario, name):
-    # Each step of two costs lemma44's A-sets about four times as much, so
-    # above A_SET_ORDER it is refused even with --allow-large, before
-    # anything is built (order 99 ran until it was killed); CI runs it at
-    # order 13, so the ceiling is above that. Lemma46 reads A by classes,
-    # in time cubic in the order (19 s at order 501): above CLASS_CEILING
-    # it is refused the same way, and CI runs it at order 101 with no
-    # flag. At the ceiling the flag still reaches the runner, stubbed here
-    # so nothing runs.
+    # Both lemmas read by symmetry classes, in time about cubic in the
+    # order, so above PAIR_CEILING (lemma44, 2.1-2.5 s at order 151) and
+    # CLASS_CEILING (lemma46) each is refused even with --allow-large,
+    # before anything is built; CI runs each at its order without the flag.
+    # At the ceiling the flag still reaches the runner, stubbed here so
+    # nothing runs.
     top, cost, least = {
-        "lemma44": (cli.A_SET_ORDER, "{m}*2^{n}-point A-sets", 13),
+        "lemma44": (cli.PAIR_CEILING,
+                    "{m} chains of {m} closures read at 2*{m} classes (time cubic in n)",
+                    cli.PAIR_ORDER),
         "lemma46": (cli.CLASS_CEILING,
                     "a chain of {m} closures read at 2*{m} classes (time cubic in n)",
                     cli.CLASS_ORDER),
@@ -501,7 +502,7 @@ def test_exit_code_usage_errors(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", "theorem23", "--n", "13", "--trace")
     assert code == 2 and "--allow-large" in err
 
-    code, _, err = run_cli(capsys, "verify", "lemma44", "--n", "13")
+    code, _, err = run_cli(capsys, "verify", "lemma44", "--n", "53")
     assert code == 2 and "--allow-large" in err
 
     # An even order is refused as even before its cost is weighed: it is
@@ -1176,7 +1177,6 @@ def _oracle():
     flags = [output_flags(argparse.ArgumentParser(add_help=False))]
     sub = parser.add_subparsers(dest="command", required=True)
     vsub = sub.add_parser("verify").add_subparsers(dest="scenario", required=True)
-    a_sets = ((cli.LARGE_ORDER, cli._always, "{m}*2^{n}-point A-sets", cli.A_SET_ORDER),)
     for name, runner, batch, guards in (
         ("theorem23", "verify_theorem_2_3", (1, 3, 5, 7, 9, 11), (
             (cli.LARGE_ORDER, cli._human_trace, "a 2^{m}-row table for a human-format --trace",
@@ -1186,7 +1186,10 @@ def _oracle():
         )),
         ("section31", "verify_section_3_1", (), ()),
         ("section32", "verify_section_3_2", (), ()),
-        ("lemma44", "verify_lemma_4_4", (1, 3, 5), a_sets),
+        ("lemma44", "verify_lemma_4_4", (1, 3, 5), (
+            (cli.PAIR_ORDER, cli._always,
+             "{m} chains of {m} closures read at 2*{m} classes (time cubic in n)", cli.PAIR_CEILING),
+        )),
         ("lemma46", "verify_lemma_4_6", (1, 3, 5), (
             (cli.CLASS_ORDER, cli._always,
              "a chain of {m} closures read at 2*{m} classes (time cubic in n)", cli.CLASS_CEILING),
@@ -1243,6 +1246,7 @@ def _corpus():
                   ["--n", "--trace"], ["--n", "--", "5"], ["--n", "3", "--", "5"],
                   ["--n", "3", "--allow-large=yes"], ["--n", "1003", "--allow-large"],
                   ["--n", "19", "--trace", "--allow-large"], ["--n", "99999999999"],
+                  ["--n", "53"], ["--n", "153", "--allow-large"],
                   ["--n", "103"], ["--n", "303", "--allow-large"]):
             yield [*cmd, *n]
     for flags in (["--trials", "3"], ["--tri", "3", "--s", "5"], ["--trials=7", "--seed=-5"],

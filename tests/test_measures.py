@@ -22,7 +22,6 @@ from hamelcheck import (
     Symbol,
     Tabulated,
     atom_mass,
-    build_a_sets,
     build_mu,
     build_mu_i,
     forward_diff,
@@ -36,7 +35,7 @@ from hamelcheck import (
 )
 from hamelcheck import errors, measures, scenarios
 from hamelcheck.basis import sample_box
-from hamelcheck.measures import Form, signed_sum
+from hamelcheck.measures import Form, build_a_sets, signed_sum
 from helpers import (
     MeasureMass, PointwisePower, Scaled, SumOf, coordinate, lattice_box, materialize,
     materialize_truncated, nested_nabla, standard_function, support_floor,
@@ -809,6 +808,22 @@ def test_chain_records_match_the_walk_and_the_truncated_sum_seeded():
             assert [atom_mass(r, x) for r in records] == [atom_mass(w, x) for w in walks], x
 
 
+def test_a_chain_record_tests_each_atom_only_above_the_floor():
+    # A read is never below the floor, so it tests an atom only at the
+    # coordinates where the atom's quotient is above the floor's: each of
+    # build_mu's atoms at one, build_mu_i's single atom, the floor itself,
+    # at none; the chain answers as its walk does at every point of A.
+    syms, units = _units(5)
+    records = [build_mu(syms), build_mu_i(2, syms)]
+    with _walks_only():
+        walks = [build_mu(syms), build_mu_i(2, syms)]
+    for x in lattice_box(units, 0, 1):
+        assert [atom_mass(r, x) for r in records] == [atom_mass(w, x) for w in walks], x
+    tested = [sorted(len(q) for atoms in r._index[-1].values() for *_, q in atoms)
+              for r in records]
+    assert tested == [[1] * 6, [0]]
+
+
 def test_only_axis_aligned_chains_over_atoms_keep_a_record():
     # Runs (symbol, step value, multiplicity), whatever the chain's order.
     a, b = symbols("a b", positive=True)
@@ -859,6 +874,27 @@ def test_fixed_by_reads_the_chain_record_runs_atoms_and_weights():
     assert measures.fixed_by(closed, cycle) and not measures.fixed_by(closed, swap)
     for node in (atoms, JClosure(atoms, ua + ub), Sum((mu, Dirac(uc)))):
         assert not measures.fixed_by(node, {})
+
+
+def test_fixed_by_maps_a_chain_record_onto_an_image_node():
+    # With an image, a renaming must carry one node's chain record onto
+    # the other's: the closure of the unit atom at a onto that at b, by any
+    # renaming that sends a to b and permutes the basis.
+    a, b, c = symbols("a b c", positive=True)
+    ua, ub, uc = unit(a), unit(b), unit(c)
+    swap, cycle = {a: b, b: a}, {a: b, b: c, c: a}
+    mu_a, mu_b, mu_c = (build_mu_i(i, [a, b, c]) for i in (1, 2, 3))
+    assert measures.fixed_by(mu_a, swap, mu_b) and measures.fixed_by(mu_b, swap, mu_a)
+    assert measures.fixed_by(mu_a, cycle, mu_b) and measures.fixed_by(mu_c, cycle, mu_a)
+    assert measures.fixed_by(mu_c, swap, mu_c) and measures.fixed_by(mu_c, swap)
+    assert not measures.fixed_by(mu_a, swap) and not measures.fixed_by(mu_a, {}, mu_b)
+    assert not measures.fixed_by(mu_a, cycle, mu_c)
+    # An image over another basis, with another step or an extra atom, or
+    # with no chain record, is never reached.
+    for image in (build_mu_i(2, [a, b]), j_op(Dirac(ub), [ua, 2 * ub, uc]),
+                  j_op(Sum((Dirac(ub), Dirac(2 * uc))), [ua, ub, uc]), Dirac(ub),
+                  JClosure(Dirac(ub), ua + ub)):
+        assert not measures.fixed_by(mu_a, swap, image)
 
 
 def _probe_roots(units, rng):

@@ -22,8 +22,8 @@ from hamelcheck import (
 )
 from hamelcheck.basis import AdditiveFunctional, Symbol, point_combine, unit
 from hamelcheck.functions import Composite, PositivePartPower
-from hamelcheck.measures import Form, build_mu, j_op
-from helpers import lattice_box, lemma_4_6_full
+from hamelcheck.measures import Form, build_mu, build_mu_i, j_op, signed_sum
+from helpers import lattice_box, lemma_4_4_full, lemma_4_6_full
 
 
 def claims_by_label(report):
@@ -126,6 +126,101 @@ def test_lemma44_builds_each_atom_once(monkeypatch):
     n = 3
     assert verify_lemma_4_4(n).passed
     assert len(built) == n + 2
+
+
+def test_lemma44_class_route_matches_the_full_route():
+    # The class route reads 2(n+1) classes of pairs (i, S); the oracle
+    # reads every mu_i and mu at every point of A.
+    for n in range(1, 14, 2):
+        rep = verify_lemma_4_4(n)
+        assert rep.passed
+        assert {c.label: c.computed for c in rep.claims} == lemma_4_4_full(n), n
+
+
+def _lemma44_with(monkeypatch, n, extra):
+    """verify_lemma_4_4(n) with the weighted points ``extra[i]`` added to
+    mu_i's unit atom, under the same chain of closures."""
+    def mu_i(i, syms):
+        units = [unit(s) for s in syms]
+        atoms = [(1, units[i - 1]), *extra.get(i, ())]
+        return j_op(Form([(w, None, p) for w, p in atoms]), units)
+
+    monkeypatch.setattr(scenarios, "build_mu_i", mu_i)
+    return claims_by_label(verify_lemma_4_4(n))
+
+
+def test_lemma44_as_built_is_certified(monkeypatch):
+    # The builder the cases below patch, with nothing added, gives the
+    # scenario's own claims, and the certificate holds as built.
+    for n in (1, 3, 5):
+        want = claims_by_label(verify_lemma_4_4(n))
+        with monkeypatch.context() as m:
+            assert _lemma44_with(m, n, {}) == want
+        syms = scenarios._standard_setup(n)[0]
+        mus = [build_mu_i(i, syms) for i in range(1, n + 2)]
+        assert scenarios._family_symmetric(syms, mus, signed_sum(mus))
+
+
+@pytest.mark.parametrize("extra", [
+    # An atom at 2*h3 in mu_2: both generators map it into mu_3, which
+    # has none there.
+    {2: ((1, (0, 0, 2, 0)),)},
+    # An atom at 2*h4 in mu_4: the transposition (h2 h3) fixes it, the
+    # cycle maps it into mu_2.
+    {4: ((1, (0, 0, 0, 2)),)},
+    # Atoms at h2 + 2*h3, h3 + 2*h4 and h4 + 2*h2 in mu_1: the cycle maps
+    # mu_1 onto itself, the transposition does not.
+    {1: ((1, (0, 1, 2, 0)), (1, (0, 0, 1, 2)), (1, (0, 2, 0, 1)))},
+], ids=["moved-by-both", "moved-by-the-cycle", "moved-by-the-transposition"])
+def test_lemma44_fails_every_class_read_claim_an_uncertified_symmetry_reaches(monkeypatch, extra):
+    # Each extra atom has a coordinate 2, so it leaves every mass on A as
+    # it was. With no other member drawn, only the certificate can see it:
+    # every claim read by class fails, though each computed value equals
+    # its expected one, and the full route does not stand in. The
+    # d-claims read h1 itself, and pass either way.
+    units = [unit(s) for s in scenarios._standard_setup(3)[0]]
+    extra = {i: [(w, point_combine(zip(coeffs, units))) for w, coeffs in atoms]
+             for i, atoms in extra.items()}
+    monkeypatch.setattr(scenarios, "_CLASS_DRAWS", 0)
+    by = _lemma44_with(monkeypatch, 3, extra)
+    for label in ("d-mass-at-h1", "d-only-first-closure-at-h1"):
+        d = by.pop(label)
+        assert d.passed and "uncertified" not in d.ref
+    assert all(c.computed == c.expected and not c.passed for c in by.values())
+    assert by["c-negative-only-at-h1"].ref.endswith(
+        "; uncertified: a permutation of h2..h4 does not map the mu_i onto each other "
+        "or moves mu's signed terms")
+
+
+def test_lemma44_certificate_reads_mu_s_signed_terms():
+    # The mu_i map onto each other, but a weight that only mu_2 carries, or
+    # a part that is not one of them, moves mu itself.
+    syms = scenarios._standard_setup(3)[0]
+    mus = [build_mu_i(i, syms) for i in range(1, 5)]
+    assert scenarios._family_symmetric(syms, mus, signed_sum(mus))
+    uneven = Form([(1, mus[1], None), (2, mus[2], None), (1, mus[3], None), (-1, mus[0], None)])
+    assert not scenarios._family_symmetric(syms, mus, uneven)
+    extra = Form([*signed_sum(mus).parts, (1, None, unit(syms[0]))])
+    assert not scenarios._family_symmetric(syms, mus, extra)
+
+
+def test_lemma44_other_members_must_read_as_their_representative(monkeypatch):
+    # Atoms +1 at h2 + h4 and -1 at h2 + h3 + h4 in mu_2 leave every
+    # representative's masses as they were, h2 + h3 + h4 among them, but
+    # add 1 at the member h2 + h4 of class (0, 2). With the certificate
+    # taken as passed, the drawn members alone fail the claims read by
+    # class; the d-claims read h1.
+    units = [unit(s) for s in scenarios._standard_setup(3)[0]]
+    extra = {2: [(1, units[1] + units[3]), (-1, units[1] + units[2] + units[3])]}
+    monkeypatch.setattr(scenarios, "_family_symmetric", lambda *args: True)
+    by = _lemma44_with(monkeypatch, 3, extra)
+    by_class = ("a-unit-mass-on-own-set", "b-zero-mass-off-set", "c-negative-only-at-h1",
+                "e-positive-part-shift")
+    assert [by[label].computed for label in by_class] == [False] * 4
+    assert by["d-mass-at-h1"].passed and by["d-only-first-closure-at-h1"].passed
+    monkeypatch.setattr(scenarios, "_CLASS_DRAWS", 0)
+    by = _lemma44_with(monkeypatch, 3, extra)
+    assert [by[label].computed for label in by_class] == [True] * 4
 
 
 def test_lemma46_orders_and_chain():
