@@ -6,9 +6,10 @@ Every point is built by ``Point.from_coords`` from a coordinate tuple
 over a sorted basis, and keeps that tuple. ``Point(pairs)``,
 ``point_combine`` and ``+`` first sum coefficients per symbol, ``*``
 scales the kept tuple, ``subset_sums`` sums tuples directly, and
-``box_points`` writes each coefficient of a box over symbols at its
-symbol's position in their sorted basis. ``+`` and ``*`` are the chained
-route the tests hold ``point_combine`` to.
+``box_coords`` writes each coefficient of a box over symbols at its
+symbol's position in their sorted basis; ``box_points`` builds its
+points from those tuples, and ``sample_box`` returns the tuples. ``+``
+and ``*`` are the chained route the tests hold ``point_combine`` to.
 """
 
 from __future__ import annotations
@@ -223,14 +224,15 @@ def subset_sums(x: Point, hs: Sequence[Point]) -> Iterator[tuple[tuple[int, ...]
             yield subset, Point.from_coords(basis, v)
 
 
-def box_points(
+def box_coords(
     syms: Sequence[Symbol], lo: int, width: int, indices: Iterable[int]
-) -> Iterator[Point]:
-    """Yield the points at ``indices`` into the box over the distinct
-    ``syms`` with integer coefficients in ``lo..lo + width - 1``, the first
-    symbol varying slowest, one at a time. Each index is read as digits in
-    base ``width``, and each digit, plus ``lo``, is written at its symbol's
-    position in the sorted basis."""
+) -> Iterator[tuple[int, ...]]:
+    """Yield the coordinate tuples over ``tuple(sorted(syms))`` at
+    ``indices`` into the box over the distinct ``syms`` with integer
+    coefficients in ``lo..lo + width - 1``, the first symbol varying
+    slowest, one at a time. Each index is read as digits in base
+    ``width``, and each digit, plus ``lo``, is written at its symbol's
+    position in the sorted basis. This is the one box decoder."""
     basis = tuple(sorted(syms))
     pos = [basis.index(s) for s in reversed(syms)]
     for i in indices:
@@ -238,17 +240,28 @@ def box_points(
         for j in pos:
             i, c = divmod(i, width)
             v[j] = c + lo
-        yield Point.from_coords(basis, v)
+        yield tuple(v)
 
 
-def sample_box(rng, syms: Sequence[Symbol], lo: int, hi: int, k: int) -> list[Point]:
+def box_points(
+    syms: Sequence[Symbol], lo: int, width: int, indices: Iterable[int]
+) -> Iterator[Point]:
+    """The points of the tuples ``box_coords`` yields, in its order."""
+    basis = tuple(sorted(syms))
+    return (Point.from_coords(basis, v) for v in box_coords(syms, lo, width, indices))
+
+
+def sample_box(
+    rng, syms: Sequence[Symbol], lo: int, hi: int, k: int
+) -> list[tuple[int, ...]]:
     """``rng.sample`` of ``k`` points from the box over ``syms`` with integer
-    coefficients in ``lo..hi``, listed in ``box_points`` order, without
-    building the box: ``rng`` draws k indices into it, decoded by
-    ``box_points``, so the points and the state of ``rng`` afterwards are
-    the same."""
+    coefficients in ``lo..hi``, listed in ``box_coords`` order, without
+    building the box, each as its coordinate tuple over
+    ``tuple(sorted(syms))``: ``rng`` draws k indices into the box, decoded
+    by ``box_coords``, so the points and the state of ``rng`` afterwards
+    are the same."""
     width = max(hi - lo + 1, 0)
-    return list(box_points(syms, lo, width, rng.sample(range(width ** len(syms)), k)))
+    return list(box_coords(syms, lo, width, rng.sample(range(width ** len(syms)), k)))
 
 
 def point_combine(terms: Iterable[tuple[Scalar, Point]]) -> Point:

@@ -59,12 +59,15 @@ PAIR_ORDER = 51
 # above it, --allow-large does not help.
 PAIR_CEILING = 151
 # lemma46 reads A by its 2(n+1) symmetry classes, each read of the chain
-# testing each of its n + 1 atoms at one coordinate: it took 0.12-0.15 s
-# at this order in a CLI process (0.25-0.34 s at 201), so an order above
-# it needs --allow-large.
+# testing each of its n + 1 atoms at one coordinate, in time about
+# quadratic in the order: in process on CPython 3.11 with 2 cores it took
+# 0.09 s at this order, 0.32 s at 201, 0.74 s at 301 and 1.31 s at 401.
+# A CLI process took 0.12-0.17 s here (0.27-0.31 s at 201), about 0.08 s
+# of it interpreter start and import, so an order above it needs
+# --allow-large.
 CLASS_ORDER = 101
-# lemma46 took 0.5-0.8 s and 23 MiB at this order in a CLI process, and
-# 1.9 s in process at 501: above it, --allow-large does not help.
+# lemma46 took 0.68-0.71 s and 23 MiB at this order in a CLI process:
+# above it, --allow-large does not help.
 CLASS_CEILING = 301
 
 
@@ -125,7 +128,7 @@ COMMANDS = {
          PAIR_CEILING),
     ), BATCH),
     ("verify", "lemma46"): ("verify_lemma_4_6", (1, 3, 5), (
-        (CLASS_ORDER, _always, "a chain of {m} closures read at 2*{m} classes (time cubic in n)",
+        (CLASS_ORDER, _always, "a chain of {m} closures read at 2*{m} classes (time quadratic in n)",
          CLASS_CEILING),
     ), BATCH),
     ("verify", "prop43"): ("verify_prop_4_3", (), (), {

@@ -27,7 +27,10 @@ atom, testing each atom only where it lies above the floor; `fixed_by`
 says whether a renaming of the symbols maps that record onto itself, or
 onto another closure's. Every other closure is folded by `_fill` over its
 one part, and walks: it reads its inner form at each translate down to
-its support floor. One evaluator, `_mass`, answers
+its support floor. `atom_mass` reads one node at one `Point`; `masses`
+is the batch read, of one node at a list of coordinate tuples over a
+sorted basis that holds the node's, its positions there found once per
+call. Both end in one floor test and one evaluator, `_mass`, which answers
 every node, and alone reads or fills each node's memo of the masses
 asked of it; it reads a closure term with no call when the closure has
 answered that point, from its memo, or when the point lies below the
@@ -328,19 +331,40 @@ def fixed_by(mu: MeasureExpr, perm: dict[Symbol, Symbol], image: MeasureExpr | N
 def atom_mass(mu: MeasureExpr, x: Point) -> Scalar:
     """Exact signed mass of the atom of ``mu`` at ``x``: ``x`` read as a
     tuple over ``mu``'s basis by ``Point.coords``, which leaves ``x`` as it
-    was, and looked up by `_mass`."""
+    was, and looked up by `_read`."""
     v = x.coords(mu._basis)
-    # Every atom lies in the span of the basis, so a point off it has none,
-    # and a closure has none below its floor.
-    if v is None or type(mu) is JClosure and not all(map(ge, v, mu._floor)):
+    # Every atom lies in the span of the basis, so a point off it has none.
+    return 0 if v is None else _read(mu, v)
+
+
+def masses(
+    mu: MeasureExpr, basis: tuple[Symbol, ...], vs: Sequence[tuple[Scalar, ...]]
+) -> list[Scalar]:
+    """The masses of ``mu`` at the coordinate tuples ``vs`` over ``basis``,
+    a sorted tuple of symbols that holds ``mu``'s basis (else ValueError),
+    in order: the batch read of one node. A tuple with a nonzero coordinate
+    on a symbol ``mu``'s basis lacks is off its span and reads 0; every
+    other one is read at its picked coordinates by `_read`."""
+    if basis == mu._basis:
+        # Read as they are: picking would copy every tuple (prop43's reads
+        # took about 4 % longer a pass).
+        return [_read(mu, v) for v in vs]
+    keep, drop = _pickers(basis, mu._basis)
+    return [0 if any(drop(v)) else _read(mu, keep(v)) for v in vs]
+
+
+def _read(mu: MeasureExpr, v: tuple[Scalar, ...]) -> Scalar:
+    """The mass of ``mu`` at the tuple ``v`` over its basis: 0 below a
+    closure's floor, where it has no atom, and else `_mass`."""
+    if type(mu) is JClosure and not all(map(ge, v, mu._floor)):
         return 0
     return _mass(mu, v)
 
 
 def _mass(mu: MeasureExpr, v: tuple[Scalar, ...]) -> Scalar:
     """The mass of ``mu`` at the tuple ``v`` over its basis, where ``v`` is
-    not below a closure's floor: a closure is 0 there, and `atom_mass` and
-    a form's term reads answer that without a call. A node with no step
+    not below a closure's floor: a closure is 0 there, and `_read` and a
+    form's term reads answer that without a call. A node with no step
     reads its form at ``v``. A closure with chain runs answers from
     `_chain_mass`. Any other closure sums its inner form at ``v`` and
     every translate below it: J(v) = inner(v) + J(v - step), and J = 0

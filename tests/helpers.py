@@ -111,6 +111,19 @@ def coordinate(p, sym):
     return dict(p.terms).get(sym, 0)
 
 
+def coords_over(p, basis):
+    """The coefficients of the point ``p`` on each symbol of ``basis``, read
+    from its terms (not through ``Point.coords``); the coefficients of ``p``
+    off ``basis`` are not in it."""
+    return tuple(coordinate(p, s) for s in basis)
+
+
+def as_drawn(vs):
+    """Coordinate tuples with the type of each tuple and coordinate, so
+    that equal lists also have the same scalar forms."""
+    return [(type(v), [(type(c), c) for c in v]) for v in vs]
+
+
 def support_floor(mu):
     """The floor of the measure ``mu`` as a point: no support coordinate
     lies below it."""
@@ -121,7 +134,7 @@ def lattice_box(gens, lo, hi):
     """Every combination of the points ``gens`` with integer coefficients
     in ``lo..hi``, the first varying slowest, each built by
     ``point_combine``: over unit points, the order ``sample_box`` draws
-    from, built independently of ``box_points``."""
+    from, built independently of ``box_coords``."""
     return [point_combine(zip(cs, gens)) for cs in product(range(lo, hi + 1), repeat=len(gens))]
 
 

@@ -32,7 +32,7 @@ FOLD = ("test_measures.py", "test_functions.py", "test_scenarios.py")
 CLASSES = ("test_scenarios.py",)
 # Seconds per run. The unmutated run takes about 13 s and a mutant's 1-9 s
 # (CPython 3.11, 2 cores); (1 + len(MUTANTS)) runs, each at this limit,
-# must end inside the CI job's 15 minutes.
+# must end inside the CI job's 18 minutes.
 TIMEOUT = 30
 
 
@@ -72,11 +72,24 @@ MUTANTS = (
     Mutant("term-floor-check-dropped", "measures.py",
            "if not all(map(ge, w, closure._floor)):", "if False:", FOLD),
     Mutant("memo-check-dropped", "measures.py", "if total is not None:", "if False:", FOLD),
+    # The reads of a node at tuples (atom_mass at one point, masses at a
+    # list): a tuple below a closure's floor reads 0 without a call, and a
+    # batch tuple with a coordinate off the node's span reads 0.
+    Mutant("read-floor-check-dropped", "measures.py",
+           "if type(mu) is JClosure and not all(map(ge, v, mu._floor)):", "if False:", FOLD),
+    Mutant("batch-off-span-read", "measures.py",
+           "return [0 if any(drop(v)) else _read(mu, keep(v)) for v in vs]",
+           "return [_read(mu, keep(v)) for v in vs]", FOLD),
     # The builders' mapping of their arguments to parts.
     Mutant("shift-step-dropped", "measures.py",
            "return Form(((1, inner, step),))", "return Form(((1, inner, None),))", FOLD),
     Mutant("scale-factor-dropped", "measures.py",
            "return Form(((exact(factor), inner, None),))", "return Form(((1, inner, None),))", FOLD),
+    # The box decoder: the first symbol varies slowest, so an index's last
+    # digit is the last symbol's coordinate.
+    Mutant("box-digit-order-reversed", "basis.py",
+           "pos = [basis.index(s) for s in reversed(syms)]",
+           "pos = [basis.index(s) for s in syms]", ("test_basis.py", "test_scenarios.py")),
     # A zero read charges nothing, whatever the power, and any other read
     # of a word or more is charged before its power is computed.
     Mutant("pospartpow-zero-charged", "functions.py", "if t <= 0:", "if t < 0:",

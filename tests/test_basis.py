@@ -17,13 +17,13 @@ from hamelcheck import (
     symbols,
     unit,
 )
-from hamelcheck.basis import box_points, check_increment, sample_box, subset_sums
+from hamelcheck.basis import box_coords, box_points, check_increment, sample_box, subset_sums
 from hamelcheck.definitions import parse_definition
 from hamelcheck.differences import Violation
 from hamelcheck.functions import Composite, PositivePartPower
 from hamelcheck.measures import Dirac, JClosure, Shift, atom_mass, nabla
 from hamelcheck.reports import Report
-from helpers import coordinate, lattice_box
+from helpers import as_drawn, coordinate, coords_over, lattice_box
 
 
 def test_rational_is_exact_and_canonical():
@@ -327,10 +327,12 @@ def _generators(rng, pool):
 
 
 def test_tuple_built_points_match_point_combine_seeded():
-    # box_points, sample_box and subset_sums build each point as a tuple
-    # over the sorted symbols; point_combine of the same coefficients is
-    # the oracle: the same points with the same scalar forms, in the same
-    # order, and the same rng state after a sample. A box is given by its
+    # box_coords decodes a box's indices into tuples over the sorted
+    # symbols, box_points builds its points from them, sample_box returns
+    # the sampled tuples, and subset_sums builds each point as a tuple;
+    # point_combine of the same coefficients is the oracle: the same
+    # points, or their coefficients, with the same scalar forms, in the
+    # same order, and the same rng state after a sample. A box is given by its
     # symbols, here in an order they do not sort in, and lattice_box
     # builds it from their unit points.
     pool = symbols("d b e a c", positive=True)
@@ -344,12 +346,15 @@ def test_tuple_built_points_match_point_combine_seeded():
         box = lattice_box([unit(s) for s in syms], lo, hi)
         width = max(hi - lo + 1, 0)
         assert _all_same(box_points(syms, lo, width, range(width ** len(syms))), box)
+        basis = tuple(sorted(syms))
+        tuples = list(box_coords(syms, lo, width, range(width ** len(syms))))
+        assert as_drawn(tuples) == as_drawn(coords_over(p, basis) for p in box)
 
         for k in {0, min(1, len(box)), len(box) // 2, len(box)}:
             seed = rng.random()
             fast, full = random.Random(seed), random.Random(seed)
             sample = sample_box(fast, syms, lo, hi, k)
-            assert _all_same(sample, full.sample(box, k))
+            assert as_drawn(sample) == as_drawn(coords_over(p, basis) for p in full.sample(box, k))
             assert fast.getstate() == full.getstate()
         if not box:
             with pytest.raises(ValueError):

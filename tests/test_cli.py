@@ -139,7 +139,7 @@ def test_commands_call_the_runner_bound_in_cli(monkeypatch, capsys, argv, name):
     (["lemma44", "--n", "53"], "verify_lemma_4_4",
      "54 chains of 54 closures read at 2*54 classes (time cubic in n)"),
     (["lemma46", "--n", "103"], "verify_lemma_4_6",
-     "a chain of 104 closures read at 2*104 classes (time cubic in n)"),
+     "a chain of 104 closures read at 2*104 classes (time quadratic in n)"),
     (["theorem23", "--trace", "--n", "13"], "verify_theorem_2_3",
      "a 2^14-row table for a human-format --trace"),
 ])
@@ -240,18 +240,18 @@ def test_theorem23_human_trace_above_the_trace_order_is_refused(monkeypatch, cap
     ("lemma44", "verify_lemma_4_4"), ("lemma46", "verify_lemma_4_6"),
 ])
 def test_a_sets_above_the_ceiling_are_refused(monkeypatch, capsys, scenario, name):
-    # Both lemmas read by symmetry classes, in time about cubic in the
-    # order, so above PAIR_CEILING (lemma44, 2.1-2.5 s at order 151) and
-    # CLASS_CEILING (lemma46) each is refused even with --allow-large,
-    # before anything is built; CI runs each at its order without the flag.
-    # At the ceiling the flag still reaches the runner, stubbed here so
-    # nothing runs.
+    # Both lemmas read by symmetry classes, in time about cubic (lemma44)
+    # and quadratic (lemma46) in the order, so above PAIR_CEILING (lemma44,
+    # 2.1-2.5 s at order 151) and CLASS_CEILING (lemma46) each is refused
+    # even with --allow-large, before anything is built; CI runs each at
+    # its order without the flag. At the ceiling the flag still reaches the
+    # runner, stubbed here so nothing runs.
     top, cost, least = {
         "lemma44": (cli.PAIR_CEILING,
                     "{m} chains of {m} closures read at 2*{m} classes (time cubic in n)",
                     cli.PAIR_ORDER),
         "lemma46": (cli.CLASS_CEILING,
-                    "a chain of {m} closures read at 2*{m} classes (time cubic in n)",
+                    "a chain of {m} closures read at 2*{m} classes (time quadratic in n)",
                     cli.CLASS_ORDER),
     }[scenario]
     calls = []
@@ -1192,7 +1192,7 @@ def _oracle():
         )),
         ("lemma46", "verify_lemma_4_6", (1, 3, 5), (
             (cli.CLASS_ORDER, cli._always,
-             "a chain of {m} closures read at 2*{m} classes (time cubic in n)", cli.CLASS_CEILING),
+             "a chain of {m} closures read at 2*{m} classes (time quadratic in n)", cli.CLASS_CEILING),
         )),
     ):
         p = vsub.add_parser(name, parents=flags)

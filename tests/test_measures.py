@@ -35,7 +35,7 @@ from hamelcheck import (
 )
 from hamelcheck import errors, measures, scenarios
 from hamelcheck.basis import sample_box
-from hamelcheck.measures import Form, build_a_sets, signed_sum
+from hamelcheck.measures import Form, build_a_sets, masses, signed_sum
 from helpers import (
     MeasureMass, PointwisePower, Scaled, SumOf, coordinate, lattice_box, materialize,
     materialize_truncated, nested_nabla, standard_function, support_floor,
@@ -144,7 +144,9 @@ def test_one_chain_mu_matches_one_chain_per_closure_seeded():
         per_closure = signed_sum([build_mu_i(i, syms) for i in range(1, n + 2)])
         truncated = materialize_truncated(per_closure, 2)
         probes = set(build_a_sets(syms).union)
-        probes.update(sample_box(rng, syms, -1, 2, min(4 ** (n + 1), 200)))
+        basis = tuple(sorted(syms))
+        probes.update(Point.from_coords(basis, v)
+                      for v in sample_box(rng, syms, -1, 2, min(4 ** (n + 1), 200)))
         for x in probes:
             want = truncated.get(x, 0)
             assert atom_mass(one_chain, x) == atom_mass(per_closure, x) == want, (n, x)
@@ -712,6 +714,68 @@ def test_off_basis_query_returns_zero_and_stores_nothing():
             assert root._memo == entries
 
 
+def _node_kinds(seed):
+    """One node of each kind over the symbols a and b, built afresh from
+    ``seed``: a form of atoms only, a difference of a closure (a form with
+    closure terms), a walking closure and a closure with a chain record."""
+    rng = random.Random(seed)
+    ua, ub = (unit(s) for s in symbols("a b", positive=True))
+    atoms = Sum(tuple(
+        Scale(rng.choice((1, -1, 2, Fraction(1, 2))),
+              Dirac(rng.randint(0, 3) * ua + rng.randint(0, 2) * ub))
+        for _ in range(rng.randint(1, 3))
+    ))
+    walk = JClosure(atoms, ua + rng.choice((1, 2)) * ub)
+    chain = JClosure(JClosure(atoms, ua), rng.choice((1, 2)) * ub)
+    return atoms, nabla(rng.choice((walk, chain)), [ua, ub]), walk, chain
+
+
+def test_masses_match_atom_mass_on_each_node_kind_seeded():
+    # The batch read of a node at tuples over its own basis, and over a
+    # wider one with a coordinate it lacks, answers as atom_mass of the
+    # same points does on the same node built afresh: off the span, below
+    # a closure's floor and at its atoms.
+    rng = random.Random(4343)
+    wide = tuple(symbols("a b c", positive=True))
+    for _ in range(30):
+        seed = rng.random()
+        nodes, fresh = _node_kinds(seed), _node_kinds(seed)
+        atoms, diff, walk, chain = nodes
+        assert not atoms._terms and type(diff) is Form and diff._terms
+        assert walk._runs is None and chain._runs is not None
+        for mu, twin in zip(nodes, fresh):
+            for basis in {mu._basis, wide}:
+                vs = sample_box(rng, basis, -2, 5, min(8 ** len(basis), 60))
+                want = [atom_mass(twin, Point.from_coords(basis, v)) for v in vs]
+                assert masses(mu, basis, vs) == want, (mu, basis)
+
+
+def test_masses_read_zero_off_the_span_and_below_a_floor():
+    # Over a wider basis a tuple with a nonzero coordinate the node lacks
+    # reads 0, though its kept coordinates read 1; a tuple below a
+    # closure's floor reads 0 as well, with or without a chain record,
+    # and neither is stored.
+    a, b, c = symbols("a b c", positive=True)
+    ua, ub = unit(a), unit(b)
+    chain, walk = JClosure(Dirac(ua + ub), ua), JClosure(Dirac(ua + ub), ua + ub)
+    assert chain._runs is not None and walk._runs is None
+    for mu, on in ((chain, (3, 1)), (walk, (3, 3))):
+        assert mu._basis == (a, b) and mu._floor == (1, 1)
+        assert masses(mu, (a, b, c), [(*on, 0), (*on, 1), (*on, -2)]) == [1, 0, 0]
+        entries = dict(mu._memo)
+        assert masses(mu, (a, b), [(0, 1), (1, 0), (0, 3), (-1, -1)]) == [0, 0, 0, 0]
+        assert masses(mu, (a, b, c), [(0, 1, 0), (3, 0, 0)]) == [0, 0]
+        assert mu._memo == entries
+
+
+def test_masses_over_a_basis_without_one_of_the_node_s_symbols_raise():
+    a, b, c = symbols("a b c", positive=True)
+    mu = JClosure(Dirac(unit(a) + unit(b)), unit(a))
+    for basis in ((a,), (b, c), (a, c)):
+        with pytest.raises(ValueError):
+            masses(mu, basis, [(1,) * len(basis)])
+
+
 def test_repeated_lemma46_queries_keep_one_entry_per_point():
     # Lemma 4.6 asks mu at every point of A in several claims, and the
     # unit atom at h1 alongside it; mu keeps one entry per distinct point,
@@ -1003,7 +1067,7 @@ def test_nabla_is_the_nested_fold_form_for_form_seeded():
     (foreign,) = symbols("t", positive=True)
     merged = cancelled = 0
     for _ in range(40):
-        nu, hs, _ = scenarios._random_instance(rng)
+        nu, hs, _, _ = scenarios._random_instance(rng)
         closed = j_op(nu, hs)
         with _walks_only():
             walks = j_op(nu, hs)
@@ -1021,7 +1085,8 @@ def test_nabla_is_the_nested_fold_form_for_form_seeded():
             assert type(got) is Form and got.diffs == tuple(steps)
             assert _form(got) == _form(want), (mu, steps)
             n = len(got._basis)
-            for x in sample_box(rng, got._basis, -1, 6, min(8 ** n, 30)):
+            for v in sample_box(rng, got._basis, -1, 6, min(8 ** n, 30)):
+                x = Point.from_coords(got._basis, v)
                 assert atom_mass(got, x) == atom_mass(want, x), (mu, steps, x)
             # Equal increments merge a closure's translates at some offsets.
             merged += type(mu) is JClosure and len(got._terms) < 2 ** len(steps)

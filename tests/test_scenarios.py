@@ -23,7 +23,7 @@ from hamelcheck import (
 from hamelcheck.basis import AdditiveFunctional, Symbol, point_combine, unit
 from hamelcheck.functions import Composite, PositivePartPower
 from hamelcheck.measures import Form, build_mu, build_mu_i, j_op, signed_sum
-from helpers import lattice_box, lemma_4_4_full, lemma_4_6_full
+from helpers import as_drawn, coords_over, lattice_box, lemma_4_4_full, lemma_4_6_full
 
 
 def claims_by_label(report):
@@ -326,30 +326,35 @@ def test_theorem_and_chain_values_agree():
 
 def test_prop43_probes_are_the_full_box_sample(monkeypatch):
     # The probes are drawn by index into the box, not from the built box:
-    # the points, and the draws that follow them, must be those of
-    # rng.sample over lattice_box itself.
+    # the probes' coordinates, and the draws that follow them, must be
+    # those of rng.sample over lattice_box itself.
     def full_box(rng, syms, lo, hi, k):
-        return rng.sample(lattice_box([unit(s) for s in syms], lo, hi), k)
+        box = lattice_box([unit(s) for s in syms], lo, hi)
+        return [coords_over(p, tuple(sorted(syms))) for p in rng.sample(box, k)]
 
     symbol_counts = set()
     for seed in range(40):
         fast_rng, full_rng = random.Random(seed), random.Random(seed)
-        _, hs, probes = scenarios._random_instance(fast_rng)
+        _, hs, basis, probes = scenarios._random_instance(fast_rng)
         with monkeypatch.context() as m:
             m.setattr(scenarios, "sample_box", full_box)
-            _, full_hs, full_probes = scenarios._random_instance(full_rng)
-        assert (hs, probes) == (full_hs, full_probes)
+            _, full_hs, full_basis, full_probes = scenarios._random_instance(full_rng)
+        assert (hs, basis) == (full_hs, full_basis)
+        assert as_drawn(probes) == as_drawn(full_probes)
         assert fast_rng.getstate() == full_rng.getstate()
-        symbol_counts.add(len({s for p in probes for s, _ in p.terms}))
+        assert {len(v) for v in probes} == {len(basis)}
+        symbol_counts.add(len(basis))
     assert symbol_counts == {1, 2, 3}
 
 
 def _point_combine_instance(rng):
     """The draws of ``scenarios._random_instance``, in the same order, with
     every point built by ``point_combine`` and the probes sampled from the
-    built box: ``(weight, atom)`` pairs, increments and probes."""
+    built box: the symbols, ``(weight, atom)`` pairs, increments and
+    probes."""
     nsym = rng.randint(1, 3)
-    units = [unit(Symbol(f"s{i + 1}", positive=True)) for i in range(nsym)]
+    syms = tuple(Symbol(f"s{i + 1}", positive=True) for i in range(nsym))
+    units = [unit(s) for s in syms]
     atoms = []
     for _ in range(rng.randint(1, 5)):
         p = point_combine((rng.randint(0, 5), u) for u in units)
@@ -368,37 +373,39 @@ def _point_combine_instance(rng):
     box = [point_combine(zip(cs, units)) for cs in product(range(-1, hi + 1), repeat=nsym)]
     probes = rng.sample(box, 50)
     probes += [p for p in dict.fromkeys(p for _, p in atoms) if p not in probes]
-    return atoms, hs, probes
+    return syms, atoms, hs, probes
 
 
 def test_prop43_instances_match_point_combine_draws():
     # Atoms, increments and probes are built from coordinate tuples; the
-    # same draws through point_combine give the same points, with the same
-    # scalar forms, and leave the rng in the same state.
+    # same draws through point_combine give the same points, and probes
+    # with the same coordinates over the symbols, with the same scalar
+    # forms, and leave the rng in the same state.
     def canonical(points):
         return [[(s, type(c), c) for s, c in p.terms] for p in points]
 
     for seed in range(300):
         rng, oracle = random.Random(seed), random.Random(seed)
-        nu, hs, probes = scenarios._random_instance(rng)
-        atoms, want_hs, want_probes = _point_combine_instance(oracle)
+        nu, hs, basis, probes = scenarios._random_instance(rng)
+        syms, atoms, want_hs, want_probes = _point_combine_instance(oracle)
         assert [(c, child) for c, child, _ in nu.parts] == [(w, None) for w, _ in atoms]
         assert canonical(at for _, _, at in nu.parts) == canonical(p for _, p in atoms)
         assert canonical(hs) == canonical(want_hs)
-        assert canonical(probes) == canonical(want_probes)
+        assert basis == syms
+        assert as_drawn(probes) == as_drawn(coords_over(p, syms) for p in want_probes)
         assert rng.getstate() == oracle.getstate()
 
 
 def test_prop43_probes_append_each_new_atom_once():
-    # After the box sample come the atoms' points that it missed, in the
-    # order the atoms were drawn, each once however often it was drawn.
+    # After the box sample come the tuples of the atoms that it missed, in
+    # the order the atoms were drawn, each once however often it was drawn.
     seen_repeat = seen_sampled = False
     for seed in range(200):
-        nu, _, probes = scenarios._random_instance(random.Random(seed))
-        atoms = [at for _, _, at in nu.parts]
+        nu, _, basis, probes = scenarios._random_instance(random.Random(seed))
+        atoms = [coords_over(at, basis) for _, _, at in nu.parts]
         sample = probes[:50]
-        missed = [p for p in dict.fromkeys(atoms) if p not in sample]
-        assert probes == sample + missed
+        missed = [v for v in dict.fromkeys(atoms) if v not in sample]
+        assert as_drawn(probes) == as_drawn(sample + missed)
         seen_repeat |= len(set(atoms)) < len(atoms)
         seen_sampled |= len(missed) < len(set(atoms))
     assert seen_repeat and seen_sampled
