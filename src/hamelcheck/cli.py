@@ -49,14 +49,14 @@ LINE_CEILING = 5501
 # four times that per step of two: above it, --allow-large does not help.
 TRACE_ORDER = 17
 # lemma44 reads its pairs (i, S) by their 2(n+1) symmetry classes, after
-# building n + 1 chains of n + 1 closures, in time about cubic in the order:
-# it took 0.20-0.28 s and 22 MiB at this order in a CLI process on CPython
-# 3.11 with 2 cores (0.8-1.0 s and 50 MiB at 101), so an order above it
-# needs --allow-large.
+# building n + 1 chains of n + 1 closures and mu's one chain, in time about
+# cubic in the order: it took 0.16-0.25 s and 21 MiB at this order in a CLI
+# process on CPython 3.11 with 2 cores (0.38-0.44 s and 44 MiB at 101), so
+# an order above it needs --allow-large.
 PAIR_ORDER = 51
-# lemma44 took 2.1-2.5 s and 115 MiB at this order in a CLI process, and
-# its memory grows as the cube of the order too (5.7 s and 231 MiB at 201):
-# above it, --allow-large does not help.
+# lemma44 took 0.9-1.5 s and 98 MiB at this order in a CLI process, and
+# its memory grows as the cube of the order too (2.9 s and 193 MiB at 201,
+# in process): above it, --allow-large does not help.
 PAIR_CEILING = 151
 # lemma46 reads A by its 2(n+1) symmetry classes, each read of the chain
 # testing each of its n + 1 atoms at one coordinate, in time about

@@ -3,7 +3,7 @@ exact pointwise atom-mass evaluation.
 
 Closure nodes have infinite support, so measures are never materialized.
 A node is a `JClosure` or a `Form`, every other measure, which `Dirac`,
-`Shift`, `Scale`, `Sum`, `nabla` and `signed_sum` build. Every node
+`Shift`, `Scale`, `Sum`, `nabla` and `build_mu` build. Every node
 works on coordinate tuples over its basis, the sorted symbols of its
 subtree's points, and is folded at construction into one linear form
 there: merged atoms, plus merged closure leaves, each at an offset and
@@ -16,29 +16,29 @@ its own translation, and a weighted atom is a part. The difference ∇
 over k increments is one `Form`, which takes ``form − T_h form`` once
 per increment on its form alone; it has the atoms and terms, in the same
 order, of the fold ``acc − T_h acc`` built as nested sums, scalings and
-shifts, without their nodes. Only a closure stores a step, and its
-route is chosen when it is built: a closure over a form with no closure
-term, or over a closure with a chain record, gets a chain record when
-every distinct step of its chain has one nonzero coordinate and no two
-share one (the axis-aligned case, which `build_mu_i` and `build_mu`
-are). Its form is then its inner's atoms and floor, with the step's
-symbol put into the basis, and it answers in closed form, one read per
-atom, testing each atom only where it lies above the floor; `fixed_by`
-says whether a renaming of the symbols maps that record onto itself, or
-onto another closure's. Every other closure is folded by `_fill` over its
-one part, and walks: it reads its inner form at each translate down to
-its support floor. `atom_mass` reads one node at one `Point`; `masses`
-is the batch read, of one node at a list of coordinate tuples over a
-sorted basis that holds the node's, its positions there found once per
-call. Both end in one floor test and one evaluator, `_mass`, which answers
-every node, and alone reads or fills each node's memo of the masses
-asked of it; it reads a closure term with no call when the closure has
-answered that point, from its memo, or when the point lies below the
-closure's floor, as 0. Each query charges the work meter before its
-work: a walk its translates, less those a memoised point saves, and a
-closed form its atom reads and its binomials' size, weighed
-superlinearly. A closure is never cancelled against a difference: it
-stays a leaf that its closed form or its walk evaluates.
+shifts, without their nodes. A closure's route is chosen when it is
+built: a closure over a form with no closure term, or over a closure
+with a chain record, gets a chain record when every distinct step of its
+chain has one nonzero coordinate and no two share one (the axis-aligned
+case, which `build_mu_i` and `build_mu` are). Its form is then its
+inner's atoms and floor, with the step's symbol put into the basis, and
+it answers in closed form, one read per atom, testing each atom only
+where it lies above the floor; `fixed_by` says whether a renaming of the
+symbols maps that record onto itself, or onto another closure's. Every
+other closure is folded by `_fill` over its one part, and walks: it
+reads its inner form at each translate down to its support floor.
+`atom_mass` reads one node at one `Point`; `masses` is the batch read,
+of one node at a list of coordinate tuples over a sorted basis that
+holds the node's, its positions there found once per call. Both end in
+one floor test and one evaluator, `_mass`, which answers every node, and
+alone reads or fills each node's memo of the masses asked of it; it
+reads a closure term with no call when the closure has answered that
+point, from its memo, or when the point lies below the closure's floor,
+as 0. Each query charges the work meter before its work: a walk its
+translates, less those a memoised point saves, and a closed form its
+atom reads and its binomials' size, weighed superlinearly. A closure is
+never cancelled against a difference: it stays a leaf that its closed
+form or its walk evaluates.
 """
 
 from __future__ import annotations
@@ -114,14 +114,14 @@ class MeasureExpr(Frozen):
     """Base class of `Form` and `JClosure`. Over `_basis`, `_floor` bounds
     every support coordinate below, as a tuple, and `_atoms` and `_terms`
     are the node's linear form (a closure's describes its inner measure,
-    or with `_runs` its chain's atoms; a closure alone has a `_step`, a
-    tuple too, and `_runs`, None when it walks). The form's mass at `v` is
-    `_atoms.get(v, 0)` plus, for each term `(closure, offset, keep, drop,
-    c)` with `w = v - offset` (`v` itself when `offset` is None), `c`
-    times the closure's mass at `w`. When the closure's basis is smaller
-    than the node's, the term counts only where `drop(w)` is all 0, at
-    `keep(w)`; otherwise both are None. `_memo` maps each `v` that `_mass`
-    has answered to the node's mass there. `_basis` is a tuple, shared
+    or with `_runs` its chain's atoms; a closure alone has `_runs`, None
+    when it walks, and a walking closure alone a `_step`, a tuple too).
+    The form's mass at `v` is `_atoms.get(v, 0)` plus, for each term
+    `(closure, offset, keep, drop, c)` with `w = v - offset` (`v` itself when
+    `offset` is None), `c` times the closure's mass at `w`. When the closure's
+    basis is smaller than the node's, the term counts only where `drop(w)` is
+    all 0, at `keep(w)`; otherwise both are None. `_memo` maps each `v` that
+    `_mass` has answered to the node's mass there. `_basis` is a tuple, shared
     with the node's first part when it is that part's basis."""
 
     def _fill(
@@ -134,13 +134,13 @@ class MeasureExpr(Frozen):
         ``h`` of ``diffs`` in turn: a `Form`'s parts and increments, or a
         walking closure's one part, its inner measure. A child of None is the
         unit atom at the origin, and a closure child is one term. ``own`` is
-        a closure's step, kept as ``_step``. The basis is the first part's,
-        unless another part's basis, an offset, an increment or ``own``
-        brings a symbol it lacks; then it is a new tuple of the sorted
-        symbols of all of them. The floor is the coordinatewise minimum of
-        the parts' floors (the unit atom's is 0; a closure's is its inner's,
-        since its support only grows upward), each translated by its part's
-        offset; an increment is positive, so a difference keeps it."""
+        a walking closure's step, kept as ``_step``. The basis is the first
+        part's, unless another part's basis, an offset, an increment or
+        ``own`` brings a symbol it lacks; then it is a new tuple of the sorted
+        symbols of all of them. The floor is the coordinatewise minimum of the
+        parts' floors (the unit atom's is 0; a closure's is its inner's, since
+        its support only grows upward), each translated by its part's offset;
+        an increment is positive, so a difference keeps it."""
         first = parts[0][1]
         basis = () if first is None else first._basis
         points = [at for _, _, at in parts if at is not None]
@@ -207,8 +207,8 @@ class Form(MeasureExpr):
     ``parts`` ``(c, child, at)``, with ``Π(1 − T_h)`` taken over the
     increments ``diffs``. A child of None is the unit atom at the origin,
     so ``(w, None, p)`` is the atom of weight ``w`` at ``p``; an ``at`` of
-    None translates nothing. `Dirac`, `Shift`, `Scale`, `Sum`, `nabla` and
-    `signed_sum` each build one."""
+    None translates nothing. `Dirac`, `Shift`, `Scale`, `Sum` and `nabla`
+    each build one, and `build_mu` builds one for its signed unit atoms."""
 
     parts: tuple[tuple[Scalar, MeasureExpr | None, Point | None], ...]
     diffs: tuple[Point, ...]
@@ -246,7 +246,7 @@ class JClosure(MeasureExpr):
         # A chain's form is its inner chain's base atoms, and its floor the
         # inner's, over the inner's basis with the step's one symbol put in
         # at its sorted place (coordinate 0) when it is new there.
-        ((sym, g),) = step.terms
+        ((sym, _),) = step.terms
         basis, floor, atoms = inner._basis, inner._floor, inner._atoms
         j = bisect_left(basis, sym)
         if j == len(basis) or basis[j] != sym:
@@ -255,7 +255,7 @@ class JClosure(MeasureExpr):
             atoms = {(*v[:j], 0, *v[j:]): w for v, w in atoms.items()}
         self.__dict__.update(
             inner=inner, step=step, _runs=runs, _basis=basis, _floor=floor, _memo={},
-            _atoms=atoms, _terms=(), _step=(0,) * j + (g,) + (0,) * (len(basis) - j - 1),
+            _atoms=atoms, _terms=(),
         )
 
 
@@ -513,26 +513,14 @@ def build_mu_i(i: int, syms: Sequence[Symbol]) -> MeasureExpr:
     return j_op(Dirac(pts[i - 1]), pts)
 
 
-def _signed(pairs: Sequence[tuple]) -> Form:
-    """The `Form` of the ``(child, at)`` parts ``pairs``: every one but
-    the first, minus the first, in that part order."""
-    return Form([(1, *pair) for pair in pairs[1:]] + [(-1, *pairs[0])])
-
-
-def signed_sum(mus: Sequence[MeasureExpr]) -> MeasureExpr:
-    """The signed combination of mu_1..mu_(n+1), closures or their unit
-    atoms: every one but the first, minus the first."""
-    return _signed([(mu, None) for mu in mus])
-
-
 def build_mu(syms: Sequence[Symbol]) -> MeasureExpr:
-    """The signed combination of ``build_mu_i`` over every symbol, built
-    as one chain: J is linear, so ``Σ_{i≥2} J(δ_{h_i}) − J(δ_{h_1})`` is
-    the chain of unit-step closures over the signed unit atoms
-    ``Σ_{i≥2} δ_{h_i} − δ_{h_1}``, and a query walks it once where
-    ``signed_sum`` of the ``build_mu_i`` walks one chain per atom."""
+    """The signed combination of ``build_mu_i`` over every symbol, every
+    one but the first minus the first, built as one chain: J is linear, so
+    ``Σ_{i≥2} J(δ_{h_i}) − J(δ_{h_1})`` is the chain of unit-step closures
+    over the signed unit atoms ``Σ_{i≥2} δ_{h_i} − δ_{h_1}``, one `Form`,
+    and a query reads that one chain's record."""
     pts = _unit_increments(syms)
-    return j_op(_signed([(None, p) for p in pts]), pts)
+    return j_op(Form([(1, None, p) for p in pts[1:]] + [(-1, None, pts[0])]), pts)
 
 
 class ASets(NamedTuple):

@@ -28,7 +28,7 @@ from hamelcheck import (
 )
 from hamelcheck.basis import Frozen, check_increment, exact
 from hamelcheck.functions import Kernel
-from hamelcheck.measures import Form, build_a_sets, signed_sum
+from hamelcheck.measures import Form, build_a_sets
 
 
 class AbsoluteValue(Kernel):
@@ -147,6 +147,14 @@ def nested_nabla(mu, hs):
         check_increment(h)
         acc = Sum((acc, Scale(-1, Shift(acc, h))))
     return acc
+
+
+def signed_sum(mus):
+    """The signed combination of the measures ``mus``, every one but the
+    first minus the first, as one ``Form`` with one part per measure: mu
+    as the sum of its per-symbol closures, the route ``build_mu``'s one
+    chain is held to."""
+    return Form([(1, mu, None) for mu in mus[1:]] + [(-1, mus[0], None)])
 
 
 def _difference(atoms, steps):
@@ -282,7 +290,8 @@ def lemma_4_6_full(n):
 def lemma_4_4_full(n):
     """Each claim's computed value of ``verify_lemma_4_4(n)`` by the full
     route, the oracle of its class route: every mu_i is read at all of its
-    A_i and of the rest of A, and mu at all 2^(n+1) - 1 points of A, from
+    A_i and of the rest of A, and mu, the ``signed_sum`` of the mu_i rather
+    than the scenario's one chain, at all 2^(n+1) - 1 points of A, from
     ``build_a_sets``."""
     syms, units, _, _, _ = scenarios._standard_setup(n)
     mus = [build_mu_i(i, syms) for i in range(1, n + 2)]

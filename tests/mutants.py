@@ -62,11 +62,12 @@ MUTANTS = (
            "floor = floors[0] if len(floors) == 1 else tuple(map(min, zip(*floors)))",
            "floor = floors[0]", FOLD),
     Mutant("first-increment-only", "measures.py", "for h in diffs:", "for h in diffs[:1]:", FOLD),
-    # A difference's weights: cancelled ones are dropped, and every form
-    # but the first of a signed combination is added.
+    # A difference's weights: cancelled ones are dropped, and mu's signed
+    # unit atoms add every one but the first.
     Mutant("cancelled-weights-kept", "measures.py",
            "return {key: w for key, w in merged.items() if w}", "return merged", FOLD),
-    Mutant("signed-first-added", "measures.py", "(-1, *pairs[0])", "(1, *pairs[0])", FOLD),
+    Mutant("signed-first-added", "measures.py",
+           "(-1, None, pts[0])", "(1, None, pts[0])", FOLD),
     # The mass of a closure: a term below its closure's floor is 0 without
     # a call, and a point answered once is answered from the memo.
     Mutant("term-floor-check-dropped", "measures.py",
@@ -112,23 +113,29 @@ MUTANTS = (
     # The even-order candidates' scaled square (c*x)_+^2.
     Mutant("scaled-square-sign-dropped", "scenarios.py", "{u: c}", "{u: abs(c)}", FOLD),
     # Lemma 4.6's class route: each class's weight and sign in the sums at
-    # the top point, its representative, and the certificate's generators.
+    # the top point, and its representative.
     Mutant("class-weight-off-by-one", "scenarios.py", "comb(n, k)", "comb(n + 1, k)", CLASSES),
     Mutant("class-sign-flipped", "scenarios.py",
            "(-1) ** (n + 1 - b - k)", "(-1) ** (n - b - k)", CLASSES),
     Mutant("class-representative-without-h1", "scenarios.py",
            "for i in (0, *rest) if b else rest:", "for i in rest:", CLASSES),
-    Mutant("certificate-generator-dropped", "scenarios.py",
-           "for g in (cycle, swap)", "for g in (cycle,)", CLASSES),
     # Lemma 4.4's class route: the mu_i read for the pairs with h_i in S,
-    # the family certificate's generators, and the unit outside S whose
-    # mu_i reads 0.
+    # and the unit outside S whose mu_i reads 0.
     Mutant("pair-representative-off-by-one", "scenarios.py",
            "atom_mass(mus[rest[0]], x) if rest", "atom_mass(mus[rest[0] - 1], x) if rest", CLASSES),
-    Mutant("family-generator-dropped", "scenarios.py",
-           "for g in _generators(syms):", "for g in _generators(syms)[:1]:", CLASSES),
     Mutant("outside-unit-taken-from-s", "scenarios.py",
            "for i in range(n, 0, -1) if i not in rest", "for i in range(n, 0, -1)", CLASSES),
+    # The one certificate of both lemmas: each generator (the transposition,
+    # then the cycle, replaced by the identity), the check of a's values,
+    # and the image each mu_i must map onto.
+    Mutant("certificate-generator-dropped", "scenarios.py",
+           "dict(zip(rest[:2], rest[1::-1]))", "{}", CLASSES),
+    Mutant("family-generator-dropped", "scenarios.py",
+           "dict(zip(rest, rest[1:] + rest[:1]))", "{}", CLASSES),
+    Mutant("certificate-values-dropped", "scenarios.py",
+           "if not all(values[g.get(s, s)] == v for s, v in values.items()):", "if False:", CLASSES),
+    Mutant("family-image-dropped", "scenarios.py",
+           "fixed_by(m, g, image)", "fixed_by(m, g)", CLASSES),
 )
 
 

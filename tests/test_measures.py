@@ -35,10 +35,10 @@ from hamelcheck import (
 )
 from hamelcheck import errors, measures, scenarios
 from hamelcheck.basis import sample_box
-from hamelcheck.measures import Form, build_a_sets, masses, signed_sum
+from hamelcheck.measures import Form, build_a_sets, masses
 from helpers import (
     MeasureMass, PointwisePower, Scaled, SumOf, coordinate, lattice_box, materialize,
-    materialize_truncated, nested_nabla, standard_function, support_floor,
+    materialize_truncated, nested_nabla, signed_sum, standard_function, support_floor,
 )
 
 
@@ -133,8 +133,8 @@ def test_build_mu_masses():
 
 
 def test_one_chain_mu_matches_one_chain_per_closure_seeded():
-    # Lemma 4.6 builds mu as one chain of closures over the signed unit
-    # atoms; lemma 4.4 sums one chain per atom. Both must equal the
+    # Both lemmas build mu as one chain of closures over the signed unit
+    # atoms; lemma 4.4's oracle sums one chain per atom. Both must equal the
     # truncated sum of the per-closure route at every point of A and at
     # sampled points with coordinates in -1..2 (kmax = 2 reaches them all).
     rng = random.Random(4646)

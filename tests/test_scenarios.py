@@ -22,8 +22,10 @@ from hamelcheck import (
 )
 from hamelcheck.basis import AdditiveFunctional, Symbol, point_combine, unit
 from hamelcheck.functions import Composite, PositivePartPower
-from hamelcheck.measures import Form, build_mu, build_mu_i, j_op, signed_sum
-from helpers import as_drawn, coords_over, lattice_box, lemma_4_4_full, lemma_4_6_full
+from hamelcheck.measures import Form, build_mu, build_mu_i, j_op
+from helpers import (
+    as_drawn, coords_over, lattice_box, lemma_4_4_full, lemma_4_6_full, signed_sum,
+)
 
 
 def claims_by_label(report):
@@ -96,8 +98,8 @@ def test_lemma44_orders():
 
 
 def test_lemma44_builds_each_closure_once(monkeypatch):
-    # mu combines the per-symbol closures the claims query, so their
-    # memos are shared; building mu afresh would double the closures.
+    # One chain per mu_i, which the pair claims query, and mu as one chain
+    # more; building mu from fresh mu_i would double the closures.
     built = []
     init = JClosure.__init__
 
@@ -108,12 +110,13 @@ def test_lemma44_builds_each_closure_once(monkeypatch):
     monkeypatch.setattr(JClosure, "__init__", counting)
     n = 3
     assert verify_lemma_4_4(n).passed
-    assert len(built) == (n + 1) ** 2  # n + 1 trees of n + 1 closures each
+    assert len(built) == (n + 1) ** 2 + (n + 1)  # n + 2 chains of n + 1 closures each
 
 
 def test_lemma44_builds_each_atom_once(monkeypatch):
-    # One unit atom per closure tree, and one for the positive-part claim
-    # across all of A, not one per point.
+    # One unit atom per mu_i's chain, n + 1 signed unit atoms under mu's
+    # chain, and one for the positive-part claim across all of A, not one
+    # per point.
     built = []
     init = Form.__init__
 
@@ -125,7 +128,7 @@ def test_lemma44_builds_each_atom_once(monkeypatch):
     monkeypatch.setattr(Form, "__init__", counting)
     n = 3
     assert verify_lemma_4_4(n).passed
-    assert len(built) == n + 2
+    assert len(built) == 2 * n + 3
 
 
 def test_lemma44_class_route_matches_the_full_route():
@@ -149,6 +152,17 @@ def _lemma44_with(monkeypatch, n, extra):
     return claims_by_label(verify_lemma_4_4(n))
 
 
+def _mu_with(extra):
+    """A ``build_mu`` that adds the weighted points ``extra`` to mu's signed
+    unit atoms, under the same chain of closures."""
+    def mu(syms):
+        units = [unit(s) for s in syms]
+        atoms = [(-1, units[0]), *((1, u) for u in units[1:]), *extra]
+        return j_op(Form([(w, None, p) for w, p in atoms]), units)
+
+    return mu
+
+
 def test_lemma44_as_built_is_certified(monkeypatch):
     # The builder the cases below patch, with nothing added, gives the
     # scenario's own claims, and the certificate holds as built.
@@ -156,9 +170,9 @@ def test_lemma44_as_built_is_certified(monkeypatch):
         want = claims_by_label(verify_lemma_4_4(n))
         with monkeypatch.context() as m:
             assert _lemma44_with(m, n, {}) == want
-        syms = scenarios._standard_setup(n)[0]
+        syms, _, a, _, _ = scenarios._standard_setup(n)
         mus = [build_mu_i(i, syms) for i in range(1, n + 2)]
-        assert scenarios._family_symmetric(syms, mus, signed_sum(mus))
+        assert scenarios._certified(syms, a, build_mu(syms), mus)
 
 
 @pytest.mark.parametrize("extra", [
@@ -188,20 +202,42 @@ def test_lemma44_fails_every_class_read_claim_an_uncertified_symmetry_reaches(mo
         assert d.passed and "uncertified" not in d.ref
     assert all(c.computed == c.expected and not c.passed for c in by.values())
     assert by["c-negative-only-at-h1"].ref.endswith(
-        "; uncertified: a permutation of h2..h4 does not map the mu_i onto each other "
-        "or moves mu's signed terms")
+        "; uncertified: a permutation of h2..h4 moves a, mu or the mu_i")
 
 
-def test_lemma44_certificate_reads_mu_s_signed_terms():
-    # The mu_i map onto each other, but a weight that only mu_2 carries, or
-    # a part that is not one of them, moves mu itself.
-    syms = scenarios._standard_setup(3)[0]
-    mus = [build_mu_i(i, syms) for i in range(1, 5)]
-    assert scenarios._family_symmetric(syms, mus, signed_sum(mus))
-    uneven = Form([(1, mus[1], None), (2, mus[2], None), (1, mus[3], None), (-1, mus[0], None)])
-    assert not scenarios._family_symmetric(syms, mus, uneven)
-    extra = Form([*signed_sum(mus).parts, (1, None, unit(syms[0]))])
-    assert not scenarios._family_symmetric(syms, mus, extra)
+@pytest.mark.parametrize("extra", [
+    # An atom at 2*h3: both generators move it.
+    ((1, (0, 0, 2, 0)),),
+    # An atom at 2*h4: the transposition (h2 h3) fixes it, the cycle does not.
+    ((1, (0, 0, 0, 2)),),
+    # Atoms at h2 + 2*h3, h3 + 2*h4 and h4 + 2*h2: the cycle fixes them,
+    # the transposition does not.
+    ((1, (0, 1, 2, 0)), (1, (0, 0, 1, 2)), (1, (0, 2, 0, 1))),
+    # No atom added, but mu built as the signed sum of fresh mu_i: equal
+    # at every point, yet it has no chain record to certify.
+    None,
+], ids=["moved-by-both", "moved-by-the-cycle", "moved-by-the-transposition", "no-chain-record"])
+def test_lemma44_certificate_reads_mu_itself(monkeypatch, extra):
+    # The mu_i map onto each other as built, and each extra atom has a
+    # coordinate 2, so every mass on A is as it was. Only the certificate's
+    # read of mu's own record can see it: every claim read by class fails,
+    # though each computed value equals its expected one. The d-claims
+    # read h1 itself, and pass either way.
+    if extra is None:
+        def mu(syms):
+            return signed_sum([build_mu_i(i, syms) for i in range(1, len(syms) + 1)])
+    else:
+        units = [unit(s) for s in scenarios._standard_setup(3)[0]]
+        mu = _mu_with([(w, point_combine(zip(coeffs, units))) for w, coeffs in extra])
+    monkeypatch.setattr(scenarios, "_CLASS_DRAWS", 0)
+    monkeypatch.setattr(scenarios, "build_mu", mu)
+    by = claims_by_label(verify_lemma_4_4(3))
+    for label in ("d-mass-at-h1", "d-only-first-closure-at-h1"):
+        d = by.pop(label)
+        assert d.passed and "uncertified" not in d.ref
+    assert all(c.computed == c.expected and not c.passed for c in by.values())
+    assert all(c.ref.endswith("; uncertified: a permutation of h2..h4 moves a, mu or the mu_i")
+               for c in by.values())
 
 
 def test_lemma44_other_members_must_read_as_their_representative(monkeypatch):
@@ -212,7 +248,7 @@ def test_lemma44_other_members_must_read_as_their_representative(monkeypatch):
     # class; the d-claims read h1.
     units = [unit(s) for s in scenarios._standard_setup(3)[0]]
     extra = {2: [(1, units[1] + units[3]), (-1, units[1] + units[2] + units[3])]}
-    monkeypatch.setattr(scenarios, "_family_symmetric", lambda *args: True)
+    monkeypatch.setattr(scenarios, "_certified", lambda *args: True)
     by = _lemma44_with(monkeypatch, 3, extra)
     by_class = ("a-unit-mass-on-own-set", "b-zero-mass-off-set", "c-negative-only-at-h1",
                 "e-positive-part-shift")
@@ -244,9 +280,8 @@ def test_lemma46_class_route_matches_the_full_route():
 
 
 def _lemma46_with(monkeypatch, n, a_at_last=1, extra=()):
-    """verify_lemma_4_6(n) with a(h(n+1)) set to ``a_at_last`` and the
-    weighted points ``extra`` added to mu's signed unit atoms, under the
-    same chain of closures."""
+    """verify_lemma_4_6(n) with a(h(n+1)) set to ``a_at_last`` and mu
+    built by ``_mu_with(extra)``."""
     setup = scenarios._standard_setup
 
     def asymmetric(n):
@@ -254,13 +289,8 @@ def _lemma46_with(monkeypatch, n, a_at_last=1, extra=()):
         a = AdditiveFunctional({**{s: a(unit(s)) for s in syms}, syms[-1]: a_at_last})
         return syms, units, a, Composite(PositivePartPower(n), a), top
 
-    def mu(syms):
-        units = [unit(s) for s in syms]
-        atoms = [(-1, units[0]), *((1, u) for u in units[1:]), *extra]
-        return j_op(Form([(w, None, p) for w, p in atoms]), units)
-
     monkeypatch.setattr(scenarios, "_standard_setup", asymmetric)
-    monkeypatch.setattr(scenarios, "build_mu", mu)
+    monkeypatch.setattr(scenarios, "build_mu", _mu_with(extra))
     return claims_by_label(verify_lemma_4_6(n))
 
 
@@ -271,8 +301,8 @@ def test_lemma46_as_built_is_certified(monkeypatch):
         want = claims_by_label(verify_lemma_4_6(n))
         with monkeypatch.context() as m:
             assert _lemma46_with(m, n) == want
-        syms, units, a, _, _ = scenarios._standard_setup(n)
-        assert scenarios._symmetric(syms, units, a, build_mu(syms))
+        syms, _, a, _, _ = scenarios._standard_setup(n)
+        assert scenarios._certified(syms, a, build_mu(syms))
 
 
 @pytest.mark.parametrize("a_at_last, extra", [
@@ -297,7 +327,7 @@ def test_lemma46_fails_every_claim_an_uncertified_symmetry_reaches(monkeypatch, 
     assert not any(c.passed for c in by.values())
     atom = by["unit-atom-diff-at-top"]
     assert atom.computed == atom.expected == -1 and not atom.passed
-    assert atom.ref.endswith("; uncertified: a permutation of h2..h4 moves mu's chain record or a")
+    assert atom.ref.endswith("; uncertified: a permutation of h2..h4 moves a, mu or the mu_i")
 
 
 def test_lemma46_other_members_must_read_as_their_representative(monkeypatch):
@@ -307,7 +337,7 @@ def test_lemma46_other_members_must_read_as_their_representative(monkeypatch):
     # passed, the drawn members alone fail the pointwise claims.
     units = [unit(s) for s in scenarios._standard_setup(3)[0]]
     extra = [(1, units[1] + units[3]), (-1, units[1] + units[2] + units[3])]
-    monkeypatch.setattr(scenarios, "_symmetric", lambda *args: True)
+    monkeypatch.setattr(scenarios, "_certified", lambda *args: True)
     by = _lemma46_with(monkeypatch, 3, extra=extra)
     pointwise = ("additive-matches-mass-on-A", "mass-power-identity-on-A",
                  "binomial-reduction-on-A")
