@@ -48,26 +48,16 @@ LINE_CEILING = 5501
 # theorem23's human-format trace took 10.6 s and 376 MiB at this order, and
 # four times that per step of two: above it, --allow-large does not help.
 TRACE_ORDER = 17
-# lemma44 reads its pairs (i, S) by their 2(n+1) symmetry classes, after
-# building n + 1 chains of n + 1 closures and mu's one chain, in time about
-# cubic in the order: it took 0.16-0.25 s and 21 MiB at this order in a CLI
-# process on CPython 3.11 with 2 cores (0.38-0.44 s and 44 MiB at 101), so
-# an order above it needs --allow-large.
-PAIR_ORDER = 51
-# lemma44 took 0.9-1.5 s and 98 MiB at this order in a CLI process, and
-# its memory grows as the cube of the order too (2.9 s and 193 MiB at 201,
-# in process): above it, --allow-large does not help.
-PAIR_CEILING = 151
-# lemma46 reads A by its 2(n+1) symmetry classes, each read of the chain
-# testing each of its n + 1 atoms at one coordinate, in time about
-# quadratic in the order: in process on CPython 3.11 with 2 cores it took
-# 0.09 s at this order, 0.32 s at 201, 0.74 s at 301 and 1.31 s at 401.
-# A CLI process took 0.12-0.17 s here (0.27-0.31 s at 201), about 0.08 s
-# of it interpreter start and import, so an order above it needs
+# lemma44 and lemma46 read A by its 2(n+1) symmetry classes, each read of
+# a chain testing each of its n + 1 atoms at one coordinate, in time about
+# quadratic in the order: lemma44 builds mu_1, mu_2 and mu, lemma46 mu
+# alone. A CLI process on CPython 3.11 with 2 cores took 0.14-0.16 s and
+# 17 MiB here for lemma44 and 0.13-0.17 s and 16 MiB for lemma46, about
+# 0.08 s of it interpreter start and import, so an order above it needs
 # --allow-large.
 CLASS_ORDER = 101
-# lemma46 took 0.68-0.71 s and 23 MiB at this order in a CLI process:
-# above it, --allow-large does not help.
+# lemma44 took 0.64-0.65 s and 30-31 MiB at this order in a CLI process,
+# and lemma46 0.48-0.70 s and 22 MiB: above it, --allow-large does not help.
 CLASS_CEILING = 301
 
 
@@ -124,8 +114,8 @@ COMMANDS = {
     ("verify", "section31"): ("verify_section_3_1", (), (), {}),
     ("verify", "section32"): ("verify_section_3_2", (), (), {}),
     ("verify", "lemma44"): ("verify_lemma_4_4", (1, 3, 5), (
-        (PAIR_ORDER, _always, "{m} chains of {m} closures read at 2*{m} classes (time cubic in n)",
-         PAIR_CEILING),
+        (CLASS_ORDER, _always, "3 chains of {m} closures read at 2*{m} classes (time quadratic in n)",
+         CLASS_CEILING),
     ), BATCH),
     ("verify", "lemma46"): ("verify_lemma_4_6", (1, 3, 5), (
         (CLASS_ORDER, _always, "a chain of {m} closures read at 2*{m} classes (time quadratic in n)",

@@ -24,7 +24,7 @@ case, which `build_mu_i` and `build_mu` are). Its form is then its
 inner's atoms and floor, with the step's symbol put into the basis, and
 it answers in closed form, one read per atom, testing each atom only
 where it lies above the floor; `fixed_by` says whether a renaming of the
-symbols maps that record onto itself, or onto another closure's. Every
+symbols maps that record onto itself. Every
 other closure is folded by `_fill` over its one part, and walks: it
 reads its inner form at each translate down to its support floor.
 `atom_mass` reads one node at one `Point`; `masses` is the batch read,
@@ -307,25 +307,22 @@ def _chain_index(mu: JClosure) -> tuple:
     return index
 
 
-def fixed_by(mu: MeasureExpr, perm: dict[Symbol, Symbol], image: MeasureExpr | None = None) -> bool:
+def fixed_by(mu: MeasureExpr, perm: dict[Symbol, Symbol]) -> bool:
     """Whether renaming the symbols of ``mu`` by ``perm`` (a symbol it does
     not name stays) maps ``mu``'s chain record, its runs and its atoms with
-    their weights, onto ``image``'s (None: ``mu``'s own), so that the closed
-    forms give the same mass at a point of ``mu`` and at its renamed point
-    of ``image``. False when either node has no chain record, or when
-    ``perm`` does not map ``mu``'s basis onto ``image``'s."""
-    image = mu if image is None else image
-    runs, target = getattr(mu, "_runs", None), getattr(image, "_runs", None)
-    if runs is None or target is None or len(mu._basis) != len(image._basis):
+    their weights, onto itself, so that the closed form gives the same mass
+    at a point and at its renamed point. False when ``mu`` has no chain
+    record, or when ``perm`` does not map its basis onto itself."""
+    runs = getattr(mu, "_runs", None)
+    if runs is None:
         return False
-    where = dict(zip(image._basis, range(len(image._basis))))
+    where = dict(zip(mu._basis, range(len(mu._basis))))
     to = [where.get(perm.get(s, s)) for s in mu._basis]
     if None in to or len(set(to)) != len(to):
         return False
-    atoms, onto = mu._atoms, image._atoms
-    return ({perm.get(s, s): r for s, *r in runs} == {s: r for s, *r in target}
-            and len(atoms) == len(onto)
-            and all(onto.get(_place(v, to, len(v))) == w for v, w in atoms.items()))
+    atoms = mu._atoms
+    return ({perm.get(s, s): r for s, *r in runs} == {s: r for s, *r in runs}
+            and all(atoms.get(_place(v, to, len(v))) == w for v, w in atoms.items()))
 
 
 def atom_mass(mu: MeasureExpr, x: Point) -> Scalar:

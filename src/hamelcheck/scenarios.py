@@ -5,8 +5,9 @@ value exactly, and compares against the expected value frozen in the
 claim. Randomized runners take an explicit seed and name it in the
 report, so every run is reproducible. Both lemma runners read the one
 chain `build_mu` as mu, read A by symmetry classes, and pass one
-certificate, `_certified`; where it fails, each fails every claim it
-reads by class, with one note.
+certificate, `_certified`, which also covers lemma 4.4's read of each
+mu_i as mu_2 renamed; where it fails, each fails every claim it reads by
+class, with one note.
 """
 
 from __future__ import annotations
@@ -169,31 +170,32 @@ def verify_section_3_2() -> Report:
 
 
 def verify_lemma_4_4(n: int) -> Report:
-    """Mass pattern of the closure measures on the 0/1-combination sets,
-    read by the classes of the pairs (i, S), i indexing a mu_i and S a
-    nonempty subset of the units, under the permutations of h2..h(n+1),
-    which `_certified` must certify map each mu_i onto mu_sigma(i) and fix
-    mu, lemma 4.6's one chain (J is linear, so it is the signed sum of the
-    mu_i). S is read at its class's representative b*h1 + h2 + ... + h(k+1)
-    (`_by_class`); there mu_1 stands for the pairs (1, S), mu_2 for those
-    with h_i in S and mu_(n+1) for those with h_i outside S, and mu and
-    delta_h1 for S alone. Uncertified, every claim read by class fails; the
-    d-claims read h1 itself."""
+    """Mass pattern of the closure measures mu_i = J(delta_h_i) on the
+    0/1-combination sets, read by the classes of the pairs (i, S), i
+    indexing a mu_i and S a nonempty subset of the units, under the
+    permutations of h2..h(n+1). Only mu_1, mu_2 and mu, lemma 4.6's one
+    chain, are built; each other mu_i is read as mu_2 with h2 and h_i
+    exchanged (`_exchanged`), as `_certified` must certify. S is read at
+    its class's representative b*h1 + h2 + ... + h(k+1) (`_by_class`);
+    there mu_1 stands for the pairs (1, S), mu_2 for those with h_i in S
+    and mu_(n+1) for those with h_i outside S, and mu and delta_h1 for S
+    alone. Uncertified, every claim but d-mass-at-h1 (mu at h1) fails."""
     require_odd(n)
     syms, units, a, _, _ = _standard_setup(n)
-    mus = [build_mu_i(i, syms) for i in range(1, n + 2)]
+    mu_1, mu_2 = build_mu_i(1, syms), build_mu_i(2, syms)
     mu = build_mu(syms)
     h1 = units[0]
     delta1 = Dirac(h1)
+    mu_i = _exchanged(mu_2, syms)
 
     def reads(x: Point, rest) -> tuple:
         """mu, delta_h1 and mu_1 at ``x``, the sum of h1 (or not) and the
         units at the indices ``rest``; the mu_i of the first of them, and of
         the last unit outside them (None where there is none)."""
         out = next((i for i in range(n, 0, -1) if i not in rest), None)
-        return (atom_mass(mu, x), atom_mass(delta1, x), atom_mass(mus[0], x),
-                atom_mass(mus[rest[0]], x) if rest else None,
-                None if out is None else atom_mass(mus[out], x))
+        return (atom_mass(mu, x), atom_mass(delta1, x), atom_mass(mu_1, x),
+                mu_i(rest[0], x) if rest else None,
+                None if out is None else mu_i(out, x))
 
     values, same = _by_class(syms, reads)
     # The class (0, 0), the empty subset's, is not in A.
@@ -204,9 +206,8 @@ def verify_lemma_4_4(n: int) -> Report:
     ok_b = all(f == 0 for (b, _), f in zip(classes, firsts) if not b) and all(
         m == 0 for m in outs if m is not None)
     negatives = [c for c, m in zip(classes, ms) if m < 0]
-    only_first = atom_mass(mus[0], h1) == 1 and all(
-        atom_mass(m, h1) == 0 for m in mus[1:]
-    )
+    # The exchanges fix h1, so mu_2 stands there for mu_3..mu_(n+1).
+    only_first = atom_mass(mu_1, h1) == 1 and atom_mass(mu_2, h1) == 0
     ok_e = all(max(m, 0) == m + d for m, d in zip(ms, ds))
     claims = (
         make_claim(
@@ -242,9 +243,23 @@ def verify_lemma_4_4(n: int) -> Report:
             True,
         ),
     )
-    if not _certified(syms, a, mu, mus):
-        claims = _uncertified(n, claims, ("d-mass-at-h1", "d-only-first-closure-at-h1"))
+    if not _certified(syms, a, mu, mu_1, mu_2):
+        claims = _uncertified(n, claims, ("d-mass-at-h1",))
     return Report(f"lemma44(n={n})", claims)
+
+
+def _exchanged(mu_2, syms: list[Symbol]):
+    """``read(i, x)``: mu_(i+1) at ``x``, read as ``mu_2`` with the coordinates
+    of h2 and h(i+1) exchanged over the basis `_by_class` builds ``x`` on."""
+    basis = tuple(sorted(syms))
+    at = [basis.index(s) for s in syms]
+
+    def read(i: int, x: Point):
+        v = list(x.coords(basis))
+        v[at[1]], v[at[i]] = v[at[i]], v[at[1]]
+        return atom_mass(mu_2, Point.from_coords(basis, v))
+
+    return read
 
 
 # The other members of each class of A read beside its representative, and
@@ -283,26 +298,23 @@ def _by_class(syms: list[Symbol], reads) -> tuple[list, bool]:
     return values, same
 
 
-def _certified(syms: list[Symbol], a: AdditiveFunctional, mu, mus=()) -> bool:
+def _certified(syms: list[Symbol], a: AdditiveFunctional, mu, mu_1=None, mu_2=None) -> bool:
     """Whether the cycle (h2 ... h(n+1)) and the transposition (h2 h3), which
     generate the permutations of ``syms[1:]`` as renamings, each fix
-    ``a``'s values at the units of ``syms`` and ``mu``'s chain record
-    (`fixed_by`), and, renaming each ``syms[i]`` to ``syms[j]``, map the
-    chain record of ``mus[i]`` onto that of ``mus[j]``. Below three
+    ``a``'s values at the units of ``syms`` and the chain records
+    (`fixed_by`) of ``mu`` and ``mu_1``; and, given ``mu_2``, whether the
+    permutations of ``syms[2:]``, those that fix h2, fix its record, and
+    its runs are ``mu``'s: then J commutes with each exchange of h2 and
+    h_i, which carries mu_2 = J(delta_h2) onto J(delta_h_i). Below three
     symbols past h1 the transposition is the identity."""
     rest = syms[1:]
-    index = {s: i for i, s in enumerate(syms)}
     values = {s: a(unit(s)) for s in syms}
     for g in (dict(zip(rest, rest[1:] + rest[:1])), dict(zip(rest[:2], rest[1::-1]))):
         if not all(values[g.get(s, s)] == v for s, v in values.items()):
             return False
-        if not fixed_by(mu, g):
+        if not all(fixed_by(m, g) for m in (mu, mu_1) if m is not None):
             return False
-        for s, m in zip(syms, mus):
-            image = mus[index[g.get(s, s)]]
-            if not fixed_by(m, g, image):
-                return False
-    return True
+    return mu_2 is None or (_certified(rest, a, mu_2) and set(mu_2._runs) == set(mu._runs))
 
 
 def _uncertified(n: int, claims: tuple[Claim, ...], exempt: tuple[str, ...]) -> tuple[Claim, ...]:

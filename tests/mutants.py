@@ -120,22 +120,28 @@ MUTANTS = (
     Mutant("class-representative-without-h1", "scenarios.py",
            "for i in (0, *rest) if b else rest:", "for i in rest:", CLASSES),
     # Lemma 4.4's class route: the mu_i read for the pairs with h_i in S,
-    # and the unit outside S whose mu_i reads 0.
+    # the unit outside S whose mu_i reads 0, and the exchange of h2 and h_i
+    # that reads mu_i as mu_2.
     Mutant("pair-representative-off-by-one", "scenarios.py",
-           "atom_mass(mus[rest[0]], x) if rest", "atom_mass(mus[rest[0] - 1], x) if rest", CLASSES),
+           "mu_i(rest[0], x) if rest", "mu_i(rest[0] - 1, x) if rest", CLASSES),
     Mutant("outside-unit-taken-from-s", "scenarios.py",
            "for i in range(n, 0, -1) if i not in rest", "for i in range(n, 0, -1)", CLASSES),
+    Mutant("exchange-dropped", "scenarios.py",
+           "v[at[1]], v[at[i]] = v[at[i]], v[at[1]]", "pass", CLASSES),
     # The one certificate of both lemmas: each generator (the transposition,
     # then the cycle, replaced by the identity), the check of a's values,
-    # and the image each mu_i must map onto.
+    # and lemma 4.4's checks of mu_2 under the permutations that fix h2
+    # and of mu_2's runs against mu's.
     Mutant("certificate-generator-dropped", "scenarios.py",
            "dict(zip(rest[:2], rest[1::-1]))", "{}", CLASSES),
-    Mutant("family-generator-dropped", "scenarios.py",
+    Mutant("certificate-cycle-dropped", "scenarios.py",
            "dict(zip(rest, rest[1:] + rest[:1]))", "{}", CLASSES),
     Mutant("certificate-values-dropped", "scenarios.py",
            "if not all(values[g.get(s, s)] == v for s, v in values.items()):", "if False:", CLASSES),
-    Mutant("family-image-dropped", "scenarios.py",
-           "fixed_by(m, g, image)", "fixed_by(m, g)", CLASSES),
+    Mutant("family-generator-dropped", "scenarios.py",
+           "_certified(rest, a, mu_2) and", "", CLASSES),
+    Mutant("family-runs-unchecked", "scenarios.py",
+           " and set(mu_2._runs) == set(mu._runs)", "", CLASSES),
 )
 
 

@@ -136,8 +136,8 @@ def test_commands_call_the_runner_bound_in_cli(monkeypatch, capsys, argv, name):
 
 
 @pytest.mark.parametrize("argv, name, cost", [
-    (["lemma44", "--n", "53"], "verify_lemma_4_4",
-     "54 chains of 54 closures read at 2*54 classes (time cubic in n)"),
+    (["lemma44", "--n", "103"], "verify_lemma_4_4",
+     "3 chains of 104 closures read at 2*104 classes (time quadratic in n)"),
     (["lemma46", "--n", "103"], "verify_lemma_4_6",
      "a chain of 104 closures read at 2*104 classes (time quadratic in n)"),
     (["theorem23", "--trace", "--n", "13"], "verify_theorem_2_3",
@@ -240,16 +240,15 @@ def test_theorem23_human_trace_above_the_trace_order_is_refused(monkeypatch, cap
     ("lemma44", "verify_lemma_4_4"), ("lemma46", "verify_lemma_4_6"),
 ])
 def test_a_sets_above_the_ceiling_are_refused(monkeypatch, capsys, scenario, name):
-    # Both lemmas read by symmetry classes, in time about cubic (lemma44)
-    # and quadratic (lemma46) in the order, so above PAIR_CEILING (lemma44,
-    # 2.1-2.5 s at order 151) and CLASS_CEILING (lemma46) each is refused
-    # even with --allow-large, before anything is built; CI runs each at
-    # its order without the flag. At the ceiling the flag still reaches the
-    # runner, stubbed here so nothing runs.
+    # Both lemmas read by symmetry classes, in time about quadratic in the
+    # order, so above CLASS_CEILING each is refused even with --allow-large,
+    # before anything is built; CI runs each at its order without the flag.
+    # At the ceiling the flag still reaches the runner, stubbed here so
+    # nothing runs.
     top, cost, least = {
-        "lemma44": (cli.PAIR_CEILING,
-                    "{m} chains of {m} closures read at 2*{m} classes (time cubic in n)",
-                    cli.PAIR_ORDER),
+        "lemma44": (cli.CLASS_CEILING,
+                    "3 chains of {m} closures read at 2*{m} classes (time quadratic in n)",
+                    cli.CLASS_ORDER),
         "lemma46": (cli.CLASS_CEILING,
                     "a chain of {m} closures read at 2*{m} classes (time quadratic in n)",
                     cli.CLASS_ORDER),
@@ -502,7 +501,7 @@ def test_exit_code_usage_errors(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", "theorem23", "--n", "13", "--trace")
     assert code == 2 and "--allow-large" in err
 
-    code, _, err = run_cli(capsys, "verify", "lemma44", "--n", "53")
+    code, _, err = run_cli(capsys, "verify", "lemma44", "--n", "103")
     assert code == 2 and "--allow-large" in err
 
     # An even order is refused as even before its cost is weighed: it is
@@ -1187,8 +1186,9 @@ def _oracle():
         ("section31", "verify_section_3_1", (), ()),
         ("section32", "verify_section_3_2", (), ()),
         ("lemma44", "verify_lemma_4_4", (1, 3, 5), (
-            (cli.PAIR_ORDER, cli._always,
-             "{m} chains of {m} closures read at 2*{m} classes (time cubic in n)", cli.PAIR_CEILING),
+            (cli.CLASS_ORDER, cli._always,
+             "3 chains of {m} closures read at 2*{m} classes (time quadratic in n)",
+             cli.CLASS_CEILING),
         )),
         ("lemma46", "verify_lemma_4_6", (1, 3, 5), (
             (cli.CLASS_ORDER, cli._always,
@@ -1246,7 +1246,6 @@ def _corpus():
                   ["--n", "--trace"], ["--n", "--", "5"], ["--n", "3", "--", "5"],
                   ["--n", "3", "--allow-large=yes"], ["--n", "1003", "--allow-large"],
                   ["--n", "19", "--trace", "--allow-large"], ["--n", "99999999999"],
-                  ["--n", "53"], ["--n", "153", "--allow-large"],
                   ["--n", "103"], ["--n", "303", "--allow-large"]):
             yield [*cmd, *n]
     for flags in (["--trials", "3"], ["--tri", "3", "--s", "5"], ["--trials=7", "--seed=-5"],

@@ -22,7 +22,7 @@ from hamelcheck import (
 )
 from hamelcheck.basis import AdditiveFunctional, Symbol, point_combine, unit
 from hamelcheck.functions import Composite, PositivePartPower
-from hamelcheck.measures import Form, build_mu, build_mu_i, j_op
+from hamelcheck.measures import Form, atom_mass, build_a_sets, build_mu, build_mu_i, j_op
 from helpers import (
     as_drawn, coords_over, lattice_box, lemma_4_4_full, lemma_4_6_full, signed_sum,
 )
@@ -98,8 +98,9 @@ def test_lemma44_orders():
 
 
 def test_lemma44_builds_each_closure_once(monkeypatch):
-    # One chain per mu_i, which the pair claims query, and mu as one chain
-    # more; building mu from fresh mu_i would double the closures.
+    # One chain each for mu_1, mu_2 and mu; every other mu_i is read as
+    # mu_2 renamed, and building it, or mu from fresh mu_i, would add
+    # closures.
     built = []
     init = JClosure.__init__
 
@@ -110,13 +111,13 @@ def test_lemma44_builds_each_closure_once(monkeypatch):
     monkeypatch.setattr(JClosure, "__init__", counting)
     n = 3
     assert verify_lemma_4_4(n).passed
-    assert len(built) == (n + 1) ** 2 + (n + 1)  # n + 2 chains of n + 1 closures each
+    assert len(built) == 3 * (n + 1)  # 3 chains of n + 1 closures each
 
 
 def test_lemma44_builds_each_atom_once(monkeypatch):
-    # One unit atom per mu_i's chain, n + 1 signed unit atoms under mu's
-    # chain, and one for the positive-part claim across all of A, not one
-    # per point.
+    # One unit atom under each of mu_1's and mu_2's chains, n + 1 signed
+    # unit atoms under mu's, and one for the positive-part claim across all
+    # of A, not one per point.
     built = []
     init = Form.__init__
 
@@ -128,7 +129,7 @@ def test_lemma44_builds_each_atom_once(monkeypatch):
     monkeypatch.setattr(Form, "__init__", counting)
     n = 3
     assert verify_lemma_4_4(n).passed
-    assert len(built) == 2 * n + 3
+    assert len(built) == n + 4
 
 
 def test_lemma44_class_route_matches_the_full_route():
@@ -140,13 +141,15 @@ def test_lemma44_class_route_matches_the_full_route():
         assert {c.label: c.computed for c in rep.claims} == lemma_4_4_full(n), n
 
 
-def _lemma44_with(monkeypatch, n, extra):
+def _lemma44_with(monkeypatch, n, extra, fresh=None):
     """verify_lemma_4_4(n) with the weighted points ``extra[i]`` added to
-    mu_i's unit atom, under the same chain of closures."""
+    mu_i's unit atom, under the same chain of closures, and mu_2's chain
+    closed along the step ``fresh`` too, when one is given."""
     def mu_i(i, syms):
         units = [unit(s) for s in syms]
         atoms = [(1, units[i - 1]), *extra.get(i, ())]
-        return j_op(Form([(w, None, p) for w, p in atoms]), units)
+        steps = [*units, fresh] if i == 2 and fresh is not None else units
+        return j_op(Form([(w, None, p) for w, p in atoms]), steps)
 
     monkeypatch.setattr(scenarios, "build_mu_i", mu_i)
     return claims_by_label(verify_lemma_4_4(n))
@@ -171,38 +174,57 @@ def test_lemma44_as_built_is_certified(monkeypatch):
         with monkeypatch.context() as m:
             assert _lemma44_with(m, n, {}) == want
         syms, _, a, _, _ = scenarios._standard_setup(n)
-        mus = [build_mu_i(i, syms) for i in range(1, n + 2)]
-        assert scenarios._certified(syms, a, build_mu(syms), mus)
+        assert scenarios._certified(syms, a, build_mu(syms), build_mu_i(1, syms),
+                                    build_mu_i(2, syms))
 
 
-@pytest.mark.parametrize("extra", [
-    # An atom at 2*h3 in mu_2: both generators map it into mu_3, which
-    # has none there.
-    {2: ((1, (0, 0, 2, 0)),)},
-    # An atom at 2*h4 in mu_4: the transposition (h2 h3) fixes it, the
-    # cycle maps it into mu_2.
-    {4: ((1, (0, 0, 0, 2)),)},
-    # Atoms at h2 + 2*h3, h3 + 2*h4 and h4 + 2*h2 in mu_1: the cycle maps
-    # mu_1 onto itself, the transposition does not.
-    {1: ((1, (0, 1, 2, 0)), (1, (0, 0, 1, 2)), (1, (0, 2, 0, 1)))},
-], ids=["moved-by-both", "moved-by-the-cycle", "moved-by-the-transposition"])
-def test_lemma44_fails_every_class_read_claim_an_uncertified_symmetry_reaches(monkeypatch, extra):
+def test_lemma44_exchanged_read_is_the_built_mu_i():
+    # Each mu_i read as mu_2 with the coordinates of h2 and h_i exchanged
+    # equals the built mu_i at every point of A, and at each 2*h_j, off A,
+    # where mu_i has mass 1 if j = i and 0 otherwise.
+    for n in range(1, 8):
+        syms = scenarios._standard_setup(n)[0]
+        read = scenarios._exchanged(build_mu_i(2, syms), syms)
+        points = [*build_a_sets(syms).union, *(2 * unit(s) for s in syms)]
+        for i in range(1, n + 1):
+            mu_i = build_mu_i(i + 1, syms)
+            assert [read(i, x) for x in points] == [atom_mass(mu_i, x) for x in points], (n, i)
+
+
+@pytest.mark.parametrize("n, extra, fresh", [
+    # An atom at 2*h3 in mu_2: the cycle and the transposition of h3 and
+    # h4, which fix h2, both move it.
+    (3, {2: ((1, (0, 0, 2, 0)),)}, False),
+    # An atom at 2*h5 in mu_2: the transposition (h3 h4) fixes it, the
+    # cycle (h3 h4 h5 h6) does not.
+    (5, {2: ((1, (0, 0, 0, 0, 2, 0)),)}, False),
+    # Atoms at h2 + 2*h3, h3 + 2*h4 and h4 + 2*h2 in mu_1: the cycle
+    # (h2 h3 h4) maps mu_1 onto itself, the transposition (h2 h3) does not.
+    (3, {1: ((1, (0, 1, 2, 0)), (1, (0, 0, 1, 2)), (1, (0, 2, 0, 1)))}, False),
+    # mu_2 closed along one more unit step, on a fresh symbol: no point of
+    # A has a coordinate there and no renaming moves it, so only the check
+    # of mu_2's runs against mu's can see that mu_2's J is not mu's.
+    (3, {}, True),
+], ids=["moved-by-both", "moved-by-the-cycle", "moved-by-the-transposition", "runs-not-mus"])
+def test_lemma44_fails_every_class_read_claim_an_uncertified_symmetry_reaches(
+        monkeypatch, n, extra, fresh):
     # Each extra atom has a coordinate 2, so it leaves every mass on A as
     # it was. With no other member drawn, only the certificate can see it:
     # every claim read by class fails, though each computed value equals
-    # its expected one, and the full route does not stand in. The
-    # d-claims read h1 itself, and pass either way.
-    units = [unit(s) for s in scenarios._standard_setup(3)[0]]
+    # its expected one, and the full route does not stand in. So does
+    # d-only-first-closure-at-h1, whose mu_2 stands for mu_3..mu_(n+1)
+    # by the exchanges. d-mass-at-h1 reads mu itself, and passes either way.
+    units = [unit(s) for s in scenarios._standard_setup(n)[0]]
     extra = {i: [(w, point_combine(zip(coeffs, units))) for w, coeffs in atoms]
              for i, atoms in extra.items()}
+    fresh = unit(Symbol("g", positive=True)) if fresh else None
     monkeypatch.setattr(scenarios, "_CLASS_DRAWS", 0)
-    by = _lemma44_with(monkeypatch, 3, extra)
-    for label in ("d-mass-at-h1", "d-only-first-closure-at-h1"):
-        d = by.pop(label)
-        assert d.passed and "uncertified" not in d.ref
+    by = _lemma44_with(monkeypatch, n, extra, fresh)
+    d = by.pop("d-mass-at-h1")
+    assert d.passed and "uncertified" not in d.ref
     assert all(c.computed == c.expected and not c.passed for c in by.values())
-    assert by["c-negative-only-at-h1"].ref.endswith(
-        "; uncertified: a permutation of h2..h4 moves a, mu or the mu_i")
+    assert all(c.ref.endswith(f"; uncertified: a permutation of h2..h{n + 1} moves a, mu or the mu_i")
+               for c in by.values())
 
 
 @pytest.mark.parametrize("extra", [
@@ -218,11 +240,11 @@ def test_lemma44_fails_every_class_read_claim_an_uncertified_symmetry_reaches(mo
     None,
 ], ids=["moved-by-both", "moved-by-the-cycle", "moved-by-the-transposition", "no-chain-record"])
 def test_lemma44_certificate_reads_mu_itself(monkeypatch, extra):
-    # The mu_i map onto each other as built, and each extra atom has a
-    # coordinate 2, so every mass on A is as it was. Only the certificate's
-    # read of mu's own record can see it: every claim read by class fails,
-    # though each computed value equals its expected one. The d-claims
-    # read h1 itself, and pass either way.
+    # mu_1 and mu_2 are as built, and each extra atom has a coordinate 2,
+    # so every mass on A is as it was. Only the certificate's read of mu's
+    # own record can see it: every claim but d-mass-at-h1 fails, though
+    # each computed value equals its expected one. d-mass-at-h1 reads mu at
+    # h1, and passes either way.
     if extra is None:
         def mu(syms):
             return signed_sum([build_mu_i(i, syms) for i in range(1, len(syms) + 1)])
@@ -232,9 +254,8 @@ def test_lemma44_certificate_reads_mu_itself(monkeypatch, extra):
     monkeypatch.setattr(scenarios, "_CLASS_DRAWS", 0)
     monkeypatch.setattr(scenarios, "build_mu", mu)
     by = claims_by_label(verify_lemma_4_4(3))
-    for label in ("d-mass-at-h1", "d-only-first-closure-at-h1"):
-        d = by.pop(label)
-        assert d.passed and "uncertified" not in d.ref
+    d = by.pop("d-mass-at-h1")
+    assert d.passed and "uncertified" not in d.ref
     assert all(c.computed == c.expected and not c.passed for c in by.values())
     assert all(c.ref.endswith("; uncertified: a permutation of h2..h4 moves a, mu or the mu_i")
                for c in by.values())
