@@ -9,10 +9,10 @@
     hamelcheck run FILE
 
 Output goes to stdout in --format human|tsv|jsonl; --trace adds the full
-evaluation table (human format). Both flags go before or after the
-subcommand; one given after it overrides one before. An option's value
-follows it or is joined to it by "=", a unique prefix of an option stands
-for it, and "--" ends the options. Exit codes: 0 every claim passed, 1
+evaluation table (human format), built under its own work budget. Both
+flags go before or after the subcommand; one given after it overrides one
+before. An option's value follows it or is joined to it by "=", a unique
+prefix of an option stands for it, and "--" ends the options. Exit codes: 0 every claim passed, 1
 some claim failed, 2 usage or definition error, or stdout closed early.
 """
 
@@ -37,7 +37,6 @@ from .scenarios import (
     verify_theorem_2_3,
 )
 
-LARGE_ORDER = 11
 # theorem23's claims take the scalar line at any order, but its time grows
 # as the cube of the order, so an order above this one needs --allow-large.
 LINE_ORDER = 1001
@@ -45,9 +44,6 @@ LINE_ORDER = 1001
 # 23 MiB), and its time grows as the cube of the order: above it,
 # --allow-large does not help.
 LINE_CEILING = 5501
-# theorem23's human-format trace took 10.6 s and 376 MiB at this order, and
-# four times that per step of two: above it, --allow-large does not help.
-TRACE_ORDER = 17
 # lemma44 and lemma46 read A by its 2(n+1) symmetry classes, each read of
 # a chain testing each of its n + 1 atoms at one coordinate, in time about
 # quadratic in the order: lemma44 builds mu_1, mu_2 and mu, lemma46 mu
@@ -70,17 +66,6 @@ def run_definition_file(path: str):
     return run(path)
 
 
-def _always(args: SimpleNamespace) -> bool:
-    return True
-
-
-def _human_trace(args: SimpleNamespace) -> bool:
-    # theorem23's claims take the scalar-line route, polynomial in n; only
-    # the trace's subset-sum table grows as 2^(n+1), and only the human
-    # format renders it.
-    return args.trace and args.format == "human"
-
-
 # An option maps to its type, default and help. The type is int, str,
 # bool (a flag that takes no value) or the tuple of values it accepts; a
 # default of REQUIRED makes it required, and a name without "--" in front
@@ -93,43 +78,42 @@ OUTPUT = {
 }
 BATCH = {
     "--n": (int, None, "odd order (default: batch)"),
-    "--allow-large": (bool, False, None),  # the help quotes the command's guards
+    "--allow-large": (bool, False, None),  # the help quotes the command's guard
 }
 
 # Each command's words map to its runner, its batch orders when --n is
 # omitted (none: the runner takes its options' values, in this order), its
-# cost guards and its options besides OUTPUT. A guard is an order above
-# which --allow-large is needed, when it applies, what such an order costs
-# ({n} the order, {m} = n + 1) and the order past which it is refused
-# anyway: the help text, the error and the warning all read this
-# one cost, and the first guard that applies is the one quoted. The table
-# holds each runner's name, not the function: ``main`` looks the name up in
+# cost guard, if any, and its options besides OUTPUT. A guard is an order
+# above which --allow-large is needed, what such an order costs ({n} the
+# order, {m} = n + 1) and the order past which it is refused anyway: the
+# help text, the error and the warning all read this one cost. A --trace
+# table needs no guard, as the work meter bounds it. The table holds each
+# runner's name, not the function: ``main`` looks the name up in
 # this module on every call, so a wrapper installed on it at any time (the
 # benchmark's tracer, a test's monkeypatch) is the one called.
 COMMANDS = {
     ("verify", "theorem23"): ("verify_theorem_2_3", (1, 3, 5, 7, 9, 11), (
-        (LARGE_ORDER, _human_trace, "a 2^{m}-row table for a human-format --trace", TRACE_ORDER),
-        (LINE_ORDER, _always, "a scalar line of {m} factors (time cubic in n)", LINE_CEILING),
+        LINE_ORDER, "a scalar line of {m} factors (time cubic in n)", LINE_CEILING,
     ), BATCH),
-    ("verify", "section31"): ("verify_section_3_1", (), (), {}),
-    ("verify", "section32"): ("verify_section_3_2", (), (), {}),
+    ("verify", "section31"): ("verify_section_3_1", (), None, {}),
+    ("verify", "section32"): ("verify_section_3_2", (), None, {}),
     ("verify", "lemma44"): ("verify_lemma_4_4", (1, 3, 5), (
-        (CLASS_ORDER, _always, "3 chains of {m} closures read at 2*{m} classes (time quadratic in n)",
-         CLASS_CEILING),
+        CLASS_ORDER, "3 chains of {m} closures read at 2*{m} classes (time quadratic in n)",
+        CLASS_CEILING,
     ), BATCH),
     ("verify", "lemma46"): ("verify_lemma_4_6", (1, 3, 5), (
-        (CLASS_ORDER, _always, "a chain of {m} closures read at 2*{m} classes (time quadratic in n)",
-         CLASS_CEILING),
+        CLASS_ORDER, "a chain of {m} closures read at 2*{m} classes (time quadratic in n)",
+        CLASS_CEILING,
     ), BATCH),
-    ("verify", "prop43"): ("verify_prop_4_3", (), (), {
+    ("verify", "prop43"): ("verify_prop_4_3", (), None, {
         "--trials": (int, 100, "number of random trials (default: 100)"),
         "--seed": (int, 42, "random seed (default: 42)"),
     }),
-    ("probe", "even"): ("probe_even", (), (), {
+    ("probe", "even"): ("probe_even", (), None, {
         "--n": (int, REQUIRED, "even order"),
         "--case": (str, REQUIRED, f"candidate id ({', '.join(even_candidates(2))})"),
     }),
-    ("run",): ("run_definition_file", (), (), {"path": (str, REQUIRED, "definition file to execute")}),
+    ("run",): ("run_definition_file", (), None, {"path": (str, REQUIRED, "definition file to execute")}),
 }
 
 
@@ -189,10 +173,8 @@ def _help(words: tuple[str, ...]) -> str:
     rows = [("-h, --help", "show this help message and exit")]
     for name, (kind, _, text) in _options(words).items():
         if name == "--allow-large":
-            text = "permit orders " + ", and ".join(
-                f"above {limit} that need " + cost.format(n="n", m="(n+1)")
-                for limit, _, cost, _ in COMMANDS[words][2]
-            )
+            limit, cost, _ = COMMANDS[words][2]
+            text = f"permit orders above {limit} that need " + cost.format(n="n", m="(n+1)")
         rows.append((_form(name, kind), text))
     width = max(len(form) for form, _ in rows)
     lines.append("options:")
@@ -222,7 +204,8 @@ def _option(token: str, names: Sequence[str], words: tuple[str, ...]) -> tuple[s
     """What ``token`` is among the option ``names``, as argparse read it:
     None for a positional argument, else the option's name (empty when it
     is unknown) and the value joined to it by "=", if any. A unique prefix of
-    a name stands for it; a negative number is positional."""
+    a name stands for it; a negative number (``-5``, ``-1.5``, ``-.5``) is
+    positional."""
     if not token.startswith("-") or token == "-":
         return None
     key, eq, value = token.partition("=")
@@ -231,7 +214,11 @@ def _option(token: str, names: Sequence[str], words: tuple[str, ...]) -> tuple[s
         _fail(words, f"ambiguous option: {key} could match {', '.join(found)}")
     if found:
         return found[0], value if eq else None
-    if token[1:].isdecimal() or " " in token:
+    # argparse's negative number: "-" and digits, or "-", digits or none,
+    # "." and digits.
+    whole, dot, fraction = token[1:].partition(".")
+    number = (fraction if dot else whole).isdecimal() and (not whole or whole.isdecimal())
+    if number or " " in token:
         return None
     return "", None
 
@@ -251,7 +238,7 @@ def _value(name: str, kind, value: str, words: tuple[str, ...]):
 
 def parse_args(argv: Sequence[str]) -> SimpleNamespace:
     """Read ``argv`` once, left to right, against COMMANDS. The result
-    names the command's runner, batch orders and guards, the options its
+    names the command's runner, batch orders and guard, the options its
     runner takes (``takes``) and every option's value: the last one given,
     else its default. -h or --help prints the help of the words read so far
     and exits 0; a usage error prints the usage and one error line to
@@ -314,8 +301,8 @@ def parse_args(argv: Sequence[str]) -> SimpleNamespace:
         _fail(words, f"the following arguments are required: {', '.join(missing)}")
     if extra:
         _fail(words, f"unrecognized arguments: {' '.join(extra)}")
-    runner, batch, guards, own = command
-    return SimpleNamespace(runner=runner, batch=batch, guards=guards,
+    runner, batch, guard, own = command
+    return SimpleNamespace(runner=runner, batch=batch, guard=guard,
                            takes=tuple(map(_dest, own)), **values)
 
 
@@ -328,15 +315,14 @@ def _calls(args: SimpleNamespace) -> list[tuple]:
     if args.n is None:
         return [(n,) for n in args.batch]
     require_odd(args.n)
-    for limit, applies, cost, ceiling in args.guards:
-        if args.n > limit and applies(args):
-            cost = cost.format(n=args.n, m=args.n + 1)
-            if args.n > ceiling:
-                raise HamelcheckError(f"order {args.n} needs {cost}; refused above order {ceiling}")
-            if not args.allow_large:
-                raise HamelcheckError(f"order {args.n} needs {cost}; pass --allow-large to proceed")
-            print(f"warning: order {args.n} needs {cost}; this may take a while", file=sys.stderr)
-            break
+    if args.guard and args.n > args.guard[0]:
+        _, cost, ceiling = args.guard
+        cost = cost.format(n=args.n, m=args.n + 1)
+        if args.n > ceiling:
+            raise HamelcheckError(f"order {args.n} needs {cost}; refused above order {ceiling}")
+        if not args.allow_large:
+            raise HamelcheckError(f"order {args.n} needs {cost}; pass --allow-large to proceed")
+        print(f"warning: order {args.n} needs {cost}; this may take a while", file=sys.stderr)
     return [(args.n,)]
 
 

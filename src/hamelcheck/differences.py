@@ -182,9 +182,12 @@ class TableRow(NamedTuple):
 
 def difference_table(f: PointFunction, x: Point, hs: Increments) -> tuple[TableRow, ...]:
     """All 2^k evaluations of the expansion, grouped by subset size
-    descending, subsets in index-lexicographic order within a group."""
+    descending, subsets in index-lexicographic order within a group. The
+    2^k rows are charged to the work meter, a unit a row, before the first
+    is built."""
     hs = _checked(hs)
     k = len(hs)
+    charge(1 << k, "difference table")
     return tuple(
         TableRow(len(subset), p, f.value(p), -1 if (k - len(subset)) % 2 else 1)
         for subset, p in subset_sums(x, hs)

@@ -6,7 +6,8 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-#: The units one armed block may spend: above any test's 131,070, below a 17th step's 262,142.
+#: The units one armed block may spend: above any test's 131,070 and an order-15 trace's 65,536
+#: rows, below a 17th step's 262,142 and an order-17 trace's 262,144 rows.
 WORK_LIMIT = 200_000
 _spent = None  # spent in the armed block; None when unarmed
 
@@ -92,6 +93,6 @@ def charge(units: int, what: str) -> None:
         _spent += units
         if _spent > WORK_LIMIT:
             after = f" after {_spent - units}" if _spent > units else ""
-            count = units if units.bit_length() < 1024 else f"2^{units.bit_length() - 1} or more"
+            count = units if units.bit_length() < 64 else f"2^{units.bit_length() - 1} or more"
             raise HamelcheckError(f"{what} of {count} units of work{after} refused"
                                   f" (work limit {WORK_LIMIT})")

@@ -163,8 +163,10 @@ class MeasureExpr(Frozen):
         terms: dict[tuple[JClosure, tuple[Scalar, ...] | None], Scalar] = {}
         for (c, child, _), offset in zip(parts, offsets):
             if child is None:
-                floors.append(offset)
-                atoms[offset] = atoms.get(offset, 0) + c
+                # The unit atom, at its offset or else at the origin.
+                atom = offset or (0,) * n
+                floors.append(atom)
+                atoms[atom] = atoms.get(atom, 0) + c
                 continue
             # The child's positions in the basis, found once (None: the same basis).
             pos = None if child._basis == basis else _positions(basis, child._basis)

@@ -3,7 +3,9 @@
 All comparisons are exact; a claim passes iff computed equals expected,
 unless its runner fails it because the route to its value is not
 certified (the lemmas' symmetry classes). Runners build each ``Report``
-directly from the ``make_claim`` values they compute.
+directly from the ``make_claim`` values they compute. The human format
+builds each report's trace under its own work budget (``errors.metered``),
+so a table past the work limit is refused before its first row.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from typing import Callable, NamedTuple, Sequence, Union
 
 from .basis import Scalar, exact
 from .differences import TableRow, group_sums
+from .errors import metered
 
 Value = Union[Scalar, bool]
 
@@ -89,11 +92,12 @@ def render_human(reports: Sequence[Report], show_trace: bool = False) -> str:
             )
             if not c.passed and c.ref:
                 lines.append(f"         ({c.ref})")
-        trace = rep.make_trace() if show_trace else ()
-        if trace:
-            title = rep.trace_title or "evaluation table"
-            lines.append(f"  trace: {title}")
-            lines.extend(render_trace(trace))
+        if show_trace:
+            with metered():
+                trace = rep.make_trace()
+            if trace:
+                lines.append(f"  trace: {rep.trace_title or 'evaluation table'}")
+                lines.extend(render_trace(trace))
         n_pass = sum(c.passed for c in rep.claims)
         verdict = "PASS" if rep.passed else "FAIL"
         lines.append(f"  result: {verdict} ({n_pass}/{len(rep.claims)} claims)")

@@ -32,7 +32,7 @@ FOLD = ("test_measures.py", "test_functions.py", "test_scenarios.py")
 CLASSES = ("test_scenarios.py",)
 # Seconds per run. The unmutated run takes about 13 s and a mutant's 1-9 s
 # (CPython 3.11, 2 cores); (1 + len(MUTANTS)) runs, each at this limit,
-# must end inside the CI job's 18 minutes.
+# must end inside the CI job's 20 minutes.
 TIMEOUT = 30
 
 
@@ -104,6 +104,13 @@ MUTANTS = (
     Mutant("table-sign-flipped", "differences.py",
            "-1 if (k - len(subset)) % 2 else 1", "1 if (k - len(subset)) % 2 else -1",
            ("test_differences.py",)),
+    # A subset table is charged a unit a row before its first row, and the
+    # human format builds each trace under its own budget. Both are killed
+    # under a lowered work limit, never by building a table past it.
+    Mutant("trace-charge-dropped", "differences.py",
+           'charge(1 << k, "difference table")', 'charge(0, "difference table")',
+           ("test_differences.py",)),
+    Mutant("trace-unmetered", "reports.py", "with metered():", "if True:", ("test_reports.py",)),
     # Each expansion's read at the base point: the scalar line reads K at
     # a(x) + e, and a point-keyed expansion at the key shifted by x.
     Mutant("line-base-dropped", "differences.py",

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from hamelcheck import cli, errors, measures
+from hamelcheck import cli, differences, errors, measures
 from hamelcheck.cli import main
 from hamelcheck.errors import HamelcheckError
 from hamelcheck.functions import PositivePartPower
@@ -140,13 +140,13 @@ def test_commands_call_the_runner_bound_in_cli(monkeypatch, capsys, argv, name):
      "3 chains of 104 closures read at 2*104 classes (time quadratic in n)"),
     (["lemma46", "--n", "103"], "verify_lemma_4_6",
      "a chain of 104 closures read at 2*104 classes (time quadratic in n)"),
-    (["theorem23", "--trace", "--n", "13"], "verify_theorem_2_3",
-     "a 2^14-row table for a human-format --trace"),
+    (["theorem23", "--n", "1003"], "verify_theorem_2_3",
+     "a scalar line of 1004 factors (time cubic in n)"),
 ])
 def test_large_orders_quote_their_own_cost(monkeypatch, capsys, argv, name, cost):
     # The error, the warning and --help read one cost per scenario: the
-    # chains' class reads for lemma44 and for lemma46, the trace
-    # table for theorem23, each at the first odd order above its limit.
+    # chains' class reads for lemma44 and for lemma46, the scalar line for
+    # theorem23, each at the first odd order above its limit.
     n = int(argv[-1])
     code, out, err = run_cli(capsys, "verify", *argv)
     assert (code, out) == (2, "")
@@ -186,9 +186,12 @@ def test_theorem23_beyond_the_line_order_needs_the_flag(monkeypatch, capsys):
 
     code, _, err = run_cli(capsys, "verify", "theorem23", "--n", "1001", "--format", "jsonl")
     assert (code, err, calls) == (0, "", [1003, 1001])
-    # Past both orders a human-format trace quotes the exponential table.
+    # A human-format trace adds no guard of its own: past the line order it
+    # quotes the line, before the runner is called.
     code, _, err = run_cli(capsys, "verify", "theorem23", "--n", "1003", "--trace")
-    assert code == 2 and "2^1004-row table" in err and calls == [1003, 1001]
+    assert (code, calls) == (2, [1003, 1001])
+    assert err == ("error: order 1003 needs a scalar line of 1004 factors (time cubic in n); "
+                   "pass --allow-large to proceed\n")
 
     monkeypatch.setenv("COLUMNS", "200")
     with pytest.raises(SystemExit):
@@ -212,28 +215,33 @@ def test_theorem23_above_the_line_ceiling_is_refused(monkeypatch, capsys):
                    f"refused above order {cli.LINE_CEILING}\n")
 
 
-def test_theorem23_human_trace_above_the_trace_order_is_refused(monkeypatch, capsys):
-    # The trace table has 2^(n+1) rows, so above TRACE_ORDER a human-format
-    # trace is refused even with --allow-large, before anything is built
-    # (order 31 would need 2^32 rows and run out of memory). Up to that
-    # order the flag still lets it run with a warning, and other formats
-    # render no table.
-    calls = []
-    runner = cli.verify_theorem_2_3
-    monkeypatch.setattr(cli, "verify_theorem_2_3", lambda n: calls.append(n) or runner(1))
-    top = cli.TRACE_ORDER
-    for n in (top + 2, 31, 1003):
+def test_theorem23_human_trace_at_order_15_needs_no_flag(capsys):
+    # The trace's 2^16 rows are charged to the work meter, well inside its
+    # limit: no flag, no warning.
+    code, out, err = run_cli(capsys, "verify", "theorem23", "--n", "15", "--trace")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 2**16 + 8
+    assert lines[-4].startswith("    group sums: ") and lines[-4].endswith(" = -1")
+
+
+def test_theorem23_human_trace_past_the_work_limit_is_refused(monkeypatch, capsys):
+    # The trace table has 2^(n+1) rows, charged before the first is built,
+    # so from order 17 a human-format trace is refused by the work meter
+    # even with --allow-large, after the claims and before any row (order
+    # 31 would need 2^32 rows and run out of memory). A count of 64 bits or
+    # more is quoted by its bit length. Other formats render no table.
+    monkeypatch.setattr(differences, "subset_sums", lambda *_: pytest.fail("a row was built"))
+    for n, count in ((17, 2**18), (19, 2**20), (1003, "2^1004 or more")):
         code, out, err = run_cli(capsys, "verify", "theorem23", "--n", str(n), "--trace",
                                  "--allow-large")
-        assert (code, out, calls) == (2, "", [])
-        assert err == (f"error: order {n} needs a 2^{n + 1}-row table for a human-format "
-                       f"--trace; refused above order {top}\n")
-    code, _, err = run_cli(capsys, "verify", "theorem23", "--n", str(top), "--trace",
-                           "--allow-large")
-    assert (code, calls) == (0, [top]) and err.startswith(f"warning: order {top} needs a 2^")
-    code, _, err = run_cli(capsys, "verify", "theorem23", "--n", str(top + 2), "--trace",
-                           "--format", "jsonl")
-    assert (code, err, calls) == (0, "", [top, top + 2])
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: difference table of {count} units of work refused "
+                            f"(work limit {errors.WORK_LIMIT})\n")
+    for fmt in ("tsv", "jsonl"):
+        code, _, err = run_cli(capsys, "verify", "theorem23", "--n", "17", "--trace",
+                               "--format", fmt)
+        assert (code, err) == (0, "")
 
 
 @pytest.mark.parametrize("scenario, name", [
@@ -498,8 +506,8 @@ def test_exit_code_usage_errors(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", "theorem23", "--n", "4")
     assert code == 2 and "even" in err
 
-    code, _, err = run_cli(capsys, "verify", "theorem23", "--n", "13", "--trace")
-    assert code == 2 and "--allow-large" in err
+    code, _, err = run_cli(capsys, "verify", "theorem23", "--n", "17", "--trace")
+    assert code == 2 and "work limit" in err
 
     code, _, err = run_cli(capsys, "verify", "lemma44", "--n", "103")
     assert code == 2 and "--allow-large" in err
@@ -586,7 +594,7 @@ def test_large_theorem23_order_needs_no_flag(capsys):
     assert [r["computed"] for r in rows] == ["-1", "-1"]
     assert all(r["scenario"] == "theorem23(n=101)" for r in rows)
 
-    # Only the human format renders the trace table, so only it is guarded.
+    # Only the human format renders the trace table, so only it is metered.
     code, out, err = run_cli(
         capsys, "verify", "theorem23", "--n", "13", "--trace", "--format", "jsonl"
     )
@@ -1165,41 +1173,34 @@ def test_a_closed_stdout_exits_2_without_a_traceback():
 def _oracle():
     """The argparse tree the command line was parsed by, kept as the
     reference for the scanner: each command's parser sets ``runner``,
-    ``takes``, ``batch`` and ``guards`` as ``cli.parse_args`` does."""
+    ``takes``, ``batch`` and ``guard`` as ``cli.parse_args`` does."""
     def output_flags(parser, fmt=argparse.SUPPRESS, trace=argparse.SUPPRESS):
         parser.add_argument("--format", choices=("human", "tsv", "jsonl"), default=fmt)
         parser.add_argument("--trace", action="store_true", default=trace)
         return parser
 
     parser = output_flags(argparse.ArgumentParser(prog="hamelcheck"), "human", False)
-    parser.set_defaults(takes=(), batch=(), guards=())
+    parser.set_defaults(takes=(), batch=(), guard=None)
     flags = [output_flags(argparse.ArgumentParser(add_help=False))]
     sub = parser.add_subparsers(dest="command", required=True)
     vsub = sub.add_parser("verify").add_subparsers(dest="scenario", required=True)
-    for name, runner, batch, guards in (
-        ("theorem23", "verify_theorem_2_3", (1, 3, 5, 7, 9, 11), (
-            (cli.LARGE_ORDER, cli._human_trace, "a 2^{m}-row table for a human-format --trace",
-             cli.TRACE_ORDER),
-            (cli.LINE_ORDER, cli._always, "a scalar line of {m} factors (time cubic in n)",
-             cli.LINE_CEILING),
-        )),
-        ("section31", "verify_section_3_1", (), ()),
-        ("section32", "verify_section_3_2", (), ()),
-        ("lemma44", "verify_lemma_4_4", (1, 3, 5), (
-            (cli.CLASS_ORDER, cli._always,
-             "3 chains of {m} closures read at 2*{m} classes (time quadratic in n)",
-             cli.CLASS_CEILING),
-        )),
-        ("lemma46", "verify_lemma_4_6", (1, 3, 5), (
-            (cli.CLASS_ORDER, cli._always,
-             "a chain of {m} closures read at 2*{m} classes (time quadratic in n)", cli.CLASS_CEILING),
-        )),
+    for name, runner, batch, guard in (
+        ("theorem23", "verify_theorem_2_3", (1, 3, 5, 7, 9, 11),
+         (cli.LINE_ORDER, "a scalar line of {m} factors (time cubic in n)", cli.LINE_CEILING)),
+        ("section31", "verify_section_3_1", (), None),
+        ("section32", "verify_section_3_2", (), None),
+        ("lemma44", "verify_lemma_4_4", (1, 3, 5),
+         (cli.CLASS_ORDER, "3 chains of {m} closures read at 2*{m} classes (time quadratic in n)",
+          cli.CLASS_CEILING)),
+        ("lemma46", "verify_lemma_4_6", (1, 3, 5),
+         (cli.CLASS_ORDER, "a chain of {m} closures read at 2*{m} classes (time quadratic in n)",
+          cli.CLASS_CEILING)),
     ):
         p = vsub.add_parser(name, parents=flags)
         if batch:
             p.add_argument("--n", type=int, default=None)
             p.add_argument("--allow-large", action="store_true")
-        p.set_defaults(runner=runner, batch=batch, guards=guards)
+        p.set_defaults(runner=runner, batch=batch, guard=guard)
     p = vsub.add_parser("prop43", parents=flags)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=42)
@@ -1250,7 +1251,7 @@ def _corpus():
             yield [*cmd, *n]
     for flags in (["--trials", "3"], ["--tri", "3", "--s", "5"], ["--trials=7", "--seed=-5"],
                   ["--seed", "-5"], ["--trials", "x"], ["--seed"], ["--tr", "3"],
-                  ["--trials", "3", "--trials", "4"], ["--trace", "--trials", "2"]):
+                  ["--trials", "3", "--trials", "4"], ["--trace", "--trials", "2"], ["--trials", "-1.5"]):
         yield ["verify", "prop43", *flags]
     probe = ["probe", "even"]
     for flags in (["--n", "2", "--case", "prop32-grid"], ["--case=prop33-witness", "--n=2"],
@@ -1259,7 +1260,8 @@ def _corpus():
         yield [*probe, *flags]
     for tail in (["--", _FILE], ["--format", "tsv", "--", _FILE], ["--", "-x.def"],
                  ["--", "--trace"], [_FILE, "--"], ["--", "--", _FILE], ["-3"], ["-"],
-                 ["-- x"], ["-x y"], [], ["a", "b"], [_FILE, "--trace", "--format", "tsv"]):
+                 ["-- x"], ["-x y"], [], ["a", "b"], [_FILE, "--trace", "--format", "tsv"],
+                 ["-1.5"], ["-.5"]):
         yield ["run", *tail]
     for argv in ([], ["-h"], ["--help"], ["--h"], ["verify"], ["verify", "-h"], ["verify", "--h"],
                  ["probe"], ["probe", "-h"], ["probe", "odd"], ["nosuch"], ["verify", "nosuch"],

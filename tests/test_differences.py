@@ -8,11 +8,13 @@ from itertools import groupby
 
 import pytest
 
+from hamelcheck import errors
 from hamelcheck import (
     ZERO,
     AdditiveFunctional,
     Composite,
     Dirac,
+    HamelcheckError,
     InvalidIncrement,
     JClosure,
     Point,
@@ -154,6 +156,24 @@ def test_difference_table_structure():
     assert sum(r.sign * r.value for r in rows) == -1
     # The walkthrough's 8 - 30 + 24 - 3 + 0.
     assert group_sums(rows) == [(4, 1, 8), (3, -1, 30), (2, 1, 24), (1, -1, 3), (0, 1, 0)]
+
+
+def test_difference_table_is_charged_before_its_first_row(monkeypatch):
+    # The 2^k rows are charged to the work meter, a unit a row, before the
+    # first value is read; unarmed, the meter never refuses.
+    syms, _, f = standard_function(3)
+    units = [unit(s) for s in syms]
+    recording = _Recording(f)
+    monkeypatch.setattr(errors, "WORK_LIMIT", 15)
+    with errors.metered(), pytest.raises(
+        HamelcheckError, match=r"^difference table of 16 units of work refused \(work limit 15\)$"
+    ):
+        difference_table(recording, ZERO, units)
+    assert recording.points == []
+    assert len(difference_table(recording, ZERO, units)) == 16
+    monkeypatch.setattr(errors, "WORK_LIMIT", 16)
+    with errors.metered():
+        assert len(difference_table(f, ZERO, units)) == 16
 
 
 def test_jensen_probe_clean_on_lattice():

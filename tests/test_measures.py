@@ -483,6 +483,20 @@ def test_zero_atom_has_an_empty_basis():
         assert atom_mass(tree, x) == oracle.get(x, 0)
 
 
+def test_a_unit_atom_without_an_offset_sits_at_the_origin():
+    # An ``at`` of None translates nothing: ``(w, None, None)`` is the atom
+    # of weight w at the origin, alone and beside an atom at unit(s).
+    (s,) = symbols("s", positive=True)
+    us = unit(s)
+    for w in (1, Fraction(-2, 3)):
+        origin = Scale(w, Dirac(ZERO))
+        for form, same in ((Form(((w, None, None),)), origin),
+                           (Form(((w, None, None), (1, None, us))), Sum((origin, Dirac(us))))):
+            assert (form._basis, form._floor, form._atoms) == (same._basis, same._floor, same._atoms)
+            for x in (ZERO, us, 2 * us, -1 * us):
+                assert atom_mass(form, x) == atom_mass(same, x)
+
+
 def test_closure_shared_by_roots_over_different_bases():
     # A closure keys its memo by tuples over its own basis, so a root over
     # a wider basis reaches the same entries as a narrow one: warm answers

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from hamelcheck import ZERO, make_claim
+from hamelcheck import ZERO, errors, make_claim, verify_theorem_2_3
 from hamelcheck.differences import TableRow
+from hamelcheck.errors import HamelcheckError
 from hamelcheck.reports import Report, render, render_value
 
 
@@ -61,3 +62,22 @@ def test_report_trace_is_built_on_first_read():
     assert not calls
     assert "trace: table" in render([rep], "human", show_trace=True)
     assert len(calls) == 1
+
+
+def test_each_human_trace_spends_its_own_work_budget(monkeypatch):
+    # A trace is built under a budget of its own, charged a unit per row
+    # before the first: two 16-row tables fit a limit of 16 side by side,
+    # one does not fit a limit of 15, and formats without a table never
+    # build one.
+    reports = [verify_theorem_2_3(3), verify_theorem_2_3(3)]
+    monkeypatch.setattr(errors, "WORK_LIMIT", 15)
+    with pytest.raises(HamelcheckError, match="^difference table of 16 units of work refused"):
+        render(reports, "human", True)
+    assert render(reports, "tsv", True) == render(reports, "tsv")
+    monkeypatch.setattr(errors, "WORK_LIMIT", 16)
+    assert render(reports, "human", True).count("group sums:") == 2
+    monkeypatch.undo()
+    # Order 17's 2^18 rows are past the limit, through the library as
+    # through the command line.
+    with pytest.raises(HamelcheckError, match="^difference table of 262144 units of work refused"):
+        render([verify_theorem_2_3(17)], "human", True)
