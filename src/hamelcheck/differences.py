@@ -15,7 +15,7 @@ sorted symbols of the increments and the base point, and read through
 ``Point.from_coords`` builds from its tuple. That point keeps the tuple,
 so a reader over the same basis needs no conversion. The expansion holds
 no memo of values. The alternating subset-sum expansion is the independent
-oracle, on ``Point``s: ``difference_table`` alone signs its rows,
+oracle, on ``Point``s: ``difference_rows`` alone signs its rows,
 ``group_sums`` alone totals them by subset size, and
 ``forward_diff_closed`` sums the signed rows. The backward difference is
 not a further route: it is the forward difference at ``x - sum(hs)``.
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from itertools import groupby
 from operator import add, attrgetter, mul
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .basis import (
     ZERO, AdditiveFunctional, Frozen, Point, Scalar, Symbol, check_increment, exact,
@@ -180,27 +180,31 @@ class TableRow(NamedTuple):
     sign: int
 
 
-def difference_table(f: PointFunction, x: Point, hs: Increments) -> tuple[TableRow, ...]:
-    """All 2^k evaluations of the expansion, grouped by subset size
-    descending, subsets in index-lexicographic order within a group. The
-    2^k rows are charged to the work meter, a unit a row, before the first
-    is built."""
+def difference_rows(f: PointFunction, x: Point, hs: Increments) -> Iterator[TableRow]:
+    """All 2^k evaluations of the expansion, one row at a time as
+    ``subset_sums`` yields its point, grouped by subset size descending,
+    subsets in index-lexicographic order within a group. The 2^k rows are
+    charged to the work meter, a unit a row, before the first is built."""
     hs = _checked(hs)
     k = len(hs)
     charge(1 << k, "difference table")
-    return tuple(
-        TableRow(len(subset), p, f.value(p), -1 if (k - len(subset)) % 2 else 1)
-        for subset, p in subset_sums(x, hs)
-    )
+    for subset, p in subset_sums(x, hs):
+        yield TableRow(len(subset), p, f.value(p), -1 if (k - len(subset)) % 2 else 1)
+
+
+def difference_table(f: PointFunction, x: Point, hs: Increments) -> tuple[TableRow, ...]:
+    """The rows of ``difference_rows``, all held in one tuple."""
+    return tuple(difference_rows(f, x, hs))
 
 
 def group_sums(rows: Iterable[TableRow]) -> list[tuple[int, int, Scalar]]:
     """``(size, sign, sum of the values)`` for each run of equal sizes in
-    ``rows``, a ``difference_table``, in table order."""
+    ``rows``, the rows of a difference table, in table order; each row is
+    summed as it comes, and none is kept."""
     out = []
     for size, group in groupby(rows, attrgetter("size")):
-        group = list(group)
-        out.append((size, group[0].sign, sum(row.value for row in group)))
+        first = next(group)
+        out.append((size, first.sign, sum((row.value for row in group), first.value)))
     return out
 
 

@@ -29,16 +29,19 @@ other closure is folded by `_fill` over its one part, and walks: it
 reads its inner form at each translate down to its support floor.
 `atom_mass` reads one node at one `Point`; `masses` is the batch read,
 of one node at a list of coordinate tuples over a sorted basis that
-holds the node's, its positions there found once per call. Both end in
-one floor test and one evaluator, `_mass`, which answers every node, and
-alone reads or fills each node's memo of the masses asked of it; it
-reads a closure term with no call when the closure has answered that
-point, from its memo, or when the point lies below the closure's floor,
-as 0. Each query charges the work meter before its work: a walk its
-translates, less those a memoised point saves, and a closed form its
-atom reads and its binomials' size, weighed superlinearly. A closure is
-never cancelled against a difference: it stays a leaf that its closed
-form or its walk evaluates.
+holds the node's, its positions there found once per call. A closure is
+read one tuple at a time by `_read`: from its memo, as 0 below its
+floor, or else by `_mass`, which answers closures only and alone fills
+their memos. A form keeps no memo: `_form_masses` reads it over a whole
+batch, a batch of one for `atom_mass`, its atoms first and then each
+closure term once over the batch, and reads a term with no call where
+its closure has answered the point, from the closure's memo, or where
+the point lies below the closure's floor, as 0. Each query charges the
+work meter before its work: a walk its translates, less those a
+memoised point saves, and a closed form its atom reads and its
+binomials' size, weighed superlinearly. A closure is never cancelled
+against a difference: it stays a leaf that its closed form or its walk
+evaluates.
 """
 
 from __future__ import annotations
@@ -117,12 +120,17 @@ class MeasureExpr(Frozen):
     or with `_runs` its chain's atoms; a closure alone has `_runs`, None
     when it walks, and a walking closure alone a `_step`, a tuple too).
     The form's mass at `v` is `_atoms.get(v, 0)` plus, for each term
-    `(closure, offset, keep, drop, c)` with `w = v - offset` (`v` itself when
-    `offset` is None), `c` times the closure's mass at `w`. When the closure's
-    basis is smaller than the node's, the term counts only where `drop(w)` is
-    all 0, at `keep(w)`; otherwise both are None. `_memo` maps each `v` that
-    `_mass` has answered to the node's mass there. `_basis` is a tuple, shared
-    with the node's first part when it is that part's basis."""
+    `(closure, offset, keep, drop, above, low, c)` with `w = v - offset` (`v`
+    itself when `offset` is None), `c` times the closure's mass at `w`. When
+    the closure's basis is smaller than the node's, the term counts only
+    where `drop(w)` is all 0, at `keep(w)`; otherwise both are None. Where
+    `v` is not below the node's floor, `w` is below the closure's floor
+    exactly when `above(w)`, its coordinates where that floor (plus the
+    offset) lies above the node's, is not at least `low`, the floor's
+    there; `above` is None when there are none. A closure alone has a
+    `_memo`, mapping each `w` that `_mass` has answered to its mass there.
+    `_basis` is a tuple, shared with the node's first part when it is that
+    part's basis."""
 
     def _fill(
         self, parts: Sequence[tuple[Scalar, MeasureExpr | None, Point | None]],
@@ -185,6 +193,7 @@ class MeasureExpr(Frozen):
             h = h.coords(basis)
             atoms = _difference(atoms, lambda v: tuple(map(add, v, h)))
             terms = _difference(terms, lambda key: (key[0], _plus(key[1], h)))
+        floor = floors[0] if len(floors) == 1 else tuple(map(min, zip(*floors)))
         pickers: dict[JClosure, tuple] = {}
         form = []
         for (closure, off), w in terms.items():
@@ -193,12 +202,23 @@ class MeasureExpr(Frozen):
             pick = pickers.get(closure)
             if pick is None:
                 part = closure._basis
-                pick = (None, None) if part == basis else _pickers(basis, part)
+                if part == basis:
+                    pick = range(n), None, None
+                else:
+                    pick = _positions(basis, part), *_pickers(basis, part)
                 pickers[closure] = pick
-            form.append((closure, off, *pick, exact(w)))
-        floor = floors[0] if len(floors) == 1 else tuple(map(min, zip(*floors)))
+            pos, keep, drop = pick
+            # A point read here is not below this node's floor, so the
+            # closure's floor needs testing only at the coordinates where
+            # it, translated by the offset, lies above that floor.
+            low = closure._floor
+            lifted = low if off is None else [f + off[k] for k, f in zip(pos, low)]
+            above = [i for i, (k, f) in enumerate(zip(pos, lifted)) if f > floor[k]]
+            above = _pick(above) if above else None
+            low = None if above is None else above(low)
+            form.append((closure, off, keep, drop, above, low, exact(w)))
         self.__dict__.update(
-            fields, _basis=basis, _floor=floor, _memo={},
+            fields, _basis=basis, _floor=floor,
             _atoms={v: exact(w) for v, w in atoms.items() if w} if atoms else atoms,
             _terms=tuple(form),
         )
@@ -241,9 +261,9 @@ class JClosure(MeasureExpr):
             self._fill([(1, inner, None)], step, inner=inner, step=step, _runs=None)
             # (position, floor, step) at each nonzero step coordinate, the
             # only ones `_mass` reads a walk's length at.
-            self.__dict__["_walk"] = tuple(
+            self.__dict__.update(_memo={}, _walk=tuple(
                 (i, f, s) for i, (f, s) in enumerate(zip(self._floor, self._step)) if s
-            )
+            ))
             return
         # A chain's form is its inner chain's base atoms, and its floor the
         # inner's, over the inner's basis with the step's one symbol put in
@@ -330,10 +350,13 @@ def fixed_by(mu: MeasureExpr, perm: dict[Symbol, Symbol]) -> bool:
 def atom_mass(mu: MeasureExpr, x: Point) -> Scalar:
     """Exact signed mass of the atom of ``mu`` at ``x``: ``x`` read as a
     tuple over ``mu``'s basis by ``Point.coords``, which leaves ``x`` as it
-    was, and looked up by `_read`."""
+    was, and looked up by `_read`, or for a form by `_form_masses` as a
+    batch of one."""
     v = x.coords(mu._basis)
     # Every atom lies in the span of the basis, so a point off it has none.
-    return 0 if v is None else _read(mu, v)
+    if v is None:
+        return 0
+    return _read(mu, v) if type(mu) is JClosure else _form_masses(mu, (v,))[0]
 
 
 def masses(
@@ -343,78 +366,112 @@ def masses(
     a sorted tuple of symbols that holds ``mu``'s basis (else ValueError),
     in order: the batch read of one node. A tuple with a nonzero coordinate
     on a symbol ``mu``'s basis lacks is off its span and reads 0; every
-    other one is read at its picked coordinates by `_read`."""
-    if basis == mu._basis:
-        # Read as they are: picking would copy every tuple (prop43's reads
-        # took about 4 % longer a pass).
+    other one is read at its picked coordinates, by `_read` one at a time
+    for a closure and by `_form_masses` as one batch for a form."""
+    if basis != mu._basis:
+        keep, drop = _pickers(basis, mu._basis)
+        on = [i for i, v in enumerate(vs) if not any(drop(v))]
+        out = [0] * len(vs)
+        for i, m in zip(on, masses(mu, mu._basis, [keep(vs[i]) for i in on])):
+            out[i] = m
+        return out
+    if type(mu) is JClosure:
         return [_read(mu, v) for v in vs]
-    keep, drop = _pickers(basis, mu._basis)
-    return [0 if any(drop(v)) else _read(mu, keep(v)) for v in vs]
+    return _form_masses(mu, vs)
 
 
-def _read(mu: MeasureExpr, v: tuple[Scalar, ...]) -> Scalar:
-    """The mass of ``mu`` at the tuple ``v`` over its basis: 0 below a
-    closure's floor, where it has no atom, and else `_mass`."""
-    if type(mu) is JClosure and not all(map(ge, v, mu._floor)):
+def _read(mu: JClosure, v: tuple[Scalar, ...]) -> Scalar:
+    """The mass of the closure ``mu`` at the tuple ``v`` over its basis:
+    from its memo, as 0 below its floor, and else by `_mass`."""
+    m = mu._memo.get(v)
+    if m is not None:
+        return m
+    if not all(map(ge, v, mu._floor)):
         return 0
     return _mass(mu, v)
 
 
-def _mass(mu: MeasureExpr, v: tuple[Scalar, ...]) -> Scalar:
-    """The mass of ``mu`` at the tuple ``v`` over its basis, where ``v`` is
-    not below a closure's floor: a closure is 0 there, and `_read` and a
-    form's term reads answer that without a call. A node with no step
-    reads its form at ``v``. A closure with chain runs answers from
-    `_chain_mass`. Any other closure sums its inner form at ``v`` and
-    every translate below it: J(v) = inner(v) + J(v - step), and J = 0
-    below the support floor, so the walk from ``v`` takes
+def _form_masses(mu: Form, vs: Sequence[tuple[Scalar, ...]]) -> list[Scalar]:
+    """The masses of the form ``mu`` at the tuples ``vs`` over its basis, in
+    order: its atoms, then each closure term once over the whole batch. A
+    tuple below the form's floor reads 0 before any term. A term shifts the
+    tuples by its offset in one list, drops those off its closure's span
+    and picks the rest, and reads each as 0 below the closure's floor
+    (tested by the term's ``above`` and ``low``), else from the closure's
+    memo or by `_mass`. Nothing is stored here. The walk in `_mass` keeps
+    its own copy of this loop inline: a reader split out of it halved the
+    nesting that answers, from about 990 walking closures to about 500,
+    since Python recursion would deepen by two frames per level, not one."""
+    atoms, terms = mu._atoms, mu._terms
+    out = [atoms.get(v, 0) for v in vs] if atoms else [0] * len(vs)
+    if not terms:
+        return out
+    floor = mu._floor
+    at = [i for i, v in enumerate(vs) if all(map(ge, v, floor))]
+    vs = [vs[i] for i in at]
+    for closure, off, keep, drop, above, low, c in terms:
+        ws = vs if off is None else [tuple(map(sub, v, off)) for v in vs]
+        memo = closure._memo
+        for i, w in zip(at, ws):
+            if keep is not None:
+                if any(drop(w)):
+                    continue
+                w = keep(w)
+            if above is not None and not all(map(ge, above(w), low)):
+                continue
+            m = memo.get(w)
+            out[i] += c * (_mass(closure, w) if m is None else m)
+    return out
+
+
+def _mass(mu: JClosure, v: tuple[Scalar, ...]) -> Scalar:
+    """The mass of the closure ``mu`` at the tuple ``v`` over its basis,
+    where ``v`` is neither in its memo nor below its floor: the readers
+    answer those without a call. A closure with chain runs answers from
+    `_chain_mass`. Any other closure sums its inner form at ``v`` and every
+    translate below it: J(v) = inner(v) + J(v - step), and J = 0 below the
+    support floor, so the walk from ``v`` takes
     ``min((v_i - floor_i) // step_i)`` steps over the step's nonzero
     coordinates, charged to the work meter before the first, memoised
     points below it or not (1,000,000 took 1.3 s and 160 MiB). The walk
     stops at a memoised point, gives back the steps it saves, then reads
     the form at each pending point and adds upward, storing each total.
-    Each closure term of a form is read from the closure's memo, as 0
-    below its floor, or else by a call here, so Python recursion deepens
-    by one frame per nested walking closure, not per translate."""
+    No pending point is below the floor, so a closure term reads as in
+    `_form_masses`: 0 below its closure's floor, else from the closure's
+    memo or by a call here, so Python recursion deepens by one frame per
+    nested walking closure, not per translate."""
     memo = mu._memo
-    total = memo.get(v)
-    if total is not None:
+    if mu._runs is not None:
+        total = memo[v] = _chain_mass(mu, v)
         return total
-    pending = (v,)
+    pending = [v]
     total = 0
-    if type(mu) is JClosure:
-        if mu._runs is not None:
-            total = memo[v] = _chain_mass(mu, v)
-            return total
-        pending = [v]
-        step = mu._step
-        steps = min([(v[i] - f) // s for i, f, s in mu._walk])
-        charge(steps, "closure query")
-        for _ in range(steps):
-            v = tuple(map(sub, v, step))
-            m = memo.get(v)
-            if m is not None:
-                total = m
-                charge(len(pending) - steps, "closure query")  # the steps the memo saves
-                break
-            pending.append(v)
-        pending.reverse()
+    step = mu._step
+    steps = min([(v[i] - f) // s for i, f, s in mu._walk])
+    charge(steps, "closure query")
+    for _ in range(steps):
+        v = tuple(map(sub, v, step))
+        m = memo.get(v)
+        if m is not None:
+            total = m
+            charge(len(pending) - steps, "closure query")  # the steps the memo saves
+            break
+        pending.append(v)
+    pending.reverse()
     atoms, terms = mu._atoms, mu._terms
     for p in pending:
         if atoms:
             total += atoms.get(p, 0)
-        for closure, off, keep, drop, c in terms:
+        for closure, off, keep, drop, above, low, c in terms:
             w = p if off is None else tuple(map(sub, p, off))
             if keep is not None:
                 if any(drop(w)):
                     continue
                 w = keep(w)
+            if above is not None and not all(map(ge, above(w), low)):
+                continue
             m = closure._memo.get(w)
-            if m is None:
-                if not all(map(ge, w, closure._floor)):
-                    continue
-                m = _mass(closure, w)
-            total += c * m
+            total += c * (_mass(closure, w) if m is None else m)
         memo[p] = total
     return total
 

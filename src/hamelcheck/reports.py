@@ -11,7 +11,7 @@ so a table past the work limit is refused before its first row.
 from __future__ import annotations
 
 import json
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .basis import Scalar, exact
 from .differences import TableRow, group_sums
@@ -40,12 +40,13 @@ def make_claim(label: str, ref: str, computed: Value, expected: Value) -> Claim:
 
 
 class Report(NamedTuple):
-    """One scenario's claims. ``make_trace`` builds its evaluation table;
-    only ``--trace`` output calls it."""
+    """One scenario's claims. ``make_trace`` gives the rows of its
+    evaluation table, a tuple or rows read one at a time; only ``--trace``
+    output calls it."""
 
     scenario: str
     claims: tuple[Claim, ...]
-    make_trace: Callable[[], tuple[TableRow, ...]] = tuple
+    make_trace: Callable[[], Iterable[TableRow]] = tuple
     trace_title: str = ""
     notes: tuple[str, ...] = ()
 
@@ -64,13 +65,21 @@ def _json_value(v: Value):
     return v if isinstance(v, bool) else str(v)
 
 
-def render_trace(rows: Sequence[TableRow]) -> list[str]:
-    """Evaluation table grouped by subset size, with per-group signed sums."""
-    lines = [
-        f"    [{'+' if row.sign > 0 else '-'}] size {row.size}: f({row.point}) = {row.value}"
-        for row in rows
-    ]
-    sums = group_sums(rows)
+def render_trace(rows: Iterable[TableRow]) -> list[str]:
+    """Evaluation table grouped by subset size, with per-group signed sums.
+    Each row is formatted, and added to its group's sum, as it comes, so a
+    table read from ``difference_rows`` is never held whole. No rows: no
+    lines."""
+    lines = []
+
+    def line(row: TableRow) -> TableRow:
+        sign = "+" if row.sign > 0 else "-"
+        lines.append(f"    [{sign}] size {row.size}: f({row.point}) = {row.value}")
+        return row
+
+    sums = group_sums(map(line, rows))
+    if not sums:
+        return lines
     total = sum(sign * s for _, sign, s in sums)
     grouped = " ".join(f"{'+' if sign > 0 else '-'}{s}" for _, sign, s in sums)
     lines.append(f"    group sums: {grouped} = {total}")
@@ -94,10 +103,10 @@ def render_human(reports: Sequence[Report], show_trace: bool = False) -> str:
                 lines.append(f"         ({c.ref})")
         if show_trace:
             with metered():
-                trace = rep.make_trace()
+                trace = render_trace(rep.make_trace())
             if trace:
                 lines.append(f"  trace: {rep.trace_title or 'evaluation table'}")
-                lines.extend(render_trace(trace))
+                lines.extend(trace)
         n_pass = sum(c.passed for c in rep.claims)
         verdict = "PASS" if rep.passed else "FAIL"
         lines.append(f"  result: {verdict} ({n_pass}/{len(rep.claims)} claims)")

@@ -28,6 +28,7 @@ from .basis import (
 )
 from .differences import (
     backward_diff,
+    difference_rows,
     difference_table,
     forward_diff,
     group_sums,
@@ -102,7 +103,7 @@ def verify_theorem_2_3(n: int) -> Report:
                 -1,
             ),
         ),
-        lambda: difference_table(f, ZERO, units),
+        lambda: difference_rows(f, ZERO, units),
         f"forward difference over [h1..h{n + 1}] at 0",
     )
 

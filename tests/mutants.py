@@ -32,7 +32,7 @@ FOLD = ("test_measures.py", "test_functions.py", "test_scenarios.py")
 CLASSES = ("test_scenarios.py",)
 # Seconds per run. The unmutated run takes about 13 s and a mutant's 1-9 s
 # (CPython 3.11, 2 cores); (1 + len(MUTANTS)) runs, each at this limit,
-# must end inside the CI job's 20 minutes.
+# must end inside the CI job's 22 minutes.
 TIMEOUT = 30
 
 
@@ -68,19 +68,39 @@ MUTANTS = (
            "return {key: w for key, w in merged.items() if w}", "return merged", FOLD),
     Mutant("signed-first-added", "measures.py",
            "(-1, None, pts[0])", "(1, None, pts[0])", FOLD),
-    # The mass of a closure: a term below its closure's floor is 0 without
-    # a call, and a point answered once is answered from the memo.
+    # The mass of a closure: a closure term below its closure's floor is 0
+    # without a call, in the walk and in a form's batch read, where the
+    # floor is tested only above the reading node's, and a closure asked a
+    # point it has answered answers from its memo.
     Mutant("term-floor-check-dropped", "measures.py",
-           "if not all(map(ge, w, closure._floor)):", "if False:", FOLD),
-    Mutant("memo-check-dropped", "measures.py", "if total is not None:", "if False:", FOLD),
+           "if above is not None and not all(map(ge, above(w), low)):\n"
+           "                continue\n            m = memo.get(w)",
+           "m = memo.get(w)", FOLD),
+    Mutant("walk-term-floor-check-dropped", "measures.py",
+           "if above is not None and not all(map(ge, above(w), low)):\n"
+           "                continue\n            m = closure._memo.get(w)",
+           "m = closure._memo.get(w)", FOLD),
+    Mutant("memo-check-dropped", "measures.py",
+           "if m is not None:\n        return m", "if False:\n        return m", FOLD),
     # The reads of a node at tuples (atom_mass at one point, masses at a
     # list): a tuple below a closure's floor reads 0 without a call, and a
-    # batch tuple with a coordinate off the node's span reads 0.
+    # batch tuple with a coordinate off the node's span reads 0. A form
+    # reads a batch one closure term at a time: a tuple below the form's
+    # floor reads 0 before any term, and each term adds its weight times
+    # its closure's mass at the batch positions it read.
     Mutant("read-floor-check-dropped", "measures.py",
-           "if type(mu) is JClosure and not all(map(ge, v, mu._floor)):", "if False:", FOLD),
+           "if not all(map(ge, v, mu._floor)):", "if False:", FOLD),
     Mutant("batch-off-span-read", "measures.py",
-           "return [0 if any(drop(v)) else _read(mu, keep(v)) for v in vs]",
-           "return [_read(mu, keep(v)) for v in vs]", FOLD),
+           "on = [i for i, v in enumerate(vs) if not any(drop(v))]",
+           "on = list(range(len(vs)))", FOLD),
+    Mutant("form-floor-exit-dropped", "measures.py",
+           "at = [i for i, v in enumerate(vs) if all(map(ge, v, floor))]",
+           "at = list(range(len(vs)))", FOLD),
+    Mutant("batch-term-weight-dropped", "measures.py",
+           "out[i] += c * (_mass(closure, w) if m is None else m)",
+           "out[i] += _mass(closure, w) if m is None else m", FOLD),
+    Mutant("batch-index-shifted", "measures.py",
+           "for i, w in zip(at, ws):", "for i, w in zip(range(len(ws)), ws):", FOLD),
     # The builders' mapping of their arguments to parts.
     Mutant("shift-step-dropped", "measures.py",
            "return Form(((1, inner, step),))", "return Form(((1, inner, None),))", FOLD),

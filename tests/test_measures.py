@@ -4,8 +4,8 @@ on the 0/1-combination sets."""
 import random
 from contextlib import contextmanager, nullcontext
 from fractions import Fraction
-from itertools import combinations
-from operator import add
+from itertools import combinations, product
+from operator import add, ge
 
 import pytest
 
@@ -688,11 +688,12 @@ def _memo_roots(ua, ub):
 
 
 def test_every_node_answers_repeats_as_a_fresh_tree_seeded():
-    # Each root memoises its own totals. Two rounds of shuffled queries,
+    # The closure that every root but the first reads memoises its own
+    # totals, and no form keeps one. Two rounds of shuffled queries,
     # interleaved across roots and asked through equal but distinct
     # points, must answer as a freshly built tree does and as the
-    # truncated sum; a memo shared between nodes, or a total stored
-    # before the closure terms are added, answers wrong the second time.
+    # truncated sum; a total kept for the wrong node, or stored before the
+    # closure's terms are added, answers wrong the second time.
     a, b = symbols("a b", positive=True)
     ua, ub = unit(a), unit(b)
     rng = random.Random(1818)
@@ -705,27 +706,42 @@ def test_every_node_answers_repeats_as_a_fresh_tree_seeded():
         for i, x in order:
             got = atom_mass(roots[i], Point(x.terms))
             assert got == atom_mass(_memo_roots(ua, ub)[i], x) == oracles[i].get(x, 0), (i, x)
-    for root in roots[2:]:
-        assert len(root._memo) == len(box)
+    closure = roots[1]
+    assert all(not hasattr(root, "_memo") for root in roots if root is not closure)
+    # The closure is asked x less each root's translation of it, where
+    # that lies on its span (b = 0) and not below its floor (a >= 0), and
+    # it keeps one entry per distinct tuple asked.
+    shifts = ([], [ZERO], [ZERO], [ub], [ua + ub], [ub, ua + ub, 2 * ub, ua + 2 * ub])
+    asked = {w.coords((a,)) for i, x in product(range(len(roots)), box) for w in
+             (x - t for t in shifts[i])}
+    assert set(closure._memo) == {w for w in asked if w is not None and w >= (0,)}
 
 
 def test_off_basis_query_returns_zero_and_stores_nothing():
     # A point with a coordinate off a node's basis has mass 0 there and
-    # leaves its memo as it was, cold or warm. The warm point is on every
-    # basis; a non-closure node holds it as its one entry.
+    # leaves the closure's memo as it was, cold or warm; so does a point
+    # on the root's basis off the span of each of its reads of the
+    # closure. The warm point is on every basis; the closure keeps it as
+    # its one entry when the root reads the closure there, as the closure
+    # itself and the sum do. The other roots read the closure at it off
+    # its span, or not at all below their floor, and no form keeps it.
     a, b, c = symbols("a b c", positive=True)
     ua, ub, uc = unit(a), unit(b), unit(c)
-    for i, root in enumerate(_memo_roots(ua, ub)):
+    for i in range(6):
+        roots = _memo_roots(ua, ub)
+        root, closure = roots[i], roots[1]
         for warm in (False, True):
             if warm:
                 for _ in range(2):
                     assert atom_mass(root, 2 * ua) == atom_mass(_memo_roots(ua, ub)[i], 2 * ua)
-                if i != 1:
-                    assert len(root._memo) == 1
-            entries = dict(root._memo)
+                assert list(closure._memo) == ([(2,)] if i in (1, 2) else [])
+            entries = dict(closure._memo)
             assert atom_mass(root, 2 * ua + ub + uc) == 0
             assert atom_mass(root, uc) == 0
-            assert root._memo == entries
+            x = 2 * ua + 3 * ub
+            assert atom_mass(root, x) == atom_mass(_memo_roots(ua, ub)[i], x)
+            assert closure._memo == entries
+            assert root is closure or not hasattr(root, "_memo")
 
 
 def _node_kinds(seed):
@@ -764,6 +780,82 @@ def test_masses_match_atom_mass_on_each_node_kind_seeded():
                 assert masses(mu, basis, vs) == want, (mu, basis)
 
 
+def _batch_form(rng, units):
+    """A form over one to three closures of finite atomic measures on some
+    of ``units``, each a chain (a step on one symbol) or a walk (a step on
+    two or more), shifted or scaled, summed with an atom, and differenced
+    or not. No closure reads another, so each closure's memo holds what
+    the form's reads of it, and its own walks, leave there."""
+    parts = []
+    for _ in range(rng.randint(1, 3)):
+        nu = Sum(tuple(
+            Scale(rng.choice((1, -1, 2, Fraction(1, 2))), Dirac(_on_some(rng, units, _ATOM, 0)))
+            for _ in range(rng.randint(1, 3))
+        ))
+        if rng.random() < 0.5:
+            step = rng.choice(_STEP) * rng.choice(units)
+        else:
+            step = _on_some(rng, units, _STEP, 2)
+        closure = JClosure(nu, step)
+        parts.append(rng.choice((
+            closure, Shift(closure, _on_some(rng, units, _STEP, 1)), Scale(Fraction(-3, 2), closure),
+        )))
+    parts.append(Dirac(_on_some(rng, units, _ATOM, 0)))
+    root = Sum(parts)
+    if rng.random() < 0.6:
+        root = nabla(root, [_on_some(rng, units, _STEP, 1) for _ in range(rng.randint(1, 2))])
+    return root
+
+
+def test_masses_of_a_form_read_as_one_batch_seeded():
+    # A form reads a batch of tuples one closure term at a time, over the
+    # whole batch. It must answer as atom_mass at each point does on the
+    # same form built afresh, and as the truncated sum, over its own basis
+    # and over a wider one: at its atoms, at random points, below its
+    # floor, off its span and at repeated tuples. Each closure term's memo
+    # gains only tuples not below the closure's floor; a chain's gains
+    # exactly the tuples the batch asks of it there, at x less the term's
+    # offset, and a walk's gains those and the translates it walks down.
+    rng = random.Random(4545)
+    syms = symbols("a b c", positive=True)
+    units = [unit(s) for s in syms]
+    (foreign,) = symbols("d", positive=True)
+    for _ in range(40):
+        seed = rng.random()
+        root, fresh = _batch_form(random.Random(seed), units), _batch_form(random.Random(seed), units)
+        assert type(root) is Form and root._terms
+        oracle = materialize_truncated(root, 12)
+        floor = support_floor(root)
+        points = [p for p in oracle if all(c <= 4 for _, c in p.terms)]
+        points += [_on_some(rng, units, _QUERY, 0) for _ in range(20)]
+        points += [floor - u for u in rng.sample(units, 2)]
+        points += rng.sample(points, 6)
+        wide = tuple(sorted({*root._basis, foreign}))
+        for basis in (root._basis, wide):
+            if basis == wide:
+                points += [p + rng.choice((1, -1)) * unit(foreign) for p in rng.sample(points, 8)]
+            rng.shuffle(points)
+            on = [p for p in points if p.coords(basis) is not None]
+            before = {closure: set(closure._memo) for closure, *_ in root._terms}
+            got = masses(root, basis, [p.coords(basis) for p in on])
+            assert got == [atom_mass(fresh, p) for p in on] == [oracle.get(p, 0) for p in on]
+            asked = {closure: set() for closure in before}
+            for closure, off, *_ in root._terms:
+                cfloor = support_floor(closure)
+                shift = ZERO if off is None else Point.from_coords(root._basis, off)
+                asked[closure].update(
+                    w.coords(closure._basis) for w in (p - shift for p in on)
+                    if w.coords(closure._basis) is not None
+                    and all(coordinate(w, s) >= coordinate(cfloor, s) for s in closure._basis))
+            for closure, keys in before.items():
+                gained = set(closure._memo) - keys
+                assert all(all(map(ge, v, closure._floor)) for v in gained)
+                if closure._runs is not None:
+                    assert gained == asked[closure] - keys
+                else:
+                    assert asked[closure] <= set(closure._memo)
+
+
 def test_masses_read_zero_off_the_span_and_below_a_floor():
     # Over a wider basis a tuple with a nonzero coordinate the node lacks
     # reads 0, though its kept coordinates read 1; a tuple below a
@@ -793,7 +885,7 @@ def test_masses_over_a_basis_without_one_of_the_node_s_symbols_raise():
 def test_repeated_lemma46_queries_keep_one_entry_per_point():
     # Lemma 4.6 asks mu at every point of A in several claims, and the
     # unit atom at h1 alongside it; mu keeps one entry per distinct point,
-    # the same after every repeat. mu's root is a unit-step chain: with its
+    # the same after every repeat, and the atom, a form, keeps none. mu's root is a unit-step chain: with its
     # record it answers each point in closed form and stores just those,
     # |A| entries; walking, it runs down to the support floor, the origin,
     # and stores that too, |A| + 1.
@@ -816,8 +908,7 @@ def test_repeated_lemma46_queries_keep_one_entry_per_point():
                     atom_mass(delta1, x)
                 assert len(mu._memo) == len(a_sets.union) + walks
             assert mu._memo.get(origin) == (0 if walks else None)
-            # h1 is the one point of A on the atom's basis; the rest are off it.
-            assert list(delta1._memo) == [(1,)]
+            assert not hasattr(delta1, "_memo")
 
 
 @contextmanager
@@ -1024,11 +1115,12 @@ def test_doubling_dag_folds_without_exponential_work():
 
 def _form(mu):
     """A node's form: basis, floor, atoms and terms in order, each term's
-    pickers read as the positions they pick."""
+    getters read as the positions they pick."""
     idx = tuple(range(len(mu._basis)))
     return mu._basis, mu._floor, list(mu._atoms.items()), [
-        (closure, off, None if keep is None else (keep(idx), drop(idx)), c)
-        for closure, off, keep, drop, c in mu._terms
+        (closure, off, None if keep is None else (keep(idx), drop(idx)),
+         None if above is None else above(idx), low, c)
+        for closure, off, keep, drop, above, low, c in mu._terms
     ]
 
 
@@ -1155,9 +1247,9 @@ def test_a_repeated_query_is_answered_from_the_memo(monkeypatch):
 
 
 def test_a_term_the_memo_or_the_floor_answers_is_read_without_a_call(monkeypatch):
-    # The difference of a closure reads it at four translates. Once the
-    # closure has answered each, the read takes the memo's total and makes
-    # no call into the closure: the one call is the query's own. A
+    # The difference of a closure, a form, reads it at four translates,
+    # with no call of its own. Once the closure has answered each, the
+    # read takes the memo's total and makes no call into the closure. A
     # translate below the closure's floor is 0, read with no call too.
     a, b = symbols("a b", positive=True)
     ua, ub = unit(a), unit(b)
@@ -1175,7 +1267,7 @@ def test_a_term_the_memo_or_the_floor_answers_is_read_without_a_call(monkeypatch
     real = measures._mass
     monkeypatch.setattr(measures, "_mass", lambda node, v: calls.append(node) or real(node, v))
     assert atom_mass(mu, x) == want[x]
-    assert calls == [mu]
+    assert calls == []
     # A cold closure is called into at each: no translate lies on
     # another's walk.
     closure, mu = build()
@@ -1186,6 +1278,6 @@ def test_a_term_the_memo_or_the_floor_answers_is_read_without_a_call(monkeypatch
     closure, mu = build()
     calls.clear()
     assert atom_mass(mu, y) == want[y]
-    assert calls == [mu, closure, closure]
+    assert calls == [closure, closure]
     # So is a query of the closure itself there.
-    assert atom_mass(closure, y - 2 * ub) == 0 and len(calls) == 3
+    assert atom_mass(closure, y - 2 * ub) == 0 and len(calls) == 2
