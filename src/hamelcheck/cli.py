@@ -331,13 +331,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     runner = globals()[args.runner]
     try:
         reports = [runner(*call) for call in _calls(args)]
-        output = render(reports, args.format, args.trace)
+        written = _write(render(reports, args.format, args.trace))
     except (HamelcheckError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
         print("error: out of memory (the input is too large to evaluate)", file=sys.stderr)
         return 2
-    if not _write(output):
+    if not written:
         return 2
     return 0 if all(r.passed for r in reports) else 1

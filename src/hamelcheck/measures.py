@@ -3,45 +3,38 @@ exact pointwise atom-mass evaluation.
 
 Closure nodes have infinite support, so measures are never materialized.
 A node is a `JClosure` or a `Form`, every other measure, which `Dirac`,
-`Shift`, `Scale`, `Sum`, `nabla` and `build_mu` build. Every node
-works on coordinate tuples over its basis, the sorted symbols of its
-subtree's points, and is folded at construction into one linear form
-there: merged atoms, plus merged closure leaves, each at an offset and
-with a weight, and a support floor, the minimum of the parts' floors. A
-tuple over a smaller basis is placed in, or read out of, a tuple over a
-wider one by the positions of its symbols there, found once per pair of
-bases. A `Form` only builds a form, so a query reads the atoms and reads
-the closures; nothing recurses through it. Each part of a fold carries
-its own translation, and a weighted atom is a part. The difference ∇
-over k increments is one `Form`, which takes ``form − T_h form`` once
-per increment on its form alone; it has the atoms and terms, in the same
+`Shift`, `Scale`, `Sum`, `nabla` and `build_mu` build. Every node works
+on coordinate tuples over its basis, the sorted symbols of its subtree's
+points, and is folded at construction into one linear form there: merged
+atoms, plus merged closure leaves, each at an offset and with a weight,
+and a support floor, the minimum of the parts' floors. A tuple over one
+basis is read over another by the positions of their shared symbols,
+found once per pair of bases. A query of a `Form` reads its atoms and
+its closures; nothing recurses through it. The difference ∇ over k
+increments is one `Form`, which takes ``form − T_h form`` once per
+increment on its form alone; it has the atoms and terms, in the same
 order, of the fold ``acc − T_h acc`` built as nested sums, scalings and
-shifts, without their nodes. A closure's route is chosen when it is
-built: a closure over a form with no closure term, or over a closure
-with a chain record, gets a chain record when every distinct step of its
-chain has one nonzero coordinate and no two share one (the axis-aligned
-case, which `build_mu_i` and `build_mu` are). Its form is then its
-inner's atoms and floor, with the step's symbol put into the basis, and
-it answers in closed form, one read per atom, testing each atom only
-where it lies above the floor; `fixed_by` says whether a renaming of the
-symbols maps that record onto itself. Every
+shifts, without their nodes. A closure over a form with no closure term,
+or over a closure with a chain record, gets a chain record when every
+distinct step of its chain has one nonzero coordinate and no two share
+one (the axis-aligned case, which `build_mu_i` and `build_mu` are). Its
+form is then its inner's atoms and floor, with the step's symbol put
+into the basis, and it answers in closed form, one read per atom,
+testing each atom only where it lies above the floor; `fixed_by` says
+whether a renaming of the symbols maps that record onto itself. Every
 other closure is folded by `_fill` over its one part, and walks: it
 reads its inner form at each translate down to its support floor.
-`atom_mass` reads one node at one `Point`; `masses` is the batch read,
-of one node at a list of coordinate tuples over a sorted basis that
-holds the node's, its positions there found once per call. A closure is
-read one tuple at a time by `_read`: from its memo, as 0 below its
+`masses` reads one node at a batch of coordinate tuples over any sorted
+basis, a closure one tuple at a time: from its memo, as 0 below its
 floor, or else by `_mass`, which answers closures only and alone fills
-their memos. A form keeps no memo: `_form_masses` reads it over a whole
-batch, a batch of one for `atom_mass`, its atoms first and then each
-closure term once over the batch, and reads a term with no call where
-its closure has answered the point, from the closure's memo, or where
-the point lies below the closure's floor, as 0. Each query charges the
-work meter before its work: a walk its translates, less those a
-memoised point saves, and a closed form its atom reads and its
-binomials' size, weighed superlinearly. A closure is never cancelled
-against a difference: it stays a leaf that its closed form or its walk
-evaluates.
+their memos. A form keeps no memo: `_form_masses` reads its atoms and
+then each closure term once over the batch, with no call where the
+closure's memo answers or the point lies below the closure's floor.
+`atom_mass` reads one `Point` as a batch of one. Each query charges the
+work meter before its work: a walk its translates, less those a memoised
+point saves, and a closed form its atom reads and its binomials' size,
+weighed superlinearly. A closure is never cancelled against a
+difference: it stays a leaf that its closed form or its walk evaluates.
 """
 
 from __future__ import annotations
@@ -350,45 +343,43 @@ def fixed_by(mu: MeasureExpr, perm: dict[Symbol, Symbol]) -> bool:
 def atom_mass(mu: MeasureExpr, x: Point) -> Scalar:
     """Exact signed mass of the atom of ``mu`` at ``x``: ``x`` read as a
     tuple over ``mu``'s basis by ``Point.coords``, which leaves ``x`` as it
-    was, and looked up by `_read`, or for a form by `_form_masses` as a
-    batch of one."""
+    was, and that read by `masses` as a batch of one."""
     v = x.coords(mu._basis)
     # Every atom lies in the span of the basis, so a point off it has none.
-    if v is None:
-        return 0
-    return _read(mu, v) if type(mu) is JClosure else _form_masses(mu, (v,))[0]
+    return 0 if v is None else masses(mu, mu._basis, (v,))[0]
 
 
 def masses(
     mu: MeasureExpr, basis: tuple[Symbol, ...], vs: Sequence[tuple[Scalar, ...]]
 ) -> list[Scalar]:
     """The masses of ``mu`` at the coordinate tuples ``vs`` over ``basis``,
-    a sorted tuple of symbols that holds ``mu``'s basis (else ValueError),
-    in order: the batch read of one node. A tuple with a nonzero coordinate
-    on a symbol ``mu``'s basis lacks is off its span and reads 0; every
-    other one is read at its picked coordinates, by `_read` one at a time
-    for a closure and by `_form_masses` as one batch for a form."""
-    if basis != mu._basis:
-        keep, drop = _pickers(basis, mu._basis)
+    a sorted tuple of symbols, in order: the batch read of one node. A
+    tuple nonzero on a symbol ``mu``'s basis lacks is off its span and reads
+    0; every other one is read at its picked coordinates, 0 on a symbol
+    ``basis`` lacks: by `_form_masses` for a form, and for a closure one at
+    a time, from its memo, as 0 below its floor, else by `_mass`."""
+    own = mu._basis
+    if basis != own:
+        part = [s for s in own if s in basis]
+        keep, drop = _pickers(basis, part)
         on = [i for i, v in enumerate(vs) if not any(drop(v))]
+        ws = [keep(vs[i]) for i in on]
+        if len(part) < len(own):
+            pos = _positions(own, part)
+            ws = [_place(w, pos, len(own)) for w in ws]
         out = [0] * len(vs)
-        for i, m in zip(on, masses(mu, mu._basis, [keep(vs[i]) for i in on])):
+        for i, m in zip(on, masses(mu, own, ws)):
             out[i] = m
         return out
-    if type(mu) is JClosure:
-        return [_read(mu, v) for v in vs]
-    return _form_masses(mu, vs)
-
-
-def _read(mu: JClosure, v: tuple[Scalar, ...]) -> Scalar:
-    """The mass of the closure ``mu`` at the tuple ``v`` over its basis:
-    from its memo, as 0 below its floor, and else by `_mass`."""
-    m = mu._memo.get(v)
-    if m is not None:
-        return m
-    if not all(map(ge, v, mu._floor)):
-        return 0
-    return _mass(mu, v)
+    if type(mu) is not JClosure:
+        return _form_masses(mu, vs)
+    memo, floor, out = mu._memo, mu._floor, []
+    for v in vs:
+        m = memo.get(v)
+        if m is None:
+            m = _mass(mu, v) if all(map(ge, v, floor)) else 0
+        out.append(m)
+    return out
 
 
 def _form_masses(mu: Form, vs: Sequence[tuple[Scalar, ...]]) -> list[Scalar]:

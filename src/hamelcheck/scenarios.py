@@ -4,15 +4,17 @@ Each runner constructs its instance from scratch, computes every claimed
 value exactly, and compares against the expected value frozen in the
 claim. Randomized runners take an explicit seed and name it in the
 report, so every run is reproducible. Both lemma runners read the one
-chain `build_mu` as mu, read A by symmetry classes, and pass one
-certificate, `_certified`, which also covers lemma 4.4's read of each
-mu_i as mu_2 renamed; where it fails, each fails every claim it reads by
-class, with one note.
+chain `build_mu` as mu, read A as one batch of tuples over its symmetry
+classes, each measure once by `masses`, and pass one certificate,
+`_certified`, which also covers lemma 4.4's read of each mu_i as mu_2
+renamed; where it fails, each fails every claim it reads by class, with
+one note.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import islice
 from math import comb
 from operator import mul
 
@@ -176,29 +178,25 @@ def verify_lemma_4_4(n: int) -> Report:
     indexing a mu_i and S a nonempty subset of the units, under the
     permutations of h2..h(n+1). Only mu_1, mu_2 and mu, lemma 4.6's one
     chain, are built; each other mu_i is read as mu_2 with h2 and h_i
-    exchanged (`_exchanged`), as `_certified` must certify. S is read at
-    its class's representative b*h1 + h2 + ... + h(k+1) (`_by_class`);
-    there mu_1 stands for the pairs (1, S), mu_2 for those with h_i in S
-    and mu_(n+1) for those with h_i outside S, and mu and delta_h1 for S
-    alone. Uncertified, every claim but d-mass-at-h1 (mu at h1) fails."""
+    exchanged (`_mu_i_masses`), as `_certified` must certify. S is read at
+    its class's members (`_by_class`): mu_1 for the pairs (1, S), mu_2 for
+    those with h_i in S and mu_(n+1) for those with h_i outside S, and mu
+    and delta_h1 for S alone. Uncertified, every claim but d-mass-at-h1
+    (mu at h1) fails."""
     require_odd(n)
     syms, units, a, _, _ = _standard_setup(n)
     mu_1, mu_2 = build_mu_i(1, syms), build_mu_i(2, syms)
     mu = build_mu(syms)
     h1 = units[0]
     delta1 = Dirac(h1)
-    mu_i = _exchanged(mu_2, syms)
-
-    def reads(x: Point, rest) -> tuple:
-        """mu, delta_h1 and mu_1 at ``x``, the sum of h1 (or not) and the
-        units at the indices ``rest``; the mu_i of the first of them, and of
-        the last unit outside them (None where there is none)."""
-        out = next((i for i in range(n, 0, -1) if i not in rest), None)
-        return (atom_mass(mu, x), atom_mass(delta1, x), atom_mass(mu_1, x),
-                mu_i(rest[0], x) if rest else None,
-                None if out is None else mu_i(out, x))
-
-    values, same = _by_class(syms, reads)
+    basis, at, xs, rests, sizes = _by_class(syms)
+    # The mu_i of each member's first unit past h1, and of its last unit
+    # outside S (None where there is none).
+    first = [rest[0] if rest else None for rest in rests]
+    last = [next((i for i in range(n, 0, -1) if i not in rest), None) for rest in rests]
+    values, same = _per_class(sizes, (
+        masses(mu, basis, xs), masses(delta1, basis, xs), masses(mu_1, basis, xs),
+        _mu_i_masses(mu_2, basis, at, xs, first), _mu_i_masses(mu_2, basis, at, xs, last)))
     # The class (0, 0), the empty subset's, is not in A.
     classes = [(b, k) for b in (0, 1) for k in range(n + 1)][1:]
     ms, ds, firsts, ins, outs = zip(*values[1:])
@@ -249,18 +247,18 @@ def verify_lemma_4_4(n: int) -> Report:
     return Report(f"lemma44(n={n})", claims)
 
 
-def _exchanged(mu_2, syms: list[Symbol]):
-    """``read(i, x)``: mu_(i+1) at ``x``, read as ``mu_2`` with the coordinates
-    of h2 and h(i+1) exchanged over the basis `_by_class` builds ``x`` on."""
-    basis = tuple(sorted(syms))
-    at = [basis.index(s) for s in syms]
-
-    def read(i: int, x: Point):
-        v = list(x.coords(basis))
-        v[at[1]], v[at[i]] = v[at[i]], v[at[1]]
-        return atom_mass(mu_2, Point.from_coords(basis, v))
-
-    return read
+def _mu_i_masses(mu_2, basis, at, xs, picks) -> list:
+    """mu_(i+1) at each tuple of ``xs`` over ``basis`` for the ``i`` of
+    ``picks`` beside it (None reads None): ``mu_2`` read as one batch with
+    the coordinates of h2 and h(i+1), at the positions ``at``, exchanged."""
+    swapped = []
+    for v, i in zip(xs, picks):
+        if i is not None:
+            v = list(v)
+            v[at[1]], v[at[i]] = v[at[i]], v[at[1]]
+            swapped.append(tuple(v))
+    read = iter(masses(mu_2, basis, swapped))
+    return [None if i is None else next(read) for i in picks]
 
 
 # The other members of each class of A read beside its representative, and
@@ -268,34 +266,43 @@ def _exchanged(mu_2, syms: list[Symbol]):
 _CLASS_DRAWS, _CLASS_SEED = 2, 46
 
 
-def _by_class(syms: list[Symbol], reads) -> tuple[list, bool]:
-    """The classes (b, k) of the subsets S of the units of ``syms`` under
-    the permutations of ``syms[1:]``, b = [h1 in S] and k = |S - {h1}|, in
-    the order (0, 0), (0, 1), ..., (1, n): ``reads(x, rest)`` at each
-    class's representative x = b*h1 + h2 + ... + h(k+1), ``rest`` the
-    indices in ``syms`` of the units of x past h1 (1..k there), and whether
-    ``reads`` gives the same at `_CLASS_DRAWS` other members of each class
-    with 0 < k < n, drawn from `_CLASS_SEED`."""
+def _by_class(syms: list[Symbol]) -> tuple:
+    """``(basis, at, xs, rests, sizes)``: the sorted ``syms``, their
+    positions there, and the members of each class (b, k) of the subsets S
+    of their units under the permutations of ``syms[1:]``, b = [h1 in S]
+    and k = |S - {h1}|, in the order (0, 0), ..., (1, n): tuples over
+    ``basis``, the indices in ``syms`` of their units past h1, and their
+    counts per class. A class's representative b*h1 + h2 + ... + h(k+1)
+    is first, then, if 0 < k < n, `_CLASS_DRAWS` drawn from `_CLASS_SEED`."""
     n = len(syms) - 1
     basis = tuple(sorted(syms))
     at = [basis.index(s) for s in syms]
-
-    def point(b: int, rest) -> Point:
-        v = [0] * (n + 1)
-        for i in (0, *rest) if b else rest:
-            v[at[i]] = 1
-        return Point.from_coords(basis, v)
-
     rng = random.Random(_CLASS_SEED)
-    values, same = [], True
+    xs, rests, sizes = [], [], []
     for b in (0, 1):
         for k in range(n + 1):
-            rest = range(1, k + 1)
-            values.append(rep := reads(point(b, rest), rest))
+            members = [range(1, k + 1)]
             if 0 < k < n:
-                for _ in range(_CLASS_DRAWS):
-                    rest = rng.sample(range(1, n + 1), k)
-                    same &= reads(point(b, rest), rest) == rep
+                members += [rng.sample(range(1, n + 1), k) for _ in range(_CLASS_DRAWS)]
+            for rest in members:
+                v = [0] * (n + 1)
+                for i in (0, *rest) if b else rest:
+                    v[at[i]] = 1
+                xs.append(tuple(v))
+            rests += members
+            sizes.append(len(members))
+    return basis, at, xs, rests, sizes
+
+
+def _per_class(sizes: list[int], columns) -> tuple[list, bool]:
+    """Each representative's row of ``columns``, read over a `_by_class`
+    batch of these ``sizes``, and whether every other member's is the same."""
+    rows = zip(*columns)
+    values, same = [], True
+    for size in sizes:
+        values.append(rep := next(rows))
+        for row in islice(rows, size - 1):
+            same &= row == rep
     return values, same
 
 
@@ -329,13 +336,11 @@ def _uncertified(n: int, claims: tuple[Claim, ...], exempt: tuple[str, ...]) -> 
 def verify_lemma_4_6(n: int) -> Report:
     """Pointwise mass identities on A and the backward-difference chain
     computed through measures and directly through the function. The
-    measure route reads A by its 2(n+1) classes under the permutations of
-    h2..h(n+1), which `_certified` must certify fix mu and a: a subset S
-    of the units is in class (b, k) for b = [h1 in S] and k = |S - {h1}|,
-    with the representative b*h1 + h2 + ... + h(k+1). A pointwise claim
-    reads every nonempty class's representative, and seeded other members
-    that must read the same; a difference at the top point is the class
-    sum of C(n, k)*(-1)^(n+1-b-k) times the value at the representative.
+    measure route reads A by its 2(n+1) classes (b, k) (`_by_class`),
+    which `_certified` must certify fix mu and a. A pointwise claim reads
+    every nonempty class's representative, and seeded other members that
+    must read the same; a difference at the top point is the class sum of
+    C(n, k)*(-1)^(n+1-b-k) times the value at the representative.
     Uncertified, every claim but the direct path's fails."""
     require_odd(n)
     syms, units, a, f, top = _standard_setup(n)
@@ -343,13 +348,14 @@ def verify_lemma_4_6(n: int) -> Report:
     delta1 = Dirac(units[0])
     sign_n = (-1) ** n
     combined = Sum((mu, delta1))
-
-    def reads(x: Point, rest) -> tuple:
-        """a, mu, f, the n-th power of the combined mass and delta_h1 at ``x``."""
-        return a(x), atom_mass(mu, x), f.value(x), atom_mass(combined, x) ** n, atom_mass(delta1, x)
-
-    # Per class; (0, 0), the empty subset's, is first and not in A.
-    values, same = _by_class(syms, reads)
+    basis, _, xs, _, sizes = _by_class(syms)
+    at_units = [a(unit(s)) for s in basis]
+    av = [sum(map(mul, at_units, v)) for v in xs]
+    # mu is read before mu + delta_h1, whose term it answers. Per class;
+    # (0, 0), the empty subset's, is first and not in A.
+    values, same = _per_class(sizes, (
+        av, masses(mu, basis, xs), [f.kernel.apply(t) for t in av],
+        [m ** n for m in masses(combined, basis, xs)], masses(delta1, basis, xs)))
     weights = [comb(n, k) * (-1) ** (n + 1 - b - k) for b in (0, 1) for k in range(n + 1)]
     av, ms, fs, cs, ds = zip(*values)
     mu_pow_diff = sum(map(mul, weights, [m ** n for m in ms]))

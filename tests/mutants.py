@@ -30,9 +30,9 @@ ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "samples", "perfbench", "pyproject.toml")
 FOLD = ("test_measures.py", "test_functions.py", "test_scenarios.py")
 CLASSES = ("test_scenarios.py",)
-# Seconds per run. The unmutated run takes about 13 s and a mutant's 1-9 s
+# Seconds per run. The unmutated run takes about 14 s and a mutant's 1-8 s
 # (CPython 3.11, 2 cores); (1 + len(MUTANTS)) runs, each at this limit,
-# must end inside the CI job's 22 minutes.
+# must end inside the CI job's 23 minutes.
 TIMEOUT = 30
 
 
@@ -81,7 +81,7 @@ MUTANTS = (
            "                continue\n            m = closure._memo.get(w)",
            "m = closure._memo.get(w)", FOLD),
     Mutant("memo-check-dropped", "measures.py",
-           "if m is not None:\n        return m", "if False:\n        return m", FOLD),
+           "m = memo.get(v)\n        if m is None:", "m = None\n        if m is None:", FOLD),
     # The reads of a node at tuples (atom_mass at one point, masses at a
     # list): a tuple below a closure's floor reads 0 without a call, and a
     # batch tuple with a coordinate off the node's span reads 0. A form
@@ -89,7 +89,7 @@ MUTANTS = (
     # floor reads 0 before any term, and each term adds its weight times
     # its closure's mass at the batch positions it read.
     Mutant("read-floor-check-dropped", "measures.py",
-           "if not all(map(ge, v, mu._floor)):", "if False:", FOLD),
+           "m = _mass(mu, v) if all(map(ge, v, floor)) else 0", "m = _mass(mu, v)", FOLD),
     Mutant("batch-off-span-read", "measures.py",
            "on = [i for i, v in enumerate(vs) if not any(drop(v))]",
            "on = list(range(len(vs)))", FOLD),
@@ -144,17 +144,25 @@ MUTANTS = (
     Mutant("class-weight-off-by-one", "scenarios.py", "comb(n, k)", "comb(n + 1, k)", CLASSES),
     Mutant("class-sign-flipped", "scenarios.py",
            "(-1) ** (n + 1 - b - k)", "(-1) ** (n - b - k)", CLASSES),
+    # Both lemmas read A as one batch of class members: each member's tuple
+    # (with h1 where b = 1), and each drawn member's row compared with its
+    # representative's.
     Mutant("class-representative-without-h1", "scenarios.py",
            "for i in (0, *rest) if b else rest:", "for i in rest:", CLASSES),
+    Mutant("draws-not-compared", "scenarios.py",
+           "same &= row == rep", "same &= rep == rep", CLASSES),
     # Lemma 4.4's class route: the mu_i read for the pairs with h_i in S,
     # the unit outside S whose mu_i reads 0, and the exchange of h2 and h_i
-    # that reads mu_i as mu_2.
+    # that reads mu_i as mu_2 over the batch, dropped or with another unit.
     Mutant("pair-representative-off-by-one", "scenarios.py",
-           "mu_i(rest[0], x) if rest", "mu_i(rest[0] - 1, x) if rest", CLASSES),
+           "rest[0] if rest else None", "rest[0] - 1 if rest else None", CLASSES),
     Mutant("outside-unit-taken-from-s", "scenarios.py",
            "for i in range(n, 0, -1) if i not in rest", "for i in range(n, 0, -1)", CLASSES),
     Mutant("exchange-dropped", "scenarios.py",
            "v[at[1]], v[at[i]] = v[at[i]], v[at[1]]", "pass", CLASSES),
+    Mutant("exchange-coordinate-wrong", "scenarios.py",
+           "v[at[1]], v[at[i]] = v[at[i]], v[at[1]]",
+           "v[at[1]], v[at[-i]] = v[at[-i]], v[at[1]]", CLASSES),
     # The one certificate of both lemmas: each generator (the transposition,
     # then the cycle, replaced by the identity), the check of a's values,
     # and lemma 4.4's checks of mu_2 under the permutations that fix h2

@@ -1,6 +1,7 @@
 """Command-line surface: formats, exit codes, flags."""
 
 import argparse
+import io
 import json
 import math
 import os
@@ -313,6 +314,19 @@ def test_out_of_memory_is_a_usage_error(monkeypatch, capsys):
         raise MemoryError
 
     monkeypatch.setattr(cli, "verify_section_3_2", exhausted)
+    code, out, err = run_cli(capsys, "verify", "section32", "--format", "jsonl")
+    assert (code, out) == (2, "")
+    assert err == "error: out of memory (the input is too large to evaluate)\n"
+
+
+def test_out_of_memory_while_writing_is_a_usage_error(monkeypatch, capsys):
+    # The output is rendered whole, then printed: a write that runs out of
+    # memory exits 2 with the same one line, not a traceback and exit 1.
+    class Exhausted(io.StringIO):
+        def write(self, text):
+            raise MemoryError
+
+    monkeypatch.setattr(sys, "stdout", Exhausted())
     code, out, err = run_cli(capsys, "verify", "section32", "--format", "jsonl")
     assert (code, out) == (2, "")
     assert err == "error: out of memory (the input is too large to evaluate)\n"

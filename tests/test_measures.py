@@ -874,12 +874,39 @@ def test_masses_read_zero_off_the_span_and_below_a_floor():
         assert mu._memo == entries
 
 
-def test_masses_over_a_basis_without_one_of_the_node_s_symbols_raise():
+def test_masses_read_a_symbol_the_batch_lacks_as_0():
+    # mu = J(delta_a) along b has mass 1 at a + k*b for k >= 0. A batch over
+    # a basis without b reads b as 0 in every tuple; one with c, which mu
+    # lacks, reads a tuple with c != 0 as 0.
     a, b, c = symbols("a b c", positive=True)
-    mu = JClosure(Dirac(unit(a) + unit(b)), unit(a))
-    for basis in ((a,), (b, c), (a, c)):
-        with pytest.raises(ValueError):
-            masses(mu, basis, [(1,) * len(basis)])
+    mu = JClosure(Dirac(unit(a)), unit(b))
+    assert mu._basis == (a, b) and mu._runs is not None
+    assert masses(mu, (a,), [(1,), (2,), (0,)]) == [1, 0, 0]
+    assert masses(mu, (a, c), [(1, 0), (1, 1), (2, 0)]) == [1, 0, 0]
+    assert masses(mu, (b, c), [(0, 0), (3, 0)]) == [0, 0]
+    assert masses(Sum((mu, Dirac(unit(c)))), (b, c), [(0, 1), (1, 1)]) == [1, 0]
+
+
+def test_masses_match_atom_mass_whatever_the_batch_lacks_seeded():
+    # A batch over a basis that lacks some of the node's symbols, has some
+    # the node lacks, or both, answers as atom_mass at the same points does
+    # on the same node built afresh: each node kind over a and b, and forms
+    # over closures on some of a, b and c.
+    rng = random.Random(4646)
+    a, b, c, d = symbols("a b c d", positive=True)
+    units = [unit(s) for s in (a, b, c)]
+    cases = set()
+    for _ in range(30):
+        seed = rng.random()
+        nodes, fresh = ((*_node_kinds(seed), _batch_form(random.Random(seed), units))
+                        for _ in range(2))
+        for mu, twin in zip(nodes, fresh):
+            for basis in ((a,), (b,), (a, c), (b, c, d), (a, b, c, d)):
+                cases.add((bool(set(mu._basis) - set(basis)), bool(set(basis) - set(mu._basis))))
+                vs = sample_box(rng, basis, -2, 5, min(8 ** len(basis), 60))
+                want = [atom_mass(twin, Point.from_coords(basis, v)) for v in vs]
+                assert masses(mu, basis, vs) == want, (mu, basis)
+    assert cases >= {(True, False), (False, True), (True, True)}
 
 
 def test_repeated_lemma46_queries_keep_one_entry_per_point():

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -20,9 +20,11 @@ from hamelcheck import (
     verify_section_3_2,
     verify_theorem_2_3,
 )
-from hamelcheck.basis import AdditiveFunctional, Symbol, point_combine, unit
+from hamelcheck.basis import AdditiveFunctional, Point, Symbol, point_combine, unit
 from hamelcheck.functions import Composite, PositivePartPower
-from hamelcheck.measures import Form, atom_mass, build_a_sets, build_mu, build_mu_i, j_op
+from hamelcheck.measures import (
+    Dirac, Form, Sum, atom_mass, build_a_sets, build_mu, build_mu_i, j_op,
+)
 from helpers import (
     as_drawn, coords_over, lattice_box, lemma_4_4_full, lemma_4_6_full, signed_sum,
 )
@@ -179,16 +181,61 @@ def test_lemma44_as_built_is_certified(monkeypatch):
 
 
 def test_lemma44_exchanged_read_is_the_built_mu_i():
-    # Each mu_i read as mu_2 with the coordinates of h2 and h_i exchanged
-    # equals the built mu_i at every point of A, and at each 2*h_j, off A,
-    # where mu_i has mass 1 if j = i and 0 otherwise.
+    # Each mu_i read as mu_2 with the coordinates of h2 and h_i exchanged,
+    # over one batch of tuples, equals the built mu_i at every point of A,
+    # and at each 2*h_j, off A, where mu_i has mass 1 if j = i and 0
+    # otherwise. A tuple with no i beside it reads None.
     for n in range(1, 8):
         syms = scenarios._standard_setup(n)[0]
-        read = scenarios._exchanged(build_mu_i(2, syms), syms)
+        basis, at, *_ = scenarios._by_class(syms)
+        mu_2 = build_mu_i(2, syms)
         points = [*build_a_sets(syms).union, *(2 * unit(s) for s in syms)]
+        xs = [p.coords(basis) for p in points]
         for i in range(1, n + 1):
             mu_i = build_mu_i(i + 1, syms)
-            assert [read(i, x) for x in points] == [atom_mass(mu_i, x) for x in points], (n, i)
+            picks = [None if j % 3 == 2 else i for j in range(len(xs))]
+            want = [None if k is None else atom_mass(mu_i, x) for k, x in zip(picks, points)]
+            assert scenarios._mu_i_masses(mu_2, basis, at, xs, picks) == want, (n, i)
+
+
+def test_each_class_member_reads_as_its_point(monkeypatch):
+    # Both lemmas read each measure once over the batch of every class
+    # member. Each member's row equals the reads at its point one at a
+    # time: atom_mass of the measures as built, lemma 4.4's mu_i of the
+    # member's first unit past h1 and of its last unit outside S each
+    # built as itself, a(x) and f.value(x). The member's tuple holds h1
+    # for the classes with b = 1 and the units of its rest.
+    seen = []
+    per_class = scenarios._per_class
+
+    def spy(sizes, columns):
+        columns = [list(c) for c in columns]
+        seen.append(columns)
+        return per_class(sizes, columns)
+
+    monkeypatch.setattr(scenarios, "_per_class", spy)
+    for n in range(1, 10, 2):
+        seen.clear()
+        verify_lemma_4_4(n)
+        verify_lemma_4_6(n)
+        rows44, rows46 = (list(zip(*columns)) for columns in seen)
+        syms, units, a, f, _ = scenarios._standard_setup(n)
+        basis, _, xs, rests, sizes = scenarios._by_class(syms)
+        assert len(rows44) == len(rows46) == len(xs) == len(rests) == sum(sizes)
+        mu, delta1 = build_mu(syms), Dirac(units[0])
+        combined, mus = Sum((mu, delta1)), [build_mu_i(i, syms) for i in range(1, n + 2)]
+        members = zip(xs, rests, rows44, rows46)
+        for (b, k), size in zip(product((0, 1), range(n + 1)), sizes):
+            for v, rest, row44, row46 in islice(members, size):
+                x = Point.from_coords(basis, v)
+                assert len(set(rest)) == k
+                assert {s for s, _ in x.terms} == {syms[i] for i in (0, *rest)[1 - b:]}
+                outside = [i for i in range(1, n + 1) if i not in rest]
+                first = atom_mass(mus[rest[0]], x) if rest else None
+                last = atom_mass(mus[outside[-1]], x) if outside else None
+                m, d = atom_mass(mu, x), atom_mass(delta1, x)
+                assert row44 == (m, d, atom_mass(mus[0], x), first, last), (n, v)
+                assert row46 == (a(x), m, f.value(x), atom_mass(combined, x) ** n, d), (n, v)
 
 
 @pytest.mark.parametrize("n, extra, fresh", [
