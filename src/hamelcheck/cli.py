@@ -46,14 +46,13 @@ LINE_ORDER = 1001
 LINE_CEILING = 5501
 # lemma44 and lemma46 read A by its 2(n+1) symmetry classes, each read of
 # a chain testing each of its n + 1 atoms at one coordinate, in time about
-# quadratic in the order: lemma44 builds mu_1, mu_2 and mu, lemma46 mu
-# alone. A CLI process on CPython 3.11 with 2 cores took 0.14-0.16 s and
-# 17 MiB here for lemma44 and 0.13-0.17 s and 16 MiB for lemma46, about
-# 0.08 s of it interpreter start and import, so an order above it needs
-# --allow-large.
+# quadratic in the order: lemma44 builds mu_1 and mu, lemma46 mu alone.
+# A CLI process on CPython 3.11 with 2 cores took 0.10-0.12 s and 16 MiB
+# for lemma44 and 0.10-0.11 s and 16 MiB for lemma46, about 0.08 s of it
+# interpreter start and import, so an order above it needs --allow-large.
 CLASS_ORDER = 101
-# lemma44 took 0.64-0.65 s and 30-31 MiB at this order in a CLI process,
-# and lemma46 0.48-0.70 s and 22 MiB: above it, --allow-large does not help.
+# lemma44 took 0.34-0.36 s and 23 MiB at this order in a CLI process, and
+# lemma46 0.36-0.37 s and 22 MiB: above it, --allow-large does not help.
 CLASS_CEILING = 301
 
 
@@ -98,7 +97,7 @@ COMMANDS = {
     ("verify", "section31"): ("verify_section_3_1", (), None, {}),
     ("verify", "section32"): ("verify_section_3_2", (), None, {}),
     ("verify", "lemma44"): ("verify_lemma_4_4", (1, 3, 5), (
-        CLASS_ORDER, "3 chains of {m} closures read at 2*{m} classes (time quadratic in n)",
+        CLASS_ORDER, "2 chains of {m} closures read at 2*{m} classes (time quadratic in n)",
         CLASS_CEILING,
     ), BATCH),
     ("verify", "lemma46"): ("verify_lemma_4_6", (1, 3, 5), (

@@ -6,7 +6,7 @@ claim. Randomized runners take an explicit seed and name it in the
 report, so every run is reproducible. Both lemma runners read the one
 chain `build_mu` as mu, read A as one batch of tuples over its symmetry
 classes, each measure once by `masses`, and pass one certificate,
-`_certified`, which also covers lemma 4.4's read of each mu_i as mu_2
+`_certified`, which also covers lemma 4.4's read of each mu_i as mu_1
 renamed; where it fails, each fails every claim it reads by class, with
 one note.
 """
@@ -174,39 +174,31 @@ def verify_section_3_2() -> Report:
 
 def verify_lemma_4_4(n: int) -> Report:
     """Mass pattern of the closure measures mu_i = J(delta_h_i) on the
-    0/1-combination sets, read by the classes of the pairs (i, S), i
-    indexing a mu_i and S a nonempty subset of the units, under the
-    permutations of h2..h(n+1). Only mu_1, mu_2 and mu, lemma 4.6's one
-    chain, are built; each other mu_i is read as mu_2 with h2 and h_i
-    exchanged (`_mu_i_masses`), as `_certified` must certify. S is read at
-    its class's members (`_by_class`): mu_1 for the pairs (1, S), mu_2 for
-    those with h_i in S and mu_(n+1) for those with h_i outside S, and mu
-    and delta_h1 for S alone. Uncertified, every claim but d-mass-at-h1
-    (mu at h1) fails."""
+    0/1-combination set A. Only mu_1 and mu, lemma 4.6's one chain, are
+    built. Where J's runs are the same on every symbol, as `_certified`
+    must certify, every renaming of the symbols fixes J, so mu_i is mu_1
+    with h1 and h_i exchanged, which maps A_i onto A_1: claims (a) and (b)
+    read mu_1 on A_1 and on the rest of A. A is read by the classes of its
+    subsets under the permutations of h2..h(n+1), at each class's members
+    (`_by_class`): mu, delta_h1 and mu_1. Uncertified, every claim but
+    d-mass-at-h1 (mu at h1) fails."""
     require_odd(n)
     syms, units, a, _, _ = _standard_setup(n)
-    mu_1, mu_2 = build_mu_i(1, syms), build_mu_i(2, syms)
-    mu = build_mu(syms)
+    mu_1, mu = build_mu_i(1, syms), build_mu(syms)
     h1 = units[0]
     delta1 = Dirac(h1)
-    basis, at, xs, rests, sizes = _by_class(syms)
-    # The mu_i of each member's first unit past h1, and of its last unit
-    # outside S (None where there is none).
-    first = [rest[0] if rest else None for rest in rests]
-    last = [next((i for i in range(n, 0, -1) if i not in rest), None) for rest in rests]
+    basis, xs, sizes = _by_class(syms)
     values, same = _per_class(sizes, (
-        masses(mu, basis, xs), masses(delta1, basis, xs), masses(mu_1, basis, xs),
-        _mu_i_masses(mu_2, basis, at, xs, first), _mu_i_masses(mu_2, basis, at, xs, last)))
+        masses(mu, basis, xs), masses(delta1, basis, xs), masses(mu_1, basis, xs)))
     # The class (0, 0), the empty subset's, is not in A.
     classes = [(b, k) for b in (0, 1) for k in range(n + 1)][1:]
-    ms, ds, firsts, ins, outs = zip(*values[1:])
-    ok_a = all(f == 1 for (b, _), f in zip(classes, firsts) if b) and all(
-        m == 1 for m in ins if m is not None)
-    ok_b = all(f == 0 for (b, _), f in zip(classes, firsts) if not b) and all(
-        m == 0 for m in outs if m is not None)
+    ms, ds, firsts = zip(*values[1:])
+    ok_a = all(f == 1 for (b, _), f in zip(classes, firsts) if b)
+    ok_b = all(f == 0 for (b, _), f in zip(classes, firsts) if not b)
     negatives = [c for c, m in zip(classes, ms) if m < 0]
-    # The exchanges fix h1, so mu_2 stands there for mu_3..mu_(n+1).
-    only_first = atom_mass(mu_1, h1) == 1 and atom_mass(mu_2, h1) == 0
+    # Each mu_i, i >= 2, at h1 is mu_1 at h_i, which the renamings that
+    # fix h1 carry to h2.
+    only_first = atom_mass(mu_1, h1) == 1 and atom_mass(mu_1, units[1]) == 0
     ok_e = all(max(m, 0) == m + d for m, d in zip(ms, ds))
     claims = (
         make_claim(
@@ -242,23 +234,9 @@ def verify_lemma_4_4(n: int) -> Report:
             True,
         ),
     )
-    if not _certified(syms, a, mu, mu_1, mu_2):
+    if not _certified(syms, a, mu, mu_1):
         claims = _uncertified(n, claims, ("d-mass-at-h1",))
     return Report(f"lemma44(n={n})", claims)
-
-
-def _mu_i_masses(mu_2, basis, at, xs, picks) -> list:
-    """mu_(i+1) at each tuple of ``xs`` over ``basis`` for the ``i`` of
-    ``picks`` beside it (None reads None): ``mu_2`` read as one batch with
-    the coordinates of h2 and h(i+1), at the positions ``at``, exchanged."""
-    swapped = []
-    for v, i in zip(xs, picks):
-        if i is not None:
-            v = list(v)
-            v[at[1]], v[at[i]] = v[at[i]], v[at[1]]
-            swapped.append(tuple(v))
-    read = iter(masses(mu_2, basis, swapped))
-    return [None if i is None else next(read) for i in picks]
 
 
 # The other members of each class of A read beside its representative, and
@@ -267,18 +245,17 @@ _CLASS_DRAWS, _CLASS_SEED = 2, 46
 
 
 def _by_class(syms: list[Symbol]) -> tuple:
-    """``(basis, at, xs, rests, sizes)``: the sorted ``syms``, their
-    positions there, and the members of each class (b, k) of the subsets S
-    of their units under the permutations of ``syms[1:]``, b = [h1 in S]
-    and k = |S - {h1}|, in the order (0, 0), ..., (1, n): tuples over
-    ``basis``, the indices in ``syms`` of their units past h1, and their
-    counts per class. A class's representative b*h1 + h2 + ... + h(k+1)
-    is first, then, if 0 < k < n, `_CLASS_DRAWS` drawn from `_CLASS_SEED`."""
+    """``(basis, xs, sizes)``: the sorted ``syms``, and the members of each
+    class (b, k) of the subsets S of their units under the permutations of
+    ``syms[1:]``, b = [h1 in S] and k = |S - {h1}|, in the order (0, 0),
+    ..., (1, n): tuples over ``basis``, and their counts per class. A
+    class's representative b*h1 + h2 + ... + h(k+1) is first, then, if
+    0 < k < n, `_CLASS_DRAWS` drawn from `_CLASS_SEED`."""
     n = len(syms) - 1
     basis = tuple(sorted(syms))
     at = [basis.index(s) for s in syms]
     rng = random.Random(_CLASS_SEED)
-    xs, rests, sizes = [], [], []
+    xs, sizes = [], []
     for b in (0, 1):
         for k in range(n + 1):
             members = [range(1, k + 1)]
@@ -289,9 +266,8 @@ def _by_class(syms: list[Symbol]) -> tuple:
                 for i in (0, *rest) if b else rest:
                     v[at[i]] = 1
                 xs.append(tuple(v))
-            rests += members
             sizes.append(len(members))
-    return basis, at, xs, rests, sizes
+    return basis, xs, sizes
 
 
 def _per_class(sizes: list[int], columns) -> tuple[list, bool]:
@@ -306,15 +282,15 @@ def _per_class(sizes: list[int], columns) -> tuple[list, bool]:
     return values, same
 
 
-def _certified(syms: list[Symbol], a: AdditiveFunctional, mu, mu_1=None, mu_2=None) -> bool:
+def _certified(syms: list[Symbol], a: AdditiveFunctional, mu, mu_1=None) -> bool:
     """Whether the cycle (h2 ... h(n+1)) and the transposition (h2 h3), which
     generate the permutations of ``syms[1:]`` as renamings, each fix
     ``a``'s values at the units of ``syms`` and the chain records
-    (`fixed_by`) of ``mu`` and ``mu_1``; and, given ``mu_2``, whether the
-    permutations of ``syms[2:]``, those that fix h2, fix its record, and
-    its runs are ``mu``'s: then J commutes with each exchange of h2 and
-    h_i, which carries mu_2 = J(delta_h2) onto J(delta_h_i). Below three
-    symbols past h1 the transposition is the identity."""
+    (`fixed_by`) of ``mu`` and ``mu_1``; and, given ``mu_1``, whether its
+    run on h1 is its run on h2. Then its runs are the same on every symbol,
+    so every renaming of ``syms`` fixes its J, and the exchange of h1 and
+    h_i carries mu_1 = J(delta_h1) onto J(delta_h_i). Below three symbols
+    past h1 the transposition is the identity."""
     rest = syms[1:]
     values = {s: a(unit(s)) for s in syms}
     for g in (dict(zip(rest, rest[1:] + rest[:1])), dict(zip(rest[:2], rest[1::-1]))):
@@ -322,7 +298,10 @@ def _certified(syms: list[Symbol], a: AdditiveFunctional, mu, mu_1=None, mu_2=No
             return False
         if not all(fixed_by(m, g) for m in (mu, mu_1) if m is not None):
             return False
-    return mu_2 is None or (_certified(rest, a, mu_2) and set(mu_2._runs) == set(mu._runs))
+    if mu_1 is None:
+        return True
+    runs = {s: r for s, *r in mu_1._runs}
+    return runs.get(syms[0]) == runs.get(syms[1])
 
 
 def _uncertified(n: int, claims: tuple[Claim, ...], exempt: tuple[str, ...]) -> tuple[Claim, ...]:
@@ -348,7 +327,7 @@ def verify_lemma_4_6(n: int) -> Report:
     delta1 = Dirac(units[0])
     sign_n = (-1) ** n
     combined = Sum((mu, delta1))
-    basis, _, xs, _, sizes = _by_class(syms)
+    basis, xs, sizes = _by_class(syms)
     at_units = [a(unit(s)) for s in basis]
     av = [sum(map(mul, at_units, v)) for v in xs]
     # mu is read before mu + delta_h1, whose term it answers. Per class;

@@ -23,7 +23,7 @@ from hamelcheck import (
 from hamelcheck.basis import AdditiveFunctional, Point, Symbol, point_combine, unit
 from hamelcheck.functions import Composite, PositivePartPower
 from hamelcheck.measures import (
-    Dirac, Form, Sum, atom_mass, build_a_sets, build_mu, build_mu_i, j_op,
+    Dirac, Form, Sum, atom_mass, build_a_sets, build_mu, build_mu_i, j_op, masses,
 )
 from helpers import (
     as_drawn, coords_over, lattice_box, lemma_4_4_full, lemma_4_6_full, signed_sum,
@@ -100,9 +100,8 @@ def test_lemma44_orders():
 
 
 def test_lemma44_builds_each_closure_once(monkeypatch):
-    # One chain each for mu_1, mu_2 and mu; every other mu_i is read as
-    # mu_2 renamed, and building it, or mu from fresh mu_i, would add
-    # closures.
+    # One chain each for mu_1 and mu; every other mu_i is read as mu_1
+    # renamed, and building it, or mu from fresh mu_i, would add closures.
     built = []
     init = JClosure.__init__
 
@@ -113,13 +112,13 @@ def test_lemma44_builds_each_closure_once(monkeypatch):
     monkeypatch.setattr(JClosure, "__init__", counting)
     n = 3
     assert verify_lemma_4_4(n).passed
-    assert len(built) == 3 * (n + 1)  # 3 chains of n + 1 closures each
+    assert len(built) == 2 * (n + 1)  # 2 chains of n + 1 closures each
 
 
 def test_lemma44_builds_each_atom_once(monkeypatch):
-    # One unit atom under each of mu_1's and mu_2's chains, n + 1 signed
-    # unit atoms under mu's, and one for the positive-part claim across all
-    # of A, not one per point.
+    # One unit atom under mu_1's chain, n + 1 signed unit atoms under mu's,
+    # and one for the positive-part claim across all of A, not one per
+    # point.
     built = []
     init = Form.__init__
 
@@ -131,11 +130,11 @@ def test_lemma44_builds_each_atom_once(monkeypatch):
     monkeypatch.setattr(Form, "__init__", counting)
     n = 3
     assert verify_lemma_4_4(n).passed
-    assert len(built) == n + 4
+    assert len(built) == n + 3
 
 
 def test_lemma44_class_route_matches_the_full_route():
-    # The class route reads 2(n+1) classes of pairs (i, S); the oracle
+    # The class route reads the 2(n+1) classes of A; the oracle
     # reads every mu_i and mu at every point of A.
     for n in range(1, 14, 2):
         rep = verify_lemma_4_4(n)
@@ -143,14 +142,14 @@ def test_lemma44_class_route_matches_the_full_route():
         assert {c.label: c.computed for c in rep.claims} == lemma_4_4_full(n), n
 
 
-def _lemma44_with(monkeypatch, n, extra, fresh=None):
-    """verify_lemma_4_4(n) with the weighted points ``extra[i]`` added to
-    mu_i's unit atom, under the same chain of closures, and mu_2's chain
-    closed along the step ``fresh`` too, when one is given."""
+def _lemma44_with(monkeypatch, n, extra=(), h1_steps=(1,)):
+    """verify_lemma_4_4(n) with the weighted points ``extra`` added to
+    mu_1's unit atom, and its chain's one unit step along h1 replaced by
+    steps of these multiples of h1; the runner builds no other mu_i."""
     def mu_i(i, syms):
         units = [unit(s) for s in syms]
-        atoms = [(1, units[i - 1]), *extra.get(i, ())]
-        steps = [*units, fresh] if i == 2 and fresh is not None else units
+        atoms = [(1, units[i - 1]), *extra]
+        steps = [*(k * units[0] for k in h1_steps), *units[1:]]
         return j_op(Form([(w, None, p) for w, p in atoms]), steps)
 
     monkeypatch.setattr(scenarios, "build_mu_i", mu_i)
@@ -174,37 +173,39 @@ def test_lemma44_as_built_is_certified(monkeypatch):
     for n in (1, 3, 5):
         want = claims_by_label(verify_lemma_4_4(n))
         with monkeypatch.context() as m:
-            assert _lemma44_with(m, n, {}) == want
+            assert _lemma44_with(m, n) == want
         syms, _, a, _, _ = scenarios._standard_setup(n)
-        assert scenarios._certified(syms, a, build_mu(syms), build_mu_i(1, syms),
-                                    build_mu_i(2, syms))
+        assert scenarios._certified(syms, a, build_mu(syms), build_mu_i(1, syms))
 
 
 def test_lemma44_exchanged_read_is_the_built_mu_i():
-    # Each mu_i read as mu_2 with the coordinates of h2 and h_i exchanged,
-    # over one batch of tuples, equals the built mu_i at every point of A,
-    # and at each 2*h_j, off A, where mu_i has mass 1 if j = i and 0
-    # otherwise. A tuple with no i beside it reads None.
+    # The fact the runner rests on: each built mu_i equals mu_1 read, over
+    # one batch of tuples, with the coordinates of h1 and h_i exchanged, at
+    # every point of A, every class member among them, and at each 2*h_j,
+    # off A, where mu_i has mass 1 if j = i and 0 otherwise.
     for n in range(1, 8):
         syms = scenarios._standard_setup(n)[0]
-        basis, at, *_ = scenarios._by_class(syms)
-        mu_2 = build_mu_i(2, syms)
+        basis = tuple(sorted(syms))
         points = [*build_a_sets(syms).union, *(2 * unit(s) for s in syms)]
         xs = [p.coords(basis) for p in points]
-        for i in range(1, n + 1):
-            mu_i = build_mu_i(i + 1, syms)
-            picks = [None if j % 3 == 2 else i for j in range(len(xs))]
-            want = [None if k is None else atom_mass(mu_i, x) for k, x in zip(picks, points)]
-            assert scenarios._mu_i_masses(mu_2, basis, at, xs, picks) == want, (n, i)
+        mu_1 = build_mu_i(1, syms)
+        for i in range(2, n + 2):
+            one, other = basis.index(syms[0]), basis.index(syms[i - 1])
+            swapped = []
+            for v in xs:
+                v = list(v)
+                v[one], v[other] = v[other], v[one]
+                swapped.append(tuple(v))
+            mu_i = build_mu_i(i, syms)
+            assert masses(mu_1, basis, swapped) == [atom_mass(mu_i, p) for p in points], (n, i)
 
 
 def test_each_class_member_reads_as_its_point(monkeypatch):
     # Both lemmas read each measure once over the batch of every class
     # member. Each member's row equals the reads at its point one at a
-    # time: atom_mass of the measures as built, lemma 4.4's mu_i of the
-    # member's first unit past h1 and of its last unit outside S each
-    # built as itself, a(x) and f.value(x). The member's tuple holds h1
-    # for the classes with b = 1 and the units of its rest.
+    # time: atom_mass of the measures as built, a(x) and f.value(x). The
+    # member's tuple is a 0/1 combination that holds h1 for the classes
+    # with b = 1 and k units past h1.
     seen = []
     per_class = scenarios._per_class
 
@@ -220,53 +221,52 @@ def test_each_class_member_reads_as_its_point(monkeypatch):
         verify_lemma_4_6(n)
         rows44, rows46 = (list(zip(*columns)) for columns in seen)
         syms, units, a, f, _ = scenarios._standard_setup(n)
-        basis, _, xs, rests, sizes = scenarios._by_class(syms)
-        assert len(rows44) == len(rows46) == len(xs) == len(rests) == sum(sizes)
-        mu, delta1 = build_mu(syms), Dirac(units[0])
-        combined, mus = Sum((mu, delta1)), [build_mu_i(i, syms) for i in range(1, n + 2)]
-        members = zip(xs, rests, rows44, rows46)
+        basis, xs, sizes = scenarios._by_class(syms)
+        assert len(rows44) == len(rows46) == len(xs) == sum(sizes)
+        mu, delta1, mu_1 = build_mu(syms), Dirac(units[0]), build_mu_i(1, syms)
+        combined = Sum((mu, delta1))
+        members = zip(xs, rows44, rows46)
         for (b, k), size in zip(product((0, 1), range(n + 1)), sizes):
-            for v, rest, row44, row46 in islice(members, size):
+            for v, row44, row46 in islice(members, size):
                 x = Point.from_coords(basis, v)
-                assert len(set(rest)) == k
-                assert {s for s, _ in x.terms} == {syms[i] for i in (0, *rest)[1 - b:]}
-                outside = [i for i in range(1, n + 1) if i not in rest]
-                first = atom_mass(mus[rest[0]], x) if rest else None
-                last = atom_mass(mus[outside[-1]], x) if outside else None
+                support = {s for s, c in x.terms if c == 1}
+                assert len(x.terms) == len(support) == b + k, (n, v)
+                assert (syms[0] in support) == b, (n, v)
                 m, d = atom_mass(mu, x), atom_mass(delta1, x)
-                assert row44 == (m, d, atom_mass(mus[0], x), first, last), (n, v)
+                assert row44 == (m, d, atom_mass(mu_1, x)), (n, v)
                 assert row46 == (a(x), m, f.value(x), atom_mass(combined, x) ** n, d), (n, v)
 
 
-@pytest.mark.parametrize("n, extra, fresh", [
-    # An atom at 2*h3 in mu_2: the cycle and the transposition of h3 and
-    # h4, which fix h2, both move it.
-    (3, {2: ((1, (0, 0, 2, 0)),)}, False),
-    # An atom at 2*h5 in mu_2: the transposition (h3 h4) fixes it, the
-    # cycle (h3 h4 h5 h6) does not.
-    (5, {2: ((1, (0, 0, 0, 0, 2, 0)),)}, False),
+@pytest.mark.parametrize("n, extra, h1_steps", [
+    # An atom at 2*h3 in mu_1: the cycle (h2 h3 h4) and the transposition
+    # (h2 h3) both move it.
+    (3, ((0, 0, 2, 0),), (1,)),
+    # An atom at 2*h5 in mu_1: the transposition (h2 h3) fixes it, the
+    # cycle (h2 ... h6) does not.
+    (5, ((0, 0, 0, 0, 2, 0),), (1,)),
     # Atoms at h2 + 2*h3, h3 + 2*h4 and h4 + 2*h2 in mu_1: the cycle
     # (h2 h3 h4) maps mu_1 onto itself, the transposition (h2 h3) does not.
-    (3, {1: ((1, (0, 1, 2, 0)), (1, (0, 0, 1, 2)), (1, (0, 2, 0, 1)))}, False),
-    # mu_2 closed along one more unit step, on a fresh symbol: no point of
-    # A has a coordinate there and no renaming moves it, so only the check
-    # of mu_2's runs against mu's can see that mu_2's J is not mu's.
-    (3, {}, True),
-], ids=["moved-by-both", "moved-by-the-cycle", "moved-by-the-transposition", "runs-not-mus"])
+    (3, ((0, 1, 2, 0), (0, 0, 1, 2), (0, 2, 0, 1)), (1,)),
+    # mu_1's chain steps by 2*h1, or twice along h1: every renaming of
+    # h2..h4 fixes it, and it reads as built on A, but its run on h1 is
+    # not its run on h2, so the exchanges of h1 and h_i move its J.
+    (3, (), (2,)),
+    (3, (), (1, 1)),
+], ids=["moved-by-both", "moved-by-the-cycle", "moved-by-the-transposition",
+        "runs-on-h1-step-by-2", "runs-on-h1-twice"])
 def test_lemma44_fails_every_class_read_claim_an_uncertified_symmetry_reaches(
-        monkeypatch, n, extra, fresh):
+        monkeypatch, n, extra, h1_steps):
     # Each extra atom has a coordinate 2, so it leaves every mass on A as
     # it was. With no other member drawn, only the certificate can see it:
     # every claim read by class fails, though each computed value equals
     # its expected one, and the full route does not stand in. So does
-    # d-only-first-closure-at-h1, whose mu_2 stands for mu_3..mu_(n+1)
-    # by the exchanges. d-mass-at-h1 reads mu itself, and passes either way.
+    # d-only-first-closure-at-h1, whose mu_1 at h2 stands for mu_2..mu_(n+1)
+    # at h1 by the exchanges. d-mass-at-h1 reads mu itself, and passes
+    # either way.
     units = [unit(s) for s in scenarios._standard_setup(n)[0]]
-    extra = {i: [(w, point_combine(zip(coeffs, units))) for w, coeffs in atoms]
-             for i, atoms in extra.items()}
-    fresh = unit(Symbol("g", positive=True)) if fresh else None
+    extra = [(1, point_combine(zip(coeffs, units))) for coeffs in extra]
     monkeypatch.setattr(scenarios, "_CLASS_DRAWS", 0)
-    by = _lemma44_with(monkeypatch, n, extra, fresh)
+    by = _lemma44_with(monkeypatch, n, extra, h1_steps)
     d = by.pop("d-mass-at-h1")
     assert d.passed and "uncertified" not in d.ref
     assert all(c.computed == c.expected and not c.passed for c in by.values())
@@ -287,7 +287,7 @@ def test_lemma44_fails_every_class_read_claim_an_uncertified_symmetry_reaches(
     None,
 ], ids=["moved-by-both", "moved-by-the-cycle", "moved-by-the-transposition", "no-chain-record"])
 def test_lemma44_certificate_reads_mu_itself(monkeypatch, extra):
-    # mu_1 and mu_2 are as built, and each extra atom has a coordinate 2,
+    # mu_1 is as built, and each extra atom has a coordinate 2,
     # so every mass on A is as it was. Only the certificate's read of mu's
     # own record can see it: every claim but d-mass-at-h1 fails, though
     # each computed value equals its expected one. d-mass-at-h1 reads mu at
@@ -309,13 +309,13 @@ def test_lemma44_certificate_reads_mu_itself(monkeypatch, extra):
 
 
 def test_lemma44_other_members_must_read_as_their_representative(monkeypatch):
-    # Atoms +1 at h2 + h4 and -1 at h2 + h3 + h4 in mu_2 leave every
+    # Atoms +1 at h2 + h4 and -1 at h2 + h3 + h4 in mu_1 leave every
     # representative's masses as they were, h2 + h3 + h4 among them, but
     # add 1 at the member h2 + h4 of class (0, 2). With the certificate
     # taken as passed, the drawn members alone fail the claims read by
-    # class; the d-claims read h1.
+    # class; the d-claims read h1 and h2.
     units = [unit(s) for s in scenarios._standard_setup(3)[0]]
-    extra = {2: [(1, units[1] + units[3]), (-1, units[1] + units[2] + units[3])]}
+    extra = [(1, units[1] + units[3]), (-1, units[1] + units[2] + units[3])]
     monkeypatch.setattr(scenarios, "_certified", lambda *args: True)
     by = _lemma44_with(monkeypatch, 3, extra)
     by_class = ("a-unit-mass-on-own-set", "b-zero-mass-off-set", "c-negative-only-at-h1",
