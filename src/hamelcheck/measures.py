@@ -9,21 +9,22 @@ points, and is folded at construction into one linear form there: merged
 atoms, plus merged closure leaves, each at an offset and with a weight,
 and a support floor, the minimum of the parts' floors. A tuple over one
 basis is read over another by the positions of their shared symbols,
-found once per pair of bases. A query of a `Form` reads its atoms and
-its closures; nothing recurses through it. The difference ∇ over k
-increments is one `Form`, which takes ``form − T_h form`` once per
-increment on its form alone; it has the atoms and terms, in the same
-order, of the fold ``acc − T_h acc`` built as nested sums, scalings and
-shifts, without their nodes. A closure over a form with no closure term,
-or over a closure with a chain record, gets a chain record when every
-distinct step of its chain has one nonzero coordinate and no two share
-one (the axis-aligned case, which `build_mu_i` and `build_mu` are). Its
-form is then its inner's atoms and floor, with the step's symbol put
-into the basis, and it answers in closed form, one read per atom,
-testing each atom only where it lies above the floor; `fixed_by` says
-whether a renaming of the symbols maps that record onto itself. Every
-other closure is folded by `_fill` over its one part, and walks: it
-reads its inner form at each translate down to its support floor.
+found once per pair of bases. `MeasureExpr._fill` builds every node, and
+one that is its one part unchanged shares that part's form. A query of a
+`Form` reads its atoms and its closures; nothing recurses through it.
+The difference ∇ over k increments is one `Form`, which takes
+``form − T_h form`` once per increment on its form alone; it has the
+atoms and terms, in the same order, of the fold ``acc − T_h acc`` built
+as nested sums, scalings and shifts, without their nodes. A closure over
+a form with no closure term, or over a closure with a chain record, gets
+a chain record when every distinct step of its chain has one nonzero
+coordinate and no two share one (the axis-aligned case, which
+`build_mu_i` and `build_mu` are). Its form is then its inner's atoms and
+floor, with the step's symbol put into the basis, and it answers in
+closed form, one read per atom, testing each atom only where it lies
+above the floor; `fixed_by` says whether a renaming of the symbols maps
+that record onto itself. Every other closure walks: it reads its inner
+form at each translate down to its support floor.
 `masses` reads one node at a batch of coordinate tuples over any sorted
 basis, a closure one tuple at a time: from its memo, as 0 below its
 floor, or else by `_mass`, which answers closures only and alone fills
@@ -39,7 +40,6 @@ difference: it stays a leaf that its closed form or its walk evaluates.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from math import comb, prod
 from operator import add, floordiv, ge, itemgetter, mod, sub
 from typing import NamedTuple, Sequence
@@ -111,7 +111,7 @@ class MeasureExpr(Frozen):
     every support coordinate below, as a tuple, and `_atoms` and `_terms`
     are the node's linear form (a closure's describes its inner measure,
     or with `_runs` its chain's atoms; a closure alone has `_runs`, None
-    when it walks, and a walking closure alone a `_step`, a tuple too).
+    when it walks, and a walking closure alone `_step` and `_walk`, tuples).
     The form's mass at `v` is `_atoms.get(v, 0)` plus, for each term
     `(closure, offset, keep, drop, above, low, c)` with `w = v - offset` (`v`
     itself when `offset` is None), `c` times the closure's mass at `w`. When
@@ -123,26 +123,36 @@ class MeasureExpr(Frozen):
     there; `above` is None when there are none. A closure alone has a
     `_memo`, mapping each `w` that `_mass` has answered to its mass there.
     `_basis` is a tuple, shared with the node's first part when it is that
-    part's basis."""
+    part's basis; a node that is its one part unchanged shares all four."""
 
     def _fill(
         self, parts: Sequence[tuple[Scalar, MeasureExpr | None, Point | None]],
-        own: Point | None = None, diffs: Sequence[Point] = (), /, **fields,
+        own: Point | None = None, diffs: Sequence[Point] = (), record: bool = False, /,
+        **fields,
     ) -> None:
         """Fold ``Σ c·T_at child`` over the parts ``(c, child, at)`` into this
         node's form, each child translated by its own offset ``at`` (None:
         not translated), then take ``form − T_h form`` for each increment
         ``h`` of ``diffs`` in turn: a `Form`'s parts and increments, or a
-        walking closure's one part, its inner measure. A child of None is the
-        unit atom at the origin, and a closure child is one term. ``own`` is
-        a walking closure's step, kept as ``_step``. The basis is the first
-        part's, unless another part's basis, an offset, an increment or
-        ``own`` brings a symbol it lacks; then it is a new tuple of the sorted
-        symbols of all of them. The floor is the coordinatewise minimum of the
-        parts' floors (the unit atom's is 0; a closure's is its inner's, since
-        its support only grows upward), each translated by its part's offset;
+        closure's one part, its inner measure. A child of None is the unit
+        atom at the origin, and a closure child is one term, or with
+        ``record`` an inner chain whose atoms fold. ``own`` is a closure's
+        step. The basis is the first part's, unless another part's basis, an
+        offset, an increment or ``own`` brings a symbol it lacks; then it is
+        a new tuple of the sorted symbols of all of them. A lone part of
+        weight 1 that is no term, with no offset or increment and no symbol
+        of ``own`` new to it, is the node unchanged: its form is shared.
+        Otherwise the floor is the coordinatewise minimum of the parts'
+        floors (the unit atom's is 0; a closure's is its inner's, since its
+        support only grows upward), each translated by its part's offset;
         an increment is positive, so a difference keeps it."""
-        first = parts[0][1]
+        c, first, at = parts[0]
+        if (len(parts) == 1 and c == 1 and at is None and not diffs
+                and (record or type(first) is Form)
+                and (own is None or set(own.support).issubset(first._basis))):
+            self.__dict__.update(fields, _basis=first._basis, _floor=first._floor,
+                                 _atoms=first._atoms, _terms=first._terms)
+            return
         basis = () if first is None else first._basis
         points = [at for _, _, at in parts if at is not None]
         points += diffs
@@ -150,14 +160,10 @@ class MeasureExpr(Frozen):
             points.append(own)
         bases = [child._basis for _, child, _ in parts
                  if child is not None and child._basis != basis]
-        # A point has no coordinates over a basis that lacks one of its symbols.
-        if bases or points and any(p.coords(basis) is None for p in points):
-            syms = set(basis).union(*bases, *[p.support for p in points])
-            if len(syms) > len(basis):
-                basis = tuple(sorted(syms))
+        new = {s for p in points for s, _ in p.terms}.union(*bases).difference(basis)
+        if new:
+            basis = tuple(sorted([*basis, *new]))
         offsets = [at and at.coords(basis) for _, _, at in parts]
-        if own is not None:
-            fields["_step"] = own.coords(basis)
         n = len(basis)
         floors = []
         atoms: dict[tuple[Scalar, ...], Scalar] = {}
@@ -172,7 +178,7 @@ class MeasureExpr(Frozen):
             # The child's positions in the basis, found once (None: the same basis).
             pos = None if child._basis == basis else _positions(basis, child._basis)
             floors.append(_plus(_place(child._floor, pos, n), offset))
-            if type(child) is JClosure:
+            if type(child) is JClosure and not record:
                 key = child, offset
                 terms[key] = terms.get(key, 0) + c
                 continue
@@ -241,7 +247,9 @@ class Form(MeasureExpr):
 
 class JClosure(MeasureExpr):
     """Geometric-series closure: the sum of all nonnegative-integer
-    multiples of ``step`` applied as translations."""
+    multiples of ``step`` applied as translations. `_fill` folds it over
+    ``inner``, a chain over an inner chain's atoms, and it shares the form
+    of a form or chain ``inner`` whose basis has ``step``'s symbol."""
 
     inner: MeasureExpr
     step: Point
@@ -250,28 +258,15 @@ class JClosure(MeasureExpr):
         if not is_positive_increment(step):
             raise NonTerminatingJ(f"closure step must be a positive increment: {step}")
         runs = _chain_runs(inner, step)
+        self._fill([(1, inner, None)], step, (), runs is not None,
+                   inner=inner, step=step, _runs=runs, _memo={})
         if runs is None:
-            self._fill([(1, inner, None)], step, inner=inner, step=step, _runs=None)
+            step = step.coords(self._basis)
             # (position, floor, step) at each nonzero step coordinate, the
             # only ones `_mass` reads a walk's length at.
-            self.__dict__.update(_memo={}, _walk=tuple(
-                (i, f, s) for i, (f, s) in enumerate(zip(self._floor, self._step)) if s
+            self.__dict__.update(_step=step, _walk=tuple(
+                (i, f, s) for i, (f, s) in enumerate(zip(self._floor, step)) if s
             ))
-            return
-        # A chain's form is its inner chain's base atoms, and its floor the
-        # inner's, over the inner's basis with the step's one symbol put in
-        # at its sorted place (coordinate 0) when it is new there.
-        ((sym, _),) = step.terms
-        basis, floor, atoms = inner._basis, inner._floor, inner._atoms
-        j = bisect_left(basis, sym)
-        if j == len(basis) or basis[j] != sym:
-            basis = (*basis[:j], sym, *basis[j:])
-            floor = (*floor[:j], 0, *floor[j:])
-            atoms = {(*v[:j], 0, *v[j:]): w for v, w in atoms.items()}
-        self.__dict__.update(
-            inner=inner, step=step, _runs=runs, _basis=basis, _floor=floor, _memo={},
-            _atoms=atoms, _terms=(),
-        )
 
 
 def _chain_runs(inner: MeasureExpr, step: Point) -> tuple | None:

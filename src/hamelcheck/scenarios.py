@@ -235,7 +235,8 @@ def verify_lemma_4_4(n: int) -> Report:
         ),
     )
     if not _certified(syms, a, mu, mu_1):
-        claims = _uncertified(n, claims, ("d-mass-at-h1",))
+        claims = _uncertified(claims, ("d-mass-at-h1",), f"a renaming of h1..h{n + 1} moves J, "
+                              f"or one of h2..h{n + 1} moves a, mu or mu_1")
     return Report(f"lemma44(n={n})", claims)
 
 
@@ -304,10 +305,13 @@ def _certified(syms: list[Symbol], a: AdditiveFunctional, mu, mu_1=None) -> bool
     return runs.get(syms[0]) == runs.get(syms[1])
 
 
-def _uncertified(n: int, claims: tuple[Claim, ...], exempt: tuple[str, ...]) -> tuple[Claim, ...]:
+def _uncertified(
+    claims: tuple[Claim, ...], exempt: tuple[str, ...], moved: str
+) -> tuple[Claim, ...]:
     """``claims`` with every one whose label is not in ``exempt`` failed,
-    its reference noting that `_certified` does not hold at order ``n``."""
-    note = f"; uncertified: a permutation of h2..h{n + 1} moves a, mu or the mu_i"
+    its reference noting that `_certified` does not hold: ``moved`` names
+    what its caller's certificate checks."""
+    note = f"; uncertified: {moved}"
     return tuple(c if c.label in exempt else c._replace(ref=c.ref + note, passed=False)
                  for c in claims)
 
@@ -392,7 +396,8 @@ def verify_lemma_4_6(n: int) -> Report:
         ),
     )
     if not _certified(syms, a, mu):
-        claims = _uncertified(n, claims, ("chain-direct-path",))
+        claims = _uncertified(claims, ("chain-direct-path",),
+                              f"a permutation of h2..h{n + 1} moves a or mu")
     return Report(f"lemma46(n={n})", claims)
 
 

@@ -32,7 +32,7 @@ FOLD = ("test_measures.py", "test_functions.py", "test_scenarios.py")
 CLASSES = ("test_scenarios.py",)
 # Seconds per run. The unmutated run takes about 16 s and a mutant's 1-8 s
 # (CPython 3.11, 2 cores); (1 + len(MUTANTS)) runs, each at this limit,
-# must end inside the CI job's 21 minutes.
+# must end inside the CI job's 22 minutes.
 TIMEOUT = 30
 
 
@@ -53,11 +53,16 @@ MUTANTS = (
            "atoms[key] = atoms.get(key, 0) + c * w", "atoms[key] = atoms.get(key, 0) + w", FOLD),
     Mutant("weight-off-child-terms", "measures.py",
            "terms[key] = terms.get(key, 0) + c * w", "terms[key] = terms.get(key, 0) + w", FOLD),
-    # A chain closure's form: its inner's atoms with the step's new symbol
-    # put in at its sorted place.
-    Mutant("chain-coordinate-appended", "measures.py",
-           "atoms = {(*v[:j], 0, *v[j:]): w for v, w in atoms.items()}",
-           "atoms = {(*v, 0): w for v, w in atoms.items()}", FOLD),
+    # A chain closure folds its inner chain's atoms, not the chain as a
+    # term, and a node shares its one part's form only when that part is
+    # not a term and brings no new symbol.
+    Mutant("chain-record-ignored", "measures.py",
+           "if type(child) is JClosure and not record:", "if type(child) is JClosure:", FOLD),
+    Mutant("shared-without-basis-test", "measures.py",
+           "\n                and (own is None or set(own.support).issubset(first._basis))):",
+           "):", FOLD),
+    Mutant("closure-part-shared", "measures.py",
+           "(record or type(first) is Form)", "first is not None", FOLD),
     Mutant("floor-of-first-part", "measures.py",
            "floor = floors[0] if len(floors) == 1 else tuple(map(min, zip(*floors)))",
            "floor = floors[0]", FOLD),

@@ -1308,3 +1308,76 @@ def test_a_term_the_memo_or_the_floor_answers_is_read_without_a_call(monkeypatch
     assert calls == [closure, closure]
     # So is a query of the closure itself there.
     assert atom_mass(closure, y - 2 * ub) == 0 and len(calls) == 2
+
+
+def _doubling_form(u, k):
+    """The closure along ``u`` of the atom at ``u``, summed with its shift by
+    2^(i-1)·u at each level i of k: a form of 2^k shifted closure terms."""
+    m = JClosure(Dirac(u), u)
+    for i in range(1, k + 1):
+        m = Sum((m, Shift(m, 2 ** (i - 1) * u)))
+    return m
+
+
+def _shares(node, part):
+    return all(getattr(node, f) is getattr(part, f) for f in ("_basis", "_floor", "_atoms", "_terms"))
+
+
+def test_a_node_that_is_its_one_part_unchanged_shares_its_form_seeded():
+    # A measure at weight 1, with no offset, no increment and no symbol new
+    # to its basis, is its one part unchanged: the node shares the part's
+    # basis, floor, atoms and terms, and reads as the truncated sum.
+    a, b = symbols("a b", positive=True)
+    ua, ub = unit(a), unit(b)
+    atom = Dirac(ua + ub)
+    form = Sum((JClosure(atom, ua + ub), Scale(Fraction(-1, 2), Dirac(2 * ua))))
+    chain = JClosure(Dirac(ua), ua)
+    doubling = _doubling_form(ua, 10)
+    shared = (
+        (JClosure(form, ua), form),  # walks, over a form
+        (JClosure(atom, ub), atom),  # a chain over a form
+        (JClosure(chain, ua), chain),  # a chain over a chain
+        (Sum((form,)), form),
+        (Scale(1, form), form),
+        (Scale(Fraction(2, 2), form), form),
+        (JClosure(doubling, ua), doubling),
+    )
+    rng = random.Random(4848)
+    for node, part in shared:
+        assert _shares(node, part), node
+        assert node._atoms or node._terms
+        oracle = materialize_truncated(node, 30)
+        for _ in range(20):
+            x = point_combine((rng.randint(-2, 25), u) for u in (ua, ub))
+            assert atom_mass(node, x) == oracle.get(x, 0), (node, x)
+    assert len(doubling._terms) == 2**10
+
+
+def test_a_node_that_changes_its_one_part_copies_its_form_seeded():
+    # A new symbol, an offset, a weight other than 1 or an increment
+    # changes the part's form, and a closure as the one part of a form is
+    # a term of it: none of these nodes shares its part's atoms or terms.
+    a, b, c = symbols("a b c", positive=True)
+    ua, ub, uc = unit(a), unit(b), unit(c)
+    inner = JClosure(Dirac(ua + ub), ua + ub)
+    form = Sum((inner, Scale(Fraction(-1, 2), Dirac(2 * ua))))
+    chain = JClosure(Dirac(ua), ua)
+    copied = (
+        (JClosure(form, uc), form),  # walks, along a new symbol
+        (JClosure(chain, ub), chain),  # a chain along a new symbol
+        (Shift(form, ua), form),
+        (Scale(2, form), form),
+        (Scale(-1, form), form),
+        (nabla(form, [ua]), form),
+        (Sum((inner,)), inner),
+        (Scale(1, chain), chain),
+        (JClosure(inner, ua), inner),  # walks, over a walking closure
+    )
+    rng = random.Random(4849)
+    for node, part in copied:
+        assert node._atoms is not part._atoms, node
+        assert not part._terms or node._terms is not part._terms, node
+        oracle = materialize_truncated(node, 30)
+        for _ in range(20):
+            x = point_combine((rng.randint(-2, 25), u) for u in (ua, ub, uc))
+            assert atom_mass(node, x) == oracle.get(x, 0), (node, x)
