@@ -46,14 +46,19 @@ LINE_ORDER = 1001
 LINE_CEILING = 5501
 # lemma44 and lemma46 read A by its 2(n+1) symmetry classes, each read of
 # a chain testing each of its n + 1 atoms at one coordinate, in time about
-# quadratic in the order: lemma44 builds mu_1 and mu, lemma46 mu alone.
-# A CLI process on CPython 3.11 with 2 cores took 0.10-0.12 s and 16 MiB
-# for lemma44 and 0.10-0.11 s and 16 MiB for lemma46, about 0.08 s of it
-# interpreter start and import, so an order above it needs --allow-large.
+# quadratic in the order: lemma44 builds the chain of mu_1, lemma46 that
+# of mu, and they share one guard. A CLI process on CPython 3.11 with 2
+# cores took 0.08-0.09 s and 16 MiB for lemma44 and 0.10-0.11 s and 16 MiB
+# for lemma46, about 0.07 s of it interpreter start and import, so an
+# order above it needs --allow-large.
 CLASS_ORDER = 101
-# lemma44 took 0.34-0.36 s and 23 MiB at this order in a CLI process, and
-# lemma46 0.36-0.37 s and 22 MiB: above it, --allow-large does not help.
+# lemma44 took 0.16-0.18 s and 21 MiB at this order in a CLI process, and
+# lemma46 0.36-0.39 s and 22 MiB: above it, --allow-large does not help.
 CLASS_CEILING = 301
+CLASS_GUARD = (
+    CLASS_ORDER, "a chain of {m} closures read at 2*{m} classes (time quadratic in n)",
+    CLASS_CEILING,
+)
 
 
 def run_definition_file(path: str):
@@ -96,14 +101,8 @@ COMMANDS = {
     ), BATCH),
     ("verify", "section31"): ("verify_section_3_1", (), None, {}),
     ("verify", "section32"): ("verify_section_3_2", (), None, {}),
-    ("verify", "lemma44"): ("verify_lemma_4_4", (1, 3, 5), (
-        CLASS_ORDER, "2 chains of {m} closures read at 2*{m} classes (time quadratic in n)",
-        CLASS_CEILING,
-    ), BATCH),
-    ("verify", "lemma46"): ("verify_lemma_4_6", (1, 3, 5), (
-        CLASS_ORDER, "a chain of {m} closures read at 2*{m} classes (time quadratic in n)",
-        CLASS_CEILING,
-    ), BATCH),
+    ("verify", "lemma44"): ("verify_lemma_4_4", (1, 3, 5), CLASS_GUARD, BATCH),
+    ("verify", "lemma46"): ("verify_lemma_4_6", (1, 3, 5), CLASS_GUARD, BATCH),
     ("verify", "prop43"): ("verify_prop_4_3", (), None, {
         "--trials": (int, 100, "number of random trials (default: 100)"),
         "--seed": (int, 42, "random seed (default: 42)"),

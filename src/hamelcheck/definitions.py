@@ -64,8 +64,9 @@ from .reports import Report, Value, make_claim
 
 
 # A jensen-probe's order is refused above ORDER_CEILING in O(1) when the
-# line is parsed, as its binomial row is not metered; the work meter bounds
-# the rest of each eval line.
+# line is parsed, for memory headroom: the meter charges each binomial row
+# before it is built, but the row's memory grows as the square of the order
+# (one point took 55 MiB at 20,000 and 358 MiB at 60,000; see README).
 ORDER_CEILING = 20_000
 # A jensen-probe box of more than 2^BOX_BITS points is charged 2^bits, a
 # lower bound read off the bit lengths of its width and dimension, instead

@@ -71,12 +71,12 @@ def _pick(idx: list[int]) -> itemgetter:
     return itemgetter(*idx)
 
 
-def _pickers(basis: tuple[Symbol, ...], part: Sequence[Symbol]) -> tuple[itemgetter, itemgetter]:
-    """``(keep, drop)``: tuple getters of the positions in ``basis`` of the
-    symbols of ``part`` and of the others."""
+def _pickers(basis: tuple[Symbol, ...], part: Sequence[Symbol]) -> tuple:
+    """``(pos, keep, drop)``: the positions in ``basis`` of the symbols of
+    ``part`` (`_positions`), and tuple getters of them and of the others."""
     pos = _positions(basis, part)
     kept = set(pos)
-    return _pick(pos), _pick([i for i in range(len(basis)) if i not in kept])
+    return pos, _pick(pos), _pick([i for i in range(len(basis)) if i not in kept])
 
 
 def _place(t: tuple[Scalar, ...], pos: list[int] | None, n: int) -> tuple[Scalar, ...]:
@@ -204,7 +204,7 @@ class MeasureExpr(Frozen):
                 if part == basis:
                     pick = range(n), None, None
                 else:
-                    pick = _positions(basis, part), *_pickers(basis, part)
+                    pick = _pickers(basis, part)
                 pickers[closure] = pick
             pos, keep, drop = pick
             # A point read here is not below this node's floor, so the
@@ -302,7 +302,7 @@ def _chain_index(mu: JClosure) -> tuple:
     above the floor's, with their values there. Two points of one group
     lie a whole number of steps apart on each run."""
     syms, steps, counts = zip(*sorted([(s, g, m - 1) for s, g, m in mu._runs]))
-    on, off = _pickers(mu._basis, syms)
+    _, on, off = _pickers(mu._basis, syms)
     zeros = (0,) * len(steps) if steps == (1,) * len(steps) else None
     low = tuple(map(floordiv, on(mu._floor), steps))
     groups: dict[tuple, list] = {}
@@ -356,7 +356,7 @@ def masses(
     own = mu._basis
     if basis != own:
         part = [s for s in own if s in basis]
-        keep, drop = _pickers(basis, part)
+        _, keep, drop = _pickers(basis, part)
         on = [i for i, v in enumerate(vs) if not any(drop(v))]
         ws = [keep(vs[i]) for i in on]
         if len(part) < len(own):

@@ -3,12 +3,12 @@
 Each runner constructs its instance from scratch, computes every claimed
 value exactly, and compares against the expected value frozen in the
 claim. Randomized runners take an explicit seed and name it in the
-report, so every run is reproducible. Both lemma runners read the one
-chain `build_mu` as mu, read A as one batch of tuples over its symmetry
-classes, each measure once by `masses`, and pass one certificate,
-`_certified`, which also covers lemma 4.4's read of each mu_i as mu_1
-renamed; where it fails, each fails every claim it reads by class, with
-one note.
+report, so every run is reproducible. Both lemma runners read A as one
+batch of tuples over its symmetry classes, each measure once by
+`masses`, and pass one certificate, `_certified`, on the one chain each
+builds: lemma 4.6 `build_mu`'s mu, lemma 4.4 mu_1, which it reads every
+mu_i as, renamed, and mu as their signed sum. Where it fails, each fails
+every claim it reads by class, with one note.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .measures import (
     Dirac,
     Form,
     Sum,
-    atom_mass,
     build_mu,
     build_mu_i,
     fixed_by,
@@ -174,32 +173,30 @@ def verify_section_3_2() -> Report:
 
 def verify_lemma_4_4(n: int) -> Report:
     """Mass pattern of the closure measures mu_i = J(delta_h_i) on the
-    0/1-combination set A. Only mu_1 and mu, lemma 4.6's one chain, are
-    built. Where J's runs are the same on every symbol, as `_certified`
-    must certify, every renaming of the symbols fixes J, so mu_i is mu_1
-    with h1 and h_i exchanged, which maps A_i onto A_1: claims (a) and (b)
-    read mu_1 on A_1 and on the rest of A. A is read by the classes of its
-    subsets under the permutations of h2..h(n+1), at each class's members
-    (`_by_class`): mu, delta_h1 and mu_1. Uncertified, every claim but
-    d-mass-at-h1 (mu at h1) fails."""
+    0/1-combination set A. Only mu_1 and delta_h1 are built. Where J's
+    runs are the same on every symbol, as `_certified` must certify, every
+    renaming of the symbols fixes J, so mu_i is mu_1 with h1 and h_i
+    exchanged, which maps A_i onto A_1: claims (a) and (b) read mu_1 on
+    A_1 and on the rest of A. A is read by the classes of its subsets
+    under the permutations of h2..h(n+1), at each class's members
+    (`_by_class`): mu_1 and delta_h1. mu = mu_2 + ... + mu_(n+1) - mu_1
+    is then the sum of those exchanges at each class (`_mu_by_class`),
+    which claims (c), (d) and (e) read. Uncertified, every claim fails."""
     require_odd(n)
     syms, units, a, _, _ = _standard_setup(n)
-    mu_1, mu = build_mu_i(1, syms), build_mu(syms)
-    h1 = units[0]
-    delta1 = Dirac(h1)
+    mu_1, delta1 = build_mu_i(1, syms), Dirac(units[0])
     basis, xs, sizes = _by_class(syms)
-    values, same = _per_class(sizes, (
-        masses(mu, basis, xs), masses(delta1, basis, xs), masses(mu_1, basis, xs)))
+    values, same = _per_class(sizes, (masses(mu_1, basis, xs), masses(delta1, basis, xs)))
+    firsts, ds = zip(*values)
+    ms = _mu_by_class(firsts)
+    # mu_i at h1, i >= 2, is mu_1 at h_i, carried to h2 by the renamings that fix h1.
+    only_first = firsts[n + 1] == 1 and firsts[1] == 0
     # The class (0, 0), the empty subset's, is not in A.
     classes = [(b, k) for b in (0, 1) for k in range(n + 1)][1:]
-    ms, ds, firsts = zip(*values[1:])
-    ok_a = all(f == 1 for (b, _), f in zip(classes, firsts) if b)
-    ok_b = all(f == 0 for (b, _), f in zip(classes, firsts) if not b)
-    negatives = [c for c, m in zip(classes, ms) if m < 0]
-    # Each mu_i, i >= 2, at h1 is mu_1 at h_i, which the renamings that
-    # fix h1 carry to h2.
-    only_first = atom_mass(mu_1, h1) == 1 and atom_mass(mu_1, units[1]) == 0
-    ok_e = all(max(m, 0) == m + d for m, d in zip(ms, ds))
+    ok_a = all(f == 1 for (b, _), f in zip(classes, firsts[1:]) if b)
+    ok_b = all(f == 0 for (b, _), f in zip(classes, firsts[1:]) if not b)
+    negatives = [c for c, m in zip(classes, ms[1:]) if m < 0]
+    ok_e = all(max(m, 0) == m + d for m, d in zip(ms[1:], ds[1:]))
     claims = (
         make_claim(
             "a-unit-mass-on-own-set",
@@ -219,7 +216,7 @@ def verify_lemma_4_4(n: int) -> Report:
             same and negatives == [(1, 0)],  # the class of h1 alone
             True,
         ),
-        make_claim("d-mass-at-h1", "mu(h1)", atom_mass(mu, h1), -1),
+        make_claim("d-mass-at-h1", "mu(h1)", ms[n + 1], -1),  # (1, 0): h1 alone
         make_claim(
             "d-only-first-closure-at-h1",
             "at h1 the first closure carries mass 1 and the others carry 0, "
@@ -234,10 +231,21 @@ def verify_lemma_4_4(n: int) -> Report:
             True,
         ),
     )
-    if not _certified(syms, a, mu, mu_1):
-        claims = _uncertified(claims, ("d-mass-at-h1",), f"a renaming of h1..h{n + 1} moves J, "
-                              f"or one of h2..h{n + 1} moves a, mu or mu_1")
+    if not _certified(syms, a, mu_1):
+        claims = _uncertified(claims, (), n)
     return Report(f"lemma44(n={n})", claims)
+
+
+def _mu_by_class(firsts) -> list:
+    """mu = mu_2 + ... + mu_(n+1) - mu_1 at each class (b, k), in `_by_class`
+    order, from mu_1's value at each, ``firsts``, each mu_i mu_1 with h1 and
+    h_i exchanged: k of the n exchanges move a member of (0, k) to
+    (1, k - 1), and n - k move one of (1, k) to (0, k + 1); the rest fix it."""
+    n = len(firsts) // 2 - 1
+    # zero[k] is mu_1 at (0, k), one[k] at (1, k - 1).
+    zero, one = [*firsts[:n + 1], 0], [0, *firsts[n + 1:]]
+    return ([k * one[k] + (n - k - 1) * zero[k] for k in range(n + 1)]
+            + [(k - 1) * one[k + 1] + (n - k) * zero[k + 1] for k in range(n + 1)])
 
 
 # The other members of each class of A read beside its representative, and
@@ -283,35 +291,28 @@ def _per_class(sizes: list[int], columns) -> tuple[list, bool]:
     return values, same
 
 
-def _certified(syms: list[Symbol], a: AdditiveFunctional, mu, mu_1=None) -> bool:
+def _certified(syms: list[Symbol], a: AdditiveFunctional, mu) -> bool:
     """Whether the cycle (h2 ... h(n+1)) and the transposition (h2 h3), which
     generate the permutations of ``syms[1:]`` as renamings, each fix
-    ``a``'s values at the units of ``syms`` and the chain records
-    (`fixed_by`) of ``mu`` and ``mu_1``; and, given ``mu_1``, whether its
-    run on h1 is its run on h2. Then its runs are the same on every symbol,
-    so every renaming of ``syms`` fixes its J, and the exchange of h1 and
-    h_i carries mu_1 = J(delta_h1) onto J(delta_h_i). Below three symbols
-    past h1 the transposition is the identity."""
+    ``a``'s values at the units of ``syms`` and ``mu``'s chain record
+    (`fixed_by`), and whether its run on h1 is its run on h2, so that every
+    renaming of ``syms`` fixes its J: the exchange of h1 and h_i carries
+    J(delta_h1) onto J(delta_h_i). Below three symbols past h1 the
+    transposition is the identity."""
     rest = syms[1:]
     values = {s: a(unit(s)) for s in syms}
     for g in (dict(zip(rest, rest[1:] + rest[:1])), dict(zip(rest[:2], rest[1::-1]))):
-        if not all(values[g.get(s, s)] == v for s, v in values.items()):
+        if not (all(values[g.get(s, s)] == v for s, v in values.items()) and fixed_by(mu, g)):
             return False
-        if not all(fixed_by(m, g) for m in (mu, mu_1) if m is not None):
-            return False
-    if mu_1 is None:
-        return True
-    runs = {s: r for s, *r in mu_1._runs}
+    runs = {s: r for s, *r in mu._runs}
     return runs.get(syms[0]) == runs.get(syms[1])
 
 
-def _uncertified(
-    claims: tuple[Claim, ...], exempt: tuple[str, ...], moved: str
-) -> tuple[Claim, ...]:
+def _uncertified(claims: tuple[Claim, ...], exempt: tuple[str, ...], n: int) -> tuple[Claim, ...]:
     """``claims`` with every one whose label is not in ``exempt`` failed,
-    its reference noting that `_certified` does not hold: ``moved`` names
-    what its caller's certificate checks."""
-    note = f"; uncertified: {moved}"
+    its reference noting that `_certified` does not hold at order ``n``."""
+    note = (f"; uncertified: a permutation of h2..h{n + 1} moves a or the chain read, "
+            "or its runs on h1 and h2 differ")
     return tuple(c if c.label in exempt else c._replace(ref=c.ref + note, passed=False)
                  for c in claims)
 
@@ -396,8 +397,7 @@ def verify_lemma_4_6(n: int) -> Report:
         ),
     )
     if not _certified(syms, a, mu):
-        claims = _uncertified(claims, ("chain-direct-path",),
-                              f"a permutation of h2..h{n + 1} moves a or mu")
+        claims = _uncertified(claims, ("chain-direct-path",), n)
     return Report(f"lemma46(n={n})", claims)
 
 

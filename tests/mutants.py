@@ -5,7 +5,9 @@ Run from the root of the repository, with pytest installed:
 
     python tests/mutants.py
 
-The unmutated tree must pass every named module first. Then, for each
+The unmutated tree must pass every named module first, within
+``UNMUTATED_TIMEOUT`` seconds, and the script prints how long that took.
+Then, for each
 mutant, the tree (``src/``, ``tests/``, ``samples/``, ``pyproject.toml``
 and ``perfbench/``, which ``tests/test_tracer.py`` imports) is copied into
 a temporary directory, the edit is applied there (its text must occur in
@@ -30,10 +32,14 @@ ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "samples", "perfbench", "pyproject.toml")
 FOLD = ("test_measures.py", "test_functions.py", "test_scenarios.py")
 CLASSES = ("test_scenarios.py",)
-# Seconds per run. The unmutated run takes about 16 s and a mutant's 1-8 s
-# (CPython 3.11, 2 cores); (1 + len(MUTANTS)) runs, each at this limit,
-# must end inside the CI job's 22 minutes.
+# Seconds per mutant's run, past which it counts as killed (a test that
+# no longer ends). A mutant's run takes 1-10 s (CPython 3.11, 2 cores).
 TIMEOUT = 30
+# Seconds for the unmutated run, which must pass: it runs every named
+# module, and took 14.5-17.3 s alone and 23.4 s beside other test runs on
+# 2 cores. UNMUTATED_TIMEOUT plus len(MUTANTS) runs at TIMEOUT must end
+# inside the CI job's 25 minutes.
+UNMUTATED_TIMEOUT = 90
 
 
 class Mutant(NamedTuple):
@@ -157,18 +163,27 @@ MUTANTS = (
     Mutant("draws-not-compared", "scenarios.py",
            "same &= row == rep", "same &= rep == rep", CLASSES),
     # Lemma 4.4's class route: claim (b) reads mu_1 on the classes without
-    # h1.
+    # h1, and mu at each class is the sum of the exchanges of mu_1 there
+    # (a coefficient, the -mu_1 term dropped from both kinds of class, and
+    # the class each term of mu(1, k) reads, shifted by one).
     Mutant("off-set-class-filter-flipped", "scenarios.py",
-           "zip(classes, firsts) if not b)", "zip(classes, firsts) if b)", CLASSES),
+           "zip(classes, firsts[1:]) if not b)", "zip(classes, firsts[1:]) if b)", CLASSES),
+    Mutant("mu-class-coefficient-off-by-one", "scenarios.py",
+           "k * one[k] +", "(k + 1) * one[k] +", CLASSES),
+    Mutant("mu-first-term-dropped", "scenarios.py",
+           "(n - k - 1) * zero[k] for k in range(n + 1)]\n            + [(k - 1) * one[k + 1]",
+           "(n - k) * zero[k] for k in range(n + 1)]\n            + [k * one[k + 1]", CLASSES),
+    Mutant("mu-class-index-shifted", "scenarios.py", "one[k + 1]", "one[k]", CLASSES),
+    Mutant("mu-zero-class-index-shifted", "scenarios.py", "zero[k + 1]", "zero[k]", CLASSES),
     # The one certificate of both lemmas: each generator (the transposition,
     # then the cycle, replaced by the identity), the check of a's values,
-    # and lemma 4.4's check of mu_1's run on h1 against its run on h2.
+    # and the check of the measure's run on h1 against its run on h2.
     Mutant("certificate-generator-dropped", "scenarios.py",
            "dict(zip(rest[:2], rest[1::-1]))", "{}", CLASSES),
     Mutant("certificate-cycle-dropped", "scenarios.py",
            "dict(zip(rest, rest[1:] + rest[:1]))", "{}", CLASSES),
     Mutant("certificate-values-dropped", "scenarios.py",
-           "if not all(values[g.get(s, s)] == v for s, v in values.items()):", "if False:", CLASSES),
+           "all(values[g.get(s, s)] == v for s, v in values.items())", "True", CLASSES),
     Mutant("h1-run-unchecked", "scenarios.py",
            "return runs.get(syms[0]) == runs.get(syms[1])", "return True", CLASSES),
 )
@@ -184,18 +199,21 @@ def copy_tree(dst: Path) -> None:
             shutil.copy2(src, dst / name)
 
 
-def run_tests(tree: Path, modules: tuple[str, ...]) -> tuple[int | None, str]:
+def run_tests(
+    tree: Path, modules: tuple[str, ...], timeout: float = TIMEOUT
+) -> tuple[int | None, str]:
     """Run ``modules`` of ``tree``'s tests with ``-x``: the exit status,
-    None if the run outlasts ``TIMEOUT``, and the last line of the output."""
+    None if the run outlasts ``timeout`` seconds, and the last line of the
+    output."""
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
     try:
         run = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
              *(f"tests/{m}" for m in modules)],
-            cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT,
+            cwd=tree, env=env, capture_output=True, text=True, timeout=timeout,
         )
     except subprocess.TimeoutExpired:
-        return None, f"timed out after {TIMEOUT} s"
+        return None, f"timed out after {timeout} s"
     lines = run.stdout.strip().splitlines()
     return run.returncode, lines[-1] if lines else run.stderr.strip()
 
@@ -206,8 +224,9 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp) / "base"
         copy_tree(base)
-        status, last = run_tests(base, modules)
-        print(f"unmutated: {last}")
+        start = time.perf_counter()
+        status, last = run_tests(base, modules, UNMUTATED_TIMEOUT)
+        print(f"unmutated: {last} in {time.perf_counter() - start:.1f} s")
         if status != 0:
             print("the unmutated tree must pass every named module", file=sys.stderr)
             return 1

@@ -138,16 +138,17 @@ def test_commands_call_the_runner_bound_in_cli(monkeypatch, capsys, argv, name):
 
 @pytest.mark.parametrize("argv, name, cost", [
     (["lemma44", "--n", "103"], "verify_lemma_4_4",
-     "2 chains of 104 closures read at 2*104 classes (time quadratic in n)"),
+     "a chain of 104 closures read at 2*104 classes (time quadratic in n)"),
     (["lemma46", "--n", "103"], "verify_lemma_4_6",
      "a chain of 104 closures read at 2*104 classes (time quadratic in n)"),
     (["theorem23", "--n", "1003"], "verify_theorem_2_3",
      "a scalar line of 1004 factors (time cubic in n)"),
 ])
 def test_large_orders_quote_their_own_cost(monkeypatch, capsys, argv, name, cost):
-    # The error, the warning and --help read one cost per scenario: the
-    # chains' class reads for lemma44 and for lemma46, the scalar line for
-    # theorem23, each at the first odd order above its limit.
+    # The error, the warning and --help read one cost per guard: one
+    # chain's class reads for lemma44 and lemma46, which share a guard, and
+    # the scalar line for theorem23, each at the first odd order above its
+    # limit.
     n = int(argv[-1])
     code, out, err = run_cli(capsys, "verify", *argv)
     assert (code, out) == (2, "")
@@ -254,14 +255,9 @@ def test_a_sets_above_the_ceiling_are_refused(monkeypatch, capsys, scenario, nam
     # before anything is built; CI runs each at its order without the flag.
     # At the ceiling the flag still reaches the runner, stubbed here so
     # nothing runs.
-    top, cost, least = {
-        "lemma44": (cli.CLASS_CEILING,
-                    "2 chains of {m} closures read at 2*{m} classes (time quadratic in n)",
-                    cli.CLASS_ORDER),
-        "lemma46": (cli.CLASS_CEILING,
-                    "a chain of {m} closures read at 2*{m} classes (time quadratic in n)",
-                    cli.CLASS_ORDER),
-    }[scenario]
+    # The two share one guard.
+    top, least = cli.CLASS_CEILING, cli.CLASS_ORDER
+    cost = "a chain of {m} closures read at 2*{m} classes (time quadratic in n)"
     calls = []
     monkeypatch.setattr(cli, name, lambda n: calls.append(n) or cli.verify_section_3_1())
     assert top > least
@@ -1204,7 +1200,7 @@ def _oracle():
         ("section31", "verify_section_3_1", (), None),
         ("section32", "verify_section_3_2", (), None),
         ("lemma44", "verify_lemma_4_4", (1, 3, 5),
-         (cli.CLASS_ORDER, "2 chains of {m} closures read at 2*{m} classes (time quadratic in n)",
+         (cli.CLASS_ORDER, "a chain of {m} closures read at 2*{m} classes (time quadratic in n)",
           cli.CLASS_CEILING)),
         ("lemma46", "verify_lemma_4_6", (1, 3, 5),
          (cli.CLASS_ORDER, "a chain of {m} closures read at 2*{m} classes (time quadratic in n)",

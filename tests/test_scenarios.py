@@ -100,8 +100,8 @@ def test_lemma44_orders():
 
 
 def test_lemma44_builds_each_closure_once(monkeypatch):
-    # One chain each for mu_1 and mu; every other mu_i is read as mu_1
-    # renamed, and building it, or mu from fresh mu_i, would add closures.
+    # One chain, mu_1's; every other mu_i is read as mu_1 renamed, and mu
+    # as their signed sum, and building either would add closures.
     built = []
     init = JClosure.__init__
 
@@ -112,13 +112,12 @@ def test_lemma44_builds_each_closure_once(monkeypatch):
     monkeypatch.setattr(JClosure, "__init__", counting)
     n = 3
     assert verify_lemma_4_4(n).passed
-    assert len(built) == 2 * (n + 1)  # 2 chains of n + 1 closures each
+    assert len(built) == n + 1  # one chain of n + 1 closures
 
 
 def test_lemma44_builds_each_atom_once(monkeypatch):
-    # One unit atom under mu_1's chain, n + 1 signed unit atoms under mu's,
-    # and one for the positive-part claim across all of A, not one per
-    # point.
+    # One unit atom under mu_1's chain, and one for the positive-part
+    # claim across all of A, not one per point; mu builds none.
     built = []
     init = Form.__init__
 
@@ -130,7 +129,7 @@ def test_lemma44_builds_each_atom_once(monkeypatch):
     monkeypatch.setattr(Form, "__init__", counting)
     n = 3
     assert verify_lemma_4_4(n).passed
-    assert len(built) == n + 3
+    assert len(built) == 2
 
 
 def test_lemma44_class_route_matches_the_full_route():
@@ -175,7 +174,7 @@ def test_lemma44_as_built_is_certified(monkeypatch):
         with monkeypatch.context() as m:
             assert _lemma44_with(m, n) == want
         syms, _, a, _, _ = scenarios._standard_setup(n)
-        assert scenarios._certified(syms, a, build_mu(syms), build_mu_i(1, syms))
+        assert scenarios._certified(syms, a, build_mu_i(1, syms))
 
 
 def test_lemma44_exchanged_read_is_the_built_mu_i():
@@ -200,10 +199,50 @@ def test_lemma44_exchanged_read_is_the_built_mu_i():
             assert masses(mu_1, basis, swapped) == [atom_mass(mu_i, p) for p in points], (n, i)
 
 
+def _mu_1_and_mu(syms, extra):
+    """mu_1 = J(delta_h1 + extra) over the unit steps of ``syms``, where
+    ``extra`` holds weighted points that every permutation of h2..h(n+1)
+    fixes, and mu = mu_2 + ... + mu_(n+1) - mu_1, each mu_i mu_1 with h1
+    and h_i exchanged, built by J's linearity as one chain over the signed
+    sum of the exchanged atoms."""
+    units = [unit(s) for s in syms]
+    atoms = [(1, units[0]), *extra]
+    signed = [(-w, p) for w, p in atoms]
+    for s in syms[1:]:
+        swap = {syms[0]: s, s: syms[0]}
+        signed += [(w, point_combine((c, unit(swap.get(t, t))) for t, c in p.terms))
+                   for w, p in atoms]
+    return (j_op(Form([(w, None, p) for w, p in atoms]), units),
+            j_op(Form([(w, None, p) for w, p in signed]), units))
+
+
+def test_mu_by_class_is_the_built_mu_at_every_class_member():
+    # Two routes to mu at each member of every class, representatives and
+    # drawn members: the runner's sum of exchanged reads of mu_1
+    # (`_mu_by_class`), and `build_mu`'s one chain over the signed unit
+    # atoms. On A, mu_1 is 0 on every class without h1; a second pair of
+    # measures, with atoms at 0 and at h2 + ... + h(n+1) put into mu_1,
+    # and so into each exchange, makes those classes count too.
+    for n in range(1, 22, 2):
+        syms = scenarios._standard_setup(n)[0]
+        basis, xs, sizes = scenarios._by_class(syms)
+        rest = point_combine((1, unit(s)) for s in syms[1:])
+        for extra in ((), ((Fraction(1, 3), point_combine(())), (2, rest))):
+            if extra:
+                mu_1, mu = _mu_1_and_mu(syms, extra)
+            else:
+                mu_1, mu = build_mu_i(1, syms), build_mu(syms)
+            firsts, _ = scenarios._per_class(sizes, (masses(mu_1, basis, xs),))
+            ms = scenarios._mu_by_class([f for f, in firsts])
+            want = [m for m, size in zip(ms, sizes) for _ in range(size)]
+            assert masses(mu, basis, xs) == want, (n, extra)
+
+
 def test_each_class_member_reads_as_its_point(monkeypatch):
     # Both lemmas read each measure once over the batch of every class
-    # member. Each member's row equals the reads at its point one at a
-    # time: atom_mass of the measures as built, a(x) and f.value(x). The
+    # member: lemma 4.4 mu_1 and delta_h1, lemma 4.6 its five columns. Each
+    # member's row equals the reads at its point one at a time: atom_mass
+    # of the measures as built, a(x) and f.value(x). The
     # member's tuple is a 0/1 combination that holds h1 for the classes
     # with b = 1 and k units past h1.
     seen = []
@@ -233,7 +272,7 @@ def test_each_class_member_reads_as_its_point(monkeypatch):
                 assert len(x.terms) == len(support) == b + k, (n, v)
                 assert (syms[0] in support) == b, (n, v)
                 m, d = atom_mass(mu, x), atom_mass(delta1, x)
-                assert row44 == (m, d, atom_mass(mu_1, x)), (n, v)
+                assert row44 == (atom_mass(mu_1, x), d), (n, v)
                 assert row46 == (a(x), m, f.value(x), atom_mass(combined, x) ** n, d), (n, v)
 
 
@@ -258,55 +297,18 @@ def test_lemma44_fails_every_class_read_claim_an_uncertified_symmetry_reaches(
         monkeypatch, n, extra, h1_steps):
     # Each extra atom has a coordinate 2, so it leaves every mass on A as
     # it was. With no other member drawn, only the certificate can see it:
-    # every claim read by class fails, though each computed value equals
-    # its expected one, and the full route does not stand in. So does
-    # d-only-first-closure-at-h1, whose mu_1 at h2 stands for mu_2..mu_(n+1)
-    # at h1 by the exchanges. d-mass-at-h1 reads mu itself, and passes
-    # either way.
+    # every claim fails, though each computed value equals its expected
+    # one, and the full route does not stand in. Every claim reads mu_1:
+    # d-only-first-closure-at-h1's mu_1 at h2 stands for mu_2..mu_(n+1) at
+    # h1 by the exchanges, and d-mass-at-h1 reads mu as their signed sum.
     units = [unit(s) for s in scenarios._standard_setup(n)[0]]
     extra = [(1, point_combine(zip(coeffs, units))) for coeffs in extra]
     monkeypatch.setattr(scenarios, "_CLASS_DRAWS", 0)
     by = _lemma44_with(monkeypatch, n, extra, h1_steps)
-    d = by.pop("d-mass-at-h1")
-    assert d.passed and "uncertified" not in d.ref
+    assert by["d-mass-at-h1"].computed == -1
     assert all(c.computed == c.expected and not c.passed for c in by.values())
-    assert all(c.ref.endswith(f"; uncertified: a renaming of h1..h{n + 1} moves J, "
-                              f"or one of h2..h{n + 1} moves a, mu or mu_1")
-               for c in by.values())
-
-
-@pytest.mark.parametrize("extra", [
-    # An atom at 2*h3: both generators move it.
-    ((1, (0, 0, 2, 0)),),
-    # An atom at 2*h4: the transposition (h2 h3) fixes it, the cycle does not.
-    ((1, (0, 0, 0, 2)),),
-    # Atoms at h2 + 2*h3, h3 + 2*h4 and h4 + 2*h2: the cycle fixes them,
-    # the transposition does not.
-    ((1, (0, 1, 2, 0)), (1, (0, 0, 1, 2)), (1, (0, 2, 0, 1))),
-    # No atom added, but mu built as the signed sum of fresh mu_i: equal
-    # at every point, yet it has no chain record to certify.
-    None,
-], ids=["moved-by-both", "moved-by-the-cycle", "moved-by-the-transposition", "no-chain-record"])
-def test_lemma44_certificate_reads_mu_itself(monkeypatch, extra):
-    # mu_1 is as built, and each extra atom has a coordinate 2,
-    # so every mass on A is as it was. Only the certificate's read of mu's
-    # own record can see it: every claim but d-mass-at-h1 fails, though
-    # each computed value equals its expected one. d-mass-at-h1 reads mu at
-    # h1, and passes either way.
-    if extra is None:
-        def mu(syms):
-            return signed_sum([build_mu_i(i, syms) for i in range(1, len(syms) + 1)])
-    else:
-        units = [unit(s) for s in scenarios._standard_setup(3)[0]]
-        mu = _mu_with([(w, point_combine(zip(coeffs, units))) for w, coeffs in extra])
-    monkeypatch.setattr(scenarios, "_CLASS_DRAWS", 0)
-    monkeypatch.setattr(scenarios, "build_mu", mu)
-    by = claims_by_label(verify_lemma_4_4(3))
-    d = by.pop("d-mass-at-h1")
-    assert d.passed and "uncertified" not in d.ref
-    assert all(c.computed == c.expected and not c.passed for c in by.values())
-    assert all(c.ref.endswith("; uncertified: a renaming of h1..h4 moves J, "
-                              "or one of h2..h4 moves a, mu or mu_1")
+    assert all(c.ref.endswith(f"; uncertified: a permutation of h2..h{n + 1} moves a or the "
+                              "chain read, or its runs on h1 and h2 differ")
                for c in by.values())
 
 
@@ -349,9 +351,14 @@ def test_lemma46_class_route_matches_the_full_route():
         assert {c.label: c.computed for c in rep.claims} == lemma_4_6_full(n), n
 
 
+def _signed_sum_of_fresh_mu_i(syms):
+    return signed_sum([build_mu_i(i, syms) for i in range(1, len(syms) + 1)])
+
+
 def _lemma46_with(monkeypatch, n, a_at_last=1, extra=()):
     """verify_lemma_4_6(n) with a(h(n+1)) set to ``a_at_last`` and mu
-    built by ``_mu_with(extra)``."""
+    built by ``_mu_with(extra)``, or, for an ``extra`` of None, as the
+    signed sum of fresh mu_i."""
     setup = scenarios._standard_setup
 
     def asymmetric(n):
@@ -360,7 +367,8 @@ def _lemma46_with(monkeypatch, n, a_at_last=1, extra=()):
         return syms, units, a, Composite(PositivePartPower(n), a), top
 
     monkeypatch.setattr(scenarios, "_standard_setup", asymmetric)
-    monkeypatch.setattr(scenarios, "build_mu", _mu_with(extra))
+    monkeypatch.setattr(scenarios, "build_mu",
+                        _signed_sum_of_fresh_mu_i if extra is None else _mu_with(extra))
     return claims_by_label(verify_lemma_4_6(n))
 
 
@@ -382,7 +390,10 @@ def test_lemma46_as_built_is_certified(monkeypatch):
     # chain record, the transposition does not. They leave every mass on A
     # as it was.
     (1, ((0, 1, 2, 0), (0, 0, 1, 2), (0, 2, 0, 1))),
-], ids=["a-moved-by-the-cycle", "mu-moved-by-the-transposition"])
+    # mu built as the signed sum of fresh mu_i: equal at every point, yet
+    # it has no chain record to certify.
+    (1, None),
+], ids=["a-moved-by-the-cycle", "mu-moved-by-the-transposition", "mu-without-chain-record"])
 def test_lemma46_fails_every_claim_an_uncertified_symmetry_reaches(monkeypatch, a_at_last, extra):
     # With no other member drawn, only the certificate can see the moved
     # values; every claim but the direct path's fails, even one whose
@@ -390,14 +401,16 @@ def test_lemma46_fails_every_claim_an_uncertified_symmetry_reaches(monkeypatch, 
     # stand in. The direct path reads f alone, and passes either way.
     units = [unit(s) for s in scenarios._standard_setup(3)[0]]
     monkeypatch.setattr(scenarios, "_CLASS_DRAWS", 0)
-    by = _lemma46_with(monkeypatch, 3, a_at_last,
-                       [(1, point_combine(zip(coeffs, units))) for coeffs in extra])
+    if extra is not None:
+        extra = [(1, point_combine(zip(coeffs, units))) for coeffs in extra]
+    by = _lemma46_with(monkeypatch, 3, a_at_last, extra)
     direct = by.pop("chain-direct-path")
     assert direct.passed and "uncertified" not in direct.ref
     assert not any(c.passed for c in by.values())
     atom = by["unit-atom-diff-at-top"]
     assert atom.computed == atom.expected == -1 and not atom.passed
-    assert atom.ref.endswith("; uncertified: a permutation of h2..h4 moves a or mu")
+    assert atom.ref.endswith("; uncertified: a permutation of h2..h4 moves a or the chain read, "
+                             "or its runs on h1 and h2 differ")
 
 
 def test_lemma46_other_members_must_read_as_their_representative(monkeypatch):
