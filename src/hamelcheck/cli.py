@@ -46,14 +46,14 @@ LINE_ORDER = 1001
 LINE_CEILING = 5501
 # lemma44 and lemma46 read A by its 2(n+1) symmetry classes, each read of
 # a chain testing each of its n + 1 atoms at one coordinate, in time about
-# quadratic in the order: lemma44 builds the chain of mu_1, lemma46 that
-# of mu, and they share one guard. A CLI process on CPython 3.11 with 2
-# cores took 0.08-0.09 s and 16 MiB for lemma44 and 0.10-0.11 s and 16 MiB
-# for lemma46, about 0.07 s of it interpreter start and import, so an
-# order above it needs --allow-large.
+# quadratic in the order: both build the one chain of mu_1 and read it by
+# one class batch, and they share one guard. A CLI process on CPython 3.11
+# with 2 cores took 0.08 s and 16 MiB for lemma44 and 0.08-0.10 s and
+# 16 MiB for lemma46, about 0.07 s of it interpreter start and import, so
+# an order above it needs --allow-large.
 CLASS_ORDER = 101
-# lemma44 took 0.16-0.18 s and 21 MiB at this order in a CLI process, and
-# lemma46 0.36-0.39 s and 22 MiB: above it, --allow-large does not help.
+# lemma44 took 0.17-0.20 s and 21 MiB at this order in a CLI process, and
+# lemma46 0.18-0.20 s and 21 MiB: above it, --allow-large does not help.
 CLASS_CEILING = 301
 CLASS_GUARD = (
     CLASS_ORDER, "a chain of {m} closures read at 2*{m} classes (time quadratic in n)",

@@ -556,11 +556,11 @@ def build_mu_i(i: int, syms: Sequence[Symbol]) -> MeasureExpr:
 
 
 def build_mu(syms: Sequence[Symbol]) -> MeasureExpr:
-    """The signed combination of ``build_mu_i`` over every symbol, every
-    one but the first minus the first, built as one chain: J is linear, so
-    ``Σ_{i≥2} J(δ_{h_i}) − J(δ_{h_1})`` is the chain of unit-step closures
-    over the signed unit atoms ``Σ_{i≥2} δ_{h_i} − δ_{h_1}``, one `Form`,
-    and a query reads that one chain's record."""
+    """``Σ_{i≥2} J(δ_{h_i}) − J(δ_{h_1})``, by J's linearity one chain of
+    unit-step closures over the signed unit atoms, one `Form`. No scenario
+    reads it (both lemmas read mu off mu_1's class values): tests hold that
+    read equal to it, lemma 4.6's full-route oracle reads it, and the
+    benchmark's tracer (perfbench/tracer.py) times it as a builder here."""
     pts = _unit_increments(syms)
     return j_op(Form([(1, None, p) for p in pts[1:]] + [(-1, None, pts[0])]), pts)
 

@@ -3,18 +3,18 @@
 Each runner constructs its instance from scratch, computes every claimed
 value exactly, and compares against the expected value frozen in the
 claim. Randomized runners take an explicit seed and name it in the
-report, so every run is reproducible. Both lemma runners read A as one
-batch of tuples over its symmetry classes, each measure once by
-`masses`, and pass one certificate, `_certified`, on the one chain each
-builds: lemma 4.6 `build_mu`'s mu, lemma 4.4 mu_1, which it reads every
-mu_i as, renamed, and mu as their signed sum. Where it fails, each fails
-every claim it reads by class, with one note.
+report, so every run is reproducible. Both lemma runners share one
+class read, `_class_reads`: A as one batch of tuples over its symmetry
+classes, mu_1 and delta_h1 each read once by `masses`, every mu_i read
+as mu_1 renamed and mu as their signed sum, and one certificate,
+`_certified`, on mu_1's chain. Where it fails, each fails every claim it
+reads by class, with one note.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import islice
+from itertools import compress, islice
 from math import comb
 from operator import mul
 
@@ -45,8 +45,6 @@ from .functions import (
 from .measures import (
     Dirac,
     Form,
-    Sum,
-    build_mu,
     build_mu_i,
     fixed_by,
     j_op,
@@ -173,22 +171,14 @@ def verify_section_3_2() -> Report:
 
 def verify_lemma_4_4(n: int) -> Report:
     """Mass pattern of the closure measures mu_i = J(delta_h_i) on the
-    0/1-combination set A. Only mu_1 and delta_h1 are built. Where J's
-    runs are the same on every symbol, as `_certified` must certify, every
-    renaming of the symbols fixes J, so mu_i is mu_1 with h1 and h_i
-    exchanged, which maps A_i onto A_1: claims (a) and (b) read mu_1 on
-    A_1 and on the rest of A. A is read by the classes of its subsets
-    under the permutations of h2..h(n+1), at each class's members
-    (`_by_class`): mu_1 and delta_h1. mu = mu_2 + ... + mu_(n+1) - mu_1
-    is then the sum of those exchanges at each class (`_mu_by_class`),
-    which claims (c), (d) and (e) read. Uncertified, every claim fails."""
-    require_odd(n)
-    syms, units, a, _, _ = _standard_setup(n)
-    mu_1, delta1 = build_mu_i(1, syms), Dirac(units[0])
-    basis, xs, sizes = _by_class(syms)
-    values, same = _per_class(sizes, (masses(mu_1, basis, xs), masses(delta1, basis, xs)))
-    firsts, ds = zip(*values)
-    ms = _mu_by_class(firsts)
+    0/1-combination set A, from the class read both lemmas share
+    (`_class_reads`). Where J's runs are the same on every symbol, as
+    `_certified` must certify, every renaming of the symbols fixes J, so
+    mu_i is mu_1 with h1 and h_i exchanged, which maps A_i onto A_1:
+    claims (a) and (b) read mu_1 on A_1 and on the rest of A, and claims
+    (c), (d) and (e) mu, the sum of those exchanges at each class.
+    Uncertified, every claim fails."""
+    _, same, certified, (_, firsts, ms, ds) = _class_reads(n)
     # mu_i at h1, i >= 2, is mu_1 at h_i, carried to h2 by the renamings that fix h1.
     only_first = firsts[n + 1] == 1 and firsts[1] == 0
     # The class (0, 0), the empty subset's, is not in A.
@@ -231,9 +221,27 @@ def verify_lemma_4_4(n: int) -> Report:
             True,
         ),
     )
-    if not _certified(syms, a, mu_1):
+    if not certified:
         claims = _uncertified(claims, (), n)
     return Report(f"lemma44(n={n})", claims)
+
+
+def _class_reads(n: int) -> tuple:
+    """``(setup, same, certified, (av, firsts, ms, ds))``, the class read of
+    both lemmas at odd order ``n``: `_standard_setup`'s values; a(x) (the sum
+    of a's unit values over each member's units), mu_1 and delta_h1, each
+    read once over the `_by_class` batch, at each class's representative,
+    and whether every other member reads the same; whether `_certified`
+    holds for a and mu_1; and mu off mu_1's values (`_mu_by_class`)."""
+    require_odd(n)
+    setup = syms, units, a, _, _ = _standard_setup(n)
+    mu_1, delta1 = build_mu_i(1, syms), Dirac(units[0])
+    basis, xs, sizes = _by_class(syms)
+    at_units = [a(unit(s)) for s in basis]
+    values, same = _per_class(sizes, ([sum(compress(at_units, v)) for v in xs],
+                                      masses(mu_1, basis, xs), masses(delta1, basis, xs)))
+    av, firsts, ds = map(list, zip(*values))
+    return setup, same, _certified(syms, a, mu_1), (av, firsts, _mu_by_class(firsts), ds)
 
 
 def _mu_by_class(firsts) -> list:
@@ -291,20 +299,21 @@ def _per_class(sizes: list[int], columns) -> tuple[list, bool]:
     return values, same
 
 
-def _certified(syms: list[Symbol], a: AdditiveFunctional, mu) -> bool:
+def _certified(syms: list[Symbol], a: AdditiveFunctional, mu_1) -> bool:
     """Whether the cycle (h2 ... h(n+1)) and the transposition (h2 h3), which
     generate the permutations of ``syms[1:]`` as renamings, each fix
-    ``a``'s values at the units of ``syms`` and ``mu``'s chain record
-    (`fixed_by`), and whether its run on h1 is its run on h2, so that every
-    renaming of ``syms`` fixes its J: the exchange of h1 and h_i carries
-    J(delta_h1) onto J(delta_h_i). Below three symbols past h1 the
-    transposition is the identity."""
+    ``a``'s values at the units of ``syms`` and the chain record of
+    ``mu_1``, the one chain both lemmas build (`fixed_by`), and whether its
+    run on h1 is its run on h2, so that every renaming of ``syms`` fixes
+    its J: the exchange of h1 and h_i carries mu_1 = J(delta_h1) onto
+    J(delta_h_i). Below three symbols past h1 the transposition is the
+    identity."""
     rest = syms[1:]
     values = {s: a(unit(s)) for s in syms}
     for g in (dict(zip(rest, rest[1:] + rest[:1])), dict(zip(rest[:2], rest[1::-1]))):
-        if not (all(values[g.get(s, s)] == v for s, v in values.items()) and fixed_by(mu, g)):
+        if not (all(values[g.get(s, s)] == v for s, v in values.items()) and fixed_by(mu_1, g)):
             return False
-    runs = {s: r for s, *r in mu._runs}
+    runs = {s: r for s, *r in mu_1._runs}
     return runs.get(syms[0]) == runs.get(syms[1])
 
 
@@ -320,28 +329,18 @@ def _uncertified(claims: tuple[Claim, ...], exempt: tuple[str, ...], n: int) -> 
 def verify_lemma_4_6(n: int) -> Report:
     """Pointwise mass identities on A and the backward-difference chain
     computed through measures and directly through the function. The
-    measure route reads A by its 2(n+1) classes (b, k) (`_by_class`),
-    which `_certified` must certify fix mu and a. A pointwise claim reads
-    every nonempty class's representative, and seeded other members that
-    must read the same; a difference at the top point is the class sum of
+    measure route reads a, mu and delta_h1 by the 2(n+1) classes (b, k) of A
+    (`_class_reads`, as lemma 4.4 does), f = K(a(.)) as K at a(x), and
+    (mu + delta_h1)^n as the power of their sum. A pointwise claim reads
+    each nonempty class; a difference at the top point is the class sum of
     C(n, k)*(-1)^(n+1-b-k) times the value at the representative.
     Uncertified, every claim but the direct path's fails."""
-    require_odd(n)
-    syms, units, a, f, top = _standard_setup(n)
-    mu = build_mu(syms)
-    delta1 = Dirac(units[0])
+    (_, units, _, f, top), same, certified, (av, _, ms, ds) = _class_reads(n)
     sign_n = (-1) ** n
-    combined = Sum((mu, delta1))
-    basis, xs, sizes = _by_class(syms)
-    at_units = [a(unit(s)) for s in basis]
-    av = [sum(map(mul, at_units, v)) for v in xs]
-    # mu is read before mu + delta_h1, whose term it answers. Per class;
-    # (0, 0), the empty subset's, is first and not in A.
-    values, same = _per_class(sizes, (
-        av, masses(mu, basis, xs), [f.kernel.apply(t) for t in av],
-        [m ** n for m in masses(combined, basis, xs)], masses(delta1, basis, xs)))
+    # Per class; (0, 0), the empty subset's, is first and not in A.
+    fs = [f.kernel.apply(t) for t in av]
+    cs = [(m + d) ** n for m, d in zip(ms, ds)]
     weights = [comb(n, k) * (-1) ** (n + 1 - b - k) for b in (0, 1) for k in range(n + 1)]
-    av, ms, fs, cs, ds = zip(*values)
     mu_pow_diff = sum(map(mul, weights, [m ** n for m in ms]))
     atom_diff = sum(map(mul, weights, ds))
     measure_path = sum(map(mul, weights, cs))
@@ -396,7 +395,7 @@ def verify_lemma_4_6(n: int) -> Report:
             True,
         ),
     )
-    if not _certified(syms, a, mu):
+    if not certified:
         claims = _uncertified(claims, ("chain-direct-path",), n)
     return Report(f"lemma46(n={n})", claims)
 

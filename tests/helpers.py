@@ -257,14 +257,14 @@ def random_lattice_point(rng, units, lo=0, hi=3):
     return point_combine((rng.randint(lo, hi), u) for u in units)
 
 
-def lemma_4_6_full(n):
+def lemma_4_6_full(n, mu=None):
     """Each claim's computed value of ``verify_lemma_4_6(n)`` by the full
     route, the oracle of its class route: every pointwise claim reads all
     2^(n+1) - 1 points of A from ``build_a_sets``, and each of the three
     measure-path differences is one ``backward_diff`` expansion over the
-    2^(n+1) subset sums of the units."""
+    2^(n+1) subset sums of the units. ``mu`` is ``build_mu``'s unless given."""
     syms, units, a, f, top = scenarios._standard_setup(n)
-    mu = build_mu(syms)
+    mu = build_mu(syms) if mu is None else mu
     union = build_a_sets(syms).union
     delta1 = Dirac(units[0])
     sign_n = (-1) ** n

@@ -38,7 +38,7 @@ TIMEOUT = 30
 # Seconds for the unmutated run, which must pass: it runs every named
 # module, and took 14.5-17.3 s alone and 23.4 s beside other test runs on
 # 2 cores. UNMUTATED_TIMEOUT plus len(MUTANTS) runs at TIMEOUT must end
-# inside the CI job's 25 minutes.
+# inside the CI job's 26 minutes.
 UNMUTATED_TIMEOUT = 90
 
 
@@ -162,6 +162,18 @@ MUTANTS = (
            "for i in (0, *rest) if b else rest:", "for i in rest:", CLASSES),
     Mutant("draws-not-compared", "scenarios.py",
            "same &= row == rep", "same &= rep == rep", CLASSES),
+    # The one class read: a(x) is compared at every member, as mu_1 and
+    # delta_h1 are, not read at the representatives alone.
+    Mutant("a-column-not-compared", "scenarios.py",
+           "values, same = _per_class(sizes, ([sum(compress(at_units, v)) for v in xs],\n"
+           "                                      masses(mu_1, basis, xs), masses(delta1, basis, xs)))\n"
+           "    av, firsts, ds = map(list, zip(*values))",
+           "values, same = _per_class(sizes, (masses(mu_1, basis, xs), masses(delta1, basis, xs)))\n"
+           "    firsts, ds = map(list, zip(*values))\n"
+           "    av = [sum(compress(at_units, xs[sum(sizes[:i])])) for i in range(len(sizes))]",
+           CLASSES),
+    # Lemma 4.6 reads (mu + delta_h1)^n as the power of their class values' sum.
+    Mutant("combined-delta-dropped", "scenarios.py", "(m + d) ** n", "m ** n", CLASSES),
     # Lemma 4.4's class route: claim (b) reads mu_1 on the classes without
     # h1, and mu at each class is the sum of the exchanges of mu_1 there
     # (a coefficient, the -mu_1 term dropped from both kinds of class, and

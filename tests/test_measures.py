@@ -910,8 +910,8 @@ def test_masses_match_atom_mass_whatever_the_batch_lacks_seeded():
 
 
 def test_repeated_lemma46_queries_keep_one_entry_per_point():
-    # Lemma 4.6 asks mu at every point of A in several claims, and the
-    # unit atom at h1 alongside it; mu keeps one entry per distinct point,
+    # Lemma 4.6's full route (tests/helpers.lemma_4_6_full) asks mu at
+    # every point of A in several claims, and the unit atom at h1 beside it; mu keeps one entry per distinct point,
     # the same after every repeat, and the atom, a form, keeps none. mu's root is a unit-step chain: with its
     # record it answers each point in closed form and stores just those,
     # |A| entries; walking, it runs down to the support floor, the origin,

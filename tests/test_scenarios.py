@@ -26,7 +26,7 @@ from hamelcheck.measures import (
     Dirac, Form, Sum, atom_mass, build_a_sets, build_mu, build_mu_i, j_op, masses,
 )
 from helpers import (
-    as_drawn, coords_over, lattice_box, lemma_4_4_full, lemma_4_6_full, signed_sum,
+    as_drawn, coords_over, lattice_box, lemma_4_4_full, lemma_4_6_full,
 )
 
 
@@ -141,38 +141,42 @@ def test_lemma44_class_route_matches_the_full_route():
         assert {c.label: c.computed for c in rep.claims} == lemma_4_4_full(n), n
 
 
-def _lemma44_with(monkeypatch, n, extra=(), h1_steps=(1,)):
-    """verify_lemma_4_4(n) with the weighted points ``extra`` added to
-    mu_1's unit atom, and its chain's one unit step along h1 replaced by
-    steps of these multiples of h1; the runner builds no other mu_i."""
+def _lemma_with(monkeypatch, verify, n, extra=(), h1_steps=(1,), a_at_last=1):
+    """``verify(n)``, a lemma runner, with a(h(n+1)) set to ``a_at_last``,
+    the weighted points ``extra`` added to mu_1's unit atom, and its chain's
+    one unit step along h1 replaced by steps of these multiples of h1; for
+    an ``extra`` of None, mu_1 as built read through a `Sum` of it alone,
+    equal at every point and with no chain record. The runners build no
+    other mu_i."""
+    setup = scenarios._standard_setup
+
+    def asymmetric(n):
+        syms, units, a, f, top = setup(n)
+        a = AdditiveFunctional({**{s: a(unit(s)) for s in syms}, syms[-1]: a_at_last})
+        return syms, units, a, Composite(PositivePartPower(n), a), top
+
     def mu_i(i, syms):
+        if extra is None:
+            return Sum((build_mu_i(i, syms),))
         units = [unit(s) for s in syms]
         atoms = [(1, units[i - 1]), *extra]
         steps = [*(k * units[0] for k in h1_steps), *units[1:]]
         return j_op(Form([(w, None, p) for w, p in atoms]), steps)
 
+    monkeypatch.setattr(scenarios, "_standard_setup", asymmetric)
     monkeypatch.setattr(scenarios, "build_mu_i", mu_i)
-    return claims_by_label(verify_lemma_4_4(n))
+    return claims_by_label(verify(n))
 
 
-def _mu_with(extra):
-    """A ``build_mu`` that adds the weighted points ``extra`` to mu's signed
-    unit atoms, under the same chain of closures."""
-    def mu(syms):
-        units = [unit(s) for s in syms]
-        atoms = [(-1, units[0]), *((1, u) for u in units[1:]), *extra]
-        return j_op(Form([(w, None, p) for w, p in atoms]), units)
-
-    return mu
-
-
-def test_lemma44_as_built_is_certified(monkeypatch):
-    # The builder the cases below patch, with nothing added, gives the
-    # scenario's own claims, and the certificate holds as built.
+@pytest.mark.parametrize("verify", [verify_lemma_4_4, verify_lemma_4_6],
+                         ids=["lemma44", "lemma46"])
+def test_lemmas_as_built_are_certified(monkeypatch, verify):
+    # The builders the cases below patch, with nothing added or moved, give
+    # the scenario's own claims, and the certificate holds as built.
     for n in (1, 3, 5):
-        want = claims_by_label(verify_lemma_4_4(n))
+        want = claims_by_label(verify(n))
         with monkeypatch.context() as m:
-            assert _lemma44_with(m, n) == want
+            assert _lemma_with(m, verify, n) == want
         syms, _, a, _, _ = scenarios._standard_setup(n)
         assert scenarios._certified(syms, a, build_mu_i(1, syms))
 
@@ -216,6 +220,14 @@ def _mu_1_and_mu(syms, extra):
             j_op(Form([(w, None, p) for w, p in signed]), units))
 
 
+def _off_a_1(syms):
+    """Atoms at 0 and at h2 + ... + h(n+1), which every permutation of
+    h2..h(n+1) fixes: put into mu_1, they give it mass on the classes
+    without h1."""
+    return ((Fraction(1, 3), point_combine(())),
+            (2, point_combine((1, unit(s)) for s in syms[1:])))
+
+
 def test_mu_by_class_is_the_built_mu_at_every_class_member():
     # Two routes to mu at each member of every class, representatives and
     # drawn members: the runner's sum of exchanged reads of mu_1
@@ -226,8 +238,7 @@ def test_mu_by_class_is_the_built_mu_at_every_class_member():
     for n in range(1, 22, 2):
         syms = scenarios._standard_setup(n)[0]
         basis, xs, sizes = scenarios._by_class(syms)
-        rest = point_combine((1, unit(s)) for s in syms[1:])
-        for extra in ((), ((Fraction(1, 3), point_combine(())), (2, rest))):
+        for extra in ((), _off_a_1(syms)):
             if extra:
                 mu_1, mu = _mu_1_and_mu(syms, extra)
             else:
@@ -239,12 +250,12 @@ def test_mu_by_class_is_the_built_mu_at_every_class_member():
 
 
 def test_each_class_member_reads_as_its_point(monkeypatch):
-    # Both lemmas read each measure once over the batch of every class
-    # member: lemma 4.4 mu_1 and delta_h1, lemma 4.6 its five columns. Each
-    # member's row equals the reads at its point one at a time: atom_mass
-    # of the measures as built, a(x) and f.value(x). The
-    # member's tuple is a 0/1 combination that holds h1 for the classes
-    # with b = 1 and k units past h1.
+    # Both lemmas read one class batch (`scenarios._class_reads`): a(x),
+    # mu_1 and delta_h1 at every class member, the same rows in each. Each
+    # member's row equals the reads at its point one at a time: a(x) and
+    # atom_mass of the measures as built; and f.value(x) is K at a(x), as
+    # lemma 4.6 reads it. The member's tuple is a 0/1 combination that
+    # holds h1 for the classes with b = 1 and k units past h1.
     seen = []
     per_class = scenarios._per_class
 
@@ -259,21 +270,20 @@ def test_each_class_member_reads_as_its_point(monkeypatch):
         verify_lemma_4_4(n)
         verify_lemma_4_6(n)
         rows44, rows46 = (list(zip(*columns)) for columns in seen)
+        assert rows44 == rows46
         syms, units, a, f, _ = scenarios._standard_setup(n)
         basis, xs, sizes = scenarios._by_class(syms)
-        assert len(rows44) == len(rows46) == len(xs) == sum(sizes)
-        mu, delta1, mu_1 = build_mu(syms), Dirac(units[0]), build_mu_i(1, syms)
-        combined = Sum((mu, delta1))
-        members = zip(xs, rows44, rows46)
+        assert len(rows44) == len(xs) == sum(sizes)
+        delta1, mu_1 = Dirac(units[0]), build_mu_i(1, syms)
+        members = zip(xs, rows44)
         for (b, k), size in zip(product((0, 1), range(n + 1)), sizes):
-            for v, row44, row46 in islice(members, size):
+            for v, row in islice(members, size):
                 x = Point.from_coords(basis, v)
                 support = {s for s, c in x.terms if c == 1}
                 assert len(x.terms) == len(support) == b + k, (n, v)
                 assert (syms[0] in support) == b, (n, v)
-                m, d = atom_mass(mu, x), atom_mass(delta1, x)
-                assert row44 == (atom_mass(mu_1, x), d), (n, v)
-                assert row46 == (a(x), m, f.value(x), atom_mass(combined, x) ** n, d), (n, v)
+                assert row == (a(x), atom_mass(mu_1, x), atom_mass(delta1, x)), (n, v)
+                assert f.value(x) == f.kernel.apply(a(x)), (n, v)
 
 
 @pytest.mark.parametrize("n, extra, h1_steps", [
@@ -304,7 +314,7 @@ def test_lemma44_fails_every_class_read_claim_an_uncertified_symmetry_reaches(
     units = [unit(s) for s in scenarios._standard_setup(n)[0]]
     extra = [(1, point_combine(zip(coeffs, units))) for coeffs in extra]
     monkeypatch.setattr(scenarios, "_CLASS_DRAWS", 0)
-    by = _lemma44_with(monkeypatch, n, extra, h1_steps)
+    by = _lemma_with(monkeypatch, verify_lemma_4_4, n, extra, h1_steps)
     assert by["d-mass-at-h1"].computed == -1
     assert all(c.computed == c.expected and not c.passed for c in by.values())
     assert all(c.ref.endswith(f"; uncertified: a permutation of h2..h{n + 1} moves a or the "
@@ -321,13 +331,13 @@ def test_lemma44_other_members_must_read_as_their_representative(monkeypatch):
     units = [unit(s) for s in scenarios._standard_setup(3)[0]]
     extra = [(1, units[1] + units[3]), (-1, units[1] + units[2] + units[3])]
     monkeypatch.setattr(scenarios, "_certified", lambda *args: True)
-    by = _lemma44_with(monkeypatch, 3, extra)
+    by = _lemma_with(monkeypatch, verify_lemma_4_4, 3, extra)
     by_class = ("a-unit-mass-on-own-set", "b-zero-mass-off-set", "c-negative-only-at-h1",
                 "e-positive-part-shift")
     assert [by[label].computed for label in by_class] == [False] * 4
     assert by["d-mass-at-h1"].passed and by["d-only-first-closure-at-h1"].passed
     monkeypatch.setattr(scenarios, "_CLASS_DRAWS", 0)
-    by = _lemma44_with(monkeypatch, 3, extra)
+    by = _lemma_with(monkeypatch, verify_lemma_4_4, 3, extra)
     assert [by[label].computed for label in by_class] == [True] * 4
 
 
@@ -351,47 +361,29 @@ def test_lemma46_class_route_matches_the_full_route():
         assert {c.label: c.computed for c in rep.claims} == lemma_4_6_full(n), n
 
 
-def _signed_sum_of_fresh_mu_i(syms):
-    return signed_sum([build_mu_i(i, syms) for i in range(1, len(syms) + 1)])
-
-
-def _lemma46_with(monkeypatch, n, a_at_last=1, extra=()):
-    """verify_lemma_4_6(n) with a(h(n+1)) set to ``a_at_last`` and mu
-    built by ``_mu_with(extra)``, or, for an ``extra`` of None, as the
-    signed sum of fresh mu_i."""
-    setup = scenarios._standard_setup
-
-    def asymmetric(n):
-        syms, units, a, f, top = setup(n)
-        a = AdditiveFunctional({**{s: a(unit(s)) for s in syms}, syms[-1]: a_at_last})
-        return syms, units, a, Composite(PositivePartPower(n), a), top
-
-    monkeypatch.setattr(scenarios, "_standard_setup", asymmetric)
-    monkeypatch.setattr(scenarios, "build_mu",
-                        _signed_sum_of_fresh_mu_i if extra is None else _mu_with(extra))
-    return claims_by_label(verify_lemma_4_6(n))
-
-
-def test_lemma46_as_built_is_certified(monkeypatch):
-    # The builders the cases below patch, with nothing moved, give the
-    # scenario's own claims, and the certificate holds as built.
-    for n in (1, 3, 5):
-        want = claims_by_label(verify_lemma_4_6(n))
-        with monkeypatch.context() as m:
-            assert _lemma46_with(m, n) == want
-        syms, _, a, _, _ = scenarios._standard_setup(n)
-        assert scenarios._certified(syms, a, build_mu(syms))
+def test_lemma46_reads_mu_off_mu_1_where_mu_1_has_mass_off_a_1(monkeypatch):
+    # With `_off_a_1`'s atoms put into mu_1, still certified, its mass on
+    # the classes without h1 enters mu, and lemma 4.6 reads each claim as
+    # the full route does with mu built as one chain over the same
+    # exchanged atoms.
+    for n in (1, 3, 5, 7):
+        syms = scenarios._standard_setup(n)[0]
+        mu_1, mu = _mu_1_and_mu(syms, _off_a_1(syms))
+        monkeypatch.setattr(scenarios, "build_mu_i", lambda i, syms: mu_1)
+        rep = verify_lemma_4_6(n)
+        assert not rep.passed
+        assert {c.label: c.computed for c in rep.claims} == lemma_4_6_full(n, mu), n
 
 
 @pytest.mark.parametrize("a_at_last, extra", [
     # a(h4) = 2: the transposition (h2 h3) fixes a's values, the cycle does not.
     (2, ()),
-    # Atoms at h2 + 2*h3, h3 + 2*h4 and h4 + 2*h2: the cycle fixes mu's
-    # chain record, the transposition does not. They leave every mass on A
-    # as it was.
+    # Atoms at h2 + 2*h3, h3 + 2*h4 and h4 + 2*h2 in mu_1, and so in mu:
+    # the cycle fixes mu_1's chain record, the transposition does not. They
+    # leave every mass on A as it was.
     (1, ((0, 1, 2, 0), (0, 0, 1, 2), (0, 2, 0, 1))),
-    # mu built as the signed sum of fresh mu_i: equal at every point, yet
-    # it has no chain record to certify.
+    # mu_1 read through a Sum of it alone: equal at every point, yet it
+    # has no chain record to certify.
     (1, None),
 ], ids=["a-moved-by-the-cycle", "mu-moved-by-the-transposition", "mu-without-chain-record"])
 def test_lemma46_fails_every_claim_an_uncertified_symmetry_reaches(monkeypatch, a_at_last, extra):
@@ -403,7 +395,7 @@ def test_lemma46_fails_every_claim_an_uncertified_symmetry_reaches(monkeypatch, 
     monkeypatch.setattr(scenarios, "_CLASS_DRAWS", 0)
     if extra is not None:
         extra = [(1, point_combine(zip(coeffs, units))) for coeffs in extra]
-    by = _lemma46_with(monkeypatch, 3, a_at_last, extra)
+    by = _lemma_with(monkeypatch, verify_lemma_4_6, 3, extra, a_at_last=a_at_last)
     direct = by.pop("chain-direct-path")
     assert direct.passed and "uncertified" not in direct.ref
     assert not any(c.passed for c in by.values())
@@ -414,20 +406,40 @@ def test_lemma46_fails_every_claim_an_uncertified_symmetry_reaches(monkeypatch, 
 
 
 def test_lemma46_other_members_must_read_as_their_representative(monkeypatch):
-    # Atoms +1 at h2 + h4 and -1 at h2 + h3 + h4 leave every
-    # representative's mass as it was, h2 + h3 + h4 among them, but add 1
-    # at the member h2 + h4 of class (0, 2). With the certificate taken as
-    # passed, the drawn members alone fail the pointwise claims.
+    # Atoms +1 at h2 + h4 and -1 at h2 + h3 + h4 in mu_1 leave every
+    # representative's masses as they were, h2 + h3 + h4 among them, but
+    # add 1 at the member h2 + h4 of class (0, 2). With the certificate
+    # taken as passed, the drawn members alone fail the pointwise claims.
     units = [unit(s) for s in scenarios._standard_setup(3)[0]]
     extra = [(1, units[1] + units[3]), (-1, units[1] + units[2] + units[3])]
     monkeypatch.setattr(scenarios, "_certified", lambda *args: True)
-    by = _lemma46_with(monkeypatch, 3, extra=extra)
+    by = _lemma_with(monkeypatch, verify_lemma_4_6, 3, extra)
     pointwise = ("additive-matches-mass-on-A", "mass-power-identity-on-A",
                  "binomial-reduction-on-A")
     assert [by[label].computed for label in pointwise] == [False, False, False]
     monkeypatch.setattr(scenarios, "_CLASS_DRAWS", 0)
-    by = _lemma46_with(monkeypatch, 3, extra=extra)
+    by = _lemma_with(monkeypatch, verify_lemma_4_6, 3, extra)
     assert [by[label].computed for label in pointwise] == [True, True, True]
+
+
+@pytest.mark.parametrize("verify, by_class", [
+    (verify_lemma_4_4, ("a-unit-mass-on-own-set", "b-zero-mass-off-set",
+                        "c-negative-only-at-h1", "e-positive-part-shift")),
+    (verify_lemma_4_6, ("binomial-reduction-on-A",)),
+], ids=["lemma44", "lemma46"])
+def test_lemmas_read_a_at_other_members_as_at_their_representative(
+        monkeypatch, verify, by_class):
+    # a(h4) = 2 makes a(x) at a drawn member that holds h4 differ from its
+    # representative's, such as h2 + h4 of class (0, 2), drawn at n = 3,
+    # against h2 + h3. With the certificate taken as passed, a's column
+    # alone fails each claim read by class that reads no a: every mass is
+    # as built.
+    monkeypatch.setattr(scenarios, "_certified", lambda *args: True)
+    by = _lemma_with(monkeypatch, verify, 3, a_at_last=2)
+    assert [by[label].computed for label in by_class] == [False] * len(by_class)
+    monkeypatch.setattr(scenarios, "_CLASS_DRAWS", 0)
+    by = _lemma_with(monkeypatch, verify, 3, a_at_last=2)
+    assert [by[label].computed for label in by_class] == [True] * len(by_class)
 
 
 def test_theorem_and_chain_values_agree():
