@@ -48,12 +48,12 @@ LINE_CEILING = 5501
 # a chain testing each of its n + 1 atoms at one coordinate, in time about
 # quadratic in the order: both build the one chain of mu_1 and read it by
 # one class batch, and they share one guard. A CLI process on CPython 3.11
-# with 2 cores took 0.08 s and 16 MiB for lemma44 and 0.08-0.10 s and
+# with 2 cores took 0.07-0.11 s and 16 MiB for lemma44 and 0.07-0.08 s and
 # 16 MiB for lemma46, about 0.07 s of it interpreter start and import, so
 # an order above it needs --allow-large.
 CLASS_ORDER = 101
-# lemma44 took 0.17-0.20 s and 21 MiB at this order in a CLI process, and
-# lemma46 0.18-0.20 s and 21 MiB: above it, --allow-large does not help.
+# lemma44 took 0.13-0.15 s and 21 MiB at this order in a CLI process, and
+# lemma46 0.14-0.17 s and 21 MiB: above it, --allow-large does not help.
 CLASS_CEILING = 301
 CLASS_GUARD = (
     CLASS_ORDER, "a chain of {m} closures read at 2*{m} classes (time quadratic in n)",

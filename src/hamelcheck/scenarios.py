@@ -4,11 +4,12 @@ Each runner constructs its instance from scratch, computes every claimed
 value exactly, and compares against the expected value frozen in the
 claim. Randomized runners take an explicit seed and name it in the
 report, so every run is reproducible. Both lemma runners share one
-class read, `_class_reads`: A as one batch of tuples over its symmetry
-classes, mu_1 and delta_h1 each read once by `masses`, every mu_i read
-as mu_1 renamed and mu as their signed sum, and one certificate,
-`_certified`, on mu_1's chain. Where it fails, each fails every claim it
-reads by class, with one note.
+class read, `_class_reads`, which draws nothing: A as one batch of tuples
+over its symmetry classes, each class's representative and it moved by
+the certified cycle, mu_1 and delta_h1 each read once by `masses`, every
+mu_i read as mu_1 renamed and mu as their signed sum, and one
+certificate, `_certified`, on mu_1's chain. Where it fails, each fails
+every claim it reads by class, with one note.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import random
 from itertools import compress, islice
 from math import comb
-from operator import mul
+from operator import itemgetter, mul
 
 from .basis import (
     ZERO,
@@ -256,9 +257,9 @@ def _mu_by_class(firsts) -> list:
             + [(k - 1) * one[k + 1] + (n - k) * zero[k + 1] for k in range(n + 1)])
 
 
-# The other members of each class of A read beside its representative, and
-# the seed they are drawn from.
-_CLASS_DRAWS, _CLASS_SEED = 2, 46
+# The other members of each class of A read beside its representative: the
+# representative moved by the cycle (h2 ... h(n+1)) one to this many places.
+_CLASS_TURNS = 2
 
 
 def _by_class(syms: list[Symbol]) -> tuple:
@@ -267,23 +268,18 @@ def _by_class(syms: list[Symbol]) -> tuple:
     ``syms[1:]``, b = [h1 in S] and k = |S - {h1}|, in the order (0, 0),
     ..., (1, n): tuples over ``basis``, and their counts per class. A
     class's representative b*h1 + h2 + ... + h(k+1) is first, then, if
-    0 < k < n, `_CLASS_DRAWS` drawn from `_CLASS_SEED`."""
+    0 < k < n, it moved by the cycle (h2 ... h(n+1)), the one `_certified`
+    checks, one to `_CLASS_TURNS` places."""
     n = len(syms) - 1
     basis = tuple(sorted(syms))
-    at = [basis.index(s) for s in syms]
-    rng = random.Random(_CLASS_SEED)
+    to_basis = itemgetter(*map(syms.index, basis))
     xs, sizes = [], []
     for b in (0, 1):
         for k in range(n + 1):
-            members = [range(1, k + 1)]
-            if 0 < k < n:
-                members += [rng.sample(range(1, n + 1), k) for _ in range(_CLASS_DRAWS)]
-            for rest in members:
-                v = [0] * (n + 1)
-                for i in (0, *rest) if b else rest:
-                    v[at[i]] = 1
-                xs.append(tuple(v))
-            sizes.append(len(members))
+            tail = (1,) * k + (0,) * (n - k)
+            turns = range(_CLASS_TURNS + 1 if 0 < k < n else 1)
+            xs += [to_basis((b, *tail[n - r:], *tail[:n - r])) for r in turns]
+            sizes.append(len(turns))
     return basis, xs, sizes
 
 

@@ -156,11 +156,14 @@ MUTANTS = (
     Mutant("class-sign-flipped", "scenarios.py",
            "(-1) ** (n + 1 - b - k)", "(-1) ** (n - b - k)", CLASSES),
     # Both lemmas read A as one batch of class members: each member's tuple
-    # (with h1 where b = 1), and each drawn member's row compared with its
+    # (with h1 where b = 1), the other members as the representative moved
+    # by the cycle, and each moved member's row compared with its
     # representative's.
     Mutant("class-representative-without-h1", "scenarios.py",
-           "for i in (0, *rest) if b else rest:", "for i in rest:", CLASSES),
-    Mutant("draws-not-compared", "scenarios.py",
+           "to_basis((b, *tail[n - r:]", "to_basis((0, *tail[n - r:]", CLASSES),
+    Mutant("class-members-not-moved", "scenarios.py",
+           "*tail[n - r:], *tail[:n - r]", "*tail", CLASSES),
+    Mutant("members-not-compared", "scenarios.py",
            "same &= row == rep", "same &= rep == rep", CLASSES),
     # The one class read: a(x) is compared at every member, as mu_1 and
     # delta_h1 are, not read at the representatives alone.

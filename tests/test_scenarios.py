@@ -230,8 +230,8 @@ def _off_a_1(syms):
 
 def test_mu_by_class_is_the_built_mu_at_every_class_member():
     # Two routes to mu at each member of every class, representatives and
-    # drawn members: the runner's sum of exchanged reads of mu_1
-    # (`_mu_by_class`), and `build_mu`'s one chain over the signed unit
+    # members moved by the cycle: the runner's sum of exchanged reads of
+    # mu_1 (`_mu_by_class`), and `build_mu`'s one chain over the signed unit
     # atoms. On A, mu_1 is 0 on every class without h1; a second pair of
     # measures, with atoms at 0 and at h2 + ... + h(n+1) put into mu_1,
     # and so into each exchange, makes those classes count too.
@@ -286,6 +286,35 @@ def test_each_class_member_reads_as_its_point(monkeypatch):
                 assert f.value(x) == f.kernel.apply(a(x)), (n, v)
 
 
+def test_class_members_are_the_representative_moved_by_the_cycle():
+    # Each class (b, k) is read at its representative b*h1 + h2 + ... +
+    # h(k+1) and, if 0 < k < n, at it moved by the cycle (h2 ... h(n+1)),
+    # the one `_certified` checks, one and two places. So every member is a
+    # 0/1 tuple over the sorted basis in its class, and a class's members
+    # are distinct.
+    for n in range(1, 22, 2):
+        syms = scenarios._standard_setup(n)[0]
+        basis, xs, sizes = scenarios._by_class(syms)
+        assert basis == tuple(sorted(syms)) and len(xs) == sum(sizes)
+        cycle = dict(zip(syms[1:], syms[2:] + syms[1:2]))
+        members = iter(xs)
+        for (b, k), size in zip(product((0, 1), range(n + 1)), sizes):
+            support, want = {*syms[:b], *syms[1:k + 1]}, []
+            for _ in range(3 if 0 < k < n else 1):
+                want.append(support)
+                support = {cycle.get(s, s) for s in support}
+            got = list(islice(members, size))
+            ons = [{s for s, c in zip(basis, v) if c} for v in got]
+            assert len(set(got)) == size and ons == want, (n, b, k)
+            for v, on in zip(got, ons):
+                assert set(v) <= {0, 1} and len(v) == n + 1, (n, v)
+                assert (syms[0] in on, len(on - {syms[0]})) == (b, k), (n, v)
+    # The member the other-members tests rely on: h2 + h4 of class (0, 2).
+    syms = scenarios._standard_setup(3)[0]
+    basis, xs, sizes = scenarios._by_class(syms)
+    assert (0, 1, 0, 1) in xs[sum(sizes[:2]):sum(sizes[:3])]
+
+
 @pytest.mark.parametrize("n, extra, h1_steps", [
     # An atom at 2*h3 in mu_1: the cycle (h2 h3 h4) and the transposition
     # (h2 h3) both move it.
@@ -306,14 +335,15 @@ def test_each_class_member_reads_as_its_point(monkeypatch):
 def test_lemma44_fails_every_class_read_claim_an_uncertified_symmetry_reaches(
         monkeypatch, n, extra, h1_steps):
     # Each extra atom has a coordinate 2, so it leaves every mass on A as
-    # it was. With no other member drawn, only the certificate can see it:
-    # every claim fails, though each computed value equals its expected
-    # one, and the full route does not stand in. Every claim reads mu_1:
-    # d-only-first-closure-at-h1's mu_1 at h2 stands for mu_2..mu_(n+1) at
-    # h1 by the exchanges, and d-mass-at-h1 reads mu as their signed sum.
+    # it was. With no member moved by the cycle read, only the certificate
+    # can see it: every claim fails, though each computed value equals its
+    # expected one, and the full route does not stand in. Every claim reads
+    # mu_1: d-only-first-closure-at-h1's mu_1 at h2 stands for
+    # mu_2..mu_(n+1) at h1 by the exchanges, and d-mass-at-h1 reads mu as
+    # their signed sum.
     units = [unit(s) for s in scenarios._standard_setup(n)[0]]
     extra = [(1, point_combine(zip(coeffs, units))) for coeffs in extra]
-    monkeypatch.setattr(scenarios, "_CLASS_DRAWS", 0)
+    monkeypatch.setattr(scenarios, "_CLASS_TURNS", 0)
     by = _lemma_with(monkeypatch, verify_lemma_4_4, n, extra, h1_steps)
     assert by["d-mass-at-h1"].computed == -1
     assert all(c.computed == c.expected and not c.passed for c in by.values())
@@ -326,8 +356,8 @@ def test_lemma44_other_members_must_read_as_their_representative(monkeypatch):
     # Atoms +1 at h2 + h4 and -1 at h2 + h3 + h4 in mu_1 leave every
     # representative's masses as they were, h2 + h3 + h4 among them, but
     # add 1 at the member h2 + h4 of class (0, 2). With the certificate
-    # taken as passed, the drawn members alone fail the claims read by
-    # class; the d-claims read h1 and h2.
+    # taken as passed, the members moved by the cycle alone fail the claims
+    # read by class; the d-claims read h1 and h2.
     units = [unit(s) for s in scenarios._standard_setup(3)[0]]
     extra = [(1, units[1] + units[3]), (-1, units[1] + units[2] + units[3])]
     monkeypatch.setattr(scenarios, "_certified", lambda *args: True)
@@ -336,7 +366,7 @@ def test_lemma44_other_members_must_read_as_their_representative(monkeypatch):
                 "e-positive-part-shift")
     assert [by[label].computed for label in by_class] == [False] * 4
     assert by["d-mass-at-h1"].passed and by["d-only-first-closure-at-h1"].passed
-    monkeypatch.setattr(scenarios, "_CLASS_DRAWS", 0)
+    monkeypatch.setattr(scenarios, "_CLASS_TURNS", 0)
     by = _lemma_with(monkeypatch, verify_lemma_4_4, 3, extra)
     assert [by[label].computed for label in by_class] == [True] * 4
 
@@ -387,12 +417,12 @@ def test_lemma46_reads_mu_off_mu_1_where_mu_1_has_mass_off_a_1(monkeypatch):
     (1, None),
 ], ids=["a-moved-by-the-cycle", "mu-moved-by-the-transposition", "mu-without-chain-record"])
 def test_lemma46_fails_every_claim_an_uncertified_symmetry_reaches(monkeypatch, a_at_last, extra):
-    # With no other member drawn, only the certificate can see the moved
-    # values; every claim but the direct path's fails, even one whose
-    # computed value equals its expected one, and the full route does not
-    # stand in. The direct path reads f alone, and passes either way.
+    # With no member moved by the cycle read, only the certificate can see
+    # the moved values; every claim but the direct path's fails, even one
+    # whose computed value equals its expected one, and the full route does
+    # not stand in. The direct path reads f alone, and passes either way.
     units = [unit(s) for s in scenarios._standard_setup(3)[0]]
-    monkeypatch.setattr(scenarios, "_CLASS_DRAWS", 0)
+    monkeypatch.setattr(scenarios, "_CLASS_TURNS", 0)
     if extra is not None:
         extra = [(1, point_combine(zip(coeffs, units))) for coeffs in extra]
     by = _lemma_with(monkeypatch, verify_lemma_4_6, 3, extra, a_at_last=a_at_last)
@@ -409,7 +439,8 @@ def test_lemma46_other_members_must_read_as_their_representative(monkeypatch):
     # Atoms +1 at h2 + h4 and -1 at h2 + h3 + h4 in mu_1 leave every
     # representative's masses as they were, h2 + h3 + h4 among them, but
     # add 1 at the member h2 + h4 of class (0, 2). With the certificate
-    # taken as passed, the drawn members alone fail the pointwise claims.
+    # taken as passed, the members moved by the cycle alone fail the
+    # pointwise claims.
     units = [unit(s) for s in scenarios._standard_setup(3)[0]]
     extra = [(1, units[1] + units[3]), (-1, units[1] + units[2] + units[3])]
     monkeypatch.setattr(scenarios, "_certified", lambda *args: True)
@@ -417,7 +448,7 @@ def test_lemma46_other_members_must_read_as_their_representative(monkeypatch):
     pointwise = ("additive-matches-mass-on-A", "mass-power-identity-on-A",
                  "binomial-reduction-on-A")
     assert [by[label].computed for label in pointwise] == [False, False, False]
-    monkeypatch.setattr(scenarios, "_CLASS_DRAWS", 0)
+    monkeypatch.setattr(scenarios, "_CLASS_TURNS", 0)
     by = _lemma_with(monkeypatch, verify_lemma_4_6, 3, extra)
     assert [by[label].computed for label in pointwise] == [True, True, True]
 
@@ -429,15 +460,15 @@ def test_lemma46_other_members_must_read_as_their_representative(monkeypatch):
 ], ids=["lemma44", "lemma46"])
 def test_lemmas_read_a_at_other_members_as_at_their_representative(
         monkeypatch, verify, by_class):
-    # a(h4) = 2 makes a(x) at a drawn member that holds h4 differ from its
-    # representative's, such as h2 + h4 of class (0, 2), drawn at n = 3,
-    # against h2 + h3. With the certificate taken as passed, a's column
-    # alone fails each claim read by class that reads no a: every mass is
-    # as built.
+    # a(h4) = 2 makes a(x) at a member moved by the cycle that holds h4
+    # differ from its representative's, such as h2 + h4 of class (0, 2) at
+    # n = 3, h2 + h3 moved two places, against h2 + h3. With the
+    # certificate taken as passed, a's column alone fails each claim read
+    # by class that reads no a: every mass is as built.
     monkeypatch.setattr(scenarios, "_certified", lambda *args: True)
     by = _lemma_with(monkeypatch, verify, 3, a_at_last=2)
     assert [by[label].computed for label in by_class] == [False] * len(by_class)
-    monkeypatch.setattr(scenarios, "_CLASS_DRAWS", 0)
+    monkeypatch.setattr(scenarios, "_CLASS_TURNS", 0)
     by = _lemma_with(monkeypatch, verify, 3, a_at_last=2)
     assert [by[label].computed for label in by_class] == [True] * len(by_class)
 
